@@ -350,19 +350,16 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
     production exercises it; it gates tau-sweep at >= 2x: each sweep
     spec draws distinct weights, so tabulation dominated its cold figure
     (~0.5x before canonical-token keying and the kernel cache; the cold
-    number is recorded, un-gated).  A third, dense pass re-runs each
-    family on the retired v1 dense engine (``REPRO_BATCH_DENSE=1``) so
-    the v2 frontier engine's relaxation win is reported per family.
-    Kernel cache tier counters, per-phase wall time
-    (scan/tabulate/relax/render), rounds-to-fixpoint histograms, and
-    frontier occupancy for both passes land in ``BENCH_batch.json``;
-    ``runtime_declines`` must stay zero — bounded-hole deepening, not a
-    scalar bail, is the contract for the wide-weight admissions.
+    number is recorded, un-gated).  Kernel cache tier counters,
+    per-phase wall time (scan/tabulate/relax/render) and
+    rounds-to-fixpoint histograms for both passes land in
+    ``BENCH_batch.json``; ``runtime_declines`` must stay zero —
+    bounded-hole deepening, not a scalar bail, is the contract for the
+    wide-weight admissions.
     """
     from repro.campaigns import materialize
     from repro.exec import get_backend, route_mismatches, schedule_events
     from repro.exec.batch import (
-        DENSE_RELAX_ENV,
         clear_kernel_cache,
         kernel_cache_stats,
         reset_batch_phase_stats,
@@ -469,26 +466,6 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
         f"scenarios, got {warm_stats['memo_hits']}: {warm_stats}")
     assert warm_stats["cache_hits"] >= total, warm_stats
 
-    # Dense v1 differential pass on the same warm kernels: the retired
-    # dense engine (env-flagged oracle, see DENSE_RELAX_ENV) re-run per
-    # family so the v2 frontier engine's relaxation win is reported
-    # per family, not just folded into the wall clock.
-    relax_dense: dict[str, float] = {}
-    dense_prior = os.environ.get(DENSE_RELAX_ENV)
-    os.environ[DENSE_RELAX_ENV] = "1"
-    try:
-        for family_key, specs in supported.items():
-            scenarios = [materialize(spec) for spec in specs]
-            kept = [s for s in scenarios if batch.supports(s)]
-            relax_before = _relax_seconds()
-            batch.prepare_batch(kept).run()
-            relax_dense[family_key] = _relax_seconds() - relax_before
-    finally:
-        if dense_prior is None:
-            del os.environ[DENSE_RELAX_ENV]
-        else:  # pragma: no cover - inherited env override
-            os.environ[DENSE_RELAX_ENV] = dense_prior
-
     # The equality gate: preference-equal tables on every scenario of
     # every family, tau-sweep included.
     mismatched = []
@@ -512,9 +489,6 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
             "warm_speedup": scalar_s[key] / warm_s[key],
             "route_mismatches": family_mismatches[key],
             "relax_s": relax_warm[key],
-            "dense_relax_s": relax_dense[key],
-            "relax_speedup_vs_dense":
-                relax_dense[key] / max(relax_warm[key], 1e-9),
         }
         for key in supported
     }
@@ -540,10 +514,6 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
             "rounds_hist": {str(k): v for k, v in sorted(rounds.items())},
             "mean_rounds": (sum(k * v for k, v in rounds.items()) / groups
                             if groups else 0.0),
-            "mean_frontier_cells": (
-                events.get("frontier_cells", 0)
-                / events["frontier_rounds"]
-                if events.get("frontier_rounds") else 0.0),
             "state_cells": events.get("state_cells", 0),
             "deepenings": events.get("deepenings", 0),
             "hazard_declines": events.get("hazard_declines", 0),
@@ -583,14 +553,12 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
         f"tabulate {cold_summary['tabulate_s']:.3f}s "
         f"relax {cold_summary['relax_s']:.3f}s "
         f"render {cold_summary['render_s']:.3f}s; "
-        f"warm mean frontier "
-        f"{warm_summary['mean_frontier_cells']:.0f} cells, "
-        f"mean rounds {warm_summary['mean_rounds']:.1f}, "
+        f"warm mean rounds {warm_summary['mean_rounds']:.1f}, "
         f"deepenings {warm_summary['deepenings']}",
     ] + [
         f"  {key}: {stats['speedup']:.1f}x cold / "
         f"{stats['warm_speedup']:.1f}x warm, "
-        f"relax v2-vs-dense {stats['relax_speedup_vs_dense']:.1f}x "
+        f"warm relax {stats['relax_s'] * 1e3:.1f}ms "
         f"({stats['batch_sps']:.0f} vs {stats['scalar_sps']:.0f} "
         f"scenarios/s)"
         for key, stats in sorted(per_family.items())

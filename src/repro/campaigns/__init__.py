@@ -80,7 +80,8 @@ from .spec import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from .verdict_store import NO_RETENTION, RetentionPolicy, VerdictStore
+from ..sqlite_cache import NO_RETENTION, RetentionPolicy
+from .verdict_store import VerdictStore
 
 __all__ = [
     "AGREE",

@@ -9,31 +9,24 @@ Verdicts are content-addressed by the ``repr`` of
 :func:`~repro.campaigns.canonical.canonical_key` — since schema v3 an
 *isomorphism-invariant* rendering (canonically relabeled SPP instances
 and algebra signatures), so seeds that draw relabeled-but-isomorphic
-instances hit the same row.  Storage is a single sqlite database:
-concurrent campaign workers each hold their own connection, WAL mode
-keeps readers off the writers' locks, and ``INSERT OR IGNORE`` makes
-duplicate solves from racing workers harmless (both computed the same
-verdict from the same key).
+instances hit the same row.  ``INSERT OR IGNORE`` makes duplicate solves
+from racing workers harmless (both computed the same verdict from the
+same key).
 
-Opening a store applies two automatic hygiene passes (replacing the old
-manual ``--compact``-only workflow):
-
-* **migration** — pre-v3 ``("spp", ...)`` keys are parsed back into
-  instances and re-keyed canonically (merging rows that v3 collapses);
-  other superseded key formats are left in place and age out naturally;
-* **retention** — hit counts decay by halving per elapsed half-life,
-  rows that decayed to zero hits and exceed the age bound are evicted,
-  and the size bound evicts coldest-first beyond ``max_rows``.
+Connection handling, multi-writer hardening and open-time retention
+(hit decay, age and size bounds) are
+:class:`repro.sqlite_cache.SqliteCache`'s — the base this store shares
+with :mod:`repro.exec.kernel_store`; what is here is the verdict table,
+its migration (see :meth:`VerdictStore._migrate`) and its row methods.
 """
 
 from __future__ import annotations
 
 import ast
-import sqlite3
 import time
-from dataclasses import dataclass
 
 from ..obs import metrics as _obs_metrics
+from ..sqlite_cache import NO_RETENTION, RetentionPolicy, SqliteCache
 
 SCHEMA_VERSION = 3
 
@@ -55,117 +48,36 @@ CREATE TABLE IF NOT EXISTS verdicts (
 )
 """
 
-_META_SCHEMA = """
-CREATE TABLE IF NOT EXISTS store_meta (
-    name  TEXT PRIMARY KEY,
-    value REAL NOT NULL
-)
-"""
 
-
-@dataclass(frozen=True)
-class RetentionPolicy:
-    """Automatic hygiene bounds applied every time a store is opened.
-
-    ``decay_half_life_days``
-        Hit counts are integer-halved once per elapsed half-life, so a
-        row that stops being hit loses its protection gradually instead
-        of keeping a stale high-water mark forever.
-    ``max_age_days``
-        Rows whose (decayed) hit count is zero and whose age exceeds the
-        bound are evicted — they re-derive on the next encounter at the
-        cost of one analysis.
-    ``max_rows``
-        Hard size bound; beyond it the coldest rows (fewest hits, then
-        oldest) are evicted regardless of age.
-    """
-
-    max_rows: int = 100_000
-    max_age_days: float = 30.0
-    decay_half_life_days: float = 7.0
-
-    @property
-    def max_age_s(self) -> float:
-        return self.max_age_days * 86_400.0
-
-    @property
-    def half_life_s(self) -> float:
-        return self.decay_half_life_days * 86_400.0
-
-    @property
-    def mutates_on_open(self) -> bool:
-        return (self.max_rows > 0 or self.max_age_s > 0
-                or self.half_life_s > 0)
-
-
-#: Opt-out policy for callers that must not rewrite rows on open: skips
-#: decay/eviction AND the v2→v3 key migration (a v2 store inspected this
-#: way keeps serving its old keys).  Structural column additions (the
-#: ``hits`` column, without which queries fail) still apply.
-NO_RETENTION = RetentionPolicy(max_rows=0, max_age_days=0.0,
-                               decay_half_life_days=0.0)
-
-
-class VerdictStore:
+class VerdictStore(SqliteCache):
     """An append-mostly ``canonical key → (safe, method)`` sqlite store."""
 
-    def __init__(self, path: str,
-                 retention: RetentionPolicy | None = None,
-                 now: float | None = None):
-        self.path = path
-        self.retention = retention or RetentionPolicy()
-        #: What the automatic open-time hygiene did (for stats/tests).
-        self.last_retention: dict[str, int] = {}
-        self._conn = sqlite3.connect(path, timeout=30.0)
-        try:  # WAL lets campaign workers read while one writes.
-            self._conn.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:
-            pass  # e.g. unsupported filesystem; rollback journal still works
-        # Belt and braces with the connect timeout: make sqlite itself
-        # retry on a sibling writer's lock instead of raising
-        # SQLITE_BUSY into a multi-writer campaign fleet.
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._conn.execute(_SCHEMA)
-        self._conn.execute(_META_SCHEMA)
-        self._ensure_columns()
-        self._conn.commit()
-        if self.retention.mutates_on_open:
-            # Serialize racing openers (parallel campaign workers all open
-            # the store): take the write lock up front, then re-check the
-            # schema version / decay timestamps under it — the losers of
-            # the race see the winner's bump instead of replaying the
-            # migration from a stale snapshot (double-merged hit counts,
-            # or SQLITE_BUSY upgrading a deferred read transaction).
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._migrate()
-                self._apply_retention(
-                    now if now is not None else time.time())
-            except BaseException:
-                self._conn.rollback()
-                raise
-            self._conn.commit()
+    TABLE = "verdicts"
+    SCHEMA = _SCHEMA
+    DEFAULT_RETENTION = RetentionPolicy(max_rows=100_000, max_age_days=30.0,
+                                        decay_half_life_days=7.0)
 
-    # -- schema migration -----------------------------------------------------
+    def _migrate(self) -> None:
+        """v1 → v2: add the ``hits`` column (required by every query).
 
-    def _ensure_columns(self) -> None:
-        """v1 → v2: add the ``hits`` column (required by every query)."""
+        v2 → v3: re-key ``("spp", ...)`` rows under the
+        isomorphism-invariant canonicalization (hits and the earliest
+        creation time merge when several old rows collapse into one
+        canonical key).  Other v2 key formats ("table", "product",
+        "finite" renderings) cannot be re-keyed in place; they are kept
+        verbatim — they simply never match a v3 key again and age out
+        through retention.  An open under ``NO_RETENTION`` must not
+        rewrite rows, so it skips this pass (a v2 store inspected that
+        way keeps serving its old keys).
+        """
         columns = {row[1] for row in
                    self._conn.execute("PRAGMA table_info(verdicts)")}
         if "hits" not in columns:
             self._conn.execute(
                 "ALTER TABLE verdicts ADD COLUMN hits INTEGER NOT NULL "
                 "DEFAULT 0")
-
-    def _migrate(self) -> None:
-        """v2 → v3: re-key ``("spp", ...)`` rows under the
-        isomorphism-invariant canonicalization (hits and the earliest
-        creation time merge when several old rows collapse into one
-        canonical key).  Other v2 key formats ("table", "product",
-        "finite" renderings) cannot be re-keyed in place; they are kept
-        verbatim — they simply never match a v3 key again and age out
-        through retention.
-        """
+        if self.retention == NO_RETENTION:
+            return
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version >= SCHEMA_VERSION:
             return
@@ -190,63 +102,6 @@ class VerdictStore:
         if migrated:
             self.last_retention["migrated"] = migrated
 
-    # -- automatic retention --------------------------------------------------
-
-    def _apply_retention(self, now: float) -> None:
-        policy = self.retention
-        if policy.half_life_s <= 0 and policy.max_age_s <= 0 \
-                and policy.max_rows <= 0:
-            return
-        stats = self.last_retention
-        # Hit-count decay: integer halving per elapsed half-life.
-        if policy.half_life_s > 0:
-            last = self._meta("last_decay_at")
-            if last is None:
-                self._set_meta("last_decay_at", now)
-            else:
-                halvings = int((now - last) / policy.half_life_s)
-                if halvings > 0:
-                    # hits >> halvings, floored at 0.
-                    self._conn.execute(
-                        "UPDATE verdicts SET hits = hits / ? WHERE hits > 0",
-                        (2 ** min(halvings, 62),))
-                    self._set_meta(
-                        "last_decay_at",
-                        last + halvings * policy.half_life_s)
-                    stats["decay_halvings"] = halvings
-        # Age bound: cold rows past the horizon are evicted.
-        if policy.max_age_s > 0:
-            evicted = self._conn.execute(
-                "DELETE FROM verdicts WHERE hits = 0 AND created_at < ?",
-                (now - policy.max_age_s,)).rowcount
-            if evicted:
-                stats["age_evicted"] = evicted
-        # Size bound: coldest-first beyond max_rows.
-        if policy.max_rows > 0:
-            total = self._conn.execute(
-                "SELECT COUNT(*) FROM verdicts").fetchone()[0]
-            excess = total - policy.max_rows
-            if excess > 0:
-                self._conn.execute(
-                    "DELETE FROM verdicts WHERE key IN ("
-                    "SELECT key FROM verdicts "
-                    "ORDER BY hits ASC, created_at ASC LIMIT ?)",
-                    (excess,))
-                stats["size_evicted"] = excess
-
-    def _meta(self, name: str) -> float | None:
-        row = self._conn.execute(
-            "SELECT value FROM store_meta WHERE name = ?", (name,)).fetchone()
-        return None if row is None else row[0]
-
-    def _set_meta(self, name: str, value: float) -> None:
-        self._conn.execute(
-            "INSERT INTO store_meta (name, value) VALUES (?, ?) "
-            "ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-            (name, value))
-
-    # -- reads ----------------------------------------------------------------
-
     def load_all(self) -> dict[str, tuple[bool, str]]:
         """Every stored verdict — loaded into a worker memo at startup."""
         rows = self._conn.execute(
@@ -262,12 +117,6 @@ class VerdictStore:
             return None
         _STORE_OPS["get_hit"].inc()
         return bool(row[0]), row[1]
-
-    def __len__(self) -> int:
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM verdicts").fetchone()[0]
-
-    # -- writes ---------------------------------------------------------------
 
     def put(self, key: str, safe: bool, method: str) -> None:
         """Record one verdict; racing duplicates are ignored, not errors."""
@@ -297,37 +146,6 @@ class VerdictStore:
                 "UPDATE verdicts SET hits = hits + ? WHERE key = ?",
                 [(count, key) for key, count in counts.items()]))
 
-    def _retry_locked(self, write, attempts: int = 5) -> None:
-        """Run one write+commit, retrying transient lock errors.
-
-        ``busy_timeout`` already makes sqlite wait out a sibling's
-        transaction, but a writer can still surface ``database is locked``
-        when the wait expires under a pathologically slow fleet member
-        (or a network filesystem hiccup).  Campaign verdict writes are
-        idempotent (``INSERT OR IGNORE`` / additive hit counts), so a
-        short bounded retry is strictly better than killing the worker.
-        """
-        for attempt in range(attempts):
-            try:
-                write()
-                self._conn.commit()
-                return
-            except sqlite3.OperationalError as error:
-                try:
-                    self._conn.rollback()
-                except sqlite3.OperationalError:
-                    pass
-                # Only contention is transient; a readonly database or a
-                # full disk will not heal in five sleeps — surface it.
-                message = str(error).lower()
-                if "locked" not in message and "busy" not in message:
-                    raise
-                if attempt == attempts - 1:
-                    raise
-                time.sleep(0.05 * (attempt + 1))
-
-    # -- hygiene ---------------------------------------------------------------
-
     def stats(self) -> dict:
         """Row/hit statistics for ``repro verdicts --stats``."""
         total, safe, hits, never = self._conn.execute(
@@ -352,22 +170,6 @@ class VerdictStore:
             "schema_version": version,
             "retention": dict(self.last_retention),
         }
-
-    def compact(self) -> int:
-        """Evict never-hit rows and reclaim the space; returns the count.
-
-        Retention bounds the store automatically on open; ``compact`` is
-        the aggressive manual variant — *every* zero-hit row goes,
-        regardless of age, and the file is VACUUMed.
-        """
-        evicted = self._conn.execute(
-            "DELETE FROM verdicts WHERE hits = 0").rowcount
-        self._conn.commit()
-        self._conn.execute("VACUUM")
-        return evicted
-
-    def close(self) -> None:
-        self._conn.close()
 
 
 def _rekey_v2_spp(key: str) -> str | None:

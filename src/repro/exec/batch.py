@@ -25,31 +25,34 @@ interleaving, or advertisement batching.  So instead of simulating, it:
    the unique stable state makes the final topology sufficient;
 3. **relaxes all scenarios at once** in struct-of-arrays form: one flat
    ``int32`` state vector over every (scenario, destination, node)
-   triple, one flat directed-edge list, and synchronous numpy rounds
-   until fixpoint.  *Isotone* kernels (rank tables monotone in
-   preference space) use accumulating ``np.minimum.at`` rounds — holes
-   rank worse than φ, so a depth-truncated value can never win the min
-   and the fixpoint provably equals the scalar engines' stable state.
-   *Monotone-only* kernels (strictly monotonic but genuinely
-   non-isotone, e.g. the Gao-Rexford × hopcount products) run an honest
-   synchronous Jacobi iteration — one fair activation schedule of the
-   protocol the safety theorem proves convergent — and **decline at run
-   time** (:class:`BatchDeclined`) the moment a transient value would
-   read a hole entry, or if the iteration fails to settle.
+   triple of a same-kernel group, one flat directed-edge list, and
+   synchronous whole-edge-list numpy sweeps until fixpoint — the one
+   relaxation engine (:func:`_relax_group`).  *Isotone* kernels (rank
+   tables monotone in preference space) use accumulating
+   ``np.minimum.at`` sweeps — holes rank worse than φ, so a
+   depth-truncated value can never win the min and the fixpoint provably
+   equals the scalar engines' stable state.  *Monotone-only* kernels
+   (strictly monotonic but genuinely non-isotone, e.g. the Gao-Rexford ×
+   hopcount products) run an honest synchronous Jacobi iteration — one
+   fair activation schedule of the protocol the safety theorem proves
+   convergent.  A transient that reads a hole entry **deepens** the
+   closure along the offending rows and restarts the group
+   (:func:`_deepen_kernel`); only when the deepening budget is spent, a
+   hazard-mode tie check fires, or the iteration fails to settle does
+   the group **decline at run time** (:class:`BatchDeclined`).
 
 Scenarios whose semantics the fixpoint shortcut cannot reproduce are
 declared unsupported (see :meth:`BatchBackend.supports`) and stay on the
-scalar engines; the scalar↔batched differential in the campaign oracle
-and the fixed-seed equality gate in ``benchmarks/`` keep the fast path
-honest.
+scalar engines.  Those engines — generated from the same algebra — are
+the only equivalence oracle: the scalar↔batched differential in the
+campaign oracle and the fixed-seed equality gate in ``benchmarks/`` keep
+the fast path honest.
 
 Tabulation cost is amortized three ways: a per-algebra-instance memo, a
 process-wide cache under canonical algebra keys, and an optional
 **persistent kernel store** (:mod:`repro.exec.kernel_store`, enabled via
 :func:`configure_kernel_store` or ``$REPRO_BATCH_KERNEL_CACHE``) shared
-by fleet workers and repeat campaigns.  The store is the documented seam
-for future GPU/mypyc/Rust kernel drop-ins: anything that can produce the
-``trans`` table for a canonical key can serve it from there.
+by fleet workers and repeat campaigns.
 
 numpy is optional: without it the backend simply supports nothing, so
 campaigns degrade to the scalar engines instead of failing to import.
@@ -60,6 +63,7 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import sqlite3
 import time
 from typing import TYPE_CHECKING, Hashable, Iterable
 
@@ -98,9 +102,6 @@ DEEPEN_STEP = 64
 MAX_DEEPEN_DEPTH = 256
 _MAX_DEEPEN_ATTEMPTS = 3
 
-#: Dense v1 relaxation escape hatch (differential tests / bisection).
-DENSE_RELAX_ENV = "REPRO_BATCH_DENSE"
-
 #: algebra canonical key + observed label set -> kernel (None = unsupported).
 _KERNEL_CACHE: dict[tuple, "_Kernel | None"] = {}
 _KERNEL_CACHE_MAX = 256
@@ -132,7 +133,7 @@ _TABULATION_SECONDS = _obs_metrics.counter(
     "repro_batch_tabulation_seconds_total")
 
 #: Per-phase telemetry of the vectorized session (wall time by phase,
-#: relaxation rounds-per-fixpoint histogram, frontier occupancy, and the
+#: relaxation rounds-per-fixpoint histogram, state size, and the
 #: deepening / hazard counters).  Snapshot via :func:`batch_phase_stats`.
 _PHASE_SECONDS = {
     phase: _obs_metrics.counter("repro_batch_phase_seconds_total",
@@ -148,8 +149,6 @@ _PHASE_EVENTS = {
     name: _obs_metrics.counter("repro_batch_relax_events_total",
                                event=name)
     for name in (
-        "frontier_cells",   # Σ active cells over all frontier rounds
-        "frontier_rounds",  # frontier rounds executed
         "state_cells",      # Σ state-vector length over all groups
         "deepenings",       # bounded-hole closure deepenings performed
         "hazard_declines",  # Jacobi tie-hazard bails (subset of declines)
@@ -413,7 +412,7 @@ def _classify_kernel(trans, pref_class, phi_id: int, hole_id: int
         return "isotone", False, None
     # Static tie-respect: per row, per input tie class — no
     # hole/non-hole mix, and all non-hole outputs in one preference
-    # class.  Kernels passing it keep the unguarded v1 Jacobi.
+    # class.  Kernels passing it keep the unguarded Jacobi.
     # Vectorized as one segmented min/max per row: the hole sentinel has
     # its own preference class, so "segment collapses to one class"
     # simultaneously rejects multi-class outputs and hole/non-hole mixes
@@ -616,7 +615,7 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
         try:
             store.put_deeper(kernel.cache_key, _encode_kernel(kernel),
                              kernel.depth)
-        except Exception:  # noqa: BLE001 - cache write, best-effort
+        except sqlite3.Error:  # cache write, best-effort
             pass
     return True
 
@@ -648,7 +647,7 @@ def configure_kernel_store(path: str | None = None) -> None:
     if _STORE is not None:
         try:
             _STORE.close()
-        except Exception:  # noqa: BLE001
+        except sqlite3.Error:
             pass
     _STORE = None
     _STORE_PATH = resolved
@@ -658,7 +657,7 @@ def configure_kernel_store(path: str | None = None) -> None:
         from .kernel_store import KernelStore
         try:
             _STORE = KernelStore(resolved)
-        except Exception:  # noqa: BLE001 - unusable store => in-memory only
+        except sqlite3.Error:  # unusable store => in-memory only
             _STORE = None
 
 
@@ -765,7 +764,10 @@ def _kernel_for(algebra: RoutingAlgebra, keys: Iterable[Hashable],
         kernel = _UNSET = object()
         store = _active_store()
         if store is not None:
-            found, payload = store.get(repr(key))
+            try:
+                found, payload = store.get(repr(key))
+            except sqlite3.Error:  # unreadable store: a miss, not a crash
+                found = False
             if found:
                 try:
                     kernel = _decode_kernel(payload)
@@ -780,7 +782,7 @@ def _kernel_for(algebra: RoutingAlgebra, keys: Iterable[Hashable],
                 try:
                     store.put(repr(key), _encode_kernel(kernel),
                               depth=0 if kernel is None else kernel.depth)
-                except Exception:  # noqa: BLE001 - cache write, best-effort
+                except sqlite3.Error:  # cache write, best-effort
                     pass
         _KERNEL_CACHE[key] = kernel
     kernel = _KERNEL_CACHE[key]
@@ -1225,70 +1227,33 @@ def _scatter_state(blocks: list, state, src, dst, lab, kernel) -> None:
         problem.parents[di] = _np.where(block < 0, block, block - off)
 
 
-def _relax_isotone_frontier(kernel: "_Kernel", seeds, src, dst, lab):
-    """Frontier-driven accumulating min-relaxation (exact).
+def _relax_isotone(kernel: "_Kernel", seeds, src, dst, lab):
+    """Accumulating min-relaxation over the whole edge list (exact).
 
-    State only ever improves and each ⊕ strictly increases the rank, so
-    an edge's offer changes only when its source cell's state changed —
-    relaxing just the adjacency of last round's improved cells reaches
-    the same unique fixpoint as the dense sweep, with the expensive
-    scatter confined to O(Σ changed-adjacency) edges.  Cells seeded at φ
-    start outside the frontier: their offers are ``trans[:, φ] == φ``
-    (the absorbing column) and can never win a min.  Hole entries rank
-    above φ, so ``minimum.at`` silently discards them.
+    Ranks only ever improve and each ⊕ strictly increases the rank, so
+    the accumulating sweeps reach the unique fixpoint in at most |Σ|
+    rounds; the +2 cap is a pure safety net.  Hole entries rank above φ,
+    so ``minimum.at`` silently discards them.
     """
     state = seeds.copy()
-    if src.size == 0:
-        _note_rounds(0)
-        return state
     trans = kernel.trans
-    phi = kernel.phi_id
-    ncells = state.size
-    # Frontier selection is one boolean gather over the source column —
-    # O(E) per round but branch-free and allocation-light, which beats
-    # building a CSR index (argsort + bincount) on the 2–4 round
-    # fixpoints these sparse graphs converge in.  The expensive part of
-    # a round is ``minimum.at`` (a buffered scatter), and that runs only
-    # over the selected edges; once a round would touch most of the edge
-    # list anyway, the plain dense sweep skips the selection too.
-    dense_cut = src.size // 2
-    mask = _np.zeros(ncells, dtype=bool)
-    active = _np.flatnonzero(state != phi)
-    rounds = 0
-    budget = ncells * (phi + 2) + 1  # ≥1 cell strictly improves per round
-    while active.size:
-        rounds += 1
-        if rounds > budget:  # pragma: no cover - verified-kernel invariant
-            raise RuntimeError("batch relaxation failed to reach fixpoint")
-        _PHASE_EVENTS["frontier_cells"].inc(int(active.size))
-        _PHASE_EVENTS["frontier_rounds"].inc()
-        mask[:] = False
-        mask[active] = True
-        edge_sel = mask[src]
+    for round_ in range(kernel.phi_id + 2):
         before = state.copy()
-        if int(_np.count_nonzero(edge_sel)) > dense_cut:
-            _np.minimum.at(state, dst, trans[lab, state[src]])
-        else:
-            sel = _np.flatnonzero(edge_sel)
-            _np.minimum.at(state, dst[sel],
-                           trans[lab[sel], state[src[sel]]])
-        active = _np.flatnonzero(state < before)
-    _note_rounds(rounds)
-    return state
+        _np.minimum.at(state, dst, trans[lab, state[src]])
+        if _np.array_equal(before, state):
+            _note_rounds(round_ + 1)
+            return state
+    raise RuntimeError(  # pragma: no cover - verified-kernel invariant
+        "batch relaxation failed to reach fixpoint")
 
 
-def _relax_jacobi_frontier(kernel: "_Kernel", seeds, src, dst, lab):
-    """Frontier-driven synchronous Jacobi iteration.
+def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
+    """Synchronous Jacobi iteration over the whole edge list.
 
-    Semantically the dense v1 Jacobi — every node simultaneously
-    re-selects the best of its neighbors' *current* routes each round —
-    but each round only recomputes the offers of edges whose source cell
-    changed last round, against a cached per-edge offer array whose
-    invariant (``vals[e] == trans[lab[e], state[src[e]]]`` at all times)
-    makes the two provably identical round for round.  Hole entries are
-    checked exactly when an offer is (re)computed, which covers every
-    hole the dense sweep would see; a touch raises :class:`_HoleTouch`
-    with the offending cells so the caller can deepen and restart.
+    Every node simultaneously re-selects the best of its neighbors'
+    *current* routes each round, recomputed from the seeds.  A transient
+    that reads a hole entry raises :class:`_HoleTouch` with the offending
+    cells so the caller can deepen and restart.
 
     Hazard-mode kernels additionally verify, every round including the
     settling one, that no preference tie between behaviorally distinct
@@ -1297,57 +1262,21 @@ def _relax_jacobi_frontier(kernel: "_Kernel", seeds, src, dst, lab):
     arrival-order tie-break.  Ambiguity raises :class:`BatchDeclined`
     (conservative: transient ties decline too; never a wrong answer).
     """
-    state = seeds.copy()
-    if src.size == 0:
-        _note_rounds(0)
-        return state
     trans = kernel.trans
-    phi = kernel.phi_id
     hole = kernel.hole_id
-    ncells = state.size
-    # Cached offers: a φ-state source offers trans[lab, φ] == φ (the
-    # absorbing column), so initializing to φ satisfies the invariant
-    # for every not-yet-recomputed edge.
-    vals = _np.full(src.size, phi, dtype=_np.int32)
-    changed = _np.flatnonzero(state != phi)
-    mask = _np.zeros(ncells, dtype=bool)
-    hazard = kernel.hazard
     tie = kernel.tie_class
     pc = kernel.pref_class
-    round_budget = _MONOTONE_ROUND_SLACK * (phi + 2) + MAX_NODES
-    dense_cut = src.size // 2
-    for _round in range(round_budget):
-        if changed.size:
-            _PHASE_EVENTS["frontier_cells"].inc(int(changed.size))
-            _PHASE_EVENTS["frontier_rounds"].inc()
-            # Stale-offer selection by boolean source mask (see
-            # _relax_isotone_frontier for why this beats a CSR index).
-            mask[:] = False
-            mask[changed] = True
-            edge_sel = mask[src]
-            if int(_np.count_nonzero(edge_sel)) > dense_cut:
-                # Most offers are stale anyway: recompute them all in one
-                # dense gather instead of assembling the selection.
-                new_vals = trans[lab, state[src]]
-                holes = new_vals == hole
-                if bool(holes.any()):
-                    raise _HoleTouch(set(zip(
-                        lab[holes].tolist(),
-                        state[src[holes]].tolist())))
-                vals = new_vals
-            else:
-                sel = _np.flatnonzero(edge_sel)
-                if sel.size:
-                    new_vals = trans[lab[sel], state[src[sel]]]
-                    holes = new_vals == hole
-                    if bool(holes.any()):
-                        raise _HoleTouch(set(zip(
-                            lab[sel][holes].tolist(),
-                            state[src[sel]][holes].tolist())))
-                    vals[sel] = new_vals
+    state = seeds
+    for round_ in range(
+            _MONOTONE_ROUND_SLACK * (kernel.phi_id + 2) + MAX_NODES):
+        vals = trans[lab, state[src]]
+        holes = vals == hole
+        if bool(holes.any()):
+            raise _HoleTouch(set(zip(lab[holes].tolist(),
+                                     state[src[holes]].tolist())))
         fresh = seeds.copy()
         _np.minimum.at(fresh, dst, vals)
-        if hazard:
+        if kernel.hazard:
             # A losing offer preference-tied with the winner but in a
             # different tie class means the scalar engines could have
             # kept the other route — the batch answer is not unique up
@@ -1361,9 +1290,8 @@ def _relax_jacobi_frontier(kernel: "_Kernel", seeds, src, dst, lab):
                 raise BatchDeclined(
                     "preference tie between behaviorally distinct "
                     "routes; falling back to scalar engines")
-        changed = _np.flatnonzero(fresh != state)
-        if changed.size == 0:
-            _note_rounds(_round + 1)
+        if _np.array_equal(fresh, state):
+            _note_rounds(round_ + 1)
             return fresh
         state = fresh
     raise BatchDeclined(
@@ -1374,27 +1302,20 @@ def _relax_jacobi_frontier(kernel: "_Kernel", seeds, src, dst, lab):
 def _relax_group(group: list["_Problem"]) -> None:
     """Relax one kernel's scenarios over flat struct-of-arrays state.
 
-    The v2 engine: frontier-driven sparse rounds over the fused group
-    (:func:`_relax_isotone_frontier` / :func:`_relax_jacobi_frontier`),
-    with bounded-hole closure deepening — a monotone-mode hole-touch
-    deepens the kernel along just the offending rows
-    (:func:`_deepen_kernel`) and restarts the group, declining to scalar
-    only when the depth cap or attempt budget is exhausted.  Setting
-    ``$REPRO_BATCH_DENSE`` dispatches to the dense v1 engine instead
-    (:func:`_relax_group_dense`) — the differential oracle for engine
-    equivalence tests.
+    Whole-edge-list sweeps over the fused group (:func:`_relax_isotone`
+    / :func:`_relax_jacobi`), with bounded-hole closure deepening — a
+    monotone-mode hole-touch deepens the kernel along just the offending
+    rows (:func:`_deepen_kernel`) and restarts the group, declining to
+    scalar only when the depth cap or attempt budget is exhausted.
     """
-    if os.environ.get(DENSE_RELAX_ENV):
-        return _relax_group_dense(group)
     kernel = group[0].kernel
     for attempt in range(_MAX_DEEPEN_ATTEMPTS + 1):
         seeds, src, dst, lab, blocks = _assemble_group(group)
         _PHASE_EVENTS["state_cells"].inc(int(seeds.size))
+        # Dispatch inside the loop: a deepening re-classifies the kernel.
+        relax = _relax_isotone if kernel.mode == "isotone" else _relax_jacobi
         try:
-            if kernel.mode == "isotone":
-                state = _relax_isotone_frontier(kernel, seeds, src, dst, lab)
-            else:
-                state = _relax_jacobi_frontier(kernel, seeds, src, dst, lab)
+            state = relax(kernel, seeds, src, dst, lab)
         except _HoleTouch as touch:
             if attempt >= _MAX_DEEPEN_ATTEMPTS \
                     or not _deepen_kernel(kernel, touch.offending):
@@ -1405,73 +1326,6 @@ def _relax_group(group: list["_Problem"]) -> None:
             continue  # deepened in place: reassemble (ids shifted), retry
         _scatter_state(blocks, state, src, dst, lab, kernel)
         return
-
-
-def _relax_group_dense(group: list["_Problem"]) -> None:
-    """The dense v1 relaxation, kept as the engine-equivalence oracle.
-
-    Identical to the pre-frontier engine — full-edge sweeps, no
-    deepening (a hole-touch declines outright) — except that hazard-mode
-    kernels get the same per-round tie-ambiguity check as the frontier
-    Jacobi, so the dense↔frontier differential is meaningful on the
-    deployed-secure families too.
-    """
-    kernel = group[0].kernel
-    phi = kernel.phi_id
-    hole = kernel.hole_id
-    seeds, src, dst, lab, blocks = _assemble_group(group)
-    _PHASE_EVENTS["state_cells"].inc(int(seeds.size))
-    state = seeds.copy()
-    if src.size:
-        trans = kernel.trans
-        if kernel.mode == "isotone":
-            # Ranks only ever improve, and each ⊕ strictly increases the
-            # rank, so the accumulating iteration reaches the unique
-            # fixpoint in at most |Σ| rounds; the +2 cap is a pure safety
-            # net.  Hole entries rank above φ, so minimum.at silently
-            # discards them.
-            for _round in range(phi + 2):
-                before = state.copy()
-                _np.minimum.at(state, dst, trans[lab, state[src]])
-                if _np.array_equal(before, state):
-                    break
-            else:  # pragma: no cover - unreachable with a verified kernel
-                raise RuntimeError(
-                    "batch relaxation failed to reach fixpoint")
-        else:
-            hazard = kernel.hazard
-            tie = kernel.tie_class
-            pc = kernel.pref_class
-            rounds = _MONOTONE_ROUND_SLACK * (phi + 2) + MAX_NODES
-            for _round in range(rounds):
-                vals = trans[lab, state[src]]
-                if bool((vals == hole).any()):
-                    raise BatchDeclined(
-                        "transient value crossed the closure depth "
-                        "horizon; falling back to scalar engines")
-                fresh = seeds.copy()
-                _np.minimum.at(fresh, dst, vals)
-                if hazard:
-                    fresh_d = fresh[dst]
-                    ambiguous = (pc[vals] == pc[fresh_d]) \
-                        & (tie[vals] != tie[fresh_d])
-                    seed_amb = (pc[seeds] == pc[fresh]) \
-                        & (tie[seeds] != tie[fresh])
-                    if bool(ambiguous.any()) or bool(seed_amb.any()):
-                        _PHASE_EVENTS["hazard_declines"].inc()
-                        raise BatchDeclined(
-                            "preference tie between behaviorally "
-                            "distinct routes; falling back to scalar "
-                            "engines")
-                if _np.array_equal(fresh, state):
-                    _note_rounds(_round + 1)
-                    break
-                state = fresh
-            else:
-                raise BatchDeclined(
-                    "Jacobi iteration did not settle within the round "
-                    "budget; falling back to scalar engines")
-    _scatter_state(blocks, state, src, dst, lab, kernel)
 
 
 class BatchSession(ExecutionSession):

@@ -4,10 +4,7 @@ The process caches in :mod:`repro.exec.batch` pay for each distinct
 (algebra, transfer vocabulary) closure once per worker *lifetime*; this
 module makes tabulated kernels survive across processes and campaign
 invocations, so fleet workers and repeat campaigns skip re-tabulation
-entirely — and it is the documented **drop-in seam** for accelerated
-kernel producers: anything (GPU tabulators, mypyc/Rust builders, a CI
-warm-up job) that can write the serialized rank tables for a canonical
-key serves every future batch run from here.
+entirely.
 
 Kernels are content-addressed by the ``repr`` of the batch backend's
 process-cache key — the isomorphism-invariant
@@ -18,21 +15,19 @@ share a row, exactly mirroring the verdict store.  Negative results
 as NULL payloads: a declined closure is as expensive to re-derive as an
 accepted one.
 
-Storage, concurrency and hygiene deliberately mirror
-:mod:`repro.campaigns.verdict_store`: one sqlite database, WAL + busy
-timeout for multi-writer fleets, ``INSERT OR IGNORE`` so racing workers
-tabulating the same kernel are harmless, ``PRAGMA user_version``-gated
-schema migration, and automatic open-time retention (hit decay, age and
-size bounds, coldest-first eviction).
+Connection handling, multi-writer hardening and open-time retention are
+:class:`repro.sqlite_cache.SqliteCache`'s — the base this store shares
+with :mod:`repro.campaigns.verdict_store`; what is here is the kernel
+table, its ``user_version``-gated migration and its row methods.
 """
 
 from __future__ import annotations
 
 import sqlite3
 import time
-from dataclasses import dataclass
 
 from ..obs import metrics as _obs_metrics
+from ..sqlite_cache import RetentionPolicy, SqliteCache
 
 SCHEMA_VERSION = 2
 
@@ -54,96 +49,30 @@ CREATE TABLE IF NOT EXISTS kernels (
 )
 """
 
-_META_SCHEMA = """
-CREATE TABLE IF NOT EXISTS store_meta (
-    name  TEXT PRIMARY KEY,
-    value REAL NOT NULL
-)
-"""
 
-
-@dataclass(frozen=True)
-class KernelRetention:
-    """Automatic hygiene bounds applied every time a store is opened.
-
-    Kernels are far fewer and far larger than verdicts (a campaign
-    rotation draws tens of distinct algebras, each kernel carrying its
-    ``int32`` rank tables), so the defaults bound *rows* much lower than
-    the verdict store while keeping the same decay/eviction shape.
-    """
-
-    max_rows: int = 4_096
-    max_age_days: float = 90.0
-    decay_half_life_days: float = 14.0
-
-    @property
-    def max_age_s(self) -> float:
-        return self.max_age_days * 86_400.0
-
-    @property
-    def half_life_s(self) -> float:
-        return self.decay_half_life_days * 86_400.0
-
-    @property
-    def mutates_on_open(self) -> bool:
-        return (self.max_rows > 0 or self.max_age_s > 0
-                or self.half_life_s > 0)
-
-
-#: Opt-out policy for callers that must not rewrite rows on open.
-NO_RETENTION = KernelRetention(max_rows=0, max_age_days=0.0,
-                               decay_half_life_days=0.0)
-
-
-class KernelStore:
+class KernelStore(SqliteCache):
     """An append-mostly ``canonical kernel key → payload`` sqlite store.
 
     Payloads are opaque to the store — :mod:`repro.exec.batch` owns the
-    serialization (pickled rank tables today; an accelerated producer
-    can write the same format).  A NULL payload is a cached *negative*
-    result: the algebra/vocabulary pair is known unbatchable.
+    serialization (pickled rank tables).  A NULL payload is a cached
+    *negative* result: the algebra/vocabulary pair is known unbatchable.
     """
 
-    def __init__(self, path: str,
-                 retention: KernelRetention | None = None,
-                 now: float | None = None):
-        self.path = path
-        self.retention = retention or KernelRetention()
-        #: What the automatic open-time hygiene did (for stats/tests).
-        self.last_retention: dict[str, int] = {}
-        self._conn = sqlite3.connect(path, timeout=30.0)
-        try:  # WAL lets fleet workers read while one writes.
-            self._conn.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:
-            pass  # e.g. unsupported filesystem; rollback journal still works
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._conn.execute(_SCHEMA)
-        self._conn.execute(_META_SCHEMA)
-        self._conn.commit()
-        # Migration always runs — a v1 store opened with NO_RETENTION
-        # still needs the depth column before any write can succeed —
-        # while retention stays opt-out.  Serialize racing openers
-        # (parallel fleet workers all open the store): take the write
-        # lock up front, then re-check versions/timestamps under it.
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            self._migrate()
-            if self.retention.mutates_on_open:
-                self._apply_retention(
-                    now if now is not None else time.time())
-        except BaseException:
-            self._conn.rollback()
-            raise
-        self._conn.commit()
-
-    # -- schema migration -----------------------------------------------------
+    TABLE = "kernels"
+    SCHEMA = _SCHEMA
+    #: Kernels are far fewer and far larger than verdicts (a campaign
+    #: rotation draws tens of distinct algebras, each kernel carrying
+    #: its ``int32`` rank tables), so the defaults bound *rows* much
+    #: lower than the verdict store's, with the same decay/eviction shape.
+    DEFAULT_RETENTION = RetentionPolicy(max_rows=4_096, max_age_days=90.0,
+                                        decay_half_life_days=14.0)
 
     def _migrate(self) -> None:
-        """Format changes re-key or drop rows here, gated on ``PRAGMA
-        user_version`` exactly like the verdict store's v2→v3 pass.
-        Unknown *newer* versions drop the table rather than misread
-        payloads (kernels are pure cache — losing them costs one
-        re-tabulation each).
+        """Format changes re-key or drop rows here.  Always runs in
+        full — a v1 store opened with ``NO_RETENTION`` still needs the
+        depth column before any write can succeed.  Unknown *newer*
+        versions drop the table rather than misread payloads (kernels
+        are pure cache — losing them costs one re-tabulation each).
 
         v1→v2: add the ``depth`` column (bounded-hole deepening
         write-through) and drop cached *negative* rows.  v1 negatives
@@ -174,59 +103,9 @@ class KernelStore:
                 "DELETE FROM kernels WHERE payload IS NULL").rowcount
             if negatives:
                 self.last_retention["negative_dropped"] = negatives
-        # version 0 is a fresh database: _SCHEMA already carries the
+        # version 0 is a fresh database: SCHEMA already carries the
         # current shape, only the stamp is missing.
         self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-
-    # -- automatic retention --------------------------------------------------
-
-    def _apply_retention(self, now: float) -> None:
-        policy = self.retention
-        stats = self.last_retention
-        if policy.half_life_s > 0:
-            last = self._meta("last_decay_at")
-            if last is None:
-                self._set_meta("last_decay_at", now)
-            else:
-                halvings = int((now - last) / policy.half_life_s)
-                if halvings > 0:
-                    self._conn.execute(
-                        "UPDATE kernels SET hits = hits / ? WHERE hits > 0",
-                        (2 ** min(halvings, 62),))
-                    self._set_meta(
-                        "last_decay_at",
-                        last + halvings * policy.half_life_s)
-                    stats["decay_halvings"] = halvings
-        if policy.max_age_s > 0:
-            evicted = self._conn.execute(
-                "DELETE FROM kernels WHERE hits = 0 AND created_at < ?",
-                (now - policy.max_age_s,)).rowcount
-            if evicted:
-                stats["age_evicted"] = evicted
-        if policy.max_rows > 0:
-            total = self._conn.execute(
-                "SELECT COUNT(*) FROM kernels").fetchone()[0]
-            excess = total - policy.max_rows
-            if excess > 0:
-                self._conn.execute(
-                    "DELETE FROM kernels WHERE key IN ("
-                    "SELECT key FROM kernels "
-                    "ORDER BY hits ASC, created_at ASC LIMIT ?)",
-                    (excess,))
-                stats["size_evicted"] = excess
-
-    def _meta(self, name: str) -> float | None:
-        row = self._conn.execute(
-            "SELECT value FROM store_meta WHERE name = ?", (name,)).fetchone()
-        return None if row is None else row[0]
-
-    def _set_meta(self, name: str, value: float) -> None:
-        self._conn.execute(
-            "INSERT INTO store_meta (name, value) VALUES (?, ?) "
-            "ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-            (name, value))
-
-    # -- reads ----------------------------------------------------------------
 
     def get(self, key: str) -> tuple[bool, bytes | None]:
         """``(found, payload)`` — payload None on a found row means a
@@ -247,12 +126,6 @@ class KernelStore:
         except sqlite3.OperationalError:
             pass  # bookkeeping only; the payload is already in hand
         return True, row[0]
-
-    def __len__(self) -> int:
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM kernels").fetchone()[0]
-
-    # -- writes ---------------------------------------------------------------
 
     def put(self, key: str, payload: bytes | None,
             depth: int = 0) -> None:
@@ -282,28 +155,6 @@ class KernelStore:
                 "WHERE excluded.depth > kernels.depth",
                 (key, payload, time.time(), depth)))
 
-    def _retry_locked(self, write, attempts: int = 5) -> None:
-        """Run one write+commit, retrying transient lock errors (same
-        contract and rationale as the verdict store's)."""
-        for attempt in range(attempts):
-            try:
-                write()
-                self._conn.commit()
-                return
-            except sqlite3.OperationalError as error:
-                try:
-                    self._conn.rollback()
-                except sqlite3.OperationalError:
-                    pass
-                message = str(error).lower()
-                if "locked" not in message and "busy" not in message:
-                    raise
-                if attempt == attempts - 1:
-                    raise
-                time.sleep(0.05 * (attempt + 1))
-
-    # -- hygiene ---------------------------------------------------------------
-
     def stats(self) -> dict:
         total, negative, hits, size = self._conn.execute(
             "SELECT COUNT(*), "
@@ -320,14 +171,3 @@ class KernelStore:
             "schema_version": version,
             "retention": dict(self.last_retention),
         }
-
-    def compact(self) -> int:
-        """Evict never-hit rows and reclaim the space; returns the count."""
-        evicted = self._conn.execute(
-            "DELETE FROM kernels WHERE hits = 0").rowcount
-        self._conn.commit()
-        self._conn.execute("VACUUM")
-        return evicted
-
-    def close(self) -> None:
-        self._conn.close()

@@ -1,4 +1,9 @@
-"""Persistent verdict cache: cross-process reuse of analysis verdicts."""
+"""Persistent verdict cache: cross-process reuse of analysis verdicts.
+
+What the verdict store shares with the kernel store (duplicate puts,
+retention, ``compact``, the retrying write) is pinned once for both in
+``tests/test_store_contract.py``; this module keeps what is its own.
+"""
 
 import time
 
@@ -16,9 +21,7 @@ from repro.campaigns import (
     verdict_cache_size,
 )
 from repro.campaigns.oracle import EvaluationOptions
-from repro.campaigns.verdict_store import NO_RETENTION, RetentionPolicy
-
-DAY = 86_400.0
+from repro.sqlite_cache import NO_RETENTION
 
 
 @pytest.fixture(autouse=True)
@@ -49,22 +52,6 @@ class TestVerdictStore:
         }
         assert len(store) == 2
         store.close()
-
-    def test_racing_duplicate_puts_are_ignored(self, tmp_path):
-        path = str(tmp_path / "v.sqlite")
-        first, second = VerdictStore(path), VerdictStore(path)
-        first.put("key", True, "a")
-        second.put("key", True, "a")  # the racing worker's identical solve
-        assert len(first) == 1
-        first.close()
-        second.close()
-
-    def test_reopen_sees_previous_writes(self, tmp_path):
-        path = str(tmp_path / "v.sqlite")
-        store = VerdictStore(path)
-        store.put("key", True, "m")
-        store.close()
-        assert VerdictStore(path).get("key") == (True, "m")
 
 
 class TestOracleIntegration:
@@ -140,16 +127,6 @@ class TestHygiene:
         assert stats["hottest"] == [("k1", 2)]
         store.close()
 
-    def test_compact_drops_only_never_hit_rows(self, tmp_path):
-        store = VerdictStore(str(tmp_path / "v.sqlite"))
-        store.put("hot", True, "smt")
-        store.put("cold", True, "smt")
-        store.touch("hot")
-        assert store.compact() == 1
-        assert store.get("hot") is not None
-        assert store.get("cold") is None
-        store.close()
-
     def test_pre_hits_schema_is_migrated(self, tmp_path):
         import sqlite3
         import time
@@ -171,66 +148,6 @@ class TestHygiene:
         assert store.get("legacy") == (True, "smt")
         store.touch("legacy")
         assert store.stats()["hits"] == 1
-        store.close()
-
-    def test_hit_counts_decay_on_open(self, tmp_path):
-        path = str(tmp_path / "v.sqlite")
-        t0 = time.time()
-        store = VerdictStore(path, now=t0)
-        store.put("hot", True, "smt")
-        store.touch_many({"hot": 9})
-        store.close()
-        # Two half-lives later: 9 -> 2 (integer halving twice).
-        store = VerdictStore(
-            path, retention=RetentionPolicy(decay_half_life_days=7.0),
-            now=t0 + 15 * DAY)
-        assert store.stats()["hits"] == 2
-        assert store.last_retention.get("decay_halvings") == 2
-        store.close()
-
-    def test_age_bound_evicts_cold_rows_only(self, tmp_path):
-        path = str(tmp_path / "v.sqlite")
-        t0 = time.time()
-        store = VerdictStore(path, now=t0)
-        store.put("cold", True, "smt")
-        store.put("warm", False, "smt")
-        store.touch_many({"warm": 500})  # survives decay across the gap
-        store.close()
-        store = VerdictStore(
-            path, retention=RetentionPolicy(max_age_days=30.0),
-            now=t0 + 40 * DAY)
-        assert store.get("cold") is None        # aged out, zero hits
-        assert store.get("warm") is not None    # still hit-protected
-        assert store.last_retention.get("age_evicted") == 1
-        store.close()
-
-    def test_size_bound_evicts_coldest_first(self, tmp_path):
-        path = str(tmp_path / "v.sqlite")
-        t0 = time.time()
-        store = VerdictStore(path, now=t0)
-        for i in range(6):
-            store.put(f"k{i}", True, "smt")
-        store.touch_many({"k4": 3, "k5": 5})
-        store.close()
-        store = VerdictStore(
-            path, retention=RetentionPolicy(max_rows=2, max_age_days=0,
-                                            decay_half_life_days=0),
-            now=t0 + 1)
-        assert len(store) == 2
-        assert store.get("k4") is not None and store.get("k5") is not None
-        assert store.last_retention.get("size_evicted") == 4
-        store.close()
-
-    def test_no_retention_policy_never_mutates(self, tmp_path):
-        path = str(tmp_path / "v.sqlite")
-        t0 = time.time()
-        store = VerdictStore(path, now=t0)
-        store.put("ancient", True, "smt")
-        store.close()
-        store = VerdictStore(path, retention=NO_RETENTION,
-                             now=t0 + 1000 * DAY)
-        assert store.get("ancient") is not None
-        assert store.last_retention == {}
         store.close()
 
     def test_no_retention_skips_the_key_migration_too(self, tmp_path):
@@ -441,12 +358,6 @@ def _hammer_store(path: str, prefix: str, rows: int) -> None:
 class TestMultiWriterHardening:
     """Two+ processes writing through one store simultaneously (the
     shared write-through mode of distributed campaign fleets)."""
-
-    def test_busy_timeout_is_configured(self, tmp_path):
-        store = VerdictStore(str(tmp_path / "v.sqlite"))
-        timeout = store._conn.execute("PRAGMA busy_timeout").fetchone()[0]
-        store.close()
-        assert timeout >= 30_000
 
     def test_concurrent_writers_lose_no_rows(self, tmp_path):
         import multiprocessing

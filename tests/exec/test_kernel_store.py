@@ -22,12 +22,8 @@ from repro.exec.batch import (
     kernel_cache_stats,
     reset_kernel_cache_stats,
 )
-from repro.exec.kernel_store import (
-    NO_RETENTION,
-    SCHEMA_VERSION,
-    KernelRetention,
-    KernelStore,
-)
+from repro.exec.kernel_store import SCHEMA_VERSION, KernelStore
+from repro.sqlite_cache import NO_RETENTION
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +50,9 @@ def build_kernel():
 
 
 class TestStorePrimitives:
+    """What is the kernel store's own; the behaviour it shares with the
+    verdict store is pinned in ``tests/test_store_contract.py``."""
+
     def test_round_trip_and_negative_rows(self, tmp_path):
         store = KernelStore(str(tmp_path / "k.sqlite"))
         assert store.get("missing") == (False, None)
@@ -67,39 +66,6 @@ class TestStorePrimitives:
         assert stats["kernels"] == 2
         assert stats["negative"] == 1
         assert stats["hits"] == 2  # the two found gets above
-        store.close()
-
-    def test_racing_duplicate_put_is_ignored(self, tmp_path):
-        store = KernelStore(str(tmp_path / "k.sqlite"))
-        store.put("k", b"first")
-        store.put("k", b"second")  # racing worker: same canonical key
-        assert store.get("k") == (True, b"first")
-        store.close()
-
-    def test_size_retention_evicts_coldest_first(self, tmp_path):
-        path = str(tmp_path / "k.sqlite")
-        store = KernelStore(path, retention=NO_RETENTION)
-        for i in range(6):
-            store.put(f"k{i}", b"x")
-        store.get("k5")  # warm one row
-        store.close()
-        store = KernelStore(
-            path, retention=KernelRetention(max_rows=2, max_age_days=0.0,
-                                            decay_half_life_days=0.0))
-        assert len(store) == 2
-        assert store.last_retention["size_evicted"] == 4
-        assert store.get("k5")[0]  # the warmed row survived
-        store.close()
-
-    def test_age_retention_drops_cold_old_rows(self, tmp_path):
-        path = str(tmp_path / "k.sqlite")
-        store = KernelStore(path, retention=NO_RETENTION)
-        store.put("old", b"x")
-        store.close()
-        future = 91 * 86_400.0 + __import__("time").time()
-        store = KernelStore(path, now=future)
-        assert len(store) == 0
-        assert store.last_retention["age_evicted"] == 1
         store.close()
 
     def test_newer_schema_drops_rows_instead_of_misreading(self, tmp_path):
@@ -126,16 +92,6 @@ class TestStorePrimitives:
         assert store.get("k") == (True, b"depth-64")
         store.put_deeper("k", b"depth-128", 128)
         assert store.get("k") == (True, b"depth-128")
-        store.close()
-
-    def test_compact_reclaims_never_hit_rows(self, tmp_path):
-        store = KernelStore(str(tmp_path / "k.sqlite"),
-                            retention=NO_RETENTION)
-        store.put("cold", b"x")
-        store.put("hot", b"y")
-        store.get("hot")
-        assert store.compact() == 1
-        assert len(store) == 1
         store.close()
 
 
@@ -180,6 +136,35 @@ class TestBatchIntegration:
         stats = kernel_cache_stats()
         assert stats["tabulations"] == 1
         assert stats["store_misses"] == 1
+
+    def test_store_read_error_is_a_counted_miss(self, tmp_path,
+                                                 monkeypatch):
+        """A store that cannot be read (locked past the timeout,
+        malformed after open) must cost one tabulation, not the chunk."""
+        configure_kernel_store(str(tmp_path / "kernels.sqlite"))
+
+        def locked(_self, _key):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(KernelStore, "get", locked)
+        reset_kernel_cache_stats()
+        assert build_kernel() is not None
+        stats = kernel_cache_stats()
+        assert stats["store_misses"] == 1
+        assert stats["tabulations"] == 1
+
+    def test_encoding_bug_is_not_swallowed_as_cache_trouble(
+            self, tmp_path, monkeypatch):
+        """Only sqlite errors are 'cache trouble'; a bug in the
+        serializer has to surface."""
+        configure_kernel_store(str(tmp_path / "kernels.sqlite"))
+
+        def buggy(_kernel):
+            raise TypeError("serializer bug")
+
+        monkeypatch.setattr(batch_mod, "_encode_kernel", buggy)
+        with pytest.raises(TypeError, match="serializer bug"):
+            build_kernel()
 
     def test_unusable_store_path_degrades_to_memory(self, tmp_path):
         configure_kernel_store(str(tmp_path))  # a directory, not a db
