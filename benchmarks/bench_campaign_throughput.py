@@ -167,9 +167,20 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
     family rotation, showing the per-tier method mix (closed-form /
     composition / dispute-digraph / smt).  Headline numbers land in
     ``BENCH_analysis.json`` for the CI artifact trail.
+
+    A third sub-campaign, the iBGP family alone, prices the canonical
+    keying that guards the analysis: its extracted SPPs (interchangeable
+    route-reflector clients) are the subjects whose individualization
+    search used to burn the whole branch budget and fall back to a raw
+    key.  The ``keying`` block is read from the registry — keys by
+    outcome, the branch histogram, seconds keying vs seconds solving —
+    and the gate is a *count*: no key may fall back on budget.
     """
+    from repro.obs import metrics as obs_metrics
+
     spp_count = 24 if smoke else 96
     mixed_count = 21 if smoke else 70
+    ibgp_count = 12 if smoke else 36
 
     def method_mix(report):
         return Counter(r.method for r in report.results
@@ -198,9 +209,44 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
     mixed_report = CampaignRunner(CampaignConfig(jobs=1)).run(mixed_specs)
     mixed_methods = method_mix(mixed_report)
 
+    clear_verdict_cache()
+    before = obs_metrics.snapshot()
+    ibgp_report = CampaignRunner(CampaignConfig(jobs=1)).run(
+        ScenarioGenerator(SEED, families=("ibgp",)).generate(ibgp_count))
+    assert ibgp_report.error_count == 0, ibgp_report.summary()
+    after = obs_metrics.snapshot()
+
+    def spent(name, **labels):
+        return obs_metrics.snapshot_value(after, name, **labels) \
+            - obs_metrics.snapshot_value(before, name, **labels)
+
+    keys = {outcome: int(spent("repro_canonical_keys_total",
+                               kind="spp", outcome=outcome))
+            for outcome in ("canonical", "raw-budget", "raw-size")}
+    def branch_buckets(snap):
+        (series,) = obs_metrics.snapshot_family(
+            snap, "repro_canonical_branches")
+        return series["buckets"]
+
+    branches_before = branch_buckets(before)
+    searches = {le: count - branches_before[le]
+                for le, count in branch_buckets(after).items()}
+    # Cumulative buckets: the first bound that holds every search.
+    max_branches_le = next(le for le, count in searches.items()
+                           if count == searches["+Inf"])
+    key_s = spent("repro_verdict_seconds_total", phase="key")
+    solve_s = spent("repro_verdict_seconds_total", phase="solve")
+    assert keys["canonical"] >= ibgp_count
+    assert keys["raw-budget"] == 0, (
+        f"{keys['raw-budget']} iBGP extraction(s) burned the "
+        f"canonicalization branch budget")
+
     lines = [
-        f"scenarios: {spp_count} gadget-family + {mixed_count} mixed "
-        f"(fixed seed {SEED})",
+        f"scenarios: {spp_count} gadget-family + {mixed_count} mixed + "
+        f"{ibgp_count} ibgp (fixed seed {SEED})",
+        "ibgp keying: " + " ".join(f"{k}={n}" for k, n in keys.items())
+        + f", {searches['+Inf']} searches of <= {max_branches_le} branches, "
+        f"{key_s:.3f} s keying vs {solve_s:.3f} s solving",
         f"gadget family: tier-1 hit rate "
         f"{tier1_rate:.0%} ({tier1}/{spp_analyzed} dispute-digraph), "
         f"cache-hit rate {spp_report.cache_hit_rate:.0%}",
@@ -219,6 +265,14 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
         "mixed_methods": dict(mixed_methods),
         "mixed_cache_hit_rate": mixed_report.cache_hit_rate,
         "spp_scenarios_per_second": spp_report.scenarios_per_second,
+        "keying": {
+            "ibgp_scenarios": ibgp_count,
+            "keys_by_outcome": keys,
+            "searches": searches["+Inf"],
+            "max_branches_le": int(max_branches_le),
+            "key_s": round(key_s, 6),
+            "solve_s": round(solve_s, 6),
+        },
     }
     pathlib.Path("BENCH_analysis.json").write_text(
         json.dumps(payload, indent=2) + "\n")

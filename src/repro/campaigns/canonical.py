@@ -9,11 +9,15 @@ systems are equal *up to renaming*:
 
 * **SPP instances** — a canonical relabeling of the nodes is computed by
   iterative color refinement (paths, rankings and adjacency refine the
-  node colors) with orbit tie-breaking (every member of the first
-  non-singleton orbit is individualized in turn and the lexicographically
-  least rendering wins), so ``disagree`` perturbed at node ``1`` and the
-  same gadget perturbed at node ``2`` — isomorphic under swapping the two
-  nodes — share one key and one solve;
+  node colors) with individualization tie-breaking (the members of the
+  first non-singleton color class are individualized in turn and the
+  lexicographically least rendering wins), so ``disagree`` perturbed at
+  node ``1`` and the same gadget perturbed at node ``2`` — isomorphic
+  under swapping the two nodes — share one key and one solve.  Every
+  automorphism the search discovers is recorded once and prunes every
+  later node whose individualized prefix it fixes (nauty-style orbit
+  pruning), which keeps the interchangeable route-reflector clients of
+  iBGP-extracted instances at tens of branches instead of 2^depth;
 * **table algebras** — labels and signatures are canonically renamed by
   the same refinement engine over the algebra's relational structure
   (ordinal preference ranks, ⊕ entries, filters, reversals,
@@ -25,10 +29,16 @@ systems are equal *up to renaming*:
 
 Soundness note: canonical keys *are* complete renderings of the structure
 under the canonical ordering — equal keys imply isomorphic subjects, so a
-cache hit can never cross two systems with different verdicts.  When an
-instance is too large (or too symmetric) to canonicalize within budget,
-the key falls back to a name-faithful rendering under a distinct tag:
-correctness is kept, only cross-relabeling hits are forgone.
+cache hit can never cross two systems with different verdicts.  That holds
+for a complete rendering under *any* ordering, which is why the ``spp3`` /
+``table3`` tags outlived the change of search: a key stored by an earlier
+search order is still a faithful rendering, it merely stops being hit.
+When an instance is too large (or too symmetric) to canonicalize within
+budget, the key falls back to a name-faithful rendering under a distinct
+tag: correctness is kept, only cross-relabeling hits are forgone — and
+``repro_canonical_keys_total{kind,outcome}`` counts every such fallback
+(``raw-budget`` / ``raw-size``) next to the ``canonical`` keys, so a search
+that burns its budget is never mistaken for a key nobody repeated.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from ..algebra.extended import TableAlgebra
 from ..algebra.product import LexicalProduct
 from ..algebra.secure import SecureAlgebra
 from ..algebra.spp import SPPAlgebra, SPPInstance
+from ..obs import metrics as _obs_metrics
 
 Key = Hashable
 
@@ -47,6 +58,21 @@ Key = Hashable
 CANONICALIZATION_NODE_LIMIT = 64
 #: Individualization branches explored before giving up on an instance.
 CANONICALIZATION_BRANCH_LIMIT = 2048
+
+#: How each enumerated subject was keyed: canonically, or by the
+#: name-faithful fallback after burning the branch budget / exceeding the
+#: node limit (those keys can never be hit across a relabeling).
+_KEYS = {
+    (kind, outcome): _obs_metrics.counter(
+        "repro_canonical_keys_total", kind=kind, outcome=outcome)
+    for kind in ("spp", "table")
+    for outcome in ("canonical", "raw-budget", "raw-size")
+}
+#: Individualization branches spent per search (one per SPP component or
+#: table algebra), budget burns included.
+_BRANCHES = _obs_metrics.histogram(
+    "repro_canonical_branches",
+    buckets=tuple(2 ** i for i in range(12)))
 
 
 def canonical_key(subject: RoutingAlgebra | SPPInstance) -> Key:
@@ -89,11 +115,27 @@ def canonical_key(subject: RoutingAlgebra | SPPInstance) -> Key:
 # -- the individualization-refinement engine ---------------------------------
 
 
-def _densify(elements: Sequence, colors: dict) -> dict:
-    """Re-map arbitrary comparable color keys to dense integers."""
-    order = {key: i for i, key in
-             enumerate(sorted({colors[e] for e in elements}, key=repr))}
+def _densify(elements: Sequence, colors: dict, key=None) -> dict:
+    """Re-map color keys to dense integers in ``key`` order (native order
+    by default; ``repr`` for the mixed-type initial colors)."""
+    order = {color: i for i, color in
+             enumerate(sorted({colors[e] for e in elements}, key=key))}
     return {e: order[colors[e]] for e in elements}
+
+
+def _orbits(seeds: list, permutations: list[dict]) -> set:
+    """Union of the orbits of ``seeds`` under the group the permutations
+    generate (each permutation maps only the elements it moves)."""
+    reached = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        element = frontier.pop()
+        for permutation in permutations:
+            image = permutation.get(element, element)
+            if image not in reached:
+                reached.add(image)
+                frontier.append(image)
+    return reached
 
 
 def canonical_render(
@@ -107,21 +149,33 @@ def canonical_render(
 
     Classic individualization-refinement: colors are refined to a fixpoint
     with ``signature_fn`` (which must describe an element *only* through
-    the colors of its relational context, never through its name); when a
-    color class remains non-singleton, each of its members is
-    individualized in turn (orbit tie-breaking) and the lexicographically
-    least fully-discrete rendering wins.  Discovered automorphisms prune
-    the search: when two sibling branches render identically, the element
-    permutation between their orderings is an automorphism, and further
-    candidates in the same orbit are provably redundant (this is what
-    keeps replicated/chained gadgets — large automorphism groups —
-    near-linear instead of factorial).  Returns None when the branch
-    budget is exhausted: a partially explored minimum is *not* canonical,
-    so the whole computation is abandoned and callers fall back to a
-    name-faithful key.
+    the colors of its relational context, never through its name, and
+    whose values must be mutually orderable among same-colored elements —
+    refined colors are dense ints, so signatures sort natively); when a
+    color class remains non-singleton, its members are individualized in
+    turn and the lexicographically least fully-discrete rendering wins.
+
+    One global automorphism list prunes the search.  Whenever a subtree's
+    best leaf renders equal to the best leaf of its explored siblings, the
+    element permutation between the two orderings is an automorphism of
+    the structure and is recorded once, for the whole search.  At every
+    node, the recorded automorphisms that fix the node's individualized
+    prefix pointwise map the node's subtrees onto each other, so a
+    candidate in the orbit of an explored candidate is skipped: its
+    subtree holds the same renderings.  (A permutation that moves a prefix
+    element maps the node elsewhere in the tree and says nothing about its
+    children — hence the filter.)  This is what keeps interchangeable
+    twins — k route-reflector clients under one hub, replicated gadgets —
+    polynomial where sibling-local merging was 2^depth.
+
+    Returns None when the branch budget is exhausted: a partially explored
+    minimum is *not* canonical, so the whole computation is abandoned and
+    callers fall back to a name-faithful key.
     """
-    budget = [branch_limit]
-    failed = [False]
+    budget = branch_limit
+    #: Discovered automorphisms, each as {element: image} over the
+    #: elements it moves.
+    automorphisms: list[dict] = []
 
     def refine(colors: dict) -> dict:
         while True:
@@ -132,8 +186,9 @@ def canonical_render(
                 return refined
             colors = refined
 
-    def explore(colors: dict) -> tuple[tuple, dict] | None:
+    def explore(colors: dict, prefix: tuple) -> tuple[tuple, dict] | None:
         """Return ``(rendering, discrete_index)`` or None on budget burn."""
+        nonlocal budget
         colors = refine(colors)
         classes: dict[int, list] = {}
         for element in elements:
@@ -146,52 +201,40 @@ def canonical_render(
         if target is None:
             return render_fn(colors), colors  # discrete: colors are 0..n-1
         best: tuple[tuple, dict] | None = None
-        # Union-find over the target cell for automorphism pruning.
-        parent = {e: e for e in target}
-
-        def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        explored_roots: set = set()
+        explored: list = []
+        fixing: list[dict] = []  # automorphisms fixing the prefix pointwise
+        folded = 0
         for candidate in target:
-            if find(candidate) in explored_roots:
-                continue  # orbit already represented by an explored sibling
-            if budget[0] <= 0:
-                failed[0] = True
+            fixing += [g for g in automorphisms[folded:]
+                       if g.keys().isdisjoint(prefix)]
+            folded = len(automorphisms)
+            if candidate in _orbits(explored, fixing):
+                continue  # its subtree is the image of an explored one
+            if budget <= 0:
                 return None
-            budget[0] -= 1
-            explored_roots.add(find(candidate))
+            budget -= 1
+            explored.append(candidate)
             branched = dict(colors)
             branched[candidate] = len(elements)  # fresh unique color
-            outcome = explore(branched)
-            if failed[0]:
-                return None
+            outcome = explore(branched, prefix + (candidate,))
             if outcome is None:
-                continue
+                return None
             rendering, index = outcome
             if best is None or rendering < best[0]:
                 best = outcome
             elif rendering == best[0]:
                 # Equal renderings from two orderings: the permutation
-                # between them is an automorphism — merge its orbits.
-                position_of = {index[e]: e for e in elements}
-                for element in target:
-                    image = position_of[best[1][element]]
-                    if image in parent:
-                        root_a, root_b = find(element), find(image)
-                        if root_a != root_b:
-                            parent[root_a] = root_b
-                            if root_a in explored_roots:
-                                explored_roots.add(root_b)
+                # between them is an automorphism.
+                element_at = {position: e for e, position in index.items()}
+                automorphisms.append(
+                    {e: element_at[position]
+                     for e, position in best[1].items()
+                     if element_at[position] != e})
         return best
 
-    outcome = explore(_densify(elements, initial_colors))
-    if failed[0] or outcome is None:
-        return None
-    return outcome[0]
+    outcome = explore(_densify(elements, initial_colors, key=repr), ())
+    _BRANCHES.observe(branch_limit - budget)
+    return None if outcome is None else outcome[0]
 
 
 # -- SPP instances ------------------------------------------------------------
@@ -211,18 +254,19 @@ def _spp_key(instance: SPPInstance) -> Key:
     gadgets (factorial in the copy count) into cheap small-component
     canonicalizations.
     """
-    components = _spp_components(instance)
+    outcome = "canonical"
     renderings = []
-    for component in components:
+    for component in _spp_components(instance):
         if len(component) + 1 > CANONICALIZATION_NODE_LIMIT:
-            renderings = None
+            outcome = "raw-size"
             break
         rendering = _spp_component_render(instance, component)
         if rendering is None:
-            renderings = None
+            outcome = "raw-budget"
             break
         renderings.append(rendering)
-    if renderings is not None:
+    _KEYS["spp", outcome].inc()
+    if outcome == "canonical":
         return ("spp3", tuple(sorted(renderings, key=repr)))
     return ("spp-raw", instance.destination, _spp_raw_rankings(instance),
             _sorted_tuple(tuple(sorted(edge)) for edge in instance.edges))
@@ -312,10 +356,16 @@ def _spp_component_render(instance: SPPInstance,
 
 
 def _table_key(algebra: TableAlgebra) -> Key:
-    rendering = _table_canonical_render(algebra)
-    if rendering is not None:
-        return ("table3",) + rendering
     t = algebra.tables
+    if len(set(t.labels)) + len(set(t.signatures)) \
+            > CANONICALIZATION_NODE_LIMIT:
+        outcome = "raw-size"
+    else:
+        rendering = _table_canonical_render(algebra)
+        outcome = "canonical" if rendering is not None else "raw-budget"
+    _KEYS["table", outcome].inc()
+    if outcome == "canonical":
+        return ("table3",) + rendering
     return (
         "table-raw",
         _sorted_tuple(t.labels),
@@ -333,8 +383,6 @@ def _table_canonical_render(algebra: TableAlgebra) -> tuple | None:
     t = algebra.tables
     labels = list(dict.fromkeys(t.labels))
     signatures = list(dict.fromkeys(t.signatures))
-    if len(labels) + len(signatures) > CANONICALIZATION_NODE_LIMIT:
-        return None
 
     label_set, signature_set = set(labels), set(signatures)
 

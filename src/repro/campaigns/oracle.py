@@ -89,6 +89,12 @@ _VERDICT_LOOKUPS = {
     tier: _obs_metrics.counter("repro_verdict_lookups_total", tier=tier)
     for tier in ("memo", "store", "solved")
 }
+#: Where a verdict's wall time went: rendering the canonical key, or
+#: everything behind it (memo, store, analyzer).
+_VERDICT_SECONDS = {
+    phase: _obs_metrics.counter("repro_verdict_seconds_total", phase=phase)
+    for phase in ("key", "solve")
+}
 _SCENARIOS_FAMILY = "repro_scenarios_total"
 _DISAGREEMENTS = _obs_metrics.counter("repro_disagreements_total")
 
@@ -183,7 +189,22 @@ def flush_store_hits() -> None:
 def cached_verdict(
         subject: RoutingAlgebra | SPPInstance) -> tuple[bool, str, bool]:
     """``(safe, method, cache_hit)`` for the subject's constraint system."""
-    key = repr(canonical_key(subject))
+    with TRACER.span("verdict:key"):
+        started = time.perf_counter()
+        key = repr(canonical_key(subject))
+        _VERDICT_SECONDS["key"].inc(time.perf_counter() - started)
+    with TRACER.span("verdict:solve"):
+        started = time.perf_counter()
+        tier = _lookup_or_solve(key, subject)
+        _VERDICT_SECONDS["solve"].inc(time.perf_counter() - started)
+    _VERDICT_LOOKUPS[tier].inc()
+    safe, method = _VERDICT_CACHE[key]
+    TRACER.annotate(verdict_tier=tier, method=method, safe=safe)
+    return safe, method, tier != "solved"
+
+
+def _lookup_or_solve(key: str, subject: RoutingAlgebra | SPPInstance) -> str:
+    """Ensure ``key`` is in the memo; return the tier that served it."""
     hit = key in _VERDICT_CACHE
     tier = "memo" if hit else "solved"
     if not hit and _STORE is not None:
@@ -208,10 +229,7 @@ def cached_verdict(
         _PENDING_HITS[key] = _PENDING_HITS.get(key, 0) + 1
         if sum(_PENDING_HITS.values()) >= _PENDING_HITS_FLUSH_AT:
             flush_store_hits()
-    _VERDICT_LOOKUPS[tier].inc()
-    safe, method = _VERDICT_CACHE[key]
-    TRACER.annotate(verdict_tier=tier, method=method, safe=safe)
-    return safe, method, hit
+    return tier
 
 
 def evaluate(spec: ScenarioSpec,

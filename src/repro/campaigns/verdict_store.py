@@ -158,6 +158,14 @@ class VerdictStore(SqliteCache):
         hottest = self._conn.execute(
             "SELECT key, hits FROM verdicts WHERE hits > 0 "
             "ORDER BY hits DESC, key LIMIT 5").fetchall()
+        # Name-faithful fallback renderings (budget burn / size limit in
+        # `canonical_key`), top-level or inside a product: a relabeled
+        # copy of the subject renders differently, so these rows are
+        # only ever hit under the very same names.
+        spp_raw, table_raw = self._conn.execute(
+            "SELECT COALESCE(SUM(instr(key, ?) > 0), 0), "
+            "COALESCE(SUM(instr(key, ?) > 0), 0) FROM verdicts",
+            ("'spp-raw'", "'table-raw'")).fetchone()
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         return {
             "verdicts": total,
@@ -165,6 +173,7 @@ class VerdictStore(SqliteCache):
             "unsafe": total - safe,
             "hits": hits,
             "never_hit": never,
+            "raw_keys": {"spp-raw": spp_raw, "table-raw": table_raw},
             "methods": methods,
             "hottest": hottest,
             "schema_version": version,

@@ -133,6 +133,39 @@ class TestMaterialization:
         assert result.classification in (SAFE_CONVERGED, FALSE_POSITIVE)
 
 
+    def test_ibgp_trace_splits_the_verdict_into_key_and_solve(
+            self, tmp_path, capsys):
+        """``repro trace show`` must tell keying from solving: the
+        extraction's verdict span has a ``verdict:key`` child (the
+        canonical rendering) and a ``verdict:solve`` child (memo, store,
+        analyzer tiers)."""
+        from repro.cli import main
+        from repro.obs.trace import configure_tracing, spans_for_scenario
+
+        spec = ScenarioSpec(
+            scenario_id=3, family="ibgp", algebra="igp-cost", seed=4,
+            until=6.0, max_events=20_000,
+            params=(("routers", 14), ("links", 30), ("levels", 2),
+                    ("reflector_count", 4), ("egress_count", 3),
+                    ("embed_gadget", False)))
+        configure_tracing(str(tmp_path), worker="t")
+        try:
+            assert not evaluate(spec).error
+        finally:
+            configure_tracing(None)
+        spans = {s["name"]: s for s in spans_for_scenario(str(tmp_path), 3)}
+        verdict = spans["analysis:verdict"]
+        assert verdict["attrs"]["extracted"] is True
+        assert verdict["attrs"]["verdict_tier"] == "solved"
+        assert spans["verdict:key"]["parent_id"] == verdict["span_id"]
+        assert spans["verdict:solve"]["parent_id"] == verdict["span_id"]
+        assert spans["analysis:tier0"]["parent_id"] == \
+            spans["verdict:solve"]["span_id"]
+        assert main(["trace", "show", "3", "--trace-dir", str(tmp_path)]) == 0
+        shown = capsys.readouterr().out
+        assert "verdict:key" in shown and "verdict:solve" in shown
+
+
 class TestEvents:
     def test_link_failure_mid_convergence_stays_consistent(self):
         from repro.campaigns import LinkEventSpec

@@ -323,6 +323,26 @@ class TestVerdictsCommand:
         assert "hits:" in out
         assert "hottest:" in out
 
+    def test_stats_counts_raw_fallback_keys(self, tmp_path, capsys):
+        """Rows keyed by a name-faithful fallback can never be hit across
+        a relabeling: ``--stats`` says how many there are, in both
+        formats, counting a raw rendering nested in a product too."""
+        import json
+
+        from repro.campaigns import VerdictStore
+
+        path = self._populated_store(tmp_path, capsys)
+        store = VerdictStore(path)
+        store.put("('spp-raw', 'd', (), ())", True, "smt")
+        store.put("('product', ('table-raw', ()), ('closed', 'X'))",
+                  True, "smt")
+        store.close()
+        assert main(["verdicts", path, "--stats"]) == 0
+        assert "raw keys: 1 spp-raw, 1 table-raw" in capsys.readouterr().out
+        assert main(["verdicts", path, "--stats", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["store"]["raw_keys"] == {"spp-raw": 1, "table-raw": 1}
+
     def test_compact_evicts_never_hit_rows(self, tmp_path, capsys):
         from repro.campaigns import VerdictStore
 
