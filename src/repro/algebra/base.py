@@ -27,6 +27,7 @@ obligation the paper discharges with a Yices ``forall``.
 from __future__ import annotations
 
 import enum
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Sequence
@@ -263,8 +264,6 @@ class RoutingAlgebra(ABC):
 
 def rank_sort(algebra: RoutingAlgebra, sigs: Iterable[Signature]) -> list[Signature]:
     """Sort signatures from most to least preferred (φ last), stably."""
-    import functools
-
     def cmp(a: Signature, b: Signature) -> int:
         return int(algebra.preference(a, b))
 
@@ -284,8 +283,6 @@ def rank_routes(better, routes: Iterable[tuple],
     cross-backend mismatch.  ``tie_key`` customizes how a path maps to its
     tie-break key (the ranked aggregate ranks generic trailing columns).
     """
-    import functools
-
     if tie_key is None:
         tie_key = lambda path: (len(path), path)  # noqa: E731
     seen: set = set()

@@ -253,6 +253,23 @@ def evaluate(spec: ScenarioSpec,
                                 started, scenario_span)
 
 
+def _count_backend_run(name: str, started: float,
+                       outcome: ExecutionOutcome | None) -> None:
+    """One live prepare + run in the registry (``None``: declined at run
+    time) — per run, never per message, so µs per message is the quotient
+    of two counters."""
+    _obs_metrics.counter("repro_backend_seconds_total", backend=name).inc(
+        time.perf_counter() - started)
+    if outcome is None:
+        result = "declined"
+    else:
+        _obs_metrics.counter("repro_backend_messages_total",
+                             backend=name).inc(outcome.messages)
+        result = "converged" if outcome.converged else "diverged"
+    _obs_metrics.counter("repro_backend_runs_total", backend=name,
+                         outcome=result).inc()
+
+
 def _evaluate_traced(spec, options, precomputed, started, scenario_span):
     try:
         with TRACER.span("materialize"):
@@ -290,6 +307,7 @@ def _evaluate_traced(spec, options, precomputed, started, scenario_span):
             scn = fresh_scenario if fresh_scenario is not None \
                 else materialize(spec)
             fresh_scenario = None
+            run_started = time.perf_counter()
             with TRACER.span("backend:run", backend=name) as backend_span:
                 session = get_backend(name).prepare(
                     scn, seed=spec.seed, log_routes=scn.log_routes)
@@ -304,9 +322,11 @@ def _evaluate_traced(spec, options, precomputed, started, scenario_span):
                     # scenario's differential, exactly as if supports() had
                     # said no.  Never an ERROR: the scalar engines carry on.
                     backend_span.annotate(declined=True)
+                    _count_backend_run(name, run_started, None)
                     continue
                 backend_span.annotate(converged=outcome.converged,
                                       messages=outcome.messages)
+            _count_backend_run(name, run_started, outcome)
             sessions.append(session)
             outcomes.append(outcome)
         if not outcomes:

@@ -10,7 +10,7 @@
 """
 
 from .network import DEFAULT_BANDWIDTH_BPS, DEFAULT_LATENCY_S, Link, Network
-from .simulator import Message, Simulator, StopReason
+from .simulator import Simulator, StopReason
 from .sizes import link_state_size, update_size, withdraw_size
 from .stats import BandwidthPoint, StatsCollector
 from .trace import TraceEvent, Tracer
@@ -20,7 +20,6 @@ __all__ = [
     "DEFAULT_BANDWIDTH_BPS",
     "DEFAULT_LATENCY_S",
     "Link",
-    "Message",
     "Network",
     "Simulator",
     "StatsCollector",

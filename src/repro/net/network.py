@@ -67,6 +67,9 @@ class Network:
         self.name = name
         self._nodes: dict[str, dict[str, Any]] = {}
         self._links: dict[frozenset, Link] = {}
+        #: Both directions of every link: the one lookup behind ``link()``,
+        #: ``has_link()`` and ``label()``, which run per simulated message.
+        self._by_pair: dict[tuple[str, str], Link] = {}
         self._adjacency: dict[str, list[str]] = {}
 
     # -- construction ----------------------------------------------------------
@@ -100,12 +103,16 @@ class Network:
             self._adjacency[a].append(b)
             self._adjacency[b].append(a)
         self._links[key] = link
+        self._by_pair[(a, b)] = self._by_pair[(b, a)] = link
         return link
 
     # -- queries ------------------------------------------------------------------
 
     def nodes(self) -> list[str]:
         return list(self._nodes)
+
+    def has_node(self, node: str) -> bool:
+        return node in self._nodes
 
     def node_attrs(self, node: str) -> dict[str, Any]:
         return self._nodes[node]
@@ -115,12 +122,12 @@ class Network:
 
     def link(self, a: str, b: str) -> Link:
         try:
-            return self._links[frozenset((a, b))]
+            return self._by_pair[(a, b)]
         except KeyError:
             raise KeyError(f"no link {a}-{b} in {self.name}") from None
 
     def has_link(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._links
+        return (a, b) in self._by_pair
 
     def neighbors(self, node: str) -> list[str]:
         return list(self._adjacency.get(node, []))
@@ -178,10 +185,10 @@ class Network:
 
     def remove_link(self, a: str, b: str) -> None:
         """Delete the link between ``a`` and ``b`` (KeyError if absent)."""
-        key = frozenset((a, b))
-        if key not in self._links:
+        if (a, b) not in self._by_pair:
             raise KeyError(f"no link {a}-{b} in {self.name}")
-        del self._links[key]
+        del self._links[frozenset((a, b))]
+        del self._by_pair[(a, b)], self._by_pair[(b, a)]
         self._adjacency[a].remove(b)
         self._adjacency[b].remove(a)
 

@@ -5,7 +5,10 @@ The paper executes generated NDlog programs on RapidNet over ns-3 in
 provides the simulation substrate both our NDlog runtime and the native
 protocol engines run on:
 
-* a time-ordered event loop with deterministic tie-breaking;
+* a time-ordered event loop with deterministic tie-breaking: the queue
+  holds ``(time, seq, fn, args)`` tuples, ``seq`` is unique, so events at
+  equal timestamps run in scheduling order and the comparison never
+  reaches ``fn``;
 * message transport over :class:`~repro.net.network.Network` links with
   per-direction FIFO serialization (transmission delay = size / bandwidth),
   propagation latency, and seeded jitter;
@@ -23,7 +26,6 @@ import itertools
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .network import Network
@@ -51,23 +53,6 @@ def next_flush_time(node: str, now: float, interval: float,
     return tick
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-
-
-@dataclass
-class Message:
-    """An in-flight protocol message."""
-
-    src: str
-    dst: str
-    payload: Any
-    size_bytes: int
-
-
 class StopReason:
     """Why :meth:`Simulator.run` returned."""
 
@@ -91,7 +76,7 @@ class Simulator:
         self.rng = random.Random(seed)
         self.stats = StatsCollector()
         self.now = 0.0
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._handlers: dict[str, Callable[[str, Any], None]] = {}
         #: Per-direction earliest free time of each link (FIFO serialization).
@@ -104,7 +89,7 @@ class Simulator:
 
     def attach(self, node: str, handler: Callable[[str, Any], None]) -> None:
         """Register ``handler(src, payload)`` as ``node``'s receive callback."""
-        if node not in self.network.nodes():
+        if not self.network.has_node(node):
             raise KeyError(f"unknown node {node}")
         self._handlers[node] = handler
 
@@ -115,7 +100,7 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._queue,
-                       _Event(self.now + delay, next(self._seq), action))
+                       (self.now + delay, next(self._seq), action, ()))
 
     def at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute time ``when`` (>= now)."""
@@ -142,23 +127,25 @@ class Simulator:
         """
         link = self.network.link(src, dst)
         direction = (src, dst)
-        start = max(self.now, self._link_free_at.get(direction, 0.0))
+        now = self.now
+        start = max(now, self._link_free_at.get(direction, 0.0))
         tx_done = start + link.transmission_delay(size_bytes)
         self._link_free_at[direction] = tx_done
         jitter = self.rng.uniform(0.0, link.jitter_s) if link.jitter_s else 0.0
         arrival = max(tx_done + link.latency_s + jitter,
                       self._link_arrival_at.get(direction, 0.0))
         self._link_arrival_at[direction] = arrival
-        self.stats.record_send(self.now, src, dst, size_bytes)
-        message = Message(src, dst, payload, size_bytes)
-        self.at(arrival, lambda: self._deliver(message))
+        self.stats.record_send(now, src, dst, size_bytes)
+        # The arithmetic of at(arrival, ...), spelled out: the rounding of
+        # now + (arrival - now) is part of every run's timeline.
+        heapq.heappush(self._queue,
+                       (now + max(0.0, arrival - now),
+                        next(self._seq), self._deliver, (src, dst, payload)))
 
-    def _deliver(self, message: Message) -> None:
-        handler = self._handlers.get(message.dst)
-        self.stats.record_receive(self.now, message.src, message.dst,
-                                  message.size_bytes)
+    def _deliver(self, src: str, dst: str, payload: Any) -> None:
+        handler = self._handlers.get(dst)
         if handler is not None:
-            handler(message.src, message.payload)
+            handler(src, payload)
 
     # -- main loop -------------------------------------------------------------------
 
@@ -167,18 +154,20 @@ class Simulator:
         """Drain the event queue; returns a :class:`StopReason` constant."""
         processed = 0
         self._stopped = False
-        while self._queue:
+        queue = self._queue
+        while queue:
             if self._stopped:
                 return StopReason.STOPPED
-            event = self._queue[0]
-            if until is not None and event.time > until:
+            when = queue[0][0]
+            if until is not None and when > until:
                 self.now = until
                 return StopReason.TIME_LIMIT
             if max_events is not None and processed >= max_events:
                 return StopReason.EVENT_LIMIT
-            heapq.heappop(self._queue)
-            self.now = max(self.now, event.time)
-            event.action()
+            _, _, fn, args = heapq.heappop(queue)
+            if when > self.now:
+                self.now = when
+            fn(*args)
             processed += 1
         return StopReason.QUIESCENT
 

@@ -47,11 +47,6 @@ class StatsCollector:
         self.send_log.append((now, size))
         self.last_send = max(self.last_send, now)
 
-    def record_receive(self, now: float, src: str, dst: str, size: int) -> None:
-        # Kept for symmetry / future queueing analysis; reception itself is
-        # not a plotted quantity in the paper.
-        pass
-
     def record_route_change(self, now: float, node: str) -> None:
         self.route_changes += 1
         self.last_route_change = max(self.last_route_change, now)

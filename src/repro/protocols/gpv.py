@@ -22,6 +22,7 @@ extended algebra of paper Sec. III-A exists to express.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
@@ -92,6 +93,9 @@ class GPVEngine:
             raise ValueError("top_k must be at least 1")
         self.network = network
         self.algebra = algebra
+        #: Decided once: ``_combine``/``_export_sig`` run per route per
+        #: message, and an ABC ``isinstance`` there costs more than ⊕ does.
+        self._extended = isinstance(algebra, ExtendedAlgebra)
         self.destinations = list(destinations)
         self.sim = Simulator(network, seed=seed)
         self.batch_interval = batch_interval
@@ -100,7 +104,7 @@ class GPVEngine:
         self.route_log: list[tuple[str, str, Signature, Path]] = []
         self._states = {node: _NodeState() for node in network.nodes()}
         for node in network.nodes():
-            self.sim.attach(node, self._make_handler(node))
+            self.sim.attach(node, functools.partial(self._receive, node))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -275,28 +279,26 @@ class GPVEngine:
 
     # -- receive side ---------------------------------------------------------------
 
-    def _make_handler(self, node: str):
-        def handler(src: str, payload: Advertisement) -> None:
-            self._receive(node, src, payload)
-        return handler
-
     def _receive(self, node: str, src: str, adv: Advertisement) -> None:
-        if not self.network.has_link(node, src):
+        try:
+            link = self.network.link(node, src)
+        except KeyError:
             return  # session failed while the advertisement was in flight
-        label = self.network.label(node, src)
+        label = link.labels.get((node, src))
         state = self._states[node]
-        state.adj_in[(src, adv.dest)] = adv
+        key = (src, adv.dest)
+        state.adj_in[key] = adv
         combined = []
-        for sig, path in adv.routes():
+        for sig, path in ((adv.sig, adv.path), *adv.alternates):
             new_sig = self._combine(label, sig, path, node)
             new_path = (node,) + tuple(path)
             combined.append((new_sig, new_path))
             if self.log_routes and new_sig is not PHI:
                 self.route_log.append((node, adv.dest, new_sig, new_path))
         new = tuple(combined)
-        if state.rib_in.get((src, adv.dest)) == new:
+        if state.rib_in.get(key) == new:
             return
-        state.rib_in[(src, adv.dest)] = new
+        state.rib_in[key] = new
         self._reselect(node, adv.dest)
 
     def _combine(self, label: Hashable, sig: Signature, path: Path,
@@ -304,7 +306,7 @@ class GPVEngine:
         """Receive-side ⊕: loop check, import filter (⊕I), then ⊕P."""
         if sig is PHI or node in path:
             return PHI
-        if isinstance(self.algebra, ExtendedAlgebra):
+        if self._extended:
             if not self.algebra.import_allows(label, sig):
                 return PHI
             return self.algebra.concat(label, sig)
@@ -322,10 +324,11 @@ class GPVEngine:
 
     def _reselect(self, node: str, dest: str) -> None:
         state = self._states[node]
+        better = self.algebra.better
         candidates = self._candidates(state, dest)
         winner: Route | None = None
         for route in candidates:
-            if winner is None or self.algebra.better(route[0], winner[0]):
+            if winner is None or better(route[0], winner[0]):
                 winner = route
         if winner is None:
             return
@@ -334,7 +337,7 @@ class GPVEngine:
         if current is not None and current != winner:
             # Stickiness: keep the current selection on ties while it is
             # still offered.
-            if (not self.algebra.better(winner[0], current[0])
+            if (not better(winner[0], current[0])
                     and current in candidates):
                 selected = current
         if selected != current:
@@ -363,19 +366,24 @@ class GPVEngine:
             out_sig = self._export_sig(label, sig, path, neighbor)
             usable: list[Route] = []
             if self.top_k > 1:
-                pool = ([] if out_sig is PHI else [(out_sig, path)])
+                # The first top_k exportable routes in rank order.  ⊕E is
+                # pure, so stopping there sends exactly what exporting the
+                # whole pool and cutting it to top_k would.
+                if out_sig is not PHI:
+                    usable.append((out_sig, path))
                 for alt_sig, alt_path in extras:
                     exported = self._export_sig(label, alt_sig, alt_path,
                                                 neighbor)
                     if exported is not PHI:
-                        pool.append((exported, alt_path))
-                usable = pool[: self.top_k]
+                        usable.append((exported, alt_path))
+                        if len(usable) == self.top_k:
+                            break
             if usable:
-                adv = Advertisement(dest, usable[0][0], usable[0][1],
-                                    alternates=tuple(usable[1:]))
+                (out_sig, out_path), *alternates = usable
+                self._emit(state, node, neighbor, dest, out_sig, out_path,
+                           tuple(alternates))
             else:
-                adv = Advertisement(dest, out_sig, path)
-            self._emit(node, neighbor, adv)
+                self._emit(state, node, neighbor, dest, out_sig, path, ())
 
     def _export_sig(self, label: Hashable, sig: Signature, path: Path,
                     neighbor: str) -> Signature:
@@ -384,15 +392,17 @@ class GPVEngine:
             return PHI
         if len(path) > 1 and path[1] == neighbor:
             return PHI
-        if isinstance(self.algebra, ExtendedAlgebra):
+        if self._extended:
             if not self.algebra.export_allows(label, sig):
                 return PHI
         return sig
 
-    def _emit(self, node: str, neighbor: str, adv: Advertisement) -> None:
-        state = self._states[node]
-        rib_key = (neighbor, adv.dest)
-        current = (adv.sig, adv.path, adv.alternates)
+    def _emit(self, state: _NodeState, node: str, neighbor: str, dest: str,
+              sig: Signature, path: Path, alternates: tuple) -> None:
+        """Send (or buffer) one advertisement unless RIB-out says it is a
+        repeat or a withdraw of something the neighbor never heard."""
+        rib_key = (neighbor, dest)
+        current = (sig, path, alternates)
         # The effective last advertisement is the *buffered* one when
         # batching: consulting rib_out while a contradictory advert waits
         # in the out buffer let a same-window withdraw be recorded as
@@ -405,13 +415,14 @@ class GPVEngine:
             last = state.rib_out.get(rib_key)
         if last == current:
             return
-        if adv.sig is PHI and (last is None or last[0] is PHI):
+        if sig is PHI and (last is None or last[0] is PHI):
             # The neighbor never held (and will never hear about) this
             # route; a withdraw is noise.  Bookkeeping happens at send
             # time (here when unbatched, in _flush otherwise).
             if self.batch_interval is None:
                 state.rib_out[rib_key] = current
             return
+        adv = Advertisement(dest, sig, path, alternates)
         if self.batch_interval is None:
             state.rib_out[rib_key] = current
             self.sim.send(node, neighbor, adv, adv.wire_size())

@@ -166,6 +166,37 @@ class TestMaterialization:
         assert "verdict:key" in shown and "verdict:solve" in shown
 
 
+class TestBackendCounters:
+    def test_a_two_scenario_campaign_leaves_gpv_seconds_and_messages(self):
+        """µs per message must be a quotient of two registry counters."""
+        from repro.campaigns import CampaignConfig, CampaignRunner
+        from repro.obs import metrics
+
+        def gpv_counters() -> dict:
+            snap = metrics.snapshot()
+
+            def read(name, **labels):
+                return metrics.snapshot_value(snap, name, backend="gpv",
+                                              **labels)
+            counters = {outcome: read("repro_backend_runs_total",
+                                      outcome=outcome)
+                        for outcome in ("converged", "diverged", "declined")}
+            counters["seconds"] = read("repro_backend_seconds_total")
+            counters["messages"] = read("repro_backend_messages_total")
+            return counters
+
+        before = gpv_counters()
+        report = CampaignRunner(CampaignConfig(jobs=1, backends=("gpv",))).run(
+            [gadget_spec("good"), gadget_spec("bad")])
+        delta = {name: value - before[name]
+                 for name, value in gpv_counters().items()}
+        assert delta["seconds"] > 0
+        assert delta["messages"] == sum(
+            result.outcomes[0].messages for result in report.results) > 0
+        assert (delta["converged"], delta["diverged"],
+                delta["declined"]) == (1, 1, 0)
+
+
 class TestEvents:
     def test_link_failure_mid_convergence_stays_consistent(self):
         from repro.campaigns import LinkEventSpec

@@ -15,6 +15,21 @@ def diamond():
     return net
 
 
+def assert_index_agrees_with_links(net: Network) -> None:
+    """``link``/``has_link``/``label`` answer from a per-direction index;
+    it must describe exactly the links ``links()`` iterates."""
+    links = list(net.links())
+    ends = {link.ends for link in links}
+    assert len(ends) == len(links) == net.link_count()
+    for link in links:
+        for u, v in ((link.a, link.b), (link.b, link.a)):
+            assert net.link(u, v) is link
+            assert net.label(u, v) == link.labels.get((u, v))
+    for u in net.nodes():
+        for v in net.nodes():
+            assert net.has_link(u, v) == (frozenset((u, v)) in ends)
+
+
 class TestConstruction:
     def test_nodes_created_implicitly(self, diamond):
         assert set(diamond.nodes()) == {"a", "b", "c", "d"}
@@ -38,6 +53,49 @@ class TestConstruction:
         net.add_link("a", "b", weight=9)
         assert net.neighbors("a") == ["b"]
         assert net.link("a", "b").weight == 9
+
+    def test_has_node(self, diamond):
+        assert diamond.has_node("a")
+        assert not diamond.has_node("zzz")
+
+
+class TestDirectedIndex:
+    def test_after_add_link(self, diamond):
+        assert_index_agrees_with_links(diamond)
+
+    def test_after_replacing_link_in_either_orientation(self, diamond):
+        old = diamond.link("a", "b")
+        diamond.add_link("b", "a", weight=9, label_ab="q")
+        assert diamond.link("a", "b") is not old
+        assert diamond.link("a", "b").weight == 9
+        assert diamond.label("b", "a") == "q"
+        assert diamond.label("a", "b") is None
+        assert_index_agrees_with_links(diamond)
+
+    def test_after_remove_link_in_either_orientation(self, diamond):
+        diamond.remove_link("b", "a")
+        assert not diamond.has_link("a", "b")
+        assert not diamond.has_link("b", "a")
+        with pytest.raises(KeyError):
+            diamond.link("b", "a")
+        assert_index_agrees_with_links(diamond)
+        diamond.add_link("a", "b", label_ab="again")
+        assert diamond.label("a", "b") == "again"
+        assert_index_agrees_with_links(diamond)
+
+    def test_after_set_label(self, diamond):
+        diamond.set_label("d", "b", "z")
+        assert diamond.label("d", "b") == "z"
+        assert diamond.label("b", "d") is None
+        assert_index_agrees_with_links(diamond)
+
+    def test_relabeled_copy_has_its_own_index(self, diamond):
+        mapped = diamond.relabeled(lambda lb: lb.upper())
+        assert_index_agrees_with_links(mapped)
+        assert mapped.label("b", "a") == "Y"
+        mapped.remove_link("a", "b")
+        assert diamond.has_link("a", "b")
+        assert_index_agrees_with_links(diamond)
 
 
 class TestQueries:

@@ -30,6 +30,30 @@ class TestScheduling:
         sim.run()
         assert order == [1, 2]
 
+    def test_delivery_and_timer_at_one_instant_run_in_scheduling_order(
+            self, pair):
+        """Order is ``(time, seq)``: a delivery and a timer due at the same
+        instant run in the order they were put on the queue."""
+        probe = Simulator(pair)
+        arrival = []
+        probe.attach("b", lambda src, payload: arrival.append(probe.now))
+        probe.send("a", "b", "x", 100)
+        probe.run()
+
+        def run(send_first: bool) -> list[str]:
+            sim = Simulator(pair)
+            order = []
+            sim.attach("b", lambda src, payload: order.append("delivery"))
+            steps = [lambda: sim.send("a", "b", "x", 100),
+                     lambda: sim.at(arrival[0], lambda: order.append("timer"))]
+            for step in steps if send_first else reversed(steps):
+                step()
+            sim.run()
+            return order
+
+        assert run(send_first=True) == ["delivery", "timer"]
+        assert run(send_first=False) == ["timer", "delivery"]
+
     def test_now_advances(self, pair):
         sim = Simulator(pair)
         seen = []
@@ -110,6 +134,25 @@ class TestTransport:
         sim.run()
         assert arrivals[0] == pytest.approx(0.010 + 0.010)
         assert arrivals[1] == pytest.approx(0.020 + 0.010)
+
+    def test_jitter_never_reorders_a_direction(self):
+        """Jitter far above the spacing of a burst: an arrival clamped to
+        its predecessor's ties with it on time, and still runs after it."""
+        net = Network()
+        net.add_link("a", "b", latency_s=0.010, jitter_s=0.050)
+        sim = Simulator(net, seed=5)
+        arrivals = []
+        sim.attach("b", lambda src, payload: arrivals.append(
+            (sim.now, payload)))
+        sim.attach("a", lambda src, payload: None)
+        for i in range(40):
+            sim.send("a", "b", i, 10)
+            sim.send("b", "a", i, 10)  # the reverse direction is independent
+        sim.run()
+        times = [t for t, _ in arrivals]
+        assert [payload for _, payload in arrivals] == list(range(40))
+        assert times == sorted(times)
+        assert len(set(times)) < len(times)  # the clamp did fire
 
     def test_send_to_non_neighbor_raises(self, pair):
         sim = Simulator(pair)

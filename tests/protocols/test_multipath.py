@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra import ShortestHopCount
+from repro.algebra import PHI, AlgebraTables, ShortestHopCount, TableAlgebra
 from repro.net import Network
 from repro.protocols import GPVEngine
 
@@ -94,3 +94,72 @@ class TestWireFormat:
                             alternates=((3, ("m", "b", "d")),))
         assert adv.routes()[0] == (2, ("m", "a", "d"))
         assert len(adv.routes()) == 2
+
+
+def filtered_fan():
+    """Three relays of distinct route classes feed m; m feeds s over a
+    link whose export filter rejects the best and the worst class.
+
+        d -x- a -.
+        d -y- b --m -f- s
+        d -z- c -'  `-l- t
+    """
+    labels = ["x", "y", "z", "l", "f"]
+    classes = ["X", "Y", "Z"]
+    algebra = TableAlgebra("filtered-fan", AlgebraTables(
+        labels=labels,
+        signatures=classes,
+        preference={"X": 0, "Y": 1, "Z": 2},
+        concat={(label, sig): sig for label in labels for sig in classes},
+        reverse={label: label for label in labels},
+        export_filter=frozenset({("f", "X"), ("f", "Z")}),
+        origination={"x": "X", "y": "Y", "z": "Z"},
+    ))
+    net = Network()
+    for relay, label in (("a", "x"), ("b", "y"), ("c", "z")):
+        net.add_link(relay, "d", label_ab=label, label_ba=label)
+        net.add_link(relay, "m", label_ab="l", label_ba="l")
+    net.add_link("m", "s", label_ab="f", label_ba="f")
+    net.add_link("m", "t", label_ab="l", label_ba="l")
+    return net, algebra
+
+
+def full_pool_cut(engine, node, neighbor, dest):
+    """What ``node`` owes ``neighbor``: export the *whole* ranked pool, then
+    cut to ``top_k`` — the rule the bounded loop in ``_advertise`` must
+    reproduce."""
+    state = engine._states[node]
+    best = state.best[dest]
+    ranked = engine._ranked(engine._candidates(state, dest))
+    label = engine.network.label(node, neighbor)
+    pool = []
+    for sig, path in [best] + [r for r in ranked if r != best]:
+        exported = engine._export_sig(label, sig, path, neighbor)
+        if exported is not PHI:
+            pool.append((exported, path))
+    return pool[:engine.top_k] or [(PHI, best[1])]
+
+
+class TestBoundedExport:
+    @pytest.mark.parametrize("top_k", [2, 3])
+    def test_every_advertisement_is_the_full_pool_cut_to_k(self, top_k):
+        net, algebra = filtered_fan()
+        engine = GPVEngine(net, algebra, ["d"], top_k=top_k)
+        sent = []
+        transport = engine.sim.send
+
+        def checking_send(src, dst, adv, size):
+            sent.append((src, dst, adv.routes(),
+                         full_pool_cut(engine, src, dst, adv.dest)))
+            transport(src, dst, adv, size)
+
+        engine.sim.send = checking_send
+        assert engine.run(until=10.0) == "quiescent"
+        for src, dst, routes, expected in sent:
+            assert routes == expected, (src, dst)
+        # The filter bit: over 'f' only the middle class survives, so s
+        # hears one route while t hears k of them, best class first.
+        to_s = [routes for src, dst, routes, _ in sent if (src, dst) == ("m", "s")]
+        to_t = [routes for src, dst, routes, _ in sent if (src, dst) == ("m", "t")]
+        assert to_s[-1] == [("Y", ("m", "b", "d"))]
+        assert [sig for sig, _ in to_t[-1]] == ["X", "Y", "Z"][:top_k]
