@@ -1,10 +1,15 @@
 """The differential safety oracle: analyze, execute on N backends, cross-check.
 
-:func:`evaluate` runs one scenario end to end:
+Every scenario takes one path, alone or in a chunk:
 
-1. materialize the spec (once per backend — sessions own a mutable
-   network, so each backend gets its own deterministic copy);
-2. obtain the safety verdict — from the tiered
+1. the **chunk pass** (:func:`_prepare_chunk`; a direct :func:`evaluate`
+   is a chunk of one) materializes each spec once, asks the ``batch``
+   backend once whether it admits the scenario, and runs the admitted
+   members through ``prepare_batch(...).run(partial=True)`` — the only
+   way a batch outcome is produced.  A kernel group that declines at
+   run time leaves its members without one (nothing retries); any other
+   exception makes every admitted member an ``ERROR`` result;
+2. :func:`evaluate` obtains the safety verdict — from the tiered
    :class:`~repro.analysis.pipeline.AnalysisPipeline` (certificates →
    dispute digraph → incremental SMT; the result's ``method`` records
    the deciding tier) through the per-process **verdict cache** keyed by
@@ -13,11 +18,13 @@
    warmed from and persisted to a cross-process
    :class:`~repro.campaigns.verdict_store.VerdictStore`, so repeated
    campaigns pay for each distinct constraint system once *ever*;
-3. execute the scenario on every configured
+3. executes the scenario on every configured scalar
    :class:`~repro.exec.base.ExecutionBackend` (native GPV engine,
    generated NDlog program, ...) over the same seeded simulator timeline
-   and event schedule;
-4. classify every pair of outcomes
+   and event schedule — the first on the prepared scenario itself (the
+   batch pass only read it), each later one on its own deterministic
+   re-materialization, because scalar sessions own a mutable network;
+4. classifies every pair of outcomes, batch included
    (:func:`~repro.campaigns.report.classify` per analysis~backend pair,
    route-table comparison per backend~backend pair).
 
@@ -47,7 +54,7 @@ from ..exec import (
     route_set_mismatches,
     schedule_events,
 )
-from ..exec.batch import BatchDeclined, configure_kernel_store, kernel_key_of
+from ..exec.batch import configure_kernel_store
 from ..experiments.extraction import extract_spp
 from ..obs import metrics as _obs_metrics
 from ..obs.trace import TRACER, configure_tracing
@@ -96,6 +103,7 @@ _VERDICT_SECONDS = {
     for phase in ("key", "solve")
 }
 _SCENARIOS_FAMILY = "repro_scenarios_total"
+_BATCH = "batch"
 _DISAGREEMENTS = _obs_metrics.counter("repro_disagreements_total")
 
 
@@ -232,48 +240,119 @@ def _lookup_or_solve(key: str, subject: RoutingAlgebra | SPPInstance) -> str:
     return tier
 
 
+@dataclass
+class _Prepared:
+    """What the chunk pass hands :func:`evaluate` for one spec."""
+
+    #: The spec's one materialization (None: ``materialize`` raised).
+    scenario: Scenario | None
+    #: What it took: the scenario's own clock starts that much earlier.
+    materialize_s: float
+    #: The vectorized pass's outcome (None: ``batch`` not configured,
+    #: scenario refused, or its kernel group declined at run time).
+    batch: ExecutionOutcome | None = None
+    #: ``ERROR`` text: ``materialize`` or the chunk's batch pass raised.
+    error: str | None = None
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=3)}"
+
+
+def _prepare_chunk(specs: list[ScenarioSpec],
+                   options: EvaluationOptions) -> list[_Prepared]:
+    """Materialize, admit and batch-execute a chunk, each exactly once.
+
+    One :class:`_Prepared` per spec, index-aligned.  Scenarios sharing a
+    kernel are relaxed together whatever their order (the session groups
+    by kernel identity), so the chunk is not sorted.
+    """
+    batch = None
+    if _BATCH in options.backends:
+        configure_kernel_store(options.kernel_store_path)
+        batch = get_backend(_BATCH)
+    prepared: list[_Prepared] = []
+    admitted: list[_Prepared] = []
+    for spec in specs:
+        started = time.perf_counter()
+        try:
+            scenario = materialize(spec)
+        except Exception as exc:  # noqa: BLE001 — this spec's ERROR result
+            prepared.append(_Prepared(None, time.perf_counter() - started,
+                                      error=_error_text(exc)))
+            continue
+        entry = _Prepared(scenario, time.perf_counter() - started)
+        prepared.append(entry)
+        if batch is not None and batch.supports(scenario):
+            admitted.append(entry)
+    if admitted:
+        try:
+            with TRACER.span("batch:chunk", scenarios=len(admitted)):
+                outcomes = batch.prepare_batch(
+                    [entry.scenario for entry in admitted]).run(partial=True)
+        except Exception as exc:  # noqa: BLE001 — loud: ERROR, not scalar
+            text = _error_text(exc)
+            for entry in admitted:
+                entry.error = text
+        else:
+            # partial=True yields None for kernel groups that declined at
+            # run time (monotone-mode horizon bail, hazard tie).
+            for entry, outcome in zip(admitted, outcomes):
+                entry.batch = outcome
+    return prepared
+
+
 def evaluate(spec: ScenarioSpec,
              options: EvaluationOptions | None = None, *,
-             precomputed: dict[str, ExecutionOutcome] | None = None
-             ) -> ScenarioResult:
+             prepared: _Prepared | None = None) -> ScenarioResult:
     """Run the full differential check for one spec (never raises).
 
-    ``precomputed`` maps backend name → an :class:`ExecutionOutcome` that
-    was already produced for this spec (the chunked batch path executes
-    whole chunks through ``prepare_batch`` before evaluating each spec);
-    those backends skip the prepare/run cycle but still participate in
-    every pairwise cross-check.
+    ``prepared`` is the spec's entry of its chunk's :func:`_prepare_chunk`
+    — only :func:`evaluate_chunk` passes it; a direct call prepares the
+    spec as a chunk of one.  ``elapsed_s`` covers the scenario's own
+    materialization and evaluation, not the chunk-level batch work.
     """
     options = options or EvaluationOptions()
-    started = time.perf_counter()
+    if prepared is None:
+        prepared, = _prepare_chunk([spec], options)
+    started = time.perf_counter() - prepared.materialize_s
     with TRACER.span("scenario", trace_id=spec.trace_id,
                      scenario_id=spec.scenario_id, family=spec.family,
-                     algebra=spec.algebra) as scenario_span:
-        return _evaluate_traced(spec, options, precomputed,
-                                started, scenario_span)
+                     algebra=spec.algebra,
+                     materialize_ms=1e3 * prepared.materialize_s
+                     ) as scenario_span:
+        if prepared.error is not None:
+            return _error_result(spec, started, scenario_span,
+                                 prepared.error)
+        return _evaluate_traced(spec, options, prepared, started,
+                                scenario_span)
+
+
+def _error_result(spec, started, scenario_span, text: str) -> ScenarioResult:
+    _obs_metrics.counter(_SCENARIOS_FAMILY, classification=ERROR).inc()
+    scenario_span.set_status("error")
+    scenario_span.annotate(error=text.partition("\n")[0])
+    return ScenarioResult(spec=spec, classification=ERROR,
+                          elapsed_s=time.perf_counter() - started,
+                          error=text)
 
 
 def _count_backend_run(name: str, started: float,
-                       outcome: ExecutionOutcome | None) -> None:
-    """One live prepare + run in the registry (``None``: declined at run
-    time) — per run, never per message, so µs per message is the quotient
-    of two counters."""
+                       outcome: ExecutionOutcome) -> None:
+    """One live prepare + run in the registry — per run, never per
+    message, so µs per message is the quotient of two counters."""
     _obs_metrics.counter("repro_backend_seconds_total", backend=name).inc(
         time.perf_counter() - started)
-    if outcome is None:
-        result = "declined"
-    else:
-        _obs_metrics.counter("repro_backend_messages_total",
-                             backend=name).inc(outcome.messages)
-        result = "converged" if outcome.converged else "diverged"
-    _obs_metrics.counter("repro_backend_runs_total", backend=name,
-                         outcome=result).inc()
+    _obs_metrics.counter("repro_backend_messages_total",
+                         backend=name).inc(outcome.messages)
+    _obs_metrics.counter(
+        "repro_backend_runs_total", backend=name,
+        outcome="converged" if outcome.converged else "diverged").inc()
 
 
-def _evaluate_traced(spec, options, precomputed, started, scenario_span):
+def _evaluate_traced(spec, options, prepared, started, scenario_span):
     try:
-        with TRACER.span("materialize"):
-            scenario = materialize(spec)
+        scenario = prepared.scenario
         safe = method = None
         cache_hit = False
         if scenario.analysis_subject is not None:
@@ -283,10 +362,12 @@ def _evaluate_traced(spec, options, precomputed, started, scenario_span):
 
         # Backends declare per-scenario applicability (the HLP protocol
         # cannot execute, say, an iBGP reflection hierarchy), so one
-        # --backends list can span heterogeneous families; the first
-        # supporting backend is the scenario's primary.
+        # --backends list can span heterogeneous families; batch applies
+        # where the chunk pass produced an outcome.  The first applicable
+        # backend is the scenario's primary.
         backends = [name for name in options.backends
-                    if get_backend(name).supports(scenario)]
+                    if (prepared.batch is not None if name == _BATCH
+                        else get_backend(name).supports(scenario))]
         if not backends:
             raise ValueError(
                 f"no backend in {list(options.backends)} supports "
@@ -295,15 +376,16 @@ def _evaluate_traced(spec, options, precomputed, started, scenario_span):
         outcomes: list[ExecutionOutcome] = []
         fresh_scenario = scenario
         for name in backends:
-            if precomputed is not None and name in precomputed:
+            if name == _BATCH:
                 sessions.append(None)
-                outcomes.append(precomputed[name])
+                outcomes.append(prepared.batch)
                 with TRACER.span("backend:run", backend=name,
                                  precomputed=True):
                     pass
                 continue
-            # Each session owns a mutable network: re-materialize for every
-            # backend after the first (materialization is deterministic).
+            # Each scalar session owns a mutable network: the prepared
+            # scenario serves the first, later ones re-materialize
+            # (materialization is deterministic).
             scn = fresh_scenario if fresh_scenario is not None \
                 else materialize(spec)
             fresh_scenario = None
@@ -312,33 +394,19 @@ def _evaluate_traced(spec, options, precomputed, started, scenario_span):
                 session = get_backend(name).prepare(
                     scn, seed=spec.seed, log_routes=scn.log_routes)
                 schedule_events(session, scn.events)
-                try:
-                    outcome = session.run(until=spec.until,
-                                          max_events=spec.max_events)
-                except BatchDeclined:
-                    # A monotone-mode kernel bailed at run time (transient
-                    # crossed the closure horizon): the scenario is simply
-                    # not batchable after all — drop the backend from this
-                    # scenario's differential, exactly as if supports() had
-                    # said no.  Never an ERROR: the scalar engines carry on.
-                    backend_span.annotate(declined=True)
-                    _count_backend_run(name, run_started, None)
-                    continue
+                outcome = session.run(until=spec.until,
+                                      max_events=spec.max_events)
                 backend_span.annotate(converged=outcome.converged,
                                       messages=outcome.messages)
             _count_backend_run(name, run_started, outcome)
             sessions.append(session)
             outcomes.append(outcome)
-        if not outcomes:
-            raise ValueError(
-                f"every backend in {list(options.backends)} declined "
-                f"scenario {spec.scenario_id} at run time")
 
         if scenario.analysis_subject is None:
             # iBGP workflow: extract the realized SPP (from the primary
-            # backend's route log) and analyze that.  Precomputed outcomes
-            # never cover this family (the batch backend declines subjects
-            # requiring post-run extraction), so sessions[0] is live.
+            # backend's route log) and analyze that.  The batch backend
+            # refuses subjects requiring post-run extraction, so sessions[0]
+            # is live.
             with TRACER.span("analysis:verdict", extracted=True):
                 extracted = extract_spp(sessions[0], scenario.extract_dest)
                 safe, method, cache_hit = cached_verdict(extracted)
@@ -368,16 +436,7 @@ def _evaluate_traced(spec, options, precomputed, started, scenario_span):
             scenario_span.annotate(disagreement=True)
         return result
     except Exception as exc:  # noqa: BLE001 — a worker must survive any spec
-        _obs_metrics.counter(_SCENARIOS_FAMILY, classification=ERROR).inc()
-        scenario_span.set_status("error")
-        scenario_span.annotate(error=f"{type(exc).__name__}: {exc}")
-        return ScenarioResult(
-            spec=spec,
-            classification=ERROR,
-            elapsed_s=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}\n"
-                  f"{traceback.format_exc(limit=3)}",
-        )
+        return _error_result(spec, started, scenario_span, _error_text(exc))
 
 
 def classify_backend_pair(safe: bool | None, first: ExecutionOutcome,
@@ -468,61 +527,16 @@ def _pairwise(scenario: Scenario, safe: bool | None,
     return tuple(pairs)
 
 
-def _precompute_batch(specs: list[ScenarioSpec],
-                      options: EvaluationOptions
-                      ) -> dict[int, dict[str, ExecutionOutcome]]:
-    """One vectorized pass over a chunk's batch-supported scenarios.
-
-    Returns ``scenario_id → {"batch": outcome}`` for every chunk member
-    the ``batch`` backend supports — these are handed to
-    :func:`evaluate` as ``precomputed`` so the per-spec loop skips the
-    batch-of-one path.  Any failure degrades to ``{}``: correctness then
-    rides the scalar session adapter inside :func:`evaluate`.
-    """
-    if "batch" not in options.backends:
-        return {}
-    configure_kernel_store(options.kernel_store_path)
-    backend = get_backend("batch")
-    members: list[tuple[int, Scenario]] = []
-    for spec in specs:
-        try:
-            scenario = materialize(spec)
-        except Exception:  # noqa: BLE001 - evaluate() classifies it as ERROR
-            continue
-        if backend.supports(scenario):
-            members.append((spec.scenario_id, scenario))
-    if not members:
-        return {}
-    # Kernel-keyed scheduling: order the chunk by canonical kernel key so
-    # scenarios sharing (algebra, transfer vocabulary) sit adjacent and
-    # the vectorized session relaxes each key group in a single flat
-    # tabulation+relaxation call — tau-sweep's shared-prefix draws, and
-    # every relabeled copy of one policy, collapse this way.
-    members.sort(key=lambda member: (repr(kernel_key_of(member[1])),
-                                     member[0]))
-    try:
-        with TRACER.span("batch:chunk", scenarios=len(members)):
-            outcomes = backend.prepare_batch(
-                [scenario for _, scenario in members]).run(partial=True)
-    except Exception:  # noqa: BLE001 - scalar fallback keeps the chunk alive
-        return {}
-    # partial=True yields None for kernel groups that declined at run
-    # time (monotone-mode horizon bail): those scenarios simply take the
-    # scalar path inside evaluate().
-    return {scenario_id: {"batch": outcome}
-            for (scenario_id, _), outcome in zip(members, outcomes)
-            if outcome is not None}
-
-
 def evaluate_chunk(specs: list[ScenarioSpec],
                    options: EvaluationOptions | None = None
                    ) -> list[ScenarioResult]:
     """Worker entry point: evaluate a chunk, sharing the process cache.
 
-    When the campaign runs the ``batch`` backend, the whole chunk's
-    batch-supported scenarios are executed in one vectorized call first
-    — this is where the struct-of-arrays kernel amortizes — and the
-    per-spec evaluations consume those outcomes instead of re-running.
+    The chunk pass runs first — with the ``batch`` backend configured
+    this is where the struct-of-arrays kernel amortizes, over the whole
+    chunk's admitted scenarios in one vectorized call — and each
+    per-spec evaluation consumes its prepared entry, which is dropped as
+    soon as that evaluation returns.
 
     The store is (re)configured unconditionally — including to ``None`` —
     so a chunk from a cache-less campaign never writes through a store a
@@ -535,9 +549,11 @@ def evaluate_chunk(specs: list[ScenarioSpec],
         # name), so spans are tagged with their owning worker.
         configure_tracing(options.trace_dir)
     try:
-        batched = _precompute_batch(specs, options)
-        return [evaluate(spec, options,
-                         precomputed=batched.get(spec.scenario_id))
+        prepared = _prepare_chunk(specs, options)
+        # Popped in spec order: each scenario is released as soon as its
+        # evaluation returns, not when the chunk does.
+        prepared.reverse()
+        return [evaluate(spec, options, prepared=prepared.pop())
                 for spec in specs]
     finally:
         flush_store_hits()

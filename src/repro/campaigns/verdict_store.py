@@ -16,19 +16,18 @@ same key).
 Connection handling, multi-writer hardening and open-time retention
 (hit decay, age and size bounds) are
 :class:`repro.sqlite_cache.SqliteCache`'s — the base this store shares
-with :mod:`repro.exec.kernel_store`; what is here is the verdict table,
-its migration (see :meth:`VerdictStore._migrate`) and its row methods.
+with :mod:`repro.exec.kernel_store`, and so is the one format rule: a
+file stamped with another ``user_version`` (or carrying other columns)
+is emptied on open, never re-keyed — a lost verdict costs one solve.
+What is here is the verdict table and its row methods.
 """
 
 from __future__ import annotations
 
-import ast
 import time
 
 from ..obs import metrics as _obs_metrics
-from ..sqlite_cache import NO_RETENTION, RetentionPolicy, SqliteCache
-
-SCHEMA_VERSION = 3
+from ..sqlite_cache import RetentionPolicy, SqliteCache
 
 #: Store I/O counters (the durable per-row ``hits`` column still drives
 #: eviction; these registry series are the live telemetry view).
@@ -54,53 +53,9 @@ class VerdictStore(SqliteCache):
 
     TABLE = "verdicts"
     SCHEMA = _SCHEMA
+    SCHEMA_VERSION = 3
     DEFAULT_RETENTION = RetentionPolicy(max_rows=100_000, max_age_days=30.0,
                                         decay_half_life_days=7.0)
-
-    def _migrate(self) -> None:
-        """v1 → v2: add the ``hits`` column (required by every query).
-
-        v2 → v3: re-key ``("spp", ...)`` rows under the
-        isomorphism-invariant canonicalization (hits and the earliest
-        creation time merge when several old rows collapse into one
-        canonical key).  Other v2 key formats ("table", "product",
-        "finite" renderings) cannot be re-keyed in place; they are kept
-        verbatim — they simply never match a v3 key again and age out
-        through retention.  An open under ``NO_RETENTION`` must not
-        rewrite rows, so it skips this pass (a v2 store inspected that
-        way keeps serving its old keys).
-        """
-        columns = {row[1] for row in
-                   self._conn.execute("PRAGMA table_info(verdicts)")}
-        if "hits" not in columns:
-            self._conn.execute(
-                "ALTER TABLE verdicts ADD COLUMN hits INTEGER NOT NULL "
-                "DEFAULT 0")
-        if self.retention == NO_RETENTION:
-            return
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version >= SCHEMA_VERSION:
-            return
-        migrated = 0
-        rows = self._conn.execute(
-            "SELECT key, safe, method, created_at, hits "
-            "FROM verdicts").fetchall()
-        for key, safe, method, created_at, hits in rows:
-            new_key = _rekey_v2_spp(key)
-            if new_key is None or new_key == key:
-                continue
-            self._conn.execute(
-                "INSERT INTO verdicts (key, safe, method, created_at, hits) "
-                "VALUES (?, ?, ?, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET "
-                "hits = hits + excluded.hits, "
-                "created_at = MIN(created_at, excluded.created_at)",
-                (new_key, safe, method, created_at, hits))
-            self._conn.execute("DELETE FROM verdicts WHERE key = ?", (key,))
-            migrated += 1
-        self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-        if migrated:
-            self.last_retention["migrated"] = migrated
 
     def load_all(self) -> dict[str, tuple[bool, str]]:
         """Every stored verdict — loaded into a worker memo at startup."""
@@ -179,28 +134,3 @@ class VerdictStore(SqliteCache):
             "schema_version": version,
             "retention": dict(self.last_retention),
         }
-
-
-def _rekey_v2_spp(key: str) -> str | None:
-    """Re-key one v2 ``("spp", dest, rankings, edges)`` rendering.
-
-    Returns the v3 key, the input unchanged when it is not an spp
-    rendering (kept verbatim), or None when parsing fails (also kept).
-    """
-    if not key.startswith("('spp',"):
-        return key
-    try:
-        parsed = ast.literal_eval(key)
-        tag, destination, rankings, edges = parsed
-        if tag != "spp":
-            return key
-        from ..algebra.spp import SPPInstance
-        from .canonical import canonical_key
-        permitted = {node: [tuple(path) for path in paths]
-                     for node, paths in rankings}
-        instance = SPPInstance.build(
-            "migrated", destination, permitted,
-            extra_edges=[tuple(edge) for edge in edges])
-        return repr(canonical_key(instance))
-    except (ValueError, SyntaxError, TypeError, KeyError):
-        return None

@@ -15,7 +15,7 @@ on N independent implementations and cross-check their route tables:
 * ``batch`` (:class:`BatchBackend`) — the vectorized fixpoint engine:
   strictly monotonic algebras tabulated to integer preference ranks and
   relaxed over numpy, thousands of scenarios per call via
-  :meth:`ExecutionBackend.prepare_batch`; the scalar engines stay the
+  :meth:`BatchBackend.prepare_batch`; the scalar engines stay the
   differential ground truth.
 
 See ``src/repro/exec/README.md`` for the backend contract and the
@@ -23,7 +23,6 @@ checklist for adding further backends.
 """
 
 from .base import (
-    BatchExecutionSession,
     ExecutionBackend,
     ExecutionOutcome,
     ExecutionSession,
@@ -75,7 +74,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKENDS",
     "BatchBackend",
-    "BatchExecutionSession",
     "BatchSession",
     "ExecutionBackend",
     "ExecutionOutcome",

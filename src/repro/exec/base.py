@@ -21,6 +21,9 @@ The lifecycle is three calls:
    returns an :class:`ExecutionOutcome`: converged/diverged status, the
    final best-route table, and message/byte statistics.
 
+That lifecycle is the whole contract: ``prepare_batch(scenarios)``, many
+scenarios per call, is :class:`~repro.exec.batch.BatchBackend`'s alone.
+
 Backends never see campaign types: a "scenario" is anything with
 ``network`` / ``algebra`` / ``destinations`` attributes, and an "event" is
 anything with ``kind`` / ``a`` / ``b`` / ``label`` / ``time`` — so the
@@ -60,10 +63,6 @@ class ExecutionOutcome:
     #: Multipath outcomes only (``top_k > 1``): ``(node, dest)`` → ranked
     #: tuple of selected ``(sig, path)`` routes, best first, capped at k.
     route_sets: dict = field(default_factory=dict)
-    #: Set when ``stop_reason == "error"``: the exception that killed this
-    #: scenario's run, so a batched caller can tell *which* member failed
-    #: and why instead of losing the whole batch.
-    error: str | None = None
 
     def to_dict(self) -> dict:
         """JSON-safe rendering (route tables are summarized, not dumped)."""
@@ -81,8 +80,6 @@ class ExecutionOutcome:
         if self.route_sets:
             record["multipath_routes"] = sum(
                 len(routes) for routes in self.route_sets.values())
-        if self.error is not None:
-            record["error"] = self.error
         return record
 
 
@@ -145,71 +142,6 @@ class ExecutionSession(ABC):
         return {}
 
 
-class BatchExecutionSession(ABC):
-    """Many prepared scenarios executed as one unit (vectorized or not).
-
-    The batched counterpart of :class:`ExecutionSession`:
-    ``backend.prepare_batch(scenarios)`` builds one, and :meth:`run`
-    executes *every* scenario — applying each scenario's own event
-    schedule — and returns one :class:`ExecutionOutcome` per input
-    scenario, index-aligned with ``scenarios``.
-
-    Backends with a struct-of-arrays fast path (the ``batch`` backend's
-    numpy relaxation kernel) override ``prepare_batch`` to return a truly
-    vectorized session; every other backend inherits a sequential
-    adapter, so callers can *always* go through the batched entry point.
-    """
-
-    scenarios: list
-
-    @abstractmethod
-    def run(self, *, partial: bool = False
-            ) -> "list[ExecutionOutcome | None]":
-        """Execute all scenarios; ``outcomes[i]`` belongs to
-        ``scenarios[i]``.
-
-        With ``partial=True`` a backend *may* yield ``None`` for
-        scenarios it discovers at run time it cannot execute (e.g. the
-        batch backend's run-time declines), instead of failing the whole
-        batch; the caller re-runs those members through a scalar
-        backend.  Backends without that failure mode simply ignore the
-        flag — a sequential session already isolates per-scenario
-        errors as index-aligned ERROR outcomes.
-        """
-
-
-class _SequentialBatchSession(BatchExecutionSession):
-    """Default batched path: scalar sessions, one scenario at a time."""
-
-    def __init__(self, backend: "ExecutionBackend", scenarios: list):
-        self.backend = backend
-        self.scenarios = list(scenarios)
-
-    def run(self, *, partial: bool = False) -> list[ExecutionOutcome]:
-        outcomes = []
-        for scenario in self.scenarios:
-            spec = getattr(scenario, "spec", None)
-            try:
-                session = self.backend.prepare(
-                    scenario, seed=getattr(spec, "seed", 0),
-                    log_routes=getattr(scenario, "log_routes", False))
-                schedule_events(session, scenario.events)
-                outcomes.append(session.run(
-                    until=getattr(spec, "until", None),
-                    max_events=getattr(spec, "max_events", None)))
-            except Exception as error:  # noqa: BLE001
-                # One broken scenario must not take down the other N-1:
-                # surface it as an index-aligned ERROR outcome so the
-                # caller sees *which* member failed and why.
-                outcomes.append(ExecutionOutcome(
-                    backend=self.backend.name,
-                    converged=False,
-                    stop_reason="error",
-                    error=f"{type(error).__name__}: {error}",
-                ))
-        return outcomes
-
-
 class ExecutionBackend(ABC):
     """Factory for :class:`ExecutionSession`s; stateless and reusable."""
 
@@ -232,17 +164,6 @@ class ExecutionBackend(ABC):
     def prepare(self, scenario: "Scenario", *, seed: int = 0,
                 log_routes: bool = False) -> ExecutionSession:
         """Build a session for the scenario (which this session then owns)."""
-
-    def prepare_batch(self, scenarios: Iterable["Scenario"]
-                      ) -> BatchExecutionSession:
-        """Build one batched session over many scenarios.
-
-        Each scenario must already be supported (callers filter with
-        :meth:`supports`).  The default adapter prepares and runs scalar
-        sessions sequentially — backends with a genuinely vectorized path
-        override this.
-        """
-        return _SequentialBatchSession(self, list(scenarios))
 
 
 def schedule_events(session: ExecutionSession,

@@ -20,9 +20,13 @@ interleaving, or advertisement batching.  So instead of simulating, it:
    *verified* for every tabulated entry — in-table extensions must carry
    a strictly larger id, hole extensions are preference-checked against
    their source — and any violation marks the algebra unsupported;
-2. **applies each scenario's event mask up front** — link failures
-   remove links, perturbations relabel them; history-independence of
-   the unique stable state makes the final topology sufficient;
+2. **folds each scenario's event mask into what it compiles** — failed
+   links drop out of the edge list, perturbed links take their final
+   label, forged originations become extra seeds; history-independence
+   of the unique stable state makes the final topology sufficient, and
+   the scenario itself is never written to (:func:`_fold_events`), so
+   the oracle's chunk pass and the scalar primary share one
+   materialization;
 3. **relaxes all scenarios at once** in struct-of-arrays form: one flat
    ``int32`` state vector over every (scenario, destination, node)
    triple of a same-kernel group, one flat directed-edge list, and
@@ -49,8 +53,9 @@ campaign oracle and the fixed-seed equality gate in ``benchmarks/`` keep
 the fast path honest.
 
 Tabulation cost is amortized three ways: a per-algebra-instance memo, a
-process-wide cache under canonical algebra keys, and an optional
-**persistent kernel store** (:mod:`repro.exec.kernel_store`, enabled via
+process-wide cache under canonical kernel keys (:func:`kernel_key_of`,
+the one place a key is rendered), and an optional **persistent kernel
+store** (:mod:`repro.exec.kernel_store`, enabled via
 :func:`configure_kernel_store` or ``$REPRO_BATCH_KERNEL_CACHE``) shared
 by fleet workers and repeat campaigns.
 
@@ -60,6 +65,7 @@ campaigns degrade to the scalar engines instead of failing to import.
 
 from __future__ import annotations
 
+import copy
 import gc
 import os
 import pickle
@@ -78,12 +84,7 @@ from ..algebra.hlp import HLPCostAlgebra
 from ..algebra.spp import SPPAlgebra
 from ..net.simulator import StopReason
 from ..obs import metrics as _obs_metrics
-from .base import (
-    BatchExecutionSession,
-    ExecutionBackend,
-    ExecutionOutcome,
-    ExecutionSession,
-)
+from .base import ExecutionBackend, ExecutionOutcome, ExecutionSession
 
 if TYPE_CHECKING:
     from ..campaigns.scenarios import ResolvedEvent, Scenario
@@ -201,8 +202,10 @@ class BatchDeclined(RuntimeError):
     sound exactly while every transient value stays inside the tabulated
     closure, so reading a beyond-horizon hole — or failing to settle
     within the round budget — aborts the batch answer rather than risk a
-    wrong one.  Callers (oracle, scalar adapter) treat it as "scenario
-    not batchable after all", never as an execution error.
+    wrong one.  It means "scenario not batchable after all", never an
+    execution error: ``run(partial=True)`` turns it into ``None``
+    outcomes for the group, and the oracle keeps those members' scalar
+    results without a ``batch`` cross-check.
     """
 
 
@@ -620,15 +623,6 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
     return True
 
 
-def _timed_build(algebra: RoutingAlgebra, keys: Iterable[Hashable],
-                 origin_labels: Iterable[Hashable]) -> "_Kernel | None":
-    started = time.perf_counter()
-    kernel = _build_kernel(algebra, keys, origin_labels)
-    _KERNEL_EVENTS["tabulations"].inc()
-    _TABULATION_SECONDS.inc(time.perf_counter() - started)
-    return kernel
-
-
 def configure_kernel_store(path: str | None = None) -> None:
     """Open (or switch) the persistent kernel store for this process.
 
@@ -696,25 +690,22 @@ def _decode_kernel(payload: bytes | None) -> "_Kernel | None":
         .reshape(body["shape"]).copy()
     pref_class = _np.frombuffer(body["pref_class"], dtype=_np.int32).copy()
     key_id = {key: i for i, key in enumerate(body["keys"])}
-    # v1 payloads lack the v2 fields; their stored monotone kernels are
-    # exactly the statically tie-respecting (hazard-free) ones.
-    raw_tie = body.get("tie_class")
+    raw_tie = body["tie_class"]
     tie_class = (None if raw_tie is None
                  else _np.frombuffer(raw_tie, dtype=_np.int32).copy())
     return _Kernel(body["sigs"], key_id, trans, body["origin_id"],
                    pref_class, body["mode"], body["hole_count"],
-                   tie_class=tie_class,
-                   hazard=body.get("hazard", False),
-                   depth=body.get("depth", MAX_CLOSURE_DEPTH))
+                   tie_class=tie_class, hazard=body["hazard"],
+                   depth=body["depth"])
 
 
 def _canonical_repr(algebra: RoutingAlgebra) -> str:
     """``repr(canonical_key(algebra))``, memoized on the instance.
 
-    Canonicalizing a table algebra is a refinement search; ``supports()``,
-    the batched ``run()`` and the oracle's kernel-keyed chunk grouping
-    all want the same rendering of the same materialized instance, so it
-    is paid once per instance, not once per question.
+    Canonicalizing a table algebra is a refinement search, paid once per
+    materialized instance (``canonical_key`` is total over
+    :class:`RoutingAlgebra`: past its budgets it falls back to a
+    name-faithful rendering, it never raises).
     """
     cached = getattr(algebra, "_batch_canonical_repr", None)
     if cached is not None:
@@ -729,32 +720,38 @@ def _canonical_repr(algebra: RoutingAlgebra) -> str:
     return rendered
 
 
-def _kernel_for(algebra: RoutingAlgebra, keys: Iterable[Hashable],
-                origin_labels: Iterable[Hashable]) -> "_Kernel | None":
-    """Cached tabulation, keyed isomorphism-invariantly.
+def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
+    """The canonical kernel key of a scenario's batch execution.
 
-    The canonical key makes relabeled copies of one algebra share a
-    kernel across every scenario, seed and chunk in the process — the
-    same dedup trick the verdict cache plays for the analyzer — and,
-    when a persistent store is configured, across processes, fleet
-    workers and repeat campaigns too.
+    ``(canonical algebra key, transfer keys, origin labels)`` — the one
+    rendering under which every cache tier files the scenario's kernel:
+    relabeled copies of one algebra over one vocabulary share it across
+    scenarios, seeds, chunks and (through the kernel store) processes.
+    Scenarios sharing it share one tabulation *and* one relaxation
+    call.  ``scan`` is the scenario's :func:`_scan_topology`, if at hand.
     """
-    vocab = (tuple(sorted(repr(k) for k in set(keys))),
-             tuple(sorted(repr(l) for l in set(origin_labels))))
-    # Instance-level memo first: ``supports()`` and the batched ``run()``
-    # see the same materialized algebra object, so the canonical keying
-    # is paid once per scenario, not once per call.
+    keys, origin_labels, _edges = scan or _scan_topology(scenario)
+    return (_canonical_repr(scenario.algebra),
+            tuple(sorted(repr(k) for k in keys)),
+            tuple(sorted(repr(l) for l in origin_labels)))
+
+
+def _kernel_for(scenario: "Scenario", scan: tuple) -> "_Kernel | None":
+    """The scenario's kernel: instance memo, process cache, store, build.
+
+    Admission (:meth:`BatchBackend.supports`) renders the key and pays
+    whichever tier answers; the batched ``run()`` over the same
+    materialized scenario then finds the kernel in the algebra
+    instance's memo without rendering anything.
+    """
+    keys, origin_labels, _edges = scan
+    algebra = scenario.algebra
+    vocab = (frozenset(keys), frozenset(origin_labels))
     memo = getattr(algebra, "_batch_kernel_memo", None)
     if memo is not None and vocab in memo:
         _KERNEL_EVENTS["memo_hits"].inc()
         return memo[vocab]
-    try:
-        key = (_canonical_repr(algebra),) + vocab
-    except Exception:  # noqa: BLE001 - uncanonicalizable => uncacheable
-        kernel = _timed_build(algebra, keys, origin_labels)
-        if kernel is not None:
-            kernel.algebra = algebra  # deepening works; no store key
-        return kernel
+    key = kernel_key_of(scenario, scan)
     if key in _KERNEL_CACHE:
         _KERNEL_EVENTS["cache_hits"].inc()
     else:
@@ -777,7 +774,10 @@ def _kernel_for(algebra: RoutingAlgebra, keys: Iterable[Hashable],
             if kernel is _UNSET:
                 _KERNEL_EVENTS["store_misses"].inc()
         if kernel is _UNSET:
-            kernel = _timed_build(algebra, keys, origin_labels)
+            started = time.perf_counter()
+            kernel = _build_kernel(algebra, keys, origin_labels)
+            _KERNEL_EVENTS["tabulations"].inc()
+            _TABULATION_SECONDS.inc(time.perf_counter() - started)
             if store is not None:
                 try:
                     store.put(repr(key), _encode_kernel(kernel),
@@ -806,41 +806,19 @@ def clear_kernel_cache() -> None:
     _KERNEL_CACHE.clear()
 
 
-def kernel_key_of(scenario: "Scenario"):
-    """The canonical kernel key a scenario's batch execution will use.
-
-    ``(canonical algebra key, transfer vocabulary)`` — scenarios sharing
-    it share one tabulation *and* one relaxation call, which is what the
-    oracle's kernel-keyed chunk grouping sorts by.  ``None`` when the
-    algebra cannot be canonicalized (still batchable, just uncacheable).
-    """
-    keys, origin_labels = _transfer_vocab(scenario)
-    vocab = (tuple(sorted(repr(k) for k in set(keys))),
-             tuple(sorted(repr(l) for l in set(origin_labels))))
-    try:
-        return (_canonical_repr(scenario.algebra),) + vocab
-    except Exception:  # noqa: BLE001
-        return None
-
-
-def _transfer_key(algebra: RoutingAlgebra, out_label: Hashable,
-                  in_label: Hashable) -> Hashable:
-    """The vocabulary key of a directed ``u → v`` traversal, where the
-    sender exports over ``label(u, v)`` and the receiver imports over
-    ``label(v, u)``."""
-    if isinstance(algebra, ExtendedAlgebra):
-        return (out_label, in_label)
-    return in_label
-
-
 def _scan_topology(scenario: "Scenario") -> tuple[set, set, list]:
     """One pass over the starting topology: the transfer vocabulary the
     run can ever observe — every directed link traversal, plus the labels
     perturbation events may swap in (perturbations relabel both
     directions identically) — and the directed ``(u, v, key)`` edge list
-    the relaxation compiles."""
-    algebra = scenario.algebra
-    paired = isinstance(algebra, ExtendedAlgebra)
+    the relaxation compiles.
+
+    A traversal ``u → v`` has the sender export over ``label(u, v)`` and
+    the receiver import over ``label(v, u)``: its key is that
+    ``(export, import)`` pair for an :class:`ExtendedAlgebra` and the
+    import label alone otherwise.
+    """
+    paired = isinstance(scenario.algebra, ExtendedAlgebra)
     keys: set = set()
     origin_labels: set = set()
     edges: list = []
@@ -862,7 +840,7 @@ def _scan_topology(scenario: "Scenario") -> tuple[set, set, list]:
         add_edge((b, a, key))
     for event in getattr(scenario, "events", ()):
         if event.kind == "perturb" and event.label is not None:
-            keys.add(_transfer_key(algebra, event.label, event.label))
+            keys.add((event.label, event.label) if paired else event.label)
             origin_labels.add(event.label)
         elif event.kind == "hijack" and event.label is not None:
             # Forged origination: the attacker's pseudo-label enters the
@@ -873,79 +851,65 @@ def _scan_topology(scenario: "Scenario") -> tuple[set, set, list]:
     return keys, origin_labels, edges
 
 
-def _transfer_vocab(scenario: "Scenario") -> tuple[set, set]:
-    """``(transfer keys, origin labels)`` of :func:`_scan_topology`."""
-    keys, origin_labels, _edges = _scan_topology(scenario)
-    return keys, origin_labels
+_FAILED = object()
 
 
-def _patch_edges(scenario: "Scenario", edges: list,
-                 events: Iterable["ResolvedEvent"]) -> list:
-    """Re-derive the edge list after the event mask was applied: failed
-    links drop out, perturbed links pick up their final-label key."""
-    network = scenario.network  # already carries the final topology
-    algebra = scenario.algebra
-    paired = isinstance(algebra, ExtendedAlgebra)
-    touched = set()
-    for event in events:
-        if event.kind == "hijack":
-            continue  # no link behind a forged origination
-        touched.add((event.a, event.b))
-        touched.add((event.b, event.a))
-    patched = []
-    for u, v, key in edges:
-        if (u, v) in touched:
-            if not network.has_link(u, v):
-                continue
-            out_label = network.label(u, v)
-            in_label = network.label(v, u)
-            key = (out_label, in_label) if paired else in_label
-        patched.append((u, v, key))
-    return patched
+def _fold_events(scenario: "Scenario", edges: list) -> tuple[list, list]:
+    """Fold the scenario's event schedule into its compiled form.
 
+    Returns the final topology's ``(u, v, key)`` edge list — failed
+    links dropped, perturbed links under their final-label key — and the
+    active forged originations as ``(attacker, dest, label)``.  The
+    scenario is only read: the same object goes on to a scalar session.
 
-def _apply_events(network, events: Iterable["ResolvedEvent"],
-                  until: float | None) -> None:
-    """Fold the event schedule into the topology (final state only).
-
-    The unique stable state is history-independent, so *when* a failure
-    fires is irrelevant — only whether it fires within the run budget.
+    The unique stable state is history-independent, so *when* an event
+    fires is irrelevant — only whether it fires within the run budget
+    and, per link, the order: nothing happens to a failed link.
     """
-    for event in sorted(events, key=lambda e: e.time):
+    until = getattr(scenario.spec, "until", None)
+    paired = isinstance(scenario.algebra, ExtendedAlgebra)
+    final: dict = {}  # directed (u, v) -> _FAILED | the perturbed label
+    hijacks = []
+    for event in sorted(scenario.events, key=lambda e: e.time):
         if until is not None and event.time > until:
-            continue  # the scalar timeline would never reach it either
+            continue
         if event.kind == "hijack":
-            continue  # topology-free; seeded via _Problem.origin_candidates
-        if not network.has_link(event.a, event.b):
-            continue  # already failed (or never materialized): a no-op
-        if event.kind == "fail":
-            network.remove_link(event.a, event.b)
-        elif event.kind == "perturb":
-            network.set_label(event.a, event.b, event.label)
-            network.set_label(event.b, event.a, event.label)
+            if event.label is not None:
+                hijacks.append((event.a, event.b, event.label))
+        elif event.kind in ("fail", "perturb") \
+                and final.get((event.a, event.b)) is not _FAILED:
+            final[event.a, event.b] = final[event.b, event.a] = \
+                _FAILED if event.kind == "fail" else event.label
+    if not final:
+        return edges, hijacks
+    folded = []
+    for u, v, key in edges:
+        if (u, v) in final:
+            label = final[u, v]
+            if label is _FAILED:
+                continue
+            key = (label, label) if paired else label
+        folded.append((u, v, key))
+    return folded, hijacks
 
 
 class _Problem:
     """One scenario compiled to integer arrays (all destinations)."""
 
     __slots__ = ("scenario", "kernel", "nodes", "node_index", "dests",
-                 "edge_src", "edge_dst", "edge_lab", "state", "hijacks",
-                 "origin_cache", "parents")
+                 "edge_src", "edge_dst", "edge_lab", "state", "origins",
+                 "parents")
 
     def __init__(self, scenario: "Scenario", kernel: _Kernel, edges: list,
-                 hijacks: list | None = None):
+                 hijacks: list):
         self.scenario = scenario
         self.kernel = kernel
-        #: Active forged originations as ``(attacker, dest, label)`` —
-        #: hijack events whose fire time is within the run budget.
-        self.hijacks = list(hijacks or ())
-        network = scenario.network
-        self.nodes = sorted(network.nodes())
+        self.nodes = sorted(scenario.network.nodes())
         self.node_index = {node: i for i, node in enumerate(self.nodes)}
         self.dests = list(scenario.destinations)
-        # ``edges`` is the (u, v, key) list from _scan_topology (patched
-        # for events): v learns from u; the key already encodes u's export
-        # over L(u, v) and v's import over L(v, u) — the engines'
+        # ``edges`` is the final topology's (u, v, key) list from
+        # _fold_events: v learns from u; the key already encodes u's
+        # export over L(u, v) and v's import over L(v, u) — the engines'
         # send/receive convention.
         node_index = self.node_index
         key_id = kernel.key_id
@@ -955,36 +919,34 @@ class _Problem:
             [node_index[v] for _u, v, _k in edges], dtype=_np.int64)
         self.edge_lab = _np.asarray(
             [key_id[k] for _u, _v, k in edges], dtype=_np.int64)
+        #: dest -> [(node index, origin label)]: a neighbor originates
+        #: over the import label of its edge out of the destination; a
+        #: forged origination is an extra seed at the attacker — no link
+        #: behind it, competing with anything the attacker learns
+        #: legitimately, exactly the scalar engines' inject_route.
+        paired = isinstance(scenario.algebra, ExtendedAlgebra)
+        self.origins: dict = {dest: [] for dest in self.dests}
+        for u, v, key in edges:
+            if u in self.origins:
+                self.origins[u].append(
+                    (node_index[v], key[1] if paired else key))
+        for attacker, target, label in hijacks:
+            if target in self.origins:
+                self.origins[target].append((node_index[attacker], label))
         #: Filled by the relaxation: (dest, node) -> ordinal id, plus the
         #: per-(dest, node) witness parent index (see _scatter_state).
         self.state = None
         self.parents = None
-        #: dest -> origin_candidates(dest), refreshed by _assemble_group
-        #: (ids shift when bounded-hole deepening rebuilds the kernel);
-        #: outcome rendering reuses the relaxation's own seed scan.
-        self.origin_cache: dict = {}
 
     def origin_candidates(self, dest: str) -> list[tuple[int, int]]:
-        """(node_index, ordinal id) injected by origination at ``dest``."""
-        network = self.scenario.network
-        kernel = self.kernel
-        candidates = []
-        for neighbor in network.neighbors(dest):
-            label = network.label(neighbor, dest)
-            oid = kernel.origin_id[label]
-            if oid != kernel.phi_id:
-                candidates.append((self.node_index[neighbor], oid))
-        for attacker, target, label in self.hijacks:
-            # A forged origination is an extra seed at the attacker — no
-            # link behind it, competing with anything the attacker learns
-            # legitimately, exactly the scalar engines' inject_route.
-            if target != dest:
-                continue
-            oid = kernel.origin_id[label]
-            if oid != kernel.phi_id:
-                candidates.append((self.node_index[attacker], oid))
-        self.origin_cache[dest] = candidates
-        return candidates
+        """(node_index, ordinal id) injected by origination at ``dest``
+        (read from the kernel per call: ids shift when bounded-hole
+        deepening rebuilds it)."""
+        origin_id = self.kernel.origin_id
+        phi = self.kernel.phi_id
+        return [(node_idx, origin_id[label])
+                for node_idx, label in self.origins[dest]
+                if origin_id[label] != phi]
 
     # -- outcome rendering ------------------------------------------------------
 
@@ -1003,10 +965,7 @@ class _Problem:
             dest_idx = self.node_index[dest]
             # Origination overlay: it wins over any witness neighbor
             # when it explains the node's id (parent = destination).
-            candidates = self.origin_cache.get(dest)
-            if candidates is None:
-                candidates = self.origin_candidates(dest)
-            for node_idx, oid in candidates:
+            for node_idx, oid in self.origin_candidates(dest):
                 if ids[node_idx] == oid:
                     parent[node_idx] = dest_idx
             # One ascending-rank pass builds every path tuple: a witness
@@ -1042,13 +1001,17 @@ class _Problem:
         )
 
 
-class VectorizedBatchSession(BatchExecutionSession):
+class VectorizedBatchSession:
     """All scenarios of one batch relaxed simultaneously.
 
-    The session owns the scenarios it was prepared with (their networks
-    are mutated by the event mask), mirroring the scalar contract.
-    Scenarios may mix algebras/families: problems are grouped per kernel
-    and each group is one flat struct-of-arrays relaxation.
+    ``BatchBackend.prepare_batch(scenarios)`` builds one and :meth:`run`
+    returns one outcome per input scenario, index-aligned.  The session
+    only *reads* its scenarios: each event schedule is folded into the
+    edge list and origin seeds it compiles, never into the network, so
+    the caller can hand the very same scenario to a scalar session
+    afterwards.  Scenarios may mix algebras/families: problems are
+    grouped per kernel and each group is one flat struct-of-arrays
+    relaxation, in whatever order the scenarios arrive.
     """
 
     def __init__(self, scenarios: Iterable["Scenario"]):
@@ -1056,21 +1019,18 @@ class VectorizedBatchSession(BatchExecutionSession):
             raise RuntimeError(
                 "the batch backend requires numpy (not installed)")
         self.scenarios = list(scenarios)
-        self._event_overrides: dict[int, list] = {}
-
-    def override_events(self, index: int, events: list) -> None:
-        """Replace ``scenarios[index]``'s schedule (scalar-adapter hook)."""
-        self._event_overrides[index] = list(events)
 
     def run(self, *, partial: bool = False
             ) -> "list[ExecutionOutcome | None]":
-        """Relax every scenario; one outcome per input, index-aligned.
+        """Relax every scenario; ``outcomes[i]`` belongs to
+        ``scenarios[i]``.
 
         With ``partial=True`` a kernel group that declines at run time
         (monotone-mode :class:`BatchDeclined`) yields ``None`` for its
         scenarios instead of failing the whole batch — the oracle's
-        chunk precompute uses this so one hole-touching scenario cannot
-        take the rest of the chunk off the fast path.
+        chunk pass uses this so one hole-touching scenario cannot take
+        the rest of the chunk off the fast path.  Any other exception
+        propagates: it is a bug, not a decline.
         """
         # The run allocates large bursts of short-lived tuples (route
         # paths, per-cell witnesses); cyclic GC passes triggered by the
@@ -1088,12 +1048,12 @@ class VectorizedBatchSession(BatchExecutionSession):
 
     def _run(self, *, partial: bool) -> "list[ExecutionOutcome | None]":
         problems = []
-        for index, scenario in enumerate(self.scenarios):
+        for scenario in self.scenarios:
             tick = time.perf_counter()
-            keys, origin_labels, edges = _scan_topology(scenario)
+            scan = _scan_topology(scenario)
             tock = time.perf_counter()
             _PHASE_SECONDS["scan"].inc(tock - tick)
-            kernel = _kernel_for(scenario.algebra, keys, origin_labels)
+            kernel = _kernel_for(scenario, scan)
             tick = time.perf_counter()
             _PHASE_SECONDS["tabulate"].inc(tick - tock)
             if kernel is None:
@@ -1101,15 +1061,8 @@ class VectorizedBatchSession(BatchExecutionSession):
                     f"scenario {getattr(scenario.spec, 'scenario_id', '?')} "
                     f"is not batchable (algebra {scenario.algebra.name!r}); "
                     f"callers must filter with BatchBackend.supports()")
-            events = self._event_overrides.get(index, scenario.events)
-            until = getattr(scenario.spec, "until", None)
-            _apply_events(scenario.network, events, until)
-            if events:
-                edges = _patch_edges(scenario, edges, events)
-            hijacks = [(e.a, e.b, e.label) for e in events
-                       if e.kind == "hijack" and e.label is not None
-                       and (until is None or e.time <= until)]
-            problems.append(_Problem(scenario, kernel, edges, hijacks))
+            problems.append(
+                _Problem(scenario, kernel, *_fold_events(scenario, scan[2])))
             _PHASE_SECONDS["scan"].inc(time.perf_counter() - tick)
         groups: dict[int, list[_Problem]] = {}
         for problem in problems:
@@ -1333,9 +1286,11 @@ class BatchSession(ExecutionSession):
 
     Keeps the batch backend usable through the ordinary
     ``prepare / schedule_events / run`` lifecycle (conformance suite,
-    single-scenario oracle fallback).  There is no simulator: the event
-    schedule arrives wholesale via :meth:`schedule` and is folded into
-    the final topology before one batch-of-one relaxation.
+    public single-scenario callers; campaigns go through
+    :meth:`BatchBackend.prepare_batch`).  There is no simulator: the
+    event schedule arrives wholesale via :meth:`schedule` and is folded
+    into one batch-of-one relaxation of the final topology;
+    ``network`` stays the starting topology.
     """
 
     def __init__(self, scenario: "Scenario", *, seed: int = 0,
@@ -1348,7 +1303,6 @@ class BatchSession(ExecutionSession):
         self.algebra = scenario.algebra
         self.destinations = list(scenario.destinations)
         self.route_log: list = []
-        self._events: list | None = None
         self._table: tuple[dict, dict] | None = None
 
     @property
@@ -1357,18 +1311,16 @@ class BatchSession(ExecutionSession):
 
     def schedule(self, events: list) -> None:
         """Receive the pre-run schedule (via ``schedule_events``)."""
-        self._events = list(events)
+        self.scenario = copy.copy(self.scenario)
+        self.scenario.events = list(events)
 
     def apply_event(self, event: "ResolvedEvent") -> None:
-        """Immediate application (the final topology is all that matters)."""
-        _apply_events(self.scenario.network, [event], None)
+        """Join the schedule (the final topology is all that matters)."""
+        self.schedule([*self.scenario.events, event])
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> ExecutionOutcome:
-        inner = VectorizedBatchSession([self.scenario])
-        if self._events is not None:
-            inner.override_events(0, self._events)
-        outcome = inner.run()[0]
+        outcome = VectorizedBatchSession([self.scenario]).run()[0]
         self._table = (outcome.routes, outcome.sigs)
         return outcome
 
@@ -1419,10 +1371,10 @@ class BatchBackend(ExecutionBackend):
             return False
         if scenario.network.node_count() > MAX_NODES:
             return False
-        keys, origin_labels = _transfer_vocab(scenario)
-        if None in origin_labels:
+        scan = _scan_topology(scenario)
+        if None in scan[1]:  # a link the algebra has no label for
             return False
-        return _kernel_for(algebra, keys, origin_labels) is not None
+        return _kernel_for(scenario, scan) is not None
 
     def prepare(self, scenario: "Scenario", *, seed: int = 0,
                 log_routes: bool = False) -> BatchSession:

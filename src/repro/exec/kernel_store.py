@@ -17,8 +17,10 @@ accepted one.
 
 Connection handling, multi-writer hardening and open-time retention are
 :class:`repro.sqlite_cache.SqliteCache`'s — the base this store shares
-with :mod:`repro.campaigns.verdict_store`; what is here is the kernel
-table, its ``user_version``-gated migration and its row methods.
+with :mod:`repro.campaigns.verdict_store`, and so is the one format
+rule: a file stamped with another ``user_version`` (or carrying other
+columns) is emptied on open, never migrated — a lost kernel costs one
+re-tabulation.  What is here is the kernel table and its row methods.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import time
 
 from ..obs import metrics as _obs_metrics
 from ..sqlite_cache import RetentionPolicy, SqliteCache
-
-SCHEMA_VERSION = 2
 
 #: Store I/O counters (the durable per-row ``hits`` column still drives
 #: eviction; these registry series are the live telemetry view).
@@ -60,52 +60,13 @@ class KernelStore(SqliteCache):
 
     TABLE = "kernels"
     SCHEMA = _SCHEMA
+    SCHEMA_VERSION = 2
     #: Kernels are far fewer and far larger than verdicts (a campaign
     #: rotation draws tens of distinct algebras, each kernel carrying
     #: its ``int32`` rank tables), so the defaults bound *rows* much
     #: lower than the verdict store's, with the same decay/eviction shape.
     DEFAULT_RETENTION = RetentionPolicy(max_rows=4_096, max_age_days=90.0,
                                         decay_half_life_days=14.0)
-
-    def _migrate(self) -> None:
-        """Format changes re-key or drop rows here.  Always runs in
-        full — a v1 store opened with ``NO_RETENTION`` still needs the
-        depth column before any write can succeed.  Unknown *newer*
-        versions drop the table rather than misread payloads (kernels
-        are pure cache — losing them costs one re-tabulation each).
-
-        v1→v2: add the ``depth`` column (bounded-hole deepening
-        write-through) and drop cached *negative* rows.  v1 negatives
-        encode "unbatchable under the v1 tie-respect gate", which the
-        v2 hazard-guarded admission deliberately widens — keeping them
-        would permanently pin newly admissible algebras to the scalar
-        engines.  Positive rows are preserved verbatim: v1 payloads
-        decode with conservative v2 defaults (a v1-stored monotone
-        kernel is exactly a hazard-free one), so a warm fleet store
-        re-tabulates nothing it already knows.
-        """
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version > SCHEMA_VERSION:
-            dropped = self._conn.execute(
-                "DELETE FROM kernels").rowcount
-            if dropped:
-                self.last_retention["format_dropped"] = dropped
-        elif version == SCHEMA_VERSION:
-            return
-        elif version == 1:
-            columns = {row[1] for row in self._conn.execute(
-                "PRAGMA table_info(kernels)")}
-            if "depth" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE kernels ADD COLUMN "
-                    "depth INTEGER NOT NULL DEFAULT 0")
-            negatives = self._conn.execute(
-                "DELETE FROM kernels WHERE payload IS NULL").rowcount
-            if negatives:
-                self.last_retention["negative_dropped"] = negatives
-        # version 0 is a fresh database: SCHEMA already carries the
-        # current shape, only the stamp is missing.
-        self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     def get(self, key: str) -> tuple[bool, bytes | None]:
         """``(found, payload)`` — payload None on a found row means a

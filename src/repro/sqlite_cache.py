@@ -8,7 +8,12 @@ follows from that lives here once, parameterized by the subclass's
 table name: the connection and its pragmas, serialized open-time
 hygiene, hit-decay / age / size retention, the ``store_meta`` side
 table, the bounded-retry write and ``compact``.  A store adds only its
-table schema, its ``_migrate`` pass, its row methods and ``stats()``.
+table schema and version, its row methods and ``stats()``.
+
+The stores are caches, so a file in a format this code does not write —
+an older or newer ``user_version`` stamp, or a column set other than
+the schema's — is emptied on open, not migrated: every row re-derives
+on its next encounter.
 
 Racing writers are expected: WAL keeps readers off the writers' locks
 and the stores' writes are idempotent (``INSERT OR IGNORE``, additive
@@ -17,6 +22,7 @@ hit counts), so two workers that computed the same row are harmless.
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
 import time
 from dataclasses import dataclass
@@ -53,9 +59,8 @@ class RetentionPolicy:
     decay_half_life_days: float
 
 
-#: Opt-out policy for callers that must not rewrite rows on open.
-#: Structural migration (a missing column, without which queries fail)
-#: still applies; what else a store skips is its ``_migrate``'s call.
+#: Opt-out policy for callers that must not decay or evict on open (the
+#: format rule still applies: rows in an unknown format are unreadable).
 NO_RETENTION = RetentionPolicy(max_rows=0, max_age_days=0.0,
                                decay_half_life_days=0.0)
 
@@ -64,14 +69,15 @@ class SqliteCache:
     """An append-mostly ``key → row`` sqlite table with hit-count hygiene.
 
     Subclasses set ``TABLE``, ``SCHEMA`` (its ``CREATE TABLE IF NOT
-    EXISTS``; the table must carry ``key``, ``created_at`` and ``hits``)
-    and ``DEFAULT_RETENTION``, and implement ``_migrate()``: bring an
-    older file to the current format, gated on ``PRAGMA user_version``.
-    It runs on every open, under the write lock.
+    EXISTS``; the table must carry ``key``, ``created_at`` and ``hits``),
+    ``SCHEMA_VERSION`` (stamped as ``PRAGMA user_version``; bump it with
+    any change to the columns, the key rendering or the payload) and
+    ``DEFAULT_RETENTION``.
     """
 
     TABLE: str
     SCHEMA: str
+    SCHEMA_VERSION: int
     DEFAULT_RETENTION: RetentionPolicy
 
     def __init__(self, path: str,
@@ -94,19 +100,41 @@ class SqliteCache:
         self._conn.execute(_META_SCHEMA)
         self._conn.commit()
         # Serialize racing openers (parallel workers all open the store):
-        # take the write lock up front, then re-check the schema version
-        # / decay timestamps under it — the losers of the race see the
-        # winner's bump instead of replaying the migration from a stale
-        # snapshot (double-merged hit counts, or SQLITE_BUSY upgrading a
-        # deferred read transaction).
+        # take the write lock up front, then check the format stamp /
+        # decay timestamps under it — the losers of the race see the
+        # winner's stamp instead of acting on a stale snapshot (a second
+        # drop, a double decay, or SQLITE_BUSY upgrading a deferred read
+        # transaction).
         self._conn.execute("BEGIN IMMEDIATE")
         try:
-            self._migrate()
+            self._check_format()
             self._apply_retention(now if now is not None else time.time())
         except BaseException:
             self._conn.rollback()
             raise
         self._conn.commit()
+
+    # -- the format rule ------------------------------------------------------
+
+    def _check_format(self) -> None:
+        """Empty a file this code did not write; stamp a fresh one."""
+        def columns(conn):
+            return {row[1] for row in
+                    conn.execute(f"PRAGMA table_info({self.TABLE})")}
+
+        with contextlib.closing(sqlite3.connect(":memory:")) as blank:
+            blank.execute(self.SCHEMA)
+            expected = columns(blank)
+        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        if version == self.SCHEMA_VERSION \
+                and columns(self._conn) == expected:
+            return
+        lost = len(self)  # 0: a fresh file, only the stamp is missing
+        self._conn.execute(f"DROP TABLE {self.TABLE}")
+        self._conn.execute(self.SCHEMA)
+        self._conn.execute(f"PRAGMA user_version = {self.SCHEMA_VERSION}")
+        if lost:
+            self.last_retention["format_dropped"] = lost
 
     # -- automatic retention --------------------------------------------------
 

@@ -240,3 +240,197 @@ class TestEvents:
                                   weight=9),))
         result = evaluate(spec)
         assert result.classification == SAFE_CONVERGED, result.describe()
+
+
+class TestOneBatchPath:
+    """The chunk pass is the only way a batch outcome is produced: one
+    materialization, one admission and one vectorized run per chunk, a
+    direct ``evaluate`` being a chunk of one; run-time declines are
+    final and anything else that goes wrong in the pass is loud."""
+
+    @staticmethod
+    def chunk():
+        """One rotation of the ten families: batch admits some (the
+        secure families, rocketfuel, tau-sweep) and refuses others
+        (gadget, iBGP, multipath, hlp)."""
+        from repro.campaigns import ScenarioGenerator
+
+        return list(ScenarioGenerator(7, profile="quick").iter_specs(10))
+
+    @staticmethod
+    def comparable(result):
+        from dataclasses import replace
+
+        return replace(result, elapsed_s=0.0, cache_hit=False)
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @staticmethod
+    def force_declines(monkeypatch, *, error=None):
+        """Every relaxation group declines at run time (or raises
+        ``error``)."""
+        import repro.exec.batch as batch_mod
+
+        def bail(_group):
+            raise error or batch_mod.BatchDeclined("forced for test")
+
+        monkeypatch.setattr(batch_mod, "_relax_group", bail)
+
+    def test_each_spec_is_materialized_and_admitted_once(self, monkeypatch):
+        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import oracle
+        from repro.exec.batch import BatchBackend, VectorizedBatchSession
+
+        specs = self.chunk()
+        materialized = self.count_calls(monkeypatch, oracle, "materialize")
+        admissions = self.count_calls(monkeypatch, BatchBackend, "supports")
+        runs = self.count_calls(monkeypatch, VectorizedBatchSession, "run")
+        results = evaluate_chunk(
+            specs, EvaluationOptions(backends=("gpv", "batch")))
+        assert [args[0] for args in materialized] == specs
+        assert [args[1].spec for args in admissions] == specs
+        assert len(runs) == 1
+        batched = [r for r in results
+                   if [o.backend for o in r.outcomes] == ["gpv", "batch"]]
+        assert 3 <= len(batched) < len(specs)
+
+        # Every scalar session after the first owns a re-materialization.
+        del materialized[:], admissions[:]
+        results = evaluate_chunk(specs, EvaluationOptions(
+            backends=("gpv", "ndlog", "hlp", "batch")))
+        live_scalar = [sum(o.backend != "batch" for o in r.outcomes)
+                       for r in results]
+        assert set(live_scalar) == {2, 3}  # hlp joins on its own family
+        assert len(materialized) == sum(live_scalar)
+        assert len(admissions) == len(specs)
+
+    def test_direct_evaluate_is_a_chunk_of_one(self, monkeypatch):
+        from repro.campaigns import EvaluationOptions, evaluate_chunk
+
+        options = EvaluationOptions(backends=("gpv", "batch"))
+        specs = self.chunk()
+        by_family = {spec.family: spec for spec in specs}
+        admitted, refused = by_family["rocketfuel"], by_family["ibgp"]
+        for spec, backends in ((admitted, ["gpv", "batch"]),
+                               (refused, ["gpv"])):
+            direct = evaluate(spec, options)
+            assert [o.backend for o in direct.outcomes] == backends
+            assert not direct.error
+            assert self.comparable(direct) == \
+                self.comparable(evaluate_chunk([spec], options)[0])
+        self.force_declines(monkeypatch)
+        declined = evaluate(admitted, options)
+        assert [o.backend for o in declined.outcomes] == ["gpv"]
+        assert self.comparable(declined) == \
+            self.comparable(evaluate_chunk([admitted], options)[0])
+
+    def test_a_runtime_decline_is_final_and_keeps_the_scalar_result(
+            self, monkeypatch):
+        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import oracle
+        from repro.exec.batch import VectorizedBatchSession
+
+        specs = self.chunk()
+        scalar_only = evaluate_chunk(
+            specs, EvaluationOptions(backends=("gpv",)))
+        self.force_declines(monkeypatch)
+        materialized = self.count_calls(monkeypatch, oracle, "materialize")
+        runs = self.count_calls(monkeypatch, VectorizedBatchSession, "run")
+        results = evaluate_chunk(
+            specs, EvaluationOptions(backends=("gpv", "batch")))
+        assert len(runs) == 1 and len(materialized) == len(specs)
+        assert all([o.backend for o in r.outcomes] == ["gpv"]
+                   for r in results)
+        assert list(map(self.comparable, results)) == \
+            list(map(self.comparable, scalar_only))
+
+    def test_a_bug_in_the_batch_pass_is_an_error_not_a_scalar_result(
+            self, monkeypatch):
+        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.obs import metrics
+
+        def errors() -> float:
+            return metrics.snapshot_value(
+                metrics.snapshot(), "repro_scenarios_total",
+                classification=ERROR)
+
+        options = EvaluationOptions(backends=("gpv", "batch"))
+        specs = self.chunk()
+        healthy = evaluate_chunk(specs, options)
+        admitted = {r.scenario_id for r in healthy if len(r.outcomes) == 2}
+        assert admitted
+        self.force_declines(monkeypatch, error=TypeError("kernel bug"))
+        before = errors()
+        results = evaluate_chunk(specs, options)
+        assert errors() - before == len(admitted)
+        for result, reference in zip(results, healthy):
+            if result.scenario_id in admitted:
+                assert result.classification == ERROR
+                assert result.error.startswith("TypeError: kernel bug\n")
+                assert "Traceback" in result.error
+                assert not result.outcomes
+            else:
+                assert self.comparable(result) == self.comparable(reference)
+
+    def test_a_spec_that_cannot_materialize_errs_alone(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import oracle
+
+        options = EvaluationOptions(backends=("gpv", "batch"))
+        specs = self.chunk()[:4]
+        healthy = evaluate_chunk(specs, options)
+        broken = replace(specs[1], family="warp")
+        materialized = self.count_calls(monkeypatch, oracle, "materialize")
+        results = evaluate_chunk([specs[0], broken] + specs[2:], options)
+        assert len(materialized) == len(specs)  # the one attempt
+        assert results[1].classification == ERROR
+        assert results[1].error.startswith(
+            "ValueError: unknown scenario family 'warp'\n")
+        assert [self.comparable(r) for r in results[:1] + results[2:]] == \
+            [self.comparable(r) for r in healthy[:1] + healthy[2:]]
+
+    def test_batch_listed_first_is_the_primary_where_it_ran(self):
+        from repro.campaigns import EvaluationOptions, evaluate_chunk
+
+        results = evaluate_chunk(
+            self.chunk(), EvaluationOptions(backends=("batch", "gpv")))
+        primaries = {r.outcomes[0].backend for r in results}
+        assert primaries == {"batch", "gpv"}
+        for result in results:
+            primary = result.outcomes[0]
+            assert not result.is_disagreement
+            assert (result.converged, result.messages) == \
+                (primary.converged, primary.messages)
+            if primary.backend == "batch":
+                assert [p.pair for p in result.pairwise] == \
+                    ["analysis~batch", "analysis~gpv", "batch~gpv"]
+
+    def test_batch_shows_in_a_scenario_trace_as_precomputed(self, tmp_path):
+        from repro.campaigns import EvaluationOptions
+        from repro.obs.trace import configure_tracing, spans_for_scenario
+
+        spec = next(s for s in self.chunk() if s.family == "rocketfuel")
+        configure_tracing(str(tmp_path), worker="t")
+        try:
+            evaluate(spec, EvaluationOptions(backends=("gpv", "batch")))
+        finally:
+            configure_tracing(None)
+        spans = spans_for_scenario(str(tmp_path), spec.scenario_id)
+        scenario, = (s for s in spans if s["name"] == "scenario")
+        assert scenario["attrs"]["materialize_ms"] > 0
+        runs = {s["attrs"]["backend"]: s["attrs"]
+                for s in spans if s["name"] == "backend:run"}
+        assert runs["batch"] == {"backend": "batch", "precomputed": True}
+        assert "precomputed" not in runs["gpv"]

@@ -5,8 +5,6 @@ retention, ``compact``, the retrying write) is pinned once for both in
 ``tests/test_store_contract.py``; this module keeps what is its own.
 """
 
-import time
-
 import pytest
 
 from repro.campaigns import (
@@ -127,56 +125,6 @@ class TestHygiene:
         assert stats["hottest"] == [("k1", 2)]
         store.close()
 
-    def test_pre_hits_schema_is_migrated(self, tmp_path):
-        import sqlite3
-        import time
-
-        path = str(tmp_path / "old.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE verdicts (key TEXT PRIMARY KEY, "
-            "safe INTEGER NOT NULL, method TEXT NOT NULL, "
-            "created_at REAL NOT NULL)")
-        # A recent row: ancient zero-hit rows are (correctly) evicted by
-        # the automatic retention pass, which is covered separately.
-        conn.execute(
-            "INSERT INTO verdicts VALUES ('legacy', 1, 'smt', ?)",
-            (time.time(),))
-        conn.commit()
-        conn.close()
-        store = VerdictStore(path)
-        assert store.get("legacy") == (True, "smt")
-        store.touch("legacy")
-        assert store.stats()["hits"] == 1
-        store.close()
-
-    def test_no_retention_skips_the_key_migration_too(self, tmp_path):
-        """A read-only open must not rewrite v2 rows either."""
-        import sqlite3
-
-        from repro.algebra import disagree
-
-        path = str(tmp_path / "v2.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE verdicts (key TEXT PRIMARY KEY, "
-            "safe INTEGER NOT NULL, method TEXT NOT NULL, "
-            "created_at REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0)")
-        old_key = _legacy_spp_key(disagree())
-        conn.execute("INSERT INTO verdicts VALUES (?, 0, 'smt', ?, 1)",
-                     (old_key, time.time()))
-        conn.commit()
-        conn.close()
-        store = VerdictStore(path, retention=NO_RETENTION)
-        assert store.get(old_key) == (False, "smt")  # untouched
-        assert store.last_retention == {}
-        store.close()
-        # A normal (mutating) open afterwards still migrates.
-        store = VerdictStore(path)
-        assert store.get(old_key) is None
-        assert store.last_retention.get("migrated") == 1
-        store.close()
-
     def test_oracle_hits_touch_the_store(self, tmp_path):
         from repro.campaigns.oracle import (
             cached_verdict,
@@ -204,94 +152,14 @@ class TestHygiene:
 
 
 def _legacy_spp_key(instance) -> str:
-    """The pre-v3 name-faithful spp rendering (what v2 stores contain)."""
+    """The pre-v3 name-faithful spp rendering (the baseline the
+    isomorphism-invariant keys are measured against)."""
     rankings = tuple(
         (node, tuple(instance.permitted[node]))
         for node in sorted(instance.permitted))
     edges = tuple(sorted((tuple(sorted(edge)) for edge in instance.edges),
                          key=repr))
     return repr(("spp", instance.destination, rankings, edges))
-
-
-class TestSchemaV3Migration:
-    def _v2_store(self, path, rows):
-        """Write a schema-v2 store (hits column, user_version 0)."""
-        import sqlite3
-
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE verdicts (key TEXT PRIMARY KEY, "
-            "safe INTEGER NOT NULL, method TEXT NOT NULL, "
-            "created_at REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0)")
-        conn.executemany("INSERT INTO verdicts VALUES (?, ?, ?, ?, ?)", rows)
-        conn.commit()
-        conn.close()
-
-    def test_v2_spp_keys_are_rekeyed_and_merged(self, tmp_path):
-        """Two isomorphic v2 rows collapse into one v3 row (hits merge)."""
-        import random
-
-        from repro.algebra import disagree
-        from repro.campaigns import canonical_key
-        from tests.campaigns.test_canonical import relabel
-
-        instance = disagree()
-        twin = relabel(instance, random.Random(4))
-        now = time.time()
-        path = str(tmp_path / "v2.sqlite")
-        self._v2_store(path, [
-            (_legacy_spp_key(instance), 0, "smt", now, 3),
-            (_legacy_spp_key(twin), 0, "smt", now - 10, 2),
-        ])
-        store = VerdictStore(path)
-        assert store.stats()["schema_version"] == 3
-        assert store.last_retention.get("migrated") == 2
-        assert len(store) == 1
-        canonical = repr(canonical_key(instance))
-        assert store.get(canonical) == (False, "smt")
-        assert store.stats()["hits"] == 5  # merged across the twins
-        store.close()
-
-    def test_migrated_store_serves_the_oracle(self, tmp_path):
-        """A verdict solved under v2 is a cache hit after migration."""
-        from repro.algebra import good_gadget
-
-        now = time.time()
-        path = str(tmp_path / "v2.sqlite")
-        self._v2_store(path, [
-            (_legacy_spp_key(good_gadget()), 1, "smt", now, 0),
-        ])
-        configure_verdict_store(path)
-        result = evaluate(gadget_spec("good"))
-        assert result.cache_hit
-        assert result.method == "smt"  # the stored verdict, not a re-solve
-
-    def test_non_spp_v2_keys_are_kept_verbatim(self, tmp_path):
-        now = time.time()
-        path = str(tmp_path / "v2.sqlite")
-        self._v2_store(path, [
-            ("('table', ('c', 'p', 'r'))", 1, "smt", now, 4),
-            ("not-even-a-tuple", 0, "smt", now, 1),
-        ])
-        store = VerdictStore(path)
-        assert store.get("('table', ('c', 'p', 'r'))") == (True, "smt")
-        assert store.get("not-even-a-tuple") == (False, "smt")
-        assert store.stats()["schema_version"] == 3
-        store.close()
-
-    def test_migration_runs_once(self, tmp_path):
-        from repro.algebra import disagree
-
-        now = time.time()
-        path = str(tmp_path / "v2.sqlite")
-        self._v2_store(path, [
-            (_legacy_spp_key(disagree()), 0, "smt", now, 0),
-        ])
-        VerdictStore(path).close()
-        second = VerdictStore(path)
-        assert "migrated" not in second.last_retention
-        assert len(second) == 1
-        second.close()
 
 
 class TestIsomorphismHitRate:

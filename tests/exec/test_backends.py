@@ -75,28 +75,6 @@ SAFE_SPECS = [
 ]
 
 
-class TestSequentialBatchAdapter:
-    """The default prepare_batch adapter: index-aligned, error-isolating."""
-
-    def test_one_broken_scenario_becomes_an_error_outcome(self):
-        """A scenario that explodes mid-batch surfaces as an ERROR
-        outcome at its own index instead of killing the other members
-        (pre-fix the default adapter propagated the exception and the
-        whole batch was lost)."""
-        good = materialize(gadget_spec("good"))
-        broken = materialize(gadget_spec("good", seed=4))
-        broken.algebra = None  # any per-scenario explosion stands in here
-        outcomes = get_backend("gpv").prepare_batch(
-            [good, broken, materialize(gadget_spec("good"))]).run()
-        assert len(outcomes) == 3
-        assert outcomes[0].converged and outcomes[2].converged
-        assert outcomes[1].stop_reason == "error"
-        assert not outcomes[1].converged
-        assert outcomes[1].error and "Error" in outcomes[1].error
-        assert outcomes[1].backend == "gpv"
-        assert "error" in outcomes[1].to_dict()
-
-
 class TestRegistry:
     def test_both_backends_are_registered(self):
         assert set(BACKENDS) >= {"gpv", "ndlog", "hlp", "batch"}

@@ -235,17 +235,93 @@ class TestBatchedSession:
             session.route_table()
 
 
+def network_snapshot(scenario):
+    network = scenario.network
+    return (sorted(network.nodes()),
+            sorted((link.a, link.b, network.label(link.a, link.b),
+                    network.label(link.b, link.a))
+                   for link in network.links()),
+            list(scenario.events))
+
+
+class TestOnePathContract:
+    """What lets the oracle's chunk pass and the scalar primary share
+    one materialization, and lets the chunk go unsorted."""
+
+    #: fail, perturb→fail, fail, hijack (a hazard kernel), no events.
+    SPECS = [BATCH_SPECS[1], BATCH_SPECS[2], BATCH_SPECS[5],
+             SECURE_SPECS[2], BATCH_SPECS[4], BATCH_SPECS[3]]
+
+    def test_run_leaves_its_scenarios_as_materialized(self):
+        kinds = {event.kind for spec in self.SPECS for event in spec.events}
+        assert kinds == {"fail", "perturb", "hijack"}
+        scenarios = [materialize(spec) for spec in self.SPECS]
+        outcomes = BATCH.prepare_batch(scenarios).run(partial=True)
+        assert None not in outcomes
+        for spec, scenario in zip(self.SPECS, scenarios):
+            assert network_snapshot(scenario) == \
+                network_snapshot(materialize(spec)), spec.describe()
+
+    def test_a_scenario_serves_the_batch_pass_and_then_gpv(self):
+        """The same object, batch first: the scalar run afterwards is
+        the run a fresh materialization gives."""
+        for spec in self.SPECS:
+            scenario = materialize(spec)
+            batch, = BATCH.prepare_batch([scenario]).run()
+            session = get_backend("gpv").prepare(scenario, seed=spec.seed)
+            schedule_events(session, scenario.events)
+            gpv = session.run(until=spec.until, max_events=spec.max_events)
+            _fresh_session, fresh = run_backend("gpv", spec)
+            assert (gpv.routes, gpv.messages) == \
+                (fresh.routes, fresh.messages)
+            assert route_mismatches(scenario.algebra, gpv, batch) == []
+
+    def test_outcomes_do_not_depend_on_the_input_order(self):
+        import itertools
+        import random
+
+        # The two hop-count scenarios share one kernel (one relaxation
+        # group); every other spec brings its own.
+        specs = [BATCH_SPECS[3], BATCH_SPECS[0], BATCH_SPECS[6]] \
+            + self.SPECS[:5]
+        assert kernel_key_of(materialize(specs[0])) == \
+            kernel_key_of(materialize(specs[1]))
+        reference = BATCH.prepare_batch(
+            [materialize(spec) for spec in specs]).run(partial=True)
+        orders = [list(reversed(range(len(specs))))]
+        rng = random.Random(5)
+        for _ in range(4):
+            order = list(range(len(specs)))
+            rng.shuffle(order)
+            orders.append(order)
+        # Every ordering of a same-kernel pair plus a stranger, too.
+        orders += [list(order) + list(range(3, len(specs)))
+                   for order in itertools.permutations(range(3))]
+        for order in orders:
+            outcomes = BATCH.prepare_batch(
+                [materialize(specs[i]) for i in order]).run(partial=True)
+            for index, outcome in zip(order, outcomes):
+                assert (outcome.routes, outcome.sigs) == \
+                    (reference[index].routes, reference[index].sigs), \
+                    (order, specs[index].describe())
+
+
 class TestEventSemantics:
     """The folded-in event mask means the same thing as the timeline."""
 
     def test_no_surviving_route_rides_a_failed_link(self):
         spec = BATCH_SPECS[1]  # hierarchy with two link failures
         session, outcome = run_backend("batch", spec)
+        failed = {frozenset((event.a, event.b))
+                  for event in session.scenario.events}
+        assert len(failed) == 2
         for (node, dest), path in outcome.routes.items():
             if path is None:
                 continue
             for u, v in zip(path, path[1:]):
-                assert session.network.has_link(u, v), (
+                # The session's network stays the starting topology.
+                assert session.network.has_link(u, v)
+                assert frozenset((u, v)) not in failed, (
                     f"{node}->{dest} rides failed link {u}-{v}: {path}")
 
     def test_event_past_the_horizon_is_ignored(self):
@@ -278,8 +354,7 @@ class TestHoleAwareKernels:
 
     @staticmethod
     def kernel_of(scenario):
-        keys, origin_labels, _edges = _scan_topology(scenario)
-        return _kernel_for(scenario.algebra, keys, origin_labels)
+        return _kernel_for(scenario, _scan_topology(scenario))
 
     def test_admitted_modes(self):
         """The hole-aware gate classifies each admitted family as
@@ -407,8 +482,7 @@ class TestCacheTiers:
 
     @staticmethod
     def kernel_of(scenario):
-        keys, origin_labels, _edges = _scan_topology(scenario)
-        return _kernel_for(scenario.algebra, keys, origin_labels)
+        return _kernel_for(scenario, _scan_topology(scenario))
 
     def test_tier_order_memo_cache_store_tabulate(self):
         def hits():

@@ -8,7 +8,6 @@ and asserts the second pass performs zero tabulations.
 
 import pickle
 import sqlite3
-import time
 
 import pytest
 
@@ -22,7 +21,7 @@ from repro.exec.batch import (
     kernel_cache_stats,
     reset_kernel_cache_stats,
 )
-from repro.exec.kernel_store import SCHEMA_VERSION, KernelStore
+from repro.exec.kernel_store import KernelStore
 from repro.sqlite_cache import NO_RETENTION
 
 
@@ -45,8 +44,7 @@ def kernel_spec(seed: int = 5) -> ScenarioSpec:
 
 def build_kernel():
     scenario = materialize(kernel_spec())
-    keys, origin_labels, _edges = _scan_topology(scenario)
-    return _kernel_for(scenario.algebra, keys, origin_labels)
+    return _kernel_for(scenario, _scan_topology(scenario))
 
 
 class TestStorePrimitives:
@@ -66,19 +64,6 @@ class TestStorePrimitives:
         assert stats["kernels"] == 2
         assert stats["negative"] == 1
         assert stats["hits"] == 2  # the two found gets above
-        store.close()
-
-    def test_newer_schema_drops_rows_instead_of_misreading(self, tmp_path):
-        path = str(tmp_path / "k.sqlite")
-        store = KernelStore(path)
-        store.put("k", b"x")
-        store.close()
-        conn = sqlite3.connect(path)
-        conn.execute("PRAGMA user_version = 99")
-        conn.commit()
-        conn.close()
-        store = KernelStore(path)
-        assert len(store) == 0
         store.close()
 
     def test_put_deeper_deepest_horizon_wins(self, tmp_path):
@@ -180,97 +165,3 @@ class TestBatchIntegration:
         store = KernelStore(path, retention=NO_RETENTION)
         assert len(store) == 1
         store.close()
-
-
-def author_v1_store(path: str, rows) -> None:
-    """Hand-write a raw schema-v1 database: no depth column, v1 stamp."""
-    conn = sqlite3.connect(path)
-    conn.execute(
-        "CREATE TABLE kernels ("
-        "key TEXT PRIMARY KEY, payload BLOB, created_at REAL NOT NULL, "
-        "hits INTEGER NOT NULL DEFAULT 0)")
-    conn.execute(
-        "CREATE TABLE store_meta (name TEXT PRIMARY KEY, "
-        "value REAL NOT NULL)")
-    for key, payload in rows:
-        conn.execute(
-            "INSERT INTO kernels (key, payload, created_at) "
-            "VALUES (?, ?, ?)", (key, payload, time.time()))
-    conn.execute("PRAGMA user_version = 1")
-    conn.commit()
-    conn.close()
-
-
-class TestSchemaMigration:
-    """v1 stores opened by v2 migrate in place: positives preserved,
-    obsolete negatives re-derived, and nothing re-tabulates."""
-
-    def test_v1_rows_migrate_without_losing_positives(self, tmp_path):
-        """A raw v1 store holding a genuine v1-shaped kernel payload and
-        a cached negative: v2 must keep the positive verbatim (decodable
-        with the conservative v1 defaults), drop the negative (the v2
-        hazard gate deliberately widens admission, so v1 'unbatchable'
-        verdicts are stale), add the depth column, and stamp v2."""
-        kernel = build_kernel()
-        body = pickle.loads(batch_mod._encode_kernel(kernel))
-        for v2_only in ("tie_class", "hazard", "depth"):
-            body.pop(v2_only, None)
-        v1_payload = pickle.dumps(body)
-        path = str(tmp_path / "v1.sqlite")
-        author_v1_store(path, [("pos", v1_payload), ("neg", None)])
-
-        store = KernelStore(path, retention=NO_RETENTION)
-        stats = store.stats()
-        assert stats["schema_version"] == SCHEMA_VERSION == 2
-        assert store.last_retention.get("negative_dropped") == 1
-        assert store.get("neg") == (False, None)  # re-derived, not kept
-        found, payload = store.get("pos")
-        assert found and payload == v1_payload
-        decoded = batch_mod._decode_kernel(payload)
-        assert decoded is not None
-        assert decoded.hazard is False
-        assert decoded.depth == batch_mod.MAX_CLOSURE_DEPTH
-        assert (decoded.trans == kernel.trans).all()
-        # The migrated row sits at depth 0, so any real deepening wins.
-        store.put_deeper("pos", b"deeper", 64)
-        assert store.get("pos") == (True, b"deeper")
-        store.close()
-
-    def test_v1_store_warm_start_still_skips_tabulation(self, tmp_path):
-        """End to end through the batch cache path: a store written by
-        v2, downgraded to the v1 shape on disk (as a fleet rolling back
-        and forward would leave it), must neither crash nor silently
-        re-tabulate when v2 opens it again."""
-        path = str(tmp_path / "kernels.sqlite")
-        configure_kernel_store(path)
-        cold = build_kernel()
-        assert cold is not None
-        configure_kernel_store(None)
-        clear_kernel_cache()
-
-        # Downgrade in place: rebuild the table without the depth
-        # column (portable across sqlite versions) and stamp v1.
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE kernels_v1 ("
-            "key TEXT PRIMARY KEY, payload BLOB, created_at REAL NOT NULL, "
-            "hits INTEGER NOT NULL DEFAULT 0)")
-        conn.execute(
-            "INSERT INTO kernels_v1 "
-            "SELECT key, payload, created_at, hits FROM kernels")
-        conn.execute("DROP TABLE kernels")
-        conn.execute("ALTER TABLE kernels_v1 RENAME TO kernels")
-        conn.execute("PRAGMA user_version = 1")
-        conn.commit()
-        conn.close()
-
-        configure_kernel_store(path)
-        reset_kernel_cache_stats()
-        warm = build_kernel()
-        assert warm is not None
-        stats = kernel_cache_stats()
-        assert stats["tabulations"] == 0, \
-            "v1->v2 migration silently re-tabulated a preserved kernel"
-        assert stats["store_hits"] == 1
-        assert warm.mode == cold.mode
-        assert (warm.trans == cold.trans).all()

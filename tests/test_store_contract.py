@@ -2,9 +2,10 @@
 
 ``VerdictStore`` and ``KernelStore`` share one base for connection
 set-up, open-time retention, the bounded-retry write and ``compact``;
-every behaviour that base owns is pinned here once, over both stores.
-What is a store's own (schemas, migrations, ``put_deeper``,
-``touch_many``, the oracle/batch integration) is tested next to it in
+every behaviour that base owns — the one rule for a file in an unknown
+format included — is pinned here once, over both stores.  What is a
+store's own (``put_deeper``, ``touch_many``, the oracle/batch
+integration) is tested next to it in
 ``tests/campaigns/test_verdict_store.py`` and
 ``tests/exec/test_kernel_store.py``.
 """
@@ -154,6 +155,55 @@ def test_no_retention_mutates_nothing(kind, tmp_path):
     store = kind.cls(path, retention=NO_RETENTION, now=t0 + 1000 * DAY)
     assert hits_by_key(store) == {"ancient": 0, "hot": 9}
     assert store.last_retention == {}
+    store.close()
+
+
+def _restamp(conn, table, version):
+    conn.execute(f"PRAGMA user_version = {version}")
+
+
+def _drop_hits_column(conn, table, _version):
+    # Rebuild without the column (portable across sqlite versions); the
+    # stamp stays current, so only the column set gives the file away.
+    columns = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")
+               if row[1] != "hits"]
+    conn.execute(f"CREATE TABLE narrow AS SELECT {', '.join(columns)} "
+                 f"FROM {table}")
+    conn.execute(f"DROP TABLE {table}")
+    conn.execute(f"ALTER TABLE narrow RENAME TO {table}")
+
+
+@pytest.mark.parametrize("damage,version_delta", [
+    (_restamp, -1), (_restamp, +1), (_drop_hits_column, 0),
+], ids=["older-stamp", "newer-stamp", "missing-column"])
+def test_unknown_format_is_emptied_not_migrated(kind, tmp_path, damage,
+                                                version_delta):
+    """Caches are disposable: whatever another version of the code left
+    in the file, the store opens empty, says how many rows that cost, and
+    serves put/get/reopen from there on — under ``NO_RETENTION`` too."""
+    path = str(tmp_path / "s.sqlite")
+    store = kind.cls(path)
+    assert store.last_retention == {}  # a fresh file is only stamped
+    current = store.SCHEMA_VERSION
+    for i in range(3):
+        kind.put(store, f"k{i}")
+    store.close()
+    conn = sqlite3.connect(path)
+    damage(conn, kind.cls.TABLE, current + version_delta)
+    conn.commit()
+    conn.close()
+
+    store = kind.cls(path, retention=NO_RETENTION)
+    assert len(store) == 0
+    assert store.last_retention == {"format_dropped": 3}
+    assert store.stats()["schema_version"] == current
+    kind.put(store, "fresh", "after")
+    kind.hit(store, "fresh", 2)
+    assert kind.read(store, "fresh") == "after"
+    store.close()
+    store = kind.cls(path)
+    assert store.last_retention == {}  # dropped once, not on every open
+    assert kind.read(store, "fresh") == "after"
     store.close()
 
 
