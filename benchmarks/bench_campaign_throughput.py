@@ -20,10 +20,8 @@ differentially — so the cost of three-way cross-checking stays visible.
 """
 
 import json
-import multiprocessing
 import os
 import pathlib
-import tempfile
 from collections import Counter
 
 from repro.campaigns import (
@@ -677,85 +675,6 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
     assert tau_warm >= 2.0, (
         f"tau-sweep must beat scalar gpv by >=2x with warm kernels "
         f"(got {tau_warm:.2f}x; cold was {tau_cold:.2f}x)")
-
-
-def _fleet_bench_worker(directory: str, worker_id: str) -> None:
-    from repro.campaigns.oracle import configure_verdict_store
-    from repro.distributed import run_distributed_worker
-
-    configure_verdict_store(None)
-    clear_verdict_cache()
-    run_distributed_worker(directory, worker_id=worker_id)
-
-
-def test_distributed_fleet_throughput(benchmark, save_result, smoke):
-    """Coordinator + 2 worker processes vs one in-process run.
-
-    Measures the control plane's overhead end to end: leases, heartbeats,
-    bus polls, per-unit report serialization, live merge.  Correctness is
-    asserted (merged report == single-process counters, zero lease churn
-    on a healthy fleet); the throughput ratio is reported but not gated —
-    on a 1-core CI box two processes cannot beat one.
-    """
-    count = 16 if smoke else 64
-    workers = 2
-
-    from repro.distributed import CampaignCoordinator, CampaignPlan
-
-    def fleet_run():
-        with tempfile.TemporaryDirectory() as scratch:
-            directory = os.path.join(scratch, "fleet")
-            CampaignCoordinator.init(directory, CampaignPlan(
-                scenarios=count, seed=SEED, families=("gadget",),
-                profile="quick", unit_size=4, chunk_size=4,
-                abort_on_disagreements=1)).close()
-            processes = [
-                multiprocessing.Process(target=_fleet_bench_worker,
-                                        args=(directory, f"w{i}"))
-                for i in range(workers)
-            ]
-            for process in processes:
-                process.start()
-            for process in processes:
-                process.join(timeout=600)
-                assert process.exitcode == 0
-            coordinator = CampaignCoordinator.attach(directory)
-            merged = coordinator.merged_report()
-            status = coordinator.status()
-            coordinator.close()
-            return merged, status
-
-    merged, status = benchmark.pedantic(fleet_run, rounds=1, iterations=1)
-
-    clear_verdict_cache()
-    specs = ScenarioGenerator(SEED, families=("gadget",),
-                              profile="quick").generate(count)
-    single = CampaignRunner(CampaignConfig(jobs=1,
-                                           keep_results=False)).run(specs)
-
-    assert merged.scenario_count == single.scenario_count == count
-    assert merged.counters() == single.counters()
-    assert merged.disagreement_count == 0
-    assert status.lease_churn == 0, "healthy fleet must not churn leases"
-
-    fleet_wall = max((row["wall_clock_s"] for row in status.workers),
-                     default=0.0)
-    fleet_sps = count / fleet_wall if fleet_wall else 0.0
-    lines = [
-        f"scenarios: {count} over {workers} worker processes "
-        f"(fixed seed {SEED})",
-        f"fleet:  {fleet_sps:>8.1f} scenarios/s ({fleet_wall:.2f}s, "
-        f"units {status.units_done}/{status.units_total})",
-        f"serial: {single.scenarios_per_second:>8.1f} scenarios/s "
-        f"({single.wall_clock_s:.2f}s)",
-    ]
-    for row in status.workers:
-        lines.append(f"  {row['worker']}: {row['scenarios_done']} scenarios "
-                     f"in {row['units_done']} unit(s)")
-    save_result("distributed_fleet_throughput", "\n".join(lines))
-    benchmark.extra_info["fleet_sps"] = fleet_sps
-    benchmark.extra_info["serial_sps"] = single.scenarios_per_second
-    benchmark.extra_info["lease_churn"] = status.lease_churn
 
 
 def test_per_family_throughput(benchmark, save_result, smoke):

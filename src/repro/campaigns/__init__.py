@@ -22,9 +22,11 @@ hand-written gadgets — and, through the pluggable execution backends of
 * :mod:`repro.campaigns.verdict_store` — the sqlite-backed persistent
   verdict cache;
 * :mod:`repro.campaigns.runner` — :class:`CampaignRunner`: streaming
-  chunked fan-out over a process pool, wall-clock budgets, early abort;
+  chunked fan-out over a process pool, wall-clock budgets, early abort,
+  crash accounting and resume;
 * :mod:`repro.campaigns.sink` — streaming result sinks: the bounded
-  in-memory aggregator and the incremental JSONL writer;
+  in-memory aggregator, the incremental JSONL writer and its reader
+  (what a resumed campaign replays);
 * :mod:`repro.campaigns.report` — :class:`CampaignReport` with per-family
   and per-pair counters, reproducer seeds, and shard merging.
 """
@@ -69,7 +71,13 @@ from .scenarios import (
     materialize,
     perturb_rankings,
 )
-from .sink import AggregatingSink, BusSink, JsonlResultSink, ResultSink, TeeSink
+from .sink import (
+    AggregatingSink,
+    JsonlResultSink,
+    ResultSink,
+    TeeSink,
+    read_results,
+)
 from .spec import (
     FAMILIES,
     GADGETS,
@@ -87,7 +95,6 @@ __all__ = [
     "AGREE",
     "ANALYSIS",
     "AggregatingSink",
-    "BusSink",
     "CLASSIFICATIONS",
     "CampaignConfig",
     "CampaignReport",
@@ -132,6 +139,7 @@ __all__ = [
     "evaluate_chunk",
     "materialize",
     "perturb_rankings",
+    "read_results",
     "result_from_record",
     "result_record",
     "run_campaign",

@@ -217,9 +217,9 @@ def _lookup_or_solve(key: str, subject: RoutingAlgebra | SPPInstance) -> str:
     tier = "memo" if hit else "solved"
     if not hit and _STORE is not None:
         # Read-through: the attach-time bulk load only saw rows that
-        # existed then; in a shared write-through fleet a *sibling worker*
-        # may have solved this system since.  One indexed lookup per memo
-        # miss buys every worker the whole fleet's solves.
+        # existed then; with several processes writing through one store
+        # a *sibling worker* may have solved this system since.  One
+        # indexed lookup per memo miss buys every worker all their solves.
         stored = _STORE.get(key)
         if stored is not None:
             _VERDICT_CACHE[key] = stored

@@ -207,8 +207,8 @@ def result_from_record(record: dict) -> ScenarioResult:
     (route tables are summaries in the record, so ``outcomes`` comes back
     empty) — everything the campaign aggregation and reproducer workflow
     reads (spec, classification, pairwise statuses, divergence details)
-    round-trips exactly.  This is what lets the coordinator store each
-    work unit's partial report as JSON and still live-merge real reports.
+    round-trips exactly.  This is what lets a ``--resume`` run count a
+    scenario from its JSONL record instead of evaluating it again.
     """
     details = {d["pair"]: d.get("detail", "")
                for d in record.get("divergences", ())}
@@ -264,9 +264,9 @@ class CampaignReport:
     analyzed_count: int | None = None
     #: Results dropped from ``results`` by the retention bound.
     results_truncated: int = 0
-    #: Distributed-campaign fleet statistics (per-worker throughput,
-    #: lease churn, bus latency), attached by the coordinator's live merge.
-    fleet: dict | None = None
+    #: Scenarios counted from an earlier run's records (``--resume``)
+    #: rather than evaluated in this one.
+    resumed_count: int = 0
 
     # -- derived views --------------------------------------------------------
 
@@ -278,9 +278,10 @@ class CampaignReport:
 
     @property
     def scenarios_per_second(self) -> float:
+        """Throughput of this run: resumed scenarios cost it nothing."""
         if self.wall_clock_s <= 0:
             return 0.0
-        return self.scenario_count / self.wall_clock_s
+        return (self.scenario_count - self.resumed_count) / self.wall_clock_s
 
     @property
     def cache_hit_rate(self) -> float:
@@ -344,85 +345,21 @@ class CampaignReport:
 
     @property
     def disagreement_count(self) -> int:
-        """Disagreement total that survives streaming truncation.
-
-        Fleet reports also count the shared bus: a worker that found a
-        disagreement and aborted mid-unit never *completed* that unit, so
-        its finding lives only on the bus — the gate must still fail.
-        """
-        bus_count = 0
-        if self.fleet:
-            bus_count = self.fleet.get("bus", {}).get("disagreements", 0)
+        """Disagreement total that survives streaming truncation."""
         if self.pair_counts is None and self.class_counts is None:
-            return max(len(self.disagreements()), bus_count)
+            return len(self.disagreements())
         count = (self.class_counts or {}).get(SAFE_DIVERGED, 0)
         for buckets in (self.pair_counts or {}).values():
             for status, n in buckets.items():
                 if status in HARD_DIVERGENCES and status != SAFE_DIVERGED:
                     count += n
-        return max(count, len(self.disagreements()), bus_count)
+        return max(count, len(self.disagreements()))
 
     def reproducer_seeds(self) -> list[dict]:
         """Spec dicts for every disagreement (and error), for replay."""
         return [r.spec.to_dict()
                 for r in self.results
                 if r.is_disagreement or r.classification == ERROR]
-
-    # -- durable aggregate state (distributed campaigns) ----------------------
-
-    def to_state(self) -> dict:
-        """JSON-safe aggregate state, lossless for merging purposes.
-
-        This is what a distributed worker hands the coordinator per
-        completed work unit: explicit counters plus the retained results
-        as records.  ``from_state(to_state())`` merges identically to the
-        original report (raw backend outcomes are summarized away — the
-        reproducer specs, classifications and pairwise statuses that
-        merging and gating read all survive).
-        """
-        return {
-            "wall_clock_s": self.wall_clock_s,
-            "jobs": self.jobs,
-            "chunk_size": self.chunk_size,
-            "aborted": self.aborted,
-            "backends": list(self.backends),
-            "total_scenarios": self.scenario_count,
-            "class_counts": self.counters(),
-            "family_counts": self.by_family(),
-            "pair_counts": self.pairwise_counters(),
-            "cache_hit_count": (self.cache_hit_count
-                                if self.analyzed_count is not None else
-                                sum(r.cache_hit for r in self.results
-                                    if r.classification != ERROR)),
-            "analyzed_count": (self.analyzed_count
-                               if self.analyzed_count is not None else
-                               sum(r.classification != ERROR
-                                   for r in self.results)),
-            "results_truncated": self.results_truncated,
-            "results": [result_record(r) for r in self.results],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "CampaignReport":
-        """Rebuild an aggregate-mode report from :meth:`to_state` output."""
-        return cls(
-            results=[result_from_record(r)
-                     for r in state.get("results", ())],
-            wall_clock_s=state.get("wall_clock_s", 0.0),
-            jobs=state.get("jobs", 1),
-            chunk_size=state.get("chunk_size", 1),
-            aborted=state.get("aborted"),
-            backends=tuple(state.get("backends", ("gpv",))),
-            total_scenarios=state.get("total_scenarios", 0),
-            class_counts=dict(state.get("class_counts") or {}),
-            family_counts={family: dict(buckets) for family, buckets
-                           in (state.get("family_counts") or {}).items()},
-            pair_counts={pair: dict(buckets) for pair, buckets
-                         in (state.get("pair_counts") or {}).items()},
-            cache_hit_count=state.get("cache_hit_count", 0),
-            analyzed_count=state.get("analyzed_count", 0),
-            results_truncated=state.get("results_truncated", 0),
-        )
 
     # -- merging (sharded campaigns) -----------------------------------------
 
@@ -445,7 +382,7 @@ class CampaignReport:
         pair_counts: dict = {}
         results: list[ScenarioResult] = []
         truncated = 0
-        cache_hits = analyzed = total = 0
+        cache_hits = analyzed = total = resumed = 0
         aborts = []
         for report in reports:
             merge_counts(class_counts, report.counters())
@@ -454,6 +391,7 @@ class CampaignReport:
             results.extend(report.results)
             truncated += report.results_truncated
             total += report.scenario_count
+            resumed += report.resumed_count
             if report.analyzed_count is not None:
                 cache_hits += report.cache_hit_count or 0
                 analyzed += report.analyzed_count
@@ -480,6 +418,7 @@ class CampaignReport:
             cache_hit_count=cache_hits,
             analyzed_count=analyzed,
             results_truncated=truncated,
+            resumed_count=resumed,
         )
 
     # -- rendering ------------------------------------------------------------
@@ -494,6 +433,10 @@ class CampaignReport:
             f"backends={','.join(self.backends)})",
             f"  verdict cache hit rate: {self.cache_hit_rate:.0%}",
         ]
+        if self.resumed_count:
+            lines.append(f"  resumed: {self.resumed_count} of "
+                         f"{self.scenario_count} scenarios counted from "
+                         f"their records, not evaluated again")
         if self.aborted:
             lines.append(f"  aborted early: {self.aborted}")
         lines.append("  outcome counters:")
@@ -516,23 +459,6 @@ class CampaignReport:
                               if status in HARD_DIVERGENCES)
                 note = "   (DIVERGENCES — should be zero!)" if flagged else ""
                 lines.append(f"    {pair:>16}: [{detail}]{note}")
-        if self.fleet:
-            churn = self.fleet.get("lease_churn", 0)
-            units = self.fleet.get("units", {})
-            lines.append(
-                f"  fleet: {len(self.fleet.get('workers', {}))} worker(s), "
-                f"units {units.get('done', 0)}/{units.get('total', 0)} done"
-                + (f", {churn} lease reclaim(s)" if churn else ""))
-            for name, row in sorted(self.fleet.get("workers", {}).items()):
-                latency = row.get("bus_latency_s")
-                note = (f", bus latency {latency * 1e3:.0f}ms"
-                        if latency is not None else "")
-                note += (f", aborted: {row['aborted']}"
-                         if row.get("aborted") else "")
-                lines.append(
-                    f"    {name}: {row.get('scenarios', 0)} scenarios in "
-                    f"{row.get('units', 0)} unit(s) "
-                    f"({row.get('scenarios_per_second', 0.0):.1f}/s{note})")
         lines.append("  per family:")
         for family, buckets in self.by_family().items():
             total = sum(buckets.values())
@@ -575,5 +501,5 @@ class CampaignReport:
             "pairwise": self.pairwise_counters(),
             "reproducers": self.reproducer_seeds(),
             "results_truncated": self.results_truncated,
-            "fleet": self.fleet,
+            "resumed": self.resumed_count,
         }

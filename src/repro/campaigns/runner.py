@@ -1,17 +1,19 @@
 """Campaign execution: streaming chunked fan-out with budgets and early abort.
 
-:class:`CampaignRunner` drives a *stream* of :class:`ScenarioSpec`s through
-the differential oracle either serially (``jobs=1`` — same process, same
-verdict cache) or across a ``ProcessPoolExecutor`` (``jobs>1``).  Specs are
-dealt into chunks so each worker amortizes process-pool dispatch overhead
-and builds up its own verdict cache; chunks complete independently, so a
-slow scenario only delays its chunk.
+:class:`CampaignRunner` is the one way a campaign is fanned out.  It deals
+a *stream* of :class:`ScenarioSpec`s into chunks and drives each through
+``evaluate_chunk`` — in this process (``jobs=1``: same process, same
+verdict cache) or across a ``ProcessPoolExecutor`` (``jobs>1``) — and one
+loop consumes the per-chunk result lists either way.  Chunks amortize
+process-pool dispatch overhead and the vectorized ``batch`` pass; they
+complete independently, so a slow scenario only delays its chunk.
 
 Memory stays bounded at any campaign size:
 
 * the spec source may be any iterable — generated specs are drawn lazily,
-  never collected into a list;
-* in parallel mode at most ``jobs * pipeline_depth`` chunks are in flight;
+  never collected into a list (a resumed run holds the specs still to
+  evaluate: it checks the whole stream against the records first);
+* in parallel mode at most ``jobs * _PIPELINE_DEPTH`` chunks are in flight;
   new chunks are drawn from the stream only as workers free up;
 * every result is handed to the sinks the moment its chunk returns: the
   :class:`~repro.campaigns.sink.AggregatingSink` counts it (retaining full
@@ -26,14 +28,27 @@ Budgets:
 * ``abort_on_disagreements`` — stop as soon as that many disagreements
   exist (a campaign that has already falsified the pipeline need not
   finish; the reproducer seeds are what matters).
+
+Crash accounting: a chunk whose worker raised, or whose pool died under it,
+becomes one ``ERROR`` result per spec it carried (``"chunk lost: ..."``),
+the run stops with ``aborted="worker process died"`` and the report is
+still returned — every submitted spec is accounted for.
+
+Resume: ``run(specs, sink=..., recorded=read_results(path))`` replays every
+spec that already has a non-``ERROR`` record into the aggregator instead of
+evaluating it, and evaluates (and streams) only the rest.  The records are
+the JSONL sink's own lines, so an interrupted or crashed campaign is
+finished by re-running it with ``--resume``: no second ledger.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -42,16 +57,17 @@ from ..exec.batch import numpy_available
 from ..obs import metrics as _obs_metrics
 from ..obs.live import render_dashboard
 from ..obs.trace import configure_tracing
-from .oracle import (
-    EvaluationOptions,
-    configure_verdict_store,
-    evaluate,
-    evaluate_chunk,
-    flush_store_hits,
-)
-from .report import ERROR, CampaignReport, ScenarioResult
+from .oracle import EvaluationOptions, evaluate_chunk
+from .report import ERROR, CampaignReport, ScenarioResult, result_from_record
 from .sink import AggregatingSink, ResultSink
 from .spec import ScenarioGenerator, ScenarioSpec
+
+#: Chunks in flight per worker in parallel mode.
+_PIPELINE_DEPTH = 2
+#: Seconds between live dashboard refreshes under ``watch``.
+_WATCH_INTERVAL_S = 2.0
+
+_CHUNKS_LOST = _obs_metrics.counter("repro_campaign_chunks_lost_total")
 
 
 @dataclass
@@ -71,8 +87,6 @@ class CampaignConfig:
     max_retained: int = 200
     #: Optional path of a persistent cross-process verdict cache.
     verdict_cache_path: str | None = None
-    #: Chunks in flight per worker in parallel mode.
-    pipeline_depth: int = 2
     #: Append the vectorized ``batch`` backend automatically (kernel-keyed
     #: chunk execution for every scenario it supports; scalar backends
     #: remain the differential ground truth).  ``--no-batch`` turns it off.
@@ -85,16 +99,12 @@ class CampaignConfig:
     trace_dir: str | None = None
     #: Render a live registry dashboard to stderr while the campaign runs.
     watch: bool = False
-    #: Seconds between live dashboard refreshes under ``watch``.
-    watch_interval_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         if self.max_retained < 1:
             raise ValueError("max_retained must be >= 1")
         self.backends = resolve_backends(self.backends)
@@ -114,32 +124,33 @@ class CampaignConfig:
 
 class _CampaignWatch:
     """The live campaign dashboard (``repro campaign --watch``): renders
-    the local registry snapshot to stderr between results.
+    the campaign's registry snapshot to stderr between results.
 
-    In serial mode the registry holds the whole campaign (evaluation is
+    In serial mode that is this process's registry (evaluation is
     in-process); in parallel mode the scenario counters live in the pool
-    workers, so the headline still tracks progress through the
-    aggregator's extra lines while the registry sections show what the
-    parent observed.  Fleet-wide merged views are the coordinator's
-    ``watch`` command, which merges worker snapshots off the bus.
+    workers, each of which sends its snapshot back with every chunk, and
+    the frame shows this process's merged with the latest one per worker.
     """
 
-    def __init__(self, interval_s: float = 2.0, stream=None):
-        self.interval_s = interval_s
+    def __init__(self, stream=None):
         self.stream = stream if stream is not None else sys.stderr
         self._last = 0.0
 
     def maybe_render(self, state: "_RunState", *,
                      force: bool = False) -> None:
         now = time.monotonic()
-        if not force and now - self._last < self.interval_s:
+        if not force and now - self._last < _WATCH_INTERVAL_S:
             return
         self._last = now
-        extra = [f"evaluated: {state.aggregator.total}"
+        extra = [f"evaluated: {state.aggregator.total - state.resumed}"
                  f"  disagreements: {state.disagreements}"]
+        if state.resumed:
+            extra.append(f"resumed: {state.resumed}")
         if state.aborted:
             extra.append(f"aborted: {state.aborted}")
-        print(render_dashboard(_obs_metrics.snapshot(), title="campaign",
+        snapshot = _obs_metrics.merge_snapshots(
+            [_obs_metrics.snapshot(), *state.worker_snapshots.values()])
+        print(render_dashboard(snapshot, title="campaign",
                                extra_lines=extra),
               file=self.stream, flush=True)
 
@@ -152,8 +163,12 @@ class _RunState:
     aggregator: AggregatingSink
     extra_sink: ResultSink | None = None
     disagreements: int = 0
+    #: Results replayed from an earlier run's records, not evaluated.
+    resumed: int = 0
     aborted: str | None = field(default=None)
     watch: _CampaignWatch | None = None
+    #: Pool worker pid → the registry snapshot its latest chunk carried.
+    worker_snapshots: dict = field(default_factory=dict)
 
     def consume(self, result: ScenarioResult) -> None:
         self.aggregator.accept(result)
@@ -162,6 +177,12 @@ class _RunState:
         self.disagreements += result.is_disagreement
         if self.watch is not None:
             self.watch.maybe_render(self)
+
+    def replay(self, result: ScenarioResult) -> None:
+        """Count a recorded result; the extra sink already holds it."""
+        self.aggregator.accept(result)
+        self.disagreements += result.is_disagreement
+        self.resumed += 1
 
 
 class CampaignRunner:
@@ -177,9 +198,18 @@ class CampaignRunner:
     # -- public API ----------------------------------------------------------
 
     def run(self, specs: Iterable[ScenarioSpec], *,
-            sink: ResultSink | None = None) -> CampaignReport:
+            sink: ResultSink | None = None,
+            recorded: dict[int, dict] | None = None) -> CampaignReport:
         """Evaluate a spec stream; ``sink`` additionally receives every
-        result in completion order (e.g. a JSONL writer)."""
+        evaluated result in completion order (e.g. a JSONL writer).
+
+        ``recorded`` resumes an earlier run of the same stream from its
+        records (``read_results(path)``: scenario id → record): a spec
+        with a non-``ERROR`` record is counted from the record and neither
+        evaluated nor handed to ``sink``.  A record made from a different
+        spec is a different campaign: ``ValueError``, before anything is
+        evaluated or written.
+        """
         started = time.perf_counter()
         if self.config.trace_dir is not None:
             # Serial evaluation runs in this process; pool workers
@@ -192,14 +222,21 @@ class CampaignRunner:
                 max_retained=self.config.max_retained,
                 backends=self.config.backends),
             extra_sink=sink,
-            watch=(_CampaignWatch(self.config.watch_interval_s)
-                   if self.config.watch else None),
+            watch=_CampaignWatch() if self.config.watch else None,
         )
         spec_iter = iter(specs)
-        if self.config.jobs == 1:
-            self._run_serial(spec_iter, state)
-        else:
-            self._run_parallel(spec_iter, state)
+        if recorded is not None:
+            spec_iter = iter(_replay_recorded(spec_iter, recorded, state))
+            state.aborted = self._abort_reason(state)
+        source = (self._serial_chunks if self.config.jobs == 1
+                  else self._pool_chunks)
+        # Both sources stop by themselves once ``state.aborted`` is set;
+        # closing() shuts the pool down at once if a sink raises.
+        with contextlib.closing(source(spec_iter, state)) as chunks:
+            for results in chunks:
+                for result in results:
+                    state.consume(result)
+                state.aborted = state.aborted or self._abort_reason(state)
         if state.watch is not None:
             state.watch.maybe_render(state, force=True)
         return state.aggregator.report(
@@ -207,6 +244,7 @@ class CampaignRunner:
             jobs=self.config.jobs,
             chunk_size=self.config.chunk_size,
             aborted=state.aborted,
+            resumed=state.resumed,
         )
 
     def run_generated(self, count: int, *, seed: int = 0,
@@ -214,7 +252,9 @@ class CampaignRunner:
                       profile: str = "default",
                       deployment: str | None = None,
                       shard_index: int = 0, shard_count: int = 1,
-                      sink: ResultSink | None = None) -> CampaignReport:
+                      sink: ResultSink | None = None,
+                      recorded: dict[int, dict] | None = None
+                      ) -> CampaignReport:
         """Convenience: stream ``count`` generated specs (or this shard's
         stride of them) through the campaign."""
         generator = ScenarioGenerator(seed, families=families,
@@ -222,52 +262,39 @@ class CampaignRunner:
                                       deployment=deployment)
         stream = generator.iter_specs(count, shard_index=shard_index,
                                       shard_count=shard_count)
-        return self.run(stream, sink=sink)
+        return self.run(stream, sink=sink, recorded=recorded)
 
-    # -- serial path ---------------------------------------------------------
+    # -- the two chunk sources -----------------------------------------------
 
-    def _run_serial(self, specs: Iterator[ScenarioSpec],
-                    state: _RunState) -> None:
+    def _serial_chunks(self, specs: Iterator[ScenarioSpec],
+                       state: _RunState) -> Iterator[list[ScenarioResult]]:
+        """In-process: the same worker entry point the pool uses."""
         options = self.config.evaluation_options()
-        # Unconditional (including None): a cache-less campaign must detach
-        # any store a previous run left configured in this process.
-        configure_verdict_store(options.verdict_store_path)
-        try:
-            if "batch" in self.config.backends:
-                # The vectorized backend amortizes over whole chunks, so
-                # the serial path consumes the stream chunk-wise through
-                # the same worker entry point the process pool uses.
-                for chunk in _chunk_stream(specs, self.config.chunk_size):
-                    for result in evaluate_chunk(chunk, options):
-                        state.consume(result)
-                        state.aborted = self._abort_reason(state)
-                        if state.aborted:
-                            return
+        for chunk in _chunk_stream(specs, self.config.chunk_size):
+            if state.aborted:
                 return
-            for spec in specs:
-                state.consume(evaluate(spec, options))
-                state.aborted = self._abort_reason(state)
-                if state.aborted:
-                    return
-        finally:
-            flush_store_hits()
+            yield evaluate_chunk(chunk, options)
 
-    # -- parallel path -------------------------------------------------------
-
-    def _run_parallel(self, specs: Iterator[ScenarioSpec],
-                      state: _RunState) -> None:
+    def _pool_chunks(self, specs: Iterator[ScenarioSpec],
+                     state: _RunState) -> Iterator[list[ScenarioResult]]:
+        if state.aborted:  # the replayed records already hit a limit
+            return
         options = self.config.evaluation_options()
         chunks = _chunk_stream(specs, self.config.chunk_size)
-        window = self.config.jobs * self.config.pipeline_depth
-        #: Future → the chunk it carries, so an abort can account for
-        #: every submitted spec even when its worker failed.
+        #: Future → the chunk it carries, so every submitted spec can be
+        #: accounted for even when its worker failed.
         inflight: dict = {}
-        executor = ProcessPoolExecutor(max_workers=self.config.jobs)
-        try:
-            for chunk in itertools.islice(chunks, window):
-                inflight[executor.submit(evaluate_chunk, chunk,
+        executor = ProcessPoolExecutor(max_workers=self.config.jobs,
+                                       initializer=_pool_worker_init)
+
+        def submit(count: int) -> None:
+            for chunk in itertools.islice(chunks, count):
+                inflight[executor.submit(_pool_chunk, chunk,
                                          options)] = chunk
-            while inflight:
+
+        try:
+            submit(self.config.jobs * _PIPELINE_DEPTH)
+            while inflight and not state.aborted:
                 timeout = self._remaining_budget(state.started)
                 done, _ = wait(inflight, timeout=timeout,
                                return_when=FIRST_COMPLETED)
@@ -275,16 +302,12 @@ class CampaignRunner:
                     state.aborted = "wall-clock budget exhausted"
                     break
                 for future in done:
-                    inflight.pop(future)
-                    for result in future.result():
-                        state.consume(result)
-                state.aborted = self._abort_reason(state)
-                if state.aborted:
-                    break
+                    yield _chunk_results(future, inflight.pop(future), state)
+                    if state.aborted:
+                        break  # the rest of ``done`` is drained below
                 # Keep the pipeline full: one fresh chunk per finished one.
-                for chunk in itertools.islice(chunks, len(done)):
-                    inflight[executor.submit(evaluate_chunk, chunk,
-                                             options)] = chunk
+                if not state.aborted:
+                    submit(len(done))
         finally:
             for future in inflight:
                 future.cancel()
@@ -309,18 +332,7 @@ class CampaignRunner:
         for future, chunk in inflight.items():
             if not future.done() or future.cancelled():
                 continue
-            try:
-                results = list(future.result())
-            except Exception as exc:  # noqa: BLE001 - a lost chunk is evidence
-                results = [
-                    ScenarioResult(
-                        spec=spec,
-                        classification=ERROR,
-                        error=f"chunk lost during abort: "
-                              f"{type(exc).__name__}: {exc}")
-                    for spec in chunk
-                ]
-            for result in results:
+            for result in _chunk_results(future, chunk, state):
                 state.consume(result)
 
     # -- budget logic ---------------------------------------------------------
@@ -358,23 +370,12 @@ def run_campaign(count: int, *, seed: int = 0, jobs: int = 1,
                  watch: bool = False,
                  shard_index: int = 0, shard_count: int = 1,
                  sink: ResultSink | None = None,
-                 coordinator: str | None = None,
-                 worker_id: str | None = None) -> CampaignReport:
+                 recorded: dict[int, dict] | None = None) -> CampaignReport:
     """One-call campaign: generate, fan out, aggregate (and stream).
 
-    With ``coordinator`` the call becomes one fleet *worker* instead: the
-    campaign parameters (count, seed, families, backends, budgets) come
-    from the coordinator directory's plan — every other argument except
-    ``sink`` and ``worker_id`` is ignored — and specs are consumed
-    lease-by-lease rather than by static shard striding, so crashed
-    workers' ranges are reclaimed and a re-run resumes from un-leased
-    units.  The returned report is the fleet's live merge, not just this
-    worker's slice.
+    ``recorded`` (``read_results(path)`` of an earlier run with the same
+    arguments) resumes that run; see :meth:`CampaignRunner.run`.
     """
-    if coordinator is not None:
-        from ..distributed.worker import run_distributed_worker
-        return run_distributed_worker(coordinator, worker_id=worker_id,
-                                      sink=sink)
     runner = CampaignRunner(CampaignConfig(
         jobs=jobs, chunk_size=chunk_size,
         wall_clock_budget_s=wall_clock_budget_s,
@@ -389,7 +390,8 @@ def run_campaign(count: int, *, seed: int = 0, jobs: int = 1,
     return runner.run_generated(count, seed=seed, families=families,
                                 profile=profile, deployment=deployment,
                                 shard_index=shard_index,
-                                shard_count=shard_count, sink=sink)
+                                shard_count=shard_count, sink=sink,
+                                recorded=recorded)
 
 
 def _chunk_stream(specs: Iterator[ScenarioSpec],
@@ -402,7 +404,62 @@ def _chunk_stream(specs: Iterator[ScenarioSpec],
         yield chunk
 
 
-def _chunked(specs: Iterable[ScenarioSpec],
-             size: int) -> list[list[ScenarioSpec]]:
-    """Eager chunking (kept for tests and ad-hoc use)."""
-    return list(_chunk_stream(iter(specs), size))
+def _replay_recorded(specs: Iterator[ScenarioSpec], recorded: dict[int, dict],
+                     state: _RunState) -> list[ScenarioSpec]:
+    """Replay the recorded part of a stream; return the specs left to run.
+
+    The whole stream is checked before the first evaluation, so a file
+    from another campaign is rejected with nothing evaluated or written.
+    ``ERROR`` records (a lost chunk, a scenario that raised) are not
+    evidence: their specs are evaluated again.
+    """
+    pending = []
+    for spec in specs:
+        record = recorded.get(spec.scenario_id)
+        if record is None:
+            pending.append(spec)
+            continue
+        result = result_from_record(record)
+        if result.spec != spec:
+            raise ValueError(
+                f"cannot resume: the record of scenario {spec.scenario_id} "
+                f"was made from a different spec ({result.spec.describe()}) "
+                f"than this campaign's ({spec.describe()})")
+        if result.classification == ERROR:
+            pending.append(spec)
+        else:
+            state.replay(result)
+    return pending
+
+
+def _pool_worker_init() -> None:
+    """A forked worker starts with a copy of the parent's registry; the
+    snapshots it sends back must hold its own work only."""
+    _obs_metrics.get_registry().reset()
+
+
+def _pool_chunk(chunk: list[ScenarioSpec], options: EvaluationOptions
+                ) -> tuple[list[ScenarioResult], int, dict]:
+    """What the pool runs: the chunk's results plus this worker's pid and
+    registry snapshot (how pool-mode metrics reach the parent)."""
+    return evaluate_chunk(chunk, options), os.getpid(), \
+        _obs_metrics.snapshot()
+
+
+def _chunk_results(future: Future, chunk: list[ScenarioSpec],
+                   state: _RunState) -> list[ScenarioResult]:
+    """A finished future's results — or, when its worker raised or its
+    pool died, one ERROR per spec it carried, and the run stops."""
+    try:
+        results = future.result()
+    except Exception as exc:  # noqa: BLE001 - a lost chunk is evidence
+        _CHUNKS_LOST.inc()
+        state.aborted = state.aborted or "worker process died"
+        return [ScenarioResult(spec=spec, classification=ERROR,
+                               error=f"chunk lost: "
+                                     f"{type(exc).__name__}: {exc}")
+                for spec in chunk]
+    if isinstance(results, tuple):  # _pool_chunk's; a bare list has none
+        results, pid, snapshot = results
+        state.worker_snapshots[pid] = snapshot
+    return results

@@ -15,7 +15,9 @@ runner's needs:
   per scenario, flushed as produced, so an interrupted campaign still
   leaves a complete record of everything it evaluated.  Lines arrive in
   completion order under parallel execution; each carries its
-  ``scenario_id`` (and full reproducer spec) for downstream sorting.
+  ``scenario_id`` (and full reproducer spec) for downstream sorting —
+  and for :func:`read_results`, which turns the file back into the
+  records a ``--resume`` run replays instead of evaluating again.
 
 Sinks compose: the runner always feeds its aggregator and, when
 ``--stream-out`` is given, tees into a JSONL sink as well.
@@ -24,6 +26,7 @@ Sinks compose: the runner always feeds its aggregator and, when
 from __future__ import annotations
 
 import json
+import os
 from typing import IO, Iterable, Protocol
 
 from .report import (  # noqa: F401 - result_record re-exported (moved)
@@ -91,7 +94,7 @@ class AggregatingSink:
         pass
 
     def report(self, *, wall_clock_s: float, jobs: int, chunk_size: int,
-               aborted: str | None) -> CampaignReport:
+               aborted: str | None, resumed: int = 0) -> CampaignReport:
         """Freeze the aggregates into a :class:`CampaignReport`."""
         results = sorted(self.retained + self.reproducers,
                          key=lambda r: r.scenario_id)
@@ -109,59 +112,24 @@ class AggregatingSink:
             cache_hit_count=self.cache_hits,
             analyzed_count=self.analyzed,
             results_truncated=self.truncated,
+            resumed_count=resumed,
         )
 
 
-class BusSink:
-    """Publish findings to a fleet's shared disagreement bus.
+class JsonlResultSink:
+    """Append one JSON line per result to a path or open handle.
 
-    The distributed worker tees every result through one of these:
-    disagreements (and errored scenarios, which the differential check
-    silently never ran on) reach the bus — full reproducer record in the
-    JSONL payload, small indexed row for polling — the moment the oracle
-    classifies them, so the rest of the fleet can honor
-    ``abort_on_disagreements`` within one chunk latency instead of after
-    the campaign.  Ordinary agreeing results never touch the bus.
-
-    ``bus`` is duck-typed (anything with ``publish(kind, worker, ...)``),
-    keeping this module import-free of :mod:`repro.distributed`.
+    A path is truncated unless ``append`` (``--resume``): then the file is
+    kept, minus the unterminated last line a killed writer may have left
+    — the next record must not be glued to it.
     """
 
-    #: Bus event kinds (mirrors :mod:`repro.distributed.bus`).
-    DISAGREEMENT = "disagreement"
-    ERROR_KIND = "error"
-
-    def __init__(self, bus, worker: str):
-        self.bus = bus
-        self.worker = worker
-        self.published = 0
-
-    def accept(self, result: ScenarioResult) -> None:
-        if result.is_disagreement:
-            kind = self.DISAGREEMENT
-        elif result.classification == ERROR:
-            kind = self.ERROR_KIND
-        else:
-            return
-        detail = result.classification
-        for pair in result.divergences:
-            detail += f" {pair.pair}={pair.status}"
-        self.bus.publish(kind, self.worker,
-                         scenario_id=result.scenario_id,
-                         detail=detail,
-                         payload=result_record(result))
-        self.published += 1
-
-    def close(self) -> None:
-        pass
-
-
-class JsonlResultSink:
-    """Append one JSON line per result to a path or open handle."""
-
-    def __init__(self, target: str | IO[str]):
+    def __init__(self, target: str | IO[str], *, append: bool = False):
         if isinstance(target, str):
-            self._fh: IO[str] = open(target, "w", encoding="utf-8")
+            if append:
+                _drop_torn_tail(target)
+            self._fh: IO[str] = open(target, "a" if append else "w",
+                                     encoding="utf-8")
             self._owned = True
         else:
             self._fh = target
@@ -175,6 +143,44 @@ class JsonlResultSink:
     def close(self) -> None:
         if self._owned:
             self._fh.close()
+
+
+def _drop_torn_tail(path: str) -> None:
+    """Cut a file back to the end of its last newline-terminated line."""
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        end = keep = fh.seek(0, os.SEEK_END)
+        while keep:
+            start = max(0, keep - 65536)
+            fh.seek(start)
+            newline = fh.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep < end:
+            fh.truncate(keep)
+
+
+def read_results(path: str) -> dict[int, dict]:
+    """A JSONL result file as ``{scenario_id: record}`` — what
+    ``CampaignRunner.run(..., recorded=)`` resumes from.
+
+    The last record of a scenario wins (a resumed run appends the
+    re-evaluation of an ``ERROR``); an unterminated last line is a torn
+    write and is dropped, as :class:`JsonlResultSink` drops it on append.
+    """
+    records: dict[int, dict] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.endswith("\n"):
+                break
+            record = json.loads(line)
+            records[record["scenario_id"]] = record
+    return records
 
 
 class TeeSink:

@@ -118,7 +118,7 @@ class ScenarioSpec:
     def trace_id(self) -> str:
         """The scenario's observability trace ID, minted at spec
         generation as a pure function of ``(family, scenario_id, seed)``
-        — so a re-generated spec (reclaimed lease, reproducer rerun)
+        — so a re-generated spec (resumed campaign, reproducer rerun)
         lands its spans in the same trace."""
         return scenario_trace_id(self.family, self.scenario_id, self.seed)
 
@@ -233,20 +233,6 @@ class ScenarioGenerator:
             raise ValueError(f"shard_index must be in [0, {shard_count})"
                              f", got {shard_index}")
         for i in range(shard_index, count, shard_count):
-            yield self.make(i)
-
-    def iter_range(self, start: int, stop: int) -> Iterator[ScenarioSpec]:
-        """Lazily yield the contiguous slice ``[start, stop)`` of the stream.
-
-        This is the *lease-driven* consumption mode: a distributed worker
-        regenerates exactly the scenarios of its leased work unit, so any
-        partition of ``[0, count)`` into ranges — in any order, by any
-        number of workers, re-issued after crashes — evaluates precisely
-        the scenarios one unsharded run would.
-        """
-        if start < 0 or stop < start:
-            raise ValueError(f"invalid spec range [{start}, {stop})")
-        for i in range(start, stop):
             yield self.make(i)
 
     def make(self, index: int) -> ScenarioSpec:

@@ -16,29 +16,20 @@ Python:
   against the generated NDlog implementation and the hierarchical HLP
   protocol, ``--families hlp,multipath`` selects the workload families,
   ``--stream-out`` records every scenario as JSONL in constant memory,
+  ``--resume`` finishes an interrupted or crashed run of the same command
+  from that file instead of starting over,
   ``--shard-index`` / ``--shard-count`` stride the deterministic spec
   stream across machines, ``--verdict-cache`` persists SMT verdicts
   across invocations);
-* ``campaign-coordinator {init,status,watch} <dir>`` — drive a
-  *distributed* campaign: ``init`` partitions a deterministic spec stream
-  into leased work units under a shared directory, ``status``/``watch``
-  observe the fleet (per-worker progress, lease churn, disagreements on
-  the shared bus) and render the live-merged report;
-* ``campaign --coordinator <dir>`` — join that fleet as one worker:
-  leases replace static shard striding, disagreements are published to
-  the shared bus the moment they are found, and every worker honors
-  fleet-wide early abort within one chunk latency;
 * ``verdicts <path> [--stats|--compact]`` — inspect a persistent verdict
   cache's hit statistics, or evict the rows no campaign ever re-used;
 * ``trace show <scenario-id> [--trace-dir DIR]`` — render the merged
-  span tree a traced campaign (``campaign --trace-dir`` or a coordinator
-  initialized with ``--trace``) recorded for one scenario: spec
-  materialization, every backend run, analysis tiers, verdict, and (in a
-  fleet) the owning lease/worker.  ``campaign --watch`` and
-  ``campaign-coordinator watch`` render live dashboards from the same
-  metrics registry; ``--format json`` on ``verdicts --stats`` and
-  ``campaign-coordinator status`` emits the versioned ``repro-obs/1``
-  envelope.
+  span tree a traced campaign (``campaign --trace-dir``) recorded for one
+  scenario: spec materialization, every backend run, analysis tiers,
+  verdict, each span tagged with the worker process that emitted it.
+  ``campaign --watch`` renders a live dashboard from the same metrics
+  registry (pool workers' snapshots merged in); ``--format json`` on
+  ``verdicts --stats`` emits the versioned ``repro-obs/1`` envelope.
 
 Exit codes are consistent across subcommands: **0** when the command ran
 and the verdict is good (safe / converged / no disagreement), **1** when
@@ -178,23 +169,33 @@ def _parse_families(tokens) -> list[str] | None:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from .campaigns import JsonlResultSink, run_campaign
-    if args.coordinator:
-        return _campaign_worker(args)
+    import os
+
+    from .campaigns import JsonlResultSink, read_results, run_campaign
     if args.scenarios < 1:
         # A zero-scenario campaign would exit 0 without testing anything —
         # refuse rather than hand CI a vacuously green gate.
         print("campaign rejected: --scenarios must be >= 1",
               file=sys.stderr)
         return 2
+    if args.resume and not args.stream_out:
+        print("campaign rejected: --resume needs the --stream-out file "
+              "of the run to resume", file=sys.stderr)
+        return 2
     families = _parse_families(args.families)
-    sink = None
+    sink = recorded = None
     if args.stream_out:
         try:
-            sink = JsonlResultSink(args.stream_out)
-        except OSError as error:
-            print(f"campaign rejected: cannot open --stream-out: {error}",
-                  file=sys.stderr)
+            if args.resume:
+                # Read before the sink opens: a file that does not parse
+                # is rejected untouched.  No file yet is nothing to resume.
+                recorded = (read_results(args.stream_out)
+                            if os.path.exists(args.stream_out) else {})
+            sink = JsonlResultSink(args.stream_out, append=args.resume)
+        except (OSError, ValueError) as error:
+            print(f"campaign rejected: cannot "
+                  f"{'resume from' if args.resume else 'open'} "
+                  f"--stream-out: {error}", file=sys.stderr)
             return 2
     try:
         report = run_campaign(
@@ -219,6 +220,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             shard_index=args.shard_index,
             shard_count=args.shard_count,
             sink=sink,
+            recorded=recorded,
         )
     except ValueError as error:
         print(f"campaign rejected: {error}", file=sys.stderr)
@@ -240,46 +242,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_worker(args: argparse.Namespace) -> int:
-    """``campaign --coordinator PATH``: join a fleet as one worker.
-
-    Every campaign parameter comes from the coordinator's plan; the only
-    worker-local knobs are ``--worker-id`` and ``--stream-out``.  The
-    printed report is the fleet's live merge at this worker's exit, and
-    the exit code gates on *fleet-wide* findings, so any worker's exit
-    status is a valid campaign verdict once the fleet drains.
-    """
-    from .campaigns import JsonlResultSink, run_campaign
-    sink = None
-    if args.stream_out:
-        try:
-            sink = JsonlResultSink(args.stream_out)
-        except OSError as error:
-            print(f"campaign rejected: cannot open --stream-out: {error}",
-                  file=sys.stderr)
-            return 2
-    try:
-        report = run_campaign(1, coordinator=args.coordinator,
-                              worker_id=args.worker_id, sink=sink)
-    except (FileNotFoundError, ValueError) as error:
-        print(f"campaign rejected: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if sink is not None:
-            sink.close()
-    print(report.summary())
-    if report.disagreement_count or report.error_count:
-        return 1
-    if report.scenario_count == 0:
-        print("campaign rejected: zero scenarios were evaluated",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace show <scenario-id>``: render one scenario's merged
-    span tree (spec-gen → lease → backends → oracle verdict) from the
+    span tree (materialization → backends → oracle verdict) from the
     JSONL trace sink a traced campaign wrote."""
     import os
 
@@ -300,140 +265,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 1
     print(render_span_tree(spans))
     return 0
-
-
-def cmd_campaign_coordinator(args: argparse.Namespace) -> int:
-    import json as _json
-    import time as _time
-
-    from .distributed import CampaignCoordinator, CampaignPlan
-
-    if args.action == "init":
-        try:
-            planted = [int(part)
-                       for token in args.plant_disagreement or []
-                       for part in str(token).split(",") if part]
-            plan = CampaignPlan(
-                scenarios=args.scenarios,
-                seed=args.seed,
-                families=(tuple(_parse_families(args.families))
-                          if args.families else None),
-                profile=args.profile,
-                backends=tuple(args.backends.split(",")),
-                unit_size=args.unit_size,
-                chunk_size=args.chunk_size,
-                lease_ttl_s=args.lease_ttl_s,
-                abort_on_disagreements=(
-                    args.abort_on_disagreements
-                    if args.abort_on_disagreements >= 1 else None),
-                wall_clock_budget_s=args.budget_s,
-                planted=tuple(planted),
-                shared_verdicts=not args.no_shared_verdicts,
-                auto_batch=not args.no_batch,
-                trace=args.trace,
-            )
-            # Fail bad families/profiles/backends at init time, not in
-            # every worker after it leased a unit.
-            from .campaigns import ScenarioGenerator
-            from .exec import resolve_backends
-            ScenarioGenerator(plan.seed, families=plan.families,
-                              profile=plan.profile)
-            resolve_backends(plan.backends)
-            coordinator = CampaignCoordinator.init(args.path, plan)
-        except ValueError as error:
-            print(f"coordinator rejected: {error}", file=sys.stderr)
-            return 2
-        try:
-            status = coordinator.status()
-            print(f"initialized campaign at {args.path}: "
-                  f"{plan.scenarios} scenarios in {status.units_total} "
-                  f"work units of <= {plan.unit_size}")
-            print(f"  seed={plan.seed} profile={plan.profile} "
-                  f"backends={','.join(plan.backends)}"
-                  + (f" families={','.join(plan.families)}"
-                     if plan.families else ""))
-            if plan.planted:
-                print(f"  planted disagreement drill at scenario(s) "
-                      f"{sorted(plan.planted)}")
-            if plan.trace:
-                print(f"  tracing enabled: spans land in "
-                      f"{coordinator.trace_dir}")
-            print(f"attach workers with: repro campaign --coordinator "
-                  f"{args.path}")
-        finally:
-            coordinator.close()
-        return 0
-
-    try:
-        coordinator = CampaignCoordinator.attach(args.path)
-    except FileNotFoundError as error:
-        print(f"coordinator rejected: {error}", file=sys.stderr)
-        return 2
-    try:
-        if args.action == "status":
-            status = coordinator.status()
-            if getattr(args, "format", "text") == "json":
-                # The versioned obs envelope: fleet-merged registry
-                # snapshot plus the control-plane state.  The legacy
-                # --json shape below stays byte-compatible for existing
-                # consumers.
-                from .obs.live import obs_payload
-                payload = obs_payload(
-                    "coordinator-status",
-                    coordinator.fleet_metrics(),
-                    status=status.to_dict(),
-                    report=coordinator.merged_report().to_dict())
-                print(_json.dumps(payload, indent=2, default=repr))
-            elif args.json:
-                payload = status.to_dict()
-                payload["report"] = coordinator.merged_report().to_dict()
-                print(_json.dumps(payload, indent=2, default=repr))
-            else:
-                print(status.describe())
-            return 0
-        # watch: poll until the fleet drains or aborts, then gate like
-        # `repro campaign` — 0 only when the merged report is clean.
-        from .obs.live import render_dashboard
-        while True:
-            status = coordinator.status()
-            print(f"  {status.status}: "
-                  f"{status.scenarios_done}/{status.scenarios_total} "
-                  f"scenarios, units {status.units_done}/"
-                  f"{status.units_total}, "
-                  f"{status.disagreements} disagreement(s)",
-                  flush=True)
-            fleet = coordinator.fleet_metrics()
-            if fleet.get("counters") or fleet.get("gauges") \
-                    or fleet.get("histograms"):
-                # Registry snapshots merged fleet-wide off the bus — the
-                # live dashboard the SSE service plane will stream.
-                print(render_dashboard(fleet, title="fleet"), flush=True)
-            if status.finished:
-                break
-            # Only workers advance campaign status, so a watch must not
-            # hang on a dead fleet: every registered worker gone (no
-            # heartbeat within 2x the lease TTL), or the fleet budget
-            # spent with nobody alive to notice it, ends the watch.
-            alive = any(row["alive"] for row in status.workers)
-            if not alive and (status.workers
-                              or coordinator.exceeded_budget()):
-                print("watch stopped: no live workers and the campaign "
-                      "is not finished (restart workers with "
-                      f"`repro campaign --coordinator {args.path}` "
-                      "to resume)", file=sys.stderr)
-                return 1
-            _time.sleep(args.interval)
-        report = coordinator.merged_report()
-        print(report.summary())
-        if report.disagreement_count or report.error_count:
-            return 1
-        if report.scenario_count == 0:
-            print("campaign rejected: zero scenarios were evaluated",
-                  file=sys.stderr)
-            return 1
-        return 0
-    finally:
-        coordinator.close()
 
 
 def cmd_verdicts(args: argparse.Namespace) -> int:
@@ -459,9 +290,8 @@ def cmd_verdicts(args: argparse.Namespace) -> int:
 
         from .obs import metrics as _obs_metrics
         from .obs.live import obs_payload
-        # Same envelope as `campaign-coordinator status --format json`:
-        # the registry snapshot (this process's store-op counters) plus
-        # the store's persistent statistics.
+        # The versioned envelope: the registry snapshot (this process's
+        # store-op counters) plus the store's persistent statistics.
         print(_json.dumps(obs_payload("verdict-stats",
                                       _obs_metrics.snapshot(),
                                       store=stats),
@@ -569,6 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream-out", default=None, metavar="PATH",
                    help="stream one JSONL record per scenario to PATH as "
                         "results are produced (constant memory)")
+    p.add_argument("--resume", action="store_true",
+                   help="finish an earlier run of this same command from "
+                        "its --stream-out file: scenarios it recorded are "
+                        "counted from the file, the rest (and any recorded "
+                        "as errors, e.g. lost with a dead worker) are "
+                        "evaluated and appended")
     p.add_argument("--verdict-cache", default=None, metavar="PATH",
                    help="persistent sqlite verdict cache shared across "
                         "processes and campaign invocations")
@@ -591,68 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="this shard's index into the spec stream")
     p.add_argument("--shard-count", type=int, default=1,
                    help="total shards striding the spec stream")
-    p.add_argument("--coordinator", default=None, metavar="DIR",
-                   help="join the distributed campaign at DIR as one fleet "
-                        "worker (see `campaign-coordinator init`); the "
-                        "campaign parameters come from the coordinator's "
-                        "plan, so every option above except --stream-out "
-                        "is ignored")
-    p.add_argument("--worker-id", default=None, metavar="NAME",
-                   help="fleet worker name (default: host-pid)")
     p.set_defaults(fn=cmd_campaign)
-
-    p = sub.add_parser(
-        "campaign-coordinator",
-        help="initialize or observe a distributed campaign directory")
-    p.add_argument("action", choices=("init", "status", "watch"))
-    p.add_argument("path", help="campaign directory (shared by the fleet)")
-    p.add_argument("--scenarios", type=int, default=200,
-                   help="[init] spec stream length (default 200)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="[init] campaign seed")
-    p.add_argument("--families", nargs="+", default=None, metavar="FAMILY",
-                   help="[init] restrict to these scenario families")
-    p.add_argument("--profile", default="default",
-                   help="[init] workload profile: default or quick")
-    p.add_argument("--backends", default="gpv", metavar="NAME[,NAME...]",
-                   help="[init] execution backends per scenario")
-    p.add_argument("--no-batch", action="store_true",
-                   help="[init] fleet workers do not auto-append the "
-                        "vectorized batch backend")
-    p.add_argument("--unit-size", type=int, default=25,
-                   help="[init] scenarios per leased work unit")
-    p.add_argument("--chunk-size", type=int, default=8,
-                   help="[init] scenarios per worker chunk (heartbeat and "
-                        "bus-poll granularity)")
-    p.add_argument("--lease-ttl-s", type=float, default=60.0,
-                   help="[init] lease seconds before a silent worker's "
-                        "unit is re-issued")
-    p.add_argument("--abort-on-disagreements", type=int, default=1,
-                   help="[init] fleet-wide early-abort threshold "
-                        "(default 1; 0 or negative disables)")
-    p.add_argument("--budget-s", type=float, default=None,
-                   help="[init] fleet wall-clock budget in seconds")
-    p.add_argument("--plant-disagreement", nargs="+", default=None,
-                   metavar="ID",
-                   help="[init] rewrite these scenario ids into synthetic "
-                        "disagreements — the fleet abort drill")
-    p.add_argument("--no-shared-verdicts", action="store_true",
-                   help="[init] per-worker verdict memos instead of the "
-                        "shared write-through store")
-    p.add_argument("--trace", action="store_true",
-                   help="[init] fleet workers emit structured trace "
-                        "spans into the campaign directory's traces/ "
-                        "sink (`repro trace show --trace-dir DIR/traces`)")
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="[watch] seconds between progress polls")
-    p.add_argument("--json", action="store_true",
-                   help="[status] machine-readable snapshot incl. the "
-                        "live-merged report (legacy shape)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="[status] text (default) or the repro-obs/1 "
-                        "envelope: fleet-merged metrics snapshot plus "
-                        "status and the live-merged report")
-    p.set_defaults(fn=cmd_campaign_coordinator)
 
     p = sub.add_parser(
         "trace",
@@ -687,7 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except BrokenPipeError:
-        # e.g. `repro campaign-coordinator status DIR | head`: the reader
+        # e.g. `repro verdicts STORE --format json | head`: the reader
         # closed early.  Detach stdout so interpreter shutdown doesn't
         # print a second traceback — but exit non-zero (the conventional
         # 128+SIGPIPE): the command's verdict gating never ran, and a

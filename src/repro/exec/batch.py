@@ -57,7 +57,7 @@ process-wide cache under canonical kernel keys (:func:`kernel_key_of`,
 the one place a key is rendered), and an optional **persistent kernel
 store** (:mod:`repro.exec.kernel_store`, enabled via
 :func:`configure_kernel_store` or ``$REPRO_BATCH_KERNEL_CACHE``) shared
-by fleet workers and repeat campaigns.
+by pool workers and repeat campaigns.
 
 numpy is optional: without it the backend simply supports nothing, so
 campaigns degrade to the scalar engines instead of failing to import.

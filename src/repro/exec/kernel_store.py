@@ -3,7 +3,7 @@
 The process caches in :mod:`repro.exec.batch` pay for each distinct
 (algebra, transfer vocabulary) closure once per worker *lifetime*; this
 module makes tabulated kernels survive across processes and campaign
-invocations, so fleet workers and repeat campaigns skip re-tabulation
+invocations, so pool workers and repeat campaigns skip re-tabulation
 entirely.
 
 Kernels are content-addressed by the ``repr`` of the batch backend's

@@ -4,7 +4,7 @@ Three layers, one schema (see ``obs/README.md`` for the conventions):
 
 * :mod:`repro.obs.metrics` — the process-local registry every former
   stats island now feeds; snapshots are the ``repro-metrics/1`` wire
-  format and merge fleet-wide;
+  format and merge across a campaign's processes;
 * :mod:`repro.obs.trace` — scenario-scoped structured spans
   (``repro-span/1`` JSONL) with trace IDs minted at spec generation;
 * :mod:`repro.obs.live` / :mod:`repro.obs.schema` — the dashboard

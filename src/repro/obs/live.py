@@ -1,14 +1,12 @@
 """The live view: dashboard rendering and the ``repro-obs/1`` envelope.
 
-Two consumers share this module.  ``repro campaign --watch`` and
-``campaign-coordinator watch`` call :func:`render_dashboard` on a metrics
-snapshot (single-process, or fleet-merged via
-:func:`~repro.obs.metrics.merge_snapshots` from the per-worker snapshots
-workers publish on the disagreement bus).  The ``--format json`` paths of
-``repro verdicts --stats`` and ``campaign-coordinator status`` call
-:func:`obs_payload` to wrap the same snapshot in the versioned envelope
-the future SSE service plane will stream — machine-readable today,
-servable tomorrow.
+``repro campaign --watch`` calls :func:`render_dashboard` on a metrics
+snapshot: this process's, or under ``--jobs N`` this process's merged
+(:func:`~repro.obs.metrics.merge_snapshots`) with the latest snapshot each
+pool worker sent back with a chunk.  The ``--format json`` path of
+``repro verdicts --stats`` calls :func:`obs_payload` to wrap the same
+snapshot in the versioned envelope a future service plane would stream —
+machine-readable today, servable tomorrow.
 """
 
 from __future__ import annotations
@@ -51,20 +49,6 @@ def _family_lines(snapshot: dict, name: str, label: str,
     return lines
 
 
-def _histogram_lines(snapshot: dict, name: str, heading: str) -> list[str]:
-    entries = snapshot_family(snapshot, name)
-    lines = []
-    for entry in entries:
-        count = entry.get("count", 0)
-        if not count:
-            continue
-        mean = entry.get("sum", 0.0) / count
-        labels = entry.get("labels", {})
-        suffix = f" {labels}" if labels else ""
-        lines.append(f"  {heading}{suffix}: n={count} mean={mean:.4f}s")
-    return lines
-
-
 def render_dashboard(snapshot: dict, *, title: str = "campaign",
                      extra_lines: list[str] | None = None) -> str:
     """One refresh frame of the live campaign dashboard."""
@@ -91,12 +75,9 @@ def render_dashboard(snapshot: dict, *, title: str = "campaign",
                            "phase", "batch phase wall clock", seconds=True)
     lines += _family_lines(snapshot, "repro_batch_kernel_events_total",
                            "event", "batch kernel cache")
-    lines += _family_lines(snapshot, "repro_fleet_leases_total",
-                           "kind", "fleet leases")
-    lines += _family_lines(snapshot, "repro_bus_events_total",
-                           "kind", "bus events")
-    lines += _histogram_lines(snapshot, "repro_bus_latency_seconds",
-                              "bus notification latency")
+    lost = snapshot_value(snapshot, "repro_campaign_chunks_lost_total")
+    if lost:
+        lines.append(f"  chunks lost with a dead worker: {lost:g}")
     if len(lines) == 1:
         lines.append("  (no metrics yet)")
     return "\n".join(lines)

@@ -1,11 +1,10 @@
-"""The fleet-wide metrics registry: one schema for every runtime counter.
+"""The metrics registry: one schema for every runtime counter.
 
-Before this module existed, telemetry lived in four ad-hoc islands — the
+Before this module existed, telemetry lived in ad-hoc islands — the
 ``_PHASE_STATS``/``_KERNEL_STATS`` dicts in ``exec/batch.py``, the
 ``SolverStats`` dataclass in the SMT tier, hit counters inside the two
-sqlite stores, and fleet statistics hand-rolled by the coordinator — none
-sharing a schema or surviving a process boundary.  The registry replaces
-all of them with three metric kinds:
+sqlite stores — none sharing a schema or surviving a process boundary.
+The registry replaces all of them with three metric kinds:
 
 * :class:`Counter` — monotonically increasing totals (events, seconds);
 * :class:`Gauge` — last-written absolute values (bridged snapshots);
@@ -23,8 +22,9 @@ plane serves them as-is; see ``obs/README.md``):
 
 * :meth:`MetricsRegistry.snapshot` — the JSON form (``repro-metrics/1``),
   validated by ``schemas/metrics.schema.json``.  Snapshots from many
-  workers merge with :func:`merge_snapshots` (counters and histograms
-  sum; gauges sum too, so fleet-merged gauges read as totals);
+  processes merge with :func:`merge_snapshots` (counters and histograms
+  sum; gauges sum too, so merged gauges read as totals) — the campaign
+  runner merges its own with the one each pool worker returns per chunk;
 * :meth:`MetricsRegistry.to_prometheus` — the text exposition format.
 
 Naming conventions: ``repro_<subsystem>_<what>[_total|_seconds_total]``,
@@ -315,11 +315,11 @@ def snapshot_family(snapshot: dict, name: str) -> list[dict]:
 
 
 def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Merge many workers' snapshots into one fleet view.
+    """Merge many processes' snapshots into one campaign view.
 
     Counters, gauges, and histogram buckets/sums/counts all *add*: the
-    fleet merge reads as campaign totals (per-worker breakdowns stay
-    available from the individual snapshots the bus retains).
+    merge reads as campaign totals (``CampaignRunner`` feeds it its own
+    snapshot plus the latest one of every pool worker).
     """
     merged: dict = {"format": SNAPSHOT_FORMAT, "counters": {},
                     "gauges": {}, "histograms": {}}

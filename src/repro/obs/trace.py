@@ -10,26 +10,23 @@ Trace identity
     A scenario's trace ID is *minted at spec generation* and is a pure
     function of ``(family, scenario_id, seed)`` — see
     :func:`scenario_trace_id` and ``ScenarioSpec.trace_id``.  Because the
-    distributed control plane re-derives specs deterministically, a lease
-    reclaimed from a crashed worker re-mints the *same* trace IDs: the
-    replacement worker's spans land in the same trace (under its own
-    worker tag), which is exactly the merged timeline an operator wants
-    after a churned unit.
+    spec stream is deterministic, a scenario evaluated again (a resumed
+    campaign re-running a chunk lost with a dead worker, a reproducer
+    rerun) re-mints the *same* trace ID: the second attempt's spans land
+    in the same trace, under the tag of the process that ran it.
 
 Span emission
     :meth:`Tracer.span` is a context manager; the active span lives in a
     ``contextvars.ContextVar`` so nested spans parent automatically —
     through the oracle, the analysis pipeline tiers, and each backend.
-    Ambient attributes (:meth:`Tracer.ambient`) stamp every span opened
-    inside a scope (the distributed worker tags its lease's ``unit_id``
-    this way).  A disabled tracer emits nothing and costs one branch.
+    A disabled tracer emits nothing and costs one branch.
 
 The sink
     Spans are JSONL lines (``repro-span/1``, one object per line — the
     wire format of ``schemas/span.schema.json``) in a *trace directory*.
     Each process appends to its own ``spans-<worker>.jsonl`` via
-    single-``os.write`` ``O_APPEND`` lines (multi-process safe, like the
-    bus) and rotates it to ``.1`` at ``max_bytes``, so a long campaign's
+    single-``os.write`` ``O_APPEND`` lines (multi-process safe) and
+    rotates it to ``.1`` at ``max_bytes``, so a long campaign's
     sink stays bounded while readers merge ``spans-*.jsonl*`` wholesale.
 """
 
@@ -57,16 +54,14 @@ _SPAN_GLOB_PREFIX = "spans-"
 
 _ACTIVE: contextvars.ContextVar["Span | None"] = \
     contextvars.ContextVar("repro_active_span", default=None)
-_AMBIENT: contextvars.ContextVar[dict] = \
-    contextvars.ContextVar("repro_ambient_attrs", default={})
 
 
 def scenario_trace_id(family: str, scenario_id: int, seed: int) -> str:
     """The deterministic per-scenario trace ID.
 
     Derived, not drawn: regenerating a spec (same generator seed, same
-    index) re-mints the identical ID, which is what lets a reclaimed
-    lease's re-evaluation merge into the original trace.
+    index) re-mints the identical ID, which is what lets a resumed
+    campaign's re-evaluation merge into the original trace.
     """
     digest = hashlib.sha1(
         f"scenario:{family}:{scenario_id}:{seed}".encode()).hexdigest()
@@ -183,14 +178,13 @@ class Tracer:
             yield NULL_SPAN
             return
         parent = _ACTIVE.get()
-        ambient = _AMBIENT.get()
         span = Span(
             trace_id=trace_id or (parent.trace_id if parent
                                   else _fresh_id()),
             span_id=_fresh_id(),
             parent_id=parent.span_id if parent else None,
             name=name,
-            attrs={**ambient, **attrs} if ambient else dict(attrs),
+            attrs=dict(attrs),
         )
         token = _ACTIVE.set(span)
         try:
@@ -209,17 +203,6 @@ class Tracer:
         span = _ACTIVE.get()
         if span is not None:
             span.attrs.update(attrs)
-
-    @contextmanager
-    def ambient(self, **attrs):
-        """Stamp every span opened inside this scope with ``attrs``
-        (the distributed worker's lease context rides this)."""
-        merged = {**_AMBIENT.get(), **attrs}
-        token = _AMBIENT.set(merged)
-        try:
-            yield
-        finally:
-            _AMBIENT.reset(token)
 
     # -- the sink -------------------------------------------------------------
 
@@ -296,7 +279,7 @@ def read_spans(directory: str) -> list[dict]:
 
 
 def spans_for_scenario(directory: str, scenario_id: int) -> list[dict]:
-    """One scenario's merged trace: every span (any worker, any lease
+    """One scenario's merged trace: every span (any worker, any
     attempt) whose trace carries the scenario's deterministic trace ID."""
     spans = read_spans(directory)
     trace_ids = {span["trace_id"] for span in spans
@@ -307,8 +290,9 @@ def spans_for_scenario(directory: str, scenario_id: int) -> list[dict]:
 def render_span_tree(spans: list[dict]) -> str:
     """Pretty-print one scenario's span forest (``repro trace show``).
 
-    Spans from distinct workers (a reclaimed lease's two attempts) render
-    as sibling roots of the same trace, each tagged with its worker.
+    Spans from distinct workers (a scenario evaluated twice: lost with a
+    dead worker, then resumed) render as sibling roots of the same trace,
+    each tagged with its worker.
     """
     if not spans:
         return "(no spans)"

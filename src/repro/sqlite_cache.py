@@ -3,7 +3,7 @@
 Both persistent caches (:mod:`repro.campaigns.verdict_store`,
 :mod:`repro.exec.kernel_store`) are one content-addressed ``key → row``
 table with ``created_at`` and ``hits`` columns, in a single sqlite file
-that several campaign or fleet processes write through at once.  What
+that several campaign processes write through at once.  What
 follows from that lives here once, parameterized by the subclass's
 table name: the connection and its pragmas, serialized open-time
 hygiene, hit-decay / age / size retention, the ``store_meta`` side
@@ -94,7 +94,7 @@ class SqliteCache:
             pass  # e.g. unsupported filesystem; rollback journal still works
         # Belt and braces with the connect timeout: make sqlite itself
         # retry on a sibling writer's lock instead of raising
-        # SQLITE_BUSY into a multi-writer campaign fleet.
+        # SQLITE_BUSY into a multi-writer campaign.
         self._conn.execute("PRAGMA busy_timeout=30000")
         self._conn.execute(self.SCHEMA)
         self._conn.execute(_META_SCHEMA)
@@ -191,7 +191,7 @@ class SqliteCache:
 
         ``busy_timeout`` already makes sqlite wait out a sibling's
         transaction, but a writer can still surface ``database is locked``
-        when the wait expires under a pathologically slow fleet member
+        when the wait expires under a pathologically slow sibling writer
         (or a network filesystem hiccup).  Cache writes are idempotent,
         so a short bounded retry is strictly better than killing the
         worker.

@@ -1,13 +1,9 @@
 """CampaignReport.merge() under concurrent/partial inputs, and the
-to_state/from_state serialization the distributed coordinator stores.
+record round trip a resumed campaign replays.
 
-The distributed control plane feeds merge() from JSON-reconstructed unit
-reports that may be partial (aborted workers), empty (a unit whose every
-scenario errored out of retention), or — when a reclaimed lease was
-finished twice — overlapping.  These tests pin the contract: merge is
-*additive* and trusts its inputs to be disjoint; deduplication of
-double-completed units is the coordinator's job (first completion wins),
-which `tests/distributed` covers.
+merge() is fed shard reports that may be partial (aborted shards) or empty.
+These tests pin the contract: merge is *additive* and trusts its inputs to
+be disjoint.
 """
 
 import json
@@ -58,8 +54,7 @@ class TestMergePartialInputs:
 
     def test_overlapping_reproducers_are_additive(self):
         """Two reports carrying the *same* reproducer merge additively —
-        merge trusts its inputs to be disjoint shards; deduping a
-        double-completed unit happens upstream in the coordinator."""
+        merge trusts its inputs to be disjoint shards."""
         a = forced_disagreement_report(seed=1)
         b = forced_disagreement_report(seed=1)
         merged = CampaignReport.merge([a, b])
@@ -96,31 +91,3 @@ class TestStateRoundTrip:
             [(p.pair, p.status) for p in original.pairwise]
         assert [(p.pair, p.detail) for p in rebuilt.divergences] == \
             [(p.pair, p.detail) for p in original.divergences]
-
-    def test_report_state_roundtrip_preserves_aggregates(self):
-        report = small_report(6, keep_results=False)
-        state = json.loads(json.dumps(report.to_state(), default=repr))
-        rebuilt = CampaignReport.from_state(state)
-        assert rebuilt.scenario_count == report.scenario_count
-        assert rebuilt.counters() == report.counters()
-        assert rebuilt.by_family() == report.by_family()
-        assert rebuilt.pairwise_counters() == report.pairwise_counters()
-        assert rebuilt.cache_hit_rate == report.cache_hit_rate
-
-    def test_merge_commutes_with_serialization(self):
-        """merge(from_state(to_state(r))) == merge(r): what makes the
-        coordinator's JSON-stored unit reports sound to live-merge."""
-        shards = [small_report(4, seed=s, keep_results=False)
-                  for s in (1, 2)]
-        direct = CampaignReport.merge(shards)
-        rebuilt = CampaignReport.merge([
-            CampaignReport.from_state(
-                json.loads(json.dumps(s.to_state(), default=repr)))
-            for s in shards
-        ])
-        assert rebuilt.counters() == direct.counters()
-        assert rebuilt.by_family() == direct.by_family()
-        assert rebuilt.pairwise_counters() == direct.pairwise_counters()
-        assert rebuilt.scenario_count == direct.scenario_count
-        assert json.loads(json.dumps(rebuilt.reproducer_seeds())) == \
-            json.loads(json.dumps(direct.reproducer_seeds()))

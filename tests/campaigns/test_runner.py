@@ -11,7 +11,7 @@ from repro.campaigns import (
     ScenarioGenerator,
     run_campaign,
 )
-from repro.campaigns.runner import _chunked
+from repro.campaigns.runner import _chunk_stream
 
 
 class TestConfig:
@@ -25,7 +25,7 @@ class TestConfig:
 
     def test_chunking_covers_everything_in_order(self):
         specs = ScenarioGenerator(0, profile="quick").generate(10)
-        chunks = _chunked(specs, 3)
+        chunks = list(_chunk_stream(iter(specs), 3))
         assert [len(c) for c in chunks] == [3, 3, 3, 1]
         assert [s for c in chunks for s in c] == specs
 

@@ -224,8 +224,8 @@ def _hammer_store(path: str, prefix: str, rows: int) -> None:
 
 
 class TestMultiWriterHardening:
-    """Two+ processes writing through one store simultaneously (the
-    shared write-through mode of distributed campaign fleets)."""
+    """Two+ processes writing through one store simultaneously (pool
+    workers, or several campaigns, sharing one ``--verdict-cache``)."""
 
     def test_concurrent_writers_lose_no_rows(self, tmp_path):
         import multiprocessing

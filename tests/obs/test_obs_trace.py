@@ -1,4 +1,4 @@
-"""The tracer: span nesting, ambient attrs, the JSONL sink, readers."""
+"""The tracer: span nesting, annotations, the JSONL sink, readers."""
 
 import json
 import os
@@ -51,13 +51,11 @@ class TestSpans:
         for record in (inner, outer):
             validate_span(record)
 
-    def test_annotate_and_ambient_attrs(self, tracer, tmp_path):
-        with tracer.ambient(unit_id=4):
-            with tracer.span("work", scenario_id=9):
-                tracer.annotate(decided=True)
+    def test_annotate_attrs(self, tracer, tmp_path):
+        with tracer.span("work", scenario_id=9):
+            tracer.annotate(decided=True)
         (record,) = read_spans(str(tmp_path))
-        assert record["attrs"] == {"unit_id": 4, "scenario_id": 9,
-                                   "decided": True}
+        assert record["attrs"] == {"scenario_id": 9, "decided": True}
 
     def test_exceptions_mark_the_span_errored(self, tracer, tmp_path):
         with pytest.raises(RuntimeError):

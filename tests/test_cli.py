@@ -364,143 +364,67 @@ class TestVerdictsCommand:
         assert "no such file" in capsys.readouterr().err
 
 
-class TestCampaignCoordinator:
-    """The distributed control plane's CLI surface: init → workers →
-    status/watch, planted-disagreement drills, usage errors."""
+def _die_on_scenario_10(chunk, options=None):
+    import os
 
-    def _init(self, path, *extra):
-        return main(["campaign-coordinator", "init", path,
-                     "--scenarios", "8", "--seed", "5",
-                     "--families", "gadget", "--profile", "quick",
-                     "--unit-size", "3", "--chunk-size", "2",
-                     "--abort-on-disagreements", "-1", *extra])
+    from repro.campaigns import oracle
+    if any(spec.scenario_id == 10 for spec in chunk):
+        os._exit(9)
+    return oracle.evaluate_chunk(chunk, options)
 
-    def test_init_worker_status_watch_cycle(self, tmp_path, capsys):
-        path = str(tmp_path / "fleet")
-        assert self._init(path) == 0
+
+class TestCampaignResume:
+    ARGS = ["campaign", "--scenarios", "24", "--seed", "7",
+            "--families", "gadget,caida", "--profile", "quick"]
+
+    def test_resume_needs_the_stream_out_file(self, capsys):
+        assert main(self.ARGS + ["--resume"]) == 2
+        assert "--stream-out" in capsys.readouterr().err
+
+    def test_dead_worker_exits_1_with_the_report_then_resumes(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.campaigns import runner
+
+        path = str(tmp_path / "r.jsonl")
+        args = self.ARGS + ["--jobs", "2", "--chunk-size", "4",
+                            "--stream-out", path]
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "evaluate_chunk", _die_on_scenario_10)
+            assert main(args) == 1
         out = capsys.readouterr().out
-        assert "8 scenarios in 3 work units" in out
-
-        assert main(["campaign", "--coordinator", path,
-                     "--worker-id", "w1"]) == 0
+        assert "aborted early: worker process died" in out
+        assert "chunk lost: BrokenProcessPool" in out
+        assert main(args + ["--resume"]) == 0
         out = capsys.readouterr().out
-        assert "fleet: 1 worker(s), units 3/3 done" in out
+        assert "campaign: 24 scenarios" in out and "resumed: " in out
+        assert "aborted" not in out and "errors" not in out
 
-        assert main(["campaign-coordinator", "status", path]) == 0
-        out = capsys.readouterr().out
-        assert "campaign: done" in out
-        assert "8/8 evaluated" in out
+    def test_interrupted_run_resumes_to_the_whole_campaign(self, tmp_path,
+                                                           capsys):
+        path = str(tmp_path / "r.jsonl")
+        args = self.ARGS + ["--stream-out", path]
+        assert main(args + ["--budget-s", "0"]) == 0
+        assert "aborted early" in capsys.readouterr().out
+        assert main(args + ["--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert "resumed: 8 of 24" in resumed
+        assert main(self.ARGS) == 0
+        fresh = capsys.readouterr().out
+        tables = [text[text.index("  outcome counters:"):]
+                  for text in (resumed, fresh)]
+        assert tables[0] == tables[1]
 
-        assert main(["campaign-coordinator", "watch", path,
-                     "--interval", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "outcome counters" in out
-
-    def test_status_json_carries_the_merged_report(self, tmp_path, capsys):
-        import json
-
-        path = str(tmp_path / "fleet")
-        self._init(path)
-        main(["campaign", "--coordinator", path, "--worker-id", "w1"])
+    def test_another_campaigns_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "r.jsonl"
+        assert main(self.ARGS + ["--stream-out", str(path)]) == 0
+        before = path.read_bytes()
         capsys.readouterr()
-        assert main(["campaign-coordinator", "status", path,
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["status"] == "done"
-        assert payload["report"]["scenarios"] == 8
-        assert sum(payload["report"]["counters"].values()) == 8
-
-    def test_planted_disagreement_drill_aborts_and_gates(self, tmp_path,
-                                                         capsys):
-        path = str(tmp_path / "fleet")
-        assert main(["campaign-coordinator", "init", path,
-                     "--scenarios", "12", "--seed", "5",
-                     "--families", "gadget", "--profile", "quick",
-                     "--unit-size", "3", "--chunk-size", "2",
-                     "--plant-disagreement", "0",
-                     "--abort-on-disagreements", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "planted disagreement drill" in out
-        # The drill must fail the worker's gate (exit 1) and stop the
-        # fleet before the stream runs dry.
-        assert main(["campaign", "--coordinator", path,
-                     "--worker-id", "w1"]) == 1
-        out = capsys.readouterr().out
-        assert "disagreement limit reached" in out
-        assert main(["campaign-coordinator", "watch", path,
-                     "--interval", "0.1"]) == 1
-        out = capsys.readouterr().out
-        assert "aborted" in out
-
-    def test_worker_resumes_partially_finished_campaign(self, tmp_path,
-                                                        capsys):
-        path = str(tmp_path / "fleet")
-        self._init(path)
-        from repro.distributed import CampaignCoordinator, DistributedWorker
-        coordinator = CampaignCoordinator.attach(path)
-        DistributedWorker(coordinator, worker_id="partial",
-                          max_units=1).run()
-        coordinator.close()
-        capsys.readouterr()
-        assert main(["campaign", "--coordinator", path,
-                     "--worker-id", "resumer"]) == 0
-        out = capsys.readouterr().out
-        assert "campaign: 8 scenarios" in out
-
-    def test_double_init_is_a_usage_error(self, tmp_path, capsys):
-        path = str(tmp_path / "fleet")
-        self._init(path)
-        capsys.readouterr()
-        assert self._init(path) == 2
-        assert "already" in capsys.readouterr().err
-
-    def test_uninitialized_directory_is_a_usage_error(self, tmp_path,
-                                                      capsys):
-        path = str(tmp_path / "nope")
-        assert main(["campaign-coordinator", "status", path]) == 2
-        assert main(["campaign", "--coordinator", path]) == 2
-        err = capsys.readouterr().err
-        assert "campaign rejected" in err
-
-    def test_bad_plan_values_are_usage_errors(self, tmp_path, capsys):
-        path = str(tmp_path / "fleet")
-        assert main(["campaign-coordinator", "init", path,
-                     "--scenarios", "0"]) == 2
-        assert "coordinator rejected" in capsys.readouterr().err
-
-    def test_init_validates_plan_inputs_up_front(self, tmp_path, capsys):
-        """Bad families/backends/plant ids fail at init with exit 2 —
-        not in every worker after it leased a unit."""
-        base = ["campaign-coordinator", "init", "--scenarios", "8"]
-        assert main(base + [str(tmp_path / "a"),
-                            "--families", "typo-family"]) == 2
-        assert "coordinator rejected" in capsys.readouterr().err
-        assert main(base + [str(tmp_path / "b"),
-                            "--backends", "rapidnet"]) == 2
-        assert "coordinator rejected" in capsys.readouterr().err
-        assert main(base + [str(tmp_path / "c"),
-                            "--plant-disagreement", "notanint"]) == 2
-        assert "coordinator rejected" in capsys.readouterr().err
-        assert main(base + [str(tmp_path / "d"),
-                            "--abort-on-disagreements", "0"]) == 0
-        assert "initialized campaign" in capsys.readouterr().out
-
-    def test_watch_does_not_hang_on_a_dead_fleet(self, tmp_path, capsys):
-        """All workers SIGKILLed: nothing ever advances campaign status,
-        so watch must diagnose the dead fleet instead of polling forever."""
-        import time as _time
-
-        path = str(tmp_path / "fleet")
-        assert main(["campaign-coordinator", "init", path,
-                     "--scenarios", "8", "--unit-size", "4",
-                     "--lease-ttl-s", "0.05"]) == 0
-        from repro.distributed import CampaignCoordinator
-        coordinator = CampaignCoordinator.attach(path)
-        # A worker registers (acquires a lease) and then dies silently.
-        assert coordinator.acquire("doomed") is not None
-        coordinator.close()
-        _time.sleep(0.15)  # past 2x the lease TTL: the worker reads dead
-        capsys.readouterr()
-        assert main(["campaign-coordinator", "watch", path,
-                     "--interval", "0.05"]) == 1
-        assert "no live workers" in capsys.readouterr().err
+        assert main(["campaign", "--scenarios", "24", "--seed", "8",
+                     "--families", "gadget,caida", "--profile", "quick",
+                     "--stream-out", str(path), "--resume"]) == 2
+        assert "cannot resume" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        path.write_text("not json\n")
+        assert main(self.ARGS + ["--stream-out", str(path),
+                                 "--resume"]) == 2
+        assert path.read_text() == "not json\n"
