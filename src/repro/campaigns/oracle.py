@@ -4,11 +4,14 @@ Every scenario takes one path, alone or in a chunk:
 
 1. the **chunk pass** (:func:`_prepare_chunk`; a direct :func:`evaluate`
    is a chunk of one) materializes each spec once, asks the ``batch``
-   backend once whether it admits the scenario, and runs the admitted
-   members through ``prepare_batch(...).run(partial=True)`` — the only
-   way a batch outcome is produced.  A kernel group that declines at
-   run time leaves its members without one (nothing retries); any other
-   exception makes every admitted member an ``ERROR`` result;
+   backend once to admit the scenario — ``supports`` scans, keys, looks
+   the kernel up and returns the compiled problem, or counts a typed
+   refusal — and runs the admitted problems through
+   ``prepare_batch(...).run()``, the only way a batch outcome is
+   produced.  A kernel group that declines at run time leaves its
+   members without one (nothing retries); an exception in
+   materialization or admission is that spec's ``ERROR`` result, one in
+   the batch run makes every admitted member an ``ERROR`` result;
 2. :func:`evaluate` obtains the safety verdict — from the tiered
    :class:`~repro.analysis.pipeline.AnalysisPipeline` (certificates →
    dispute digraph → incremental SMT; the result's ``method`` records
@@ -251,7 +254,8 @@ class _Prepared:
     #: The vectorized pass's outcome (None: ``batch`` not configured,
     #: scenario refused, or its kernel group declined at run time).
     batch: ExecutionOutcome | None = None
-    #: ``ERROR`` text: ``materialize`` or the chunk's batch pass raised.
+    #: ``ERROR`` text: ``materialize``, this spec's admission or the
+    #: chunk's batch run raised.
     error: str | None = None
 
 
@@ -273,30 +277,33 @@ def _prepare_chunk(specs: list[ScenarioSpec],
         batch = get_backend(_BATCH)
     prepared: list[_Prepared] = []
     admitted: list[_Prepared] = []
+    problems = []  # what ``supports`` compiled, aligned with ``admitted``
     for spec in specs:
         started = time.perf_counter()
-        try:
-            scenario = materialize(spec)
-        except Exception as exc:  # noqa: BLE001 — this spec's ERROR result
-            prepared.append(_Prepared(None, time.perf_counter() - started,
-                                      error=_error_text(exc)))
-            continue
-        entry = _Prepared(scenario, time.perf_counter() - started)
+        entry = _Prepared(None, 0.0)
         prepared.append(entry)
-        if batch is not None and batch.supports(scenario):
+        try:
+            try:
+                entry.scenario = materialize(spec)
+            finally:
+                entry.materialize_s = time.perf_counter() - started
+            problem = batch is not None and batch.supports(entry.scenario)
+        except Exception as exc:  # noqa: BLE001 — this spec's ERROR result
+            entry.error = _error_text(exc)
+            continue
+        if problem:
             admitted.append(entry)
+            problems.append(problem)
     if admitted:
         try:
             with TRACER.span("batch:chunk", scenarios=len(admitted)):
-                outcomes = batch.prepare_batch(
-                    [entry.scenario for entry in admitted]).run(partial=True)
+                outcomes = batch.prepare_batch(problems).run()
         except Exception as exc:  # noqa: BLE001 — loud: ERROR, not scalar
             text = _error_text(exc)
             for entry in admitted:
                 entry.error = text
         else:
-            # partial=True yields None for kernel groups that declined at
-            # run time (monotone-mode horizon bail, hazard tie).
+            # None for kernel groups that declined at run time.
             for entry, outcome in zip(admitted, outcomes):
                 entry.batch = outcome
     return prepared

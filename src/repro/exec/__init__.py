@@ -1,7 +1,7 @@
 """Pluggable execution backends for differential campaigns.
 
-Every way of *running* a routing scenario lives behind one contract
-(:class:`ExecutionBackend` → :class:`ExecutionSession` →
+Every scalar way of *running* a routing scenario lives behind one
+contract (:class:`ExecutionBackend` → :class:`ExecutionSession` →
 :class:`ExecutionOutcome`), so the campaign oracle can execute a scenario
 on N independent implementations and cross-check their route tables:
 
@@ -14,9 +14,11 @@ on N independent implementations and cross-check their route tables:
   :meth:`ExecutionBackend.supports`);
 * ``batch`` (:class:`BatchBackend`) — the vectorized fixpoint engine:
   strictly monotonic algebras tabulated to integer preference ranks and
-  relaxed over numpy, thousands of scenarios per call via
-  :meth:`BatchBackend.prepare_batch`; the scalar engines stay the
-  differential ground truth.
+  relaxed over numpy, thousands of scenarios per call.  Not an
+  :class:`ExecutionBackend`: its contract is ``supports`` →
+  ``prepare_batch`` → ``run``, producing the same
+  :class:`ExecutionOutcome`; the scalar engines stay the differential
+  ground truth.
 
 See ``src/repro/exec/README.md`` for the backend contract and the
 checklist for adding further backends.
@@ -30,13 +32,13 @@ from .base import (
     route_set_mismatches,
     schedule_events,
 )
-from .batch import BatchBackend, BatchSession
+from .batch import BatchBackend
 from .gpv import GPVBackend, GPVSession
 from .hlp import HLPBackend, HLPSession
 from .ndlog import NDlogBackend, NDlogSession
 
 #: Registry of backend name → singleton instance (backends are stateless).
-BACKENDS: dict[str, ExecutionBackend] = {
+BACKENDS: dict[str, "ExecutionBackend | BatchBackend"] = {
     GPVBackend.name: GPVBackend(),
     NDlogBackend.name: NDlogBackend(),
     HLPBackend.name: HLPBackend(),
@@ -47,7 +49,7 @@ BACKENDS: dict[str, ExecutionBackend] = {
 DEFAULT_BACKENDS = (GPVBackend.name,)
 
 
-def get_backend(name: str) -> ExecutionBackend:
+def get_backend(name: str) -> "ExecutionBackend | BatchBackend":
     """Look up a backend by registry name (``KeyError`` with choices)."""
     try:
         return BACKENDS[name]
@@ -74,7 +76,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKENDS",
     "BatchBackend",
-    "BatchSession",
     "ExecutionBackend",
     "ExecutionOutcome",
     "ExecutionSession",

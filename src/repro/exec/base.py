@@ -21,8 +21,12 @@ The lifecycle is three calls:
    returns an :class:`ExecutionOutcome`: converged/diverged status, the
    final best-route table, and message/byte statistics.
 
-That lifecycle is the whole contract: ``prepare_batch(scenarios)``, many
-scenarios per call, is :class:`~repro.exec.batch.BatchBackend`'s alone.
+That lifecycle is the whole scalar contract.  The vectorized
+:class:`~repro.exec.batch.BatchBackend` does not implement it — it has no
+simulator, no timeline and no ``prepare``: its own contract is
+``supports(scenario)`` (admission, returning the compiled problem) →
+``prepare_batch(problems)`` → ``run()``, many scenarios per call, ending
+in the same :class:`ExecutionOutcome`.
 
 Backends never see campaign types: a "scenario" is anything with
 ``network`` / ``algebra`` / ``destinations`` attributes, and an "event" is
@@ -173,16 +177,7 @@ def schedule_events(session: ExecutionSession,
     Scheduling happens *before* the run, at sim time 0, so the failure /
     perturbation timeline is identical for every backend evaluating the
     same spec — the property the differential oracle depends on.
-
-    Sessions without a simulator of their own (the ``batch`` backend
-    computes the converged table of the *final* topology directly, so
-    there is no timeline to schedule on) expose ``schedule(events)``
-    instead, and receive the schedule wholesale.
     """
-    schedule = getattr(session, "schedule", None)
-    if schedule is not None:
-        schedule(list(events))
-        return
     for event in events:
         session.sim.at(event.time, lambda e=event: session.apply_event(e))
 

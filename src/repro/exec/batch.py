@@ -45,19 +45,27 @@ interleaving, or advertisement batching.  So instead of simulating, it:
    hazard-mode tie check fires, or the iteration fails to settle does
    the group **decline at run time** (:class:`BatchDeclined`).
 
-Scenarios whose semantics the fixpoint shortcut cannot reproduce are
-declared unsupported (see :meth:`BatchBackend.supports`) and stay on the
-scalar engines.  Those engines — generated from the same algebra — are
-the only equivalence oracle: the scalar↔batched differential in the
-campaign oracle and the fixed-seed equality gate in ``benchmarks/`` keep
-the fast path honest.
+This is not a scalar-lifecycle backend — no ``prepare``, no simulator,
+no session per scenario.  Its contract is ``supports → prepare_batch →
+run``: :meth:`BatchBackend.supports` is **admission**, the one pass that
+scans, keys, looks the kernel up and compiles, and it returns what it
+computed (the scenario's :class:`_Problem`) or ``None``;
+:meth:`VectorizedBatchSession.run` only groups those problems by kernel,
+relaxes and renders.  Every verdict is one increment of
+``repro_batch_admission_total{family,outcome,reason}`` over a fixed
+vocabulary: ``admitted`` (``none``), ``refused`` (reasons at
+:meth:`BatchBackend.supports`) and — on top, for admitted members of a
+group that bails at run time — ``declined`` (:class:`BatchDeclined`).
+Either way the scenario stays on the scalar engines, which — generated
+from the same algebra — are the only equivalence oracle.  Anything that
+is not a typed refusal or decline is a bug and propagates.
 
-Tabulation cost is amortized three ways: a per-algebra-instance memo, a
+The kernel lookup runs once per scanned scenario, in this order: a
 process-wide cache under canonical kernel keys (:func:`kernel_key_of`,
-the one place a key is rendered), and an optional **persistent kernel
-store** (:mod:`repro.exec.kernel_store`, enabled via
-:func:`configure_kernel_store` or ``$REPRO_BATCH_KERNEL_CACHE``) shared
-by pool workers and repeat campaigns.
+the one place a key is rendered), an optional **persistent kernel
+store** (:mod:`repro.exec.kernel_store`, :func:`configure_kernel_store`
+or ``$REPRO_BATCH_KERNEL_CACHE``) shared by pool workers and repeat
+campaigns, then tabulation.
 
 numpy is optional: without it the backend simply supports nothing, so
 campaigns degrade to the scalar engines instead of failing to import.
@@ -65,7 +73,6 @@ campaigns degrade to the scalar engines instead of failing to import.
 
 from __future__ import annotations
 
-import copy
 import gc
 import os
 import pickle
@@ -84,10 +91,10 @@ from ..algebra.hlp import HLPCostAlgebra
 from ..algebra.spp import SPPAlgebra
 from ..net.simulator import StopReason
 from ..obs import metrics as _obs_metrics
-from .base import ExecutionBackend, ExecutionOutcome, ExecutionSession
+from .base import ExecutionOutcome
 
 if TYPE_CHECKING:
-    from ..campaigns.scenarios import ResolvedEvent, Scenario
+    from ..campaigns.scenarios import Scenario
 
 #: Structural limits of the kernel: the ordinal table must stay small
 #: enough that tabulation is cheaper than the simulations it replaces.
@@ -103,8 +110,9 @@ DEEPEN_STEP = 64
 MAX_DEEPEN_DEPTH = 256
 _MAX_DEEPEN_ATTEMPTS = 3
 
-#: algebra canonical key + observed label set -> kernel (None = unsupported).
-_KERNEL_CACHE: dict[tuple, "_Kernel | None"] = {}
+#: algebra canonical key + observed label set -> kernel, or the reason
+#: (a ``str``) the vocabulary was refused.
+_KERNEL_CACHE: dict[tuple, "_Kernel | str"] = {}
 _KERNEL_CACHE_MAX = 256
 
 #: Environment variable naming the persistent kernel store (sqlite).
@@ -113,47 +121,45 @@ KERNEL_CACHE_ENV = "REPRO_BATCH_KERNEL_CACHE"
 #: Round budget multiplier for the monotone-mode Jacobi iteration.
 _MONOTONE_ROUND_SLACK = 4
 
-#: Kernel amortization counters, now series of the process metrics
-#: registry (``repro_batch_kernel_events_total{event=...}`` plus the
-#: tabulation wall-clock total).  The dict views below keep their
-#: historical shapes; the registry is the single source of truth.
+#: Kernel amortization counters: registry series
+#: ``repro_batch_kernel_events_total{event}`` — process-cache and store
+#: hits/misses, closures actually tabulated, groups that declined at run
+#: time — plus the tabulation wall-clock total;
+#: :func:`kernel_cache_stats` is a view over them.
 _KERNEL_EVENTS = {
     name: _obs_metrics.counter("repro_batch_kernel_events_total",
                                event=name)
-    for name in (
-        "memo_hits",        # per-algebra-instance memo
-        "cache_hits",       # process-wide canonical-key cache
-        "cache_misses",
-        "store_hits",       # persistent kernel store
-        "store_misses",
-        "tabulations",      # closures actually computed this process
-        "runtime_declines",  # monotone-mode BatchDeclined bails
-    )
+    for name in ("cache_hits", "cache_misses", "store_hits",
+                 "store_misses", "tabulations", "runtime_declines")
 }
 _TABULATION_SECONDS = _obs_metrics.counter(
     "repro_batch_tabulation_seconds_total")
 
-#: Per-phase telemetry of the vectorized session (wall time by phase,
-#: relaxation rounds-per-fixpoint histogram, state size, and the
-#: deepening / hazard counters).  Snapshot via :func:`batch_phase_stats`.
+
+def _count_admission(scenario: "Scenario", outcome: str,
+                     reason: str = "none") -> None:
+    """One verdict on one scenario: ``admitted`` / ``refused`` at
+    admission, ``declined`` at run time (vocabulary: module docstring)."""
+    _obs_metrics.counter(
+        "repro_batch_admission_total", outcome=outcome, reason=reason,
+        family=getattr(scenario.spec, "family", "unknown")).inc()
+
+
+#: Per-phase telemetry (snapshot via :func:`batch_phase_stats`): wall
+#: time of admission's topology scan + problem compilation (``scan``)
+#: and kernel lookup, any tier (``tabulate``), of the relaxation proper
+#: and of outcome rendering; Σ state-vector length over all groups,
+#: bounded-hole deepenings performed, Jacobi tie-hazard bails (a subset
+#: of the run-time declines).
 _PHASE_SECONDS = {
     phase: _obs_metrics.counter("repro_batch_phase_seconds_total",
                                 phase=phase)
-    for phase in (
-        "scan",      # topology scan + problem compilation
-        "tabulate",  # kernel lookup/tabulation (all cache tiers)
-        "relax",     # the relaxation proper
-        "render",    # outcome (route table) rendering
-    )
+    for phase in ("scan", "tabulate", "relax", "render")
 }
 _PHASE_EVENTS = {
     name: _obs_metrics.counter("repro_batch_relax_events_total",
                                event=name)
-    for name in (
-        "state_cells",      # Σ state-vector length over all groups
-        "deepenings",       # bounded-hole closure deepenings performed
-        "hazard_declines",  # Jacobi tie-hazard bails (subset of declines)
-    )
+    for name in ("state_cells", "deepenings", "hazard_declines")
 }
 
 #: rounds-to-fixpoint histogram family; labeled per observed round count,
@@ -196,16 +202,17 @@ _STORE_RESOLVED = False
 
 
 class BatchDeclined(RuntimeError):
-    """A supported-looking scenario must fall back to scalar at run time.
+    """An admitted kernel group must fall back to scalar at run time.
 
-    Raised only by *monotone-mode* kernels: their Jacobi iteration is
-    sound exactly while every transient value stays inside the tabulated
-    closure, so reading a beyond-horizon hole — or failing to settle
-    within the round budget — aborts the batch answer rather than risk a
-    wrong one.  It means "scenario not batchable after all", never an
-    execution error: ``run(partial=True)`` turns it into ``None``
-    outcomes for the group, and the oracle keeps those members' scalar
-    results without a ``batch`` cross-check.
+    Raised only by *monotone-mode* kernels, whose Jacobi iteration is
+    sound exactly while every transient stays inside the tabulated
+    closure: a beyond-horizon hole read with deepening exhausted
+    (``horizon``), no settling within the round budget
+    (``round-budget``) or a competing hazard tie (``hazard-tie``) aborts
+    the batch answer rather than risk a wrong one — the message is that
+    reason.  Never an execution error: ``run()`` yields ``None`` for the
+    group's members and the oracle keeps their scalar results without a
+    ``batch`` cross-check.
     """
 
 
@@ -214,6 +221,9 @@ def kernel_cache_stats() -> dict:
     out = {name: int(handle.value)
            for name, handle in _KERNEL_EVENTS.items()}
     out["tabulation_s"] = _TABULATION_SECONDS.value
+    # benchmarks/e2e/ledger.py still indexes the retired per-instance
+    # memo tier: 0 until a ``benchmark`` PR drops ``kernel_memo_hits``.
+    out["memo_hits"] = 0
     return out
 
 
@@ -432,7 +442,7 @@ def _classify_kernel(trans, pref_class, phi_id: int, hole_id: int
 
 
 class _Unbatchable(Exception):
-    """Internal: the closure/tables violate a batchability invariant."""
+    """Internal: admission refuses the scenario; the message is the reason."""
 
 
 def _close_signatures(algebra: RoutingAlgebra, ordered_keys: list,
@@ -459,12 +469,12 @@ def _close_signatures(algebra: RoutingAlgebra, ordered_keys: list,
                 if extended is PHI:
                     continue
                 if algebra.preference(sig, extended) is not Pref.BETTER:
-                    raise _Unbatchable("not strictly monotonic")
+                    raise _Unbatchable("not-strictly-monotonic")
                 if extended not in seen:
                     seen.add(extended)
                     fresh.append(extended)
                     if len(seen) > MAX_SIGNATURES:
-                        raise _Unbatchable("closure over size budget")
+                        raise _Unbatchable("closure-budget")
         frontier = fresh
 
 
@@ -495,7 +505,7 @@ def _finish_kernel(algebra: RoutingAlgebra, ordered_keys: list,
                 if extended is not PHI \
                         and algebra.preference(sig, extended) \
                         is not Pref.BETTER:
-                    raise _Unbatchable("not strictly monotonic")
+                    raise _Unbatchable("not-strictly-monotonic")
             if extended is PHI:
                 continue
             ti = id_get(extended)
@@ -506,7 +516,7 @@ def _finish_kernel(algebra: RoutingAlgebra, ordered_keys: list,
                 hole_count += 1
                 continue
             if ti <= si:  # a rank tie would break the id ordering
-                raise _Unbatchable("rank tie")
+                raise _Unbatchable("rank-tie")
             trans[ki, si] = ti
     pref_class = _pref_classes(algebra, sigs)
     # The hole-aware gate: which relaxation the tables license.  Strict
@@ -527,13 +537,15 @@ def _finish_kernel(algebra: RoutingAlgebra, ordered_keys: list,
 
 def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
                   origin_labels: Iterable[Hashable],
-                  depth: int = MAX_CLOSURE_DEPTH) -> "_Kernel | None":
-    """Tabulate ``algebra`` over a transfer vocabulary; None if unbatchable.
+                  depth: int = MAX_CLOSURE_DEPTH) -> _Kernel:
+    """Tabulate ``algebra`` over a transfer vocabulary, or refuse it.
 
-    Unsupported means: the reachable closure does not stay within the
-    size budget, or some tabulated extension is not *strictly* worse
-    than its source signature (without strict monotonicity the fixpoint
-    need not equal the protocol's outcome, or even be unique).
+    :class:`_Unbatchable` means: the reachable closure outgrows the
+    size budget, some extension is not *strictly* worse than its source
+    (without strict monotonicity the fixpoint need not equal the
+    protocol's outcome, or even be unique), or the algebra defines no ⊕
+    over an observed label (``KeyError`` / ``NotImplementedError``, as
+    in :func:`_origin_sig`).  Any other exception is a bug and surfaces.
 
     The closure is *depth*-truncated, not required to be closed:
     additive metrics (shortest-path, hop counts) have infinite signature
@@ -547,17 +559,17 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
     horizon out along just the rows a Jacobi transient actually touched.
     """
     ordered_keys = sorted(set(keys), key=repr)
+    origin = {label: _origin_sig(algebra, label)
+              for label in sorted(set(origin_labels), key=repr)}
+    seen = {sig for sig in origin.values() if sig is not PHI}
+    ext: dict = {}
     try:
-        origin = {label: _origin_sig(algebra, label)
-                  for label in sorted(set(origin_labels), key=repr)}
-        seen = {sig for sig in origin.values() if sig is not PHI}
-        ext: dict = {}
         _close_signatures(algebra, ordered_keys, seen, list(seen),
                           depth, ext)
         return _finish_kernel(algebra, ordered_keys, origin, seen, ext,
                               depth)
-    except Exception:  # noqa: BLE001 - exotic algebra => scalar engines
-        return None
+    except (KeyError, NotImplementedError) as undefined:
+        raise _Unbatchable("unlabelled-link") from undefined
 
 
 def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
@@ -570,8 +582,8 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
     extensions must be tabulable too), the tables are rebuilt, and the
     kernel is mutated **in place** so every cache tier holding this
     object serves the deepened tables.  Returns False when the depth cap
-    is reached, the rebuild fails, or the kernel lacks its algebra ref
-    (then the caller declines to scalar as before).
+    is reached, the rebuild is refused (as :func:`_build_kernel` would)
+    or the kernel lacks its algebra ref: the caller declines to scalar.
     """
     algebra = kernel.algebra
     if algebra is None or kernel.depth >= MAX_DEEPEN_DEPTH:
@@ -603,10 +615,10 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
                           DEEPEN_STEP, ext)
         rebuilt = _finish_kernel(algebra, ordered_keys, origin, seen, ext,
                                  new_depth)
-    except Exception:  # noqa: BLE001 - deepening is best-effort
+    except (_Unbatchable, KeyError, NotImplementedError):
         return False
-    # In-place mutation: the per-instance memo, the process cache and
-    # every _Problem in flight hold *this* object.
+    # In-place mutation: the process cache and every _Problem in flight
+    # hold *this* object.
     for slot in ("sigs", "sig_id", "phi_id", "hole_id", "key_id", "trans",
                  "origin_id", "pref_class", "mode", "hole_count",
                  "tie_class", "hazard", "depth"):
@@ -661,9 +673,9 @@ def _active_store():
     return _STORE
 
 
-def _encode_kernel(kernel: "_Kernel | None") -> bytes | None:
-    """Kernel -> store payload (None encodes a cached negative result)."""
-    if kernel is None:
+def _encode_kernel(kernel: "_Kernel | str") -> bytes | None:
+    """Kernel -> store payload (a refusal is NULL: no reason stored)."""
+    if isinstance(kernel, str):
         return None
     ordered_keys = sorted(kernel.key_id, key=kernel.key_id.get)
     return pickle.dumps({
@@ -682,9 +694,9 @@ def _encode_kernel(kernel: "_Kernel | None") -> bytes | None:
     }, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _decode_kernel(payload: bytes | None) -> "_Kernel | None":
+def _decode_kernel(payload: bytes | None) -> "_Kernel | str":
     if payload is None:
-        return None
+        return "stored-negative"
     body = pickle.loads(payload)
     trans = _np.frombuffer(body["trans"], dtype=_np.int32) \
         .reshape(body["shape"]).copy()
@@ -699,27 +711,6 @@ def _decode_kernel(payload: bytes | None) -> "_Kernel | None":
                    depth=body["depth"])
 
 
-def _canonical_repr(algebra: RoutingAlgebra) -> str:
-    """``repr(canonical_key(algebra))``, memoized on the instance.
-
-    Canonicalizing a table algebra is a refinement search, paid once per
-    materialized instance (``canonical_key`` is total over
-    :class:`RoutingAlgebra`: past its budgets it falls back to a
-    name-faithful rendering, it never raises).
-    """
-    cached = getattr(algebra, "_batch_canonical_repr", None)
-    if cached is not None:
-        return cached
-    from ..campaigns.canonical import canonical_key
-
-    rendered = repr(canonical_key(algebra))
-    try:
-        algebra._batch_canonical_repr = rendered
-    except AttributeError:  # __slots__ algebra: recompute per call
-        pass
-    return rendered
-
-
 def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
     """The canonical kernel key of a scenario's batch execution.
 
@@ -729,36 +720,31 @@ def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
     scenarios, seeds, chunks and (through the kernel store) processes.
     Scenarios sharing it share one tabulation *and* one relaxation
     call.  ``scan`` is the scenario's :func:`_scan_topology`, if at hand.
+    (``canonical_key`` is total: past its budgets it renders
+    name-faithfully, it never raises.)
     """
+    from ..campaigns.canonical import canonical_key
+
     keys, origin_labels, _edges = scan or _scan_topology(scenario)
-    return (_canonical_repr(scenario.algebra),
+    return (repr(canonical_key(scenario.algebra)),
             tuple(sorted(repr(k) for k in keys)),
             tuple(sorted(repr(l) for l in origin_labels)))
 
 
-def _kernel_for(scenario: "Scenario", scan: tuple) -> "_Kernel | None":
-    """The scenario's kernel: instance memo, process cache, store, build.
-
-    Admission (:meth:`BatchBackend.supports`) renders the key and pays
-    whichever tier answers; the batched ``run()`` over the same
-    materialized scenario then finds the kernel in the algebra
-    instance's memo without rendering anything.
-    """
+def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
+    """The scenario's kernel — process cache, kernel store, tabulation:
+    the whole lookup, run once per scanned scenario by admission.  A
+    refused vocabulary raises :class:`_Unbatchable` (the cache keeps the
+    reason; a negative store row reads ``stored-negative``)."""
     keys, origin_labels, _edges = scan
-    algebra = scenario.algebra
-    vocab = (frozenset(keys), frozenset(origin_labels))
-    memo = getattr(algebra, "_batch_kernel_memo", None)
-    if memo is not None and vocab in memo:
-        _KERNEL_EVENTS["memo_hits"].inc()
-        return memo[vocab]
     key = kernel_key_of(scenario, scan)
-    if key in _KERNEL_CACHE:
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is not None:
         _KERNEL_EVENTS["cache_hits"].inc()
     else:
         _KERNEL_EVENTS["cache_misses"].inc()
         if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
             _KERNEL_CACHE.clear()
-        kernel = _UNSET = object()
         store = _active_store()
         if store is not None:
             try:
@@ -769,35 +755,33 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> "_Kernel | None":
                 try:
                     kernel = _decode_kernel(payload)
                     _KERNEL_EVENTS["store_hits"].inc()
-                except Exception:  # noqa: BLE001 - stale/corrupt row
-                    kernel = _UNSET
-            if kernel is _UNSET:
+                except (pickle.UnpicklingError, KeyError, ValueError,
+                        EOFError):  # stale/corrupt row: rebuild
+                    pass
+            if kernel is None:
                 _KERNEL_EVENTS["store_misses"].inc()
-        if kernel is _UNSET:
+        if kernel is None:
             started = time.perf_counter()
-            kernel = _build_kernel(algebra, keys, origin_labels)
+            try:
+                kernel = _build_kernel(scenario.algebra, keys,
+                                       origin_labels)
+            except _Unbatchable as refusal:
+                kernel = str(refusal)
             _KERNEL_EVENTS["tabulations"].inc()
             _TABULATION_SECONDS.inc(time.perf_counter() - started)
             if store is not None:
                 try:
                     store.put(repr(key), _encode_kernel(kernel),
-                              depth=0 if kernel is None else kernel.depth)
+                              depth=getattr(kernel, "depth", 0))
                 except sqlite3.Error:  # cache write, best-effort
                     pass
         _KERNEL_CACHE[key] = kernel
-    kernel = _KERNEL_CACHE[key]
-    if kernel is not None:
-        # Late attachment: deepening needs a live algebra to extend the
-        # closure with, and the store key to write the result through.
-        if kernel.algebra is None:
-            kernel.algebra = algebra
-        kernel.cache_key = repr(key)
-    try:
-        if memo is None:
-            memo = algebra._batch_kernel_memo = {}
-        memo[vocab] = kernel
-    except AttributeError:  # __slots__ algebra: process cache still applies
-        pass
+    if isinstance(kernel, str):
+        raise _Unbatchable(kernel)
+    # Deepening needs a live algebra and the store key to write through.
+    if kernel.algebra is None:
+        kernel.algebra = scenario.algebra
+    kernel.cache_key = repr(key)
     return kernel
 
 
@@ -1002,88 +986,60 @@ class _Problem:
 
 
 class VectorizedBatchSession:
-    """All scenarios of one batch relaxed simultaneously.
+    """All admitted scenarios of one batch relaxed simultaneously.
 
-    ``BatchBackend.prepare_batch(scenarios)`` builds one and :meth:`run`
-    returns one outcome per input scenario, index-aligned.  The session
-    only *reads* its scenarios: each event schedule is folded into the
-    edge list and origin seeds it compiles, never into the network, so
-    the caller can hand the very same scenario to a scalar session
-    afterwards.  Scenarios may mix algebras/families: problems are
-    grouped per kernel and each group is one flat struct-of-arrays
-    relaxation, in whatever order the scenarios arrive.
+    Built by ``BatchBackend.prepare_batch`` over what ``supports``
+    returned; :meth:`run` returns one outcome per problem,
+    index-aligned.  Admission compiled everything scenario-specific and
+    only *read* the scenario, so the caller can hand the same object to
+    a scalar session afterwards.  Problems may mix algebras/families:
+    each kernel's group is one flat struct-of-arrays relaxation, in
+    whatever order they arrive.
     """
 
-    def __init__(self, scenarios: Iterable["Scenario"]):
-        if _np is None:
-            raise RuntimeError(
-                "the batch backend requires numpy (not installed)")
-        self.scenarios = list(scenarios)
+    def __init__(self, problems: Iterable["_Problem"]):
+        self.problems = list(problems)
 
-    def run(self, *, partial: bool = False
-            ) -> "list[ExecutionOutcome | None]":
-        """Relax every scenario; ``outcomes[i]`` belongs to
-        ``scenarios[i]``.
+    def run(self) -> "list[ExecutionOutcome | None]":
+        """Relax every problem; ``outcomes[i]`` belongs to ``problems[i]``.
 
-        With ``partial=True`` a kernel group that declines at run time
-        (monotone-mode :class:`BatchDeclined`) yields ``None`` for its
-        scenarios instead of failing the whole batch — the oracle's
-        chunk pass uses this so one hole-touching scenario cannot take
-        the rest of the chunk off the fast path.  Any other exception
-        propagates: it is a bug, not a decline.
+        A kernel group that declines at run time (:class:`BatchDeclined`)
+        yields ``None`` for its members, so one hazard-tied scenario
+        cannot take the rest of the chunk off the fast path.  Any other
+        exception propagates: it is a bug, not a decline.
         """
-        # The run allocates large bursts of short-lived tuples (route
-        # paths, per-cell witnesses); cyclic GC passes triggered by the
-        # churn cost ~25% of the batch wall time while collecting
-        # nothing.  Nothing here creates reference cycles, so pause
-        # collection for the duration and restore on the way out.
+        groups: dict[int, list[_Problem]] = {}
+        for problem in self.problems:
+            groups.setdefault(id(problem.kernel), []).append(problem)
+        declined: set[int] = set()
+        # The run allocates bursts of short-lived tuples (route paths,
+        # per-cell witnesses); the cyclic GC passes that churn triggers
+        # cost ~25% of the wall time and collect nothing (no reference
+        # cycles are created), so collection pauses for the duration.
         paused = gc.isenabled()
         if paused:
             gc.disable()
         try:
-            return self._run(partial=partial)
+            tick = time.perf_counter()
+            for gid, group in groups.items():
+                try:
+                    _relax_group(group)
+                except BatchDeclined as decline:
+                    _KERNEL_EVENTS["runtime_declines"].inc()
+                    for problem in group:
+                        _count_admission(problem.scenario, "declined",
+                                         str(decline))
+                    declined.add(gid)
+            tock = time.perf_counter()
+            _PHASE_SECONDS["relax"].inc(tock - tick)
+            outcomes = [
+                None if id(problem.kernel) in declined else problem.outcome()
+                for problem in self.problems]
+            _PHASE_SECONDS["render"].inc(time.perf_counter() - tock)
+            return outcomes
         finally:
             if paused:
                 gc.enable()
-
-    def _run(self, *, partial: bool) -> "list[ExecutionOutcome | None]":
-        problems = []
-        for scenario in self.scenarios:
-            tick = time.perf_counter()
-            scan = _scan_topology(scenario)
-            tock = time.perf_counter()
-            _PHASE_SECONDS["scan"].inc(tock - tick)
-            kernel = _kernel_for(scenario, scan)
-            tick = time.perf_counter()
-            _PHASE_SECONDS["tabulate"].inc(tick - tock)
-            if kernel is None:
-                raise ValueError(
-                    f"scenario {getattr(scenario.spec, 'scenario_id', '?')} "
-                    f"is not batchable (algebra {scenario.algebra.name!r}); "
-                    f"callers must filter with BatchBackend.supports()")
-            problems.append(
-                _Problem(scenario, kernel, *_fold_events(scenario, scan[2])))
-            _PHASE_SECONDS["scan"].inc(time.perf_counter() - tick)
-        groups: dict[int, list[_Problem]] = {}
-        for problem in problems:
-            groups.setdefault(id(problem.kernel), []).append(problem)
-        declined: set[int] = set()
-        tick = time.perf_counter()
-        for gid, group in groups.items():
-            try:
-                _relax_group(group)
-            except BatchDeclined:
-                _KERNEL_EVENTS["runtime_declines"].inc()
-                if not partial:
-                    raise
-                declined.add(gid)
-        tock = time.perf_counter()
-        _PHASE_SECONDS["relax"].inc(tock - tick)
-        outcomes = [
-            None if id(problem.kernel) in declined else problem.outcome()
-            for problem in problems]
-        _PHASE_SECONDS["render"].inc(time.perf_counter() - tock)
-        return outcomes
 
 
 class _HoleTouch(Exception):
@@ -1240,16 +1196,12 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
             seed_amb = (pc[seeds] == pc[fresh]) & (tie[seeds] != tie[fresh])
             if bool(ambiguous.any()) or bool(seed_amb.any()):
                 _PHASE_EVENTS["hazard_declines"].inc()
-                raise BatchDeclined(
-                    "preference tie between behaviorally distinct "
-                    "routes; falling back to scalar engines")
+                raise BatchDeclined("hazard-tie")
         if _np.array_equal(fresh, state):
             _note_rounds(round_ + 1)
             return fresh
         state = fresh
-    raise BatchDeclined(
-        "Jacobi iteration did not settle within the round budget; "
-        "falling back to scalar engines")
+    raise BatchDeclined("round-budget")
 
 
 def _relax_group(group: list["_Problem"]) -> None:
@@ -1272,114 +1224,76 @@ def _relax_group(group: list["_Problem"]) -> None:
         except _HoleTouch as touch:
             if attempt >= _MAX_DEEPEN_ATTEMPTS \
                     or not _deepen_kernel(kernel, touch.offending):
-                raise BatchDeclined(
-                    "transient value crossed the closure depth horizon "
-                    "and deepening is exhausted; falling back to scalar "
-                    "engines") from None
+                raise BatchDeclined("horizon") from None
             continue  # deepened in place: reassemble (ids shifted), retry
         _scatter_state(blocks, state, src, dst, lab, kernel)
         return
 
 
-class BatchSession(ExecutionSession):
-    """Scalar adapter: one scenario through the vectorized kernel.
-
-    Keeps the batch backend usable through the ordinary
-    ``prepare / schedule_events / run`` lifecycle (conformance suite,
-    public single-scenario callers; campaigns go through
-    :meth:`BatchBackend.prepare_batch`).  There is no simulator: the
-    event schedule arrives wholesale via :meth:`schedule` and is folded
-    into one batch-of-one relaxation of the final topology;
-    ``network`` stays the starting topology.
-    """
-
-    def __init__(self, scenario: "Scenario", *, seed: int = 0,
-                 log_routes: bool = False):
-        if log_routes:
-            raise ValueError(
-                "the batch backend computes fixpoints, not advertisement "
-                "logs; prepare a scalar backend for route logging")
-        self.scenario = scenario
-        self.algebra = scenario.algebra
-        self.destinations = list(scenario.destinations)
-        self.route_log: list = []
-        self._table: tuple[dict, dict] | None = None
-
-    @property
-    def network(self):
-        return self.scenario.network
-
-    def schedule(self, events: list) -> None:
-        """Receive the pre-run schedule (via ``schedule_events``)."""
-        self.scenario = copy.copy(self.scenario)
-        self.scenario.events = list(events)
-
-    def apply_event(self, event: "ResolvedEvent") -> None:
-        """Join the schedule (the final topology is all that matters)."""
-        self.schedule([*self.scenario.events, event])
-
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> ExecutionOutcome:
-        outcome = VectorizedBatchSession([self.scenario]).run()[0]
-        self._table = (outcome.routes, outcome.sigs)
-        return outcome
-
-    def route_table(self) -> tuple[dict, dict]:
-        if self._table is None:
-            raise RuntimeError("route_table() before run()")
-        return self._table
+def _admit(scenario: "Scenario") -> "_Problem":
+    """Admission proper: the compiled problem, or :class:`_Unbatchable`."""
+    if _np is None:
+        raise _Unbatchable("no-numpy")
+    if getattr(scenario, "top_k", 1) != 1:
+        raise _Unbatchable("multipath")
+    if getattr(scenario, "log_routes", False):
+        raise _Unbatchable("route-logging")
+    if getattr(scenario, "analysis_subject", "missing") is None:
+        raise _Unbatchable("post-run-extraction")
+    if isinstance(scenario.algebra, (SPPAlgebra, HLPCostAlgebra)):
+        raise _Unbatchable("path-valued-algebra")
+    if scenario.network.node_count() > MAX_NODES:
+        raise _Unbatchable("node-budget")
+    tick = time.perf_counter()
+    scan = _scan_topology(scenario)
+    tock = time.perf_counter()
+    _PHASE_SECONDS["scan"].inc(tock - tick)
+    if None in scan[1]:  # a link the algebra has no label for
+        raise _Unbatchable("unlabelled-link")
+    kernel = _kernel_for(scenario, scan)
+    tick = time.perf_counter()
+    _PHASE_SECONDS["tabulate"].inc(tick - tock)  # admitted lookups only
+    problem = _Problem(scenario, kernel, *_fold_events(scenario, scan[2]))
+    _PHASE_SECONDS["scan"].inc(time.perf_counter() - tick)
+    return problem
 
 
-class BatchBackend(ExecutionBackend):
-    """The vectorized fixpoint backend (``batch``)."""
+class BatchBackend:
+    """The vectorized fixpoint backend (``batch``): ``supports`` →
+    ``prepare_batch`` → ``run``; there is no scalar ``prepare``."""
 
     name = "batch"
 
-    def supports(self, scenario: "Scenario") -> bool:
-        """Batchable = the fixpoint shortcut provably equals the engines.
+    def supports(self, scenario: "Scenario") -> "_Problem | None":
+        """Admit the scenario: its compiled problem (truthy), or ``None``.
 
-        A scenario is batchable when every one of these holds:
+        Admitted = the fixpoint shortcut provably equals the engines.
+        Refusals, each counted under its reason: numpy missing
+        (``no-numpy``); k-best selection (``multipath``) or route logging
+        (``route-logging``) — the kernel has no advertisement stream; an
+        analysis subject only a scalar primary's log can produce
+        (``post-run-extraction``); a path-valued algebra — SPP gadgets,
+        the HLP domain-path cost (``path-valued-algebra``); too many
+        nodes (``node-budget``); a label the algebra is undefined on
+        (``unlabelled-link``); a signature closure over the scenario's
+        transfer vocabulary that outgrows its budget (``closure-budget``)
+        or is not **verified strictly monotonic** — plain Gao-Rexford
+        draws ties (``not-strictly-monotonic``, ``rank-tie``); a negative
+        kernel-store row, which says no more (``stored-negative``).
 
-        * numpy is importable;
-        * single-path selection (``top_k == 1``) without route logging —
-          the kernel has no advertisement stream to log;
-        * the analysis subject is known up front (iBGP-style post-run
-          extraction needs a scalar primary backend);
-        * the algebra is rank-tabulable: not path-valued (SPP gadgets),
-          not the domain-path HLP cost algebra, and its reachable
-          signature closure over the scenario's directed transfer
-          vocabulary is within budget and **verified strictly monotonic**
-          (non-strict draws like plain Gao-Rexford fall back to the
-          scalar engines);
-        * the rank tables pass the hole-aware gate: isotone in
-          preference space (exact min-relaxation) or at least
-          tie-respecting (Jacobi iteration — which may still decline
-          *at run time* with :class:`BatchDeclined` if a transient
-          crosses the closure depth horizon);
-        * the topology is within the node budget.
+        An admitted kernel may still decline at run time
+        (:class:`BatchDeclined`).  An exception that is not a typed
+        refusal propagates — the oracle makes it that spec's ``ERROR``.
         """
-        if _np is None:
-            return False
-        if getattr(scenario, "top_k", 1) != 1:
-            return False
-        if getattr(scenario, "log_routes", False):
-            return False
-        if getattr(scenario, "analysis_subject", "missing") is None:
-            return False
-        algebra = scenario.algebra
-        if isinstance(algebra, (SPPAlgebra, HLPCostAlgebra)):
-            return False
-        if scenario.network.node_count() > MAX_NODES:
-            return False
-        scan = _scan_topology(scenario)
-        if None in scan[1]:  # a link the algebra has no label for
-            return False
-        return _kernel_for(scenario, scan) is not None
+        try:
+            problem = _admit(scenario)
+        except _Unbatchable as refusal:
+            _count_admission(scenario, "refused", str(refusal))
+            return None
+        _count_admission(scenario, "admitted")
+        return problem
 
-    def prepare(self, scenario: "Scenario", *, seed: int = 0,
-                log_routes: bool = False) -> BatchSession:
-        return BatchSession(scenario, seed=seed, log_routes=log_routes)
-
-    def prepare_batch(self, scenarios: Iterable["Scenario"]
+    def prepare_batch(self, problems: Iterable["_Problem"]
                       ) -> VectorizedBatchSession:
-        return VectorizedBatchSession(scenarios)
+        """A session over the problems :meth:`supports` returned."""
+        return VectorizedBatchSession(problems)

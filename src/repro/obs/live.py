@@ -75,6 +75,8 @@ def render_dashboard(snapshot: dict, *, title: str = "campaign",
                            "phase", "batch phase wall clock", seconds=True)
     lines += _family_lines(snapshot, "repro_batch_kernel_events_total",
                            "event", "batch kernel cache")
+    lines += _family_lines(snapshot, "repro_batch_admission_total",
+                           "reason", "batch admission by reason")
     lost = snapshot_value(snapshot, "repro_campaign_chunks_lost_total")
     if lost:
         lines.append(f"  chunks lost with a dead worker: {lost:g}")

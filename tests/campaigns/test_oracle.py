@@ -242,6 +242,24 @@ class TestEvents:
         assert result.classification == SAFE_CONVERGED, result.describe()
 
 
+#: ``(family, outcome, reason) -> scenarios`` over the first 90 specs of
+#: ``ScenarioGenerator(7)``; the quick profile draws the same algebras.
+ADMISSION_TABLE = {
+    ("gadget", "refused", "path-valued-algebra"): 9,
+    ("hlp", "refused", "path-valued-algebra"): 9,
+    ("ibgp", "refused", "route-logging"): 9,
+    ("multipath", "refused", "multipath"): 9,
+    ("caida", "refused", "not-strictly-monotonic"): 3,
+    ("hierarchy", "refused", "not-strictly-monotonic"): 4,
+    ("caida", "admitted", "none"): 6,
+    ("hierarchy", "admitted", "none"): 5,
+    ("rocketfuel", "admitted", "none"): 9,
+    ("secure-hijack", "admitted", "none"): 9,
+    ("secure-rov", "admitted", "none"): 9,
+    ("tau-sweep", "admitted", "none"): 9,
+}
+
+
 class TestOneBatchPath:
     """The chunk pass is the only way a batch outcome is produced: one
     materialization, one admission and one vectorized run per chunk, a
@@ -314,6 +332,73 @@ class TestOneBatchPath:
         assert len(materialized) == sum(live_scalar)
         assert len(admissions) == len(specs)
 
+    def test_admission_scans_and_keys_each_scenario_once(self, monkeypatch):
+        """One pass, one lookup: over a 90-spec campaign every scenario
+        that reaches the topology scan is scanned once and keyed once —
+        by admission — and the vectorized run does neither."""
+        import repro.exec.batch as batch_mod
+        from repro.campaigns import run_campaign
+
+        in_run = []
+        calls = {"scan": [], "key": [], "inside run": []}
+
+        def counted(kind, original):
+            def wrapper(scenario, *args):
+                calls["inside run" if in_run else kind].append(
+                    scenario.spec.scenario_id)
+                return original(scenario, *args)
+            return wrapper
+
+        run = batch_mod.VectorizedBatchSession.run
+
+        def flagged_run(session, **kwargs):
+            in_run.append(True)
+            try:
+                return run(session, **kwargs)
+            finally:
+                in_run.pop()
+
+        monkeypatch.setattr(batch_mod, "_scan_topology",
+                            counted("scan", batch_mod._scan_topology))
+        monkeypatch.setattr(batch_mod, "kernel_key_of",
+                            counted("key", batch_mod.kernel_key_of))
+        monkeypatch.setattr(batch_mod.VectorizedBatchSession, "run",
+                            flagged_run)
+        report = run_campaign(90, seed=7, profile="quick", jobs=1,
+                              keep_results=True)
+        batched = sum("gpv~batch" in {pair.pair for pair in r.pairwise}
+                      for r in report.results)
+        assert batched >= 40
+        assert len(calls["scan"]) == len(set(calls["scan"])) >= batched
+        assert calls["key"] == calls["scan"]
+        assert calls["inside run"] == []
+
+    def test_admission_table_pin(self):
+        """The floor every later batch PR is read against: who is
+        admitted, who is refused and why, over the first 90 specs of the
+        default and the quick rotation (seed 7).  No run-time decline
+        falls in either window (10 hazard ties in the first 900)."""
+        import collections
+
+        from repro.campaigns import run_campaign
+        from repro.exec.batch import clear_kernel_cache
+        from repro.obs import metrics
+
+        def table():
+            return collections.Counter({
+                tuple(dict(labels)[key]
+                      for key in ("family", "outcome", "reason")):
+                    int(metric.value)
+                for labels, metric in metrics.get_registry().family(
+                    "repro_batch_admission_total").items()})
+
+        for profile in ("default", "quick"):
+            clear_kernel_cache()  # a cached refusal must not be a store's
+            before = table()
+            report = run_campaign(90, seed=7, profile=profile, jobs=1)
+            assert report.error_count == 0
+            assert table() - before == ADMISSION_TABLE, profile
+
     def test_direct_evaluate_is_a_chunk_of_one(self, monkeypatch):
         from repro.campaigns import EvaluationOptions, evaluate_chunk
 
@@ -381,6 +466,53 @@ class TestOneBatchPath:
                 assert not result.outcomes
             else:
                 assert self.comparable(result) == self.comparable(reference)
+
+    def test_a_raising_admission_errs_alone(self, monkeypatch):
+        """A bug that only admission can reach — ``preference`` failing on
+        a hop count past any path of the topology, which the depth-64
+        closure tabulates and scalar GPV never compares — is that spec's
+        ``ERROR``, not a silent refusal; the rest of the chunk is
+        evaluated, cross-checks included."""
+        from repro.algebra.library import ShortestHopCount
+        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import scenarios
+
+        class FaultyPastHop30(ShortestHopCount):
+            def preference(self, s1, s2):
+                if any(isinstance(s, int) and s > 30 for s in (s1, s2)):
+                    raise ZeroDivisionError("preference past hop 30")
+                return super().preference(s1, s2)
+
+        def rocketfuel(scenario_id, algebra, weights):
+            return ScenarioSpec(
+                scenario_id=scenario_id, family="rocketfuel",
+                algebra=algebra, seed=5, until=60.0, max_events=120_000,
+                params=(("routers", 10), ("links", 24),
+                        ("weights", weights), ("destinations", 1)))
+
+        specs = [rocketfuel(1, "shortest-path", (1, 2)),
+                 rocketfuel(2, "hop-count", (1,)),
+                 rocketfuel(3, "shortest-path", (2, 9)),
+                 gadget_spec("good")]
+        options = EvaluationOptions(backends=("gpv", "batch"))
+        healthy = evaluate_chunk(specs, options)
+        assert [len(r.outcomes) for r in healthy] == [2, 2, 2, 1]
+        library = scenarios.build_library_algebra
+        monkeypatch.setattr(
+            scenarios, "build_library_algebra",
+            lambda spec: FaultyPastHop30() if spec.algebra == "hop-count"
+            else library(spec))
+        scalar, = evaluate_chunk(specs[1:2],
+                                 EvaluationOptions(backends=("gpv",)))
+        assert scalar.classification == SAFE_CONVERGED  # GPV never sees it
+        results = evaluate_chunk(specs, options)
+        assert results[1].classification == ERROR
+        assert results[1].error.startswith(
+            "ZeroDivisionError: preference past hop 30\n")
+        assert not results[1].outcomes
+        for index in (0, 2, 3):
+            assert self.comparable(results[index]) == \
+                self.comparable(healthy[index])
 
     def test_a_spec_that_cannot_materialize_errs_alone(self, monkeypatch):
         from dataclasses import replace

@@ -250,5 +250,13 @@ class TestPoolMetrics:
         # this process's own (unchanged by a pool run) plus their 12.
         own = sum(entry["value"] for entry in before)
         assert f"scenarios {own + 12:g} " in frame
+        # ... and why batch took none of them: the workers' typed
+        # admission counts are in the merged snapshot too.
+        refused = sum(
+            entry["value"] for entry in metrics.snapshot_family(
+                metrics.snapshot(), "repro_batch_admission_total")
+            if entry["labels"]["reason"] == "path-valued-algebra")
+        assert "batch admission by reason" in frame
+        assert f"path-valued-algebra    {refused + 12:g}" in frame
         assert metrics.snapshot_family(
             metrics.snapshot(), "repro_scenarios_total") == before

@@ -24,9 +24,14 @@ from repro.exec import (
     schedule_events,
 )
 
+from batch_helper import run_batch
+
 
 def run_backend(name: str, spec: ScenarioSpec, *, log_routes: bool = False):
-    """Materialize, prepare, schedule the spec's events, run."""
+    """Materialize, prepare, schedule the spec's events, run (``batch``
+    has its own lifecycle: :func:`batch_helper.run_batch`)."""
+    if name == "batch":
+        return run_batch(spec)
     scenario = materialize(spec)
     session = get_backend(name).prepare(scenario, seed=spec.seed,
                                         log_routes=log_routes)

@@ -6,9 +6,12 @@ isotone algebras (see ``repro/exec/batch.py``).  This suite pins both
 sides of that bargain: on every scenario the backend *declares* supported
 its route tables must be preference-equal to the scalar GPV engine — on
 fixed seeds and across a generated spec stream — and the scenarios whose
-semantics the shortcut cannot reproduce must be declined by
-``supports()`` rather than silently mis-executed.
+semantics the shortcut cannot reproduce must be refused by
+``supports()`` — for a counted, typed reason — rather than silently
+mis-executed.
 """
+
+import collections
 
 import pytest
 
@@ -22,7 +25,6 @@ from repro.exec import get_backend, route_mismatches, schedule_events
 from repro.exec.base import ExecutionOutcome
 from repro.exec.batch import (
     BatchDeclined,
-    VectorizedBatchSession,
     _kernel_for,
     _scan_topology,
     batch_phase_stats,
@@ -33,12 +35,16 @@ from repro.exec.batch import (
     reset_batch_phase_stats,
     reset_kernel_cache_stats,
 )
+from repro.obs import metrics
 
-BATCH = get_backend("batch")
+from batch_helper import BATCH, run_batch
 
 
 def run_backend(name: str, spec: ScenarioSpec, *, log_routes: bool = False):
-    """Materialize, prepare, schedule the spec's events, run."""
+    """Materialize, prepare, schedule the spec's events, run (``batch``
+    has its own lifecycle: :func:`batch_helper.run_batch`)."""
+    if name == "batch":
+        return run_batch(spec)
     scenario = materialize(spec)
     session = get_backend(name).prepare(scenario, seed=spec.seed,
                                         log_routes=log_routes)
@@ -51,6 +57,22 @@ def gadget_spec(kind: str, *, seed: int = 3) -> ScenarioSpec:
     return ScenarioSpec(scenario_id=0, family="gadget", algebra="spp",
                         seed=seed, until=30.0, max_events=25_000,
                         params=(("gadget", kind),))
+
+
+def admit(specs):
+    """What ``prepare_batch`` takes: each spec's compiled problem."""
+    problems = [BATCH.supports(materialize(spec)) for spec in specs]
+    assert all(problems), "fixture drift: spec no longer batch-admitted"
+    return problems
+
+
+def admission_counts() -> collections.Counter:
+    """``(family, outcome, reason) -> count`` of the admission series."""
+    return collections.Counter({
+        tuple(dict(labels)[k] for k in ("family", "outcome", "reason")):
+            int(metric.value)
+        for labels, metric in metrics.get_registry().family(
+            "repro_batch_admission_total").items()})
 
 
 def batch_spec(scenario_id, family, algebra, seed, params,
@@ -196,16 +218,47 @@ class TestSupports:
         spec = next(iter(generator.iter_specs(1)))
         assert not BATCH.supports(materialize(spec))
 
-    def test_unsupported_scenario_is_rejected_at_run(self):
-        scenario = materialize(gadget_spec("good"))
-        session = VectorizedBatchSession([scenario])
-        with pytest.raises(ValueError, match="supports"):
-            session.run()
-
     def test_route_logging_is_refused(self):
         scenario = materialize(BATCH_SPECS[0])
-        with pytest.raises(ValueError, match="log"):
-            BATCH.prepare(scenario, log_routes=True)
+        scenario.log_routes = True
+        before = admission_counts()
+        assert BATCH.supports(scenario) is None
+        assert admission_counts() - before == {
+            ("caida", "refused", "route-logging"): 1}
+
+    def test_every_verdict_is_counted_with_its_reason(self, monkeypatch):
+        """One series increment per ``supports`` call, and one more per
+        member of a group that declines at run time."""
+        import repro.exec.batch as batch_mod
+
+        before = admission_counts()
+        assert BATCH.supports(materialize(gadget_spec("good"))) is None
+        gr_a = batch_spec(90, "caida", "gr-a", 3, params=(
+            ("as_count", 12), ("peer_fraction", 0.2), ("destinations", 1)))
+        for _ in range(2):  # tabulated, then the cached refusal
+            assert BATCH.supports(materialize(gr_a)) is None
+        wide = materialize(BATCH_SPECS[0])
+        monkeypatch.setattr(batch_mod, "MAX_NODES", 4)
+        assert BATCH.supports(wide) is None
+        monkeypatch.undo()
+        problems = admit([BATCH_SPECS[3], BATCH_SPECS[3], BATCH_SPECS[4]])
+        relax = batch_mod._relax_group
+
+        def horizon_bail(group):
+            if group[0].scenario.spec.family == "rocketfuel":
+                raise BatchDeclined("horizon")
+            relax(group)
+
+        monkeypatch.setattr(batch_mod, "_relax_group", horizon_bail)
+        outcomes = BATCH.prepare_batch(problems).run()
+        assert outcomes[:2] == [None, None] and outcomes[2] is not None
+        assert admission_counts() - before == {
+            ("gadget", "refused", "path-valued-algebra"): 1,
+            ("caida", "refused", "not-strictly-monotonic"): 2,
+            ("caida", "refused", "node-budget"): 1,
+            ("rocketfuel", "admitted", "none"): 2,
+            ("tau-sweep", "admitted", "none"): 1,
+            ("rocketfuel", "declined", "horizon"): 2}
 
 
 class TestBatchedSession:
@@ -214,7 +267,7 @@ class TestBatchedSession:
     def test_mixed_algebra_batch_matches_per_scenario_gpv(self):
         specs = [BATCH_SPECS[0], BATCH_SPECS[4], BATCH_SPECS[1],
                  BATCH_SPECS[2]]
-        session = BATCH.prepare_batch([materialize(s) for s in specs])
+        session = BATCH.prepare_batch(admit(specs))
         outcomes = session.run()
         assert len(outcomes) == len(specs)
         for spec, outcome in zip(specs, outcomes):
@@ -223,16 +276,10 @@ class TestBatchedSession:
 
     def test_duplicate_scenarios_share_a_kernel_and_agree(self):
         spec = BATCH_SPECS[3]
-        session = BATCH.prepare_batch(
-            [materialize(spec), materialize(spec)])
+        session = BATCH.prepare_batch(admit([spec, spec]))
         first, second = session.run()
         assert first.routes == second.routes
         assert first.sigs == second.sigs
-
-    def test_route_table_requires_run(self):
-        session = BATCH.prepare(materialize(BATCH_SPECS[0]))
-        with pytest.raises(RuntimeError, match="run"):
-            session.route_table()
 
 
 def network_snapshot(scenario):
@@ -256,7 +303,8 @@ class TestOnePathContract:
         kinds = {event.kind for spec in self.SPECS for event in spec.events}
         assert kinds == {"fail", "perturb", "hijack"}
         scenarios = [materialize(spec) for spec in self.SPECS]
-        outcomes = BATCH.prepare_batch(scenarios).run(partial=True)
+        outcomes = BATCH.prepare_batch(
+            [BATCH.supports(scenario) for scenario in scenarios]).run()
         assert None not in outcomes
         for spec, scenario in zip(self.SPECS, scenarios):
             assert network_snapshot(scenario) == \
@@ -267,7 +315,7 @@ class TestOnePathContract:
         the run a fresh materialization gives."""
         for spec in self.SPECS:
             scenario = materialize(spec)
-            batch, = BATCH.prepare_batch([scenario]).run()
+            batch, = BATCH.prepare_batch([BATCH.supports(scenario)]).run()
             session = get_backend("gpv").prepare(scenario, seed=spec.seed)
             schedule_events(session, scenario.events)
             gpv = session.run(until=spec.until, max_events=spec.max_events)
@@ -286,8 +334,7 @@ class TestOnePathContract:
             + self.SPECS[:5]
         assert kernel_key_of(materialize(specs[0])) == \
             kernel_key_of(materialize(specs[1]))
-        reference = BATCH.prepare_batch(
-            [materialize(spec) for spec in specs]).run(partial=True)
+        reference = BATCH.prepare_batch(admit(specs)).run()
         orders = [list(reversed(range(len(specs))))]
         rng = random.Random(5)
         for _ in range(4):
@@ -299,7 +346,7 @@ class TestOnePathContract:
                    for order in itertools.permutations(range(3))]
         for order in orders:
             outcomes = BATCH.prepare_batch(
-                [materialize(specs[i]) for i in order]).run(partial=True)
+                admit(specs[i] for i in order)).run()
             for index, outcome in zip(order, outcomes):
                 assert (outcome.routes, outcome.sigs) == \
                     (reference[index].routes, reference[index].sigs), \
@@ -311,16 +358,16 @@ class TestEventSemantics:
 
     def test_no_surviving_route_rides_a_failed_link(self):
         spec = BATCH_SPECS[1]  # hierarchy with two link failures
-        session, outcome = run_backend("batch", spec)
+        scenario, outcome = run_backend("batch", spec)
         failed = {frozenset((event.a, event.b))
-                  for event in session.scenario.events}
+                  for event in scenario.events}
         assert len(failed) == 2
         for (node, dest), path in outcome.routes.items():
             if path is None:
                 continue
             for u, v in zip(path, path[1:]):
-                # The session's network stays the starting topology.
-                assert session.network.has_link(u, v)
+                # The scenario's network stays the starting topology.
+                assert scenario.network.has_link(u, v)
                 assert frozenset((u, v)) not in failed, (
                     f"{node}->{dest} rides failed link {u}-{v}: {path}")
 
@@ -406,19 +453,20 @@ class TestHoleAwareKernels:
         assert kernel.hole_count > 0
 
     def test_partial_run_skips_declined_groups(self, monkeypatch):
-        """partial=True degrades a run-time decline to None outcomes;
-        partial=False (the direct contract) re-raises."""
+        """A run-time decline degrades to None outcomes for its group —
+        the one behaviour; anything else propagates."""
         import repro.exec.batch as batch_mod
 
         def bail(_group):
-            raise BatchDeclined("forced for test")
+            raise BatchDeclined("round-budget")
 
+        problems = admit([BATCH_SPECS[0]])
         monkeypatch.setattr(batch_mod, "_relax_group", bail)
-        session = VectorizedBatchSession([materialize(BATCH_SPECS[0])])
-        assert session.run(partial=True) == [None]
-        session = VectorizedBatchSession([materialize(BATCH_SPECS[0])])
-        with pytest.raises(BatchDeclined):
-            session.run()
+        assert BATCH.prepare_batch(problems).run() == [None]
+        monkeypatch.setattr(batch_mod, "_relax_group",
+                            lambda _group: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            BATCH.prepare_batch(problems).run()
 
     def test_kernel_cache_stats_track_hits(self):
         reset_kernel_cache_stats()
@@ -433,7 +481,7 @@ class TestHoleAwareKernels:
         self.kernel_of(scn2)
         stats = kernel_cache_stats()
         assert stats["tabulations"] == first_tab
-        assert stats["memo_hits"] + stats["cache_hits"] >= 1
+        assert stats["cache_hits"] >= 1
 
     def test_hole_touch_deepens_and_completes(self, monkeypatch):
         """A monotone-mode transient crossing a shallow closure horizon
@@ -466,9 +514,9 @@ class TestHoleAwareKernels:
 
 
 class TestCacheTiers:
-    """The kernel cache answers in a pinned tier order — per-instance
-    memo → process cache → persistent store → tabulation — and each tier
-    owns a disjoint hit counter, so exactly one counter moves per lookup."""
+    """The kernel lookup answers in a pinned order — process cache →
+    persistent store → tabulation — and each tier owns a disjoint hit
+    counter, so exactly one counter moves per lookup."""
 
     @pytest.fixture(autouse=True)
     def isolated_store(self, tmp_path):
@@ -484,33 +532,47 @@ class TestCacheTiers:
     def kernel_of(scenario):
         return _kernel_for(scenario, _scan_topology(scenario))
 
-    def test_tier_order_memo_cache_store_tabulate(self):
+    def test_tier_order_cache_store_tabulate(self):
         def hits():
             stats = kernel_cache_stats()
             return {key: stats[key] for key in (
-                "memo_hits", "cache_hits", "store_hits", "tabulations")}
+                "cache_hits", "store_hits", "tabulations")}
 
         spec = BATCH_SPECS[2]
         scenario = materialize(spec)
         # Every tier cold: the only way to a kernel is tabulation.
-        self.kernel_of(scenario)
-        assert hits() == {"memo_hits": 0, "cache_hits": 0,
-                          "store_hits": 0, "tabulations": 1}
-        # Same algebra instance (supports() then run() in production):
-        # the memo answers; no other counter moves.
-        self.kernel_of(scenario)
-        assert hits() == {"memo_hits": 1, "cache_hits": 0,
-                          "store_hits": 0, "tabulations": 1}
-        # Fresh materialization, same canonical key: the process cache.
-        self.kernel_of(materialize(spec))
-        assert hits() == {"memo_hits": 1, "cache_hits": 1,
-                          "store_hits": 0, "tabulations": 1}
+        kernel = self.kernel_of(scenario)
+        assert hits() == {"cache_hits": 0, "store_hits": 0,
+                          "tabulations": 1}
+        # The same scenario or a fresh materialization of it: there is
+        # no per-instance tier, the process cache answers both.
+        assert self.kernel_of(scenario) is kernel
+        assert self.kernel_of(materialize(spec)) is kernel
+        assert hits() == {"cache_hits": 2, "store_hits": 0,
+                          "tabulations": 1}
         # Fresh process lifetime (process cache dropped, store kept):
         # the persistent store serves it; still exactly one tabulation.
         clear_kernel_cache()
         self.kernel_of(materialize(spec))
-        assert hits() == {"memo_hits": 1, "cache_hits": 1,
-                          "store_hits": 1, "tabulations": 1}
+        assert hits() == {"cache_hits": 2, "store_hits": 1,
+                          "tabulations": 1}
+        # Admission leaves nothing on the algebra instance to find.
+        assert not [name for name in vars(scenario.algebra)
+                    if name.startswith("_batch")]
+
+    def test_a_refusal_keeps_its_reason_in_the_cache_not_in_the_store(
+            self):
+        spec = batch_spec(90, "caida", "gr-a", 3, params=(
+            ("as_count", 12), ("peer_fraction", 0.2), ("destinations", 1)))
+        before = admission_counts()
+        assert BATCH.supports(materialize(spec)) is None
+        assert BATCH.supports(materialize(spec)) is None  # process cache
+        clear_kernel_cache()
+        assert BATCH.supports(materialize(spec)) is None  # NULL store row
+        assert kernel_cache_stats()["tabulations"] == 1
+        assert admission_counts() - before == {
+            ("caida", "refused", "not-strictly-monotonic"): 2,
+            ("caida", "refused", "stored-negative"): 1}
 
 
 class TestRouteMismatchGuards:

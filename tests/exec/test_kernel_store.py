@@ -151,6 +151,33 @@ class TestBatchIntegration:
         with pytest.raises(TypeError, match="serializer bug"):
             build_kernel()
 
+    def test_decoding_bug_is_not_swallowed_as_a_stale_row(
+            self, tmp_path, monkeypatch):
+        """A stale or corrupt row (unpicklable, truncated, missing
+        fields, mis-shaped tables) is a counted miss; anything else the
+        decoder raises is a bug and surfaces."""
+        configure_kernel_store(str(tmp_path / "kernels.sqlite"))
+        build_kernel()
+        store = batch_mod._active_store()
+        good, = store._conn.execute("SELECT payload FROM kernels").fetchone()
+        body = pickle.loads(good)
+        for corrupt in (b"not a pickle", good[:20],
+                        pickle.dumps({**body, "shape": (1, 1)})):
+            store._conn.execute("UPDATE kernels SET payload = ?", (corrupt,))
+            store._conn.commit()
+            clear_kernel_cache()
+            reset_kernel_cache_stats()
+            assert build_kernel() is not None
+            assert kernel_cache_stats()["store_misses"] == 1
+
+        def buggy(_payload):
+            raise TypeError("decoder bug")
+
+        clear_kernel_cache()
+        monkeypatch.setattr(batch_mod, "_decode_kernel", buggy)
+        with pytest.raises(TypeError, match="decoder bug"):
+            build_kernel()
+
     def test_unusable_store_path_degrades_to_memory(self, tmp_path):
         configure_kernel_store(str(tmp_path))  # a directory, not a db
         assert batch_mod._active_store() is None

@@ -16,6 +16,8 @@ from repro.campaigns import materialize
 from repro.campaigns.spec import LinkEventSpec, ScenarioSpec
 from repro.exec import get_backend, schedule_events
 
+from batch_helper import run_batch
+
 
 def hijack_spec(deployment, fraction, *, seed=0):
     return ScenarioSpec(
@@ -31,6 +33,8 @@ def hijack_spec(deployment, fraction, *, seed=0):
 
 
 def run_backend(name, spec):
+    if name == "batch":
+        return run_batch(spec)
     scenario = materialize(spec)
     session = get_backend(name).prepare(scenario, seed=spec.seed)
     schedule_events(session, scenario.events)
