@@ -262,6 +262,16 @@ class RoutingAlgebra(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+def origin_or_phi(algebra: RoutingAlgebra, label: Label) -> Signature:
+    """One-hop origination under the undefined-label rule, said once: a
+    label the algebra cannot originate over (``KeyError`` from a table,
+    ``NotImplementedError`` from a missing seed) yields no route — φ."""
+    try:
+        return algebra.origin_signature(label)
+    except (KeyError, NotImplementedError):
+        return PHI
+
+
 def rank_sort(algebra: RoutingAlgebra, sigs: Iterable[Signature]) -> list[Signature]:
     """Sort signatures from most to least preferred (φ last), stably."""
     def cmp(a: Signature, b: Signature) -> int:

@@ -88,7 +88,6 @@ from .spec import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from ..sqlite_cache import NO_RETENTION, RetentionPolicy
 from .verdict_store import VerdictStore
 
 __all__ = [
@@ -111,12 +110,10 @@ __all__ = [
     "LinkEventSpec",
     "MULTI_STABLE",
     "NONDETERMINISTIC",
-    "NO_RETENTION",
     "PROFILES",
     "PairOutcome",
     "ROUTE_DIVERGED",
     "ResultSink",
-    "RetentionPolicy",
     "SAFE_CONVERGED",
     "SAFE_DIVERGED",
     "STATUS_DIVERGED",

@@ -25,8 +25,8 @@ Every scenario takes one path, alone or in a chunk:
    :class:`~repro.exec.base.ExecutionBackend` (native GPV engine,
    generated NDlog program, ...) over the same seeded simulator timeline
    and event schedule — the first on the prepared scenario itself (the
-   batch pass only read it), each later one on its own deterministic
-   re-materialization, because scalar sessions own a mutable network;
+   batch pass only read it), each later one on its own copy of that
+   scenario's network, because scalar sessions own a mutable network;
 4. classifies every pair of outcomes, batch included
    (:func:`~repro.campaigns.report.classify` per analysis~backend pair,
    route-table comparison per backend~backend pair).
@@ -40,10 +40,9 @@ the extraction.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..algebra.base import RoutingAlgebra
 from ..algebra.secure import hijacked_route
@@ -61,6 +60,7 @@ from ..exec.batch import configure_kernel_store
 from ..experiments.extraction import extract_spp
 from ..obs import metrics as _obs_metrics
 from ..obs.trace import TRACER, configure_tracing
+from ..sqlite_cache import open_store
 from .canonical import canonical_key
 from .report import (
     AGREE,
@@ -84,14 +84,8 @@ _VERDICT_CACHE: dict[str, tuple[bool, str]] = {}
 
 _ANALYZER: SafetyAnalyzer | None = None
 
+#: The attached store: what :func:`configure_verdict_store` last opened.
 _STORE: VerdictStore | None = None
-_STORE_PATH: str | None = None
-_STORE_PID: int | None = None
-
-#: Memo hits not yet written to the store (flushed per chunk/campaign —
-#: a warmed cache must not pay a write transaction per scenario).
-_PENDING_HITS: dict[str, int] = {}
-_PENDING_HITS_FLUSH_AT = 256
 
 #: Which cache tier served each safety verdict (memo / shared store /
 #: fresh analyzer solve) and what each scenario classified as.
@@ -166,35 +160,23 @@ def configure_verdict_store(path: str | None) -> None:
 
     Attaching loads every stored verdict into the in-process memo, so a
     warmed store turns repeat campaigns into pure cache hits; subsequent
-    solves are written through.  Idempotent per (path, pid) — workers call
-    this once per chunk at negligible cost.  The pid guard matters under
-    fork-based process pools: a forked worker inherits the parent's
-    sqlite connection, which sqlite forbids sharing across processes, so
-    each worker drops the inherited handle (without touching it — the
-    parent owns it) and opens its own.
+    solves are written through.  Idempotent per (path, pid) and fork-safe
+    (:func:`~repro.sqlite_cache.open_store`) — workers call this once per
+    chunk at negligible cost.  A path that cannot be opened raises
+    ``sqlite3.Error``.
     """
-    global _STORE, _STORE_PATH, _STORE_PID
-    pid = os.getpid()
-    if path == _STORE_PATH and _STORE_PID == pid:
-        return
-    if _STORE is not None:
-        if _STORE_PID == pid:
-            flush_store_hits()
-            _STORE.close()
-        _STORE = None
-    _PENDING_HITS.clear()  # a forked worker drops the parent's tally too
-    _STORE_PATH = path
-    _STORE_PID = pid
-    if path is not None:
-        _STORE = VerdictStore(path)
-        _VERDICT_CACHE.update(_STORE.load_all())
+    global _STORE
+    attached, _STORE = _STORE, None  # nothing, if the path cannot be opened
+    store = _STORE = open_store(VerdictStore, path)
+    if store is not None and store is not attached:
+        with store.best_effort():
+            _VERDICT_CACHE.update(store.load_all())
 
 
 def flush_store_hits() -> None:
     """Write accumulated memo-hit counts through to the attached store."""
-    if _STORE is not None and _PENDING_HITS:
-        _STORE.touch_many(_PENDING_HITS)
-    _PENDING_HITS.clear()
+    if _STORE is not None:
+        _STORE.flush_hits()
 
 
 def cached_verdict(
@@ -223,7 +205,9 @@ def _lookup_or_solve(key: str, subject: RoutingAlgebra | SPPInstance) -> str:
         # existed then; with several processes writing through one store
         # a *sibling worker* may have solved this system since.  One
         # indexed lookup per memo miss buys every worker all their solves.
-        stored = _STORE.get(key)
+        stored = None
+        with _STORE.best_effort():
+            stored = _STORE.get(key)
         if stored is not None:
             _VERDICT_CACHE[key] = stored
             hit = True
@@ -232,14 +216,12 @@ def _lookup_or_solve(key: str, subject: RoutingAlgebra | SPPInstance) -> str:
         report = _analyzer().analyze(subject)
         _VERDICT_CACHE[key] = (report.safe, report.method)
         if _STORE is not None:
-            _STORE.put(key, report.safe, report.method)
+            with _STORE.best_effort():
+                _STORE.put(key, report.safe, report.method)
     elif _STORE is not None:
-        # Hit statistics drive the store's eviction pass (`repro verdicts
-        # --compact` drops rows no campaign ever re-used); batched so the
-        # warmed-cache fast path stays write-free.
-        _PENDING_HITS[key] = _PENDING_HITS.get(key, 0) + 1
-        if sum(_PENDING_HITS.values()) >= _PENDING_HITS_FLUSH_AT:
-            flush_store_hits()
+        # Hit statistics are telemetry (`repro verdicts --stats`), tallied
+        # so the warmed-cache fast path stays write-free.
+        _STORE.count_hit(key)
     return tier
 
 
@@ -381,7 +363,13 @@ def _evaluate_traced(spec, options, prepared, started, scenario_span):
                 f"family {spec.family!r}")
         sessions = []
         outcomes: list[ExecutionOutcome] = []
-        fresh_scenario = scenario
+        # Each scalar session owns a mutable network (``fail_link``
+        # removes links, ``perturb_link`` relabels them): the prepared
+        # scenario's serves the first, every later one gets a copy —
+        # taken now, before any session has touched it.
+        later = sum(name != _BATCH for name in backends) - 1
+        networks = iter([scenario.network,
+                         *(scenario.network.copy() for _ in range(later))])
         for name in backends:
             if name == _BATCH:
                 sessions.append(None)
@@ -390,12 +378,7 @@ def _evaluate_traced(spec, options, prepared, started, scenario_span):
                                  precomputed=True):
                     pass
                 continue
-            # Each scalar session owns a mutable network: the prepared
-            # scenario serves the first, later ones re-materialize
-            # (materialization is deterministic).
-            scn = fresh_scenario if fresh_scenario is not None \
-                else materialize(spec)
-            fresh_scenario = None
+            scn = replace(scenario, network=next(networks))
             run_started = time.perf_counter()
             with TRACER.span("backend:run", backend=name) as backend_span:
                 session = get_backend(name).prepare(

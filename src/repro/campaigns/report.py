@@ -237,31 +237,29 @@ def result_from_record(record: dict) -> ScenarioResult:
 class CampaignReport:
     """Aggregate of a campaign run: counters, reproducers, throughput.
 
-    Two construction modes coexist:
-
-    * **collected** — ``results`` holds every :class:`ScenarioResult`
-      (small campaigns, tests, the Python API); all counters derive from
-      the list on demand;
-    * **streamed** — the aggregate fields (``total_scenarios``,
-      ``class_counts``, ...) are filled incrementally by the
-      :class:`~repro.campaigns.sink.AggregatingSink` while ``results``
-      retains only the bounded disagreement/error reproducers, so a
-      million-scenario campaign reports in constant memory.
+    Built by :meth:`AggregatingSink.report()
+    <repro.campaigns.sink.AggregatingSink.report>` (and by :meth:`merge`
+    from such reports): the aggregate fields are counted incrementally
+    as results arrive, while ``results`` retains what the sink kept —
+    everything for a small campaign, only the bounded disagreement/error
+    reproducers for a streamed one, so a million-scenario campaign
+    reports in constant memory.
     """
 
+    #: The aggregates: every counter view below reads these, never
+    #: ``results``.
+    total_scenarios: int
+    class_counts: dict
+    family_counts: dict
+    pair_counts: dict
+    cache_hit_count: int
+    analyzed_count: int
     results: list[ScenarioResult] = field(default_factory=list)
     wall_clock_s: float = 0.0
     jobs: int = 1
     chunk_size: int = 1
     aborted: str | None = None
     backends: tuple = ("gpv",)
-    #: Streaming aggregates; ``None`` ⇒ derive from ``results``.
-    total_scenarios: int | None = None
-    class_counts: dict | None = None
-    family_counts: dict | None = None
-    pair_counts: dict | None = None
-    cache_hit_count: int | None = None
-    analyzed_count: int | None = None
     #: Results dropped from ``results`` by the retention bound.
     results_truncated: int = 0
     #: Scenarios counted from an earlier run's records (``--resume``)
@@ -272,9 +270,7 @@ class CampaignReport:
 
     @property
     def scenario_count(self) -> int:
-        if self.total_scenarios is not None:
-            return self.total_scenarios
-        return len(self.results)
+        return self.total_scenarios
 
     @property
     def scenarios_per_second(self) -> float:
@@ -285,45 +281,21 @@ class CampaignReport:
 
     @property
     def cache_hit_rate(self) -> float:
-        if self.analyzed_count is not None:
-            if not self.analyzed_count:
-                return 0.0
-            return (self.cache_hit_count or 0) / self.analyzed_count
-        analyzed = [r for r in self.results if r.classification != ERROR]
-        if not analyzed:
+        if not self.analyzed_count:
             return 0.0
-        return sum(r.cache_hit for r in analyzed) / len(analyzed)
+        return self.cache_hit_count / self.analyzed_count
 
     def counters(self) -> dict[str, int]:
-        if self.class_counts is not None:
-            return {c: self.class_counts.get(c, 0) for c in CLASSIFICATIONS}
-        out = {c: 0 for c in CLASSIFICATIONS}
-        for result in self.results:
-            out[result.classification] = out.get(result.classification, 0) + 1
-        return out
+        return {c: self.class_counts.get(c, 0) for c in CLASSIFICATIONS}
 
     def by_family(self) -> dict[str, dict[str, int]]:
-        if self.family_counts is not None:
-            return {family: dict(buckets) for family, buckets
-                    in sorted(self.family_counts.items())}
-        out: dict[str, dict[str, int]] = {}
-        for result in self.results:
-            family = out.setdefault(result.family,
-                                    {c: 0 for c in CLASSIFICATIONS})
-            family[result.classification] += 1
-        return {family: out[family] for family in sorted(out)}
+        return {family: dict(buckets) for family, buckets
+                in sorted(self.family_counts.items())}
 
     def pairwise_counters(self) -> dict[str, dict[str, int]]:
         """Per pair (``analysis~gpv``, ``gpv~ndlog``, ...) status counts."""
-        if self.pair_counts is not None:
-            return {pair: dict(buckets) for pair, buckets
-                    in sorted(self.pair_counts.items())}
-        out: dict[str, dict[str, int]] = {}
-        for result in self.results:
-            for pair in result.pairwise:
-                buckets = out.setdefault(pair.pair, {})
-                buckets[pair.status] = buckets.get(pair.status, 0) + 1
-        return {pair: out[pair] for pair in sorted(out)}
+        return {pair: dict(buckets) for pair, buckets
+                in sorted(self.pair_counts.items())}
 
     def disagreements(self) -> list[ScenarioResult]:
         """Analysis disagreements and cross-backend divergences — the
@@ -339,17 +311,13 @@ class CampaignReport:
 
     @property
     def error_count(self) -> int:
-        if self.class_counts is not None:
-            return self.class_counts.get(ERROR, 0)
-        return len(self.errors())
+        return self.class_counts.get(ERROR, 0)
 
     @property
     def disagreement_count(self) -> int:
         """Disagreement total that survives streaming truncation."""
-        if self.pair_counts is None and self.class_counts is None:
-            return len(self.disagreements())
-        count = (self.class_counts or {}).get(SAFE_DIVERGED, 0)
-        for buckets in (self.pair_counts or {}).values():
+        count = self.class_counts.get(SAFE_DIVERGED, 0)
+        for buckets in self.pair_counts.values():
             for status, n in buckets.items():
                 if status in HARD_DIVERGENCES and status != SAFE_DIVERGED:
                     count += n
@@ -369,9 +337,7 @@ class CampaignReport:
 
         Shards run concurrently on separate machines, so wall clock is the
         *maximum* (campaign latency), while scenario counts, counters and
-        retained reproducers add up.  The merged report always carries
-        explicit aggregates, even when every input was small enough to be
-        fully collected.
+        retained reproducers add up.
         """
         reports = list(reports)
         if not reports:
@@ -392,14 +358,8 @@ class CampaignReport:
             truncated += report.results_truncated
             total += report.scenario_count
             resumed += report.resumed_count
-            if report.analyzed_count is not None:
-                cache_hits += report.cache_hit_count or 0
-                analyzed += report.analyzed_count
-            else:
-                kept = [r for r in report.results
-                        if r.classification != ERROR]
-                cache_hits += sum(r.cache_hit for r in kept)
-                analyzed += len(kept)
+            cache_hits += report.cache_hit_count
+            analyzed += report.analyzed_count
             if report.aborted:
                 aborts.append(report.aborted)
         results.sort(key=lambda r: r.scenario_id)

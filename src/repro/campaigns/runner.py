@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import sqlite3
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -53,11 +54,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..exec import DEFAULT_BACKENDS, resolve_backends
-from ..exec.batch import numpy_available
+from ..exec.batch import configure_kernel_store, numpy_available
 from ..obs import metrics as _obs_metrics
 from ..obs.live import render_dashboard
 from ..obs.trace import configure_tracing
-from .oracle import EvaluationOptions, evaluate_chunk
+from .oracle import EvaluationOptions, configure_verdict_store, evaluate_chunk
 from .report import ERROR, CampaignReport, ScenarioResult, result_from_record
 from .sink import AggregatingSink, ResultSink
 from .spec import ScenarioGenerator, ScenarioSpec
@@ -208,9 +209,16 @@ class CampaignRunner:
         with a non-``ERROR`` record is counted from the record and neither
         evaluated nor handed to ``sink``.  A record made from a different
         spec is a different campaign: ``ValueError``, before anything is
-        evaluated or written.
+        evaluated or written — and so is a verdict or kernel cache path
+        that cannot be opened.
         """
         started = time.perf_counter()
+        try:  # here, not in the first chunk of whichever worker gets it
+            configure_verdict_store(self.config.verdict_cache_path)
+            if "batch" in self.config.backends:
+                configure_kernel_store(self.config.kernel_cache_path)
+        except sqlite3.Error as error:
+            raise ValueError(str(error)) from error
         if self.config.trace_dir is not None:
             # Serial evaluation runs in this process; pool workers
             # re-configure themselves from the options they receive.

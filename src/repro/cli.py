@@ -21,8 +21,8 @@ Python:
   ``--shard-index`` / ``--shard-count`` stride the deterministic spec
   stream across machines, ``--verdict-cache`` persists SMT verdicts
   across invocations);
-* ``verdicts <path> [--stats|--compact]`` — inspect a persistent verdict
-  cache's hit statistics, or evict the rows no campaign ever re-used;
+* ``verdicts <path> [--stats]`` — inspect a persistent verdict cache's
+  row and hit statistics;
 * ``trace show <scenario-id> [--trace-dir DIR]`` — render the merged
   span tree a traced campaign (``campaign --trace-dir``) recorded for one
   scenario: spec materialization, every backend run, analysis tiers,
@@ -277,11 +277,6 @@ def cmd_verdicts(args: argparse.Namespace) -> int:
         return 1
     store = VerdictStore(args.path)
     try:
-        if args.compact:
-            before = len(store)
-            evicted = store.compact()
-            print(f"compacted {args.path}: evicted {evicted} never-hit "
-                  f"verdicts ({before} -> {before - evicted})")
         stats = store.stats()
     finally:
         store.close()
@@ -441,14 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verdicts",
-        help="inspect or compact a persistent verdict cache")
+        help="inspect a persistent verdict cache")
     p.add_argument("path", help="sqlite verdict cache written by "
                                 "campaign --verdict-cache")
     p.add_argument("--stats", action="store_true",
                    help="print row/hit statistics (the default action)")
-    p.add_argument("--compact", action="store_true",
-                   help="evict never-hit verdicts and reclaim space, "
-                        "then print statistics")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text (default) or the repro-obs/1 envelope: "
                         "registry snapshot plus store statistics")

@@ -76,7 +76,6 @@ from __future__ import annotations
 import gc
 import os
 import pickle
-import sqlite3
 import time
 from typing import TYPE_CHECKING, Hashable, Iterable
 
@@ -85,13 +84,21 @@ try:  # gated: the toolkit must import (and run scalar) without numpy
 except ImportError:  # pragma: no cover - exercised only on numpy-less boxes
     _np = None
 
-from ..algebra.base import PHI, Pref, RoutingAlgebra, rank_sort
+from ..algebra.base import (
+    PHI,
+    Pref,
+    RoutingAlgebra,
+    origin_or_phi,
+    rank_sort,
+)
 from ..algebra.extended import ExtendedAlgebra
 from ..algebra.hlp import HLPCostAlgebra
 from ..algebra.spp import SPPAlgebra
 from ..net.simulator import StopReason
 from ..obs import metrics as _obs_metrics
+from ..sqlite_cache import open_store
 from .base import ExecutionOutcome
+from .kernel_store import KernelStore
 
 if TYPE_CHECKING:
     from ..campaigns.scenarios import Scenario
@@ -194,11 +201,9 @@ def reset_batch_phase_stats() -> None:
 def _note_rounds(rounds: int) -> None:
     _obs_metrics.counter(_ROUNDS_FAMILY, rounds=rounds).inc()
 
-#: Persistent store state (fork-guarded; see configure_kernel_store).
-_STORE = None
+#: The path last given to :func:`configure_kernel_store` (``None``: the
+#: store, if any, is the one ``$REPRO_BATCH_KERNEL_CACHE`` names).
 _STORE_PATH: str | None = None
-_STORE_PID: int | None = None
-_STORE_RESOLVED = False
 
 
 class BatchDeclined(RuntimeError):
@@ -258,15 +263,6 @@ def _transfer(algebra: RoutingAlgebra, key: Hashable, sig):
             return PHI
         return algebra.concat(in_label, sig)
     return algebra.oplus(key, sig)
-
-
-def _origin_sig(algebra: RoutingAlgebra, label: Hashable):
-    """One-hop origination, with the engines' undefined-label semantics
-    (a label the algebra cannot originate over simply yields no route)."""
-    try:
-        return algebra.origin_signature(label)
-    except (KeyError, NotImplementedError):
-        return PHI
 
 
 class _Kernel:
@@ -545,7 +541,8 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
     (without strict monotonicity the fixpoint need not equal the
     protocol's outcome, or even be unique), or the algebra defines no ⊕
     over an observed label (``KeyError`` / ``NotImplementedError``, as
-    in :func:`_origin_sig`).  Any other exception is a bug and surfaces.
+    in :func:`~repro.algebra.base.origin_or_phi`).  Any other exception
+    is a bug and surfaces.
 
     The closure is *depth*-truncated, not required to be closed:
     additive metrics (shortest-path, hop counts) have infinite signature
@@ -559,7 +556,7 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
     horizon out along just the rows a Jacobi transient actually touched.
     """
     ordered_keys = sorted(set(keys), key=repr)
-    origin = {label: _origin_sig(algebra, label)
+    origin = {label: origin_or_phi(algebra, label)
               for label in sorted(set(origin_labels), key=repr)}
     seen = {sig for sig in origin.values() if sig is not PHI}
     ext: dict = {}
@@ -625,13 +622,11 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
         setattr(kernel, slot, getattr(rebuilt, slot))
     _PHASE_EVENTS["deepenings"].inc()
     # Write-through: later processes decode the deepened tables directly.
-    store = _active_store()
+    store = _kernel_store(_STORE_PATH)
     if store is not None and kernel.cache_key is not None:
-        try:
+        with store.best_effort():
             store.put_deeper(kernel.cache_key, _encode_kernel(kernel),
                              kernel.depth)
-        except sqlite3.Error:  # cache write, best-effort
-            pass
     return True
 
 
@@ -639,38 +634,21 @@ def configure_kernel_store(path: str | None = None) -> None:
     """Open (or switch) the persistent kernel store for this process.
 
     ``path=None`` falls back to ``$REPRO_BATCH_KERNEL_CACHE`` (no store
-    when that is unset too).  Idempotent per ``(path, pid)``; forked
-    workers transparently reopen their own connection.  A store that
-    fails to open degrades to in-process caching only — the batch
-    backend never hard-fails on cache trouble.
+    when that is unset too).  Idempotent per ``(path, pid)`` and
+    fork-safe (:func:`~repro.sqlite_cache.open_store`); a path that
+    cannot be opened raises ``sqlite3.Error``.
     """
-    global _STORE, _STORE_PATH, _STORE_PID, _STORE_RESOLVED
-    resolved = path if path is not None \
-        else (os.environ.get(KERNEL_CACHE_ENV) or None)
-    if _STORE_RESOLVED and resolved == _STORE_PATH \
-            and _STORE_PID == os.getpid():
-        return
-    if _STORE is not None:
-        try:
-            _STORE.close()
-        except sqlite3.Error:
-            pass
-    _STORE = None
-    _STORE_PATH = resolved
-    _STORE_PID = os.getpid()
-    _STORE_RESOLVED = True
-    if resolved is not None and _np is not None:
-        from .kernel_store import KernelStore
-        try:
-            _STORE = KernelStore(resolved)
-        except sqlite3.Error:  # unusable store => in-memory only
-            _STORE = None
+    global _STORE_PATH
+    _STORE_PATH = None  # a path that cannot be opened configures nothing
+    _kernel_store(path)
+    _STORE_PATH = path
 
 
-def _active_store():
-    if not _STORE_RESOLVED or _STORE_PID != os.getpid():
-        configure_kernel_store(_STORE_PATH if _STORE_RESOLVED else None)
-    return _STORE
+def _kernel_store(path: str | None) -> KernelStore | None:
+    """This process's kernel store at ``path``, else at the environment's
+    — the one place either is resolved."""
+    return open_store(
+        KernelStore, path or os.environ.get(KERNEL_CACHE_ENV) or None)
 
 
 def _encode_kernel(kernel: "_Kernel | str") -> bytes | None:
@@ -745,12 +723,11 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
         _KERNEL_EVENTS["cache_misses"].inc()
         if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
             _KERNEL_CACHE.clear()
-        store = _active_store()
+        store = _kernel_store(_STORE_PATH)
         if store is not None:
-            try:
+            found = False
+            with store.best_effort():  # unreadable store: a counted miss
                 found, payload = store.get(repr(key))
-            except sqlite3.Error:  # unreadable store: a miss, not a crash
-                found = False
             if found:
                 try:
                     kernel = _decode_kernel(payload)
@@ -770,11 +747,9 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
             _KERNEL_EVENTS["tabulations"].inc()
             _TABULATION_SECONDS.inc(time.perf_counter() - started)
             if store is not None:
-                try:
+                with store.best_effort():
                     store.put(repr(key), _encode_kernel(kernel),
                               depth=getattr(kernel, "depth", 0))
-                except sqlite3.Error:  # cache write, best-effort
-                    pass
         _KERNEL_CACHE[key] = kernel
     if isinstance(kernel, str):
         raise _Unbatchable(kernel)

@@ -1,4 +1,4 @@
-"""Cross-process persistence for tabulated batch kernels (schema v2).
+"""Cross-process persistence for tabulated batch kernels (schema v3).
 
 The process caches in :mod:`repro.exec.batch` pay for each distinct
 (algebra, transfer vocabulary) closure once per worker *lifetime*; this
@@ -15,24 +15,23 @@ share a row, exactly mirroring the verdict store.  Negative results
 as NULL payloads: a declined closure is as expensive to re-derive as an
 accepted one.
 
-Connection handling, multi-writer hardening and open-time retention are
-:class:`repro.sqlite_cache.SqliteCache`'s — the base this store shares
-with :mod:`repro.campaigns.verdict_store`, and so is the one format
-rule: a file stamped with another ``user_version`` (or carrying other
-columns) is emptied on open, never migrated — a lost kernel costs one
-re-tabulation.  What is here is the kernel table and its row methods.
+Connection handling, multi-writer hardening, the ``MAX_ROWS`` bound and
+the failure policy are :class:`repro.sqlite_cache.SqliteCache`'s — the
+base this store shares with :mod:`repro.campaigns.verdict_store`, and so
+is the one format rule: a file stamped with another ``user_version`` (or
+carrying other columns — a v2 file still has ``hits``) is emptied on
+open, never migrated — a lost kernel costs one re-tabulation.  What is
+here is the kernel table and its row methods.
 """
 
 from __future__ import annotations
 
-import sqlite3
 import time
 
 from ..obs import metrics as _obs_metrics
-from ..sqlite_cache import RetentionPolicy, SqliteCache
+from ..sqlite_cache import SqliteCache
 
-#: Store I/O counters (the durable per-row ``hits`` column still drives
-#: eviction; these registry series are the live telemetry view).
+#: Store I/O counters: the only record of reads — a read writes nothing.
 _STORE_OPS = {
     op: _obs_metrics.counter("repro_store_ops_total", store="kernel",
                              op=op)
@@ -44,7 +43,6 @@ CREATE TABLE IF NOT EXISTS kernels (
     key        TEXT PRIMARY KEY,
     payload    BLOB,
     created_at REAL NOT NULL,
-    hits       INTEGER NOT NULL DEFAULT 0,
     depth      INTEGER NOT NULL DEFAULT 0
 )
 """
@@ -58,34 +56,26 @@ class KernelStore(SqliteCache):
     *negative* result: the algebra/vocabulary pair is known unbatchable.
     """
 
+    NAME = "kernel"
     TABLE = "kernels"
     SCHEMA = _SCHEMA
-    SCHEMA_VERSION = 2
-    #: Kernels are far fewer and far larger than verdicts (a campaign
-    #: rotation draws tens of distinct algebras, each kernel carrying
-    #: its ``int32`` rank tables), so the defaults bound *rows* much
-    #: lower than the verdict store's, with the same decay/eviction shape.
-    DEFAULT_RETENTION = RetentionPolicy(max_rows=4_096, max_age_days=90.0,
-                                        decay_half_life_days=14.0)
+    SCHEMA_VERSION = 3
+    #: Kernels are far fewer and far larger than verdicts (each carries
+    #: its ``int32`` rank tables): one 540-scenario admitted campaign
+    #: writes 400 rows / 4.6 MB (numbers in ``exec/README.md``), so the
+    #: bound is ten such campaigns' worth of distinct kernels.
+    MAX_ROWS = 4_096
 
     def get(self, key: str) -> tuple[bool, bytes | None]:
         """``(found, payload)`` — payload None on a found row means a
         cached negative result ("unbatchable"), distinct from a miss.
-        Hits are counted inline (one bounded-retry write; kernel lookups
-        are orders of magnitude rarer than verdict lookups)."""
+        A read is a read: nothing is written."""
         row = self._conn.execute(
             "SELECT payload FROM kernels WHERE key = ?", (key,)).fetchone()
         if row is None:
             _STORE_OPS["get_miss"].inc()
             return False, None
         _STORE_OPS["get_hit"].inc()
-        try:
-            self._retry_locked(
-                lambda: self._conn.execute(
-                    "UPDATE kernels SET hits = hits + 1 WHERE key = ?",
-                    (key,)))
-        except sqlite3.OperationalError:
-            pass  # bookkeeping only; the payload is already in hand
         return True, row[0]
 
     def put(self, key: str, payload: bytes | None,
@@ -117,17 +107,15 @@ class KernelStore(SqliteCache):
                 (key, payload, time.time(), depth)))
 
     def stats(self) -> dict:
-        total, negative, hits, size = self._conn.execute(
+        total, negative, size = self._conn.execute(
             "SELECT COUNT(*), "
             "COALESCE(SUM(CASE WHEN payload IS NULL THEN 1 ELSE 0 END), 0), "
-            "COALESCE(SUM(hits), 0), "
             "COALESCE(SUM(LENGTH(COALESCE(payload, ''))), 0) "
             "FROM kernels").fetchone()
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         return {
             "kernels": total,
             "negative": negative,
-            "hits": hits,
             "payload_bytes": size,
             "schema_version": version,
             "retention": dict(self.last_retention),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..algebra.base import PHI, rank_routes
+from ..algebra.base import PHI, origin_or_phi, rank_routes
 from ..ndlog.codegen import deploy_gpv
 from ..net.simulator import Simulator
 from .base import ExecutionBackend, ExecutionOutcome, ExecutionSession
@@ -92,10 +92,7 @@ class NDlogSession(ExecutionSession):
         flows through the generated aggregate/send rules like any other
         locally originated route.
         """
-        try:
-            sig = self.algebra.origin_signature(label)
-        except (KeyError, NotImplementedError):
-            return
+        sig = origin_or_phi(self.algebra, label)
         if sig is PHI:
             return
         forged = (node, node, dest, sig, (node, dest))
@@ -146,10 +143,7 @@ class NDlogSession(ExecutionSession):
             for row in runtime.raw_advertisements(node, src):
                 runtime.apply_delta(node, runtime.transport.msg_relation, row)
             if src in self.destinations:
-                try:
-                    sig = self.algebra.origin_signature(label)
-                except (KeyError, NotImplementedError):
-                    sig = PHI
+                sig = origin_or_phi(self.algebra, label)
                 if sig is not PHI:
                     origination = (node, node, src, sig, (node, src))
                     if self.top_k > 1:

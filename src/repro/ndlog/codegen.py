@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..algebra.base import PHI, RoutingAlgebra
+from ..algebra.base import PHI, RoutingAlgebra, origin_or_phi
 from ..algebra.extended import ExtendedAlgebra
 from ..algebra.spp import SPPAlgebra, SPPInstance
 from ..net.network import Network
@@ -120,10 +120,7 @@ def origination_facts(network: Network, algebra: RoutingAlgebra,
             label = network.label(neighbor, dest)
             if label is None:
                 continue
-            try:
-                sig = algebra.origin_signature(label)
-            except (KeyError, NotImplementedError):
-                continue
+            sig = origin_or_phi(algebra, label)
             if sig is PHI:
                 continue
             yield neighbor, (neighbor, neighbor, dest, sig,

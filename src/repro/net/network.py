@@ -13,7 +13,7 @@ The default link parameters mirror the paper's experimental setup:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Hashable, Iterable, Iterator
 
 #: Paper defaults (Sec. VI-A): "all links have 100 Mbps in bandwidth and
@@ -192,6 +192,28 @@ class Network:
         self._adjacency[a].remove(b)
         self._adjacency[b].remove(a)
 
+    def copy(self) -> "Network":
+        """An independent network a session may mutate (``remove_link``,
+        ``set_label``) without the original noticing.
+
+        Node, adjacency and link insertion orders and every link's
+        per-direction labels and attrs carry over — iteration order is
+        behaviour (the order a node hears its neighbours in decides
+        ``rib_in`` order and with it tie-breaks).  Labels and attr
+        values themselves are shared, not copied.
+        """
+        twin = Network(name=self.name)
+        twin._nodes = {node: dict(attrs)
+                       for node, attrs in self._nodes.items()}
+        twin._adjacency = {node: list(neighbors)
+                           for node, neighbors in self._adjacency.items()}
+        for key, link in self._links.items():
+            twin._links[key] = replace(link, labels=dict(link.labels),
+                                       attrs=dict(link.attrs))
+        twin._by_pair = {pair: twin._links[link.ends]
+                         for pair, link in self._by_pair.items()}
+        return twin
+
     def relabeled(self, label_fn) -> "Network":
         """A copy with every directed label mapped through ``label_fn``.
 
@@ -199,21 +221,12 @@ class Network:
         (e.g. the Fig. 6 graph runs HLP on its business-relationship labels
         and the PV baseline on plain hop-count labels).
         """
-        copy = Network(name=self.name)
-        for node in self.nodes():
-            copy.add_node(node, **self.node_attrs(node))
-        for link in self.links():
-            label_ab = link.labels.get((link.a, link.b))
-            label_ba = link.labels.get((link.b, link.a))
-            copy.add_link(link.a, link.b,
-                          bandwidth_bps=link.bandwidth_bps,
-                          latency_s=link.latency_s,
-                          jitter_s=link.jitter_s,
-                          weight=link.weight,
-                          label_ab=None if label_ab is None else label_fn(label_ab),
-                          label_ba=None if label_ba is None else label_fn(label_ba),
-                          **link.attrs)
-        return copy
+        twin = self.copy()
+        for link in twin.links():
+            link.labels = {direction: label_fn(label)
+                           for direction, label in link.labels.items()
+                           if label is not None}
+        return twin
 
     def __repr__(self) -> str:
         return (f"<Network {self.name!r}: {self.node_count()} nodes, "

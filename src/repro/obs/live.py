@@ -77,6 +77,12 @@ def render_dashboard(snapshot: dict, *, title: str = "campaign",
                            "event", "batch kernel cache")
     lines += _family_lines(snapshot, "repro_batch_admission_total",
                            "reason", "batch admission by reason")
+    for entry in snapshot_family(snapshot, "repro_store_ops_total"):
+        labels = entry.get("labels", {})
+        if labels.get("op") == "error" and entry.get("value"):
+            lines.append(f"  store errors ({labels.get('store')}): "
+                         f"{entry['value']:g}  (counted as misses / "
+                         f"dropped writes)")
     lost = snapshot_value(snapshot, "repro_campaign_chunks_lost_total")
     if lost:
         lines.append(f"  chunks lost with a dead worker: {lost:g}")

@@ -26,7 +26,13 @@ import functools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-from ..algebra.base import PHI, RoutingAlgebra, Signature, rank_routes
+from ..algebra.base import (
+    PHI,
+    RoutingAlgebra,
+    Signature,
+    origin_or_phi,
+    rank_routes,
+)
 from ..algebra.extended import ExtendedAlgebra
 from ..net.network import Network
 from ..net.simulator import Simulator, next_flush_time
@@ -115,10 +121,7 @@ class GPVEngine:
                 label = self.network.label(neighbor, dest)
                 if label is None:
                     continue
-                try:
-                    sig = self.algebra.origin_signature(label)
-                except (KeyError, NotImplementedError):
-                    continue
+                sig = origin_or_phi(self.algebra, label)
                 if sig is PHI:
                     continue
                 route = (sig, (neighbor, dest))
@@ -139,10 +142,7 @@ class GPVEngine:
         the forgery) — and the route propagates through the normal
         advertisement machinery from the current sim time on.
         """
-        try:
-            sig = self.algebra.origin_signature(label)
-        except (KeyError, NotImplementedError):
-            return
+        sig = origin_or_phi(self.algebra, label)
         if sig is PHI:
             return
         state = self._states[node]
@@ -269,10 +269,7 @@ class GPVEngine:
             # Locally originated one-hop routes over this link change too.
             if src in self.destinations:
                 label = self.network.label(node, src)
-                try:
-                    sig = self.algebra.origin_signature(label)
-                except (KeyError, NotImplementedError):
-                    sig = PHI
+                sig = origin_or_phi(self.algebra, label)
                 if sig is not PHI:
                     state.rib_in[(node, src)] = ((sig, (node, src)),)
                     self._reselect(node, src)

@@ -2,18 +2,20 @@
 
 Both persistent caches (:mod:`repro.campaigns.verdict_store`,
 :mod:`repro.exec.kernel_store`) are one content-addressed ``key → row``
-table with ``created_at`` and ``hits`` columns, in a single sqlite file
-that several campaign processes write through at once.  What
-follows from that lives here once, parameterized by the subclass's
-table name: the connection and its pragmas, serialized open-time
-hygiene, hit-decay / age / size retention, the ``store_meta`` side
-table, the bounded-retry write and ``compact``.  A store adds only its
-table schema and version, its row methods and ``stats()``.
+table with a ``created_at`` column, in a single sqlite file that several
+campaign processes write through at once.  What follows from that lives
+here once, parameterized by the subclass's table name: the connection
+and its pragmas, serialized open-time hygiene, the bounded-retry write —
+and how a store is *used*: one way to open (:func:`open_store`), one way
+to fail (:meth:`SqliteCache.best_effort`), one eviction rule
+(``MAX_ROWS``).  A store adds only its table schema and version, its row
+methods and ``stats()``.
 
 The stores are caches, so a file in a format this code does not write —
 an older or newer ``user_version`` stamp, or a column set other than
-the schema's — is emptied on open, not migrated: every row re-derives
-on its next encounter.
+the schema's — is emptied on open, not migrated, and a file grown past
+``MAX_ROWS`` loses its oldest rows: every row re-derives on its next
+encounter.
 
 Racing writers are expected: WAL keeps readers off the writers' locks
 and the stores' writes are idempotent (``INSERT OR IGNORE``, additive
@@ -23,68 +25,33 @@ hit counts), so two workers that computed the same row are harmless.
 from __future__ import annotations
 
 import contextlib
+import os
 import sqlite3
 import time
-from dataclasses import dataclass
 
-_META_SCHEMA = """
-CREATE TABLE IF NOT EXISTS store_meta (
-    name  TEXT PRIMARY KEY,
-    value REAL NOT NULL
-)
-"""
-
-_DAY_S = 86_400.0
-
-
-@dataclass(frozen=True)
-class RetentionPolicy:
-    """Automatic hygiene bounds applied every time a store is opened;
-    a bound of zero is off.
-
-    ``max_rows``
-        Hard size bound; beyond it the coldest rows (fewest hits, then
-        oldest) are evicted regardless of age.
-    ``max_age_days``
-        Rows whose (decayed) hit count is zero and whose age exceeds the
-        bound are evicted — they re-derive on the next encounter.
-    ``decay_half_life_days``
-        Hit counts are integer-halved once per elapsed half-life, so a
-        row that stops being hit loses its protection gradually instead
-        of keeping a stale high-water mark forever.
-    """
-
-    max_rows: int
-    max_age_days: float
-    decay_half_life_days: float
-
-
-#: Opt-out policy for callers that must not decay or evict on open (the
-#: format rule still applies: rows in an unknown format are unreadable).
-NO_RETENTION = RetentionPolicy(max_rows=0, max_age_days=0.0,
-                               decay_half_life_days=0.0)
+from .obs import metrics as _obs_metrics
 
 
 class SqliteCache:
-    """An append-mostly ``key → row`` sqlite table with hit-count hygiene.
+    """An append-mostly ``key → row`` sqlite table, bounded on open.
 
-    Subclasses set ``TABLE``, ``SCHEMA`` (its ``CREATE TABLE IF NOT
-    EXISTS``; the table must carry ``key``, ``created_at`` and ``hits``),
-    ``SCHEMA_VERSION`` (stamped as ``PRAGMA user_version``; bump it with
-    any change to the columns, the key rendering or the payload) and
-    ``DEFAULT_RETENTION``.
+    Subclasses set ``NAME`` (the ``store`` label of their
+    ``repro_store_ops_total`` series), ``TABLE``, ``SCHEMA`` (its
+    ``CREATE TABLE IF NOT EXISTS``; the table must carry ``key`` and
+    ``created_at``), ``SCHEMA_VERSION`` (stamped as ``PRAGMA
+    user_version``; bump it with any change to the columns, the key
+    rendering or the payload) and ``MAX_ROWS`` (the one eviction rule:
+    beyond it the oldest rows go, on open).
     """
 
+    NAME: str
     TABLE: str
     SCHEMA: str
     SCHEMA_VERSION: int
-    DEFAULT_RETENTION: RetentionPolicy
+    MAX_ROWS: int
 
-    def __init__(self, path: str,
-                 retention: RetentionPolicy | None = None,
-                 now: float | None = None):
+    def __init__(self, path: str):
         self.path = path
-        self.retention = retention or self.DEFAULT_RETENTION
         #: What the automatic open-time hygiene did (for stats/tests).
         self.last_retention: dict[str, int] = {}
         self._conn = sqlite3.connect(path, timeout=30.0)
@@ -97,24 +64,22 @@ class SqliteCache:
         # SQLITE_BUSY into a multi-writer campaign.
         self._conn.execute("PRAGMA busy_timeout=30000")
         self._conn.execute(self.SCHEMA)
-        self._conn.execute(_META_SCHEMA)
         self._conn.commit()
         # Serialize racing openers (parallel workers all open the store):
-        # take the write lock up front, then check the format stamp /
-        # decay timestamps under it — the losers of the race see the
-        # winner's stamp instead of acting on a stale snapshot (a second
-        # drop, a double decay, or SQLITE_BUSY upgrading a deferred read
-        # transaction).
+        # take the write lock up front, then check the format stamp and
+        # the size under it — the losers of the race see the winner's
+        # stamp instead of acting on a stale snapshot (a second drop, or
+        # SQLITE_BUSY upgrading a deferred read transaction).
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             self._check_format()
-            self._apply_retention(now if now is not None else time.time())
+            self._evict_oldest()
         except BaseException:
             self._conn.rollback()
             raise
         self._conn.commit()
 
-    # -- the format rule ------------------------------------------------------
+    # -- open-time hygiene ----------------------------------------------------
 
     def _check_format(self) -> None:
         """Empty a file this code did not write; stamp a fresh one."""
@@ -136,53 +101,14 @@ class SqliteCache:
         if lost:
             self.last_retention["format_dropped"] = lost
 
-    # -- automatic retention --------------------------------------------------
-
-    def _apply_retention(self, now: float) -> None:
-        policy = self.retention
-        stats = self.last_retention
-        table = self.TABLE
-        half_life_s = policy.decay_half_life_days * _DAY_S
-        if half_life_s > 0:
-            last = self._meta("last_decay_at")
-            if last is None:
-                self._set_meta("last_decay_at", now)
-            else:
-                halvings = int((now - last) / half_life_s)
-                if halvings > 0:
-                    # hits >> halvings, floored at 0.
-                    self._conn.execute(
-                        f"UPDATE {table} SET hits = hits / ? WHERE hits > 0",
-                        (2 ** min(halvings, 62),))
-                    self._set_meta("last_decay_at",
-                                   last + halvings * half_life_s)
-                    stats["decay_halvings"] = halvings
-        if policy.max_age_days > 0:
-            evicted = self._conn.execute(
-                f"DELETE FROM {table} WHERE hits = 0 AND created_at < ?",
-                (now - policy.max_age_days * _DAY_S,)).rowcount
-            if evicted:
-                stats["age_evicted"] = evicted
-        if policy.max_rows > 0:
-            excess = len(self) - policy.max_rows
-            if excess > 0:
-                self._conn.execute(
-                    f"DELETE FROM {table} WHERE key IN ("
-                    f"SELECT key FROM {table} "
-                    f"ORDER BY hits ASC, created_at ASC LIMIT ?)",
-                    (excess,))
-                stats["size_evicted"] = excess
-
-    def _meta(self, name: str) -> float | None:
-        row = self._conn.execute(
-            "SELECT value FROM store_meta WHERE name = ?", (name,)).fetchone()
-        return None if row is None else row[0]
-
-    def _set_meta(self, name: str, value: float) -> None:
-        self._conn.execute(
-            "INSERT INTO store_meta (name, value) VALUES (?, ?) "
-            "ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-            (name, value))
+    def _evict_oldest(self) -> None:
+        excess = len(self) - self.MAX_ROWS
+        if excess > 0:
+            self._conn.execute(
+                f"DELETE FROM {self.TABLE} WHERE key IN ("
+                f"SELECT key FROM {self.TABLE} "
+                f"ORDER BY created_at ASC, key LIMIT ?)", (excess,))
+            self.last_retention["size_evicted"] = excess
 
     # -- writes ---------------------------------------------------------------
 
@@ -215,24 +141,56 @@ class SqliteCache:
                     raise
                 time.sleep(0.05 * (attempt + 1))
 
-    # -- hygiene ---------------------------------------------------------------
+    # -- use ------------------------------------------------------------------
+
+    @contextlib.contextmanager
+    def best_effort(self):
+        """The one failure policy for a store in use: a ``sqlite3.Error``
+        out of the guarded read or write is counted and swallowed — the
+        caller goes on with a miss, or without the write; the row
+        re-derives.  (Whether a path can be opened at all is settled
+        before the first scenario: ``CampaignRunner.run`` rejects it.)
+        """
+        try:
+            yield
+        except sqlite3.Error:
+            _obs_metrics.counter("repro_store_ops_total", store=self.NAME,
+                                 op="error").inc()
 
     def __len__(self) -> int:
         return self._conn.execute(
             f"SELECT COUNT(*) FROM {self.TABLE}").fetchone()[0]
 
-    def compact(self) -> int:
-        """Evict never-hit rows and reclaim the space; returns the count.
-
-        Retention bounds the store automatically on open; ``compact`` is
-        the aggressive manual variant — *every* zero-hit row goes,
-        regardless of age, and the file is VACUUMed.
-        """
-        evicted = self._conn.execute(
-            f"DELETE FROM {self.TABLE} WHERE hits = 0").rowcount
-        self._conn.commit()
-        self._conn.execute("VACUUM")
-        return evicted
-
     def close(self) -> None:
         self._conn.close()
+
+
+#: Store class → ``(path, pid, store)``: the process's one handle on it.
+_OPEN: dict[type, tuple] = {}
+
+
+def open_store(cls: type[SqliteCache], path: str | None):
+    """This process's ``cls`` store at ``path`` (``None``: no store).
+
+    Idempotent per ``(path, pid)`` — workers call it once per chunk at
+    negligible cost — and the only place a store is opened or switched:
+    a path change closes the old handle first.  The pid guard matters
+    under fork-based process pools: a forked worker inherits the
+    parent's sqlite connection, which sqlite forbids sharing across
+    processes, so the worker drops the inherited handle *unclosed* (the
+    parent owns it) and opens its own.  A path that cannot be opened
+    raises ``sqlite3.Error`` and leaves no store attached.
+    """
+    pid = os.getpid()
+    held_path, held_pid, store = _OPEN.get(cls, (None, pid, None))
+    if (held_path, held_pid) != (path, pid):
+        if store is not None and held_pid == pid:
+            store.close()
+        _OPEN[cls] = (None, pid, None)
+        try:
+            store = None if path is None else cls(path)
+        except sqlite3.Error as error:
+            raise sqlite3.OperationalError(
+                f"cannot open {cls.NAME} cache {path}: {error}") from error
+        _OPEN[cls] = (path, pid, store)
+    return store

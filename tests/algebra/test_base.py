@@ -3,7 +3,7 @@
 import pickle
 
 from repro.algebra import PHI, Pref, RoutingAlgebra, rank_sort
-from repro.algebra.base import _Phi
+from repro.algebra.base import _Phi, origin_or_phi
 from repro.algebra.library import ShortestHopCount
 
 
@@ -85,3 +85,48 @@ class TestDefaultInterfaces:
         import pytest
         with pytest.raises(NotImplementedError):
             Bare().origin_signature(1)
+
+
+class TestOriginOrPhi:
+    """The undefined-label rule, said once for every engine."""
+
+    class Partial(RoutingAlgebra):
+        """Originates over label 1; 2 is missing from its table, 3 is
+        a label it has no seed for."""
+
+        def preference(self, s1, s2):
+            return Pref.EQUAL
+
+        def oplus(self, label, sig):
+            return sig
+
+        def labels(self):
+            return [1, 2, 3]
+
+        def origin_signature(self, label):
+            if label == 3:
+                return super().origin_signature(label)  # no origin_seed
+            return {1: "one-hop"}[label]
+
+    def test_defined_label_originates(self):
+        assert origin_or_phi(self.Partial(), 1) == "one-hop"
+
+    def test_both_undefined_label_exceptions_yield_phi(self):
+        import pytest
+        algebra = self.Partial()
+        with pytest.raises(KeyError):
+            algebra.origin_signature(2)
+        with pytest.raises(NotImplementedError):
+            algebra.origin_signature(3)
+        assert origin_or_phi(algebra, 2) is PHI
+        assert origin_or_phi(algebra, 3) is PHI
+
+    def test_any_other_exception_is_a_bug_and_surfaces(self):
+        import pytest
+
+        class Buggy(self.Partial):
+            def origin_signature(self, label):
+                raise TypeError("bug")
+
+        with pytest.raises(TypeError):
+            origin_or_phi(Buggy(), 1)

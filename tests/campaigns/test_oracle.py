@@ -322,14 +322,18 @@ class TestOneBatchPath:
                    if [o.backend for o in r.outcomes] == ["gpv", "batch"]]
         assert 3 <= len(batched) < len(specs)
 
-        # Every scalar session after the first owns a re-materialization.
+        # Still once with more scalar backends: every session after the
+        # first owns a copy of the one materialization's network.
+        from repro.net.network import Network
         del materialized[:], admissions[:]
+        copies = self.count_calls(monkeypatch, Network, "copy")
         results = evaluate_chunk(specs, EvaluationOptions(
             backends=("gpv", "ndlog", "hlp", "batch")))
         live_scalar = [sum(o.backend != "batch" for o in r.outcomes)
                        for r in results]
         assert set(live_scalar) == {2, 3}  # hlp joins on its own family
-        assert len(materialized) == sum(live_scalar)
+        assert [args[0] for args in materialized] == specs
+        assert len(copies) == sum(live_scalar) - len(specs)
         assert len(admissions) == len(specs)
 
     def test_admission_scans_and_keys_each_scenario_once(self, monkeypatch):

@@ -9,6 +9,7 @@ be disjoint.
 import json
 
 from repro.campaigns import (
+    AggregatingSink,
     CampaignReport,
     ScenarioGenerator,
     clear_verdict_cache,
@@ -33,20 +34,16 @@ def forced_disagreement_report(seed=1):
     spec = ScenarioGenerator(seed, families=("gadget",),
                              profile="quick").make(0)
     clear_verdict_cache()
-    result = replace(evaluate(spec), classification=SAFE_DIVERGED)
-    return CampaignReport(results=[result], total_scenarios=1,
-                          class_counts={SAFE_DIVERGED: 1},
-                          family_counts={"gadget": {SAFE_DIVERGED: 1}},
-                          pair_counts={}, cache_hit_count=0,
-                          analyzed_count=1)
+    sink = AggregatingSink()
+    sink.accept(replace(evaluate(spec), classification=SAFE_DIVERGED))
+    return sink.report(wall_clock_s=0.0, jobs=1, chunk_size=1, aborted=None)
 
 
 class TestMergePartialInputs:
     def test_empty_shards_contribute_nothing(self):
         real = small_report(4)
-        empty = CampaignReport(total_scenarios=0, class_counts={},
-                               family_counts={}, pair_counts={},
-                               cache_hit_count=0, analyzed_count=0)
+        empty = AggregatingSink().report(wall_clock_s=0.0, jobs=1,
+                                         chunk_size=1, aborted=None)
         merged = CampaignReport.merge([empty, real, empty])
         assert merged.scenario_count == real.scenario_count == 4
         assert merged.counters() == real.counters()

@@ -1,8 +1,9 @@
 """Persistent verdict cache: cross-process reuse of analysis verdicts.
 
 What the verdict store shares with the kernel store (duplicate puts,
-retention, ``compact``, the retrying write) is pinned once for both in
-``tests/test_store_contract.py``; this module keeps what is its own.
+the ``MAX_ROWS`` bound, the open helper, the retrying write) is pinned
+once for both in ``tests/test_store_contract.py``; this module keeps
+what is its own.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from repro.campaigns import (
     verdict_cache_size,
 )
 from repro.campaigns.oracle import EvaluationOptions
-from repro.sqlite_cache import NO_RETENTION
 
 
 @pytest.fixture(autouse=True)
@@ -116,8 +116,10 @@ class TestHygiene:
         store = VerdictStore(str(tmp_path / "v.sqlite"))
         store.put("k1", True, "smt")
         store.put("k2", False, "smt")
-        store.touch("k1")
-        store.touch("k1")
+        store.count_hit("k1")
+        store.count_hit("k1")
+        assert store.stats()["hits"] == 0  # tallied, not yet written
+        store.flush_hits()
         stats = store.stats()
         assert stats["verdicts"] == 2
         assert stats["hits"] == 2
@@ -245,7 +247,7 @@ class TestMultiWriterHardening:
             process.join(timeout=120)
             assert process.exitcode == 0
 
-        store = VerdictStore(path, retention=NO_RETENTION)
+        store = VerdictStore(path)
         stats = store.stats()
         # Every private row landed; shared rows deduplicated by INSERT OR
         # IGNORE; hit counts added across writers.

@@ -22,7 +22,7 @@ from repro.exec.batch import (
     reset_kernel_cache_stats,
 )
 from repro.exec.kernel_store import KernelStore
-from repro.sqlite_cache import NO_RETENTION
+from repro.obs import metrics
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +63,44 @@ class TestStorePrimitives:
         stats = store.stats()
         assert stats["kernels"] == 2
         assert stats["negative"] == 1
-        assert stats["hits"] == 2  # the two found gets above
+        store.close()
+
+    def test_a_read_is_a_read(self, tmp_path):
+        """``get`` writes nothing: a second connection's ``PRAGMA
+        data_version`` (which moves with every commit by anyone else)
+        stays put over 50 hits."""
+        path = str(tmp_path / "k.sqlite")
+        store = KernelStore(path)
+        store.put("k", b"tables")
+        watcher = sqlite3.connect(path)
+        version = watcher.execute("PRAGMA data_version").fetchone()[0]
+        for _ in range(50):
+            assert store.get("k") == (True, b"tables")
+        assert watcher.execute(
+            "PRAGMA data_version").fetchone()[0] == version
+        watcher.close()
+        store.close()
+
+    def test_a_v2_file_is_emptied_and_stamped_v3(self, tmp_path):
+        """Schema v2 counted hits per row; drop, don't migrate."""
+        path = str(tmp_path / "k.sqlite")
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE kernels (key TEXT PRIMARY KEY, payload BLOB, "
+            "created_at REAL NOT NULL, hits INTEGER NOT NULL DEFAULT 0, "
+            "depth INTEGER NOT NULL DEFAULT 0)")
+        conn.executemany(
+            "INSERT INTO kernels (key, payload, created_at) "
+            "VALUES (?, ?, 0)", [("a", b"x"), ("b", None)])
+        conn.execute("PRAGMA user_version = 2")
+        conn.commit()
+        conn.close()
+        store = KernelStore(path)
+        assert len(store) == 0
+        assert store.last_retention == {"format_dropped": 2}
+        assert store.stats()["schema_version"] == 3
+        store.put("a", b"fresh")
+        assert store.get("a") == (True, b"fresh")
         store.close()
 
     def test_put_deeper_deepest_horizon_wins(self, tmp_path):
@@ -110,7 +147,7 @@ class TestBatchIntegration:
         configure_kernel_store(path)
         build_kernel()
         # Trash the stored payload behind the cache's back.
-        store = batch_mod._active_store()
+        store = batch_mod._kernel_store(batch_mod._STORE_PATH)
         store._conn.execute("UPDATE kernels SET payload = ?",
                             (pickle.dumps({"not": "a kernel"}),))
         store._conn.commit()
@@ -133,10 +170,14 @@ class TestBatchIntegration:
 
         monkeypatch.setattr(KernelStore, "get", locked)
         reset_kernel_cache_stats()
+        errors = metrics.counter("repro_store_ops_total", store="kernel",
+                                 op="error")
+        before = errors.value
         assert build_kernel() is not None
         stats = kernel_cache_stats()
         assert stats["store_misses"] == 1
         assert stats["tabulations"] == 1
+        assert errors.value == before + 1
 
     def test_encoding_bug_is_not_swallowed_as_cache_trouble(
             self, tmp_path, monkeypatch):
@@ -158,7 +199,7 @@ class TestBatchIntegration:
         decoder raises is a bug and surfaces."""
         configure_kernel_store(str(tmp_path / "kernels.sqlite"))
         build_kernel()
-        store = batch_mod._active_store()
+        store = batch_mod._kernel_store(batch_mod._STORE_PATH)
         good, = store._conn.execute("SELECT payload FROM kernels").fetchone()
         body = pickle.loads(good)
         for corrupt in (b"not a pickle", good[:20],
@@ -178,17 +219,28 @@ class TestBatchIntegration:
         with pytest.raises(TypeError, match="decoder bug"):
             build_kernel()
 
-    def test_unusable_store_path_degrades_to_memory(self, tmp_path):
-        configure_kernel_store(str(tmp_path))  # a directory, not a db
-        assert batch_mod._active_store() is None
-        assert build_kernel() is not None
+    def test_unusable_store_path_is_rejected(self, tmp_path):
+        """Not silently in-memory: the caller asked for a store."""
+        with pytest.raises(sqlite3.Error, match="cannot open kernel cache"):
+            configure_kernel_store(str(tmp_path))  # a directory, not a db
 
     def test_env_fallback_configures_store(self, tmp_path, monkeypatch):
         path = str(tmp_path / "env.sqlite")
         monkeypatch.setenv(batch_mod.KERNEL_CACHE_ENV, path)
         configure_kernel_store(None)
-        assert batch_mod._active_store() is not None
+        assert batch_mod._kernel_store(batch_mod._STORE_PATH).path == path
         build_kernel()
-        store = KernelStore(path, retention=NO_RETENTION)
+        store = KernelStore(path)
+        assert len(store) == 1
+        store.close()
+
+    def test_env_names_the_store_without_a_configure_call(
+            self, tmp_path, monkeypatch):
+        """How the batch bench runs in CI: ``$REPRO_BATCH_KERNEL_CACHE``
+        set, admission driven directly — the lookup resolves it."""
+        path = str(tmp_path / "env.sqlite")
+        monkeypatch.setenv(batch_mod.KERNEL_CACHE_ENV, path)
+        build_kernel()
+        store = KernelStore(path)
         assert len(store) == 1
         store.close()

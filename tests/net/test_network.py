@@ -167,3 +167,52 @@ class TestMutation:
         assert mapped.node_count() == diamond.node_count()
         assert mapped.link_count() == diamond.link_count()
         assert mapped.link("b", "d").weight == 2
+
+
+class TestCopy:
+    """``copy()`` feeds the later scalar backends of one evaluation:
+    iteration order is behaviour, and the copy must be independent."""
+
+    @pytest.fixture
+    def worn(self):
+        """A network whose orders differ from any sorted rebuild."""
+        net = Network("worn")
+        net.add_node("z", role="stub")
+        net.add_link("b", "a", label_ab="ba", label_ba="ab", weight=3,
+                     latency_s=0.02, tier=1)
+        net.add_link("z", "a", label_ab="za")
+        net.add_link("c", "b", label_ba="bc")
+        net.add_link("a", "c")
+        net.add_link("a", "b", label_ab="AB", weight=5)  # replaced in place
+        net.remove_link("z", "a")
+        net.add_link("a", "z", label_ba="za2")  # re-added: now last
+        net.set_label("a", "c", "late")  # a label added after the fact
+        return net
+
+    def test_orders_labels_and_attrs_carry_over(self, worn):
+        twin = worn.copy()
+        assert twin.name == worn.name
+        assert twin.nodes() == worn.nodes()
+        assert [twin.node_attrs(n) for n in twin.nodes()] == \
+            [worn.node_attrs(n) for n in worn.nodes()]
+        assert [twin.neighbors(n) for n in twin.nodes()] == \
+            [worn.neighbors(n) for n in worn.nodes()]
+        assert [(l.a, l.b) for l in twin.links()] == \
+            [(l.a, l.b) for l in worn.links()]
+        for mine, theirs in zip(twin.links(), worn.links()):
+            assert mine == theirs and mine is not theirs
+            assert list(mine.labels.items()) == list(theirs.labels.items())
+        assert_index_agrees_with_links(twin)
+
+    def test_the_copy_is_independent(self, worn):
+        twin = worn.copy()
+        twin.remove_link("a", "b")
+        twin.set_label("c", "b", "relabelled")
+        twin.node_attrs("z")["role"] = "core"
+        twin.link("a", "c").attrs["tier"] = 9
+        assert worn.has_link("a", "b") and "b" in worn.neighbors("a")
+        assert worn.label("c", "b") is None
+        assert worn.node_attrs("z") == {"role": "stub"}
+        assert "tier" not in worn.link("a", "c").attrs
+        assert_index_agrees_with_links(worn)
+        assert_index_agrees_with_links(twin)

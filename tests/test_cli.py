@@ -153,17 +153,18 @@ class TestCampaign:
         import repro.campaigns as campaigns
         from repro.campaigns import (
             ERROR,
-            CampaignReport,
+            AggregatingSink,
             ScenarioResult,
             ScenarioSpec,
         )
 
         spec = ScenarioSpec(scenario_id=0, family="gadget", algebra="spp",
                             seed=0, until=1.0, max_events=1)
-        report = CampaignReport(
-            results=[ScenarioResult(spec=spec, classification=ERROR,
-                                    error="boom")],
-            wall_clock_s=0.1)
+        sink = AggregatingSink()
+        sink.accept(ScenarioResult(spec=spec, classification=ERROR,
+                                   error="boom"))
+        report = sink.report(wall_clock_s=0.1, jobs=1, chunk_size=1,
+                             aborted=None)
         monkeypatch.setattr(campaigns, "run_campaign",
                             lambda *args, **kwargs: report)
         assert main(["campaign", "--scenarios", "1"]) == 1
@@ -174,10 +175,11 @@ class TestCampaign:
         """A budget abort before any chunk returns evaluates nothing; the
         gate must not go green over an empty report."""
         import repro.campaigns as campaigns
-        from repro.campaigns import CampaignReport
+        from repro.campaigns import AggregatingSink
 
-        report = CampaignReport(results=[], wall_clock_s=0.01,
-                                aborted="wall-clock budget exhausted")
+        report = AggregatingSink().report(
+            wall_clock_s=0.01, jobs=1, chunk_size=1,
+            aborted="wall-clock budget exhausted")
         monkeypatch.setattr(campaigns, "run_campaign",
                             lambda *args, **kwargs: report)
         assert main(["campaign", "--scenarios", "16"]) == 1
@@ -342,22 +344,6 @@ class TestVerdictsCommand:
         assert main(["verdicts", path, "--stats", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["store"]["raw_keys"] == {"spp-raw": 1, "table-raw": 1}
-
-    def test_compact_evicts_never_hit_rows(self, tmp_path, capsys):
-        from repro.campaigns import VerdictStore
-
-        path = self._populated_store(tmp_path, capsys)
-        store = VerdictStore(path)
-        store.put("('never', 'hit')", True, "smt")
-        before = len(store)
-        store.close()
-        assert main(["verdicts", path, "--compact"]) == 0
-        out = capsys.readouterr().out
-        assert "evicted 1" in out
-        store = VerdictStore(path)
-        assert len(store) == before - 1
-        assert store.get("('never', 'hit')") is None
-        store.close()
 
     def test_missing_store_is_rejected(self, tmp_path, capsys):
         assert main(["verdicts", str(tmp_path / "absent.sqlite")]) == 1

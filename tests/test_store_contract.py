@@ -1,29 +1,29 @@
 """The contract both sqlite caches inherit from ``repro.sqlite_cache``.
 
 ``VerdictStore`` and ``KernelStore`` share one base for connection
-set-up, open-time retention, the bounded-retry write and ``compact``;
-every behaviour that base owns — the one rule for a file in an unknown
-format included — is pinned here once, over both stores.  What is a
-store's own (``put_deeper``, ``touch_many``, the oracle/batch
-integration) is tested next to it in
+set-up, the bounded-retry write and how a store is used — one way to
+open (``open_store``), one way to fail (``best_effort``), one eviction
+rule (``MAX_ROWS``); every behaviour that base owns — the one rule for
+a file in an unknown format included — is pinned here once, over both
+stores.  What is a store's own (``put_deeper``, ``touch_many``, the
+oracle/batch integration) is tested next to it in
 ``tests/campaigns/test_verdict_store.py`` and
 ``tests/exec/test_kernel_store.py``.
 """
 
+import os
 import sqlite3
-import time
 
 import pytest
 
 from repro.campaigns import VerdictStore
 from repro.exec.kernel_store import KernelStore
-from repro.sqlite_cache import NO_RETENTION, RetentionPolicy
-
-DAY = 86_400.0
+from repro.obs import metrics
+from repro.sqlite_cache import open_store
 
 
 class Verdicts:
-    """Row methods of the verdict store, behind the suite's three verbs."""
+    """Row methods of the verdict store, behind the suite's two verbs."""
 
     cls = VerdictStore
 
@@ -36,13 +36,9 @@ class Verdicts:
         row = store.get(key)
         return None if row is None else row[1]
 
-    @staticmethod
-    def hit(store, key, count):
-        store.touch_many({key: count})
-
 
 class Kernels:
-    """Row methods of the kernel store (a found ``get`` counts one hit)."""
+    """Row methods of the kernel store."""
 
     cls = KernelStore
 
@@ -55,29 +51,15 @@ class Kernels:
         found, payload = store.get(key)
         return payload.decode() if found else None
 
-    @staticmethod
-    def hit(store, key, count):
-        for _ in range(count):
-            store.get(key)
-
 
 @pytest.fixture(params=[Verdicts, Kernels], ids=["verdict", "kernel"])
 def kind(request):
     return request.param
 
 
-def hits_by_key(store) -> dict:
-    """``key → hits`` straight off the table (reads count no hits)."""
-    return dict(store._conn.execute(
-        f"SELECT key, hits FROM {store.TABLE}"))
-
-
-def only(**bound) -> RetentionPolicy:
-    """A policy with exactly the given bound on; the others off."""
-    fields = {"max_rows": 0, "max_age_days": 0.0,
-              "decay_half_life_days": 0.0}
-    fields.update(bound)
-    return RetentionPolicy(**fields)
+def keys(store) -> set:
+    return {key for key, in store._conn.execute(
+        f"SELECT key FROM {store.TABLE}")}
 
 
 def test_duplicate_put_is_ignored(kind, tmp_path):
@@ -101,60 +83,27 @@ def test_reopen_sees_previous_writes(kind, tmp_path):
     store.close()
 
 
-def test_hit_counts_decay_per_half_life(kind, tmp_path):
-    path = str(tmp_path / "s.sqlite")
-    t0 = time.time()
-    store = kind.cls(path, now=t0)  # stamps last_decay_at
-    kind.put(store, "hot")
-    kind.hit(store, "hot", 9)
-    store.close()
-    # Two half-lives later: 9 -> 2 (integer halving twice).
-    store = kind.cls(path, retention=only(decay_half_life_days=7.0),
-                     now=t0 + 15 * DAY)
-    assert hits_by_key(store) == {"hot": 2}
-    assert store.last_retention == {"decay_halvings": 2}
-    store.close()
-
-
-def test_age_bound_evicts_cold_rows_only(kind, tmp_path):
+def test_size_bound_keeps_the_newest_rows(kind, tmp_path, monkeypatch):
+    """The one eviction rule: past ``MAX_ROWS`` the oldest rows go, on
+    open — by ``created_at`` alone, whatever was read or hit since."""
     path = str(tmp_path / "s.sqlite")
     store = kind.cls(path)
-    kind.put(store, "cold")
-    kind.put(store, "warm")
-    kind.hit(store, "warm", 1)
-    store.close()
-    store = kind.cls(path, retention=only(max_age_days=30.0),
-                     now=time.time() + 40 * DAY)
-    assert set(hits_by_key(store)) == {"warm"}  # still hit-protected
-    assert store.last_retention == {"age_evicted": 1}
-    store.close()
-
-
-def test_size_bound_evicts_coldest_first(kind, tmp_path):
-    path = str(tmp_path / "s.sqlite")
-    store = kind.cls(path)
-    for i in range(6):
+    for i in range(7):
         kind.put(store, f"k{i}")
-    kind.hit(store, "k4", 3)
-    kind.hit(store, "k5", 5)
+        store._conn.execute(  # insertion order is not age: k6 is oldest
+            f"UPDATE {store.TABLE} SET created_at = ? WHERE key = ?",
+            (1000.0 - i, f"k{i}"))
+    store._conn.commit()
+    for _ in range(5):  # a much-read row is not a protected row
+        assert kind.read(store, "k6") is not None
     store.close()
-    store = kind.cls(path, retention=only(max_rows=2))
-    assert hits_by_key(store) == {"k4": 3, "k5": 5}
+    store = kind.cls(path)  # under the class's bound: untouched
+    assert len(store) == 7 and store.last_retention == {}
+    store.close()
+    monkeypatch.setattr(kind.cls, "MAX_ROWS", 3)
+    store = kind.cls(path)
+    assert keys(store) == {"k0", "k1", "k2"}
     assert store.last_retention == {"size_evicted": 4}
-    store.close()
-
-
-def test_no_retention_mutates_nothing(kind, tmp_path):
-    path = str(tmp_path / "s.sqlite")
-    t0 = time.time()
-    store = kind.cls(path, now=t0)
-    kind.put(store, "ancient")
-    kind.put(store, "hot")
-    kind.hit(store, "hot", 9)
-    store.close()
-    store = kind.cls(path, retention=NO_RETENTION, now=t0 + 1000 * DAY)
-    assert hits_by_key(store) == {"ancient": 0, "hot": 9}
-    assert store.last_retention == {}
     store.close()
 
 
@@ -162,11 +111,11 @@ def _restamp(conn, table, version):
     conn.execute(f"PRAGMA user_version = {version}")
 
 
-def _drop_hits_column(conn, table, _version):
+def _drop_created_at_column(conn, table, _version):
     # Rebuild without the column (portable across sqlite versions); the
     # stamp stays current, so only the column set gives the file away.
     columns = [row[1] for row in conn.execute(f"PRAGMA table_info({table})")
-               if row[1] != "hits"]
+               if row[1] != "created_at"]
     conn.execute(f"CREATE TABLE narrow AS SELECT {', '.join(columns)} "
                  f"FROM {table}")
     conn.execute(f"DROP TABLE {table}")
@@ -174,13 +123,13 @@ def _drop_hits_column(conn, table, _version):
 
 
 @pytest.mark.parametrize("damage,version_delta", [
-    (_restamp, -1), (_restamp, +1), (_drop_hits_column, 0),
+    (_restamp, -1), (_restamp, +1), (_drop_created_at_column, 0),
 ], ids=["older-stamp", "newer-stamp", "missing-column"])
 def test_unknown_format_is_emptied_not_migrated(kind, tmp_path, damage,
                                                 version_delta):
     """Caches are disposable: whatever another version of the code left
     in the file, the store opens empty, says how many rows that cost, and
-    serves put/get/reopen from there on — under ``NO_RETENTION`` too."""
+    serves put/get/reopen from there on."""
     path = str(tmp_path / "s.sqlite")
     store = kind.cls(path)
     assert store.last_retention == {}  # a fresh file is only stamped
@@ -193,27 +142,16 @@ def test_unknown_format_is_emptied_not_migrated(kind, tmp_path, damage,
     conn.commit()
     conn.close()
 
-    store = kind.cls(path, retention=NO_RETENTION)
+    store = kind.cls(path)
     assert len(store) == 0
     assert store.last_retention == {"format_dropped": 3}
     assert store.stats()["schema_version"] == current
     kind.put(store, "fresh", "after")
-    kind.hit(store, "fresh", 2)
     assert kind.read(store, "fresh") == "after"
     store.close()
     store = kind.cls(path)
     assert store.last_retention == {}  # dropped once, not on every open
     assert kind.read(store, "fresh") == "after"
-    store.close()
-
-
-def test_compact_drops_only_never_hit_rows(kind, tmp_path):
-    store = kind.cls(str(tmp_path / "s.sqlite"))
-    kind.put(store, "hot")
-    kind.put(store, "cold")
-    kind.hit(store, "hot", 1)
-    assert store.compact() == 1
-    assert set(hits_by_key(store)) == {"hot"}
     store.close()
 
 
@@ -263,4 +201,92 @@ def test_retry_locked_reraises_everything_else(kind, tmp_path):
     with pytest.raises(sqlite3.OperationalError, match="readonly"):
         store._retry_locked(readonly)
     assert len(calls) == 1  # will not heal in five sleeps: no retry
+    store.close()
+
+
+# -- one way to open -----------------------------------------------------------
+
+
+@pytest.fixture
+def no_open_store(kind):
+    """Every test starts and ends with no ``kind`` store attached."""
+    open_store(kind.cls, None)
+    yield
+    open_store(kind.cls, None)
+
+
+def _is_open(store) -> bool:
+    try:
+        len(store)
+    except sqlite3.ProgrammingError:  # "Cannot operate on a closed database"
+        return False
+    return True
+
+
+def test_open_store_is_one_handle_per_path(kind, tmp_path, no_open_store):
+    first = str(tmp_path / "a.sqlite")
+    store = open_store(kind.cls, first)
+    assert isinstance(store, kind.cls) and store.path == first
+    assert open_store(kind.cls, first) is store  # idempotent per path
+    other = open_store(kind.cls, str(tmp_path / "b.sqlite"))
+    assert other is not store
+    assert not _is_open(store)  # a path change closes the old handle
+    assert open_store(kind.cls, None) is None
+    assert not _is_open(other)
+
+
+def test_open_store_keeps_the_stores_apart(tmp_path):
+    path = str(tmp_path / "v.sqlite")
+    try:
+        verdicts = open_store(VerdictStore, path)
+        assert open_store(KernelStore, None) is None
+        assert open_store(VerdictStore, path) is verdicts
+    finally:
+        open_store(VerdictStore, None)
+
+
+def test_forked_process_reopens_and_leaves_the_inherited_handle(
+        kind, tmp_path, no_open_store, monkeypatch):
+    """What a pool worker sees: the parent's handle, under another pid.
+    It must get its own connection and must not close the parent's."""
+    path = str(tmp_path / "s.sqlite")
+    parents = open_store(kind.cls, path)
+    kind.put(parents, "key", "parent")
+    real_pid = os.getpid()
+    monkeypatch.setattr("repro.sqlite_cache.os.getpid", lambda: real_pid + 1)
+    workers = open_store(kind.cls, path)
+    assert workers is not parents
+    assert _is_open(parents)  # dropped, not closed: the parent owns it
+    assert kind.read(workers, "key") == "parent"
+    assert open_store(kind.cls, path) is workers
+    monkeypatch.undo()
+    workers.close()
+    parents.close()
+
+
+def test_unopenable_path_is_a_typed_error_and_attaches_nothing(
+        kind, tmp_path, no_open_store):
+    with pytest.raises(sqlite3.Error,
+                       match=f"cannot open {kind.cls.NAME} cache "):
+        open_store(kind.cls, str(tmp_path))  # a directory, not a db
+    assert open_store(kind.cls, None) is None
+
+
+# -- one way to fail -------------------------------------------------------------
+
+
+def test_best_effort_counts_and_swallows_sqlite_errors_only(kind, tmp_path):
+    store = kind.cls(str(tmp_path / "s.sqlite"))
+    errors = metrics.counter("repro_store_ops_total", store=kind.cls.NAME,
+                             op="error")
+    before = errors.value
+    with store.best_effort():
+        raise sqlite3.OperationalError("database is locked")
+    with store.best_effort():
+        raise sqlite3.DatabaseError("database disk image is malformed")
+    assert errors.value == before + 2
+    with pytest.raises(TypeError):  # a bug is not cache trouble
+        with store.best_effort():
+            raise TypeError("serializer bug")
+    assert errors.value == before + 2
     store.close()
