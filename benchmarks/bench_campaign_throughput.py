@@ -33,7 +33,6 @@ from repro.campaigns import (
     clear_verdict_cache,
     evaluate,
 )
-from repro.campaigns.oracle import analysis_prefix_stats, reset_analyzer
 
 SEED = 7
 JOBS = 4
@@ -276,50 +275,6 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
         json.dumps(payload, indent=2) + "\n")
     benchmark.extra_info["tier1_rate"] = tier1_rate
     benchmark.extra_info["cache_hit_rate"] = spp_report.cache_hit_rate
-
-
-def test_tau_sweep_prefix_reuse(benchmark, save_result, smoke):
-    """The tier-2 prefix LRU must pay off on the tau-sweep family.
-
-    The sweep draws many ⊕-suffix variants over one shared preference
-    prefix, so campaign-level analysis should reuse warm prefix distances
-    for nearly every scenario; the mixed interdomain families draw a
-    handful of *repeated* algebras, which the canonical verdict cache
-    dedupes before the solver ever sees them — their prefix traffic stays
-    near zero.  The assertion is the ROADMAP "Tier-2 prefix mining" win:
-    the hit rate rises measurably on the family built for it.
-    """
-    count = 12 if smoke else 40
-
-    def prefix_rate(families):
-        clear_verdict_cache()
-        reset_analyzer()
-        specs = ScenarioGenerator(SEED, families=families,
-                                  profile="quick").generate(count)
-        report = CampaignRunner(CampaignConfig(jobs=1)).run(specs)
-        assert report.error_count == 0, report.summary()
-        stats = analysis_prefix_stats()
-        total = stats["hits"] + stats["misses"]
-        return (stats["hits"] / total if total else 0.0), stats
-
-    (sweep_rate, sweep_stats) = benchmark.pedantic(
-        lambda: prefix_rate(("tau-sweep",)), rounds=1, iterations=1)
-    mixed_rate, mixed_stats = prefix_rate(("caida", "hierarchy"))
-
-    save_result(
-        "tau_sweep_prefix_reuse",
-        f"scenarios: {count} per family set (fixed seed {SEED})\n"
-        f"tau-sweep: prefix hit rate {sweep_rate:.0%} "
-        f"({sweep_stats['hits']} hits / {sweep_stats['misses']} misses)\n"
-        f"caida+hierarchy: prefix hit rate {mixed_rate:.0%} "
-        f"({mixed_stats['hits']} hits / {mixed_stats['misses']} misses)")
-    benchmark.extra_info["sweep_prefix_rate"] = sweep_rate
-    benchmark.extra_info["mixed_prefix_rate"] = mixed_rate
-    # The acceptance bar: warm-prefix reuse carries the sweep family.
-    assert sweep_rate > 0.5, \
-        f"tau-sweep prefix LRU hit rate only {sweep_rate:.0%}"
-    assert sweep_rate > mixed_rate, \
-        "the sweep family must raise prefix reuse over the mixed rotation"
 
 
 def _batch_specs(smoke: bool):

@@ -18,7 +18,6 @@ from repro.campaigns import (
     ScenarioGenerator,
     clear_verdict_cache,
 )
-from repro.campaigns.oracle import reset_analyzer
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import configure_tracing, read_spans
 
@@ -28,11 +27,10 @@ OVERHEAD_CEILING = 0.05
 
 
 def _run_once(specs, trace_dir=None) -> float:
-    # Clear the verdict memo and analyzer LRU so every round does the
-    # full evaluation work — otherwise the first round would be the only
-    # one that pays for analysis and the comparison would be noise.
+    # Clear the verdict memo so every round does the full evaluation
+    # work — otherwise the first round would be the only one that pays
+    # for analysis and the comparison would be noise.
     clear_verdict_cache()
-    reset_analyzer()
     started = time.perf_counter()
     report = CampaignRunner(CampaignConfig(
         jobs=1, keep_results=False, trace_dir=trace_dir)).run(specs)

@@ -158,17 +158,15 @@ class HLPTauAlgebra(RoutingAlgebra):
     Signatures are advertised cost levels ``1..max_cost``; ⊕ adds the
     link weight and *hides* the sum (:func:`hide_cost`), and anything
     beyond the cap is prohibited (φ), bounding Σ.  Lower advertised cost
-    is strictly preferred, so the preference relation — and with it the
-    tier-2 solver's *preference prefix* — depends only on ``max_cost``:
-    every ``(tau, weights)`` variant drawn by the ``tau-sweep`` family
-    shares one prefix while contributing a fresh monotonicity suffix,
-    which is exactly the workload the incremental solver's per-prefix
-    warm start (push/pop against warm distances) was built for.
+    is strictly preferred, so the preference relation depends only on
+    ``max_cost``: every ``(tau, weights)`` variant drawn by the
+    ``tau-sweep`` family encodes the same preference atoms and its own
+    monotonicity atoms.
 
     Deliberately *not* closed-form: Σ is finite and the point of the
-    family is to reach the SMT tier, so the analyzer proves strict
-    monotonicity from the enumerated tables every time the suffix
-    changes.
+    family is to reach the SMT tier (and to be fully batch-admitted), so
+    the analyzer proves strict monotonicity from the enumerated tables
+    for every variant.
     """
 
     name = "hlp-tau"
@@ -239,9 +237,8 @@ class HLPTauAlgebra(RoutingAlgebra):
         """The full cost range, *independent of tau and the weights*.
 
         Unreachable levels (e.g. non-multiples of τ) are enumerated
-        anyway: they cost a few extra prefix atoms but buy the sweep-wide
-        structural identity of the preference prefix that makes the
-        incremental solver's warm start hit.
+        anyway: they cost a few extra preference atoms and keep the
+        preference relation identical across the whole sweep.
         """
         return range(1, self.max_cost + 1)
 

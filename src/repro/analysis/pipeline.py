@@ -18,11 +18,10 @@ SMT; this module makes that layering an explicit pipeline of
   also refutes the *non-strict* encoding, making ``monotonic == safe``
   for every SPP instance;
 * **tier 2 — SMT**: the difference-logic fallback for every remaining
-  finite algebra, run on a *persistent*
-  :class:`~repro.smt.solver.IncrementalSolver` per preference prefix —
-  the strict and non-strict checks of one analysis (and analyses of
-  algebras sharing the prefix) push/pop suffixes against warm distances
-  instead of re-deriving them.
+  finite algebra — encode, solve the strict system with
+  :class:`~repro.smt.solver.DifferenceSolver`, and on ``unsat`` map the
+  minimal core back to policy entries and re-check with the
+  monotonicity atoms relaxed to ``<=``.
 
 Each stage either decides (returns a :class:`~repro.analysis.safety.
 SafetyReport`) or passes (returns None); the pipeline stamps the report
@@ -39,7 +38,6 @@ and insert it into the ``stages`` sequence passed to
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -49,18 +47,12 @@ from ..algebra.secure import SecureAlgebra
 from ..algebra.spp import SPPAlgebra
 from ..obs import metrics as _obs_metrics
 from ..obs.trace import TRACER
-from ..smt import Atom, SolverStats
-from ..smt.solver import IncrementalSolver
+from ..smt import Atom, DifferenceSolver
 from .dispute import build_dispute_digraph, cycle_constraint_sources
 from .encoder import encode
 
-#: Which tier decided each analysis, and tier-2 warm-prefix reuse.
+#: Which tier decided each analysis.
 _DECIDED_FAMILY = "repro_analysis_decided_total"
-_PREFIX_LOOKUPS = {
-    result: _obs_metrics.counter("repro_analysis_prefix_total",
-                                 result=result)
-    for result in ("hit", "miss")
-}
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .safety import SafetyAnalyzer, SafetyReport
@@ -204,112 +196,44 @@ class DisputeStage(AnalysisStage):
 
 
 class SmtStage(AnalysisStage):
-    """Tier 2: incremental difference-logic solving (the fallback).
+    """Tier 2: difference-logic solving (the fallback).
 
-    Constraint systems are split at the encoder boundary: preference
-    atoms form the *prefix*, monotonicity atoms the *suffix*.  A
-    persistent :class:`IncrementalSolver` is kept per distinct prefix
-    (bounded LRU): the strict check pushes the strict suffix, the
-    non-strict check (unsafe verdicts only) pops it and pushes the
-    relaxed suffix — both start from the prefix's warm distance
-    labelling, as does any later analysis of an algebra sharing the
-    prefix (e.g. a τ-sweep over HLP variants that only re-weights ⊕).
+    Stateless: the strict encoding is solved in one shot; an unsafe
+    verdict additionally solves the same preference atoms with the
+    monotonicity atoms relaxed to ``<=``, which tells "merely lacks a
+    tie-breaker" from "fundamentally cyclic".
     """
 
     name = "smt"
     tier = 2
 
-    def __init__(self, max_cached_prefixes: int = 16):
-        self.max_cached_prefixes = max_cached_prefixes
-        #: prefix key → (solver, the prefix Atoms asserted at its base
-        #: level).  The base atoms matter: a later encoding sharing the
-        #: prefix has structurally identical but *distinct* Atom objects
-        #: (fresh uids), and unsat cores must be reported in the current
-        #: encoding's atoms for ``sources_for`` to resolve them.
-        self._solvers: OrderedDict[
-            tuple, tuple[IncrementalSolver, list[Atom]]] = OrderedDict()
-        self._retired = SolverStats()
-        self.prefix_hits = 0
-        self.prefix_misses = 0
-
-    # -- prefix-keyed solver cache ------------------------------------------
-
-    def _solver_for(
-            self, prefix: Sequence[Atom]
-    ) -> tuple[IncrementalSolver, list[Atom]]:
-        key = tuple((a.lhs.name, a.rel.value, a.rhs.name, a.const)
-                    for a in prefix)
-        entry = self._solvers.get(key)
-        if entry is not None:
-            self.prefix_hits += 1
-            _PREFIX_LOOKUPS["hit"].inc()
-            self._solvers.move_to_end(key)
-            return entry
-        self.prefix_misses += 1
-        _PREFIX_LOOKUPS["miss"].inc()
-        solver = IncrementalSolver()
-        base_atoms = list(prefix)
-        solver.add(base_atoms)
-        solver.check()  # warm the prefix distances once
-        entry = (solver, base_atoms)
-        self._solvers[key] = entry
-        if len(self._solvers) > self.max_cached_prefixes:
-            _, (evicted, _) = self._solvers.popitem(last=False)
-            self._retired.merge(evicted.stats)
-        return entry
-
-    def solver_stats(self) -> SolverStats:
-        """Aggregate statistics over live and retired prefix solvers."""
-        total = SolverStats()
-        total.merge(self._retired)
-        for solver, _ in self._solvers.values():
-            total.merge(solver.stats)
-        return total
-
-    # -- analysis ------------------------------------------------------------
-
     def try_analyze(self, algebra, analyzer):
         from .safety import SafetyReport
 
         encoding = encode(algebra, strict=True)
-        split = encoding.preference_count
-        prefix = encoding.system.atoms[:split]
-        suffix = encoding.system.atoms[split:]
-        solver, base_atoms = self._solver_for(prefix)
-        # On a cache hit the solver's base-level atoms came from an earlier
-        # structurally-equal encoding; translate them back positionally so
-        # cores resolve against *this* encoding's sources.
-        base_to_current = {atom.uid: prefix[i]
-                           for i, atom in enumerate(base_atoms)}
-        solver.push()
-        try:
-            solver.add(suffix)
-            result = solver.check()
-            report = SafetyReport(
-                algebra_name=algebra.name,
-                safe=result.is_sat,
-                method="smt",
-                strictly_monotonic=result.is_sat,
-                constraint_count=len(encoding.system),
-                preference_count=encoding.preference_count,
-                monotonicity_count=encoding.monotonicity_count,
-            )
-            if result.is_sat:
-                report.model = encoding.model_signatures(result.model)
-                report.monotonic = True
-                return report
-            report.core_atoms = [base_to_current.get(a.uid, a)
-                                 for a in result.core]
-            report.core = encoding.sources_for(report.core_atoms)
-            # Non-strict check: same prefix, relaxed suffix, warm start.
-            solver.pop()
-            solver.push()
-            solver.add([Atom.le(a.lhs, a.rhs, origin=a.origin)
-                        for a in suffix])
-            report.monotonic = solver.check().is_sat
+        atoms = encoding.system.atoms
+        solver = DifferenceSolver()
+        result = solver.solve(atoms)
+        report = SafetyReport(
+            algebra_name=algebra.name,
+            safe=result.is_sat,
+            method="smt",
+            strictly_monotonic=result.is_sat,
+            constraint_count=len(encoding.system),
+            preference_count=encoding.preference_count,
+            monotonicity_count=encoding.monotonicity_count,
+        )
+        if result.is_sat:
+            report.model = encoding.model_signatures(result.model)
+            report.monotonic = True
             return report
-        finally:
-            solver.pop()
+        report.core_atoms = result.core
+        report.core = encoding.sources_for(result.core)
+        # Non-strict check: same preference atoms, relaxed monotonicity.
+        split = encoding.preference_count
+        report.monotonic = solver.check(atoms[:split] + [
+            Atom.le(a.lhs, a.rhs, origin=a.origin) for a in atoms[split:]])
+        return report
 
 
 def default_stages() -> list[AnalysisStage]:
@@ -349,19 +273,3 @@ class AnalysisPipeline:
             return report
         raise NotImplementedError(
             f"no pipeline stage decided {algebra.name!r}")
-
-    def solver_stats(self) -> SolverStats:
-        """Tier-2 solver statistics (zeros when SMT never ran).
-
-        Reads bridge the aggregate into ``repro_smt_*`` registry gauges,
-        so snapshot consumers see solver totals without the solver hot
-        path paying for per-operation metric updates.
-        """
-        for stage in self.stages:
-            if isinstance(stage, SmtStage):
-                stats = stage.solver_stats()
-                for field in stats.__dataclass_fields__:
-                    _obs_metrics.gauge(f"repro_smt_{field}").set(
-                        getattr(stats, field))
-                return stats
-        return SolverStats()

@@ -11,8 +11,7 @@ door; the actual decision runs through the tiered
 * **tier 1** — dispute-digraph acyclicity, the solver-free fast path for
   SPP instances (verdict, layering model, and minimum-wheel unsat core
   all derived combinatorially);
-* **tier 2** — the difference-logic solver over a persistent incremental
-  constraint graph:
+* **tier 2** — the difference-logic solver:
 
   * ``sat``   → strictly monotonic → **provably safe**, with a concrete
     integer instantiation of the signatures (the paper's ``C=1, P=2,
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..algebra.base import RoutingAlgebra, Signature
 from ..algebra.spp import SPPAlgebra, SPPInstance
-from ..smt import Atom, DifferenceSolver, SolverStats
+from ..smt import Atom, DifferenceSolver
 from .encoder import ConstraintSource, encode
 from .pipeline import AnalysisPipeline, AnalysisStage, StageTiming
 
@@ -106,10 +105,7 @@ class SafetyReport:
 class SafetyAnalyzer:
     """Front door of the analysis pipeline (Fig. 1, right-hand path)."""
 
-    def __init__(self, solver: DifferenceSolver | None = None,
-                 stages: list[AnalysisStage] | None = None):
-        #: One-shot solver kept for core enumeration (the repair loop).
-        self.solver = solver or DifferenceSolver()
+    def __init__(self, stages: list[AnalysisStage] | None = None):
         self.pipeline = AnalysisPipeline(self, stages=stages)
 
     # -- public API ----------------------------------------------------------
@@ -133,12 +129,8 @@ class SafetyAnalyzer:
         """All disjoint conflicts — the paper's iterative repair workflow."""
         algebra = self._as_algebra(policy)
         encoding = encode(algebra, strict=True)
-        cores = self.solver.all_cores(encoding.system, limit=limit)
+        cores = DifferenceSolver().all_cores(encoding.system, limit=limit)
         return [encoding.sources_for(core) for core in cores]
-
-    def solver_stats(self) -> SolverStats:
-        """Aggregate tier-2 statistics (``repro analyze --explain``)."""
-        return self.pipeline.solver_stats()
 
     # -- internals ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ Every scenario takes one path, alone or in a chunk:
    the batch run makes every admitted member an ``ERROR`` result;
 2. :func:`evaluate` obtains the safety verdict — from the tiered
    :class:`~repro.analysis.pipeline.AnalysisPipeline` (certificates →
-   dispute digraph → incremental SMT; the result's ``method`` records
+   dispute digraph → SMT; the result's ``method`` records
    the deciding tier) through the per-process **verdict cache** keyed by
    ``repr(canonical_key(...))`` — an *isomorphism-invariant* rendering,
    so relabeled copies of one gadget share a single solve — optionally
@@ -82,7 +82,8 @@ from .verdict_store import VerdictStore
 #: for their whole lifetime, so chunks arriving later reuse earlier solves.
 _VERDICT_CACHE: dict[str, tuple[bool, str]] = {}
 
-_ANALYZER: SafetyAnalyzer | None = None
+#: Holds no state between analyses, so one serves the whole process.
+_ANALYZER = SafetyAnalyzer()
 
 #: The attached store: what :func:`configure_verdict_store` last opened.
 _STORE: VerdictStore | None = None
@@ -118,37 +119,8 @@ class EvaluationOptions:
     trace_dir: str | None = None
 
 
-def _analyzer() -> SafetyAnalyzer:
-    global _ANALYZER
-    if _ANALYZER is None:
-        _ANALYZER = SafetyAnalyzer()
-    return _ANALYZER
-
-
 def clear_verdict_cache() -> None:
     _VERDICT_CACHE.clear()
-
-
-def reset_analyzer() -> None:
-    """Drop the process analyzer (benches isolating tier-2 statistics)."""
-    global _ANALYZER
-    _ANALYZER = None
-
-
-def analysis_prefix_stats() -> dict[str, int]:
-    """The process analyzer's tier-2 prefix-LRU counters.
-
-    ``hits`` / ``misses`` count warm-prefix reuse inside the incremental
-    SMT stage — the number the tau-sweep family exists to drive up.
-    """
-    if _ANALYZER is None:
-        return {"hits": 0, "misses": 0}
-    from ..analysis.pipeline import SmtStage
-    for stage in _ANALYZER.pipeline.stages:
-        if isinstance(stage, SmtStage):
-            return {"hits": stage.prefix_hits,
-                    "misses": stage.prefix_misses}
-    return {"hits": 0, "misses": 0}
 
 
 def verdict_cache_size() -> int:
@@ -213,7 +185,7 @@ def _lookup_or_solve(key: str, subject: RoutingAlgebra | SPPInstance) -> str:
             hit = True
             tier = "store"
     if not hit:
-        report = _analyzer().analyze(subject)
+        report = _ANALYZER.analyze(subject)
         _VERDICT_CACHE[key] = (report.safe, report.method)
         if _STORE is not None:
             with _STORE.best_effort():

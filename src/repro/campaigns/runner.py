@@ -69,6 +69,9 @@ _PIPELINE_DEPTH = 2
 _WATCH_INTERVAL_S = 2.0
 
 _CHUNKS_LOST = _obs_metrics.counter("repro_campaign_chunks_lost_total")
+#: In a pool worker: numbers the chunks it has finished, which orders its
+#: cumulative snapshots however the parent happens to collect them.
+_WORKER_CHUNK_SEQ = itertools.count(1)
 
 
 @dataclass
@@ -150,7 +153,8 @@ class _CampaignWatch:
         if state.aborted:
             extra.append(f"aborted: {state.aborted}")
         snapshot = _obs_metrics.merge_snapshots(
-            [_obs_metrics.snapshot(), *state.worker_snapshots.values()])
+            [_obs_metrics.snapshot(),
+             *(latest for _, latest in state.worker_snapshots.values())])
         print(render_dashboard(snapshot, title="campaign",
                                extra_lines=extra),
               file=self.stream, flush=True)
@@ -168,7 +172,8 @@ class _RunState:
     resumed: int = 0
     aborted: str | None = field(default=None)
     watch: _CampaignWatch | None = None
-    #: Pool worker pid → the registry snapshot its latest chunk carried.
+    #: Pool worker pid → (sequence number, registry snapshot) of the
+    #: latest chunk that worker finished.
     worker_snapshots: dict = field(default_factory=dict)
 
     def consume(self, result: ScenarioResult) -> None:
@@ -447,11 +452,12 @@ def _pool_worker_init() -> None:
 
 
 def _pool_chunk(chunk: list[ScenarioSpec], options: EvaluationOptions
-                ) -> tuple[list[ScenarioResult], int, dict]:
-    """What the pool runs: the chunk's results plus this worker's pid and
-    registry snapshot (how pool-mode metrics reach the parent)."""
+                ) -> tuple[list[ScenarioResult], int, int, dict]:
+    """What the pool runs: the chunk's results plus this worker's pid,
+    chunk sequence number and cumulative registry snapshot (how
+    pool-mode metrics reach the parent)."""
     return evaluate_chunk(chunk, options), os.getpid(), \
-        _obs_metrics.snapshot()
+        next(_WORKER_CHUNK_SEQ), _obs_metrics.snapshot()
 
 
 def _chunk_results(future: Future, chunk: list[ScenarioSpec],
@@ -468,6 +474,10 @@ def _chunk_results(future: Future, chunk: list[ScenarioSpec],
                                      f"{type(exc).__name__}: {exc}")
                 for spec in chunk]
     if isinstance(results, tuple):  # _pool_chunk's; a bare list has none
-        results, pid, snapshot = results
-        state.worker_snapshots[pid] = snapshot
+        results, pid, seq, snapshot = results
+        # ``wait`` hands finished futures back as a set: two chunks of one
+        # worker may arrive newest first, and the older must not win.
+        held = state.worker_snapshots.get(pid)
+        if held is None or seq > held[0]:
+            state.worker_snapshots[pid] = (seq, snapshot)
     return results

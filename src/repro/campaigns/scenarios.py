@@ -358,16 +358,16 @@ def _resolve_hlp_events(spec: ScenarioSpec, network: Network,
 
 
 def _materialize_tau_sweep(spec: ScenarioSpec) -> Scenario:
-    """HLP cost-hiding sweep: suffix variants over one preference prefix.
+    """HLP cost-hiding sweep: ⊕ variants over one preference relation.
 
     An intradomain topology whose links carry positive weights from the
     spec's drawn vocabulary, routed under the finite
     :class:`~repro.algebra.hlp.HLPTauAlgebra` — advertised costs are
     rounded up to multiples of ``tau`` (HLP's cost hiding, paper Sec.
     VI-D) and capped at the family-wide ``max_cost``.  Every ``(tau,
-    weights)`` draw changes only the ⊕ table, so the analyzer's tier-2
-    incremental solver re-uses the warm preference-prefix distances
-    across the whole family (ROADMAP "Tier-2 prefix mining").
+    weights)`` draw changes only the ⊕ table; the algebra is finite and
+    not an SPP instance, so the family reaches the analyzer's tier 2,
+    and every scenario is batch-admitted.
     """
     rng = random.Random(spec.seed)
     network = rocketfuel_like(

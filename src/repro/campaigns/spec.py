@@ -363,23 +363,20 @@ class ScenarioGenerator:
                                 ("top_k", rng.randint(2, 3)))
         return replace(base, family="multipath", params=params)
 
-    #: Shared preference prefix of every tau-sweep variant: the cost cap
-    #: bounds the finite signature set, so all variants encode the *same*
-    #: preference atoms (the tier-2 incremental solver's prefix) while tau
-    #: and the weight vocabulary vary the monotonicity suffix.
+    #: Cost cap shared by every tau-sweep variant: it bounds the finite
+    #: signature set, so all variants encode the *same* preference atoms
+    #: while tau and the weight vocabulary vary the monotonicity atoms.
     TAU_SWEEP_MAX_COST = 14
     #: Cost-hiding thresholds the sweep draws from (0 = exact costs).
     TAU_SWEEP_TAUS = (0, 1, 2, 3, 4)
 
     def _make_tau_sweep(self, index: int, rng: random.Random) -> ScenarioSpec:
-        """HLP cost-hiding sweep (ROADMAP "Tier-2 prefix mining").
+        """HLP cost-hiding sweep: the family that reaches tier 2.
 
-        Every spec draws a fresh ``(tau, weights)`` suffix variant of the
+        Every spec draws a fresh ``(tau, weights)`` variant of the
         :class:`~repro.algebra.hlp.HLPTauAlgebra` over the same signature
-        set, so campaign-level analysis of the family exercises the
-        incremental solver's per-prefix warm start: the first variant pays
-        for the preference prefix, every later one pushes only its ⊕
-        suffix against warm distances.
+        set: finite and not an SPP instance, so each distinct variant is
+        decided by the difference-logic solver, and fully batch-admitted.
         """
         routers = rng.randint(7, 9 if self.quick else 12)
         weights = tuple(sorted(rng.sample(range(1, 7), rng.randint(2, 4))))

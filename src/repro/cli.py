@@ -64,13 +64,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     instance = _gadget(args.gadget)
     print(instance)
     print()
-    analyzer = SafetyAnalyzer()
-    report = analyzer.analyze(instance)
+    report = SafetyAnalyzer().analyze(instance)
     print(report.summary())
     if args.explain:
         print()
         print(report.explain())
-        print(f"solver: {analyzer.solver_stats().summary()}")
     # Exit codes stay aligned with the campaign subcommand: 0 verdict-good,
     # 1 analysis failure (unsafe), 2 usage errors (argparse).
     return 0 if report.safe else 1
@@ -327,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="safety verdict for a gadget")
     p.add_argument("gadget", choices=sorted(GADGETS))
     p.add_argument("--explain", action="store_true",
-                   help="print per-tier pipeline timings and solver "
-                        "statistics alongside the verdict")
+                   help="print per-tier pipeline timings alongside the "
+                        "verdict")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("run", help="execute a gadget's implementation")

@@ -18,7 +18,6 @@ from .metrics import (
     MetricsRegistry,
     SNAPSHOT_FORMAT,
     counter,
-    gauge,
     get_registry,
     histogram,
     merge_snapshots,
@@ -27,7 +26,6 @@ from .metrics import (
     snapshot,
     snapshot_family,
     snapshot_value,
-    to_prometheus,
 )
 from .schema import (
     SchemaError,
@@ -61,7 +59,6 @@ __all__ = [
     "Tracer",
     "configure_tracing",
     "counter",
-    "gauge",
     "get_registry",
     "histogram",
     "load_schema",
@@ -77,7 +74,6 @@ __all__ = [
     "snapshot_family",
     "snapshot_value",
     "spans_for_scenario",
-    "to_prometheus",
     "tracing_enabled",
     "validate",
     "validate_metrics_snapshot",

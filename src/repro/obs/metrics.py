@@ -1,13 +1,11 @@
 """The metrics registry: one schema for every runtime counter.
 
-Before this module existed, telemetry lived in ad-hoc islands — the
-``_PHASE_STATS``/``_KERNEL_STATS`` dicts in ``exec/batch.py``, the
-``SolverStats`` dataclass in the SMT tier, hit counters inside the two
-sqlite stores — none sharing a schema or surviving a process boundary.
-The registry replaces all of them with three metric kinds:
+Every subsystem's telemetry — batch phases and kernel lookups, verdict
+lookups, store operations, admission outcomes — goes through one
+process-local registry, so it shares a schema and survives a process
+boundary.  Two metric kinds:
 
 * :class:`Counter` — monotonically increasing totals (events, seconds);
-* :class:`Gauge` — last-written absolute values (bridged snapshots);
 * :class:`Histogram` — fixed-bucket distributions (latencies).
 
 Handles are cheap and stable: a module acquires them once
@@ -17,15 +15,13 @@ cost, so instrumentation can stay in hot paths.  Labeled families share a
 name; the ``(name, labels)`` pair identifies the series, exactly as in
 Prometheus.
 
-Two serializations, both stable wire formats (the future campaign service
-plane serves them as-is; see ``obs/README.md``):
-
-* :meth:`MetricsRegistry.snapshot` — the JSON form (``repro-metrics/1``),
-  validated by ``schemas/metrics.schema.json``.  Snapshots from many
-  processes merge with :func:`merge_snapshots` (counters and histograms
-  sum; gauges sum too, so merged gauges read as totals) — the campaign
-  runner merges its own with the one each pool worker returns per chunk;
-* :meth:`MetricsRegistry.to_prometheus` — the text exposition format.
+One serialization, a stable wire format (see ``obs/README.md``):
+:meth:`MetricsRegistry.snapshot` — the JSON form (``repro-metrics/1``),
+validated by ``schemas/metrics.schema.json``; its ``gauges`` section is
+part of the format and always empty.  Snapshots from many processes
+merge with :func:`merge_snapshots` (counters and histograms sum) — the
+campaign runner merges its own with the one each pool worker returns
+per chunk.
 
 Naming conventions: ``repro_<subsystem>_<what>[_total|_seconds_total]``,
 labels for bounded vocabularies only (never scenario ids).
@@ -71,28 +67,6 @@ class Counter(_Metric):
     def __init__(self, registry, name, labels):
         super().__init__(registry, name, labels)
         self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._registry._enabled:
-            self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
-class Gauge(_Metric):
-    """A last-written absolute value."""
-
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self, registry, name, labels):
-        super().__init__(registry, name, labels)
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        if self._registry._enabled:
-            self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         if self._registry._enabled:
@@ -177,9 +151,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> Counter:
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
-
     def histogram(self, name: str, *, buckets: tuple = DEFAULT_BUCKETS,
                   **labels) -> Histogram:
         return self._get(Histogram, name, labels, buckets=buckets)
@@ -243,7 +214,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """The JSON wire format (``repro-metrics/1``); see module docs."""
         counters: dict[str, list] = {}
-        gauges: dict[str, list] = {}
         histograms: dict[str, list] = {}
         for (name, labels), metric in sorted(self._metrics.items()):
             entry: dict = {"labels": dict(labels)}
@@ -251,63 +221,28 @@ class MetricsRegistry:
                 entry.update(count=metric.count, sum=metric.sum,
                              buckets=metric.cumulative())
                 histograms.setdefault(name, []).append(entry)
-            elif isinstance(metric, Gauge):
-                entry["value"] = metric.value
-                gauges.setdefault(name, []).append(entry)
             else:
                 entry["value"] = metric.value
                 counters.setdefault(name, []).append(entry)
         return {"format": SNAPSHOT_FORMAT, "counters": counters,
-                "gauges": gauges, "histograms": histograms}
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the current state."""
-        by_name: dict[str, list[_Metric]] = {}
-        for metric in sorted(self._metrics.values(),
-                             key=lambda m: (m.name, m.labels)):
-            by_name.setdefault(metric.name, []).append(metric)
-        lines = []
-        for name, series in by_name.items():
-            lines.append(f"# TYPE {name} {self._kinds[name]}")
-            for metric in series:
-                if isinstance(metric, Histogram):
-                    for bound, count in metric.cumulative().items():
-                        labels = _render_labels(
-                            metric.labels + (("le", bound),))
-                        lines.append(f"{name}_bucket{labels} {count}")
-                    labels = _render_labels(metric.labels)
-                    lines.append(f"{name}_sum{labels} {metric.sum}")
-                    lines.append(f"{name}_count{labels} {metric.count}")
-                else:
-                    labels = _render_labels(metric.labels)
-                    lines.append(f"{name}{labels} {metric.value}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _render_labels(labels: _LabelKey) -> str:
-    if not labels:
-        return ""
-    rendered = ",".join(
-        f'{key}="{value}"' for key, value in labels)
-    return "{" + rendered + "}"
+                "gauges": {}, "histograms": histograms}
 
 
 # -- snapshot utilities (wire-format side) ------------------------------------
 
 
 def snapshot_value(snapshot: dict, name: str, **labels) -> float:
-    """Read one counter/gauge series out of a snapshot dict."""
+    """Read one counter series out of a snapshot dict."""
     want = dict(_label_key(labels))
-    for section in ("counters", "gauges"):
-        for entry in snapshot.get(section, {}).get(name, ()):
-            if entry.get("labels", {}) == want:
-                return entry.get("value", 0.0)
+    for entry in snapshot.get("counters", {}).get(name, ()):
+        if entry.get("labels", {}) == want:
+            return entry.get("value", 0.0)
     return 0.0
 
 
 def snapshot_family(snapshot: dict, name: str) -> list[dict]:
     """Every series entry of one metric name, whatever its kind."""
-    for section in ("counters", "gauges", "histograms"):
+    for section in ("counters", "histograms"):
         entries = snapshot.get(section, {}).get(name)
         if entries:
             return list(entries)
@@ -317,24 +252,23 @@ def snapshot_family(snapshot: dict, name: str) -> list[dict]:
 def merge_snapshots(snapshots: list[dict]) -> dict:
     """Merge many processes' snapshots into one campaign view.
 
-    Counters, gauges, and histogram buckets/sums/counts all *add*: the
-    merge reads as campaign totals (``CampaignRunner`` feeds it its own
+    Counters and histogram buckets/sums/counts all *add*: the merge
+    reads as campaign totals (``CampaignRunner`` feeds it its own
     snapshot plus the latest one of every pool worker).
     """
     merged: dict = {"format": SNAPSHOT_FORMAT, "counters": {},
                     "gauges": {}, "histograms": {}}
     for snapshot in snapshots:
-        for section in ("counters", "gauges"):
-            for name, entries in (snapshot.get(section) or {}).items():
-                out = merged[section].setdefault(name, [])
-                for entry in entries:
-                    slot = _find_slot(out, entry["labels"])
-                    if slot is None:
-                        out.append({"labels": dict(entry["labels"]),
-                                    "value": entry.get("value", 0.0)})
-                    else:
-                        slot["value"] = (slot.get("value", 0.0)
-                                         + entry.get("value", 0.0))
+        for name, entries in (snapshot.get("counters") or {}).items():
+            out = merged["counters"].setdefault(name, [])
+            for entry in entries:
+                slot = _find_slot(out, entry["labels"])
+                if slot is None:
+                    out.append({"labels": dict(entry["labels"]),
+                                "value": entry.get("value", 0.0)})
+                else:
+                    slot["value"] = (slot.get("value", 0.0)
+                                     + entry.get("value", 0.0))
         for name, entries in (snapshot.get("histograms") or {}).items():
             out = merged["histograms"].setdefault(name, [])
             for entry in entries:
@@ -373,10 +307,6 @@ def counter(name: str, **labels) -> Counter:
     return _REGISTRY.counter(name, **labels)
 
 
-def gauge(name: str, **labels) -> Gauge:
-    return _REGISTRY.gauge(name, **labels)
-
-
 def histogram(name: str, *, buckets: tuple = DEFAULT_BUCKETS,
               **labels) -> Histogram:
     return _REGISTRY.histogram(name, buckets=buckets, **labels)
@@ -384,10 +314,6 @@ def histogram(name: str, *, buckets: tuple = DEFAULT_BUCKETS,
 
 def snapshot() -> dict:
     return _REGISTRY.snapshot()
-
-
-def to_prometheus() -> str:
-    return _REGISTRY.to_prometheus()
 
 
 def set_metrics_enabled(flag: bool) -> None:

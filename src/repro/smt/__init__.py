@@ -10,18 +10,13 @@ Public API:
 * :class:`IntVar`, :class:`Atom`, :class:`ConstraintSystem` — the constraint
   language (``Atom.lt/le/eq/ge_const`` constructors).
 * :class:`DifferenceSolver`, :func:`solve`, :class:`Result`,
-  :class:`Verdict` — the one-shot solver;
-* :class:`IncrementalSolver`, :class:`SolverStats` — the persistent
-  constraint graph with assumption push/pop and warm-started propagation
-  (the campaign analyzer's tier-2 workhorse).
+  :class:`Verdict` — the solver (the analyzer's tier 2).
 * :func:`to_yices`, :func:`parse_yices` — the paper's concrete syntax.
 """
 
 from .solver import (
     DifferenceSolver,
-    IncrementalSolver,
     Result,
-    SolverStats,
     Verdict,
     solve,
 )
@@ -32,9 +27,7 @@ __all__ = [
     "Atom",
     "ConstraintSystem",
     "DifferenceSolver",
-    "IncrementalSolver",
     "IntVar",
-    "SolverStats",
     "Relation",
     "Result",
     "Verdict",

@@ -18,7 +18,6 @@ The implementation is dependency-free and deterministic.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -94,26 +93,17 @@ class DifferenceSolver:
     # -- public API ----------------------------------------------------------
 
     def solve(self, system: ConstraintSystem | Sequence[Atom]) -> Result:
-        """Decide ``system``; return verdict plus model or minimal core.
-
-        One-shot solves are served by a throwaway :class:`IncrementalSolver`
-        holding the whole system at its base level — the same persistent
-        constraint-graph machinery the analyzer reuses across pushes, so
-        there is exactly one propagation loop to trust.
-        """
+        """Decide ``system``; return verdict plus model or minimal core."""
         atoms = list(system)
-        inc = IncrementalSolver(enforce_positive=self.enforce_positive)
-        inc.add(atoms)
-        result = inc.check()
-        if result.is_unsat:
-            # Re-minimize against the *input* order for readable cores.
-            core = self._minimize_core(list(result.core), atoms)
-            return Result(Verdict.UNSAT, core=core)
-        return result
+        status, model, cycle_atoms = self._propagate(atoms)
+        if status is Verdict.SAT:
+            return Result(Verdict.SAT, model=model)
+        return Result(Verdict.UNSAT,
+                      core=self._minimize_core(cycle_atoms, atoms))
 
     def check(self, system: ConstraintSystem | Sequence[Atom]) -> bool:
-        """Convenience wrapper: True iff satisfiable."""
-        return self.solve(system).is_sat
+        """True iff satisfiable (no model, no core minimisation)."""
+        return self._propagate(list(system))[0] is Verdict.SAT
 
     def all_cores(
         self, system: ConstraintSystem | Sequence[Atom], limit: int = 64
@@ -241,12 +231,12 @@ class DifferenceSolver:
         remainder is still unsat.  Falls back to the full system if the
         extracted cycle was somehow satisfiable (defensive; not expected).
         """
-        base = candidate if not self._is_sat_subset(candidate) else full
+        base = full if self.check(candidate) else candidate
         core = list(base)
         index = 0
         while index < len(core):
             trial = core[:index] + core[index + 1:]
-            if trial and not self._is_sat_subset(trial):
+            if trial and not self.check(trial):
                 core = trial
             else:
                 index += 1
@@ -254,215 +244,6 @@ class DifferenceSolver:
         order = {atom.uid: pos for pos, atom in enumerate(full)}
         core.sort(key=lambda a: order.get(a.uid, len(order)))
         return core
-
-    def _is_sat_subset(self, atoms: list[Atom]) -> bool:
-        status, _, _ = self._propagate(atoms)
-        return status is Verdict.SAT
-
-
-@dataclass
-class SolverStats:
-    """Counters describing how a solver spent its time.
-
-    ``incremental_checks`` are checks served by warm-started propagation
-    from a previously feasible distance labelling (only edges added since
-    the last check are relaxed); ``full_propagations`` are cold rebuilds
-    (first check, or a re-check after an unsat left distances unusable).
-    """
-
-    checks: int = 0
-    sat: int = 0
-    unsat: int = 0
-    relaxations: int = 0
-    incremental_checks: int = 0
-    full_propagations: int = 0
-    pushes: int = 0
-    pops: int = 0
-
-    def merge(self, other: "SolverStats") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def summary(self) -> str:
-        return (f"checks={self.checks} (sat={self.sat} unsat={self.unsat}), "
-                f"warm-started={self.incremental_checks}, "
-                f"full-propagations={self.full_propagations}, "
-                f"relaxations={self.relaxations}, "
-                f"push/pop={self.pushes}/{self.pops}")
-
-
-class _Frame:
-    """Snapshot taken at :meth:`IncrementalSolver.push`."""
-
-    __slots__ = ("n_edges", "n_atoms", "n_vars", "dist", "pending", "dirty")
-
-    def __init__(self, n_edges: int, n_atoms: int, n_vars: int,
-                 dist: dict, pending: list, dirty: bool):
-        self.n_edges = n_edges
-        self.n_atoms = n_atoms
-        self.n_vars = n_vars
-        self.dist = dist
-        self.pending = pending
-        self.dirty = dirty
-
-
-class IncrementalSolver:
-    """Difference-logic solving over a *persistent* constraint graph.
-
-    The one-shot :class:`DifferenceSolver` rebuilds the graph and re-runs
-    Bellman-Ford from scratch on every query.  This class keeps the graph
-    (and a feasible distance labelling) alive across queries:
-
-    * :meth:`add` asserts atoms at the current assumption level;
-    * :meth:`check` decides the conjunction asserted so far, relaxing only
-      the edges added since the last feasible check (warm start) — for a
-      family of systems sharing a constraint prefix, the prefix distances
-      are derived once and reused by every member;
-    * :meth:`push` / :meth:`pop` bracket assumption levels, restoring the
-      prefix state exactly (distances included) so sibling suffixes start
-      from the same warm labelling.
-
-    In difference logic, adding constraints only ever *lowers* distances,
-    so a feasible labelling stays a valid starting point for any superset
-    — this is what makes the warm start sound.  An unsat check leaves the
-    labelling part-way into a negative cycle; the level is marked dirty
-    and the next check at the same level falls back to a full rebuild
-    (popping the level restores the clean snapshot instead).
-    """
-
-    def __init__(self, enforce_positive: bool = True):
-        self.enforce_positive = enforce_positive
-        self.stats = SolverStats()
-        self._atoms: list[Atom] = []
-        self._edges: list[_Edge] = []
-        self._adj: dict[IntVar, list[_Edge]] = {}
-        self._vars: dict[IntVar, None] = {}
-        self._dist: dict[IntVar, int] = {ZERO: 0}
-        self._pending: list[_Edge] = []
-        self._dirty = False
-        self._frames: list[_Frame] = []
-
-    # -- assertions -----------------------------------------------------------
-
-    def add(self, atoms: ConstraintSystem | Sequence[Atom] | Atom) -> None:
-        """Assert atoms at the current assumption level."""
-        if isinstance(atoms, Atom):
-            atoms = (atoms,)
-        for atom in atoms:
-            self._atoms.append(atom)
-            for u, v, c in atom.difference_edges():
-                # ``u - v <= c``  =>  edge  v --c--> u
-                self._add_edge(_Edge(v, u, c, atom))
-                for var in (u, v):
-                    if var != ZERO and var not in self._vars:
-                        self._vars[var] = None
-                        self._dist.setdefault(var, 0)
-                        if self.enforce_positive:
-                            # x >= 1, synthetic (never reported in cores).
-                            self._add_edge(_Edge(var, ZERO, -1, None))
-
-    def _add_edge(self, edge: _Edge) -> None:
-        self._edges.append(edge)
-        self._adj.setdefault(edge.src, []).append(edge)
-        self._pending.append(edge)
-
-    # -- assumption levels ----------------------------------------------------
-
-    def push(self) -> None:
-        """Open an assumption level (snapshot of graph + distances)."""
-        self.stats.pushes += 1
-        self._frames.append(_Frame(
-            len(self._edges), len(self._atoms), len(self._vars),
-            dict(self._dist), list(self._pending), self._dirty))
-
-    def pop(self) -> None:
-        """Discard the innermost level, restoring the snapshot exactly."""
-        if not self._frames:
-            raise IndexError("pop without matching push")
-        self.stats.pops += 1
-        frame = self._frames.pop()
-        del self._atoms[frame.n_atoms:]
-        dropped = self._edges[frame.n_edges:]
-        del self._edges[frame.n_edges:]
-        for edge in dropped:
-            self._adj[edge.src].pop()
-        for var in list(self._vars)[frame.n_vars:]:
-            del self._vars[var]
-        self._dist = frame.dist
-        self._pending = frame.pending
-        self._dirty = frame.dirty
-
-    @property
-    def level(self) -> int:
-        return len(self._frames)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    # -- solving --------------------------------------------------------------
-
-    def check(self) -> Result:
-        """Decide the atoms asserted so far (warm-started when possible)."""
-        self.stats.checks += 1
-        if self._dirty:
-            # The last check at this level was unsat: distances are garbage.
-            self.stats.full_propagations += 1
-            self._dist = {node: 0 for node in (ZERO, *self._vars)}
-            worklist = list(self._edges)
-        else:
-            self.stats.incremental_checks += 1
-            worklist = self._pending
-        if self._relax(worklist):
-            self.stats.sat += 1
-            self._pending = []
-            self._dirty = False
-            anchor = self._dist[ZERO]
-            model = {v: self._dist[v] - anchor for v in self._vars}
-            return Result(Verdict.SAT, model=model)
-        # Unsat: extract and minimize a core with the one-shot machinery
-        # (an O(VE) pass on a path that already forfeited incrementality).
-        self.stats.unsat += 1
-        self._dirty = True
-        helper = DifferenceSolver(enforce_positive=self.enforce_positive)
-        status, _, cycle_atoms = helper._propagate(self._atoms)
-        if status is Verdict.SAT:  # pragma: no cover - defensive
-            raise AssertionError("incremental unsat not confirmed one-shot")
-        core = helper._minimize_core(cycle_atoms, self._atoms)
-        return Result(Verdict.UNSAT, core=core)
-
-    def _relax(self, worklist: list[_Edge]) -> bool:
-        """SPFA from the worklist edges; False on a negative cycle."""
-        dist = self._dist
-        limit = len(self._vars) + 2
-        counts: dict[IntVar, int] = {}
-        queue: deque[IntVar] = deque()
-        queued: set[IntVar] = set()
-        relaxations = 0
-        for edge in worklist:
-            if dist[edge.src] + edge.weight < dist[edge.dst]:
-                dist[edge.dst] = dist[edge.src] + edge.weight
-                relaxations += 1
-                if edge.dst not in queued:
-                    queued.add(edge.dst)
-                    queue.append(edge.dst)
-        while queue:
-            node = queue.popleft()
-            queued.discard(node)
-            counts[node] = counts.get(node, 0) + 1
-            if counts[node] > limit:
-                # Relaxed more often than any shortest path can shrink:
-                # a negative cycle is pumping the labelling.
-                self.stats.relaxations += relaxations
-                return False
-            for edge in self._adj.get(node, ()):
-                if dist[edge.src] + edge.weight < dist[edge.dst]:
-                    dist[edge.dst] = dist[edge.src] + edge.weight
-                    relaxations += 1
-                    if edge.dst not in queued:
-                        queued.add(edge.dst)
-                        queue.append(edge.dst)
-        self.stats.relaxations += relaxations
-        return True
 
 
 def solve(system: ConstraintSystem | Sequence[Atom]) -> Result:

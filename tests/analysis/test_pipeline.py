@@ -6,6 +6,7 @@ import pytest
 
 from repro.algebra import (
     GADGET_ZOO,
+    HLPTauAlgebra,
     SPPAlgebra,
     disagree_chain,
     gao_rexford_a,
@@ -126,46 +127,19 @@ class TestProvenance:
         assert "decided by: tier 1 (dispute-digraph)" in summary
 
 
-class TestIncrementalTier2:
-    def test_strict_and_nonstrict_share_one_prefix_solver(self):
-        """An unsafe table algebra runs both checks on one warm prefix."""
-        analyzer = SafetyAnalyzer()
-        report = analyzer.analyze(gao_rexford_a())
-        assert not report.safe and report.monotonic
-        stats = analyzer.solver_stats()
-        # One prefix warm-up + strict check + non-strict check.
-        assert stats.checks == 3
-        assert stats.full_propagations == 0
-        smt_stage = analyzer.pipeline.stages[-1]
-        assert isinstance(smt_stage, SmtStage)
-        assert smt_stage.prefix_misses == 1
-
-    def test_repeated_analyses_hit_the_prefix_cache(self):
-        analyzer = SafetyAnalyzer()
-        analyzer.analyze(gao_rexford_a())
-        analyzer.analyze(gao_rexford_a())
-        smt_stage = analyzer.pipeline.stages[-1]
-        assert smt_stage.prefix_hits == 1
-        assert smt_stage.prefix_misses == 1
-
-    def test_solver_stats_zero_without_smt(self):
-        analyzer = SafetyAnalyzer()
-        analyzer.analyze(GADGET_ZOO["good"]())
-        assert analyzer.solver_stats().checks == 0
-
-    def test_unsat_cores_survive_the_prefix_cache(self):
-        """A prefix-cache hit must report the *current* encoding's core.
-
-        The cached solver's base atoms belong to the first encoding; a
-        second analysis sharing the prefix has fresh Atom objects, and
-        without positional translation the preference constraints would
-        silently vanish from the reported core.
-        """
+class TestStatelessTier2:
+    def test_an_analysis_leaves_nothing_behind(self):
+        """The same subject gets the same report whatever ran before it,
+        and its core resolves against its *own* encoding: every core atom
+        maps to a policy entry, none silently vanishes."""
         analyzer = SafetyAnalyzer()
         first = analyzer.analyze(gao_rexford_a())
-        second = analyzer.analyze(gao_rexford_a())
-        smt_stage = analyzer.pipeline.stages[-1]
-        assert smt_stage.prefix_hits == 1  # the cache really was hit
-        assert [str(s) for s in second.core] == \
-            [str(s) for s in first.core]
-        assert second.core  # and it is non-empty to begin with
+        assert analyzer.analyze(HLPTauAlgebra()).tier == 2
+        again = analyzer.analyze(gao_rexford_a())
+        for report in (first, again):
+            assert not report.safe and report.monotonic
+            assert len(report.core) == len(report.core_atoms) > 0
+        assert again.summary() == first.summary()
+        assert again.model == first.model
+        assert [str(atom) for atom in again.core_atoms] == \
+            [str(atom) for atom in first.core_atoms]

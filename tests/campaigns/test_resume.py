@@ -23,6 +23,7 @@ from repro.campaigns import (
     result_record,
     runner,
 )
+from repro.obs import metrics
 
 
 def _die_on_scenario_10(chunk, options=None):
@@ -260,3 +261,28 @@ class TestPoolMetrics:
         assert f"path-valued-algebra    {refused + 12:g}" in frame
         assert metrics.snapshot_family(
             metrics.snapshot(), "repro_scenarios_total") == before
+
+    def test_an_older_snapshot_never_replaces_a_newer_one(self):
+        """``wait`` returns finished futures as a set: when two chunks of
+        one worker finish inside one ``wait``, the parent may collect the
+        newer cumulative snapshot first — it must keep it."""
+        import time
+        from concurrent.futures import Future
+
+        from repro.campaigns.sink import AggregatingSink
+
+        def finished(seq, scenarios):
+            registry = metrics.MetricsRegistry()
+            registry.counter("repro_scenarios_total").inc(scenarios)
+            future = Future()
+            future.set_result(([], 4242, seq, registry.snapshot()))
+            return future
+
+        state = runner._RunState(
+            started=time.perf_counter(),
+            aggregator=AggregatingSink(backends=("gpv",)))
+        for future in (finished(2, 6), finished(1, 3)):  # newest first
+            assert runner._chunk_results(future, [], state) == []
+        (seq, kept), = state.worker_snapshots.values()
+        assert seq == 2
+        assert metrics.snapshot_value(kept, "repro_scenarios_total") == 6

@@ -1,16 +1,14 @@
-"""The HLP tau-sweep family (ROADMAP "Tier-2 prefix mining").
+"""The HLP tau-sweep family: finite, non-SPP algebras that reach tier 2.
 
-Many suffix variants per shared preference prefix: every ``(tau,
-weights)`` draw of :class:`~repro.algebra.hlp.HLPTauAlgebra` changes only
-the ⊕ (monotonicity) constraints while the preference atoms — the
-incremental solver's *prefix* — stay structurally identical, so the
-analyzer's per-prefix warm start pays off across the whole family.
+Every ``(tau, weights)`` draw of :class:`~repro.algebra.hlp.HLPTauAlgebra`
+changes only the ⊕ (monotonicity) constraints while the preference atoms
+stay structurally identical; each variant is decided by the solver and
+fully batch-admitted.
 """
 
 import pytest
 
 from repro.algebra import PHI, HLPTauAlgebra, Pref, hide_cost
-from repro.analysis.pipeline import SmtStage
 from repro.analysis.safety import SafetyAnalyzer
 from repro.campaigns import (
     ScenarioGenerator,
@@ -80,30 +78,6 @@ class TestAlgebra:
         assert canonical_key(HLPTauAlgebra(tau=0, weights=(1, 2))) == base
         assert canonical_key(HLPTauAlgebra(tau=4, weights=(1, 2))) != base
         assert canonical_key(HLPTauAlgebra(tau=0, weights=(1, 3))) != base
-
-
-class TestPrefixReuse:
-    def test_suffix_variants_hit_the_prefix_lru(self):
-        """The satellite's core claim: analyses of tau-variants reuse one
-        warm preference prefix — only the first pays the prefix miss."""
-        analyzer = SafetyAnalyzer()
-        stage = next(s for s in analyzer.pipeline.stages
-                     if isinstance(s, SmtStage))
-        variants = [HLPTauAlgebra(tau=tau, weights=weights, max_cost=12)
-                    for tau in (0, 2, 3, 4)
-                    for weights in ((1, 2), (2, 5))]
-        for algebra in variants:
-            assert analyzer.analyze(algebra).safe
-        assert stage.prefix_misses == 1
-        assert stage.prefix_hits == len(variants) - 1
-
-    def test_different_caps_do_not_share_a_prefix(self):
-        analyzer = SafetyAnalyzer()
-        stage = next(s for s in analyzer.pipeline.stages
-                     if isinstance(s, SmtStage))
-        analyzer.analyze(HLPTauAlgebra(max_cost=10))
-        analyzer.analyze(HLPTauAlgebra(max_cost=12))
-        assert stage.prefix_misses == 2
 
 
 class TestFamily:

@@ -1,4 +1,4 @@
-"""The metrics registry: handles, labels, snapshots, merge, exposition."""
+"""The metrics registry: handles, labels, snapshots, merge."""
 
 import pytest
 
@@ -32,14 +32,6 @@ class TestHandles:
         b = registry.counter("repro_test_total", b="2", a="1")
         assert a is b
 
-    def test_gauge_sets_and_incs(self):
-        registry = MetricsRegistry()
-        g = registry.gauge("repro_test_gauge")
-        g.set(7)
-        assert g.value == 7.0
-        g.inc(3)
-        assert g.value == 10.0
-
     def test_histogram_buckets_cumulate(self):
         registry = MetricsRegistry()
         h = registry.histogram("repro_test_seconds", buckets=(0.01, 0.1, 1.0))
@@ -53,17 +45,15 @@ class TestHandles:
         registry = MetricsRegistry()
         registry.counter("repro_test_total")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("repro_test_total")
+            registry.histogram("repro_test_total")
 
     def test_disabled_registry_ignores_writes(self):
         registry = MetricsRegistry(enabled=False)
         c = registry.counter("repro_test_total")
-        g = registry.gauge("repro_test_gauge")
         h = registry.histogram("repro_test_seconds")
         c.inc()
-        g.set(9)
         h.observe(1.0)
-        assert c.value == 0.0 and g.value == 0.0 and h.count == 0
+        assert c.value == 0.0 and h.count == 0
         registry.set_enabled(True)
         c.inc()
         assert c.value == 1.0
@@ -91,7 +81,6 @@ class TestSnapshot:
     def _registry(self):
         registry = MetricsRegistry()
         registry.counter("repro_a_total", kind="x").inc(2)
-        registry.gauge("repro_b").set(5)
         registry.histogram("repro_c_seconds").observe(0.02)
         return registry
 
@@ -100,17 +89,17 @@ class TestSnapshot:
         assert snap["format"] == SNAPSHOT_FORMAT
         validate_metrics_snapshot(snap)
         assert snapshot_value(snap, "repro_a_total", kind="x") == 2.0
-        assert snapshot_value(snap, "repro_b") == 5.0
+        assert snap["gauges"] == {}  # in the format, never populated
         (series,) = snapshot_family(snap, "repro_c_seconds")
         assert series["count"] == 1
         assert series["buckets"]["+Inf"] == 1
 
-    def test_merge_adds_counters_gauges_and_histograms(self):
+    def test_merge_adds_counters_and_histograms(self):
         snaps = [self._registry().snapshot() for _ in range(3)]
         merged = merge_snapshots(snaps)
         validate_metrics_snapshot(merged)
         assert snapshot_value(merged, "repro_a_total", kind="x") == 6.0
-        assert snapshot_value(merged, "repro_b") == 15.0
+        assert merged["gauges"] == {}
         (series,) = snapshot_family(merged, "repro_c_seconds")
         assert series["count"] == 3
         assert series["sum"] == pytest.approx(0.06)
@@ -120,14 +109,6 @@ class TestSnapshot:
         merged = merge_snapshots([])
         assert merged["format"] == SNAPSHOT_FORMAT
         assert merged["counters"] == {} and merged["histograms"] == {}
-
-    def test_prometheus_exposition(self):
-        text = self._registry().to_prometheus()
-        assert '# TYPE repro_a_total counter' in text
-        assert 'repro_a_total{kind="x"} 2.0' in text
-        assert '# TYPE repro_c_seconds histogram' in text
-        assert 'repro_c_seconds_bucket{le="+Inf"} 1' in text
-        assert 'repro_c_seconds_count 1' in text
 
     def test_default_buckets_are_sorted(self):
         assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS

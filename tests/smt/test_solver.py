@@ -86,15 +86,17 @@ class TestUnsat:
         assert {atom.uid for atom in result.core} == {atom.uid for atom in cycle}
 
     def test_core_is_minimal(self):
-        atoms = [Atom.lt(a, b), Atom.lt(b, c), Atom.lt(c, a), Atom.lt(a, d)]
-        result = solve(system_of(*atoms))
-        assert result.is_unsat
+        cycle = [Atom.lt(a, b), Atom.lt(b, c), Atom.lt(c, a)]
         solver = DifferenceSolver()
-        # The core itself is unsat; dropping any single atom makes it sat.
-        assert not solver.check(result.core)
-        for i in range(len(result.core)):
-            reduced = result.core[:i] + result.core[i + 1:]
-            assert solver.check(reduced)
+        for atoms in (cycle, cycle + [Atom.lt(a, d)]):
+            result = solve(system_of(*atoms))
+            assert result.is_unsat
+            assert len(result.core) == 3
+            # The core itself is unsat; dropping any one atom makes it sat.
+            assert not solver.check(result.core)
+            for i in range(len(result.core)):
+                reduced = result.core[:i] + result.core[i + 1:]
+                assert solver.check(reduced)
 
     def test_core_preserves_input_order(self):
         atoms = [Atom.lt(a, b), Atom.lt(b, c), Atom.lt(c, a)]
@@ -141,6 +143,10 @@ class TestVerdictAndResult:
         solver = DifferenceSolver()
         assert solver.check(system_of(Atom.lt(a, b)))
         assert not solver.check(system_of(Atom.lt(a, a)))
+        # Growing one system atom by atom: the closing edge flips it.
+        grown = [Atom.lt(a, b), Atom.lt(b, c), Atom.lt(c, a)]
+        assert [solver.check(grown[:n]) for n in range(4)] == \
+            [True, True, True, False]
 
 
 class TestPositivityHandling:

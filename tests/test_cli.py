@@ -36,7 +36,7 @@ class TestAnalyze:
         assert "decided by: tier 1 (dispute-digraph)" in out
         assert "pipeline stages:" in out
         assert "tier 0 certificates" in out
-        assert "solver: checks=0" in out  # the fast path never solved
+        assert "tier 2" not in out  # the fast path never reached the solver
 
     def test_explain_keeps_the_unsafe_exit_code(self, capsys):
         assert main(["analyze", "figure3", "--explain"]) == 1
