@@ -90,6 +90,47 @@ class ExtendedAlgebra(RoutingAlgebra):
         return self.concat(label, sig)
 
 
+def _passes(label: Label, sig: Signature) -> bool:
+    return True
+
+
+def split_operators(algebra: RoutingAlgebra) -> tuple:
+    """``(⊕I, ⊕P, ⊕E)`` of any algebra, decided once.
+
+    A plain algebra's combined ⊕ serves as its ⊕P and its filters pass
+    everything — the generated ``f_import``/``f_concatSig``/``f_export``.
+    """
+    if isinstance(algebra, ExtendedAlgebra):
+        return algebra.import_allows, algebra.concat, algebra.export_allows
+    return _passes, algebra.oplus, _passes
+
+
+def path_vector_folds(algebra: RoutingAlgebra) -> tuple:
+    """The receive and send folds of a path-vector protocol: ``(combine,
+    export)``, both ``(label, sig, path, node) -> sig``.
+
+    ``combine`` is the receiver's loop check, ⊕I, then ⊕P; ``export`` is
+    the sender's ⊕E plus split horizon.  φ out of either is a withdraw.
+    The native GPV engine binds the pair at construction and the NDlog
+    code generator registers it as ``f_combine``/``f_exportSig``, so both
+    evaluators put the same routes on and off the wire.
+    """
+    import_allows, concat, export_allows = split_operators(algebra)
+
+    def combine(label, sig, path, node):
+        if sig is PHI or node in path or not import_allows(label, sig):
+            return PHI
+        return concat(label, sig)
+
+    def export(label, sig, path, neighbor):
+        if (sig is PHI or (len(path) > 1 and path[1] == neighbor)
+                or not export_allows(label, sig)):
+            return PHI
+        return sig
+
+    return combine, export
+
+
 @dataclass
 class AlgebraTables:
     """Finite tables defining an :class:`TableAlgebra`.

@@ -5,7 +5,9 @@ Implements the four-step translation:
 * **Steps 1-3** — generate the policy functions of Table II from the input
   algebra: ``f_pref`` / ``f_better`` (⪯), ``f_concatSig`` (⊕P),
   ``f_import`` (⊕I), ``f_export`` (⊕E), plus the executable foldings
-  ``f_combine`` and ``f_exportSig`` used by the deployed GPV program;
+  ``f_combine`` and ``f_exportSig`` used by the deployed GPV program —
+  the native engine's own folds
+  (:func:`~repro.algebra.extended.path_vector_folds`);
 * **Step 4** — generate per-node configuration facts from the topology:
   a ``label`` tuple for every directed link and a ``sig`` tuple for every
   one-hop path to a destination (the origination set).
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..algebra.base import PHI, RoutingAlgebra, origin_or_phi
-from ..algebra.extended import ExtendedAlgebra
+from ..algebra.base import PHI, Pref, RoutingAlgebra, origin_or_phi
+from ..algebra.extended import path_vector_folds, split_operators
 from ..algebra.spp import SPPAlgebra, SPPInstance
 from ..net.network import Network
 from ..net.simulator import Simulator
@@ -38,56 +40,14 @@ def make_functions(algebra: RoutingAlgebra) -> FunctionRegistry:
 
     def f_pref(s1, s2) -> bool:
         """⪯: is s1 weakly preferred to s2?"""
-        from ..algebra.base import Pref
         return algebra.preference(s1, s2) in (Pref.BETTER, Pref.EQUAL)
 
     def f_better(s1, s2) -> bool:
         """≺: is s1 strictly preferred to s2 (comparator behind a_pref)?"""
         return algebra.better(s1, s2)
 
-    def f_concat_sig(label, sig):
-        """⊕P (falls back to the combined ⊕ for plain algebras)."""
-        if isinstance(algebra, ExtendedAlgebra):
-            return algebra.concat(label, sig)
-        return algebra.oplus(label, sig)
-
-    def f_import(label, sig) -> bool:
-        """⊕I."""
-        if isinstance(algebra, ExtendedAlgebra):
-            return algebra.import_allows(label, sig)
-        return True
-
-    def f_export(label, sig) -> bool:
-        """⊕E (indexed by the exporter's label toward the neighbor)."""
-        if isinstance(algebra, ExtendedAlgebra):
-            return algebra.export_allows(label, sig)
-        return True
-
-    def f_combine(label, sig, path, node):
-        """Receive-side folding: loop check + import filter + ⊕P."""
-        if sig is PHI:
-            return PHI
-        if node in path:
-            return PHI
-        if not f_import(label, sig):
-            return PHI
-        return f_concat_sig(label, sig)
-
-    def f_export_sig(label, sig, path, neighbor):
-        """Send-side folding: φ on export filter or split horizon.
-
-        The φ advertisement acts as a withdraw at the receiving neighbor,
-        so a neighbor that previously received this route learns it is
-        gone (the RIB-out suppresses φ toward neighbors that never had it).
-        """
-        if sig is PHI:
-            return PHI
-        if len(path) > 1 and path[1] == neighbor:
-            return PHI
-        if not f_export(label, sig):
-            return PHI
-        return sig
-
+    f_import, f_concat_sig, f_export = split_operators(algebra)
+    f_combine, f_export_sig = path_vector_folds(algebra)
     registry.register("f_pref", f_pref)
     registry.register("f_better", f_better)
     registry.register("f_concatSig", f_concat_sig)
@@ -214,13 +174,11 @@ def generated_source(algebra: RoutingAlgebra) -> str:
         lines.append("#def_func f_export(L,S) { return true }")
         return "\n".join(lines)
 
+    import_allows, concat, export_allows = split_operators(algebra)
     lines.append("#def_func f_concatSig(L,S) {")
     for label in algebra.labels():
         for sig in algebra.signatures() or []:
-            if isinstance(algebra, ExtendedAlgebra):
-                result = algebra.concat(label, sig)
-            else:
-                result = algebra.oplus(label, sig)
+            result = concat(label, sig)
             if result is not PHI:
                 lines.append(f"  if (L=={label!r}) && (S=={sig!r}) "
                              f"return {result!r}")
@@ -231,16 +189,13 @@ def generated_source(algebra: RoutingAlgebra) -> str:
         lines.append(f"  // {statement}")
     lines.append("  ... }")
 
-    for op, name in (("import_allows", "f_import"),
-                     ("export_allows", "f_export")):
+    for allows, name in ((import_allows, "f_import"),
+                         (export_allows, "f_export")):
         lines.append(f"#def_func {name}(L,S) {{")
-        filtered = []
-        if isinstance(algebra, ExtendedAlgebra):
-            for label in algebra.labels():
-                for sig in algebra.signatures() or []:
-                    if not getattr(algebra, op)(label, sig):
-                        filtered.append((label, sig))
-        for label, sig in filtered:
-            lines.append(f"  if (L=={label!r} && S=={sig!r}) return false")
+        for label in algebra.labels():
+            for sig in algebra.signatures() or []:
+                if not allows(label, sig):
+                    lines.append(
+                        f"  if (L=={label!r} && S=={sig!r}) return false")
         lines.append("  return true }")
     return "\n".join(lines)

@@ -14,11 +14,14 @@ simulator messages.  Semantics follow P2/RapidNet:
 * **aggregate rules** (``a_pref<S>``) maintain a best-row-per-group table,
   using the algebra-generated ``f_better`` comparator and keeping the
   current winner on ties (BGP's route-selection stickiness);
-* **remote heads** (location ≠ local node) become messages, subject to the
-  :class:`TransportPolicy`: per-destination coalescing under periodic
-  batching (the paper's "batch and propagate routes every second"), RIB-out
-  deduplication, and suppression of φ (withdraw) advertisements toward
-  neighbors that never received the route.
+* **remote heads** (location ≠ local node) become messages.  Rows of the
+  :class:`TransportPolicy`'s message relation go through each node's
+  :class:`~repro.net.ribout.RibOut` — the native GPV engine's wire, shared
+  with it: RIB-out dedup per (neighbor, coalescing slot), suppression of
+  φ (withdraw) advertisements toward neighbors that never received the
+  route, and under periodic batching (the paper's "batch and propagate
+  routes every second") an out-buffer flushed on each node's MRAI tick.
+  Any other remote head is sent as is.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterator
 
 from ..algebra.base import PHI, rank_routes
-from ..net.simulator import Simulator, next_flush_time
+from ..net.ribout import RibOut
+from ..net.simulator import Simulator
 from ..net.sizes import update_size
 from .ast import (
     Aggregate,
@@ -44,6 +48,9 @@ from .ast import (
 from .functions import FunctionRegistry
 
 Row = tuple
+
+#: Wire size of a remote tuple that carries no path column.
+DEFAULT_SIZE_BYTES = 64
 
 
 class NDlogRuntimeError(RuntimeError):
@@ -70,14 +77,13 @@ class TransportPolicy:
     path_pos: int | None = None
     rank_pos: int | None = None
     batch_interval: float | None = None
-    default_size_bytes: int = 64
 
     def size_of(self, row: Row) -> int:
         if self.path_pos is not None:
             path = row[self.path_pos]
             if isinstance(path, tuple):
                 return update_size(len(path))
-        return self.default_size_bytes
+        return DEFAULT_SIZE_BYTES
 
 
 class Table:
@@ -114,20 +120,16 @@ class Table:
 class _NodeState:
     """Tables plus aggregate bookkeeping for one node."""
 
-    def __init__(self, node: str, program: Program):
-        self.node = node
+    def __init__(self, program: Program, ribout: RibOut):
         self.tables: dict[str, Table] = {
             decl.relation: Table(decl.relation, decl.keys)
             for decl in program.materialized.values()
         }
-        #: RIB-out: (neighbor, relation, coalesce-key) -> last row sent.
-        self.rib_out: dict[tuple, Row] = {}
-        #: Pending batched messages: (neighbor, coalesce-key) -> row.
-        self.out_buffer: dict[tuple, tuple[str, Row]] = {}
+        #: The node's wire for message-relation rows.
+        self.ribout = ribout
         #: Raw advertisements as received, pre-evaluation — kept so a label
         #: change can re-derive combined routes (the native engine's adj_in).
         self.adj_raw: dict[tuple, Row] = {}
-        self.flush_scheduled = False
 
 
 class NDlogRuntime:
@@ -142,8 +144,11 @@ class NDlogRuntime:
         self.network = simulator.network
         self.functions = functions
         self.transport = transport or TransportPolicy()
-        self._states = {node: _NodeState(node, program)
-                        for node in self.network.nodes()}
+        self._states = {
+            node: _NodeState(program, RibOut(
+                node, simulator, self.transport.batch_interval,
+                self.transport.sig_pos, self._send_msg))
+            for node in self.network.nodes()}
         #: Relations whose change counts as a route change (best-row
         #: aggregate heads; ranked top-k tables shuffle without the best
         #: route moving, so they do not count).
@@ -198,10 +203,7 @@ class NDlogRuntime:
     def drop_neighbor_state(self, node: str, neighbor: str) -> None:
         """Forget per-neighbor transport state after a session failure."""
         state = self._states[node]
-        for key in [k for k in state.rib_out if k[0] == neighbor]:
-            del state.rib_out[key]
-        for key in [k for k in state.out_buffer if k[0] == neighbor]:
-            del state.out_buffer[key]
+        state.ribout.forget(neighbor)
         for key in [k for k in state.adj_raw if k[0] == neighbor]:
             del state.adj_raw[key]
 
@@ -588,25 +590,17 @@ class NDlogRuntime:
         if not self.network.has_link(node, target):
             raise NDlogRuntimeError(
                 f"{node} derived {relation} @ non-neighbor {target}")
+        if relation != self.transport.msg_relation:
+            self.sim.send(node, target, (relation, row), DEFAULT_SIZE_BYTES)
+            return
+        self._states[node].ribout.offer(
+            target, self._coalesce_key(target, row), row)
+
+    def _send_msg(self, node: str, target: str, _slot: Hashable,
+                  row: Row) -> None:
         policy = self.transport
-        if relation != policy.msg_relation:
-            self.sim.send(node, target, (relation, row),
-                          policy.default_size_bytes)
-            return
-        coalesce_key = self._coalesce_key(target, row)
-        state = self._states[node]
-        if self._suppress(state, target, relation, row, coalesce_key):
-            return
-        if policy.batch_interval is None:
-            state.rib_out[(target, relation, coalesce_key)] = row
-            self.sim.send(node, target, (relation, row), policy.size_of(row))
-            return
-        state.out_buffer[(target, coalesce_key)] = (relation, row)
-        if not state.flush_scheduled:
-            state.flush_scheduled = True
-            self.sim.at(next_flush_time(node, self.sim.now,
-                                        policy.batch_interval, self.sim.rng),
-                        lambda: self._flush(node))
+        self.sim.send(node, target, (policy.msg_relation, row),
+                      policy.size_of(row))
 
     def _coalesce_key(self, target: str, row: Row) -> Hashable:
         if self.transport.dest_pos is not None:
@@ -615,54 +609,6 @@ class NDlogRuntime:
                 key = (key, row[self.transport.rank_pos])
             return key
         return row
-
-    def _suppress(self, state: _NodeState, target: str, relation: str,
-                  row: Row, coalesce_key: Hashable) -> bool:
-        """RIB-out filtering: drop duplicate and pointless-φ advertisements.
-
-        When batching, the *buffered* row for this coalescing slot is the
-        effective last advertisement, not ``rib_out`` — judging against
-        rib_out while a contradictory row waits in the buffer let a
-        same-window withdraw be classified as noise and recorded, after
-        which the buffered stale route flushed to the neighbor with no
-        withdraw ever following (the source of stale top-k alternates
-        under batching).
-        """
-        policy = self.transport
-        rib_key = (target, relation, coalesce_key)
-        pending = state.out_buffer.get((target, coalesce_key)) \
-            if policy.batch_interval is not None else None
-        last = pending[1] if pending is not None else state.rib_out.get(rib_key)
-        if last == row:
-            return True
-        if policy.sig_pos is not None and row[policy.sig_pos] is PHI:
-            if last is None or last[policy.sig_pos] is PHI:
-                # The neighbor never held this route; a withdraw is noise.
-                # rib_out bookkeeping belongs to send time: here when
-                # unbatched, in _flush otherwise.
-                if policy.batch_interval is None:
-                    state.rib_out[rib_key] = row
-                return True
-        return False
-
-    def _flush(self, node: str) -> None:
-        """Send all buffered (coalesced) messages for one batching tick."""
-        state = self._states[node]
-        state.flush_scheduled = False
-        pending = list(state.out_buffer.items())
-        state.out_buffer.clear()
-        sig_pos = self.transport.sig_pos
-        for (target, coalesce_key), (relation, row) in pending:
-            rib_key = (target, relation, coalesce_key)
-            last = state.rib_out.get(rib_key)
-            if last == row:
-                continue
-            state.rib_out[rib_key] = row
-            if sig_pos is not None and row[sig_pos] is PHI and \
-                    (last is None or last[sig_pos] is PHI):
-                continue  # withdraw of a route the neighbor never heard
-            self.sim.send(node, target, (relation, row),
-                          self.transport.size_of(row))
 
     # -- helpers ---------------------------------------------------------------------
 

@@ -4,6 +4,9 @@
   policy labels, bandwidth/latency/jitter, IGP weights);
 * :mod:`repro.net.simulator` — event loop, FIFO link serialization,
   deterministic seeded jitter, quiescence detection;
+* :mod:`repro.net.ribout` — the path-vector wire discipline both GPV
+  evaluators send through: adjacency-RIB-out dedup, φ-suppression, MRAI
+  batching;
 * :mod:`repro.net.stats` — convergence time, bandwidth-over-time series,
   communication cost (the quantities in Figs. 4-6);
 * :mod:`repro.net.sizes` — BGP-UPDATE-shaped message size model.

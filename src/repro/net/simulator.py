@@ -23,34 +23,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
-import zlib
 from typing import Any, Callable
 
 from .network import Network
 from .stats import StatsCollector
-
-
-def next_flush_time(node: str, now: float, interval: float,
-                    rng: random.Random | None = None) -> float:
-    """Next batched-propagation tick for ``node`` (MRAI-style timers).
-
-    Each node flushes on its own phase-shifted grid — the offset is a
-    deterministic function of the node name — plus, when a seeded ``rng``
-    is supplied, a small per-flush drift: real per-peer advertisement
-    timers run mutually desynchronized and drift.  A globally aligned
-    grid would keep symmetric oscillators (DISAGREE) in perfect lockstep
-    forever; staggered, drifting timers let one node observe the other's
-    settled state mid-cycle and wedge into a stable solution, which is
-    exactly how periodic advertisement (MRAI) tames those configurations
-    in deployed BGP.
-    """
-    phase = (zlib.crc32(node.encode()) % 997) / 997 * interval
-    tick = phase + (math.floor((now - phase) / interval) + 1) * interval
-    if rng is not None:
-        tick += rng.uniform(0.0, 0.1 * interval)
-    return tick
 
 
 class StopReason:

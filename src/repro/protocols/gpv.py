@@ -11,20 +11,24 @@ Per node and destination the engine keeps
 
 * an adjacency-RIB-in: the latest (signature, path) advertised by each
   neighbor, φ-signatures marking withdrawn routes;
-* the selected best route (algebra preference, sticky under ties);
-* an adjacency-RIB-out per neighbor for dedup and φ-suppression.
+* the selected best route (algebra preference, sticky under ties).
 
-Route propagation applies, in order: export filter and split horizon on the
-sender (φ on the wire = withdraw), then import filter, loop check, and ⊕P
-concatenation on the receiver — the ⊕E / ⊕I / ⊕P decomposition that the
-extended algebra of paper Sec. III-A exists to express.
+What crosses a link and when is not this module's: the ⊕E / ⊕I / ⊕P
+folds — export filter and split horizon on the sender (φ on the wire =
+withdraw), loop check, import filter and ⊕P on the receiver, the
+decomposition the extended algebra of paper Sec. III-A exists to express
+— are :func:`~repro.algebra.extended.path_vector_folds`, and RIB-out
+dedup, φ-suppression and MRAI batching are
+:class:`~repro.net.ribout.RibOut`.  The generated NDlog program runs on
+the same two, so the oracle's ``gpv~ndlog`` pair compares selection and
+event handling, not the wire.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from ..algebra.base import (
     PHI,
@@ -33,9 +37,10 @@ from ..algebra.base import (
     origin_or_phi,
     rank_routes,
 )
-from ..algebra.extended import ExtendedAlgebra
+from ..algebra.extended import path_vector_folds
 from ..net.network import Network
-from ..net.simulator import Simulator, next_flush_time
+from ..net.ribout import RibOut
+from ..net.simulator import Simulator
 from ..net.sizes import update_size
 
 Path = tuple
@@ -44,6 +49,7 @@ Route = tuple  # (signature, path)
 
 @dataclass
 class _NodeState:
+    ribout: RibOut
     #: Routes per (neighbor, destination): a tuple because multipath
     #: advertisements can carry several (paper's top-k extension).
     rib_in: dict[tuple[str, str], tuple] = field(default_factory=dict)
@@ -51,9 +57,6 @@ class _NodeState:
     #: link can re-derive the combined routes (policy/metric perturbation).
     adj_in: dict[tuple[str, str], "Advertisement"] = field(default_factory=dict)
     best: dict[str, Route] = field(default_factory=dict)
-    rib_out: dict[tuple[str, str], tuple] = field(default_factory=dict)
-    out_buffer: dict[tuple[str, str], "Advertisement"] = field(default_factory=dict)
-    flush_scheduled: bool = False
 
 
 @dataclass
@@ -99,16 +102,17 @@ class GPVEngine:
             raise ValueError("top_k must be at least 1")
         self.network = network
         self.algebra = algebra
-        #: Decided once: ``_combine``/``_export_sig`` run per route per
-        #: message, and an ABC ``isinstance`` there costs more than ⊕ does.
-        self._extended = isinstance(algebra, ExtendedAlgebra)
+        self._combine, self._export = path_vector_folds(algebra)
         self.destinations = list(destinations)
         self.sim = Simulator(network, seed=seed)
         self.batch_interval = batch_interval
         self.log_routes = log_routes
         self.top_k = top_k
         self.route_log: list[tuple[str, str, Signature, Path]] = []
-        self._states = {node: _NodeState() for node in network.nodes()}
+        self._states = {
+            node: _NodeState(RibOut(node, self.sim, batch_interval, 0,
+                                    self._send))
+            for node in network.nodes()}
         for node in network.nodes():
             self.sim.attach(node, functools.partial(self._receive, node))
 
@@ -211,11 +215,7 @@ class GPVEngine:
                     # Origination over the failed link.
                     del state.rib_in[(neighbor, dest)]
                     affected.append(dest)
-            # RIB-out entries toward the vanished neighbor are void.
-            for key in [k for k in state.rib_out if k[0] == gone]:
-                del state.rib_out[key]
-            for key in [k for k in state.out_buffer if k[0] == gone]:
-                del state.out_buffer[key]
+            state.ribout.forget(gone)
             for dest in affected:
                 self._reselect_after_loss(node, dest)
 
@@ -286,8 +286,9 @@ class GPVEngine:
         key = (src, adv.dest)
         state.adj_in[key] = adv
         combined = []
+        combine = self._combine
         for sig, path in ((adv.sig, adv.path), *adv.alternates):
-            new_sig = self._combine(label, sig, path, node)
+            new_sig = combine(label, sig, path, node)
             new_path = (node,) + tuple(path)
             combined.append((new_sig, new_path))
             if self.log_routes and new_sig is not PHI:
@@ -297,17 +298,6 @@ class GPVEngine:
             return
         state.rib_in[key] = new
         self._reselect(node, adv.dest)
-
-    def _combine(self, label: Hashable, sig: Signature, path: Path,
-                 node: str) -> Signature:
-        """Receive-side ⊕: loop check, import filter (⊕I), then ⊕P."""
-        if sig is PHI or node in path:
-            return PHI
-        if self._extended:
-            if not self.algebra.import_allows(label, sig):
-                return PHI
-            return self.algebra.concat(label, sig)
-        return self.algebra.oplus(label, sig)
 
     # -- selection --------------------------------------------------------------------
 
@@ -352,6 +342,8 @@ class GPVEngine:
     def _advertise(self, node: str, dest: str, route: Route) -> None:
         sig, path = route
         state = self._states[node]
+        export = self._export
+        offer = state.ribout.offer
         extras: list[Route] = []
         if self.top_k > 1 and sig is not PHI:
             extras = [r for r in self._ranked(self._candidates(state, dest))
@@ -360,7 +352,7 @@ class GPVEngine:
             if neighbor == dest:
                 continue
             label = self.network.label(node, neighbor)
-            out_sig = self._export_sig(label, sig, path, neighbor)
+            out_sig = export(label, sig, path, neighbor)
             usable: list[Route] = []
             if self.top_k > 1:
                 # The first top_k exportable routes in rank order.  ⊕E is
@@ -369,79 +361,17 @@ class GPVEngine:
                 if out_sig is not PHI:
                     usable.append((out_sig, path))
                 for alt_sig, alt_path in extras:
-                    exported = self._export_sig(label, alt_sig, alt_path,
-                                                neighbor)
+                    exported = export(label, alt_sig, alt_path, neighbor)
                     if exported is not PHI:
                         usable.append((exported, alt_path))
                         if len(usable) == self.top_k:
                             break
             if usable:
                 (out_sig, out_path), *alternates = usable
-                self._emit(state, node, neighbor, dest, out_sig, out_path,
-                           tuple(alternates))
+                offer(neighbor, dest, (out_sig, out_path, tuple(alternates)))
             else:
-                self._emit(state, node, neighbor, dest, out_sig, path, ())
+                offer(neighbor, dest, (out_sig, path, ()))
 
-    def _export_sig(self, label: Hashable, sig: Signature, path: Path,
-                    neighbor: str) -> Signature:
-        """Send-side ⊕E plus split horizon; φ on the wire is a withdraw."""
-        if sig is PHI:
-            return PHI
-        if len(path) > 1 and path[1] == neighbor:
-            return PHI
-        if self._extended:
-            if not self.algebra.export_allows(label, sig):
-                return PHI
-        return sig
-
-    def _emit(self, state: _NodeState, node: str, neighbor: str, dest: str,
-              sig: Signature, path: Path, alternates: tuple) -> None:
-        """Send (or buffer) one advertisement unless RIB-out says it is a
-        repeat or a withdraw of something the neighbor never heard."""
-        rib_key = (neighbor, dest)
-        current = (sig, path, alternates)
-        # The effective last advertisement is the *buffered* one when
-        # batching: consulting rib_out while a contradictory advert waits
-        # in the out buffer let a same-window withdraw be recorded as
-        # "neighbor never held it" and the stale advert flush afterwards.
-        pending = state.out_buffer.get(rib_key) \
-            if self.batch_interval is not None else None
-        if pending is not None:
-            last = (pending.sig, pending.path, pending.alternates)
-        else:
-            last = state.rib_out.get(rib_key)
-        if last == current:
-            return
-        if sig is PHI and (last is None or last[0] is PHI):
-            # The neighbor never held (and will never hear about) this
-            # route; a withdraw is noise.  Bookkeeping happens at send
-            # time (here when unbatched, in _flush otherwise).
-            if self.batch_interval is None:
-                state.rib_out[rib_key] = current
-            return
-        adv = Advertisement(dest, sig, path, alternates)
-        if self.batch_interval is None:
-            state.rib_out[rib_key] = current
-            self.sim.send(node, neighbor, adv, adv.wire_size())
-            return
-        state.out_buffer[rib_key] = adv
-        if not state.flush_scheduled:
-            state.flush_scheduled = True
-            self.sim.at(next_flush_time(node, self.sim.now,
-                                        self.batch_interval, self.sim.rng),
-                        lambda: self._flush(node))
-
-    def _flush(self, node: str) -> None:
-        state = self._states[node]
-        state.flush_scheduled = False
-        pending = list(state.out_buffer.items())
-        state.out_buffer.clear()
-        for (neighbor, dest), adv in pending:
-            current = (adv.sig, adv.path, adv.alternates)
-            last = state.rib_out.get((neighbor, dest))
-            if last == current:
-                continue
-            state.rib_out[(neighbor, dest)] = current
-            if adv.sig is PHI and (last is None or last[0] is PHI):
-                continue  # withdraw of a route the neighbor never heard
-            self.sim.send(node, neighbor, adv, adv.wire_size())
+    def _send(self, node: str, neighbor: str, dest: str, value: tuple) -> None:
+        adv = Advertisement(dest, *value)
+        self.sim.send(node, neighbor, adv, adv.wire_size())

@@ -133,12 +133,10 @@ class HLPEngine:
     """
 
     def __init__(self, network: Network, *, seed: int = 0,
-                 cost_hiding_threshold: int = 0,
-                 pack_window_s: float = PACK_WINDOW_S):
+                 cost_hiding_threshold: int = 0):
         self.network = network
         self.sim = Simulator(network, seed=seed)
         self.threshold = cost_hiding_threshold
-        self.pack_window_s = pack_window_s
         self._states: dict[str, _NodeState] = {}
         for node in network.nodes():
             state = _NodeState(domain=network.node_attrs(node).get(DOMAIN_ATTR))
@@ -287,7 +285,7 @@ class HLPEngine:
         state.out_queues.setdefault(neighbor, []).append(item)
         if neighbor not in state.flush_scheduled:
             state.flush_scheduled.add(neighbor)
-            self.sim.schedule(self.pack_window_s,
+            self.sim.schedule(PACK_WINDOW_S,
                               lambda: self._flush(node, neighbor))
 
     def _flush(self, node: str, neighbor: str) -> None:
@@ -316,24 +314,7 @@ class HLPEngine:
     def _recompute_dist(self, node: str) -> None:
         """Dijkstra over the LSDB; follow-up: externals may need refresh."""
         state = self._states[node]
-        graph: dict[str, list[tuple[str, int]]] = {}
-        for lsa in state.lsdb.values():
-            for u, v, w in lsa.links:
-                graph.setdefault(u, []).append((v, w))
-                graph.setdefault(v, []).append((u, w))
-        dist = {node: 0}
-        heap = [(0, node)]
-        seen: set[str] = set()
-        while heap:
-            d, current = heapq.heappop(heap)
-            if current in seen:
-                continue
-            seen.add(current)
-            for neighbor, weight in graph.get(current, ()):
-                candidate = d + weight
-                if candidate < dist.get(neighbor, float("inf")):
-                    dist[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
+        dist = self._dijkstra_from(state, node)
         if dist != state.dist:
             changed = {n for n in dist.keys() | state.dist.keys()
                        if dist.get(n) != state.dist.get(n)}

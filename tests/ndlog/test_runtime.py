@@ -16,6 +16,7 @@ from repro.ndlog import (
     deploy_spp,
     parse_program,
 )
+from repro.ndlog.runtime import DEFAULT_SIZE_BYTES
 from repro.net import Network, Simulator
 
 
@@ -157,7 +158,7 @@ class TestTransportPolicy:
 
     def test_size_of_default(self):
         policy = TransportPolicy()
-        assert policy.size_of(("anything",)) == policy.default_size_bytes
+        assert policy.size_of(("anything",)) == DEFAULT_SIZE_BYTES
 
 
 class TestPhiSuppression:

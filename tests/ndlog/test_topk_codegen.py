@@ -117,7 +117,7 @@ class TestAdvertisedSets:
         runtime.sim.run(until=30.0)
         for node in ("m", "a", "b"):
             for neighbor in ("s", "m"):
-                native = engine._states[node].rib_out.get((neighbor, "d"))
+                native = engine._states[node].ribout.last(neighbor, "d")
                 rows = [r for r in runtime.table_rows(node, "advBest")
                         if r[1] == neighbor and r[2] == "d"
                         and r[3] is not PHI]

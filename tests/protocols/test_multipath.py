@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algebra import PHI, AlgebraTables, ShortestHopCount, TableAlgebra
+from repro.algebra.extended import path_vector_folds
 from repro.net import Network
 from repro.protocols import GPVEngine
 
@@ -132,9 +133,10 @@ def full_pool_cut(engine, node, neighbor, dest):
     best = state.best[dest]
     ranked = engine._ranked(engine._candidates(state, dest))
     label = engine.network.label(node, neighbor)
+    _combine, export = path_vector_folds(engine.algebra)
     pool = []
     for sig, path in [best] + [r for r in ranked if r != best]:
-        exported = engine._export_sig(label, sig, path, neighbor)
+        exported = export(label, sig, path, neighbor)
         if exported is not PHI:
             pool.append((exported, path))
     return pool[:engine.top_k] or [(PHI, best[1])]
