@@ -3,8 +3,11 @@
 * :mod:`repro.ndlog.ast` / :mod:`repro.ndlog.parser` — the NDlog language
   fragment FSR generates (location specifiers, keyed ``materialize``
   declarations, ``a_pref`` aggregates);
-* :mod:`repro.ndlog.runtime` — delta-driven distributed evaluation over the
-  simulator (the RapidNet stand-in);
+* :mod:`repro.ndlog.compiler` — each (rule, trigger) compiled once per
+  program text into generated Python (slots, a fixed join order, keyed
+  lookups and per-table indexes);
+* :mod:`repro.ndlog.runtime` — delta-driven distributed evaluation of the
+  compiled rules over the simulator (the RapidNet stand-in);
 * :mod:`repro.ndlog.programs` — the GPV mechanism text (paper Sec. V-A);
 * :mod:`repro.ndlog.codegen` — the four-step algebra→NDlog translation
   (paper Sec. V-B) and one-call deployments.

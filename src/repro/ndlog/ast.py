@@ -214,11 +214,21 @@ class Program:
         return relation in self.materialized
 
     def rules_triggered_by(self, relation: str) -> list[tuple[Rule, int]]:
-        """(rule, body-atom position) pairs whose body mentions ``relation``."""
+        """(rule, body-atom position) pairs a delta of ``relation`` triggers.
+
+        Every atom of a rule triggers it, except in a rule with an event
+        atom: that atom is its only trigger, since an event is never stored
+        and so cannot be joined.
+        """
         out = []
         for rule in self.rules:
-            for position, element in enumerate(rule.body):
-                if isinstance(element, Atom) and element.relation == relation:
+            atoms = [(position, element)
+                     for position, element in enumerate(rule.body)
+                     if isinstance(element, Atom)]
+            events = [(position, element) for position, element in atoms
+                      if not self.is_materialized(element.relation)]
+            for position, element in events or atoms:
+                if element.relation == relation:
                     out.append((rule, position))
         return out
 

@@ -12,8 +12,9 @@ Implements the four-step translation:
   a ``label`` tuple for every directed link and a ``sig`` tuple for every
   one-hop path to a destination (the origination set).
 
-:func:`deploy_gpv` assembles the whole pipeline: parse the GPV program,
-register the generated functions, install the facts, and return a ready
+:func:`deploy_gpv` assembles the whole pipeline: parse the GPV program
+(once per process and text; the runtime compiles it once too), register
+the generated functions, install the facts, and return a ready
 :class:`~repro.ndlog.runtime.NDlogRuntime`.  :func:`generated_source`
 renders the functions as pseudo-code in the paper's ``#def_func`` style for
 inspection and documentation.
@@ -21,6 +22,7 @@ inspection and documentation.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from ..algebra.base import PHI, Pref, RoutingAlgebra, origin_or_phi
@@ -28,6 +30,7 @@ from ..algebra.extended import path_vector_folds, split_operators
 from ..algebra.spp import SPPAlgebra, SPPInstance
 from ..net.network import Network
 from ..net.simulator import Simulator
+from .ast import Program
 from .functions import FunctionRegistry
 from .parser import parse_program
 from .programs import GPV, gpv_topk
@@ -87,6 +90,15 @@ def origination_facts(network: Network, algebra: RoutingAlgebra,
                              (neighbor, dest))
 
 
+@functools.lru_cache(maxsize=None)
+def _gpv_program(top_k: int) -> Program:
+    """The parsed GPV program text for ``top_k``, once per process (a
+    runtime only reads its program)."""
+    if top_k == 1:
+        return parse_program(GPV, name="gpv")
+    return parse_program(gpv_topk(top_k), name=f"gpv-top{top_k}")
+
+
 def deploy_gpv(network: Network, algebra: RoutingAlgebra,
                destinations: Iterable[str], *,
                seed: int = 0,
@@ -110,13 +122,12 @@ def deploy_gpv(network: Network, algebra: RoutingAlgebra,
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
+    program = _gpv_program(top_k)
     if top_k == 1:
-        program = parse_program(GPV, name="gpv")
         transport = TransportPolicy(msg_relation="msg", dest_pos=2,
                                     sig_pos=3, path_pos=4,
                                     batch_interval=batch_interval)
     else:
-        program = parse_program(gpv_topk(top_k), name=f"gpv-top{top_k}")
         transport = TransportPolicy(msg_relation="msg", dest_pos=2,
                                     sig_pos=3, path_pos=4, rank_pos=5,
                                     batch_interval=batch_interval)

@@ -26,12 +26,14 @@ class FunctionRegistry:
     def register(self, name: str, fn: Callable[..., Any]) -> None:
         self._functions[name] = fn
 
-    def call(self, name: str, *args: Any) -> Any:
+    def get(self, name: str) -> Callable[..., Any]:
         try:
-            fn = self._functions[name]
+            return self._functions[name]
         except KeyError:
             raise KeyError(f"undefined NDlog function {name!r}") from None
-        return fn(*args)
+
+    def call(self, name: str, *args: Any) -> Any:
+        return self.get(name)(*args)
 
     def has(self, name: str) -> bool:
         return name in self._functions
