@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .base import PHI, Label, Pref, RoutingAlgebra, Signature
-from .extended import ExtendedAlgebra
+from .extended import ExtendedAlgebra, split_operators
 
 
 class LexicalProduct(ExtendedAlgebra):
@@ -31,6 +31,12 @@ class LexicalProduct(ExtendedAlgebra):
         self.first = first
         self.second = second
         self.name = name or f"{first.name}(x){second.name}"
+        # Each component's ⊕I/⊕P/⊕E, decided once: a plain component's
+        # combined ⊕ is its ⊕P and its filters pass everything.
+        self._import_first, self._concat_first, self._export_first = \
+            split_operators(first)
+        self._import_second, self._concat_second, self._export_second = \
+            split_operators(second)
 
     @property
     def components(self) -> tuple[RoutingAlgebra, RoutingAlgebra]:
@@ -68,25 +74,17 @@ class LexicalProduct(ExtendedAlgebra):
 
     # -- extended operators ------------------------------------------------------
 
-    def _component_op(self, algebra: RoutingAlgebra, op: str, label: Label,
-                      sig: Signature) -> bool:
-        if isinstance(algebra, ExtendedAlgebra):
-            return getattr(algebra, op)(label, sig)
-        return True
-
     def import_allows(self, label: Label, sig: Signature) -> bool:
-        return (self._component_op(self.first, "import_allows", label[0], sig[0])
-                and self._component_op(self.second, "import_allows",
-                                       label[1], sig[1]))
+        return (self._import_first(label[0], sig[0])
+                and self._import_second(label[1], sig[1]))
 
     def export_allows(self, label: Label, sig: Signature) -> bool:
-        return (self._component_op(self.first, "export_allows", label[0], sig[0])
-                and self._component_op(self.second, "export_allows",
-                                       label[1], sig[1]))
+        return (self._export_first(label[0], sig[0])
+                and self._export_second(label[1], sig[1]))
 
     def concat(self, label: Label, sig: Signature) -> Signature:
-        a = _concat_component(self.first, label[0], sig[0])
-        b = _concat_component(self.second, label[1], sig[1])
+        a = self._concat_first(label[0], sig[0])
+        b = self._concat_second(label[1], sig[1])
         if a is PHI or b is PHI:
             return PHI
         return (a, b)
@@ -108,13 +106,6 @@ class LexicalProduct(ExtendedAlgebra):
         sa = self.first.sample_signatures(count)
         sb = self.second.sample_signatures(count)
         return [(a, b) for a in sa for b in sb][:count]
-
-
-def _concat_component(algebra: RoutingAlgebra, label: Label,
-                      sig: Signature) -> Signature:
-    if isinstance(algebra, ExtendedAlgebra):
-        return algebra.concat(label, sig)
-    return algebra.oplus(label, sig)
 
 
 def _reverse_component(algebra: RoutingAlgebra, label: Label) -> Label:

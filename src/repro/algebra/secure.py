@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .base import Label, PHI, Pref, RoutingAlgebra, Signature
-from .extended import ExtendedAlgebra
+from .extended import ExtendedAlgebra, split_operators
 
 #: Validation states carried as ground truth in secured signatures.
 VALID = "ok"
@@ -91,6 +91,10 @@ class SecureAlgebra(ExtendedAlgebra):
         self._blocked = (INVALID,) if variant == "rov" \
             else (INVALID, NOT_FOUND)
         self.name = name or f"{variant}-{mode}:{base.name}"
+        # The base's ⊕I/⊕P/⊕E, decided once: the base need not be an
+        # ExtendedAlgebra (a plain ⊕ is its ⊕P, its filters pass all).
+        self._import_base, self._concat_base, self._export_base = \
+            split_operators(base)
 
     # -- label constructors ---------------------------------------------------
 
@@ -159,7 +163,7 @@ class SecureAlgebra(ExtendedAlgebra):
     def import_allows(self, label: Label, sig: Signature) -> bool:
         bit, base_label = label
         state, _penalty, base_sig = sig
-        if not self._base_import(base_label, base_sig):
+        if not self._import_base(base_label, base_sig):
             return False
         if self.mode == "filter" and bit == 1 and state in self._blocked:
             return False
@@ -168,7 +172,7 @@ class SecureAlgebra(ExtendedAlgebra):
     def concat(self, label: Label, sig: Signature) -> Signature:
         bit, base_label = label
         state, penalty, base_sig = sig
-        extended = self._base_concat(base_label, base_sig)
+        extended = self._concat_base(base_label, base_sig)
         if extended is PHI:
             return PHI
         if self.mode == "deprioritize" and bit == 1 \
@@ -178,7 +182,7 @@ class SecureAlgebra(ExtendedAlgebra):
 
     def export_allows(self, label: Label, sig: Signature) -> bool:
         _bit, base_label = label
-        return self._base_export(base_label, sig[2])
+        return self._export_base(base_label, sig[2])
 
     def reverse_label(self, label: Label) -> Label:
         bit, base_label = label
@@ -188,23 +192,6 @@ class SecureAlgebra(ExtendedAlgebra):
         # direction has a different importer, but export (the only
         # consumer of reversed labels) never consults the bit.
         return (bit, base_label)
-
-    # -- base-algebra shims (the base need not be an ExtendedAlgebra) ---------
-
-    def _base_import(self, label: Label, sig: Signature) -> bool:
-        if isinstance(self.base, ExtendedAlgebra):
-            return self.base.import_allows(label, sig)
-        return True
-
-    def _base_concat(self, label: Label, sig: Signature) -> Signature:
-        if isinstance(self.base, ExtendedAlgebra):
-            return self.base.concat(label, sig)
-        return self.base.oplus(label, sig)
-
-    def _base_export(self, label: Label, sig: Signature) -> bool:
-        if isinstance(self.base, ExtendedAlgebra):
-            return self.base.export_allows(label, sig)
-        return True
 
 
 def hijacked_route(path: tuple, attacker: str) -> bool:

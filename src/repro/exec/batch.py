@@ -10,7 +10,8 @@ uniqueness of the stable state), independent of message timing, event
 interleaving, or advertisement batching.  So instead of simulating, it:
 
 1. **tabulates the algebra ordinally** — the reachable signature closure
-   (origin signatures extended by every observed label) is rank-sorted
+   (origin signatures extended by every observed label, ``nodes − 1``
+   transfers deep: :func:`_closure_depth`) is rank-sorted
    into integer ids where *smaller id == more preferred*, with φ as the
    largest absorbing *routable* id and a distinct **hole** sentinel
    (``hole_id == phi_id + 1``) for extensions whose true value lies past
@@ -62,7 +63,9 @@ is not a typed refusal or decline is a bug and propagates.
 
 The kernel lookup runs once per scanned scenario, in this order: a
 process-wide cache under canonical kernel keys (:func:`kernel_key_of`,
-the one place a key is rendered), an optional **persistent kernel
+the one place a key is rendered; the closure depth is part of it, so
+every tier hands a scenario a kernel at least as deep as its topology
+needs), an optional **persistent kernel
 store** (:mod:`repro.exec.kernel_store`, :func:`configure_kernel_store`
 or ``$REPRO_BATCH_KERNEL_CACHE``) shared by pool workers and repeat
 campaigns, then tabulation.
@@ -91,7 +94,7 @@ from ..algebra.base import (
     origin_or_phi,
     rank_sort,
 )
-from ..algebra.extended import ExtendedAlgebra
+from ..algebra.extended import ExtendedAlgebra, split_operators
 from ..algebra.hlp import HLPCostAlgebra
 from ..algebra.spp import SPPAlgebra
 from ..net.simulator import StopReason
@@ -107,7 +110,6 @@ if TYPE_CHECKING:
 #: enough that tabulation is cheaper than the simulations it replaces.
 MAX_NODES = 64
 MAX_SIGNATURES = 4096
-MAX_CLOSURE_DEPTH = 64
 
 #: Bounded-hole closure deepening: on a monotone-mode hole-touch the
 #: engine extends the closure horizon along just the offending kernel
@@ -117,8 +119,8 @@ DEEPEN_STEP = 64
 MAX_DEEPEN_DEPTH = 256
 _MAX_DEEPEN_ATTEMPTS = 3
 
-#: algebra canonical key + observed label set -> kernel, or the reason
-#: (a ``str``) the vocabulary was refused.
+#: :func:`kernel_key_of` (algebra, vocabulary, closure depth) -> kernel,
+#: or the reason (a ``str``) the vocabulary was refused.
 _KERNEL_CACHE: dict[tuple, "_Kernel | str"] = {}
 _KERNEL_CACHE_MAX = 256
 
@@ -243,8 +245,9 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def _transfer(algebra: RoutingAlgebra, key: Hashable, sig):
-    """One directed link traversal, exactly as the scalar engines do it.
+def _transfer_of(algebra: RoutingAlgebra):
+    """``(key, sig) -> sig``: one directed link traversal, exactly as the
+    scalar engines do it, with the operators bound once per tabulation.
 
     For :class:`ExtendedAlgebra` the key is the directed
     ``(export label, import label)`` pair — the sender filters with ⊕E
@@ -253,16 +256,31 @@ def _transfer(algebra: RoutingAlgebra, key: Hashable, sig):
     send/receive split.  Plain algebras have a single combined ⊕ and the
     key is the receiver-side label alone.
     """
-    if sig is PHI:
-        return PHI
-    if isinstance(algebra, ExtendedAlgebra):
+    import_allows, concat, export_allows = split_operators(algebra)
+    if not isinstance(algebra, ExtendedAlgebra):
+        def transfer(label, sig):
+            return PHI if sig is PHI else concat(label, sig)
+        return transfer
+
+    def transfer(key, sig):
         out_label, in_label = key
-        if not algebra.export_allows(out_label, sig):
+        if sig is PHI or not export_allows(out_label, sig) \
+                or not import_allows(in_label, sig):
             return PHI
-        if not algebra.import_allows(in_label, sig):
-            return PHI
-        return algebra.concat(in_label, sig)
-    return algebra.oplus(key, sig)
+        return concat(in_label, sig)
+    return transfer
+
+
+def _closure_depth(scenario: "Scenario") -> int:
+    """How many transfers deep the scenario's kernel is tabulated.
+
+    Every stable-state value and every simple-path value on an n-node
+    topology uses at most ``n − 1`` transfers, so the depth-``n − 1``
+    closure holds all of them; a monotone-mode transient past it reads a
+    hole, which bounded-hole deepening covers.  A pure function of the
+    scenario, and part of its :func:`kernel_key_of`.
+    """
+    return max(scenario.network.node_count() - 1, 1)
 
 
 class _Kernel:
@@ -302,9 +320,8 @@ class _Kernel:
                  "tie_class", "hazard", "depth", "algebra", "cache_key")
 
     def __init__(self, sigs: list, key_id: dict, trans, origin_id: dict,
-                 pref_class, mode: str, hole_count: int, *,
-                 tie_class=None, hazard: bool = False,
-                 depth: int = MAX_CLOSURE_DEPTH):
+                 pref_class, mode: str, hole_count: int, *, depth: int,
+                 tie_class=None, hazard: bool = False):
         self.sigs = sigs
         self.sig_id = {sig: i for i, sig in enumerate(sigs)}
         self.phi_id = len(sigs)
@@ -375,8 +392,9 @@ def _classify_kernel(trans, pref_class, phi_id: int, hole_id: int
     preference-constant within each input tie class (i.e. the true
     algebra is isotone on the whole tabulated closure, ties included,
     with genuine φ as the worst class).  Then accumulating
-    min-relaxation is exact: every stable or simple-path value uses ≤
-    ``MAX_NODES - 1`` transfers and so lives inside the closure, holes
+    min-relaxation is exact: every stable or simple-path value on the
+    scenario's n-node topology uses ≤ n − 1 transfers and so lives
+    inside the depth-(n − 1) closure (:func:`_closure_depth`), holes
     only ever appear on loopy transients and rank below φ, and the
     classical de-looping argument needs isotonicity only at in-table
     points.
@@ -441,17 +459,19 @@ class _Unbatchable(Exception):
     """Internal: admission refuses the scenario; the message is the reason."""
 
 
-def _close_signatures(algebra: RoutingAlgebra, ordered_keys: list,
+def _close_signatures(algebra: RoutingAlgebra, transfer, ordered_keys: list,
                       seen: set, frontier: list, depth_budget: int,
                       ext: dict) -> None:
     """BFS the reachable signature closure up to ``depth_budget`` hops.
 
+    ``transfer`` is the algebra's :func:`_transfer_of`.
     ``seen``/``frontier`` are mutated in place (``frontier`` is consumed)
     and every computed ``(key, sig) -> extended`` transfer is memoized in
     ``ext`` — the table fill reuses them, halving the algebra calls.
     Each non-φ extension is strictness-verified on the spot; a violation
     (or a closure past the size budget) raises :class:`_Unbatchable`.
     """
+    preference = algebra.preference
     depth = 0
     while frontier:
         depth += 1
@@ -460,11 +480,11 @@ def _close_signatures(algebra: RoutingAlgebra, ordered_keys: list,
         fresh = []
         for sig in frontier:
             for key in ordered_keys:
-                extended = _transfer(algebra, key, sig)
+                extended = transfer(key, sig)
                 ext[(key, sig)] = extended
                 if extended is PHI:
                     continue
-                if algebra.preference(sig, extended) is not Pref.BETTER:
+                if preference(sig, extended) is not Pref.BETTER:
                     raise _Unbatchable("not-strictly-monotonic")
                 if extended not in seen:
                     seen.add(extended)
@@ -474,7 +494,7 @@ def _close_signatures(algebra: RoutingAlgebra, ordered_keys: list,
         frontier = fresh
 
 
-def _finish_kernel(algebra: RoutingAlgebra, ordered_keys: list,
+def _finish_kernel(algebra: RoutingAlgebra, transfer, ordered_keys: list,
                    origin: dict, seen: set, ext: dict,
                    depth: int) -> _Kernel:
     """Rank-sort a closed ``seen`` set and fill/classify the tables."""
@@ -497,7 +517,7 @@ def _finish_kernel(algebra: RoutingAlgebra, ordered_keys: list,
             if extended is _missing:
                 # Frontier-at-horizon signatures never extended in the
                 # BFS; compute (and strictness-check) here.
-                extended = _transfer(algebra, key, sig)
+                extended = transfer(key, sig)
                 if extended is not PHI \
                         and algebra.preference(sig, extended) \
                         is not Pref.BETTER:
@@ -532,8 +552,7 @@ def _finish_kernel(algebra: RoutingAlgebra, ordered_keys: list,
 
 
 def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
-                  origin_labels: Iterable[Hashable],
-                  depth: int = MAX_CLOSURE_DEPTH) -> _Kernel:
+                  origin_labels: Iterable[Hashable], depth: int) -> _Kernel:
     """Tabulate ``algebra`` over a transfer vocabulary, or refuse it.
 
     :class:`_Unbatchable` means: the reachable closure outgrows the
@@ -546,25 +565,26 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
 
     The closure is *depth*-truncated, not required to be closed:
     additive metrics (shortest-path, hop counts) have infinite signature
-    spaces, but every stable-state and simple-path value on a
-    ``MAX_NODES``-bounded topology uses at most ``MAX_NODES - 1``
-    transfers and so lies within the depth-``depth`` closure.
+    spaces, but every stable-state and simple-path value on an n-node
+    topology uses at most n − 1 transfers and so lies within the
+    depth-(n − 1) closure the scenario's :func:`_closure_depth` asks for.
     Extensions past the horizon are tabulated as the explicit **hole**
     sentinel (strictness still preference-verified), so the relaxation
     can reason about them instead of conflating them with φ — and
     bounded-hole deepening (:func:`_deepen_kernel`) can later push the
     horizon out along just the rows a Jacobi transient actually touched.
     """
+    transfer = _transfer_of(algebra)
     ordered_keys = sorted(set(keys), key=repr)
     origin = {label: origin_or_phi(algebra, label)
               for label in sorted(set(origin_labels), key=repr)}
     seen = {sig for sig in origin.values() if sig is not PHI}
     ext: dict = {}
     try:
-        _close_signatures(algebra, ordered_keys, seen, list(seen),
-                          depth, ext)
-        return _finish_kernel(algebra, ordered_keys, origin, seen, ext,
-                              depth)
+        _close_signatures(algebra, transfer, ordered_keys, seen,
+                          list(seen), depth, ext)
+        return _finish_kernel(algebra, transfer, ordered_keys, origin, seen,
+                              ext, depth)
     except (KeyError, NotImplementedError) as undefined:
         raise _Unbatchable("unlabelled-link") from undefined
 
@@ -587,6 +607,7 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
         return False
     new_depth = min(kernel.depth + DEEPEN_STEP, MAX_DEEPEN_DEPTH)
     ordered_keys = sorted(kernel.key_id, key=kernel.key_id.get)
+    transfer = _transfer_of(algebra)
     try:
         origin = {label: (PHI if oid == kernel.phi_id
                           else kernel.sigs[oid])
@@ -599,7 +620,7 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
         for ki, si in offending:
             key = ordered_keys[ki]
             sig = kernel.sigs[si]
-            extended = _transfer(algebra, key, sig)
+            extended = transfer(key, sig)
             ext[(key, sig)] = extended
             if extended is PHI:
                 continue
@@ -608,10 +629,10 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
             if extended not in seen:
                 seen.add(extended)
                 frontier.append(extended)
-        _close_signatures(algebra, ordered_keys, seen, frontier,
+        _close_signatures(algebra, transfer, ordered_keys, seen, frontier,
                           DEEPEN_STEP, ext)
-        rebuilt = _finish_kernel(algebra, ordered_keys, origin, seen, ext,
-                                 new_depth)
+        rebuilt = _finish_kernel(algebra, transfer, ordered_keys, origin,
+                                 seen, ext, new_depth)
     except (_Unbatchable, KeyError, NotImplementedError):
         return False
     # In-place mutation: the process cache and every _Problem in flight
@@ -692,11 +713,14 @@ def _decode_kernel(payload: bytes | None) -> "_Kernel | str":
 def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
     """The canonical kernel key of a scenario's batch execution.
 
-    ``(canonical algebra key, transfer keys, origin labels)`` — the one
-    rendering under which every cache tier files the scenario's kernel:
-    relabeled copies of one algebra over one vocabulary share it across
-    scenarios, seeds, chunks and (through the kernel store) processes.
-    Scenarios sharing it share one tabulation *and* one relaxation
+    ``(canonical algebra key, transfer keys, origin labels, closure
+    depth)`` — the one rendering under which every cache tier files the
+    scenario's kernel: relabeled copies of one algebra over one
+    vocabulary and one node count share it across scenarios, seeds,
+    chunks and (through the kernel store) processes.  The depth
+    (:func:`_closure_depth`) makes every tier hand the scenario a kernel
+    tabulated for exactly its topology, or deeper only by deepening.
+    Scenarios sharing the key share one tabulation *and* one relaxation
     call.  ``scan`` is the scenario's :func:`_scan_topology`, if at hand.
     (``canonical_key`` is total: past its budgets it renders
     name-faithfully, it never raises.)
@@ -706,7 +730,8 @@ def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
     keys, origin_labels, _edges = scan or _scan_topology(scenario)
     return (repr(canonical_key(scenario.algebra)),
             tuple(sorted(repr(k) for k in keys)),
-            tuple(sorted(repr(l) for l in origin_labels)))
+            tuple(sorted(repr(l) for l in origin_labels)),
+            _closure_depth(scenario))
 
 
 def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
@@ -716,6 +741,7 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
     reason; a negative store row reads ``stored-negative``)."""
     keys, origin_labels, _edges = scan
     key = kernel_key_of(scenario, scan)
+    depth = key[3]
     kernel = _KERNEL_CACHE.get(key)
     if kernel is not None:
         _KERNEL_EVENTS["cache_hits"].inc()
@@ -741,15 +767,14 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
             started = time.perf_counter()
             try:
                 kernel = _build_kernel(scenario.algebra, keys,
-                                       origin_labels)
+                                       origin_labels, depth)
             except _Unbatchable as refusal:
                 kernel = str(refusal)
             _KERNEL_EVENTS["tabulations"].inc()
             _TABULATION_SECONDS.inc(time.perf_counter() - started)
             if store is not None:
                 with store.best_effort():
-                    store.put(repr(key), _encode_kernel(kernel),
-                              depth=getattr(kernel, "depth", 0))
+                    store.put(repr(key), _encode_kernel(kernel), depth=depth)
         _KERNEL_CACHE[key] = kernel
     if isinstance(kernel, str):
         raise _Unbatchable(kernel)

@@ -1,7 +1,7 @@
-"""Cross-process persistence for tabulated batch kernels (schema v3).
+"""Cross-process persistence for tabulated batch kernels (schema v4).
 
 The process caches in :mod:`repro.exec.batch` pay for each distinct
-(algebra, transfer vocabulary) closure once per worker *lifetime*; this
+(algebra, transfer vocabulary, depth) closure once per worker *lifetime*; this
 module makes tabulated kernels survive across processes and campaign
 invocations, so pool workers and repeat campaigns skip re-tabulation
 entirely.
@@ -9,19 +9,20 @@ entirely.
 Kernels are content-addressed by the ``repr`` of the batch backend's
 process-cache key — the isomorphism-invariant
 :func:`~repro.campaigns.canonical.canonical_key` of the algebra plus the
-scenario's transfer vocabulary — so relabeled copies of one algebra
-share a row, exactly mirroring the verdict store.  Negative results
-("this algebra is not batchable over this vocabulary") are stored too,
-as NULL payloads: a declined closure is as expensive to re-derive as an
-accepted one.
+scenario's transfer vocabulary and closure depth — so relabeled copies
+of one algebra share a row, exactly mirroring the verdict store.
+Negative results ("this algebra is not batchable over this vocabulary")
+are stored too, as NULL payloads: a declined closure is as expensive to
+re-derive as an accepted one.
 
 Connection handling, multi-writer hardening, the ``MAX_ROWS`` bound and
 the failure policy are :class:`repro.sqlite_cache.SqliteCache`'s — the
 base this store shares with :mod:`repro.campaigns.verdict_store`, and so
-is the one format rule: a file stamped with another ``user_version`` (or
-carrying other columns — a v2 file still has ``hits``) is emptied on
-open, never migrated — a lost kernel costs one re-tabulation.  What is
-here is the kernel table and its row methods.
+is the one format rule: a file stamped with another ``user_version`` (a
+v3 file keys kernels without their depth) or carrying other columns (a
+v2 file still has ``hits``) is emptied on open, never migrated — a lost
+kernel costs one re-tabulation.  What is here is the kernel table and
+its row methods.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ class KernelStore(SqliteCache):
     NAME = "kernel"
     TABLE = "kernels"
     SCHEMA = _SCHEMA
-    SCHEMA_VERSION = 3
+    SCHEMA_VERSION = 4
     #: Kernels are far fewer and far larger than verdicts (each carries
     #: its ``int32`` rank tables): one 540-scenario admitted campaign
-    #: writes 400 rows / 4.6 MB (numbers in ``exec/README.md``), so the
-    #: bound is ten such campaigns' worth of distinct kernels.
+    #: writes 483 rows / 1.6 MB (numbers in ``exec/README.md``), so the
+    #: bound is eight such campaigns' worth of distinct kernels.
     MAX_ROWS = 4_096
 
     def get(self, key: str) -> tuple[bool, bytes | None]:

@@ -473,29 +473,32 @@ class TestOneBatchPath:
 
     def test_a_raising_admission_errs_alone(self, monkeypatch):
         """A bug that only admission can reach — ``preference`` failing on
-        a hop count past any path of the topology, which the depth-64
-        closure tabulates and scalar GPV never compares — is that spec's
+        a hop count past any path of the topology, which the closure
+        tabulates and scalar GPV never compares — is that spec's
         ``ERROR``, not a silent refusal; the rest of the chunk is
-        evaluated, cross-checks included."""
+        evaluated, cross-checks included.  On the 14-router topology a
+        simple path has at most 13 hops, as many as the analyzer's spot
+        check reaches, while the depth-13 closure grows the one-hop
+        origin to hop 14."""
         from repro.algebra.library import ShortestHopCount
         from repro.campaigns import EvaluationOptions, evaluate_chunk
         from repro.campaigns import scenarios
 
-        class FaultyPastHop30(ShortestHopCount):
+        class FaultyPastHop13(ShortestHopCount):
             def preference(self, s1, s2):
-                if any(isinstance(s, int) and s > 30 for s in (s1, s2)):
-                    raise ZeroDivisionError("preference past hop 30")
+                if any(isinstance(s, int) and s > 13 for s in (s1, s2)):
+                    raise ZeroDivisionError("preference past hop 13")
                 return super().preference(s1, s2)
 
-        def rocketfuel(scenario_id, algebra, weights):
+        def rocketfuel(scenario_id, algebra, weights, routers=10):
             return ScenarioSpec(
                 scenario_id=scenario_id, family="rocketfuel",
                 algebra=algebra, seed=5, until=60.0, max_events=120_000,
-                params=(("routers", 10), ("links", 24),
+                params=(("routers", routers), ("links", 24),
                         ("weights", weights), ("destinations", 1)))
 
         specs = [rocketfuel(1, "shortest-path", (1, 2)),
-                 rocketfuel(2, "hop-count", (1,)),
+                 rocketfuel(2, "hop-count", (1,), routers=14),
                  rocketfuel(3, "shortest-path", (2, 9)),
                  gadget_spec("good")]
         options = EvaluationOptions(backends=("gpv", "batch"))
@@ -504,7 +507,7 @@ class TestOneBatchPath:
         library = scenarios.build_library_algebra
         monkeypatch.setattr(
             scenarios, "build_library_algebra",
-            lambda spec: FaultyPastHop30() if spec.algebra == "hop-count"
+            lambda spec: FaultyPastHop13() if spec.algebra == "hop-count"
             else library(spec))
         scalar, = evaluate_chunk(specs[1:2],
                                  EvaluationOptions(backends=("gpv",)))
@@ -512,7 +515,7 @@ class TestOneBatchPath:
         results = evaluate_chunk(specs, options)
         assert results[1].classification == ERROR
         assert results[1].error.startswith(
-            "ZeroDivisionError: preference past hop 30\n")
+            "ZeroDivisionError: preference past hop 13\n")
         assert not results[1].outcomes
         for index in (0, 2, 3):
             assert self.comparable(results[index]) == \

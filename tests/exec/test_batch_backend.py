@@ -120,12 +120,21 @@ BATCH_SPECS = [
                params=(("as_count", 12), ("peer_fraction", 0.2),
                        ("destinations", 2)),
                events=(LinkEventSpec(time=0.25, kind="fail", link_index=6),)),
-    # Wide weights drive sums past MAX_CLOSURE_DEPTH fast, injecting
+    # Wide weights drive sums past the closure horizon fast, injecting
     # beyond-horizon holes into an otherwise isotone additive kernel.
     batch_spec(18, "rocketfuel", "shortest-path", 8,
                params=(("routers", 10), ("links", 22), ("weights", (1, 19)),
                        ("destinations", 2))),
 ]
+
+
+def caida_hop_count(as_count, *, scenario_id=19):
+    """``BATCH_SPECS[0]`` at another size: the same algebra and transfer
+    vocabulary (``as_count`` 14 is 7 nodes, 23 is 12)."""
+    return batch_spec(scenario_id, "caida", "hop-count", 7,
+                      params=(("as_count", as_count), ("peer_fraction", 0.2),
+                              ("destinations", 2)),
+                      events=BATCH_SPECS[0].events)
 
 
 def secure_hijack_spec(mode, fraction, *, seed=0):
@@ -328,9 +337,10 @@ class TestOnePathContract:
         import itertools
         import random
 
-        # The two hop-count scenarios share one kernel (one relaxation
-        # group); every other spec brings its own.
-        specs = [BATCH_SPECS[3], BATCH_SPECS[0], BATCH_SPECS[6]] \
+        # The two 12-node hop-count scenarios (rocketfuel and caida)
+        # share one kernel (one relaxation group); every other spec
+        # brings its own.
+        specs = [BATCH_SPECS[3], caida_hop_count(23), BATCH_SPECS[6]] \
             + self.SPECS[:5]
         assert kernel_key_of(materialize(specs[0])) == \
             kernel_key_of(materialize(specs[1]))
@@ -494,8 +504,8 @@ class TestHoleAwareKernels:
         original = batch_mod._build_kernel
         monkeypatch.setattr(
             batch_mod, "_build_kernel",
-            lambda algebra, keys, labels, depth=3:
-                original(algebra, keys, labels, depth))
+            lambda algebra, keys, labels, _depth:
+                original(algebra, keys, labels, 3))
         clear_kernel_cache()
         reset_batch_phase_stats()
         reset_kernel_cache_stats()
@@ -573,6 +583,75 @@ class TestCacheTiers:
         assert admission_counts() - before == {
             ("caida", "refused", "not-strictly-monotonic"): 2,
             ("caida", "refused", "stored-negative"): 1}
+
+
+class TestClosureDepth:
+    """A kernel is tabulated ``nodes − 1`` transfers deep, and that depth
+    is part of its key."""
+
+    def test_the_depth_keys_the_kernel_at_every_tier(self, tmp_path):
+        clear_kernel_cache()
+        configure_kernel_store(str(tmp_path / "kernels.sqlite"))
+        reset_kernel_cache_stats()
+        try:
+            small, large = (materialize(caida_hop_count(as_count))
+                            for as_count in (14, 23))
+            assert [s.network.node_count() for s in (small, large)] \
+                == [7, 12]
+            key_small, key_large = kernel_key_of(small), kernel_key_of(large)
+            assert key_small[:3] == key_large[:3]  # algebra, vocabulary
+            assert (key_small[3], key_large[3]) == (6, 11)
+
+            def depths():
+                # Larger topology first: it must not serve the smaller.
+                return [_kernel_for(s, _scan_topology(s)).depth
+                        for s in (large, small)]
+
+            assert depths() == [11, 6]  # tabulation
+            assert depths() == [11, 6]  # process cache
+            clear_kernel_cache()
+            assert depths() == [11, 6]  # kernel store
+            stats = kernel_cache_stats()
+            assert (stats["tabulations"], stats["cache_hits"],
+                    stats["store_hits"]) == (2, 2, 2)
+        finally:
+            configure_kernel_store(None)
+            clear_kernel_cache()
+            reset_kernel_cache_stats()
+
+    def test_topology_depth_answers_as_the_deepest_admitted(
+            self, monkeypatch):
+        """Property: on generated quick specs the ``nodes − 1`` kernel
+        gives the routes and signatures a kernel tabulated
+        ``MAX_NODES − 1`` deep gives (run-time declines included), and
+        both agree with scalar GPV."""
+        import repro.exec.batch as batch_mod
+
+        topology_depth = batch_mod._closure_depth
+        generator = ScenarioGenerator(
+            5, families=("rocketfuel", "secure-rov", "secure-hijack",
+                         "caida"), profile="quick")
+        compared = collections.Counter()
+        for spec in generator.iter_specs(60):
+            if not BATCH.supports(materialize(spec)):
+                continue
+            _s, shallow = run_batch(spec)
+            monkeypatch.setattr(batch_mod, "_closure_depth",
+                                lambda _scenario: batch_mod.MAX_NODES - 1)
+            _s, deep = run_batch(spec)
+            monkeypatch.setattr(batch_mod, "_closure_depth", topology_depth)
+            if shallow is None or deep is None:
+                assert shallow is deep, spec.describe()
+                continue
+            assert (shallow.routes, shallow.sigs) == \
+                (deep.routes, deep.sigs), spec.describe()
+            gpv_session, gpv = run_backend("gpv", spec)
+            for outcome in (shallow, deep):
+                assert route_mismatches(gpv_session.algebra, gpv,
+                                        outcome) == [], spec.describe()
+            compared[spec.family] += 1
+        assert sum(compared.values()) >= 40
+        assert len(compared) == 4
 
 
 class TestRouteMismatchGuards:

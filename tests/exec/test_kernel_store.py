@@ -81,7 +81,7 @@ class TestStorePrimitives:
         watcher.close()
         store.close()
 
-    def test_a_v2_file_is_emptied_and_stamped_v3(self, tmp_path):
+    def test_a_v2_file_is_emptied_and_stamped_v4(self, tmp_path):
         """Schema v2 counted hits per row; drop, don't migrate."""
         path = str(tmp_path / "k.sqlite")
         conn = sqlite3.connect(path)
@@ -98,7 +98,7 @@ class TestStorePrimitives:
         store = KernelStore(path)
         assert len(store) == 0
         assert store.last_retention == {"format_dropped": 2}
-        assert store.stats()["schema_version"] == 3
+        assert store.stats()["schema_version"] == 4
         store.put("a", b"fresh")
         assert store.get("a") == (True, b"fresh")
         store.close()
