@@ -280,18 +280,21 @@ def rank_sort(algebra: RoutingAlgebra, sigs: Iterable[Signature]) -> list[Signat
     return sorted(sigs, key=functools.cmp_to_key(cmp))
 
 
-def rank_routes(better, routes: Iterable[tuple],
+def rank_routes(preference, routes: Iterable[tuple],
                 tie_key=None) -> list[tuple]:
     """``(sig, path)`` pairs best-first — the one k-best ranking order.
 
-    Non-φ entries only, ordered by the strict-preference predicate
-    ``better``, ties broken deterministically by ``(len(path), path)``
-    (shorter first), deduplicated by path.  Every component that ranks a
-    candidate pool — the native engine's RIB, the NDlog ranked aggregate,
-    the NDlog session's route-set snapshot — must use THIS order: the
-    k-cutoff makes any divergence in tie-breaking observable as a phantom
-    cross-backend mismatch.  ``tie_key`` customizes how a path maps to its
-    tie-break key (the ranked aggregate ranks generic trailing columns).
+    Non-φ entries only, ordered by the three-way comparator
+    ``preference`` (negative: the first signature is strictly preferred,
+    zero: a tie, positive: the second is; :meth:`RoutingAlgebra.preference`
+    is one), called once per comparison, ties broken deterministically by
+    ``(len(path), path)`` (shorter first), deduplicated by path.  Every
+    component that ranks a candidate pool — the native engine's RIB, the
+    NDlog ranked aggregate, the NDlog session's route-set snapshot — must
+    use THIS order: the k-cutoff makes any divergence in tie-breaking
+    observable as a phantom cross-backend mismatch.  ``tie_key``
+    customizes how a path maps to its tie-break key (the ranked aggregate
+    ranks generic trailing columns).
     """
     if tie_key is None:
         tie_key = lambda path: (len(path), path)  # noqa: E731
@@ -304,10 +307,9 @@ def rank_routes(better, routes: Iterable[tuple],
         unique.append((sig, path))
 
     def compare(r1: tuple, r2: tuple) -> int:
-        if better(r1[0], r2[0]):
-            return -1
-        if better(r2[0], r1[0]):
-            return 1
+        order = preference(r1[0], r2[0])
+        if order:
+            return order
         return -1 if tie_key(r1[1]) <= tie_key(r2[1]) else 1
 
     unique.sort(key=functools.cmp_to_key(compare))

@@ -193,7 +193,7 @@ class NDlogSession(ExecutionSession):
             for dest, pool in pools.items():
                 if node == dest:
                     continue
-                ranked = rank_routes(self.algebra.better, pool)
+                ranked = rank_routes(self.algebra.preference, pool)
                 sets[(node, dest)] = tuple(ranked[:self.top_k])
         return sets
 

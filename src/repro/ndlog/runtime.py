@@ -165,8 +165,9 @@ class NDlogRuntime:
         self.functions = functions
         self.transport = transport or TransportPolicy()
         kernels = self.plan.bind(functions)
-        self._better = (functions.get("f_better")
-                        if "f_better" in self.plan.functions else None)
+        #: ``f_better`` as the three-way comparator ``rank_routes`` takes.
+        self._compare = (_three_way(functions.get("f_better"))
+                         if "f_better" in self.plan.functions else None)
         #: The steps a delta of each relation runs, in program order.
         self._steps = {relation: [self._step(step, kernels)
                                   for step in steps]
@@ -332,7 +333,7 @@ class NDlogRuntime:
         table = tables[slot]
         out: list[tuple[str, Row, str]] = []
         for key, candidates in groups.items():
-            ranked = rank_routes(self._better, candidates, tie_key=_tie_key)
+            ranked = rank_routes(self._compare, candidates, tie_key=_tie_key)
             filler = tuple((key[step.loc],) for _ in range(step.trailing))
             for rank in range(step.k):
                 sig, trailing = (ranked[rank] if rank < len(ranked)
@@ -389,6 +390,15 @@ class NDlogRuntime:
             raise NDlogRuntimeError(
                 f"{relation}: arity mismatch {len(row)} vs {arity}")
         return row
+
+
+def _three_way(better: Callable[[Any, Any], bool]) -> Callable[[Any, Any], int]:
+    """The strict-preference predicate ``better`` as a three-way comparator."""
+    def compare(s1, s2) -> int:
+        if better(s1, s2):
+            return -1
+        return 1 if better(s2, s1) else 0
+    return compare
 
 
 def _tie_key(trailing: tuple) -> tuple:

@@ -16,7 +16,6 @@ from .network import DEFAULT_BANDWIDTH_BPS, DEFAULT_LATENCY_S, Link, Network
 from .simulator import Simulator, StopReason
 from .sizes import link_state_size, update_size, withdraw_size
 from .stats import BandwidthPoint, StatsCollector
-from .trace import TraceEvent, Tracer
 
 __all__ = [
     "BandwidthPoint",
@@ -27,8 +26,6 @@ __all__ = [
     "Simulator",
     "StatsCollector",
     "StopReason",
-    "TraceEvent",
-    "Tracer",
     "link_state_size",
     "update_size",
     "withdraw_size",

@@ -68,7 +68,8 @@ class Network:
         self._nodes: dict[str, dict[str, Any]] = {}
         self._links: dict[frozenset, Link] = {}
         #: Both directions of every link: the one lookup behind ``link()``,
-        #: ``has_link()`` and ``label()``, which run per simulated message.
+        #: ``has_link()`` and ``label()``, and behind ``Simulator.send``,
+        #: which reads it directly — all run per simulated message.
         self._by_pair: dict[tuple[str, str], Link] = {}
         self._adjacency: dict[str, list[str]] = {}
 

@@ -39,13 +39,14 @@ class RibOut:
         self._sent: dict[tuple, tuple] = {}    # (neighbor, slot) -> value
         self._buffer: dict[tuple, tuple] = {}  # (neighbor, slot) -> value
         self._flush_pending = False
+        if batch_interval is None:
+            # Unbatched, an offer is recorded and sent in one step.
+            self.offer = self._record
 
     def offer(self, neighbor: str, slot: Hashable, value: tuple) -> None:
-        """Send, buffer or drop one advert for ``neighbor``'s ``slot``."""
+        """Buffer or drop one advert for ``neighbor``'s ``slot`` (batched;
+        unbatched, ``offer`` is :meth:`_record`)."""
         key = (neighbor, slot)
-        if self.batch_interval is None:
-            self._record(key, value)
-            return
         last = self._buffer.get(key)
         if last is None:
             last = self._sent.get(key)
@@ -72,20 +73,22 @@ class RibOut:
         return pos is not None and value[pos] is PHI and (
             last is None or last[pos] is PHI)
 
-    def _record(self, key: tuple, value: tuple) -> None:
+    def _record(self, neighbor: str, slot: Hashable, value: tuple) -> None:
+        """Send, or drop as a repeat or as withdraw noise, one advert."""
+        key = (neighbor, slot)
         last = self._sent.get(key)
         if last == value:
             return
         self._sent[key] = value
         if not self._noise(value, last):
-            self._send(self.node, key[0], key[1], value)
+            self._send(self.node, neighbor, slot, value)
 
     def _flush(self) -> None:
         self._flush_pending = False
         pending = list(self._buffer.items())
         self._buffer.clear()
-        for key, value in pending:
-            self._record(key, value)
+        for (neighbor, slot), value in pending:
+            self._record(neighbor, slot, value)
 
     def _next_flush_time(self) -> float:
         """The node's next tick: a grid phase-shifted by the node name,

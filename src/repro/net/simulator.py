@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from typing import Any, Callable
 
@@ -37,6 +38,10 @@ class StopReason:
     TIME_LIMIT = "time-limit"
     EVENT_LIMIT = "event-limit"
     STOPPED = "stopped"
+
+
+def _dropped(src: str, payload: Any) -> None:
+    """The delivery of a message to a node without a handler."""
 
 
 class Simulator:
@@ -56,16 +61,23 @@ class Simulator:
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._handlers: dict[str, Callable[[str, Any], None]] = {}
-        #: Per-direction earliest free time of each link (FIFO serialization).
-        self._link_free_at: dict[tuple[str, str], float] = {}
-        #: Per-direction latest scheduled arrival (FIFO delivery).
-        self._link_arrival_at: dict[tuple[str, str], float] = {}
+        #: The network's directed index (both directions of every link,
+        #: kept by ``add_link``/``remove_link``): one lookup per message.
+        self._links = network._by_pair
+        #: Per direction: [earliest free time (FIFO serialization), latest
+        #: scheduled arrival (FIFO delivery)].
+        self._lanes: dict[tuple[str, str], list[float]] = {}
         self._stopped = False
 
     # -- wiring --------------------------------------------------------------
 
     def attach(self, node: str, handler: Callable[[str, Any], None]) -> None:
-        """Register ``handler(src, payload)`` as ``node``'s receive callback."""
+        """Register ``handler(src, payload)`` as ``node``'s receive callback.
+
+        A message is bound to its receiver's handler when it is sent, so
+        attach before the first send toward ``node``; a message to a node
+        with no handler is delivered to nobody.
+        """
         if not self.network.has_node(node):
             raise KeyError(f"unknown node {node}")
         self._handlers[node] = handler
@@ -101,28 +113,44 @@ class Simulator:
         transport) are ordered byte streams; without the clamp a stale
         advertisement could overtake the fresh one that replaces it and
         freeze a stale adjacency-RIB entry into the converged state.
+
+        This runs once per simulated message, so the link's arithmetic
+        (:meth:`Link.transmission_delay` included) and the
+        :class:`StatsCollector` bookkeeping are written out here, each an
+        exact transcription — ``jitter_s * random()`` is the value of
+        ``uniform(0, jitter_s)``, a conditional the value of ``max`` — and
+        the delivery event calls ``dst``'s handler directly.
         """
-        link = self.network.link(src, dst)
         direction = (src, dst)
+        link = self._links[direction]  # KeyError: not neighbors
         now = self.now
-        start = max(now, self._link_free_at.get(direction, 0.0))
-        tx_done = start + link.transmission_delay(size_bytes)
-        self._link_free_at[direction] = tx_done
-        jitter = self.rng.uniform(0.0, link.jitter_s) if link.jitter_s else 0.0
-        arrival = max(tx_done + link.latency_s + jitter,
-                      self._link_arrival_at.get(direction, 0.0))
-        self._link_arrival_at[direction] = arrival
-        self.stats.record_send(now, src, dst, size_bytes)
+        lane = self._lanes.get(direction)
+        if lane is None:
+            lane = self._lanes[direction] = [0.0, 0.0]
+        free_at, last_arrival = lane
+        start = free_at if free_at > now else now
+        tx_done = start + (size_bytes * 8) / link.bandwidth_bps
+        arrival = tx_done + link.latency_s
+        if link.jitter_s:
+            arrival += link.jitter_s * self.rng.random()
+        if last_arrival > arrival:
+            arrival = last_arrival
+        lane[0] = tx_done
+        lane[1] = arrival
+        stats = self.stats
+        stats.bytes_sent_total += size_bytes
+        stats.messages_sent += 1
+        stats.bytes_by_node[src] += size_bytes
+        stats.send_log.append((now, size_bytes))
+        if now > stats.last_send:
+            stats.last_send = now
         # The arithmetic of at(arrival, ...), spelled out: the rounding of
         # now + (arrival - now) is part of every run's timeline.
+        delay = arrival - now
         heapq.heappush(self._queue,
-                       (now + max(0.0, arrival - now),
-                        next(self._seq), self._deliver, (src, dst, payload)))
-
-    def _deliver(self, src: str, dst: str, payload: Any) -> None:
-        handler = self._handlers.get(dst)
-        if handler is not None:
-            handler(src, payload)
+                       (now + (delay if delay > 0.0 else 0.0),
+                        next(self._seq), self._handlers.get(dst, _dropped),
+                        (src, payload)))
 
     # -- main loop -------------------------------------------------------------------
 
@@ -132,16 +160,19 @@ class Simulator:
         processed = 0
         self._stopped = False
         queue = self._queue
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         while queue:
             if self._stopped:
                 return StopReason.STOPPED
             when = queue[0][0]
-            if until is not None and when > until:
+            if when > horizon:
                 self.now = until
                 return StopReason.TIME_LIMIT
-            if max_events is not None and processed >= max_events:
+            if processed >= budget:
                 return StopReason.EVENT_LIMIT
-            _, _, fn, args = heapq.heappop(queue)
+            _, _, fn, args = heappop(queue)
             if when > self.now:
                 self.now = when
             fn(*args)

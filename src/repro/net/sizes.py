@@ -20,7 +20,8 @@ ATTRIBUTE_BYTES = 21
 
 def update_size(path_length: int) -> int:
     """Size of a route advertisement carrying a ``path_length``-hop path."""
-    return HEADER_BYTES + ATTRIBUTE_BYTES + PER_HOP_BYTES * max(path_length, 0)
+    hops = path_length if path_length > 0 else 0
+    return HEADER_BYTES + ATTRIBUTE_BYTES + PER_HOP_BYTES * hops
 
 
 def withdraw_size() -> int:

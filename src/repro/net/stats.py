@@ -38,18 +38,14 @@ class StatsCollector:
     last_route_change: float = 0.0
     last_send: float = 0.0
 
-    # -- recording (called by the simulator / protocol engines) ---------------
-
-    def record_send(self, now: float, src: str, dst: str, size: int) -> None:
-        self.bytes_sent_total += size
-        self.messages_sent += 1
-        self.bytes_by_node[src] += size
-        self.send_log.append((now, size))
-        self.last_send = max(self.last_send, now)
+    # -- recording --------------------------------------------------------------
+    # The send fields are written by Simulator.send, inline on its per-message
+    # path; route changes are reported by the protocol engines.
 
     def record_route_change(self, now: float, node: str) -> None:
         self.route_changes += 1
-        self.last_route_change = max(self.last_route_change, now)
+        if now > self.last_route_change:
+            self.last_route_change = now
 
     # -- derived metrics ---------------------------------------------------------
 

@@ -32,19 +32,22 @@ from typing import Iterable
 
 from ..algebra.base import (
     PHI,
+    Pref,
     RoutingAlgebra,
     Signature,
     origin_or_phi,
     rank_routes,
 )
 from ..algebra.extended import path_vector_folds
-from ..net.network import Network
+from ..net.network import Link, Network
 from ..net.ribout import RibOut
 from ..net.simulator import Simulator
 from ..net.sizes import update_size
 
 Path = tuple
 Route = tuple  # (signature, path)
+
+BETTER = Pref.BETTER
 
 
 @dataclass
@@ -59,7 +62,7 @@ class _NodeState:
     best: dict[str, Route] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Advertisement:
     """Wire format: the sender's current best route for one destination.
 
@@ -112,6 +115,14 @@ class GPVEngine:
         self._states = {
             node: _NodeState(RibOut(node, self.sim, batch_interval, 0,
                                     self._send))
+            for node in network.nodes()}
+        #: node → {neighbor: (Link, (node, neighbor))} in adjacency order,
+        #: bound once and kept in step with the network by
+        #: :meth:`fail_link`.  Labels are read from ``link.labels`` under
+        #: the node's direction, where ``Network.set_label`` writes them.
+        self._links: dict[str, dict[str, tuple[Link, tuple]]] = {
+            node: {neighbor: (network.link(node, neighbor), (node, neighbor))
+                   for neighbor in network.neighbors(node)}
             for node in network.nodes()}
         for node in network.nodes():
             self.sim.attach(node, functools.partial(self._receive, node))
@@ -203,6 +214,7 @@ class GPVEngine:
         link must fall back or lose the destination entirely.
         """
         self.network.remove_link(a, b)
+        del self._links[a][b], self._links[b][a]
         for node, gone in ((a, b), (b, a)):
             state = self._states[node]
             affected = []
@@ -222,11 +234,12 @@ class GPVEngine:
     def _reselect_after_loss(self, node: str, dest: str) -> None:
         """Reselection that can *withdraw*: the best route may be gone."""
         state = self._states[node]
+        preference = self.algebra.preference
         winner: Route | None = None
         for route in self._candidates(state, dest):
             if route[0] is PHI:
                 continue
-            if winner is None or self.algebra.better(route[0], winner[0]):
+            if winner is None or preference(route[0], winner[0]) is BETTER:
                 winner = route
         current = state.best.get(dest)
         if winner is None:
@@ -277,45 +290,53 @@ class GPVEngine:
     # -- receive side ---------------------------------------------------------------
 
     def _receive(self, node: str, src: str, adv: Advertisement) -> None:
-        try:
-            link = self.network.link(node, src)
-        except KeyError:
+        bound = self._links[node].get(src)
+        if bound is None:
             return  # session failed while the advertisement was in flight
-        label = link.labels.get((node, src))
+        link, direction = bound
+        label = link.labels.get(direction)
         state = self._states[node]
-        key = (src, adv.dest)
+        dest = adv.dest
+        key = (src, dest)
         state.adj_in[key] = adv
-        combined = []
         combine = self._combine
-        for sig, path in ((adv.sig, adv.path), *adv.alternates):
-            new_sig = combine(label, sig, path, node)
-            new_path = (node,) + tuple(path)
-            combined.append((new_sig, new_path))
-            if self.log_routes and new_sig is not PHI:
-                self.route_log.append((node, adv.dest, new_sig, new_path))
-        new = tuple(combined)
+        if adv.alternates:
+            new = tuple((combine(label, sig, path, node), (node,) + path)
+                        for sig, path in adv.routes())
+        else:
+            new = ((combine(label, adv.sig, adv.path, node),
+                    (node,) + adv.path),)
+        if self.log_routes:
+            for sig, path in new:
+                if sig is not PHI:
+                    self.route_log.append((node, dest, sig, path))
         if state.rib_in.get(key) == new:
             return
         state.rib_in[key] = new
-        self._reselect(node, adv.dest)
+        self._reselect(node, dest)
 
     # -- selection --------------------------------------------------------------------
 
     def _candidates(self, state: _NodeState, dest: str) -> list[Route]:
-        return [route for (_, d), routes in state.rib_in.items()
-                if d == dest for route in routes]
+        # A loop, not a comprehension (a call frame of its own): this runs
+        # once per received message.
+        candidates: list[Route] = []
+        for (_, d), routes in state.rib_in.items():
+            if d == dest:
+                candidates += routes
+        return candidates
 
     def _ranked(self, candidates: list[Route]) -> list[Route]:
         """Non-φ candidates, most preferred first, deduplicated by path."""
-        return rank_routes(self.algebra.better, candidates)
+        return rank_routes(self.algebra.preference, candidates)
 
     def _reselect(self, node: str, dest: str) -> None:
         state = self._states[node]
-        better = self.algebra.better
+        preference = self.algebra.preference
         candidates = self._candidates(state, dest)
         winner: Route | None = None
         for route in candidates:
-            if winner is None or better(route[0], winner[0]):
+            if winner is None or preference(route[0], winner[0]) is BETTER:
                 winner = route
         if winner is None:
             return
@@ -324,7 +345,7 @@ class GPVEngine:
         if current is not None and current != winner:
             # Stickiness: keep the current selection on ties while it is
             # still offered.
-            if (not better(winner[0], current[0])
+            if (preference(winner[0], current[0]) is not BETTER
                     and current in candidates):
                 selected = current
         if selected != current:
@@ -344,33 +365,35 @@ class GPVEngine:
         state = self._states[node]
         export = self._export
         offer = state.ribout.offer
+        top_k = self.top_k
         extras: list[Route] = []
-        if self.top_k > 1 and sig is not PHI:
+        if top_k > 1 and sig is not PHI:
             extras = [r for r in self._ranked(self._candidates(state, dest))
                       if r != route]
-        for neighbor in self.network.neighbors(node):
+        for neighbor, (link, direction) in self._links[node].items():
             if neighbor == dest:
                 continue
-            label = self.network.label(node, neighbor)
+            label = link.labels.get(direction)
             out_sig = export(label, sig, path, neighbor)
-            usable: list[Route] = []
-            if self.top_k > 1:
+            if top_k > 1:
                 # The first top_k exportable routes in rank order.  ⊕E is
                 # pure, so stopping there sends exactly what exporting the
                 # whole pool and cutting it to top_k would.
+                usable: list[Route] = []
                 if out_sig is not PHI:
                     usable.append((out_sig, path))
                 for alt_sig, alt_path in extras:
                     exported = export(label, alt_sig, alt_path, neighbor)
                     if exported is not PHI:
                         usable.append((exported, alt_path))
-                        if len(usable) == self.top_k:
+                        if len(usable) == top_k:
                             break
-            if usable:
-                (out_sig, out_path), *alternates = usable
-                offer(neighbor, dest, (out_sig, out_path, tuple(alternates)))
-            else:
-                offer(neighbor, dest, (out_sig, path, ()))
+                if usable:
+                    (out_sig, out_path), *alternates = usable
+                    offer(neighbor, dest,
+                          (out_sig, out_path, tuple(alternates)))
+                    continue
+            offer(neighbor, dest, (out_sig, path, ()))
 
     def _send(self, node: str, neighbor: str, dest: str, value: tuple) -> None:
         adv = Advertisement(dest, *value)

@@ -15,6 +15,16 @@ runs second, on the oracle's copy of the network).  That is 7 ``ibgp``
 runs and 7 top-k ``multipath`` runs.  Its rows were generated at commit
 f1aae6e, before the NDlog rule interpreter was replaced by compiled rules.
 
+``gpv_corpus.json`` pins the scalar GPV run of every spec in three
+default-profile corpora of ``ScenarioGenerator(7)`` — the first 90
+``rotation`` specs (all ten families), the first 24 ``spp-keying`` specs
+(``gadget``, ``ibgp``) and the first 80 ``scalar-gpv`` specs (``caida``,
+``hierarchy``, ``multipath``, ``hlp``) — each run on its own
+materialization with the spec's event timeline, as
+``test_gpv_fingerprint.py`` runs them; rows carry their corpus name.  Its
+rows were generated at commit 417ade0, before the simulator's send path
+and the engine's link table were rewritten.
+
 Regenerate (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python tests/exec/pins.py
@@ -26,8 +36,17 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.campaigns import ScenarioGenerator, evaluate
+from repro.campaigns import ScenarioGenerator, evaluate, materialize
 from repro.campaigns.oracle import EvaluationOptions
+from repro.exec import get_backend, schedule_events
+
+GPV_CORPUS = Path(__file__).with_name("gpv_corpus.json")
+#: corpus name → (families, or None for all ten; number of specs).
+GPV_CORPORA = {
+    "rotation": (None, 90),
+    "spp-keying": (("gadget", "ibgp"), 24),
+    "scalar-gpv": (("caida", "hierarchy", "multipath", "hlp"), 80),
+}
 
 NDLOG_CORPUS = Path(__file__).with_name("ndlog_corpus.json")
 NDLOG_CORPUS_SPECS = 70
@@ -52,6 +71,22 @@ def pin_row(spec, outcome) -> dict:
             "messages": outcome.messages, "digest": outcome_digest(outcome)}
 
 
+def gpv_corpus_specs() -> list[tuple[str, object]]:
+    """``(corpus, spec)`` in corpus order, then generation order."""
+    return [(corpus, spec)
+            for corpus, (families, count) in GPV_CORPORA.items()
+            for spec in ScenarioGenerator(7, families=families).generate(count)]
+
+
+def gpv_corpus_row(corpus: str, spec) -> dict:
+    scenario = materialize(spec)
+    session = get_backend("gpv").prepare(scenario, seed=spec.seed,
+                                         log_routes=scenario.log_routes)
+    schedule_events(session, scenario.events)
+    outcome = session.run(until=spec.until, max_events=spec.max_events)
+    return {"corpus": corpus, **pin_row(spec, outcome)}
+
+
 def ndlog_corpus_specs() -> list:
     return ScenarioGenerator(7, families=NDLOG_CORPUS_FAMILIES,
                              profile="quick").generate(NDLOG_CORPUS_SPECS)
@@ -74,6 +109,9 @@ def write_rows(path: Path, rows: list[dict]) -> None:
 
 
 if __name__ == "__main__":
+    write_rows(GPV_CORPUS, [gpv_corpus_row(corpus, spec)
+                            for corpus, spec in gpv_corpus_specs()])
+    print(f"wrote {GPV_CORPUS}")
     write_rows(NDLOG_CORPUS,
                [ndlog_corpus_row(spec) for spec in ndlog_corpus_specs()])
     print(f"wrote {NDLOG_CORPUS}")

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator (repro.net.simulator)."""
 
+import random
+
 import pytest
 
 from repro.net import Network, Simulator, StopReason
@@ -159,6 +161,59 @@ class TestTransport:
         pair.add_node("c")
         with pytest.raises(KeyError):
             sim.send("a", "c", "x", 10)
+        # Raised before anything was counted or queued.
+        assert sim.stats.messages_sent == 0 and sim.stats.send_log == []
+        assert sim.pending_events == 0
+
+    def test_message_to_a_node_without_handler_is_dropped(self, pair):
+        """The delivery still happens — it is an event and moves the
+        clock — but nobody hears it, and nothing raises."""
+        sim = Simulator(pair)
+        heard = []
+        sim.attach("a", lambda src, payload: heard.append(payload))
+        sim.send("a", "b", "lost", 100)
+        assert sim.run(max_events=1) == StopReason.QUIESCENT
+        assert heard == []
+        assert sim.now == 100 * 8 / 100e6 + 0.010
+        assert sim.stats.messages_sent == 1
+
+    def test_stats_after_a_jittered_burst(self):
+        """Every StatsCollector field after a burst on a jittered link,
+        against arrivals computed by hand from the same seeded draws."""
+        net = Network()
+        net.add_link("a", "b", latency_s=0.010, jitter_s=0.004,
+                     bandwidth_bps=1e6)
+        sim = Simulator(net, seed=9)
+        sim.attach("b", lambda src, payload: sim.stats.record_route_change(
+            sim.now, "b"))
+
+        def burst():
+            for size in (500, 1500, 250):
+                sim.send("a", "b", size, size)
+
+        sim.at(0.25, burst)
+        sim.at(0.5, lambda: sim.send("b", "a", "back", 40))  # a: no handler
+        sim.run()
+
+        # FIFO serialization, then latency plus one uniform draw per send,
+        # clamped to the previous arrival; an event due at ``t`` is queued
+        # at ``now + (t - now)``.
+        draws = random.Random(9)
+        free_at = last = 0.25
+        for size in (500, 1500, 250):
+            free_at += size * 8 / 1e6
+            last = max(free_at + 0.010 + draws.uniform(0.0, 0.004), last)
+        back = 0.5 + 40 * 8 / 1e6 + 0.010 + draws.uniform(0.0, 0.004)
+        stats = sim.stats
+        assert stats.messages_sent == 4
+        assert stats.bytes_sent_total == 2290
+        assert dict(stats.bytes_by_node) == {"a": 2250, "b": 40}
+        assert stats.send_log == [(0.25, 500), (0.25, 1500), (0.25, 250),
+                                  (0.5, 40)]
+        assert stats.last_send == 0.5
+        assert stats.route_changes == 3
+        assert stats.last_route_change == 0.25 + (last - 0.25)
+        assert sim.now == 0.5 + (back - 0.5)
 
     def test_stats_recorded(self, pair):
         sim = Simulator(pair)
