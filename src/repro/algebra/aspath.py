@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .base import PHI, ClosedFormCertificate, Label, Pref, Signature
+from .base import PHI, ClosedFormCertificate, Label, Signature
 from .extended import ExtendedAlgebra
 from .product import LexicalProduct
 from .library import gao_rexford_a
@@ -48,19 +48,8 @@ class AsPathAlgebra(ExtendedAlgebra):
 
     # -- operational -----------------------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        k1, k2 = (len(s1), s1), (len(s2), s2)
-        if k1 < k2:
-            return Pref.BETTER
-        if k1 > k2:
-            return Pref.WORSE
-        return Pref.EQUAL
+    def rank_key(self, sig: Signature) -> tuple:
+        return (len(sig), sig)
 
     def labels(self) -> Sequence[Label]:
         return list(self._ases)

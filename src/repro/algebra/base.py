@@ -9,10 +9,22 @@ An abstract routing algebra is a tuple ⟨Σ, ⪯, L, ⊕⟩:
 * **⊕** — concatenation: ``⊕(l, s)`` is the signature of the one-link
   extension of a path with signature ``s`` over a link labelled ``l``.
 
+An algebra states ⪯ exactly once, as a **key**:
+:meth:`RoutingAlgebra.rank_key` maps every signature other than φ to a plain
+comparable value (an int, a string, a tuple of those) whose natural order
+*is* ⪯ — ``s1 ≺ s2`` iff ``rank_key(s1) < rank_key(s2)``, a tie iff neither
+key is smaller.  φ has no key: keeping it strictly worst is the base class's
+job, said once in :meth:`~RoutingAlgebra.preference`,
+:meth:`~RoutingAlgebra.better` and :meth:`~RoutingAlgebra.best`, which all
+derive from the key.  Whatever orders many signatures — route selection,
+k-best ranking (:func:`rank_routes`), the batch backend's tabulation
+(:func:`rank_sort`) — computes each key once and compares keys, never
+calling a comparator per comparison.
+
 Two views of an algebra coexist in FSR and both are modelled here:
 
-* the *operational* view used by protocol engines: a total comparator
-  (:meth:`RoutingAlgebra.preference`) plus the ⊕ function;
+* the *operational* view used by protocol engines: the rank key plus the
+  ⊕ function;
 * the *declarative* view used by the safety analyzer: a finite list of
   preference statements (:meth:`RoutingAlgebra.preference_statements`) and ⊕
   entries (:meth:`RoutingAlgebra.mono_entries`) that are compiled one-to-one
@@ -27,9 +39,9 @@ obligation the paper discharges with a Yices ``forall``.
 from __future__ import annotations
 
 import enum
-import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 Signature = Hashable
@@ -132,7 +144,7 @@ class ClosedFormCertificate:
 class RoutingAlgebra(ABC):
     """Base class for all routing algebras.
 
-    Subclasses must implement the operational interface (``preference``,
+    Subclasses must implement the operational interface (``rank_key``,
     ``oplus``, ``labels``) and, for finite algebras, the enumeration
     interface used by the analyzer.
     """
@@ -143,22 +155,30 @@ class RoutingAlgebra(ABC):
     # -- operational interface (used by protocol engines) -------------------
 
     @abstractmethod
+    def rank_key(self, sig: Signature) -> Any:
+        """⪯ as a comparable value: smaller key = more preferred, equal
+        keys tie.  Never called with φ."""
+
     def preference(self, s1: Signature, s2: Signature) -> Pref:
         """Total comparison of two signatures; φ is always strictly worst."""
+        if s1 is PHI:
+            return Pref.EQUAL if s2 is PHI else Pref.WORSE
+        if s2 is PHI:
+            return Pref.BETTER
+        k1, k2 = self.rank_key(s1), self.rank_key(s2)
+        if k1 < k2:
+            return Pref.BETTER
+        return Pref.WORSE if k2 < k1 else Pref.EQUAL
 
     def better(self, s1: Signature, s2: Signature) -> bool:
         """True iff ``s1`` is strictly preferred to ``s2``."""
-        return self.preference(s1, s2) is Pref.BETTER
+        return s1 is not PHI and (
+            s2 is PHI or self.rank_key(s1) < self.rank_key(s2))
 
     def best(self, candidates: Iterable[Signature]) -> Signature:
-        """Select the most preferred signature (φ if none or all prohibited)."""
-        winner: Signature = PHI
-        for sig in candidates:
-            if sig is PHI:
-                continue
-            if winner is PHI or self.better(sig, winner):
-                winner = sig
-        return winner
+        """The first most preferred signature (φ if none or all prohibited)."""
+        return min((sig for sig in candidates if sig is not PHI),
+                   key=self.rank_key, default=PHI)
 
     @abstractmethod
     def oplus(self, label: Label, sig: Signature) -> Signature:
@@ -198,7 +218,7 @@ class RoutingAlgebra(ABC):
         """Declared preference relations (analyzer step 2).
 
         Default: derive every pairwise relation among the finite signatures
-        from the comparator.  This matches the paper's guideline encodings
+        from their rank keys.  This matches the paper's guideline encodings
         (e.g. Gao-Rexford's ``C ≺ R``, ``C ≺ P``, ``R = P``); algebras with
         partial declared orders (SPP instances) override this.
         """
@@ -209,13 +229,12 @@ class RoutingAlgebra(ABC):
                 "closed-form certificate instead"
             )
         statements = []
-        ordered = list(sigs)
-        for i, s1 in enumerate(ordered):
-            for s2 in ordered[i + 1:]:
-                pref = self.preference(s1, s2)
-                if pref is Pref.BETTER:
+        ranked = [(sig, self.rank_key(sig)) for sig in sigs]
+        for i, (s1, k1) in enumerate(ranked):
+            for s2, k2 in ranked[i + 1:]:
+                if k1 < k2:
                     statements.append(PrefStatement(s1, Rel.STRICT, s2, "pref"))
-                elif pref is Pref.WORSE:
+                elif k2 < k1:
                     statements.append(PrefStatement(s2, Rel.STRICT, s1, "pref"))
                 else:
                     statements.append(PrefStatement(s1, Rel.EQUAL, s2, "pref"))
@@ -272,48 +291,49 @@ def origin_or_phi(algebra: RoutingAlgebra, label: Label) -> Signature:
         return PHI
 
 
-def rank_sort(algebra: RoutingAlgebra, sigs: Iterable[Signature]) -> list[Signature]:
-    """Sort signatures from most to least preferred (φ last), stably."""
-    def cmp(a: Signature, b: Signature) -> int:
-        return int(algebra.preference(a, b))
+def rank_sort(sigs: Iterable[Signature], rank_key) -> list[Signature]:
+    """Sort signatures from most to least preferred (φ last), stably, by
+    ``rank_key`` — an algebra's :meth:`~RoutingAlgebra.rank_key`, or a
+    lookup of keys the caller computed already."""
+    sigs = list(sigs)
+    return (sorted((sig for sig in sigs if sig is not PHI), key=rank_key)
+            + [sig for sig in sigs if sig is PHI])
 
-    return sorted(sigs, key=functools.cmp_to_key(cmp))
+
+def _path_tie_key(path: tuple) -> tuple:
+    return (len(path), path)
 
 
-def rank_routes(preference, routes: Iterable[tuple],
-                tie_key=None) -> list[tuple]:
-    """``(sig, path)`` pairs best-first — the one k-best ranking order.
+_RANK_THEN_TIE = itemgetter(0, 1)
 
-    Non-φ entries only, ordered by the three-way comparator
-    ``preference`` (negative: the first signature is strictly preferred,
-    zero: a tie, positive: the second is; :meth:`RoutingAlgebra.preference`
-    is one), called once per comparison, ties broken deterministically by
-    ``(len(path), path)`` (shorter first), deduplicated by path.  Every
-    component that ranks a candidate pool — the native engine's RIB, the
-    NDlog ranked aggregate, the NDlog session's route-set snapshot — must
-    use THIS order: the k-cutoff makes any divergence in tie-breaking
-    observable as a phantom cross-backend mismatch.  ``tie_key``
-    customizes how a path maps to its tie-break key (the ranked aggregate
-    ranks generic trailing columns).
+
+def rank_routes(routes: Iterable[tuple], route_key,
+                tie_key=_path_tie_key) -> list[tuple]:
+    """Routes ``(sig, path, ...)`` best-first — the one k-best ranking order.
+
+    Non-φ entries only, deduplicated by path (the first kept), ordered by
+    ``route_key(route)`` — the rank key of the route's signature, however
+    the caller holds it (the native engine stores it with the route) —
+    with ties broken deterministically by ``tie_key(path)``, by default
+    ``(len(path), path)`` (shorter first).  Each key is computed once per
+    route.  Every component that ranks a candidate pool — the native
+    engine's RIB, the NDlog ranked aggregate, the NDlog session's
+    route-set snapshot — must use THIS order: the k-cutoff makes any
+    divergence in tie-breaking observable as a phantom cross-backend
+    mismatch.  ``tie_key`` customizes how a path maps to its tie-break key
+    (the ranked aggregate ranks generic trailing columns); distinct paths
+    must get distinct tie keys.
     """
-    if tie_key is None:
-        tie_key = lambda path: (len(path), path)  # noqa: E731
     seen: set = set()
-    unique: list[tuple] = []
-    for sig, path in routes:
-        if sig is PHI or path in seen:
+    keyed: list[tuple] = []
+    for route in routes:
+        path = route[1]
+        if route[0] is PHI or path in seen:
             continue
         seen.add(path)
-        unique.append((sig, path))
-
-    def compare(r1: tuple, r2: tuple) -> int:
-        order = preference(r1[0], r2[0])
-        if order:
-            return order
-        return -1 if tie_key(r1[1]) <= tie_key(r2[1]) else 1
-
-    unique.sort(key=functools.cmp_to_key(compare))
-    return unique
+        keyed.append((route_key(route), tie_key(path), route))
+    keyed.sort(key=_RANK_THEN_TIE)
+    return [entry[2] for entry in keyed]
 
 
 def iter_pairs(items: Sequence[Any]) -> Iterator[tuple[Any, Any]]:

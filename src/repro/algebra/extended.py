@@ -40,16 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .base import (
-    PHI,
-    Label,
-    MonoEntry,
-    Pref,
-    PrefStatement,
-    Rel,
-    RoutingAlgebra,
-    Signature,
-)
+from .base import PHI, Label, RoutingAlgebra, Signature
 
 
 class ExtendedAlgebra(RoutingAlgebra):
@@ -158,8 +149,8 @@ class TableAlgebra(ExtendedAlgebra):
     """An extended algebra fully specified by finite lookup tables.
 
     This is the workhorse for guideline policies (Gao-Rexford A/B, backup
-    routing, ...): construct the tables once and every interface — runtime
-    comparator, combined ⊕, analyzer enumeration, NDlog codegen — is served
+    routing, ...): construct the tables once and every interface — rank
+    key, combined ⊕, analyzer enumeration, NDlog codegen — is served
     from them.
     """
 
@@ -179,19 +170,8 @@ class TableAlgebra(ExtendedAlgebra):
 
     # -- RoutingAlgebra interface ---------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        r1, r2 = self._t.preference[s1], self._t.preference[s2]
-        if r1 < r2:
-            return Pref.BETTER
-        if r1 > r2:
-            return Pref.WORSE
-        return Pref.EQUAL
+    def rank_key(self, sig: Signature) -> int:
+        return self._t.preference[sig]
 
     def labels(self) -> Sequence[Label]:
         return list(self._t.labels)
@@ -217,29 +197,3 @@ class TableAlgebra(ExtendedAlgebra):
 
     def reverse_label(self, label: Label) -> Label:
         return self._t.reverse[label]
-
-    # -- declarative interface ----------------------------------------------
-
-    def preference_statements(self) -> list[PrefStatement]:
-        """Pairwise statements among declared signatures, rank-derived."""
-        statements = []
-        sigs = list(self._t.signatures)
-        for i, s1 in enumerate(sigs):
-            for s2 in sigs[i + 1:]:
-                pref = self.preference(s1, s2)
-                if pref is Pref.BETTER:
-                    statements.append(PrefStatement(s1, Rel.STRICT, s2, "pref"))
-                elif pref is Pref.WORSE:
-                    statements.append(PrefStatement(s2, Rel.STRICT, s1, "pref"))
-                else:
-                    statements.append(PrefStatement(s1, Rel.EQUAL, s2, "pref"))
-        return statements
-
-    def mono_entries(self) -> list[MonoEntry]:
-        entries = []
-        for label in self._t.labels:
-            for sig in self._t.signatures:
-                result = self.oplus(label, sig)
-                if result is not PHI:
-                    entries.append(MonoEntry(label, sig, result, "mono"))
-        return entries

@@ -44,7 +44,6 @@ from .base import (
     PHI,
     ClosedFormCertificate,
     Label,
-    Pref,
     RoutingAlgebra,
     Signature,
 )
@@ -72,20 +71,9 @@ class HLPCostAlgebra(RoutingAlgebra):
 
     # -- operational interface ------------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        rank1 = (s1[0], len(s1[1]), s1[1])
-        rank2 = (s2[0], len(s2[1]), s2[1])
-        if rank1 < rank2:
-            return Pref.BETTER
-        if rank1 > rank2:
-            return Pref.WORSE
-        return Pref.EQUAL
+    def rank_key(self, sig: Signature) -> tuple:
+        cost, dpath = sig
+        return (cost, len(dpath), dpath)
 
     def oplus(self, label: Label, sig: Signature) -> Signature:
         if sig is PHI:
@@ -193,18 +181,8 @@ class HLPTauAlgebra(RoutingAlgebra):
 
     # -- operational interface ------------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        if s1 < s2:
-            return Pref.BETTER
-        if s1 > s2:
-            return Pref.WORSE
-        return Pref.EQUAL
+    def rank_key(self, sig: Signature) -> int:
+        return sig
 
     def oplus(self, label: Label, sig: Signature) -> Signature:
         if sig is PHI:

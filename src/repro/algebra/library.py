@@ -24,7 +24,6 @@ from .base import (
     PHI,
     ClosedFormCertificate,
     Label,
-    Pref,
     RoutingAlgebra,
     Signature,
 )
@@ -43,8 +42,8 @@ class ShortestHopCount(RoutingAlgebra):
 
     name = "hop-count"
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        return _int_preference(s1, s2)
+    def rank_key(self, sig: Signature) -> int:
+        return sig
 
     def oplus(self, label: Label, sig: Signature) -> Signature:
         if sig is PHI:
@@ -88,8 +87,8 @@ class ShortestPath(RoutingAlgebra):
             raise ValueError(f"link weights must be positive, got {bad}")
         self._weights = list(dict.fromkeys(weights))
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        return _int_preference(s1, s2)
+    def rank_key(self, sig: Signature) -> int:
+        return sig
 
     def oplus(self, label: Label, sig: Signature) -> Signature:
         if sig is PHI:
@@ -136,18 +135,8 @@ class BandwidthAlgebra(RoutingAlgebra):
             raise ValueError(f"bandwidths must be positive, got {bad}")
         self._bandwidths = list(dict.fromkeys(bandwidths))
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        if s1 > s2:  # wider is better
-            return Pref.BETTER
-        if s1 < s2:
-            return Pref.WORSE
-        return Pref.EQUAL
+    def rank_key(self, sig: Signature) -> int:
+        return -sig  # wider is better
 
     def oplus(self, label: Label, sig: Signature) -> Signature:
         if sig is PHI:
@@ -288,17 +277,3 @@ def safe_backup(levels: int = 3) -> TableAlgebra:
         origination={k: k for k in labels},
     )
     return TableAlgebra("safe-backup", tables)
-
-
-def _int_preference(s1: Signature, s2: Signature) -> Pref:
-    if s1 is PHI and s2 is PHI:
-        return Pref.EQUAL
-    if s1 is PHI:
-        return Pref.WORSE
-    if s2 is PHI:
-        return Pref.BETTER
-    if s1 < s2:
-        return Pref.BETTER
-    if s1 > s2:
-        return Pref.WORSE
-    return Pref.EQUAL

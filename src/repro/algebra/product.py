@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .base import PHI, Label, Pref, RoutingAlgebra, Signature
+from .base import PHI, Label, RoutingAlgebra, Signature
 from .extended import ExtendedAlgebra, split_operators
 
 
@@ -44,17 +44,8 @@ class LexicalProduct(ExtendedAlgebra):
 
     # -- operational ------------------------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        head = self.first.preference(s1[0], s2[0])
-        if head is not Pref.EQUAL:
-            return head
-        return self.second.preference(s1[1], s2[1])
+    def rank_key(self, sig: Signature) -> tuple:
+        return (self.first.rank_key(sig[0]), self.second.rank_key(sig[1]))
 
     def labels(self) -> Sequence[Label]:
         return [(la, lb) for la in self.first.labels()

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .base import Label, PHI, Pref, RoutingAlgebra, Signature
+from .base import Label, PHI, RoutingAlgebra, Signature
 from .extended import ExtendedAlgebra, split_operators
 
 #: Validation states carried as ground truth in secured signatures.
@@ -115,19 +115,8 @@ class SecureAlgebra(ExtendedAlgebra):
 
     # -- operational interface ------------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        p1, p2 = s1[1], s2[1]
-        if p1 < p2:
-            return Pref.BETTER
-        if p1 > p2:
-            return Pref.WORSE
-        return self.base.preference(s1[2], s2[2])
+    def rank_key(self, sig: Signature) -> tuple:
+        return (sig[1], self.base.rank_key(sig[2]))
 
     def labels(self) -> Sequence[Label]:
         return [(bit, label) for bit in (0, 1)

@@ -29,7 +29,6 @@ from .base import (
     PHI,
     Label,
     MonoEntry,
-    Pref,
     PrefStatement,
     Rel,
     RoutingAlgebra,
@@ -175,26 +174,11 @@ class SPPAlgebra(RoutingAlgebra):
 
     # -- operational -------------------------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
+    def rank_key(self, sig: Signature) -> tuple:
         # Same-source paths: declared rank.  Distinct sources: an arbitrary
-        # but consistent total extension (never exercised by route selection,
-        # which only compares candidates at one node).
-        if s1[0] == s2[0]:
-            r1 = self.instance.rank_of(s1)
-            r2 = self.instance.rank_of(s2)
-        else:
-            r1, r2 = 0, 0
-        if r1 != r2:
-            return Pref.BETTER if r1 < r2 else Pref.WORSE
-        if s1 == s2:
-            return Pref.EQUAL
-        return Pref.BETTER if s1 < s2 else Pref.WORSE
+        # but consistent total extension, by source (never exercised by
+        # route selection, which only compares candidates at one node).
+        return (sig[0], self.instance.rank_of(sig), sig)
 
     def oplus(self, label: Label, sig: Signature) -> Signature:
         if sig is PHI:

@@ -124,20 +124,21 @@ class CertificateStage(AnalysisStage):
     @staticmethod
     def _spot_check(algebra: RoutingAlgebra, claims_strict: bool) -> None:
         """Falsify a wrong certificate on a finite sample (defence in depth)."""
-        from ..algebra.base import PHI, Pref
+        from ..algebra.base import PHI
 
         for sig in algebra.sample_signatures(12):
+            rank = algebra.rank_key(sig)
             for label in algebra.labels():
                 extended = algebra.oplus(label, sig)
                 if extended is PHI:
                     continue
-                pref = algebra.preference(sig, extended)
-                if claims_strict and pref is not Pref.BETTER:
+                extended_rank = algebra.rank_key(extended)
+                if claims_strict and not rank < extended_rank:
                     raise AssertionError(
                         f"{algebra.name}: certificate claims strict "
                         f"monotonicity but {label} (+) {sig} = {extended} "
                         f"is not strictly worse than {sig}")
-                if pref is Pref.WORSE:
+                if extended_rank < rank:
                     raise AssertionError(
                         f"{algebra.name}: certificate claims monotonicity "
                         f"but {label} (+) {sig} = {extended} is preferred "

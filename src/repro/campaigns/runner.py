@@ -50,6 +50,7 @@ import sqlite3
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -302,8 +303,16 @@ class CampaignRunner:
 
         def submit(count: int) -> None:
             for chunk in itertools.islice(chunks, count):
-                inflight[executor.submit(_pool_chunk, chunk,
-                                         options)] = chunk
+                try:
+                    future = executor.submit(_pool_chunk, chunk, options)
+                except BrokenProcessPool:
+                    # A worker died while a sibling chunk was finishing:
+                    # the dead worker's chunk is still in flight, and
+                    # _drain_inflight accounts for it once the pool is
+                    # shut down.  This chunk was never evaluated.
+                    state.aborted = "worker process died"
+                    return
+                inflight[future] = chunk
 
         try:
             submit(self.config.jobs * _PIPELINE_DEPTH)

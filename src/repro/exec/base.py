@@ -40,7 +40,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from ..algebra.base import Pref, RoutingAlgebra
+from ..algebra.base import RoutingAlgebra
 from ..net.simulator import Simulator, StopReason
 
 if TYPE_CHECKING:  # only for annotations; no runtime campaign dependency
@@ -194,6 +194,7 @@ def route_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,
     signatures are not preference-EQUAL under the algebra.
     """
     mismatches: list[str] = []
+    rank_key = algebra.rank_key
     for key in sorted(set(first.routes) | set(second.routes)):
         node, dest = key
         p1, p2 = first.routes.get(key), second.routes.get(key)
@@ -209,7 +210,7 @@ def route_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,
                 mismatches.append(
                     f"{node}->{dest}: signature missing "
                     f"{first.backend}={p1}({s1}) {second.backend}={p2}({s2})")
-            elif algebra.preference(s1, s2) is not Pref.EQUAL:
+            elif _apart(rank_key(s1), rank_key(s2)):
                 mismatches.append(
                     f"{node}->{dest}: {first.backend}={p1}({s1}) "
                     f"{second.backend}={p2}({s2})")
@@ -235,6 +236,7 @@ def route_set_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,
     should flag it for human eyes rather than silently absorb it.
     """
     mismatches: list[str] = []
+    rank_key = algebra.rank_key
     for key in sorted(set(first.route_sets) | set(second.route_sets)):
         node, dest = key
         routes1 = first.route_sets.get(key, ())
@@ -243,7 +245,7 @@ def route_set_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,
             mismatches.append(
                 f"{node}->{dest}: {first.backend} holds {len(routes1)} "
                 f"routes, {second.backend} holds {len(routes2)}")
-        elif any(algebra.preference(sig1, sig2) is not Pref.EQUAL
+        elif any(_apart(rank_key(sig1), rank_key(sig2))
                  for (sig1, _p1), (sig2, _p2) in zip(routes1, routes2)):
             render1 = [str(sig) for sig, _path in routes1]
             render2 = [str(sig) for sig, _path in routes2]
@@ -253,3 +255,8 @@ def route_set_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,
         if len(mismatches) >= limit:
             break
     return mismatches
+
+
+def _apart(k1, k2) -> bool:
+    """Do two rank keys say different preferences (not a tie)?"""
+    return k1 < k2 or k2 < k1

@@ -87,13 +87,7 @@ try:  # gated: the toolkit must import (and run scalar) without numpy
 except ImportError:  # pragma: no cover - exercised only on numpy-less boxes
     _np = None
 
-from ..algebra.base import (
-    PHI,
-    Pref,
-    RoutingAlgebra,
-    origin_or_phi,
-    rank_sort,
-)
+from ..algebra.base import PHI, RoutingAlgebra, origin_or_phi, rank_sort
 from ..algebra.extended import ExtendedAlgebra, split_operators
 from ..algebra.hlp import HLPCostAlgebra
 from ..algebra.spp import SPPAlgebra
@@ -339,14 +333,18 @@ class _Kernel:
         self.cache_key = None  # repr of the store key (not serialized)
 
 
-def _pref_classes(algebra: RoutingAlgebra, sigs: list):
-    """id -> preference class over ``sigs`` + φ + hole (ascending = worse)."""
+def _pref_classes(sigs: list, ranks: dict):
+    """id -> preference class over ``sigs`` (rank-sorted, rank keys in
+    ``ranks``) + φ + hole (ascending = worse)."""
     classes = _np.empty(len(sigs) + 2, dtype=_np.int32)
     cls = 0
+    previous = None
     for i, sig in enumerate(sigs):
-        if i and algebra.preference(sigs[i - 1], sig) is not Pref.EQUAL:
+        rank = ranks[sig]
+        if i and previous < rank:
             cls += 1
         classes[i] = cls
+        previous = rank
     classes[len(sigs)] = cls + 1      # φ: strictly worse than every route
     classes[len(sigs) + 1] = cls + 2  # hole: worse still, never compared
     return classes
@@ -460,18 +458,20 @@ class _Unbatchable(Exception):
 
 
 def _close_signatures(algebra: RoutingAlgebra, transfer, ordered_keys: list,
-                      seen: set, frontier: list, depth_budget: int,
+                      ranks: dict, frontier: list, depth_budget: int,
                       ext: dict) -> None:
     """BFS the reachable signature closure up to ``depth_budget`` hops.
 
-    ``transfer`` is the algebra's :func:`_transfer_of`.
-    ``seen``/``frontier`` are mutated in place (``frontier`` is consumed)
-    and every computed ``(key, sig) -> extended`` transfer is memoized in
-    ``ext`` — the table fill reuses them, halving the algebra calls.
-    Each non-φ extension is strictness-verified on the spot; a violation
+    ``transfer`` is the algebra's :func:`_transfer_of`.  ``ranks`` maps
+    each closure member to its rank key — computed once, as it joins —
+    and is the closure itself; it and ``frontier`` are mutated in place
+    (``frontier`` is consumed), and every computed ``(key, sig) ->
+    extended`` transfer is memoized in ``ext`` — the table fill reuses
+    them, halving the algebra calls.  Each non-φ extension is
+    strictness-verified on the spot by comparing rank keys; a violation
     (or a closure past the size budget) raises :class:`_Unbatchable`.
     """
-    preference = algebra.preference
+    rank_key = algebra.rank_key
     depth = 0
     while frontier:
         depth += 1
@@ -479,26 +479,32 @@ def _close_signatures(algebra: RoutingAlgebra, transfer, ordered_keys: list,
             break  # deeper values are holes: tabulated past the horizon
         fresh = []
         for sig in frontier:
+            rank = ranks[sig]
             for key in ordered_keys:
                 extended = transfer(key, sig)
                 ext[(key, sig)] = extended
                 if extended is PHI:
                     continue
-                if preference(sig, extended) is not Pref.BETTER:
+                extended_rank = ranks.get(extended)
+                joins = extended_rank is None
+                if joins:
+                    extended_rank = rank_key(extended)
+                if not rank < extended_rank:
                     raise _Unbatchable("not-strictly-monotonic")
-                if extended not in seen:
-                    seen.add(extended)
+                if joins:
+                    ranks[extended] = extended_rank
                     fresh.append(extended)
-                    if len(seen) > MAX_SIGNATURES:
+                    if len(ranks) > MAX_SIGNATURES:
                         raise _Unbatchable("closure-budget")
         frontier = fresh
 
 
 def _finish_kernel(algebra: RoutingAlgebra, transfer, ordered_keys: list,
-                   origin: dict, seen: set, ext: dict,
+                   origin: dict, ranks: dict, ext: dict,
                    depth: int) -> _Kernel:
-    """Rank-sort a closed ``seen`` set and fill/classify the tables."""
-    sigs = rank_sort(algebra, sorted(seen, key=repr))
+    """Rank-sort a closure (its members' rank keys in ``ranks``) and
+    fill/classify the tables."""
+    sigs = rank_sort(sorted(ranks, key=repr), ranks.__getitem__)
     sig_id = {sig: i for i, sig in enumerate(sigs)}
     phi_id = len(sigs)
     hole_id = phi_id + 1
@@ -518,10 +524,12 @@ def _finish_kernel(algebra: RoutingAlgebra, transfer, ordered_keys: list,
                 # Frontier-at-horizon signatures never extended in the
                 # BFS; compute (and strictness-check) here.
                 extended = transfer(key, sig)
-                if extended is not PHI \
-                        and algebra.preference(sig, extended) \
-                        is not Pref.BETTER:
-                    raise _Unbatchable("not-strictly-monotonic")
+                if extended is not PHI:
+                    extended_rank = ranks.get(extended)
+                    if extended_rank is None:  # beyond the horizon
+                        extended_rank = algebra.rank_key(extended)
+                    if not ranks[sig] < extended_rank:
+                        raise _Unbatchable("not-strictly-monotonic")
             if extended is PHI:
                 continue
             ti = id_get(extended)
@@ -534,7 +542,7 @@ def _finish_kernel(algebra: RoutingAlgebra, transfer, ordered_keys: list,
             if ti <= si:  # a rank tie would break the id ordering
                 raise _Unbatchable("rank-tie")
             trans[ki, si] = ti
-    pref_class = _pref_classes(algebra, sigs)
+    pref_class = _pref_classes(sigs, ranks)
     # The hole-aware gate: which relaxation the tables license.  Strict
     # inflation alone does not make min-relaxation exact (BGP-like
     # algebras are famously non-isotone); isotone tables get the
@@ -578,12 +586,13 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
     ordered_keys = sorted(set(keys), key=repr)
     origin = {label: origin_or_phi(algebra, label)
               for label in sorted(set(origin_labels), key=repr)}
-    seen = {sig for sig in origin.values() if sig is not PHI}
     ext: dict = {}
     try:
-        _close_signatures(algebra, transfer, ordered_keys, seen,
-                          list(seen), depth, ext)
-        return _finish_kernel(algebra, transfer, ordered_keys, origin, seen,
+        ranks = {sig: algebra.rank_key(sig) for sig in origin.values()
+                 if sig is not PHI}
+        _close_signatures(algebra, transfer, ordered_keys, ranks,
+                          list(ranks), depth, ext)
+        return _finish_kernel(algebra, transfer, ordered_keys, origin, ranks,
                               ext, depth)
     except (KeyError, NotImplementedError) as undefined:
         raise _Unbatchable("unlabelled-link") from undefined
@@ -612,7 +621,7 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
         origin = {label: (PHI if oid == kernel.phi_id
                           else kernel.sigs[oid])
                   for label, oid in kernel.origin_id.items()}
-        seen = set(kernel.sigs)
+        ranks = {sig: algebra.rank_key(sig) for sig in kernel.sigs}
         ext: dict = {}
         # Seed the deepening frontier with the offending cells'
         # beyond-horizon extensions only — the bounded part of the bound.
@@ -624,15 +633,19 @@ def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
             ext[(key, sig)] = extended
             if extended is PHI:
                 continue
-            if algebra.preference(sig, extended) is not Pref.BETTER:
+            extended_rank = ranks.get(extended)
+            joins = extended_rank is None
+            if joins:
+                extended_rank = algebra.rank_key(extended)
+            if not ranks[sig] < extended_rank:
                 return False
-            if extended not in seen:
-                seen.add(extended)
+            if joins:
+                ranks[extended] = extended_rank
                 frontier.append(extended)
-        _close_signatures(algebra, transfer, ordered_keys, seen, frontier,
+        _close_signatures(algebra, transfer, ordered_keys, ranks, frontier,
                           DEEPEN_STEP, ext)
         rebuilt = _finish_kernel(algebra, transfer, ordered_keys, origin,
-                                 seen, ext, new_depth)
+                                 ranks, ext, new_depth)
     except (_Unbatchable, KeyError, NotImplementedError):
         return False
     # In-place mutation: the process cache and every _Problem in flight

@@ -183,6 +183,7 @@ class NDlogSession(ExecutionSession):
             return {}
         sets: dict = {}
         dests = set(self.destinations)
+        rank_key = self.algebra.rank_key
         for node in self.network.nodes():
             pools: dict = {}
             for row in self.runtime.table_rows(node, "sig"):
@@ -193,7 +194,7 @@ class NDlogSession(ExecutionSession):
             for dest, pool in pools.items():
                 if node == dest:
                     continue
-                ranked = rank_routes(self.algebra.preference, pool)
+                ranked = rank_routes(pool, lambda route: rank_key(route[0]))
                 sets[(node, dest)] = tuple(ranked[:self.top_k])
         return sets
 

@@ -18,7 +18,6 @@ prepared with route logging.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Protocol
 
 from ..algebra.base import RoutingAlgebra
@@ -42,8 +41,8 @@ def extract_spp(engine: RouteLogSource, destination: str, *,
     """Build an SPP instance from the routes a run actually advertised.
 
     ``rank_key(node, sig, path)`` orders each node's permitted paths; the
-    default sorts by the engine's algebra preference (which for the iBGP
-    study means IGP cost to the egress).  Only routes toward
+    default sorts by the engine's algebra's rank key (which for the iBGP
+    study means IGP cost to the egress), shorter paths first on ties.  Only routes toward
     ``destination`` are considered; duplicates are collapsed to the first
     observation.
     """
@@ -63,16 +62,8 @@ def extract_spp(engine: RouteLogSource, destination: str, *,
         if rank_key is not None:
             return sorted(paths, key=lambda p: rank_key(
                 node, sig_of[(node, p)], p))
-
-        def compare(p1: Path, p2: Path) -> int:
-            s1, s2 = sig_of[(node, p1)], sig_of[(node, p2)]
-            if algebra.better(s1, s2):
-                return -1
-            if algebra.better(s2, s1):
-                return 1
-            return -1 if (len(p1), p1) <= (len(p2), p2) else 1
-
-        return sorted(paths, key=functools.cmp_to_key(compare))
+        return sorted(paths, key=lambda p: (
+            algebra.rank_key(sig_of[(node, p)]), len(p), p))
 
     ranked = {node: order(node, paths) for node, paths in permitted.items()}
     return SPPInstance.build(

@@ -3,7 +3,8 @@
 Implements the four-step translation:
 
 * **Steps 1-3** — generate the policy functions of Table II from the input
-  algebra: ``f_pref`` / ``f_better`` (⪯), ``f_concatSig`` (⊕P),
+  algebra: ``f_pref`` / ``f_better`` (⪯) and the rank key ``f_rankKey``
+  they derive from (the ranked aggregate sorts on it), ``f_concatSig`` (⊕P),
   ``f_import`` (⊕I), ``f_export`` (⊕E), plus the executable foldings
   ``f_combine`` and ``f_exportSig`` used by the deployed GPV program —
   the native engine's own folds
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable
 
-from ..algebra.base import PHI, Pref, RoutingAlgebra, origin_or_phi
+from ..algebra.base import PHI, RoutingAlgebra, origin_or_phi
 from ..algebra.extended import path_vector_folds, split_operators
 from ..algebra.spp import SPPAlgebra, SPPInstance
 from ..net.network import Network
@@ -43,16 +44,14 @@ def make_functions(algebra: RoutingAlgebra) -> FunctionRegistry:
 
     def f_pref(s1, s2) -> bool:
         """⪯: is s1 weakly preferred to s2?"""
-        return algebra.preference(s1, s2) in (Pref.BETTER, Pref.EQUAL)
-
-    def f_better(s1, s2) -> bool:
-        """≺: is s1 strictly preferred to s2 (comparator behind a_pref)?"""
-        return algebra.better(s1, s2)
+        return not algebra.better(s2, s1)
 
     f_import, f_concat_sig, f_export = split_operators(algebra)
     f_combine, f_export_sig = path_vector_folds(algebra)
     registry.register("f_pref", f_pref)
-    registry.register("f_better", f_better)
+    # ≺, the comparator behind a_pref; both it and ⪯ derive from the key.
+    registry.register("f_better", algebra.better)
+    registry.register("f_rankKey", algebra.rank_key)
     registry.register("f_concatSig", f_concat_sig)
     registry.register("f_import", f_import)
     registry.register("f_export", f_export)

@@ -309,7 +309,7 @@ class _Compiler:
         head = rule.head
         agg_index = head.aggregate_index()
         aggregate = head.args[agg_index]
-        self._fn("f_better")
+        self._fn("f_rankKey")  # bound here, called by the runtime's sort
         group = head.args[:agg_index]
         kernel.line("groups = {}")
         bound = self._emit_trigger(kernel, rule.body[position], "row")

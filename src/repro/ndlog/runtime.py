@@ -17,7 +17,9 @@ simulator messages.  Semantics follow P2/RapidNet:
   their inputs are bound.  A node's own derivations queue FIFO;
 * **aggregate rules** (``a_pref<S>``) maintain a best-row-per-group table,
   using the algebra-generated ``f_better`` comparator and keeping the
-  current winner on ties (BGP's route-selection stickiness);
+  current winner on ties (BGP's route-selection stickiness); ranked
+  aggregates (``a_topK<S>``) sort each group's candidates by the
+  algebra-generated rank key ``f_rankKey``, computed once per candidate;
 * **remote heads** (location ≠ local node) become messages.  Rows of the
   :class:`TransportPolicy`'s message relation go through each node's
   :class:`~repro.net.ribout.RibOut` — the native GPV engine's wire, shared
@@ -165,9 +167,11 @@ class NDlogRuntime:
         self.functions = functions
         self.transport = transport or TransportPolicy()
         kernels = self.plan.bind(functions)
-        #: ``f_better`` as the three-way comparator ``rank_routes`` takes.
-        self._compare = (_three_way(functions.get("f_better"))
-                         if "f_better" in self.plan.functions else None)
+        rank_key = (functions.get("f_rankKey")
+                    if "f_rankKey" in self.plan.functions else None)
+        #: A ranked aggregate's candidate ``(sig, trailing)`` → the rank
+        #: key ``rank_routes`` sorts it on.
+        self._route_key = lambda route: rank_key(route[0])
         #: The steps a delta of each relation runs, in program order.
         self._steps = {relation: [self._step(step, kernels)
                                   for step in steps]
@@ -333,7 +337,7 @@ class NDlogRuntime:
         table = tables[slot]
         out: list[tuple[str, Row, str]] = []
         for key, candidates in groups.items():
-            ranked = rank_routes(self._compare, candidates, tie_key=_tie_key)
+            ranked = rank_routes(candidates, self._route_key, tie_key=_tie_key)
             filler = tuple((key[step.loc],) for _ in range(step.trailing))
             for rank in range(step.k):
                 sig, trailing = (ranked[rank] if rank < len(ranked)
@@ -392,19 +396,15 @@ class NDlogRuntime:
         return row
 
 
-def _three_way(better: Callable[[Any, Any], bool]) -> Callable[[Any, Any], int]:
-    """The strict-preference predicate ``better`` as a three-way comparator."""
-    def compare(s1, s2) -> int:
-        if better(s1, s2):
-            return -1
-        return 1 if better(s2, s1) else 0
-    return compare
-
-
 def _tie_key(trailing: tuple) -> tuple:
     """The ranked aggregate's tie key: the native engine's (len(path), path)
     rule generalized to the aggregate's trailing columns (one path column in
     GPV), so ranked slots, the native RIB and the session snapshots cannot
-    drift apart (:func:`~repro.algebra.base.rank_routes`)."""
-    return tuple((len(value), value) if isinstance(value, tuple)
-                 else (-1, value) for value in trailing)
+    drift apart (:func:`~repro.algebra.base.rank_routes`).  A loop, not a
+    comprehension (a call frame of its own): this runs once per ranked
+    candidate."""
+    key = []
+    for value in trailing:
+        key.append((len(value), value) if isinstance(value, tuple)
+                   else (-1, value))
+    return tuple(key)

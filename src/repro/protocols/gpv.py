@@ -10,8 +10,10 @@ Fig. 5 — simulate quickly.
 Per node and destination the engine keeps
 
 * an adjacency-RIB-in: the latest (signature, path) advertised by each
-  neighbor, φ-signatures marking withdrawn routes;
-* the selected best route (algebra preference, sticky under ties).
+  neighbor, φ-signatures marking withdrawn routes, each stored with its
+  signature's rank key (:meth:`~repro.algebra.base.RoutingAlgebra.rank_key`,
+  computed once as the route enters the RIB; ``None`` for φ);
+* the selected best route (least rank key, sticky under ties).
 
 What crosses a link and when is not this module's: the ⊕E / ⊕I / ⊕P
 folds — export filter and split horizon on the sender (φ on the wire =
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from ..algebra.base import (
     PHI,
-    Pref,
     RoutingAlgebra,
     Signature,
     origin_or_phi,
@@ -45,9 +47,11 @@ from ..net.simulator import Simulator
 from ..net.sizes import update_size
 
 Path = tuple
-Route = tuple  # (signature, path)
+#: (signature, path, rank key of the signature — None for φ); only
+#: ``(signature, path)`` leaves the engine.
+Route = tuple
 
-BETTER = Pref.BETTER
+_STORED_KEY = itemgetter(2)
 
 
 @dataclass
@@ -76,7 +80,7 @@ class Advertisement:
     path: Path
     alternates: tuple = ()
 
-    def routes(self) -> list[Route]:
+    def routes(self) -> list[tuple]:
         return [(self.sig, self.path), *self.alternates]
 
     def wire_size(self) -> int:
@@ -105,6 +109,7 @@ class GPVEngine:
             raise ValueError("top_k must be at least 1")
         self.network = network
         self.algebra = algebra
+        self._rank_key = algebra.rank_key
         self._combine, self._export = path_vector_folds(algebra)
         self.destinations = list(destinations)
         self.sim = Simulator(network, seed=seed)
@@ -139,7 +144,7 @@ class GPVEngine:
                 sig = origin_or_phi(self.algebra, label)
                 if sig is PHI:
                     continue
-                route = (sig, (neighbor, dest))
+                route = (sig, (neighbor, dest), self._rank_key(sig))
                 state = self._states[neighbor]
                 state.rib_in[(neighbor, dest)] = (route,)
                 self.sim.at(0.0, lambda n=neighbor, d=dest: self._reselect(n, d))
@@ -161,24 +166,26 @@ class GPVEngine:
         if sig is PHI:
             return
         state = self._states[node]
-        state.rib_in[(node, dest)] = ((sig, (node, dest)),)
+        state.rib_in[(node, dest)] = (
+            (sig, (node, dest), self._rank_key(sig)),)
         self._reselect(node, dest)
 
     # -- queries ----------------------------------------------------------------
 
-    def best_route(self, node: str, dest: str) -> Route | None:
+    def best_route(self, node: str, dest: str) -> tuple | None:
         route = self._states[node].best.get(dest)
         if route is None or route[0] is PHI:
             return None
-        return route
+        return route[:2]
 
     def best_path(self, node: str, dest: str) -> Path | None:
         route = self.best_route(node, dest)
         return route[1] if route else None
 
-    def known_routes(self, node: str, dest: str) -> list[Route]:
+    def known_routes(self, node: str, dest: str) -> list[tuple]:
         """Every usable route in the node's RIB-in, most preferred first."""
-        return self._ranked(self._candidates(self._states[node], dest))
+        return [route[:2] for route in
+                self._ranked(self._candidates(self._states[node], dest))]
 
     def converged_everywhere(self) -> bool:
         """Does every node hold a route to every (other) destination?"""
@@ -234,18 +241,17 @@ class GPVEngine:
     def _reselect_after_loss(self, node: str, dest: str) -> None:
         """Reselection that can *withdraw*: the best route may be gone."""
         state = self._states[node]
-        preference = self.algebra.preference
         winner: Route | None = None
         for route in self._candidates(state, dest):
             if route[0] is PHI:
                 continue
-            if winner is None or preference(route[0], winner[0]) is BETTER:
+            if winner is None or route[2] < winner[2]:
                 winner = route
         current = state.best.get(dest)
         if winner is None:
             if current is None or current[0] is PHI:
                 return
-            lost = (PHI, (node,))
+            lost = (PHI, (node,), None)
             state.best[dest] = lost
             self.sim.stats.record_route_change(self.sim.now, node)
             self._advertise(node, dest, lost)
@@ -284,7 +290,8 @@ class GPVEngine:
                 label = self.network.label(node, src)
                 sig = origin_or_phi(self.algebra, label)
                 if sig is not PHI:
-                    state.rib_in[(node, src)] = ((sig, (node, src)),)
+                    state.rib_in[(node, src)] = (
+                        (sig, (node, src), self._rank_key(sig)),)
                     self._reselect(node, src)
 
     # -- receive side ---------------------------------------------------------------
@@ -297,22 +304,28 @@ class GPVEngine:
         label = link.labels.get(direction)
         state = self._states[node]
         dest = adv.dest
-        key = (src, dest)
-        state.adj_in[key] = adv
+        slot = (src, dest)
+        state.adj_in[slot] = adv
         combine = self._combine
+        rank_key = self._rank_key
         if adv.alternates:
-            new = tuple((combine(label, sig, path, node), (node,) + path)
-                        for sig, path in adv.routes())
+            routes = []
+            for sig, path in adv.routes():
+                sig = combine(label, sig, path, node)
+                routes.append((sig, (node,) + path,
+                               None if sig is PHI else rank_key(sig)))
+            new = tuple(routes)
         else:
-            new = ((combine(label, adv.sig, adv.path, node),
-                    (node,) + adv.path),)
+            sig = combine(label, adv.sig, adv.path, node)
+            new = ((sig, (node,) + adv.path,
+                    None if sig is PHI else rank_key(sig)),)
         if self.log_routes:
-            for sig, path in new:
+            for sig, path, _rank in new:
                 if sig is not PHI:
                     self.route_log.append((node, dest, sig, path))
-        if state.rib_in.get(key) == new:
+        if state.rib_in.get(slot) == new:
             return
-        state.rib_in[key] = new
+        state.rib_in[slot] = new
         self._reselect(node, dest)
 
     # -- selection --------------------------------------------------------------------
@@ -328,15 +341,17 @@ class GPVEngine:
 
     def _ranked(self, candidates: list[Route]) -> list[Route]:
         """Non-φ candidates, most preferred first, deduplicated by path."""
-        return rank_routes(self.algebra.preference, candidates)
+        return rank_routes(candidates, _STORED_KEY)
 
     def _reselect(self, node: str, dest: str) -> None:
         state = self._states[node]
-        preference = self.algebra.preference
         candidates = self._candidates(state, dest)
         winner: Route | None = None
         for route in candidates:
-            if winner is None or preference(route[0], winner[0]) is BETTER:
+            # The first route of least rank key; φ (key None) wins only
+            # when nothing else is on offer.
+            if winner is None or route[2] is not None and (
+                    winner[2] is None or route[2] < winner[2]):
                 winner = route
         if winner is None:
             return
@@ -345,8 +360,10 @@ class GPVEngine:
         if current is not None and current != winner:
             # Stickiness: keep the current selection on ties while it is
             # still offered.
-            if (preference(winner[0], current[0]) is not BETTER
-                    and current in candidates):
+            rank = winner[2]
+            strictly_better = rank is not None and (
+                current[2] is None or rank < current[2])
+            if not strictly_better and current in candidates:
                 selected = current
         if selected != current:
             state.best[dest] = selected
@@ -361,7 +378,7 @@ class GPVEngine:
     # -- send side -----------------------------------------------------------------------
 
     def _advertise(self, node: str, dest: str, route: Route) -> None:
-        sig, path = route
+        sig, path, _rank = route
         state = self._states[node]
         export = self._export
         offer = state.ribout.offer
@@ -379,10 +396,10 @@ class GPVEngine:
                 # The first top_k exportable routes in rank order.  ⊕E is
                 # pure, so stopping there sends exactly what exporting the
                 # whole pool and cutting it to top_k would.
-                usable: list[Route] = []
+                usable: list[tuple] = []
                 if out_sig is not PHI:
                     usable.append((out_sig, path))
-                for alt_sig, alt_path in extras:
+                for alt_sig, alt_path, _rank in extras:
                     exported = export(label, alt_sig, alt_path, neighbor)
                     if exported is not PHI:
                         usable.append((exported, alt_path))

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..algebra.base import PHI, Label, MonoEntry, Pref, PrefStatement, Rel, RoutingAlgebra, Signature
+from ..algebra.base import PHI, Label, MonoEntry, PrefStatement, Rel, RoutingAlgebra, Signature
 from ..net.network import Network
 
 #: Virtual node representing the remote destination outside the AS.
@@ -137,22 +137,11 @@ class IGPCostAlgebra(RoutingAlgebra):
 
     # -- operational ---------------------------------------------------------
 
-    def preference(self, s1: Signature, s2: Signature) -> Pref:
-        if s1 is PHI and s2 is PHI:
-            return Pref.EQUAL
-        if s1 is PHI:
-            return Pref.WORSE
-        if s2 is PHI:
-            return Pref.BETTER
-        u1, e1 = s1
-        u2, e2 = s2
-        if u1 == u2:
-            k1, k2 = self.config.cost(u1, e1), self.config.cost(u2, e2)
-            if k1 != k2:
-                return Pref.BETTER if k1 < k2 else Pref.WORSE
-        if s1 == s2:
-            return Pref.EQUAL
-        return Pref.BETTER if (u1, e1) < (u2, e2) else Pref.WORSE
+    def rank_key(self, sig: Signature) -> tuple:
+        # Per router: IGP cost to the egress, ties by egress name; across
+        # routers an arbitrary but consistent extension, by router.
+        router, egress = sig
+        return (router, self.config.cost(router, egress), egress)
 
     def oplus(self, label: Label, sig: Signature) -> Signature:
         if sig is PHI:

@@ -47,11 +47,15 @@ class TestBestSelection:
 class TestRankSort:
     def test_sorts_most_preferred_first(self):
         algebra = ShortestHopCount()
-        assert rank_sort(algebra, [5, 1, 3]) == [1, 3, 5]
+        assert rank_sort([5, 1, 3], algebra.rank_key) == [1, 3, 5]
 
     def test_phi_sorts_last(self):
         algebra = ShortestHopCount()
-        assert rank_sort(algebra, [PHI, 2, 1]) == [1, 2, PHI]
+        assert rank_sort([PHI, 2, 1], algebra.rank_key) == [1, 2, PHI]
+
+    def test_ties_keep_their_order(self):
+        assert rank_sort(["bb", PHI, "a", "cc", PHI, "d"], len) == \
+            ["a", "d", "bb", "cc", PHI, PHI]
 
 
 class TestDefaultInterfaces:
@@ -73,8 +77,8 @@ class TestDefaultInterfaces:
 
     def test_origin_seed_default_raises(self):
         class Bare(RoutingAlgebra):
-            def preference(self, s1, s2):
-                return Pref.EQUAL
+            def rank_key(self, sig):
+                return 0
 
             def oplus(self, label, sig):
                 return sig
@@ -94,8 +98,8 @@ class TestOriginOrPhi:
         """Originates over label 1; 2 is missing from its table, 3 is
         a label it has no seed for."""
 
-        def preference(self, s1, s2):
-            return Pref.EQUAL
+        def rank_key(self, sig):
+            return 0
 
         def oplus(self, label, sig):
             return sig

@@ -8,6 +8,7 @@ from repro.algebra import (
     AsPathAlgebra,
     BandwidthAlgebra,
     Pref,
+    PrefStatement,
     SPPAlgebra,
     TableAlgebra,
     bad_gadget,
@@ -60,30 +61,51 @@ class TestViolationDetection:
         violations = validate_algebra(Leaky())
         assert any("absorb" in v for v in violations)
 
-    def test_phi_not_worst_violation(self):
+    def test_phi_stays_worst_whatever_the_key(self):
+        """An algebra can no longer prefer φ: φ never reaches the key, and
+        the base class ranks it strictly worst — the violation the old
+        comparator laws looked for cannot be written."""
         class PhiLover(ShortestHopCount):
             name = "philover"
 
-            def preference(self, s1, s2):
-                if s1 is PHI:
-                    return Pref.BETTER  # prefers prohibited paths (wrong!)
-                return super().preference(s1, s2)
+            def rank_key(self, sig):
+                if sig is PHI:
+                    return -1  # would prefer prohibited paths (unreachable)
+                return sig
 
-        violations = validate_algebra(PhiLover())
-        assert any("worst" in v or "φ" in v for v in violations)
+        algebra = PhiLover()
+        assert validate_algebra(algebra) == []
+        assert algebra.preference(PHI, 1) is Pref.WORSE
+        assert algebra.preference(1, PHI) is Pref.BETTER
+        assert algebra.preference(PHI, PHI) is Pref.EQUAL
+        assert not algebra.better(PHI, 1) and algebra.better(1, PHI)
+        assert algebra.best([PHI, 3, PHI]) == 3
 
     def test_asymmetric_preference_violation(self):
+        """The key-world form of a preference that is not a total order:
+        keys that cannot be compared with each other.  (Reflexivity,
+        antisymmetry and transitivity hold by construction for keys that
+        can, so there is nothing left for them to get wrong.)"""
         class Biased(ShortestHopCount):
             name = "biased"
 
-            def preference(self, s1, s2):
-                if s1 is PHI or s2 is PHI:
-                    return super().preference(s1, s2)
-                return Pref.BETTER  # everything beats everything (wrong!)
+            def rank_key(self, sig):
+                return sig if sig % 2 else str(sig)  # int vs str (wrong!)
 
         violations = validate_algebra(Biased())
-        assert any("antisymmetry" in v or "reflexivity" in v
-                   for v in violations)
+        assert any("do not compare" in v for v in violations)
+
+    def test_statements_disagreeing_with_keys_violation(self):
+        class Contrary(TableAlgebra):
+            def preference_statements(self):
+                statements = super().preference_statements()
+                return [PrefStatement(s.s2, s.rel, s.s1, s.origin)
+                        for s in statements]  # every strict one reversed
+
+        violations = validate_algebra(Contrary("contrary",
+                                               gao_rexford_a().tables))
+        assert any("disagrees with rank keys" in v for v in violations)
+        assert len(violations) == 2  # C < R and C < P; R = P still holds
 
     def test_non_involutive_reverse_violation(self):
         tables = AlgebraTables(

@@ -113,8 +113,8 @@ class TestOrigination:
         class NoOrigin(RoutingAlgebra):
             name = "no-origin"
 
-            def preference(self, s1, s2):
-                return Pref.EQUAL
+            def rank_key(self, sig):
+                return 0
 
             def oplus(self, label, sig):
                 return PHI

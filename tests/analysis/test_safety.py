@@ -4,7 +4,6 @@ import pytest
 
 from repro.algebra import (
     PHI,
-    Pref,
     RoutingAlgebra,
     SPPAlgebra,
     bad_gadget,
@@ -87,13 +86,8 @@ class TestCompositionRule:
 
             name = "anti"
 
-            def preference(self, s1, s2):
-                if s1 is PHI:
-                    return Pref.WORSE
-                if s2 is PHI:
-                    return Pref.BETTER
-                return (Pref.BETTER if s1 < s2
-                        else Pref.WORSE if s1 > s2 else Pref.EQUAL)
+            def rank_key(self, sig):
+                return sig
 
             def oplus(self, label, sig):
                 return PHI if sig is PHI else max(sig - 1, 0)

@@ -472,7 +472,7 @@ class TestOneBatchPath:
                 assert self.comparable(result) == self.comparable(reference)
 
     def test_a_raising_admission_errs_alone(self, monkeypatch):
-        """A bug that only admission can reach — ``preference`` failing on
+        """A bug that only admission can reach — ``rank_key`` failing on
         a hop count past any path of the topology, which the closure
         tabulates and scalar GPV never compares — is that spec's
         ``ERROR``, not a silent refusal; the rest of the chunk is
@@ -485,10 +485,10 @@ class TestOneBatchPath:
         from repro.campaigns import scenarios
 
         class FaultyPastHop13(ShortestHopCount):
-            def preference(self, s1, s2):
-                if any(isinstance(s, int) and s > 13 for s in (s1, s2)):
+            def rank_key(self, sig):
+                if sig > 13:
                     raise ZeroDivisionError("preference past hop 13")
-                return super().preference(s1, s2)
+                return sig
 
         def rocketfuel(scenario_id, algebra, weights, routers=10):
             return ScenarioSpec(

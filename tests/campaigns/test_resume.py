@@ -81,6 +81,52 @@ class TestDeadWorker:
         # chunk whose completion freed the worker for the fatal one is not.
         assert set(ids) - errors
 
+    def test_a_pool_that_breaks_under_a_finishing_sibling(self, monkeypatch):
+        """The dead worker's chunk is still in flight when a sibling chunk
+        finishes, so the next ``submit`` meets the broken pool: the run
+        stops and the report holds every evaluated spec plus the dead
+        chunk's ``chunk lost`` errors."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreakingPool:
+            """Chunk 1 runs on a worker that dies; chunks 2-4 finish at
+            once; the 5th ``submit`` finds the pool broken, and the dead
+            chunk fails only when the pool is shut down."""
+
+            def __init__(self, max_workers, initializer):
+                self.calls = 0
+                self.dead = Future()
+
+            def submit(self, fn, *args):
+                self.calls += 1
+                if self.calls == 5:
+                    raise BrokenProcessPool("a child process terminated")
+                if self.calls == 1:
+                    self.dead.set_running_or_notify_cancel()
+                    return self.dead
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait, cancel_futures):
+                self.dead.set_exception(
+                    BrokenProcessPool("a child process terminated"))
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", BreakingPool)
+        specs = ScenarioGenerator(7, families=("gadget",),
+                                  profile="quick").generate(40)
+        report = _run(specs, jobs=2, chunk_size=4)
+        assert report.aborted == "worker process died"
+        assert sorted(r.scenario_id for r in report.results) == \
+            list(range(16))
+        assert sorted(r.scenario_id for r in report.errors()) == \
+            [0, 1, 2, 3]
+        assert all(r.error.startswith("chunk lost: BrokenProcessPool")
+                   for r in report.errors())
+        assert all(r.classification != ERROR for r in report.results
+                   if r.scenario_id >= 4)
+
     def test_a_raising_chunk_is_lost_loudly_too(self, monkeypatch):
         def boom(chunk, options=None):
             raise RuntimeError("bug in the worker")

@@ -135,7 +135,7 @@ def full_pool_cut(engine, node, neighbor, dest):
     label = engine.network.label(node, neighbor)
     _combine, export = path_vector_folds(engine.algebra)
     pool = []
-    for sig, path in [best] + [r for r in ranked if r != best]:
+    for sig, path, _rank in [best] + [r for r in ranked if r != best]:
         exported = export(label, sig, path, neighbor)
         if exported is not PHI:
             pool.append((exported, path))
