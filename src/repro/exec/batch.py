@@ -40,11 +40,9 @@ interleaving, or advertisement batching.  So instead of simulating, it:
    (strictly monotonic but genuinely non-isotone, e.g. the Gao-Rexford ×
    hopcount products) run an honest synchronous Jacobi iteration — one
    fair activation schedule of the protocol the safety theorem proves
-   convergent.  A transient that reads a hole entry **deepens** the
-   closure along the offending rows and restarts the group
-   (:func:`_deepen_kernel`); only when the deepening budget is spent, a
-   hazard-mode tie check fires, or the iteration fails to settle does
-   the group **decline at run time** (:class:`BatchDeclined`).
+   convergent.  When a transient reads a hole entry, a hazard-mode tie
+   check fires, or the iteration fails to settle, the group **declines
+   at run time** (:class:`BatchDeclined`).
 
 This is not a scalar-lifecycle backend — no ``prepare``, no simulator,
 no session per scenario.  Its contract is ``supports → prepare_batch →
@@ -105,14 +103,6 @@ if TYPE_CHECKING:
 MAX_NODES = 64
 MAX_SIGNATURES = 4096
 
-#: Bounded-hole closure deepening: on a monotone-mode hole-touch the
-#: engine extends the closure horizon along just the offending kernel
-#: rows by ``DEEPEN_STEP`` and restarts the group, up to the hard depth
-#: cap / attempt budget, instead of bailing the whole group to scalar.
-DEEPEN_STEP = 64
-MAX_DEEPEN_DEPTH = 256
-_MAX_DEEPEN_ATTEMPTS = 3
-
 #: :func:`kernel_key_of` (algebra, vocabulary, closure depth) -> kernel,
 #: or the reason (a ``str``) the vocabulary was refused.
 _KERNEL_CACHE: dict[tuple, "_Kernel | str"] = {}
@@ -151,9 +141,8 @@ def _count_admission(scenario: "Scenario", outcome: str,
 #: Per-phase telemetry (snapshot via :func:`batch_phase_stats`): wall
 #: time of admission's topology scan + problem compilation (``scan``)
 #: and kernel lookup, any tier (``tabulate``), of the relaxation proper
-#: and of outcome rendering; Σ state-vector length over all groups,
-#: bounded-hole deepenings performed, Jacobi tie-hazard bails (a subset
-#: of the run-time declines).
+#: and of outcome rendering; Σ state-vector length over all groups and
+#: Jacobi tie-hazard bails (a subset of the run-time declines).
 _PHASE_SECONDS = {
     phase: _obs_metrics.counter("repro_batch_phase_seconds_total",
                                 phase=phase)
@@ -162,7 +151,7 @@ _PHASE_SECONDS = {
 _PHASE_EVENTS = {
     name: _obs_metrics.counter("repro_batch_relax_events_total",
                                event=name)
-    for name in ("state_cells", "deepenings", "hazard_declines")
+    for name in ("state_cells", "hazard_declines")
 }
 
 #: rounds-to-fixpoint histogram family; labeled per observed round count,
@@ -207,13 +196,12 @@ class BatchDeclined(RuntimeError):
 
     Raised only by *monotone-mode* kernels, whose Jacobi iteration is
     sound exactly while every transient stays inside the tabulated
-    closure: a beyond-horizon hole read with deepening exhausted
-    (``horizon``), no settling within the round budget
-    (``round-budget``) or a competing hazard tie (``hazard-tie``) aborts
-    the batch answer rather than risk a wrong one — the message is that
-    reason.  Never an execution error: ``run()`` yields ``None`` for the
-    group's members and the oracle keeps their scalar results without a
-    ``batch`` cross-check.
+    closure: a beyond-horizon hole read (``horizon``), no settling
+    within the round budget (``round-budget``) or a competing hazard tie
+    (``hazard-tie``) aborts the batch answer rather than risk a wrong
+    one — the message is that reason.  Never an execution error:
+    ``run()`` yields ``None`` for the group's members and the oracle
+    keeps their scalar results without a ``batch`` cross-check.
     """
 
 
@@ -271,7 +259,7 @@ def _closure_depth(scenario: "Scenario") -> int:
     Every stable-state value and every simple-path value on an n-node
     topology uses at most ``n − 1`` transfers, so the depth-``n − 1``
     closure holds all of them; a monotone-mode transient past it reads a
-    hole, which bounded-hole deepening covers.  A pure function of the
+    hole and its group declines (``horizon``).  A pure function of the
     scenario, and part of its :func:`kernel_key_of`.
     """
     return max(scenario.network.node_count() - 1, 1)
@@ -304,20 +292,19 @@ class _Kernel:
     no preference tie between behaviorally distinct signatures ever
     competes for one node — the condition under which the batch answer
     could diverge from the scalar engines' arrival-order tie-break.
-    ``depth`` is the closure horizon the tables were tabulated to
-    (grows under bounded-hole deepening); ``algebra`` / ``cache_key``
-    let the deepening rebuild and persist the tables in place.
+    ``depth`` is the closure horizon the tables were tabulated to.  A
+    kernel is never changed after it is built: every cache tier holds a
+    plain value.
     """
 
-    __slots__ = ("sigs", "sig_id", "phi_id", "hole_id", "key_id", "trans",
+    __slots__ = ("sigs", "phi_id", "hole_id", "key_id", "trans",
                  "origin_id", "pref_class", "mode", "hole_count",
-                 "tie_class", "hazard", "depth", "algebra", "cache_key")
+                 "tie_class", "hazard", "depth")
 
     def __init__(self, sigs: list, key_id: dict, trans, origin_id: dict,
                  pref_class, mode: str, hole_count: int, *, depth: int,
                  tie_class=None, hazard: bool = False):
         self.sigs = sigs
-        self.sig_id = {sig: i for i, sig in enumerate(sigs)}
         self.phi_id = len(sigs)
         self.hole_id = len(sigs) + 1
         self.key_id = key_id
@@ -329,8 +316,6 @@ class _Kernel:
         self.tie_class = tie_class
         self.hazard = hazard
         self.depth = depth
-        self.algebra = None    # attached by _kernel_for (not serialized)
-        self.cache_key = None  # repr of the store key (not serialized)
 
 
 def _pref_classes(sigs: list, ranks: dict):
@@ -578,9 +563,8 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
     depth-(n − 1) closure the scenario's :func:`_closure_depth` asks for.
     Extensions past the horizon are tabulated as the explicit **hole**
     sentinel (strictness still preference-verified), so the relaxation
-    can reason about them instead of conflating them with φ — and
-    bounded-hole deepening (:func:`_deepen_kernel`) can later push the
-    horizon out along just the rows a Jacobi transient actually touched.
+    can reason about them instead of conflating them with φ: a Jacobi
+    transient that reads one declines its group rather than guess.
     """
     transfer = _transfer_of(algebra)
     ordered_keys = sorted(set(keys), key=repr)
@@ -596,72 +580,6 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
                               ext, depth)
     except (KeyError, NotImplementedError) as undefined:
         raise _Unbatchable("unlabelled-link") from undefined
-
-
-def _deepen_kernel(kernel: _Kernel, offending: set) -> bool:
-    """Bounded-hole closure deepening: push the horizon past ``offending``.
-
-    ``offending`` is the set of ``(key_id, sig_id)`` cells whose hole
-    entries a Jacobi transient actually read.  The closure is re-seeded
-    from just those cells' extensions and grown another
-    ``DEEPEN_STEP`` hops (every key — a deepened signature's own
-    extensions must be tabulable too), the tables are rebuilt, and the
-    kernel is mutated **in place** so every cache tier holding this
-    object serves the deepened tables.  Returns False when the depth cap
-    is reached, the rebuild is refused (as :func:`_build_kernel` would)
-    or the kernel lacks its algebra ref: the caller declines to scalar.
-    """
-    algebra = kernel.algebra
-    if algebra is None or kernel.depth >= MAX_DEEPEN_DEPTH:
-        return False
-    new_depth = min(kernel.depth + DEEPEN_STEP, MAX_DEEPEN_DEPTH)
-    ordered_keys = sorted(kernel.key_id, key=kernel.key_id.get)
-    transfer = _transfer_of(algebra)
-    try:
-        origin = {label: (PHI if oid == kernel.phi_id
-                          else kernel.sigs[oid])
-                  for label, oid in kernel.origin_id.items()}
-        ranks = {sig: algebra.rank_key(sig) for sig in kernel.sigs}
-        ext: dict = {}
-        # Seed the deepening frontier with the offending cells'
-        # beyond-horizon extensions only — the bounded part of the bound.
-        frontier = []
-        for ki, si in offending:
-            key = ordered_keys[ki]
-            sig = kernel.sigs[si]
-            extended = transfer(key, sig)
-            ext[(key, sig)] = extended
-            if extended is PHI:
-                continue
-            extended_rank = ranks.get(extended)
-            joins = extended_rank is None
-            if joins:
-                extended_rank = algebra.rank_key(extended)
-            if not ranks[sig] < extended_rank:
-                return False
-            if joins:
-                ranks[extended] = extended_rank
-                frontier.append(extended)
-        _close_signatures(algebra, transfer, ordered_keys, ranks, frontier,
-                          DEEPEN_STEP, ext)
-        rebuilt = _finish_kernel(algebra, transfer, ordered_keys, origin,
-                                 ranks, ext, new_depth)
-    except (_Unbatchable, KeyError, NotImplementedError):
-        return False
-    # In-place mutation: the process cache and every _Problem in flight
-    # hold *this* object.
-    for slot in ("sigs", "sig_id", "phi_id", "hole_id", "key_id", "trans",
-                 "origin_id", "pref_class", "mode", "hole_count",
-                 "tie_class", "hazard", "depth"):
-        setattr(kernel, slot, getattr(rebuilt, slot))
-    _PHASE_EVENTS["deepenings"].inc()
-    # Write-through: later processes decode the deepened tables directly.
-    store = _kernel_store(_STORE_PATH)
-    if store is not None and kernel.cache_key is not None:
-        with store.best_effort():
-            store.put_deeper(kernel.cache_key, _encode_kernel(kernel),
-                             kernel.depth)
-    return True
 
 
 def configure_kernel_store(path: str | None = None) -> None:
@@ -732,7 +650,7 @@ def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
     vocabulary and one node count share it across scenarios, seeds,
     chunks and (through the kernel store) processes.  The depth
     (:func:`_closure_depth`) makes every tier hand the scenario a kernel
-    tabulated for exactly its topology, or deeper only by deepening.
+    tabulated for exactly its topology.
     Scenarios sharing the key share one tabulation *and* one relaxation
     call.  ``scan`` is the scenario's :func:`_scan_topology`, if at hand.
     (``canonical_key`` is total: past its budgets it renders
@@ -787,14 +705,10 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
             _TABULATION_SECONDS.inc(time.perf_counter() - started)
             if store is not None:
                 with store.best_effort():
-                    store.put(repr(key), _encode_kernel(kernel), depth=depth)
+                    store.put(repr(key), _encode_kernel(kernel))
         _KERNEL_CACHE[key] = kernel
     if isinstance(kernel, str):
         raise _Unbatchable(kernel)
-    # Deepening needs a live algebra and the store key to write through.
-    if kernel.algebra is None:
-        kernel.algebra = scenario.algebra
-    kernel.cache_key = repr(key)
     return kernel
 
 
@@ -916,34 +830,27 @@ class _Problem:
             [node_index[v] for _u, v, _k in edges], dtype=_np.int64)
         self.edge_lab = _np.asarray(
             [key_id[k] for _u, _v, k in edges], dtype=_np.int64)
-        #: dest -> [(node index, origin label)]: a neighbor originates
-        #: over the import label of its edge out of the destination; a
-        #: forged origination is an extra seed at the attacker — no link
-        #: behind it, competing with anything the attacker learns
-        #: legitimately, exactly the scalar engines' inject_route.
+        #: dest -> [(node index, ordinal id)] injected by origination,
+        #: φ dropped: a neighbor originates over the import label of its
+        #: edge out of the destination; a forged origination is an extra
+        #: seed at the attacker — no link behind it, competing with
+        #: anything the attacker learns legitimately, exactly the scalar
+        #: engines' inject_route.
         paired = isinstance(scenario.algebra, ExtendedAlgebra)
-        self.origins: dict = {dest: [] for dest in self.dests}
-        for u, v, key in edges:
-            if u in self.origins:
-                self.origins[u].append(
-                    (node_index[v], key[1] if paired else key))
-        for attacker, target, label in hijacks:
-            if target in self.origins:
-                self.origins[target].append((node_index[attacker], label))
+        origins: dict = {dest: [] for dest in self.dests}
+        seeds = [(u, v, key[1] if paired else key)
+                 for u, v, key in edges if u in origins]
+        seeds += [(target, attacker, label)
+                  for attacker, target, label in hijacks if target in origins]
+        origin_id = kernel.origin_id
+        for dest, node, label in seeds:
+            if origin_id[label] != kernel.phi_id:
+                origins[dest].append((node_index[node], origin_id[label]))
+        self.origins = origins
         #: Filled by the relaxation: (dest, node) -> ordinal id, plus the
         #: per-(dest, node) witness parent index (see _scatter_state).
         self.state = None
         self.parents = None
-
-    def origin_candidates(self, dest: str) -> list[tuple[int, int]]:
-        """(node_index, ordinal id) injected by origination at ``dest``
-        (read from the kernel per call: ids shift when bounded-hole
-        deepening rebuilds it)."""
-        origin_id = self.kernel.origin_id
-        phi = self.kernel.phi_id
-        return [(node_idx, origin_id[label])
-                for node_idx, label in self.origins[dest]
-                if origin_id[label] != phi]
 
     # -- outcome rendering ------------------------------------------------------
 
@@ -962,7 +869,7 @@ class _Problem:
             dest_idx = self.node_index[dest]
             # Origination overlay: it wins over any witness neighbor
             # when it explains the node's id (parent = destination).
-            for node_idx, oid in self.origin_candidates(dest):
+            for node_idx, oid in self.origins[dest]:
                 if ids[node_idx] == oid:
                     parent[node_idx] = dest_idx
             # One ascending-rank pass builds every path tuple: a witness
@@ -1055,27 +962,12 @@ class VectorizedBatchSession:
                 gc.enable()
 
 
-class _HoleTouch(Exception):
-    """Internal: a Jacobi transient read a hole entry.
-
-    Carries the offending ``(key_id, sig_id)`` cells so bounded-hole
-    deepening can extend the closure along exactly those rows before the
-    group is restarted.
-    """
-
-    def __init__(self, offending: set):
-        super().__init__("transient value crossed the closure horizon")
-        self.offending = offending
-
-
 def _assemble_group(group: list["_Problem"]):
     """Stack one kernel's scenarios into flat struct-of-arrays form.
 
     Returns ``(seeds, src, dst, lab, blocks)`` where the arrays span
     every (scenario, destination, node) cell of the group and ``blocks``
     records each destination copy's flat offset for the scatter-back.
-    Re-run after a deepening restart: signature ids shift when the
-    closure grows, so the origin seeds must be re-read from the kernel.
     """
     kernel = group[0].kernel
     phi = kernel.phi_id
@@ -1095,7 +987,7 @@ def _assemble_group(group: list["_Problem"]):
             src_parts.append(problem.edge_src[keep] + offset)
             dst_parts.append(problem.edge_dst[keep] + offset)
             lab_parts.append(problem.edge_lab[keep])
-            for node_idx, oid in problem.origin_candidates(dest):
+            for node_idx, oid in problem.origins[dest]:
                 orig_pos.append(offset + node_idx)
                 orig_val.append(oid)
             offset += width
@@ -1174,8 +1066,8 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
 
     Every node simultaneously re-selects the best of its neighbors'
     *current* routes each round, recomputed from the seeds.  A transient
-    that reads a hole entry raises :class:`_HoleTouch` with the offending
-    cells so the caller can deepen and restart.
+    that reads a hole entry has no answer in the tables and raises
+    :class:`BatchDeclined` (``horizon``).
 
     Hazard-mode kernels additionally verify, every round including the
     settling one, that no preference tie between behaviorally distinct
@@ -1192,10 +1084,8 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
     for round_ in range(
             _MONOTONE_ROUND_SLACK * (kernel.phi_id + 2) + MAX_NODES):
         vals = trans[lab, state[src]]
-        holes = vals == hole
-        if bool(holes.any()):
-            raise _HoleTouch(set(zip(lab[holes].tolist(),
-                                     state[src[holes]].tolist())))
+        if bool((vals == hole).any()):
+            raise BatchDeclined("horizon")
         fresh = seeds.copy()
         _np.minimum.at(fresh, dst, vals)
         if kernel.hazard:
@@ -1218,29 +1108,18 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
 
 
 def _relax_group(group: list["_Problem"]) -> None:
-    """Relax one kernel's scenarios over flat struct-of-arrays state.
-
-    Whole-edge-list sweeps over the fused group (:func:`_relax_isotone`
-    / :func:`_relax_jacobi`), with bounded-hole closure deepening — a
-    monotone-mode hole-touch deepens the kernel along just the offending
-    rows (:func:`_deepen_kernel`) and restarts the group, declining to
-    scalar only when the depth cap or attempt budget is exhausted.
+    """Relax one kernel's scenarios over flat struct-of-arrays state:
+    assemble, one whole-edge-list relaxation of the fused group
+    (:func:`_relax_isotone` or :func:`_relax_jacobi`, by the kernel's
+    mode), scatter.  A monotone-mode decline (:class:`BatchDeclined`)
+    propagates to :meth:`VectorizedBatchSession.run`.
     """
     kernel = group[0].kernel
-    for attempt in range(_MAX_DEEPEN_ATTEMPTS + 1):
-        seeds, src, dst, lab, blocks = _assemble_group(group)
-        _PHASE_EVENTS["state_cells"].inc(int(seeds.size))
-        # Dispatch inside the loop: a deepening re-classifies the kernel.
-        relax = _relax_isotone if kernel.mode == "isotone" else _relax_jacobi
-        try:
-            state = relax(kernel, seeds, src, dst, lab)
-        except _HoleTouch as touch:
-            if attempt >= _MAX_DEEPEN_ATTEMPTS \
-                    or not _deepen_kernel(kernel, touch.offending):
-                raise BatchDeclined("horizon") from None
-            continue  # deepened in place: reassemble (ids shifted), retry
-        _scatter_state(blocks, state, src, dst, lab, kernel)
-        return
+    seeds, src, dst, lab, blocks = _assemble_group(group)
+    _PHASE_EVENTS["state_cells"].inc(int(seeds.size))
+    relax = _relax_isotone if kernel.mode == "isotone" else _relax_jacobi
+    state = relax(kernel, seeds, src, dst, lab)
+    _scatter_state(blocks, state, src, dst, lab, kernel)
 
 
 def _admit(scenario: "Scenario") -> "_Problem":

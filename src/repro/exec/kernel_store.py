@@ -1,4 +1,4 @@
-"""Cross-process persistence for tabulated batch kernels (schema v4).
+"""Cross-process persistence for tabulated batch kernels (schema v5).
 
 The process caches in :mod:`repro.exec.batch` pay for each distinct
 (algebra, transfer vocabulary, depth) closure once per worker *lifetime*; this
@@ -20,9 +20,10 @@ the failure policy are :class:`repro.sqlite_cache.SqliteCache`'s — the
 base this store shares with :mod:`repro.campaigns.verdict_store`, and so
 is the one format rule: a file stamped with another ``user_version`` (a
 v3 file keys kernels without their depth) or carrying other columns (a
-v2 file still has ``hits``) is emptied on open, never migrated — a lost
-kernel costs one re-tabulation.  What is here is the kernel table and
-its row methods.
+v4 file still has ``depth``, a v2 file ``hits``) is emptied on open,
+never migrated — a lost kernel costs one re-tabulation.  A row, once
+written, is never rewritten: a kernel is a value.  What is here is the
+kernel table and its row methods.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ _SCHEMA = """
 CREATE TABLE IF NOT EXISTS kernels (
     key        TEXT PRIMARY KEY,
     payload    BLOB,
-    created_at REAL NOT NULL,
-    depth      INTEGER NOT NULL DEFAULT 0
+    created_at REAL NOT NULL
 )
 """
 
@@ -60,7 +60,7 @@ class KernelStore(SqliteCache):
     NAME = "kernel"
     TABLE = "kernels"
     SCHEMA = _SCHEMA
-    SCHEMA_VERSION = 4
+    SCHEMA_VERSION = 5
     #: Kernels are far fewer and far larger than verdicts (each carries
     #: its ``int32`` rank tables): one 540-scenario admitted campaign
     #: writes 483 rows / 1.6 MB (numbers in ``exec/README.md``), so the
@@ -79,8 +79,7 @@ class KernelStore(SqliteCache):
         _STORE_OPS["get_hit"].inc()
         return True, row[0]
 
-    def put(self, key: str, payload: bytes | None,
-            depth: int = 0) -> None:
+    def put(self, key: str, payload: bytes | None) -> None:
         """Record one tabulated kernel (or negative result); racing
         duplicates are ignored, not errors — both workers tabulated the
         same tables from the same canonical key."""
@@ -88,24 +87,8 @@ class KernelStore(SqliteCache):
         self._retry_locked(
             lambda: self._conn.execute(
                 "INSERT OR IGNORE INTO kernels "
-                "(key, payload, created_at, depth) VALUES (?, ?, ?, ?)",
-                (key, payload, time.time(), depth)))
-
-    def put_deeper(self, key: str, payload: bytes | None,
-                   depth: int) -> None:
-        """Upsert a *deepened* kernel: replaces the stored payload only
-        when ``depth`` strictly exceeds the row's — racing workers that
-        deepened to different horizons converge on the deepest tables,
-        and a late shallow writer can never clobber a deeper one."""
-        _STORE_OPS["put"].inc()
-        self._retry_locked(
-            lambda: self._conn.execute(
-                "INSERT INTO kernels (key, payload, created_at, depth) "
-                "VALUES (?, ?, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET "
-                "payload = excluded.payload, depth = excluded.depth "
-                "WHERE excluded.depth > kernels.depth",
-                (key, payload, time.time(), depth)))
+                "(key, payload, created_at) VALUES (?, ?, ?)",
+                (key, payload, time.time())))
 
     def stats(self) -> dict:
         total, negative, size = self._conn.execute(

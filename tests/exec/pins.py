@@ -12,18 +12,20 @@ diff of the file names the runs that changed and says how.
 specs of ``ScenarioGenerator(7)`` over all ten families in the workload's
 rotation order — each evaluated with ``--backends gpv,ndlog,hlp`` (NDlog
 runs second, on the oracle's copy of the network).  That is 7 ``ibgp``
-runs and 7 top-k ``multipath`` runs.  Its rows were generated at commit
-f1aae6e, before the NDlog rule interpreter was replaced by compiled rules.
+runs and 7 top-k ``multipath`` runs.  Each of the 7 ``hlp``-family specs
+adds an ``hlp`` row after its NDlog row: the HLP backend runs third there.
+The NDlog rows were generated at commit f1aae6e, before the NDlog rule
+interpreter was replaced by compiled rules; the ``hlp`` rows at e3d8fd4.
 
 ``gpv_corpus.json`` pins the scalar GPV run of every spec in three
 default-profile corpora of ``ScenarioGenerator(7)`` — the first 90
 ``rotation`` specs (all ten families), the first 24 ``spp-keying`` specs
 (``gadget``, ``ibgp``) and the first 80 ``scalar-gpv`` specs (``caida``,
 ``hierarchy``, ``multipath``, ``hlp``) — each run on its own
-materialization with the spec's event timeline, as
-``test_gpv_fingerprint.py`` runs them; rows carry their corpus name.  Its
-rows were generated at commit 417ade0, before the simulator's send path
-and the engine's link table were rewritten.
+materialization with the spec's event timeline; rows carry their corpus
+name and a ``route_log`` column (see below).  Its rows were generated at
+commit 417ade0, before the simulator's send path and the engine's link
+table were rewritten; the ``route_log`` column at e3d8fd4.
 
 ``batch_corpus.json`` pins the batch backend on the first 135 specs of the
 ``admitted-cold`` benchmark corpus (``rocketfuel``, ``tau-sweep``,
@@ -45,10 +47,10 @@ out-buffer):
   carry at least one ``fail`` event.
 
 Each run is on its own materialization with the spec's event timeline and
-route logging on; its row adds a ``route_log`` column, a sha1 over the
-logged acceptances, which :func:`outcome_digest` does not cover.  The
-rows of both files were generated at commit 9d050d0, before signatures
-were ranked by key.
+route logging on.  Its row, like a ``gpv_corpus.json`` row, adds a
+``route_log`` column (:func:`route_log_digest`, a sha1 over the logged
+acceptances), which :func:`outcome_digest` does not cover.  The rows were
+generated at commit 9d050d0, before signatures were ranked by key.
 
 Regenerate (only when a behaviour change is intended) with::
 
@@ -104,6 +106,10 @@ def pin_row(spec, outcome) -> dict:
             "messages": outcome.messages, "digest": outcome_digest(outcome)}
 
 
+def route_log_digest(session) -> str:
+    return hashlib.sha1(repr(list(session.route_log)).encode()).hexdigest()
+
+
 def gpv_corpus_specs() -> list[tuple[str, object]]:
     """``(corpus, spec)`` in corpus order, then generation order."""
     return [(corpus, spec)
@@ -117,7 +123,8 @@ def gpv_corpus_row(corpus: str, spec) -> dict:
                                          log_routes=scenario.log_routes)
     schedule_events(session, scenario.events)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
-    return {"corpus": corpus, **pin_row(spec, outcome)}
+    return {"corpus": corpus, **pin_row(spec, outcome),
+            "route_log": route_log_digest(session)}
 
 
 def ndlog_corpus_specs() -> list:
@@ -125,11 +132,12 @@ def ndlog_corpus_specs() -> list:
                              profile="quick").generate(NDLOG_CORPUS_SPECS)
 
 
-def ndlog_corpus_row(spec) -> dict:
+def ndlog_corpus_rows(spec) -> list[dict]:
+    """The spec's NDlog row, then its HLP row if the HLP backend ran."""
     result = evaluate(spec, EvaluationOptions(backends=NDLOG_CORPUS_BACKENDS))
     assert not result.error, result.error
-    outcome, = [o for o in result.outcomes if o.backend == "ndlog"]
-    return pin_row(spec, outcome)
+    return [pin_row(spec, outcome) for outcome in result.outcomes
+            if outcome.backend in ("ndlog", "hlp")]
 
 
 def batch_corpus_specs() -> list:
@@ -181,10 +189,8 @@ def batched_wire_row(corpus: str, spec, backend: str) -> dict:
                                            log_routes=True)
     schedule_events(session, scenario.events)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
-    route_log = hashlib.sha1(
-        repr(list(session.route_log)).encode()).hexdigest()
     return {"corpus": corpus, **pin_row(spec, outcome),
-            "route_log": route_log}
+            "route_log": route_log_digest(session)}
 
 
 def load_rows(path: Path) -> list[dict]:
@@ -200,8 +206,8 @@ if __name__ == "__main__":
     write_rows(GPV_CORPUS, [gpv_corpus_row(corpus, spec)
                             for corpus, spec in gpv_corpus_specs()])
     print(f"wrote {GPV_CORPUS}")
-    write_rows(NDLOG_CORPUS,
-               [ndlog_corpus_row(spec) for spec in ndlog_corpus_specs()])
+    write_rows(NDLOG_CORPUS, [row for spec in ndlog_corpus_specs()
+                              for row in ndlog_corpus_rows(spec)])
     print(f"wrote {NDLOG_CORPUS}")
     batch_rows = [batch_corpus_row(spec) for spec in batch_corpus_specs()]
     write_rows(BATCH_CORPUS, [row for row in batch_rows if row is not None])

@@ -27,12 +27,10 @@ from repro.exec.batch import (
     BatchDeclined,
     _kernel_for,
     _scan_topology,
-    batch_phase_stats,
     clear_kernel_cache,
     configure_kernel_store,
     kernel_cache_stats,
     kernel_key_of,
-    reset_batch_phase_stats,
     reset_kernel_cache_stats,
 )
 from repro.obs import metrics
@@ -493,12 +491,12 @@ class TestHoleAwareKernels:
         assert stats["tabulations"] == first_tab
         assert stats["cache_hits"] >= 1
 
-    def test_hole_touch_deepens_and_completes(self, monkeypatch):
-        """A monotone-mode transient crossing a shallow closure horizon
-        must deepen the kernel in place and finish batched — zero
-        run-time declines, no scalar fallback — with the deepened answer
-        preference-equal to scalar GPV.  The horizon is forced low so the
-        Jacobi transient is guaranteed to touch a hole."""
+    def test_a_hole_touch_declines_the_group(self, monkeypatch):
+        """A monotone-mode transient that crosses the closure horizon has
+        no answer in the tables: its group declines ``horizon`` at once,
+        counted once, and the kernel it read is left as it was built.
+        The horizon is forced low so the Jacobi transient is guaranteed
+        to touch a hole."""
         import repro.exec.batch as batch_mod
 
         original = batch_mod._build_kernel
@@ -507,20 +505,21 @@ class TestHoleAwareKernels:
             lambda algebra, keys, labels, _depth:
                 original(algebra, keys, labels, 3))
         clear_kernel_cache()
-        reset_batch_phase_stats()
         reset_kernel_cache_stats()
         try:
             spec = BATCH_SPECS[5]  # gr-a-hopcount: monotone-mode Jacobi
-            gpv_session, gpv = run_backend("gpv", spec)
-            _bs, batch = run_backend("batch", spec)
-            phases = batch_phase_stats()
-            assert phases["deepenings"] >= 1, \
-                "the shallow horizon was never touched: test is vacuous"
-            assert kernel_cache_stats()["runtime_declines"] == 0
-            assert batch.converged
-            assert route_mismatches(gpv_session.algebra, gpv, batch) == []
+            problems = admit([spec])
+            trans = problems[0].kernel.trans.tobytes()
+            before = admission_counts()
+            assert BATCH.prepare_batch(problems).run() == [None]
+            assert admission_counts() - before == {
+                (spec.family, "declined", "horizon"): 1}
+            stats = kernel_cache_stats()
+            assert stats["runtime_declines"] == 1
+            assert stats["tabulations"] == 1
+            assert problems[0].kernel.trans.tobytes() == trans
         finally:
-            clear_kernel_cache()  # drop the shallow kernels
+            clear_kernel_cache()  # drop the shallow kernel
 
 
 class TestCacheTiers:

@@ -2,13 +2,14 @@
 
 Each spec of the ``rotation``, ``spp-keying`` and ``scalar-gpv`` corpora
 (see ``pins.py``) is run on the ``gpv`` backend alone and must reproduce
-its row in ``gpv_corpus.json`` — stop reason, message count and
-:func:`pins.outcome_digest` — bit for bit.  The rows are the simulator's
-and the engine's behaviour: every ``sim.rng`` draw, every timestamp's
-rounding and every event's sequence number reach the digest through the
-message count and ``sim_time_s``, so a faster send path or link lookup
-must leave this file unedited.  Where ``test_gpv_fingerprint.py`` folds a
-family into one digest, a row here names the run that changed.
+its row in ``gpv_corpus.json`` — stop reason, message count,
+:func:`pins.outcome_digest` and the route-log digest — bit for bit.  The
+rows are the simulator's and the engine's behaviour: every ``sim.rng``
+draw, every timestamp's rounding and every event's sequence number reach
+the digest through the message count and ``sim_time_s``, and every
+accepted route reaches the ``route_log`` column, so a faster send path or
+link lookup must leave this file unedited.  A changed row names the run
+that changed.
 """
 
 import functools

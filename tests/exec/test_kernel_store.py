@@ -81,7 +81,7 @@ class TestStorePrimitives:
         watcher.close()
         store.close()
 
-    def test_a_v2_file_is_emptied_and_stamped_v4(self, tmp_path):
+    def test_a_v2_file_is_emptied_and_stamped_v5(self, tmp_path):
         """Schema v2 counted hits per row; drop, don't migrate."""
         path = str(tmp_path / "k.sqlite")
         conn = sqlite3.connect(path)
@@ -98,22 +98,9 @@ class TestStorePrimitives:
         store = KernelStore(path)
         assert len(store) == 0
         assert store.last_retention == {"format_dropped": 2}
-        assert store.stats()["schema_version"] == 4
+        assert store.stats()["schema_version"] == 5
         store.put("a", b"fresh")
         assert store.get("a") == (True, b"fresh")
-        store.close()
-
-    def test_put_deeper_deepest_horizon_wins(self, tmp_path):
-        """Racing deepeners converge on the deepest tables: a deeper
-        write replaces the row, a late shallower writer is a no-op."""
-        store = KernelStore(str(tmp_path / "k.sqlite"))
-        store.put("k", b"base")  # ordinary tabulation: depth 0
-        store.put_deeper("k", b"depth-64", 64)
-        assert store.get("k") == (True, b"depth-64")
-        store.put_deeper("k", b"depth-32", 32)  # late shallow worker
-        assert store.get("k") == (True, b"depth-64")
-        store.put_deeper("k", b"depth-128", 128)
-        assert store.get("k") == (True, b"depth-128")
         store.close()
 
 
