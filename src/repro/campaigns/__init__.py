@@ -13,9 +13,9 @@ hand-written gadgets — and, through the pluggable execution backends of
   full algebra library, with deterministic shard striding;
 * :mod:`repro.campaigns.scenarios` — deterministic spec → scenario
   materialization;
-* :mod:`repro.campaigns.canonical` — isomorphism-invariant canonical
-  keys for verdict memoization (canonical relabeling via iterative
-  refinement with orbit tie-breaking);
+* :mod:`repro.campaigns.canonical` — canonical keys for verdict
+  memoization (table algebras relabeled by color refinement, SPP
+  instances keyed by name);
 * :mod:`repro.campaigns.oracle` — the differential oracle (SMT verdict vs
   N execution backends, pairwise cross-checks, per-worker verdict cache
   with optional cross-process persistence);

@@ -4,41 +4,33 @@ The safety verdict of an algebra is independent of the topology it runs on
 and of incidental naming, so a campaign that draws hundreds of scenarios
 from a handful of policies should pay for each distinct constraint system
 exactly once per worker.  :func:`canonical_key` maps an analysis subject
-to a hashable key that is equal precisely when the generated constraint
-systems are equal *up to renaming*:
+to a hashable key that is equal only when the generated constraint
+systems are equal:
 
-* **SPP instances** — a canonical relabeling of the nodes is computed by
-  iterative color refinement (paths, rankings and adjacency refine the
-  node colors) with individualization tie-breaking (the members of the
-  first non-singleton color class are individualized in turn and the
-  lexicographically least rendering wins), so ``disagree`` perturbed at
-  node ``1`` and the same gadget perturbed at node ``2`` — isomorphic
-  under swapping the two nodes — share one key and one solve.  Every
-  automorphism the search discovers is recorded once and prunes every
-  later node whose individualized prefix it fixes (nauty-style orbit
-  pruning), which keeps the interchangeable route-reflector clients of
-  iBGP-extracted instances at tens of branches instead of 2^depth;
+* **SPP instances** — a name-faithful rendering (destination, ranked
+  paths per node, sorted edges), so only a repeat drawn under the same
+  node names is a hit.  A relabeling-invariant key cost over ten times the
+  dispute-digraph analysis it could skip on the iBGP extractions
+  (``campaigns/README.md`` has the numbers); this one costs less than
+  the solves it saves;
 * **table algebras** — labels and signatures are canonically renamed by
-  the same refinement engine over the algebra's relational structure
-  (ordinal preference ranks, ⊕ entries, filters, reversals,
-  originations), so relabeled-but-identical policies coincide;
+  color refinement over the algebra's relational structure (ordinal
+  preference ranks, ⊕ entries, filters, reversals, originations), so
+  relabeled-but-identical policies coincide;
 * **lexical products** — the pair of component keys (the composition rule
   only looks at components);
 * **closed-form algebras** — class plus label vocabulary plus certificate
   (their analysis is the certificate spot-check).
 
-Soundness note: canonical keys *are* complete renderings of the structure
-under the canonical ordering — equal keys imply isomorphic subjects, so a
-cache hit can never cross two systems with different verdicts.  That holds
-for a complete rendering under *any* ordering, which is why the ``spp3`` /
-``table3`` tags outlived the change of search: a key stored by an earlier
-search order is still a faithful rendering, it merely stops being hit.
-When an instance is too large (or too symmetric) to canonicalize within
-budget, the key falls back to a name-faithful rendering under a distinct
-tag: correctness is kept, only cross-relabeling hits are forgone — and
-``repro_canonical_keys_total{kind,outcome}`` counts every such fallback
-(``raw-budget`` / ``raw-size``) next to the ``canonical`` keys, so a search
-that burns its budget is never mistaken for a key nobody repeated.
+Soundness note: every key is a complete rendering of the structure under
+some ordering — equal keys imply isomorphic subjects, so a cache hit can
+never cross two systems with different verdicts.  A table whose
+refinement leaves indistinguishable twins, or that is too large to
+refine, falls back to a name-faithful ``table-raw`` rendering:
+correctness is kept, only cross-relabeling hits are forgone — and
+``repro_canonical_keys_total{outcome}`` counts every such fallback
+(``raw-symmetric`` / ``raw-size``) next to the ``canonical`` keys.  Every
+library table refines to a discrete coloring.
 """
 
 from __future__ import annotations
@@ -49,34 +41,26 @@ from ..algebra.base import PHI, RoutingAlgebra
 from ..algebra.extended import TableAlgebra
 from ..algebra.product import LexicalProduct
 from ..algebra.secure import SecureAlgebra
-from ..algebra.spp import SPPAlgebra, SPPInstance
+from ..algebra.spp import SPPInstance
 from ..obs import metrics as _obs_metrics
 
 Key = Hashable
 
-#: Instances with more nodes than this skip canonicalization entirely.
+#: Tables with more labels plus signatures than this skip refinement.
 CANONICALIZATION_NODE_LIMIT = 64
-#: Individualization branches explored before giving up on an instance.
-CANONICALIZATION_BRANCH_LIMIT = 2048
 
-#: How each enumerated subject was keyed: canonically, or by the
-#: name-faithful fallback after burning the branch budget / exceeding the
-#: node limit (those keys can never be hit across a relabeling).
+#: How each table algebra was keyed: canonically, or by the name-faithful
+#: fallback when refinement leaves twins / the table exceeds the node
+#: limit (those keys can never be hit across a relabeling).
 _KEYS = {
-    (kind, outcome): _obs_metrics.counter(
-        "repro_canonical_keys_total", kind=kind, outcome=outcome)
-    for kind in ("spp", "table")
-    for outcome in ("canonical", "raw-budget", "raw-size")
+    outcome: _obs_metrics.counter("repro_canonical_keys_total",
+                                  outcome=outcome)
+    for outcome in ("canonical", "raw-symmetric", "raw-size")
 }
-#: Individualization branches spent per search (one per SPP component or
-#: table algebra), budget burns included.
-_BRANCHES = _obs_metrics.histogram(
-    "repro_canonical_branches",
-    buckets=tuple(2 ** i for i in range(12)))
 
 
 def canonical_key(subject: RoutingAlgebra | SPPInstance) -> Key:
-    """A hashable, relabeling-invariant identity for the subject."""
+    """A hashable identity for the subject's constraint system."""
     # Parametric algebra families can short-circuit the (quadratic)
     # enumerated rendering with a closed-form identity token: two
     # instances with equal tokens must generate identical constraint
@@ -88,8 +72,6 @@ def canonical_key(subject: RoutingAlgebra | SPPInstance) -> Key:
         return ("token", type(subject).__name__, token())
     if isinstance(subject, SPPInstance):
         return _spp_key(subject)
-    if isinstance(subject, SPPAlgebra):
-        return _spp_key(subject.instance)
     if isinstance(subject, LexicalProduct):
         return ("product",
                 canonical_key(subject.first),
@@ -112,7 +94,7 @@ def canonical_key(subject: RoutingAlgebra | SPPInstance) -> Key:
             tuple(str(e) for e in subject.mono_entries()))
 
 
-# -- the individualization-refinement engine ---------------------------------
+# -- color refinement ---------------------------------------------------------
 
 
 def _densify(elements: Sequence, colors: dict, key=None) -> dict:
@@ -123,233 +105,46 @@ def _densify(elements: Sequence, colors: dict, key=None) -> dict:
     return {e: order[colors[e]] for e in elements}
 
 
-def _orbits(seeds: list, permutations: list[dict]) -> set:
-    """Union of the orbits of ``seeds`` under the group the permutations
-    generate (each permutation maps only the elements it moves)."""
-    reached = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        element = frontier.pop()
-        for permutation in permutations:
-            image = permutation.get(element, element)
-            if image not in reached:
-                reached.add(image)
-                frontier.append(image)
-    return reached
-
-
 def canonical_render(
     elements: Sequence,
     initial_colors: dict,
     signature_fn: Callable[[Any, dict], Any],
     render_fn: Callable[[dict], tuple],
-    branch_limit: int = CANONICALIZATION_BRANCH_LIMIT,
 ) -> tuple | None:
-    """Minimum rendering of a finite structure over canonical orderings.
+    """Rendering of a finite structure under its color-refined ordering.
 
-    Classic individualization-refinement: colors are refined to a fixpoint
-    with ``signature_fn`` (which must describe an element *only* through
-    the colors of its relational context, never through its name, and
-    whose values must be mutually orderable among same-colored elements —
-    refined colors are dense ints, so signatures sort natively); when a
-    color class remains non-singleton, its members are individualized in
-    turn and the lexicographically least fully-discrete rendering wins.
-
-    One global automorphism list prunes the search.  Whenever a subtree's
-    best leaf renders equal to the best leaf of its explored siblings, the
-    element permutation between the two orderings is an automorphism of
-    the structure and is recorded once, for the whole search.  At every
-    node, the recorded automorphisms that fix the node's individualized
-    prefix pointwise map the node's subtrees onto each other, so a
-    candidate in the orbit of an explored candidate is skipped: its
-    subtree holds the same renderings.  (A permutation that moves a prefix
-    element maps the node elsewhere in the tree and says nothing about its
-    children — hence the filter.)  This is what keeps interchangeable
-    twins — k route-reflector clients under one hub, replicated gadgets —
-    polynomial where sibling-local merging was 2^depth.
-
-    Returns None when the branch budget is exhausted: a partially explored
-    minimum is *not* canonical, so the whole computation is abandoned and
-    callers fall back to a name-faithful key.
+    Colors are refined to a fixpoint with ``signature_fn``, which must
+    describe an element *only* through the colors of its relational
+    context, never through its name, and whose values must be mutually
+    orderable among same-colored elements (refined colors are dense ints,
+    so signatures sort natively).  When the fixpoint is discrete, the
+    colors number the elements ``0..n-1`` canonically and
+    ``render_fn(colors)`` is the rendering.  Otherwise some elements are
+    indistinguishable to refinement — interchangeable twins, or a symmetry
+    it cannot break — and the result is None: callers fall back to a
+    name-faithful key.
     """
-    budget = branch_limit
-    #: Discovered automorphisms, each as {element: image} over the
-    #: elements it moves.
-    automorphisms: list[dict] = []
-
-    def refine(colors: dict) -> dict:
-        while True:
-            sigs = {e: (colors[e], signature_fn(e, colors))
-                    for e in elements}
-            refined = _densify(elements, sigs)
-            if len(set(refined.values())) == len(set(colors.values())):
-                return refined
-            colors = refined
-
-    def explore(colors: dict, prefix: tuple) -> tuple[tuple, dict] | None:
-        """Return ``(rendering, discrete_index)`` or None on budget burn."""
-        nonlocal budget
-        colors = refine(colors)
-        classes: dict[int, list] = {}
-        for element in elements:
-            classes.setdefault(colors[element], []).append(element)
-        target = None
-        for color in sorted(classes):
-            if len(classes[color]) > 1:
-                target = classes[color]
-                break
-        if target is None:
-            return render_fn(colors), colors  # discrete: colors are 0..n-1
-        best: tuple[tuple, dict] | None = None
-        explored: list = []
-        fixing: list[dict] = []  # automorphisms fixing the prefix pointwise
-        folded = 0
-        for candidate in target:
-            fixing += [g for g in automorphisms[folded:]
-                       if g.keys().isdisjoint(prefix)]
-            folded = len(automorphisms)
-            if candidate in _orbits(explored, fixing):
-                continue  # its subtree is the image of an explored one
-            if budget <= 0:
-                return None
-            budget -= 1
-            explored.append(candidate)
-            branched = dict(colors)
-            branched[candidate] = len(elements)  # fresh unique color
-            outcome = explore(branched, prefix + (candidate,))
-            if outcome is None:
-                return None
-            rendering, index = outcome
-            if best is None or rendering < best[0]:
-                best = outcome
-            elif rendering == best[0]:
-                # Equal renderings from two orderings: the permutation
-                # between them is an automorphism.
-                element_at = {position: e for e, position in index.items()}
-                automorphisms.append(
-                    {e: element_at[position]
-                     for e, position in best[1].items()
-                     if element_at[position] != e})
-        return best
-
-    outcome = explore(_densify(elements, initial_colors, key=repr), ())
-    _BRANCHES.observe(branch_limit - budget)
-    return None if outcome is None else outcome[0]
+    colors = _densify(elements, initial_colors, key=repr)
+    while True:
+        refined = _densify(elements, {
+            e: (colors[e], signature_fn(e, colors)) for e in elements})
+        if len(set(refined.values())) == len(set(colors.values())):
+            break
+        colors = refined
+    if len(set(refined.values())) < len(elements):
+        return None
+    return render_fn(refined)
 
 
 # -- SPP instances ------------------------------------------------------------
 
 
 def _spp_key(instance: SPPInstance) -> Key:
-    """Canonical key of an SPP instance.
-
-    The instance is first decomposed into the connected components of its
-    destination-removed graph: every permitted path lives inside one
-    component (its non-destination nodes form a connected chain), so the
-    instance is a disjoint union of components sharing only the
-    destination, and any isomorphism is a permutation of isomorphic
-    components composed with within-component isomorphisms.  The key is
-    therefore the sorted multiset of per-component canonical renderings —
-    which turns the huge automorphism groups of replicated/chained
-    gadgets (factorial in the copy count) into cheap small-component
-    canonicalizations.
-    """
-    outcome = "canonical"
-    renderings = []
-    for component in _spp_components(instance):
-        if len(component) + 1 > CANONICALIZATION_NODE_LIMIT:
-            outcome = "raw-size"
-            break
-        rendering = _spp_component_render(instance, component)
-        if rendering is None:
-            outcome = "raw-budget"
-            break
-        renderings.append(rendering)
-    _KEYS["spp", outcome].inc()
-    if outcome == "canonical":
-        return ("spp3", tuple(sorted(renderings, key=repr)))
-    return ("spp-raw", instance.destination, _spp_raw_rankings(instance),
+    """Name-faithful key: destination, ranked paths per node, edges."""
+    return ("spp-raw", instance.destination,
+            tuple((node, tuple(instance.permitted[node]))
+                  for node in sorted(instance.permitted)),
             _sorted_tuple(tuple(sorted(edge)) for edge in instance.edges))
-
-
-def _spp_raw_rankings(instance: SPPInstance) -> tuple:
-    return tuple((node, tuple(instance.permitted[node]))
-                 for node in sorted(instance.permitted))
-
-
-def _spp_components(instance: SPPInstance) -> list[list[str]]:
-    """Connected components of the graph with the destination removed."""
-    destination = instance.destination
-    adjacency: dict[str, list[str]] = {}
-    for node in instance.nodes():
-        if node != destination:
-            adjacency[node] = []
-    for edge in instance.edges:
-        pair = sorted(edge)
-        if len(pair) < 2 or destination in pair:
-            continue
-        a, b = pair
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    components: list[list[str]] = []
-    seen: set[str] = set()
-    for start in adjacency:
-        if start in seen:
-            continue
-        stack, component = [start], []
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        components.append(component)
-    return components
-
-
-def _spp_component_render(instance: SPPInstance,
-                          component: list[str]) -> tuple | None:
-    """Canonical rendering of one component (destination included)."""
-    destination = instance.destination
-    members = set(component) | {destination}
-    nodes = sorted(members)
-    permitted = {node: instance.permitted[node] for node in component
-                 if node in instance.permitted}
-    edges = [tuple(sorted(edge)) for edge in instance.edges
-             if set(edge) <= members]
-
-    adjacency: dict[str, list[str]] = {node: [] for node in nodes}
-    for a, b in edges:
-        if a != b:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-
-    initial = {
-        node: ("dest",) if node == destination else
-        ("node", len(permitted.get(node, ())),
-         tuple(len(p) for p in permitted.get(node, ())),
-         len(adjacency[node]))
-        for node in nodes
-    }
-
-    def signature(node: str, colors: dict) -> tuple:
-        ranked = tuple(tuple(colors[m] for m in path)
-                       for path in permitted.get(node, ()))
-        neighborhood = tuple(sorted(colors[nb] for nb in adjacency[node]))
-        return (ranked, neighborhood)
-
-    def render(index: dict) -> tuple:
-        rankings = tuple(sorted(
-            (index[node], tuple(tuple(index[m] for m in path)
-                                for path in paths))
-            for node, paths in permitted.items()))
-        rendered_edges = tuple(sorted(
-            tuple(sorted(index[n] for n in edge)) for edge in edges))
-        return (index[destination], rankings, rendered_edges)
-
-    return canonical_render(nodes, initial, signature, render)
 
 
 # -- table algebras ------------------------------------------------------------
@@ -362,8 +157,8 @@ def _table_key(algebra: TableAlgebra) -> Key:
         outcome = "raw-size"
     else:
         rendering = _table_canonical_render(algebra)
-        outcome = "canonical" if rendering is not None else "raw-budget"
-    _KEYS["table", outcome].inc()
+        outcome = "canonical" if rendering is not None else "raw-symmetric"
+    _KEYS[outcome].inc()
     if outcome == "canonical":
         return ("table3",) + rendering
     return (

@@ -16,9 +16,11 @@ Every scenario takes one path, alone or in a chunk:
    :class:`~repro.analysis.pipeline.AnalysisPipeline` (certificates →
    dispute digraph → SMT; the result's ``method`` records
    the deciding tier) through the per-process **verdict cache** keyed by
-   ``repr(canonical_key(...))`` — an *isomorphism-invariant* rendering,
-   so relabeled copies of one gadget share a single solve — optionally
-   warmed from and persisted to a cross-process
+   ``repr(canonical_key(...))`` — colour-refined for table algebras, so
+   relabeled copies of one policy share a single solve, and
+   name-faithful for SPP instances, whose key must cost less than their
+   dispute-digraph analysis — optionally warmed from and persisted to a
+   cross-process
    :class:`~repro.campaigns.verdict_store.VerdictStore`, so repeated
    campaigns pay for each distinct constraint system once *ever*;
 3. executes the scenario on every configured scalar

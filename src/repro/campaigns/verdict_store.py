@@ -6,12 +6,11 @@ verdicts survive across processes and campaign invocations, so repeated
 campaigns and CI runs skip already-proved algebras entirely.
 
 Verdicts are content-addressed by the ``repr`` of
-:func:`~repro.campaigns.canonical.canonical_key` — since schema v3 an
-*isomorphism-invariant* rendering (canonically relabeled SPP instances
-and algebra signatures), so seeds that draw relabeled-but-isomorphic
-instances hit the same row.  ``INSERT OR IGNORE`` makes duplicate solves
-from racing workers harmless (both computed the same verdict from the
-same key).
+:func:`~repro.campaigns.canonical.canonical_key` — canonically relabeled
+for table algebras, so relabeled-but-identical policies hit the same
+row, and name-faithful (``spp-raw``) for SPP instances.  ``INSERT OR
+IGNORE`` makes duplicate solves from racing workers harmless (both
+computed the same verdict from the same key).
 
 Connection handling, multi-writer hardening, the ``MAX_ROWS`` bound and
 the failure policy are :class:`repro.sqlite_cache.SqliteCache`'s — the
@@ -131,14 +130,13 @@ class VerdictStore(SqliteCache):
         hottest = self._conn.execute(
             "SELECT key, hits FROM verdicts WHERE hits > 0 "
             "ORDER BY hits DESC, key LIMIT 5").fetchall()
-        # Name-faithful fallback renderings (budget burn / size limit in
+        # Name-faithful table fallbacks (twins / size limit in
         # `canonical_key`), top-level or inside a product: a relabeled
-        # copy of the subject renders differently, so these rows are
-        # only ever hit under the very same names.
-        spp_raw, table_raw = self._conn.execute(
-            "SELECT COALESCE(SUM(instr(key, ?) > 0), 0), "
-            "COALESCE(SUM(instr(key, ?) > 0), 0) FROM verdicts",
-            ("'spp-raw'", "'table-raw'")).fetchone()
+        # copy of the table renders differently, so these rows are only
+        # ever hit under the very same names.
+        table_raw = self._conn.execute(
+            "SELECT COALESCE(SUM(instr(key, ?) > 0), 0) FROM verdicts",
+            ("'table-raw'",)).fetchone()[0]
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         return {
             "verdicts": total,
@@ -146,7 +144,7 @@ class VerdictStore(SqliteCache):
             "unsafe": total - safe,
             "hits": hits,
             "never_hit": never,
-            "raw_keys": {"spp-raw": spp_raw, "table-raw": table_raw},
+            "raw_keys": {"table-raw": table_raw},
             "methods": methods,
             "hottest": hottest,
             "schema_version": version,

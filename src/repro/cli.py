@@ -304,9 +304,8 @@ def cmd_verdicts(args: argparse.Namespace) -> int:
         print(f"  methods:  {methods}")
     print(f"  hits:     {stats['hits']} total; "
           f"{stats['never_hit']} verdicts never hit")
-    raw = stats["raw_keys"]
-    print(f"  raw keys: {raw['spp-raw']} spp-raw, {raw['table-raw']} "
-          f"table-raw (name-faithful fallbacks: no hit across a relabeling)")
+    print(f"  raw keys: {stats['raw_keys']['table-raw']} table-raw "
+          f"(name-faithful fallbacks: no hit across a relabeling)")
     if stats["hottest"]:
         print("  hottest:")
         for key, hits in stats["hottest"]:

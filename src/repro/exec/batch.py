@@ -653,7 +653,7 @@ def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
     tabulated for exactly its topology.
     Scenarios sharing the key share one tabulation *and* one relaxation
     call.  ``scan`` is the scenario's :func:`_scan_topology`, if at hand.
-    (``canonical_key`` is total: past its budgets it renders
+    (``canonical_key`` is total: where refinement leaves twins it renders
     name-faithfully, it never raises.)
     """
     from ..campaigns.canonical import canonical_key

@@ -7,10 +7,10 @@ invocations, so pool workers and repeat campaigns skip re-tabulation
 entirely.
 
 Kernels are content-addressed by the ``repr`` of the batch backend's
-process-cache key — the isomorphism-invariant
-:func:`~repro.campaigns.canonical.canonical_key` of the algebra plus the
-scenario's transfer vocabulary and closure depth — so relabeled copies
-of one algebra share a row, exactly mirroring the verdict store.
+process-cache key — the :func:`~repro.campaigns.canonical.canonical_key`
+of the algebra (colour-refined, so relabeled copies of one table algebra
+share a row, as in the verdict store) plus the scenario's transfer
+vocabulary and closure depth.
 Negative results ("this algebra is not batchable over this vocabulary")
 are stored too, as NULL payloads: a declined closure is as expensive to
 re-derive as an accepted one.

@@ -111,6 +111,28 @@ class TestOracleIntegration:
         store.close()
 
 
+class TestSPPKeyTrade:
+    def test_a_relabeled_gadget_is_a_memo_miss_with_the_same_verdict(self):
+        """SPP subjects are keyed by name: a relabeled copy is solved
+        again (its dispute-digraph analysis costs less than a
+        relabeling-invariant key) and, being isomorphic, gets the same
+        verdict."""
+        from repro.algebra import SPPInstance, disagree
+        from repro.campaigns.oracle import cached_verdict
+
+        original = disagree()
+        rename = {"0": "d", "1": "x", "2": "y"}.__getitem__
+        relabeled = SPPInstance.build(
+            "relabeled", rename(original.destination),
+            {rename(node): [tuple(map(rename, path)) for path in paths]
+             for node, paths in original.permitted.items()})
+        safe, method, hit = cached_verdict(original)
+        assert not hit
+        assert cached_verdict(original) == (safe, method, True)
+        assert cached_verdict(relabeled) == (safe, method, False)
+        assert verdict_cache_size() == 2
+
+
 class TestHygiene:
     def test_touch_counts_hits(self, tmp_path):
         store = VerdictStore(str(tmp_path / "v.sqlite"))
@@ -151,62 +173,6 @@ class TestHygiene:
         assert stats["hits"] == 2
         assert stats["never_hit"] == 0
         store.close()
-
-
-def _legacy_spp_key(instance) -> str:
-    """The pre-v3 name-faithful spp rendering (the baseline the
-    isomorphism-invariant keys are measured against)."""
-    rankings = tuple(
-        (node, tuple(instance.permitted[node]))
-        for node in sorted(instance.permitted))
-    edges = tuple(sorted((tuple(sorted(edge)) for edge in instance.edges),
-                         key=repr))
-    return repr(("spp", instance.destination, rankings, edges))
-
-
-class TestIsomorphismHitRate:
-    def test_two_shard_campaign_hits_across_isomorphic_draws(self, tmp_path):
-        """The acceptance bar: canonical keys demonstrably raise the
-        verdict-store hit rate on a fixed-seed two-shard campaign.
-
-        Seed 7's 24-scenario gadget stream draws 17 distinct instances by
-        name but only 14 up to isomorphism, so the canonical store ends
-        smaller than a name-keyed one would and the extra evaluations
-        land as hits.
-        """
-        from repro.campaigns import build_gadget_instance, canonical_key
-
-        path = str(tmp_path / "v.sqlite")
-        seed, count = 7, 24
-        generator = ScenarioGenerator(seed, families=("gadget",),
-                                      profile="quick")
-        specs = generator.generate(count)
-        instances = [build_gadget_instance(s) for s in specs]
-        canonical_distinct = len({repr(canonical_key(i)) for i in instances})
-        legacy_distinct = len({_legacy_spp_key(i) for i in instances})
-        assert canonical_distinct < legacy_distinct  # isomorphs exist
-
-        for shard in (0, 1):
-            # Each shard simulates a separate machine: cold memo, shared
-            # store.
-            clear_verdict_cache()
-            configure_verdict_store(None)
-            runner = CampaignRunner(CampaignConfig(
-                jobs=1, verdict_cache_path=path))
-            report = runner.run_generated(
-                count, seed=seed, families=("gadget",), profile="quick",
-                shard_index=shard, shard_count=2)
-            assert report.scenario_count == count // 2
-        configure_verdict_store(None)
-
-        store = VerdictStore(path)
-        stats = store.stats()
-        store.close()
-        # One stored verdict per isomorphism class — fewer rows than a
-        # name-keyed store — and every repeat evaluation counted as a hit.
-        assert stats["verdicts"] == canonical_distinct
-        assert stats["hits"] == count - canonical_distinct
-        assert stats["hits"] > count - legacy_distinct  # the v3 win
 
 
 def _hammer_store(path: str, prefix: str, rows: int) -> None:

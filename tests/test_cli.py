@@ -326,9 +326,10 @@ class TestVerdictsCommand:
         assert "hottest:" in out
 
     def test_stats_counts_raw_fallback_keys(self, tmp_path, capsys):
-        """Rows keyed by a name-faithful fallback can never be hit across
-        a relabeling: ``--stats`` says how many there are, in both
-        formats, counting a raw rendering nested in a product too."""
+        """Table rows keyed by a name-faithful fallback can never be hit
+        across a relabeling: ``--stats`` says how many there are, in both
+        formats, counting a raw rendering nested in a product too (SPP
+        rows are all name-faithful, so they are not counted)."""
         import json
 
         from repro.campaigns import VerdictStore
@@ -340,10 +341,10 @@ class TestVerdictsCommand:
                   True, "smt")
         store.close()
         assert main(["verdicts", path, "--stats"]) == 0
-        assert "raw keys: 1 spp-raw, 1 table-raw" in capsys.readouterr().out
+        assert "raw keys: 1 table-raw" in capsys.readouterr().out
         assert main(["verdicts", path, "--stats", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["store"]["raw_keys"] == {"spp-raw": 1, "table-raw": 1}
+        assert payload["store"]["raw_keys"] == {"table-raw": 1}
 
     def test_missing_store_is_rejected(self, tmp_path, capsys):
         assert main(["verdicts", str(tmp_path / "absent.sqlite")]) == 1
