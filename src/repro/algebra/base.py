@@ -42,7 +42,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 Signature = Hashable
 Label = Hashable
@@ -334,10 +334,3 @@ def rank_routes(routes: Iterable[tuple], route_key,
         keyed.append((route_key(route), tie_key(path), route))
     keyed.sort(key=_RANK_THEN_TIE)
     return [entry[2] for entry in keyed]
-
-
-def iter_pairs(items: Sequence[Any]) -> Iterator[tuple[Any, Any]]:
-    """All unordered pairs of a sequence (helper for tests)."""
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            yield a, b

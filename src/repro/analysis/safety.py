@@ -114,15 +114,6 @@ class SafetyAnalyzer:
         """Full analysis: strict check, plus mono check when strict fails."""
         return self.pipeline.analyze(self._as_algebra(policy))
 
-    def check_strict(self, policy: RoutingAlgebra | SPPInstance) -> bool:
-        """True iff the policy is strictly monotonic."""
-        return self.analyze(policy).safe
-
-    def check_monotone(self, policy: RoutingAlgebra | SPPInstance) -> bool:
-        """True iff the policy is (at least non-strictly) monotonic."""
-        report = self.analyze(policy)
-        return bool(report.monotonic) or report.safe
-
     def enumerate_cores(
         self, policy: RoutingAlgebra | SPPInstance, limit: int = 16
     ) -> list[list[ConstraintSource]]:

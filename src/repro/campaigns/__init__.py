@@ -10,7 +10,7 @@ hand-written gadgets — and, through the pluggable execution backends of
 * :mod:`repro.campaigns.spec` — declarative :class:`ScenarioSpec` (topology
   family × algebra × event schedule × seed) and the seeded
   :class:`ScenarioGenerator` spanning every topology generator and the
-  full algebra library, with deterministic shard striding;
+  full algebra library;
 * :mod:`repro.campaigns.scenarios` — deterministic spec → scenario
   materialization;
 * :mod:`repro.campaigns.canonical` — canonical keys for verdict
@@ -28,7 +28,7 @@ hand-written gadgets — and, through the pluggable execution backends of
   in-memory aggregator, the incremental JSONL writer and its reader
   (what a resumed campaign replays);
 * :mod:`repro.campaigns.report` — :class:`CampaignReport` with per-family
-  and per-pair counters, reproducer seeds, and shard merging.
+  and per-pair counters and reproducer seeds.
 """
 
 from .canonical import canonical_key

@@ -147,12 +147,6 @@ def configure_verdict_store(path: str | None) -> None:
             _VERDICT_CACHE.update(store.load_all())
 
 
-def flush_store_hits() -> None:
-    """Write accumulated memo-hit counts through to the attached store."""
-    if _STORE is not None:
-        _STORE.flush_hits()
-
-
 def cached_verdict(
         subject: RoutingAlgebra | SPPInstance) -> tuple[bool, str, bool]:
     """``(safe, method, cache_hit)`` for the subject's constraint system."""
@@ -192,10 +186,6 @@ def _lookup_or_solve(key: str, subject: RoutingAlgebra | SPPInstance) -> str:
         if _STORE is not None:
             with _STORE.best_effort():
                 _STORE.put(key, report.safe, report.method)
-    elif _STORE is not None:
-        # Hit statistics are telemetry (`repro verdicts --stats`), tallied
-        # so the warmed-cache fast path stays write-free.
-        _STORE.count_hit(key)
     return tier
 
 
@@ -512,12 +502,9 @@ def evaluate_chunk(specs: list[ScenarioSpec],
         # Each pool process configures its own sink (pid-distinct worker
         # name), so spans are tagged with their owning worker.
         configure_tracing(options.trace_dir)
-    try:
-        prepared = _prepare_chunk(specs, options)
-        # Popped in spec order: each scenario is released as soon as its
-        # evaluation returns, not when the chunk does.
-        prepared.reverse()
-        return [evaluate(spec, options, prepared=prepared.pop())
-                for spec in specs]
-    finally:
-        flush_store_hits()
+    prepared = _prepare_chunk(specs, options)
+    # Popped in spec order: each scenario is released as soon as its
+    # evaluation returns, not when the chunk does.
+    prepared.reverse()
+    return [evaluate(spec, options, prepared=prepared.pop())
+            for spec in specs]

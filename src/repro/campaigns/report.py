@@ -49,7 +49,6 @@ magnitude above observed convergence needs precisely so this stays rare.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .spec import ScenarioSpec
 
@@ -160,16 +159,6 @@ class ScenarioResult:
         return base + ")"
 
 
-def merge_counts(into: dict, extra: dict) -> dict:
-    """Recursively add nested counter dicts (in place; returns ``into``)."""
-    for key, value in extra.items():
-        if isinstance(value, dict):
-            merge_counts(into.setdefault(key, {}), value)
-        else:
-            into[key] = into.get(key, 0) + value
-    return into
-
-
 def result_record(result: ScenarioResult) -> dict:
     """One scenario's JSON-safe record (route tables summarized)."""
     record = {
@@ -238,12 +227,11 @@ class CampaignReport:
     """Aggregate of a campaign run: counters, reproducers, throughput.
 
     Built by :meth:`AggregatingSink.report()
-    <repro.campaigns.sink.AggregatingSink.report>` (and by :meth:`merge`
-    from such reports): the aggregate fields are counted incrementally
-    as results arrive, while ``results`` retains what the sink kept —
-    everything for a small campaign, only the bounded disagreement/error
-    reproducers for a streamed one, so a million-scenario campaign
-    reports in constant memory.
+    <repro.campaigns.sink.AggregatingSink.report>`: the aggregate fields
+    are counted incrementally as results arrive, while ``results``
+    retains what the sink kept — everything for a small campaign, only
+    the bounded disagreement/error reproducers for a streamed one, so a
+    million-scenario campaign reports in constant memory.
     """
 
     #: The aggregates: every counter view below reads these, never
@@ -302,10 +290,6 @@ class CampaignReport:
         reproducers that must be empty for a sound FSR."""
         return [r for r in self.results if r.is_disagreement]
 
-    def false_positives(self) -> list[ScenarioResult]:
-        return [r for r in self.results
-                if r.classification == FALSE_POSITIVE]
-
     def errors(self) -> list[ScenarioResult]:
         return [r for r in self.results if r.classification == ERROR]
 
@@ -328,58 +312,6 @@ class CampaignReport:
         return [r.spec.to_dict()
                 for r in self.results
                 if r.is_disagreement or r.classification == ERROR]
-
-    # -- merging (sharded campaigns) -----------------------------------------
-
-    @classmethod
-    def merge(cls, reports: Iterable["CampaignReport"]) -> "CampaignReport":
-        """Combine shard reports into one campaign-wide report.
-
-        Shards run concurrently on separate machines, so wall clock is the
-        *maximum* (campaign latency), while scenario counts, counters and
-        retained reproducers add up.
-        """
-        reports = list(reports)
-        if not reports:
-            return cls(total_scenarios=0, class_counts={}, family_counts={},
-                       pair_counts={}, cache_hit_count=0, analyzed_count=0)
-        class_counts: dict = {}
-        family_counts: dict = {}
-        pair_counts: dict = {}
-        results: list[ScenarioResult] = []
-        truncated = 0
-        cache_hits = analyzed = total = resumed = 0
-        aborts = []
-        for report in reports:
-            merge_counts(class_counts, report.counters())
-            merge_counts(family_counts, report.by_family())
-            merge_counts(pair_counts, report.pairwise_counters())
-            results.extend(report.results)
-            truncated += report.results_truncated
-            total += report.scenario_count
-            resumed += report.resumed_count
-            cache_hits += report.cache_hit_count
-            analyzed += report.analyzed_count
-            if report.aborted:
-                aborts.append(report.aborted)
-        results.sort(key=lambda r: r.scenario_id)
-        first = reports[0]
-        return cls(
-            results=results,
-            wall_clock_s=max(r.wall_clock_s for r in reports),
-            jobs=max(r.jobs for r in reports),
-            chunk_size=first.chunk_size,
-            aborted="; ".join(aborts) or None,
-            backends=first.backends,
-            total_scenarios=total,
-            class_counts=class_counts,
-            family_counts=family_counts,
-            pair_counts=pair_counts,
-            cache_hit_count=cache_hits,
-            analyzed_count=analyzed,
-            results_truncated=truncated,
-            resumed_count=resumed,
-        )
 
     # -- rendering ------------------------------------------------------------
 

@@ -265,18 +265,16 @@ class CampaignRunner:
                       families: Sequence[str] | None = None,
                       profile: str = "default",
                       deployment: str | None = None,
-                      shard_index: int = 0, shard_count: int = 1,
                       sink: ResultSink | None = None,
                       recorded: dict[int, dict] | None = None
                       ) -> CampaignReport:
-        """Convenience: stream ``count`` generated specs (or this shard's
-        stride of them) through the campaign."""
+        """Convenience: stream ``count`` generated specs through the
+        campaign."""
         generator = ScenarioGenerator(seed, families=families,
                                       profile=profile,
                                       deployment=deployment)
-        stream = generator.iter_specs(count, shard_index=shard_index,
-                                      shard_count=shard_count)
-        return self.run(stream, sink=sink, recorded=recorded)
+        return self.run(generator.iter_specs(count), sink=sink,
+                        recorded=recorded)
 
     # -- the two chunk sources -----------------------------------------------
 
@@ -390,7 +388,6 @@ def run_campaign(count: int, *, seed: int = 0, jobs: int = 1,
                  kernel_cache_path: str | None = None,
                  trace_dir: str | None = None,
                  watch: bool = False,
-                 shard_index: int = 0, shard_count: int = 1,
                  sink: ResultSink | None = None,
                  recorded: dict[int, dict] | None = None) -> CampaignReport:
     """One-call campaign: generate, fan out, aggregate (and stream).
@@ -411,9 +408,7 @@ def run_campaign(count: int, *, seed: int = 0, jobs: int = 1,
         watch=watch))
     return runner.run_generated(count, seed=seed, families=families,
                                 profile=profile, deployment=deployment,
-                                shard_index=shard_index,
-                                shard_count=shard_count, sink=sink,
-                                recorded=recorded)
+                                sink=sink, recorded=recorded)
 
 
 def _chunk_stream(specs: Iterator[ScenarioSpec],

@@ -217,22 +217,9 @@ class ScenarioGenerator:
     def generate(self, count: int) -> list[ScenarioSpec]:
         return [self.make(i) for i in range(count)]
 
-    def iter_specs(self, count: int, *, shard_index: int = 0,
-                   shard_count: int = 1) -> Iterator[ScenarioSpec]:
-        """Lazily yield the stream — or one shard's stride of it.
-
-        Scenario ``i`` is a pure function of ``(seed, i)``, so shard ``k``
-        of ``N`` simply takes indices ``k, k+N, k+2N, ...`` of the *same*
-        deterministic stream: the shards partition exactly the scenarios an
-        unsharded run would evaluate, and every shard sees every family
-        (the generator round-robins by index).
-        """
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        if not 0 <= shard_index < shard_count:
-            raise ValueError(f"shard_index must be in [0, {shard_count})"
-                             f", got {shard_index}")
-        for i in range(shard_index, count, shard_count):
+    def iter_specs(self, count: int) -> Iterator[ScenarioSpec]:
+        """Lazily yield the first ``count`` specs of the stream."""
+        for i in range(count):
             yield self.make(i)
 
     def make(self, index: int) -> ScenarioSpec:

@@ -17,12 +17,10 @@ Python:
   protocol, ``--families hlp,multipath`` selects the workload families,
   ``--stream-out`` records every scenario as JSONL in constant memory,
   ``--resume`` finishes an interrupted or crashed run of the same command
-  from that file instead of starting over,
-  ``--shard-index`` / ``--shard-count`` stride the deterministic spec
-  stream across machines, ``--verdict-cache`` persists SMT verdicts
-  across invocations);
+  from that file instead of starting over, ``--verdict-cache`` persists
+  SMT verdicts across invocations);
 * ``verdicts <path> [--stats]`` — inspect a persistent verdict cache's
-  row and hit statistics;
+  row statistics;
 * ``trace show <scenario-id> [--trace-dir DIR]`` — render the merged
   span tree a traced campaign (``campaign --trace-dir``) recorded for one
   scenario: spec materialization, every backend run, analysis tiers,
@@ -215,8 +213,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             kernel_cache_path=args.kernel_cache,
             trace_dir=args.trace_dir,
             watch=args.watch,
-            shard_index=args.shard_index,
-            shard_count=args.shard_count,
             sink=sink,
             recorded=recorded,
         )
@@ -302,15 +298,8 @@ def cmd_verdicts(args: argparse.Namespace) -> int:
                        for method, count in sorted(stats["methods"].items()))
     if methods:
         print(f"  methods:  {methods}")
-    print(f"  hits:     {stats['hits']} total; "
-          f"{stats['never_hit']} verdicts never hit")
     print(f"  raw keys: {stats['raw_keys']['table-raw']} table-raw "
           f"(name-faithful fallbacks: no hit across a relabeling)")
-    if stats["hottest"]:
-        print("  hottest:")
-        for key, hits in stats["hottest"]:
-            rendered = key if len(key) <= 64 else key[:61] + "..."
-            print(f"    {hits:>6}  {rendered}")
     return 0
 
 
@@ -415,10 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--watch", action="store_true",
                    help="render a live metrics dashboard to stderr "
                         "while the campaign runs")
-    p.add_argument("--shard-index", type=int, default=0,
-                   help="this shard's index into the spec stream")
-    p.add_argument("--shard-count", type=int, default=1,
-                   help="total shards striding the spec stream")
     p.set_defaults(fn=cmd_campaign)
 
     p = sub.add_parser(
@@ -437,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="sqlite verdict cache written by "
                                 "campaign --verdict-cache")
     p.add_argument("--stats", action="store_true",
-                   help="print row/hit statistics (the default action)")
+                   help="print row statistics (the default action)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text (default) or the repro-obs/1 envelope: "
                         "registry snapshot plus store statistics")

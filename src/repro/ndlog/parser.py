@@ -30,7 +30,6 @@ is a variable, and to an equality condition otherwise.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from ..algebra.base import PHI
 from .ast import (
@@ -281,8 +280,3 @@ def _is_var(token: str) -> bool:
 
 def _is_ident(token: str) -> bool:
     return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token))
-
-
-def parse_rules(source: str) -> Iterator[Rule]:
-    """Convenience: parse a source with rules only."""
-    return iter(parse_program(source).rules)

@@ -37,7 +37,6 @@ class StopReason:
     QUIESCENT = "quiescent"
     TIME_LIMIT = "time-limit"
     EVENT_LIMIT = "event-limit"
-    STOPPED = "stopped"
 
 
 def _dropped(src: str, payload: Any) -> None:
@@ -67,7 +66,6 @@ class Simulator:
         #: Per direction: [earliest free time (FIFO serialization), latest
         #: scheduled arrival (FIFO delivery)].
         self._lanes: dict[tuple[str, str], list[float]] = {}
-        self._stopped = False
 
     # -- wiring --------------------------------------------------------------
 
@@ -94,10 +92,6 @@ class Simulator:
     def at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute time ``when`` (>= now)."""
         self.schedule(max(0.0, when - self.now), action)
-
-    def stop(self) -> None:
-        """Abort the run at the end of the current event."""
-        self._stopped = True
 
     # -- transport ----------------------------------------------------------------
 
@@ -158,14 +152,11 @@ class Simulator:
             max_events: int | None = None) -> str:
         """Drain the event queue; returns a :class:`StopReason` constant."""
         processed = 0
-        self._stopped = False
         queue = self._queue
         heappop = heapq.heappop
         horizon = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
         while queue:
-            if self._stopped:
-                return StopReason.STOPPED
             when = queue[0][0]
             if when > horizon:
                 self.now = until

@@ -21,7 +21,6 @@ from .metrics import (
     get_registry,
     histogram,
     merge_snapshots,
-    metrics_enabled,
     set_metrics_enabled,
     snapshot,
     snapshot_family,
@@ -44,7 +43,6 @@ from .trace import (
     render_span_tree,
     scenario_trace_id,
     spans_for_scenario,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "histogram",
     "load_schema",
     "merge_snapshots",
-    "metrics_enabled",
     "obs_payload",
     "read_spans",
     "render_dashboard",
@@ -74,7 +71,6 @@ __all__ = [
     "snapshot_family",
     "snapshot_value",
     "spans_for_scenario",
-    "tracing_enabled",
     "validate",
     "validate_metrics_snapshot",
     "validate_span",

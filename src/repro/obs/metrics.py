@@ -30,7 +30,6 @@ labels for bounded vocabularies only (never scenario ids).
 from __future__ import annotations
 
 import threading
-from typing import Iterator
 
 #: Version tag stamped into every snapshot (the wire format contract).
 SNAPSHOT_FORMAT = "repro-metrics/1"
@@ -139,10 +138,6 @@ class MetricsRegistry:
 
     # -- configuration --------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
     def set_enabled(self, flag: bool) -> None:
         self._enabled = bool(flag)
 
@@ -190,9 +185,6 @@ class MetricsRegistry:
         if metric is None or isinstance(metric, Histogram):
             return 0.0
         return metric.value
-
-    def __iter__(self) -> Iterator[_Metric]:
-        return iter(list(self._metrics.values()))
 
     # -- resets ---------------------------------------------------------------
 
@@ -318,7 +310,3 @@ def snapshot() -> dict:
 
 def set_metrics_enabled(flag: bool) -> None:
     _REGISTRY.set_enabled(flag)
-
-
-def metrics_enabled() -> bool:
-    return _REGISTRY.enabled

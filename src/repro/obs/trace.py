@@ -166,10 +166,6 @@ class Tracer:
     def enabled(self) -> bool:
         return self._path is not None and self._pid == os.getpid()
 
-    @property
-    def directory(self) -> str | None:
-        return self._dir
-
     # -- span API -------------------------------------------------------------
 
     @contextmanager
@@ -244,10 +240,6 @@ TRACER = Tracer()
 def configure_tracing(directory: str | None, *, worker: str | None = None,
                       max_bytes: int = DEFAULT_MAX_BYTES) -> None:
     TRACER.configure(directory, worker=worker, max_bytes=max_bytes)
-
-
-def tracing_enabled() -> bool:
-    return TRACER.enabled
 
 
 # -- reading traces back ------------------------------------------------------

@@ -18,8 +18,8 @@ the schema's — is emptied on open, not migrated, and a file grown past
 encounter.
 
 Racing writers are expected: WAL keeps readers off the writers' locks
-and the stores' writes are idempotent (``INSERT OR IGNORE``, additive
-hit counts), so two workers that computed the same row are harmless.
+and the stores' writes are idempotent (``INSERT OR IGNORE``), so two
+workers that computed the same row are harmless.
 """
 
 from __future__ import annotations

@@ -62,10 +62,6 @@ class TestGaoRexford:
         assert report.safe
         assert report.method == "composition"
 
-    def test_check_monotone_api(self, analyzer):
-        assert analyzer.check_monotone(gao_rexford_a())
-        assert analyzer.check_monotone(gao_rexford_with_hopcount())
-
 
 class TestCompositionRule:
     def test_strict_first_component_short_circuits(self, analyzer):

@@ -1,11 +1,10 @@
 """CampaignRunner: serial/parallel equivalence, chunking, budgets,
-sharding, multi-backend differential runs."""
+multi-backend differential runs."""
 
 import pytest
 
 from repro.campaigns import (
     CampaignConfig,
-    CampaignReport,
     CampaignRunner,
     HARD_DIVERGENCES,
     ScenarioGenerator,
@@ -166,54 +165,6 @@ class TestStreaming:
         # Only reproducers survive; this fixed seed has none.
         assert lean.results == []
         assert "outcome counters" in lean.summary()
-
-
-class TestSharding:
-    def test_shards_partition_the_stream(self):
-        generator = ScenarioGenerator(3, profile="quick")
-        whole = {s.scenario_id for s in generator.iter_specs(20)}
-        parts = [
-            {s.scenario_id
-             for s in generator.iter_specs(20, shard_index=k, shard_count=3)}
-            for k in range(3)
-        ]
-        assert set.union(*parts) == whole
-        assert sum(len(p) for p in parts) == len(whole)
-
-    def test_bad_shard_arguments_are_rejected(self):
-        generator = ScenarioGenerator(0)
-        with pytest.raises(ValueError):
-            list(generator.iter_specs(4, shard_index=2, shard_count=2))
-        with pytest.raises(ValueError):
-            list(generator.iter_specs(4, shard_index=0, shard_count=0))
-
-    def test_merged_shards_equal_the_unsharded_campaign(self):
-        sharded = [
-            run_campaign(18, seed=5, jobs=1, profile="quick",
-                         shard_index=k, shard_count=3)
-            for k in range(3)
-        ]
-        merged = CampaignReport.merge(sharded)
-        whole = run_campaign(18, seed=5, jobs=1, profile="quick")
-        assert merged.scenario_count == whole.scenario_count == 18
-        assert merged.counters() == whole.counters()
-        assert merged.by_family() == whole.by_family()
-        assert merged.pairwise_counters() == whole.pairwise_counters()
-
-    def test_merge_keeps_reproducers_and_abort_reasons(self):
-        a = run_campaign(4, seed=1, jobs=1, profile="quick",
-                         wall_clock_budget_s=0.0)
-        b = run_campaign(4, seed=1, jobs=1, profile="quick")
-        merged = CampaignReport.merge([a, b])
-        assert merged.aborted == "wall-clock budget exhausted"
-        assert merged.wall_clock_s == max(a.wall_clock_s, b.wall_clock_s)
-        ids = [r.scenario_id for r in merged.results]
-        assert ids == sorted(ids)
-
-    def test_merge_of_nothing_is_empty(self):
-        merged = CampaignReport.merge([])
-        assert merged.scenario_count == 0
-        assert merged.counters()["safe-converged"] == 0
 
 
 class TestMultiBackend:

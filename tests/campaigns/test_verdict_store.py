@@ -97,6 +97,23 @@ class TestOracleIntegration:
             jobs=2, chunk_size=2, verdict_cache_path=path)).run(specs)
         assert rerun.cache_hit_rate == 1.0
 
+    def test_a_memo_hit_writes_nothing(self, tmp_path):
+        """Reuse is not recorded: after the one write-through, hits leave
+        the file byte-identical."""
+        from repro.algebra import good_gadget
+        from repro.campaigns.oracle import cached_verdict
+
+        path = tmp_path / "v.sqlite"
+        configure_verdict_store(str(path))
+        assert not cached_verdict(good_gadget())[2]
+        configure_verdict_store(None)
+        written = path.read_bytes()
+        configure_verdict_store(str(path))
+        assert cached_verdict(good_gadget())[2]
+        assert cached_verdict(good_gadget())[2]
+        configure_verdict_store(None)
+        assert path.read_bytes() == written
+
     def test_options_carry_store_path_to_evaluate_chunk(self, tmp_path):
         from repro.campaigns import evaluate_chunk
 
@@ -133,60 +150,16 @@ class TestSPPKeyTrade:
         assert verdict_cache_size() == 2
 
 
-class TestHygiene:
-    def test_touch_counts_hits(self, tmp_path):
-        store = VerdictStore(str(tmp_path / "v.sqlite"))
-        store.put("k1", True, "smt")
-        store.put("k2", False, "smt")
-        store.count_hit("k1")
-        store.count_hit("k1")
-        assert store.stats()["hits"] == 0  # tallied, not yet written
-        store.flush_hits()
-        stats = store.stats()
-        assert stats["verdicts"] == 2
-        assert stats["hits"] == 2
-        assert stats["never_hit"] == 1
-        assert stats["hottest"] == [("k1", 2)]
-        store.close()
-
-    def test_oracle_hits_touch_the_store(self, tmp_path):
-        from repro.campaigns.oracle import (
-            cached_verdict,
-            clear_verdict_cache,
-            configure_verdict_store,
-        )
-        from repro.algebra import good_gadget
-
-        path = str(tmp_path / "v.sqlite")
-        try:
-            clear_verdict_cache()
-            configure_verdict_store(path)
-            cached_verdict(good_gadget())   # solve + write-through
-            cached_verdict(good_gadget())   # memo hit -> touch
-            cached_verdict(good_gadget())
-        finally:
-            configure_verdict_store(None)
-            clear_verdict_cache()
-        store = VerdictStore(path)
-        stats = store.stats()
-        assert stats["verdicts"] == 1
-        assert stats["hits"] == 2
-        assert stats["never_hit"] == 0
-        store.close()
-
-
 def _hammer_store(path: str, prefix: str, rows: int) -> None:
     """Child-process body: open the store and write through, hard."""
     store = VerdictStore(path)
     try:
         for i in range(rows):
             store.put(f"{prefix}-{i}", i % 2 == 0, "smt")
-        store.touch_many({f"{prefix}-{i}": 3 for i in range(rows)})
         # Contend on the *same* keys too: racing duplicates must be
-        # ignored, racing hit counts must add.
+        # ignored.
         for i in range(rows):
             store.put(f"shared-{i}", True, "smt")
-        store.touch_many({f"shared-{i}": 1 for i in range(rows)})
     finally:
         store.close()
 
@@ -216,9 +189,8 @@ class TestMultiWriterHardening:
         store = VerdictStore(path)
         stats = store.stats()
         # Every private row landed; shared rows deduplicated by INSERT OR
-        # IGNORE; hit counts added across writers.
+        # IGNORE.
         assert stats["verdicts"] == workers * rows + rows
-        assert stats["hits"] == workers * rows * 3 + workers * rows
         for i in range(rows):
             assert store.get(f"shared-{i}") == (True, "smt")
         store.close()

@@ -100,13 +100,6 @@ class TestRunTermination:
         sim.schedule(0.1, reschedule)
         assert sim.run(max_events=10) == StopReason.EVENT_LIMIT
 
-    def test_stop(self, pair):
-        sim = Simulator(pair)
-        sim.schedule(0.1, sim.stop)
-        sim.schedule(0.2, lambda: None)
-        assert sim.run() == StopReason.STOPPED
-        assert sim.pending_events == 1
-
 
 class TestTransport:
     def test_delivery_with_latency(self, pair):

@@ -5,7 +5,7 @@ set-up, the bounded-retry write and how a store is used — one way to
 open (``open_store``), one way to fail (``best_effort``), one eviction
 rule (``MAX_ROWS``); every behaviour that base owns — the one rule for
 a file in an unknown format included — is pinned here once, over both
-stores.  What is a store's own (``touch_many``, the oracle/batch
+stores.  What is a store's own (its rows, the oracle/batch
 integration) is tested next to it in
 ``tests/campaigns/test_verdict_store.py`` and
 ``tests/exec/test_kernel_store.py``.
