@@ -350,9 +350,13 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
     number is recorded, un-gated).  Kernel cache tier counters,
     per-phase wall time (scan/tabulate/relax/render) and
     rounds-to-fixpoint histograms for both passes land in
-    ``BENCH_batch.json``; ``runtime_declines`` must stay zero — no
-    group of the gated families, the wide-weight admissions included,
-    touches a hole, ties a hazard or runs out of rounds.
+    ``BENCH_batch.json``; ``runtime_declines`` (kernel groups) must stay
+    zero — no group of the gated families, the wide-weight admissions
+    included, touches a hole, ties a hazard or runs out of rounds.  Each
+    phase section's ``hazard_declines`` is read from
+    ``repro_batch_admission_total{outcome="declined",reason="hazard-tie"}``,
+    which counts *scenarios* (every member of a declined group), not
+    groups.
     """
     from repro.campaigns import materialize
     from repro.exec import get_backend, route_mismatches, schedule_events
@@ -436,6 +440,7 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
             seconds[family_key] = _time.perf_counter() - started
         return outcomes, seconds
 
+    phase_setup = obs_metrics.snapshot()
     outcomes, batch_s = benchmark.pedantic(batched_run, rounds=1,
                                            iterations=1)
     cold_stats = kernel_stats()
@@ -509,7 +514,14 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
         for key in supported
     }
 
-    def phase_summary(snap):
+    def hazard_declines(snap) -> int:
+        return int(sum(
+            entry["value"] for entry in obs_metrics.snapshot_family(
+                snap, "repro_batch_admission_total")
+            if entry["labels"].get("outcome") == "declined"
+            and entry["labels"].get("reason") == "hazard-tie"))
+
+    def phase_summary(snap, since):
         def phase(name):
             return obs_metrics.snapshot_value(
                 snap, "repro_batch_phase_seconds_total", phase=name)
@@ -531,11 +543,11 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
             "mean_rounds": (sum(k * v for k, v in rounds.items()) / groups
                             if groups else 0.0),
             "state_cells": events.get("state_cells", 0),
-            "hazard_declines": events.get("hazard_declines", 0),
+            "hazard_declines": hazard_declines(snap) - hazard_declines(since),
         }
 
-    cold_summary = phase_summary(phase_cold)
-    warm_summary = phase_summary(phase_warm)
+    cold_summary = phase_summary(phase_cold, phase_setup)
+    warm_summary = phase_summary(phase_warm, phase_cold)
     amortized = [key for key in supported if key != "tau-sweep/hlp-tau"]
     gated_n = sum(family_counts[key] for key in amortized)
     gated_scalar_s = sum(scalar_s[key] for key in amortized)

@@ -30,17 +30,12 @@ interleaving, or advertisement batching.  So instead of simulating, it:
    materialization;
 3. **relaxes all scenarios at once** in struct-of-arrays form: one flat
    ``int32`` state vector over every (scenario, destination, node)
-   triple of a same-kernel group, one flat directed-edge list, and
-   synchronous whole-edge-list numpy sweeps until fixpoint — the one
-   relaxation engine (:func:`_relax_group`).  *Isotone* kernels (rank
-   tables monotone in preference space) use accumulating
-   ``np.minimum.at`` sweeps — holes rank worse than φ, so a
-   depth-truncated value can never win the min and the fixpoint provably
-   equals the scalar engines' stable state.  *Monotone-only* kernels
-   (strictly monotonic but genuinely non-isotone, e.g. the Gao-Rexford ×
-   hopcount products) run an honest synchronous Jacobi iteration — one
-   fair activation schedule of the protocol the safety theorem proves
-   convergent.  When a transient reads a hole entry, a hazard-mode tie
+   triple of a same-kernel group, one flat directed-edge list, and one
+   synchronous Jacobi iteration over the whole edge list until fixpoint
+   (:func:`_relax_jacobi`) — one fair activation schedule of the
+   protocol the safety theorem proves convergent, so it reaches the
+   scalar engines' unique stable state whether or not the algebra is
+   isotone.  When a transient reads a hole entry, a hazard kernel's tie
    check fires, or the iteration fails to settle, the group **declines
    at run time** (:class:`BatchDeclined`).
 
@@ -111,8 +106,8 @@ _KERNEL_CACHE_MAX = 256
 #: Environment variable naming the persistent kernel store (sqlite).
 KERNEL_CACHE_ENV = "REPRO_BATCH_KERNEL_CACHE"
 
-#: Round budget multiplier for the monotone-mode Jacobi iteration.
-_MONOTONE_ROUND_SLACK = 4
+#: Round budget multiplier for the Jacobi iteration.
+_JACOBI_ROUND_SLACK = 4
 
 #: Kernel amortization counters: registry series
 #: ``repro_batch_kernel_events_total{event}`` — process-cache and store
@@ -141,8 +136,7 @@ def _count_admission(scenario: "Scenario", outcome: str,
 #: Per-phase telemetry (snapshot via :func:`batch_phase_stats`): wall
 #: time of admission's topology scan + problem compilation (``scan``)
 #: and kernel lookup, any tier (``tabulate``), of the relaxation proper
-#: and of outcome rendering; Σ state-vector length over all groups and
-#: Jacobi tie-hazard bails (a subset of the run-time declines).
+#: and of outcome rendering; Σ state-vector length over all groups.
 _PHASE_SECONDS = {
     phase: _obs_metrics.counter("repro_batch_phase_seconds_total",
                                 phase=phase)
@@ -151,7 +145,7 @@ _PHASE_SECONDS = {
 _PHASE_EVENTS = {
     name: _obs_metrics.counter("repro_batch_relax_events_total",
                                event=name)
-    for name in ("state_cells", "hazard_declines")
+    for name in ("state_cells",)
 }
 
 #: rounds-to-fixpoint histogram family; labeled per observed round count,
@@ -194,10 +188,10 @@ _STORE_PATH: str | None = None
 class BatchDeclined(RuntimeError):
     """An admitted kernel group must fall back to scalar at run time.
 
-    Raised only by *monotone-mode* kernels, whose Jacobi iteration is
-    sound exactly while every transient stays inside the tabulated
-    closure: a beyond-horizon hole read (``horizon``), no settling
-    within the round budget (``round-budget``) or a competing hazard tie
+    Raised by the Jacobi iteration, which is sound exactly while every
+    transient stays inside the tabulated closure: a beyond-horizon hole
+    read (``horizon``), no settling within the round budget
+    (``round-budget``) or a competing tie on a hazard kernel
     (``hazard-tie``) aborts the batch answer rather than risk a wrong
     one — the message is that reason.  Never an execution error:
     ``run()`` yields ``None`` for the group's members and the oracle
@@ -258,8 +252,8 @@ def _closure_depth(scenario: "Scenario") -> int:
 
     Every stable-state value and every simple-path value on an n-node
     topology uses at most ``n − 1`` transfers, so the depth-``n − 1``
-    closure holds all of them; a monotone-mode transient past it reads a
-    hole and its group declines (``horizon``).  A pure function of the
+    closure holds all of them; a Jacobi transient past it reads a hole
+    and its group declines (``horizon``).  A pure function of the
     scenario, and part of its :func:`kernel_key_of`.
     """
     return max(scenario.network.node_count() - 1, 1)
@@ -282,28 +276,26 @@ class _Kernel:
     ``pref_class[i]`` is the *preference class* of id ``i``: adjacent
     rank-sorted signatures that compare EQUAL share a class, φ is the
     strictly-worst real class, and the hole sentinel sits above even
-    that (so it can never win a min).  ``mode`` records which relaxation
-    the gate licensed: ``"isotone"`` (accumulating min, exact) or
-    ``"monotone"`` (synchronous Jacobi with run-time hole bail-out).
+    that (so it can never win a min).
 
-    ``hazard`` marks monotone kernels admitted past the tie-respect
-    gate: their Jacobi rounds additionally verify (via ``tie_class``,
-    the bisimulation refinement of ``pref_class`` under ``trans``) that
-    no preference tie between behaviorally distinct signatures ever
-    competes for one node — the condition under which the batch answer
-    could diverge from the scalar engines' arrival-order tie-break.
-    ``depth`` is the closure horizon the tables were tabulated to.  A
-    kernel is never changed after it is built: every cache tier holds a
-    plain value.
+    ``tie_class`` is ``None`` when the tables respect ties
+    (:func:`_tie_hazard`); otherwise the kernel is a *hazard* kernel and
+    ``tie_class`` is the bisimulation refinement of ``pref_class`` under
+    ``trans``, with which its Jacobi rounds verify that no preference tie
+    between behaviorally distinct signatures ever competes for one node —
+    the condition under which the batch answer could diverge from the
+    scalar engines' arrival-order tie-break.  ``depth`` is the closure
+    horizon the tables were tabulated to.  A kernel is never changed
+    after it is built: every cache tier holds a plain value.
     """
 
     __slots__ = ("sigs", "phi_id", "hole_id", "key_id", "trans",
-                 "origin_id", "pref_class", "mode", "hole_count",
-                 "tie_class", "hazard", "depth")
+                 "origin_id", "pref_class", "hole_count", "tie_class",
+                 "depth")
 
     def __init__(self, sigs: list, key_id: dict, trans, origin_id: dict,
-                 pref_class, mode: str, hole_count: int, *, depth: int,
-                 tie_class=None, hazard: bool = False):
+                 pref_class, hole_count: int, *, depth: int,
+                 tie_class=None):
         self.sigs = sigs
         self.phi_id = len(sigs)
         self.hole_id = len(sigs) + 1
@@ -311,10 +303,8 @@ class _Kernel:
         self.trans = trans
         self.origin_id = origin_id
         self.pref_class = pref_class
-        self.mode = mode
         self.hole_count = hole_count
         self.tie_class = tie_class
-        self.hazard = hazard
         self.depth = depth
 
 
@@ -344,8 +334,8 @@ def _tie_classes(trans, pref_class):
     partition that ``trans`` cannot distinguish.  A preference tie
     between distinct tie classes is exactly the situation where the
     scalar engines' arrival-order tie-break could pick a signature whose
-    *future* extensions differ from the batch fixpoint's pick; the
-    hazard-mode Jacobi checks for it at run time.  φ and the hole keep
+    *future* extensions differ from the batch fixpoint's pick; a hazard
+    kernel's Jacobi rounds check for it at run time.  φ and the hole keep
     their own classes throughout.  Ids are deterministic (first-seen
     order over the rank-sorted ids).
     """
@@ -364,78 +354,42 @@ def _tie_classes(trans, pref_class):
         distinct = refined_distinct
 
 
-def _classify_kernel(trans, pref_class, phi_id: int, hole_id: int
-                     ) -> tuple[str, bool, "object | None"]:
-    """Which relaxation the rank tables license: the hole-aware gate.
+def _tie_hazard(trans, pref_class, phi_id: int):
+    """The kernel's ``tie_class``, or ``None`` when its tables respect ties.
 
-    Returns ``(mode, hazard, tie_class)``:
+    A row *respects ties* when, within each input preference class, its
+    outputs are preference-EQUAL and holes don't mix with non-holes.
+    Strict monotonicity + tie-respect make the stable state unique up to
+    preference-equality, and then :func:`_tie_classes` is the preference
+    partition itself, so the Jacobi iteration needs no tie check —
+    provided no transient reads a hole, enforced at run time.  Hop-count
+    and shortest-path tables respect ties, and so do the non-isotone
+    lexical products (``gr-a-hopcount``, ``widest-shortest``).
 
-    ``("isotone", False, None)`` — every row, restricted to its non-hole
-    entries, is non-decreasing in *preference class* and
-    preference-constant within each input tie class (i.e. the true
-    algebra is isotone on the whole tabulated closure, ties included,
-    with genuine φ as the worst class).  Then accumulating
-    min-relaxation is exact: every stable or simple-path value on the
-    scenario's n-node topology uses ≤ n − 1 transfers and so lives
-    inside the depth-(n − 1) closure (:func:`_closure_depth`), holes
-    only ever appear on loopy transients and rank below φ, and the
-    classical de-looping argument needs isotonicity only at in-table
-    points.
-
-    ``("monotone", False, None)`` — not isotone, but every row *respects
-    ties*: within each input tie class the non-hole outputs are
-    preference-EQUAL and holes don't mix with non-holes.  Strict
-    monotonicity + tie-respect make the stable state unique up to
-    preference-equality, which licenses the Jacobi iteration
-    unconditionally — provided no transient reads a hole, enforced at
-    run time.
-
-    ``("monotone", True, tie_class)`` — strictly monotonic but *not*
-    statically tie-respecting (deployed filter-mode secure wrappers land
-    here: the deployment bit gives two importer columns whose outputs
-    diverge within one preference class).  The Jacobi iteration is still
-    a fair activation schedule of the protocol; divergence from the
-    scalar engines requires a preference tie between behaviorally
-    distinct signatures to actually compete at some node, which the
-    hazard-mode rounds detect via ``tie_class`` and decline on.  This
-    admission is guarded empirically (hazard check + the campaign
-    differential), not by a static proof.
+    A strictly monotonic kernel that does *not* respect ties (deployed
+    filter-mode secure wrappers land here: the deployment bit gives two
+    importer columns whose outputs diverge within one preference class)
+    gets its ``tie_class``.  The Jacobi iteration is still a fair
+    activation schedule of the protocol; divergence from the scalar
+    engines requires a preference tie between behaviorally distinct
+    signatures to actually compete at some node, which its rounds detect
+    via ``tie_class`` and decline on.  This admission is guarded
+    empirically (the tie check + the campaign differential), not by a
+    static proof.
     """
-    n = phi_id  # number of real signature ids
-    in_cls = pref_class[:n]
-    isotone = True
-    for row in trans[:, :n]:
-        mask = row != hole_id
-        oc = pref_class[row[mask]]
-        ic = in_cls[mask]
-        if oc.size > 1:
-            # Non-hole entries stay contiguous per tie class (ids are
-            # rank-sorted), so adjacent masked pairs cover every in-table
-            # comparison the exactness proof performs — holes constrain
-            # nothing, they only ever appear on loopy transients.
-            d_oc = _np.diff(oc)
-            if _np.any(d_oc < 0) \
-                    or _np.any((_np.diff(ic) == 0) & (d_oc != 0)):
-                isotone = False
-                break
-    if isotone:
-        return "isotone", False, None
-    # Static tie-respect: per row, per input tie class — no
-    # hole/non-hole mix, and all non-hole outputs in one preference
-    # class.  Kernels passing it keep the unguarded Jacobi.
-    # Vectorized as one segmented min/max per row: the hole sentinel has
-    # its own preference class, so "segment collapses to one class"
-    # simultaneously rejects multi-class outputs and hole/non-hole mixes
-    # while accepting pure all-hole segments — exactly the old
-    # per-segment scan, without its thousands of tiny ``np.unique``s.
+    in_cls = pref_class[:phi_id]
+    # One segmented min/max per row: the hole sentinel has its own
+    # preference class, so "segment collapses to one class" rejects
+    # multi-class outputs and hole/non-hole mixes at once while accepting
+    # pure all-hole segments.
     seg_starts = _np.concatenate(
         ([0], _np.flatnonzero(_np.diff(in_cls)) + 1))
-    out_cls = pref_class[trans[:, :n]]
+    out_cls = pref_class[trans[:, :phi_id]]
     lo = _np.minimum.reduceat(out_cls, seg_starts, axis=1)
     hi = _np.maximum.reduceat(out_cls, seg_starts, axis=1)
     if bool((lo == hi).all()):
-        return "monotone", False, None
-    return "monotone", True, _tie_classes(trans, pref_class)
+        return None
+    return _tie_classes(trans, pref_class)
 
 
 class _Unbatchable(Exception):
@@ -488,7 +442,7 @@ def _finish_kernel(algebra: RoutingAlgebra, transfer, ordered_keys: list,
                    origin: dict, ranks: dict, ext: dict,
                    depth: int) -> _Kernel:
     """Rank-sort a closure (its members' rank keys in ``ranks``) and
-    fill/classify the tables."""
+    fill the tables."""
     sigs = rank_sort(sorted(ranks, key=repr), ranks.__getitem__)
     sig_id = {sig: i for i, sig in enumerate(sigs)}
     phi_id = len(sigs)
@@ -528,19 +482,12 @@ def _finish_kernel(algebra: RoutingAlgebra, transfer, ordered_keys: list,
                 raise _Unbatchable("rank-tie")
             trans[ki, si] = ti
     pref_class = _pref_classes(sigs, ranks)
-    # The hole-aware gate: which relaxation the tables license.  Strict
-    # inflation alone does not make min-relaxation exact (BGP-like
-    # algebras are famously non-isotone); isotone tables get the
-    # accumulating min, tie-respecting tables the unguarded Jacobi, and
-    # everything else the hazard-guarded Jacobi.
-    mode, hazard, tie_class = _classify_kernel(
-        trans, pref_class, phi_id, hole_id)
     origin_id = {
         label: (phi_id if sig is PHI else sig_id[sig])
         for label, sig in origin.items()
     }
-    return _Kernel(sigs, key_id, trans, origin_id, pref_class, mode,
-                   hole_count, tie_class=tie_class, hazard=hazard,
+    return _Kernel(sigs, key_id, trans, origin_id, pref_class, hole_count,
+                   tie_class=_tie_hazard(trans, pref_class, phi_id),
                    depth=depth)
 
 
@@ -615,16 +562,16 @@ def _encode_kernel(kernel: "_Kernel | str") -> bytes | None:
         "trans": kernel.trans.tobytes(),
         "shape": kernel.trans.shape,
         "pref_class": kernel.pref_class.tobytes(),
-        "mode": kernel.mode,
         "hole_count": kernel.hole_count,
         "tie_class": (None if kernel.tie_class is None
                       else kernel.tie_class.tobytes()),
-        "hazard": kernel.hazard,
         "depth": kernel.depth,
     }, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _decode_kernel(payload: bytes | None) -> "_Kernel | str":
+    """Store payload -> kernel; reads only the keys it needs, so a row
+    with keys a former layout wrote (``mode``, ``hazard``) decodes too."""
     if payload is None:
         return "stored-negative"
     body = pickle.loads(payload)
@@ -636,8 +583,7 @@ def _decode_kernel(payload: bytes | None) -> "_Kernel | str":
     tie_class = (None if raw_tie is None
                  else _np.frombuffer(raw_tie, dtype=_np.int32).copy())
     return _Kernel(body["sigs"], key_id, trans, body["origin_id"],
-                   pref_class, body["mode"], body["hole_count"],
-                   tie_class=tie_class, hazard=body["hazard"],
+                   pref_class, body["hole_count"], tie_class=tie_class,
                    depth=body["depth"])
 
 
@@ -690,7 +636,7 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
                     kernel = _decode_kernel(payload)
                     _KERNEL_EVENTS["store_hits"].inc()
                 except (pickle.UnpicklingError, KeyError, ValueError,
-                        EOFError):  # stale/corrupt row: rebuild
+                        EOFError):  # stale/corrupt row: rebuild, replace
                     pass
             if kernel is None:
                 _KERNEL_EVENTS["store_misses"].inc()
@@ -705,7 +651,7 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
             _TABULATION_SECONDS.inc(time.perf_counter() - started)
             if store is not None:
                 with store.best_effort():
-                    store.put(repr(key), _encode_kernel(kernel))
+                    store.put(repr(key), _encode_kernel(kernel), replace=found)
         _KERNEL_CACHE[key] = kernel
     if isinstance(kernel, str):
         raise _Unbatchable(kernel)
@@ -1041,26 +987,6 @@ def _scatter_state(blocks: list, state, src, dst, lab, kernel) -> None:
         problem.parents[di] = _np.where(block < 0, block, block - off)
 
 
-def _relax_isotone(kernel: "_Kernel", seeds, src, dst, lab):
-    """Accumulating min-relaxation over the whole edge list (exact).
-
-    Ranks only ever improve and each ⊕ strictly increases the rank, so
-    the accumulating sweeps reach the unique fixpoint in at most |Σ|
-    rounds; the +2 cap is a pure safety net.  Hole entries rank above φ,
-    so ``minimum.at`` silently discards them.
-    """
-    state = seeds.copy()
-    trans = kernel.trans
-    for round_ in range(kernel.phi_id + 2):
-        before = state.copy()
-        _np.minimum.at(state, dst, trans[lab, state[src]])
-        if _np.array_equal(before, state):
-            _note_rounds(round_ + 1)
-            return state
-    raise RuntimeError(  # pragma: no cover - verified-kernel invariant
-        "batch relaxation failed to reach fixpoint")
-
-
 def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
     """Synchronous Jacobi iteration over the whole edge list.
 
@@ -1069,11 +995,11 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
     that reads a hole entry has no answer in the tables and raises
     :class:`BatchDeclined` (``horizon``).
 
-    Hazard-mode kernels additionally verify, every round including the
-    settling one, that no preference tie between behaviorally distinct
-    signatures (``tie_class``) competes at any node — the only situation
-    where the batch fixpoint could diverge from the scalar engines'
-    arrival-order tie-break.  Ambiguity raises :class:`BatchDeclined`
+    Hazard kernels (``tie_class`` set) additionally verify, every round
+    including the settling one, that no preference tie between
+    behaviorally distinct signatures competes at any node — the only
+    situation where the batch fixpoint could diverge from the scalar
+    engines' arrival-order tie-break.  Ambiguity raises :class:`BatchDeclined`
     (conservative: transient ties decline too; never a wrong answer).
     """
     trans = kernel.trans
@@ -1082,13 +1008,13 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
     pc = kernel.pref_class
     state = seeds
     for round_ in range(
-            _MONOTONE_ROUND_SLACK * (kernel.phi_id + 2) + MAX_NODES):
+            _JACOBI_ROUND_SLACK * (kernel.phi_id + 2) + MAX_NODES):
         vals = trans[lab, state[src]]
         if bool((vals == hole).any()):
             raise BatchDeclined("horizon")
         fresh = seeds.copy()
         _np.minimum.at(fresh, dst, vals)
-        if kernel.hazard:
+        if tie is not None:
             # A losing offer preference-tied with the winner but in a
             # different tie class means the scalar engines could have
             # kept the other route — the batch answer is not unique up
@@ -1098,7 +1024,6 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
                 & (tie[vals] != tie[fresh_d])
             seed_amb = (pc[seeds] == pc[fresh]) & (tie[seeds] != tie[fresh])
             if bool(ambiguous.any()) or bool(seed_amb.any()):
-                _PHASE_EVENTS["hazard_declines"].inc()
                 raise BatchDeclined("hazard-tie")
         if _np.array_equal(fresh, state):
             _note_rounds(round_ + 1)
@@ -1109,16 +1034,14 @@ def _relax_jacobi(kernel: "_Kernel", seeds, src, dst, lab):
 
 def _relax_group(group: list["_Problem"]) -> None:
     """Relax one kernel's scenarios over flat struct-of-arrays state:
-    assemble, one whole-edge-list relaxation of the fused group
-    (:func:`_relax_isotone` or :func:`_relax_jacobi`, by the kernel's
-    mode), scatter.  A monotone-mode decline (:class:`BatchDeclined`)
+    assemble, one whole-edge-list Jacobi iteration of the fused group
+    (:func:`_relax_jacobi`), scatter.  A decline (:class:`BatchDeclined`)
     propagates to :meth:`VectorizedBatchSession.run`.
     """
     kernel = group[0].kernel
     seeds, src, dst, lab, blocks = _assemble_group(group)
     _PHASE_EVENTS["state_cells"].inc(int(seeds.size))
-    relax = _relax_isotone if kernel.mode == "isotone" else _relax_jacobi
-    state = relax(kernel, seeds, src, dst, lab)
+    state = _relax_jacobi(kernel, seeds, src, dst, lab)
     _scatter_state(blocks, state, src, dst, lab, kernel)
 
 

@@ -22,8 +22,8 @@ is the one format rule: a file stamped with another ``user_version`` (a
 v3 file keys kernels without their depth) or carrying other columns (a
 v4 file still has ``depth``, a v2 file ``hits``) is emptied on open,
 never migrated — a lost kernel costs one re-tabulation.  A row, once
-written, is never rewritten: a kernel is a value.  What is here is the
-kernel table and its row methods.
+written, is rewritten only when its payload no longer decodes: a kernel
+is a value.  What is here is the kernel table and its row methods.
 """
 
 from __future__ import annotations
@@ -79,14 +79,17 @@ class KernelStore(SqliteCache):
         _STORE_OPS["get_hit"].inc()
         return True, row[0]
 
-    def put(self, key: str, payload: bytes | None) -> None:
+    def put(self, key: str, payload: bytes | None, *,
+            replace: bool = False) -> None:
         """Record one tabulated kernel (or negative result); racing
         duplicates are ignored, not errors — both workers tabulated the
-        same tables from the same canonical key."""
+        same tables from the same canonical key.  ``replace`` overwrites
+        the key's row: the caller read it and could not decode it."""
         _STORE_OPS["put"].inc()
+        verb = "REPLACE" if replace else "IGNORE"
         self._retry_locked(
             lambda: self._conn.execute(
-                "INSERT OR IGNORE INTO kernels "
+                f"INSERT OR {verb} INTO kernels "
                 "(key, payload, created_at) VALUES (?, ?, ?)",
                 (key, payload, time.time())))
 

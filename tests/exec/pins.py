@@ -31,11 +31,14 @@ table were rewritten; the ``route_log`` column at e3d8fd4.
 ``admitted-cold`` benchmark corpus (``rocketfuel``, ``tau-sweep``,
 ``secure-rov``, ``secure-hijack``; default profile), every one of them
 batch-admitted.  Each spec is admitted on an empty kernel cache, so its row
-records the kernel tabulated for it alone — relaxation ``mode``,
-``hazard``, the number of signatures and of hole entries — then the
+records the kernel tabulated for it alone — ``hazard`` (whether it carries
+a ``tie_class``), the number of signatures and of hole entries — then the
 run-time decline reason (``None`` when the group settles) and the
 outcome's digest.  Tabulation's rank sort, preference classes and
-strictness checks all reach those columns.
+strictness checks all reach those columns.  The rows were generated at
+commit 9d050d0.  Their ``mode`` column (which of two relaxations the
+kernel took) was dropped by ``--rebase`` when the accumulating-min
+relaxation was deleted after 5758ec0; no other column changed.
 
 ``batched_wire_corpus.json`` pins the GPV and NDlog runs of two corpora of
 quick-profile seed-7 specs that run under periodic batching (the MRAI
@@ -52,13 +55,26 @@ route logging on.  Its row, like a ``gpv_corpus.json`` row, adds a
 acceptances), which :func:`outcome_digest` does not cover.  The rows were
 generated at commit 9d050d0, before signatures were ranked by key.
 
-Regenerate (only when a behaviour change is intended) with::
+Regenerate every pin file (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python tests/exec/pins.py
+
+or rewrite just the rows one selector picks, printing each row's old and
+new ``stop_reason``/``messages`` (``decline``/``digest`` for batch rows)::
+
+    PYTHONPATH=src python -m tests.exec.pins --rebase SELECTOR
+
+``SELECTOR`` is ``FILE`` or ``FILE:PATTERN``: ``FILE`` is one of
+``ndlog``, ``gpv``, ``batched-wire``, ``batch``, and ``PATTERN`` an
+``fnmatch`` pattern over the row ids the pin tests print (``spec12``,
+``rotation-spec3``, ``fail-spec7-ndlog``, ``spec5-hlp``), ``*`` if left
+out.  Rows the selector does not pick are kept byte for byte.
 """
 
 from __future__ import annotations
 
+import argparse
+import fnmatch
 import hashlib
 import json
 from pathlib import Path
@@ -153,7 +169,7 @@ def batch_corpus_row(spec) -> dict | None:
         return None
     kernel = problem.kernel
     row = {"spec": spec.scenario_id, "family": spec.family,
-           "mode": kernel.mode, "hazard": kernel.hazard,
+           "hazard": kernel.tie_class is not None,
            "sigs": len(kernel.sigs), "holes": kernel.hole_count}
     try:
         batch._relax_group([problem])
@@ -202,18 +218,101 @@ def write_rows(path: Path, rows: list[dict]) -> None:
     path.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
 
 
+def gpv_row_id(row) -> str:
+    return f"{row['corpus']}-spec{row['spec']}"
+
+
+def ndlog_row_id(row) -> str:
+    suffix = "" if row["backend"] == "ndlog" else f"-{row['backend']}"
+    return f"spec{row['spec']}{suffix}"
+
+
+def batched_wire_row_id(row) -> str:
+    return f"{row['corpus']}-spec{row['spec']}-{row['backend']}"
+
+
+def batch_row_id(row) -> str:
+    return f"spec{row['spec']}"
+
+
+#: selector name → (pin file, its specs in row order, the rows of one
+#: spec, row id).  A spec is a ``ScenarioSpec`` or a ``(corpus, spec)``.
+PINS = {
+    "ndlog": (NDLOG_CORPUS, ndlog_corpus_specs, ndlog_corpus_rows,
+              ndlog_row_id),
+    "gpv": (GPV_CORPUS, gpv_corpus_specs,
+            lambda item: [gpv_corpus_row(*item)], gpv_row_id),
+    "batched-wire": (BATCHED_WIRE_CORPUS, batched_wire_specs,
+                     lambda item: [batched_wire_row(*item, backend)
+                                   for backend in BATCHED_WIRE_BACKENDS],
+                     batched_wire_row_id),
+    "batch": (BATCH_CORPUS, batch_corpus_specs,
+              lambda spec: [row for row in [batch_corpus_row(spec)]
+                            if row is not None], batch_row_id),
+}
+
+
+def _spec_key(item) -> tuple:
+    corpus, spec = item if isinstance(item, tuple) else (None, item)
+    return corpus, spec.scenario_id
+
+
+def _summary(row) -> str:
+    if row is None:
+        return "gone"
+    columns = ("decline", "digest") if "decline" in row \
+        else ("stop_reason", "messages")
+    return " ".join(f"{column}={str(row[column])[:12]}"
+                    for column in columns)
+
+
+def rebase(selector: str) -> None:
+    """Rewrite the rows ``selector`` picks, printing each change."""
+    name, _, pattern = selector.partition(":")
+    if name not in PINS:
+        raise SystemExit(f"--rebase {selector}: FILE is one of "
+                         + ", ".join(PINS))
+    path, specs, rows_of, row_id = PINS[name]
+    old_rows = load_rows(path)
+    picked = [row for row in old_rows
+              if fnmatch.fnmatchcase(row_id(row), pattern or "*")]
+    if not picked:
+        raise SystemExit(f"--rebase {selector}: no row of {path.name} "
+                         "matches")
+    picked_ids = {row_id(row) for row in picked}
+    wanted = {(row.get("corpus"), row["spec"]) for row in picked}
+    fresh = {}
+    for item in specs():
+        if _spec_key(item) in wanted:
+            fresh.update((row_id(row), row) for row in rows_of(item))
+    new_rows = []
+    for row in old_rows:
+        if row_id(row) not in picked_ids:
+            new_rows.append(row)
+            continue
+        new = fresh.get(row_id(row))
+        changed = sorted(key for key in {**row, **(new or {})}
+                         if new is None or row.get(key) != new.get(key))
+        print(f"{name} {row_id(row)}: {_summary(row)} -> {_summary(new)}"
+              f" (changed: {', '.join(changed) or 'nothing'})")
+        if new is not None:
+            new_rows.append(new)
+    write_rows(path, new_rows)
+    print(f"rebased {len(picked)} of {len(old_rows)} rows of {path.name}")
+
+
 if __name__ == "__main__":
-    write_rows(GPV_CORPUS, [gpv_corpus_row(corpus, spec)
-                            for corpus, spec in gpv_corpus_specs()])
-    print(f"wrote {GPV_CORPUS}")
-    write_rows(NDLOG_CORPUS, [row for spec in ndlog_corpus_specs()
-                              for row in ndlog_corpus_rows(spec)])
-    print(f"wrote {NDLOG_CORPUS}")
-    batch_rows = [batch_corpus_row(spec) for spec in batch_corpus_specs()]
-    write_rows(BATCH_CORPUS, [row for row in batch_rows if row is not None])
-    print(f"wrote {BATCH_CORPUS}")
-    write_rows(BATCHED_WIRE_CORPUS,
-               [batched_wire_row(corpus, spec, backend)
-                for corpus, spec in batched_wire_specs()
-                for backend in BATCHED_WIRE_BACKENDS])
-    print(f"wrote {BATCHED_WIRE_CORPUS}")
+    parser = argparse.ArgumentParser(
+        description="Regenerate the per-run pin files (all of them, or "
+                    "the rows each --rebase selector picks).")
+    parser.add_argument("--rebase", action="append", metavar="SELECTOR",
+                        help="FILE or FILE:PATTERN, FILE one of "
+                             + ", ".join(PINS))
+    args = parser.parse_args()
+    for selector in args.rebase or ():
+        rebase(selector)
+    if not args.rebase:
+        for path, specs, rows_of, _row_id in PINS.values():
+            write_rows(path, [row for item in specs()
+                              for row in rows_of(item)])
+            print(f"wrote {path}")

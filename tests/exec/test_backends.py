@@ -123,8 +123,8 @@ class TestSafeConformance:
         assert outcome.to_dict()["routes_held"] >= 1
 
 
-#: Safe specs the vectorized backend also supports (strictly monotonic,
-#: isotone algebras): the three-way conformance set below.
+#: Safe specs the vectorized backend also supports (strictly monotonic
+#: algebras): the three-way conformance set below.
 BATCH_SAFE_SPECS = [
     ScenarioSpec(scenario_id=4, family="caida", algebra="hop-count",
                  seed=7, until=60.0, max_events=120_000,

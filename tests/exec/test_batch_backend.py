@@ -1,8 +1,8 @@
 """Batch-backend equivalence and contract suite.
 
 The vectorized backend trades simulation for a Bellman-Ford fixpoint over
-tabulated preference ranks, which is only sound for strictly monotonic,
-isotone algebras (see ``repro/exec/batch.py``).  This suite pins both
+tabulated preference ranks, which is only sound for strictly monotonic
+algebras (see ``repro/exec/batch.py``).  This suite pins both
 sides of that bargain: on every scenario the backend *declares* supported
 its route tables must be preference-equal to the scalar GPV engine — on
 fixed seeds and across a generated spec stream — and the scenarios whose
@@ -27,6 +27,7 @@ from repro.exec.batch import (
     BatchDeclined,
     _kernel_for,
     _scan_topology,
+    _tie_classes,
     clear_kernel_cache,
     configure_kernel_store,
     kernel_cache_stats,
@@ -104,9 +105,8 @@ BATCH_SPECS = [
                        ("destinations", 2)),
                events=(LinkEventSpec(time=0.2, kind="fail", link_index=11),)),
     batch_spec(14, "tau-sweep", "hlp-tau", 2, params=()),
-    # Hole-aware admissions (PR 7): kernels with φ/beyond-horizon holes,
-    # relaxed under the monotone (tie-respecting) gate instead of the
-    # strict per-row isotonicity check.
+    # Hole-aware admissions: lexical products whose kernels carry
+    # φ/beyond-horizon holes and are not isotone, but respect ties.
     batch_spec(15, "caida", "gr-a-hopcount", 3,
                params=(("as_count", 12), ("peer_fraction", 0.2),
                        ("destinations", 2)),
@@ -411,20 +411,22 @@ class TestHoleAwareKernels:
     def kernel_of(scenario):
         return _kernel_for(scenario, _scan_topology(scenario))
 
-    def test_admitted_modes(self):
-        """The hole-aware gate classifies each admitted family as
-        expected: additive metrics stay isotone, the lexical products
-        ride the monotone (tie-respecting) relaxation mode."""
-        modes = {}
+    def test_admitted_kernels_respect_ties(self):
+        """Every fixed-seed family's kernel respects ties — the additive
+        metrics and the (non-isotone) lexical products alike — so its
+        Jacobi rounds carry no tie check; deployed filter-mode secure
+        kernels do not, and carry their ``tie_class``."""
         for spec in BATCH_SPECS:
             kernel = self.kernel_of(materialize(spec))
-            assert kernel is not None
-            modes[spec.algebra] = kernel.mode
-        assert modes["hop-count"] == "isotone"
-        assert modes["shortest-path"] == "isotone"
-        assert modes["gr-a-hopcount"] == "monotone"
-        assert modes["gr-b-hopcount"] == "monotone"
-        assert modes["widest-shortest"] == "monotone"
+            assert kernel.tie_class is None, spec.algebra
+            # Why unguarded Jacobi is exact there: refining the
+            # preference classes under ``trans`` changes nothing.
+            assert (_tie_classes(kernel.trans, kernel.pref_class)
+                    == kernel.pref_class).all(), spec.algebra
+        for spec in SECURE_SPECS:
+            kernel = self.kernel_of(materialize(spec))
+            deployed = spec.param("deployment") != "none"
+            assert (kernel.tie_class is not None) == deployed, spec.params
 
     def test_holey_kernel_never_reports_a_route_gpv_does_not(self):
         """Property: over seeds of the wide-weight shortest-path family
@@ -453,11 +455,11 @@ class TestHoleAwareKernels:
         # have to inject φ/beyond-horizon holes into these kernels.
         assert holes_seen > 0
 
-    def test_monotone_kernels_have_holes(self):
-        """The newly admitted lexical products are exactly the holey
-        case the sentinel exists for (gr export filters yield φ)."""
+    def test_lexical_product_kernels_have_holes(self):
+        """The lexical products are exactly the holey case the sentinel
+        exists for (gr export filters yield φ), and respect ties."""
         kernel = self.kernel_of(materialize(BATCH_SPECS[5]))
-        assert kernel.mode == "monotone"
+        assert kernel.tie_class is None
         assert kernel.hole_count > 0
 
     def test_partial_run_skips_declined_groups(self, monkeypatch):

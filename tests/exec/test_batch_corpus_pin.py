@@ -2,13 +2,13 @@
 
 Each batch-admitted spec among the first 135 ``admitted-cold`` specs (see
 ``pins.py``) is admitted on an empty kernel cache and relaxed alone; its
-kernel's ``mode``, ``hazard``, signature and hole counts, its run-time
-decline reason and its outcome digest must reproduce the row in
+kernel's ``hazard`` flag, signature and hole counts, its run-time decline
+reason and its outcome digest must reproduce the row in
 ``batch_corpus.json``.  Tabulation rank-sorts the closure, draws the
 preference classes and verifies strictness from the algebra's order, and
-the relaxation mode, the hazard flag and every rendered signature follow
-from them — so a change to how tabulation orders signatures must leave
-this file unedited.
+the hazard flag and every rendered signature follow from them — so a
+change to how tabulation orders signatures must leave this file
+unedited.
 """
 
 import functools
@@ -18,6 +18,7 @@ from pins import (
     BATCH_CORPUS,
     BATCH_CORPUS_SPECS,
     batch_corpus_row,
+    batch_row_id,
     batch_corpus_specs,
     load_rows,
 )
@@ -32,15 +33,14 @@ def specs_by_id() -> dict:
 
 def test_corpus_is_the_admitted_prefix():
     """Every one of the 135 specs is batch-admitted, so every one has a
-    row; the rows reach both relaxation modes, hazard kernels and a
+    row; the rows reach kernels with and without a tie hazard and a
     run-time decline."""
     assert [row["spec"] for row in ROWS] == sorted(specs_by_id())
     assert len(ROWS) == BATCH_CORPUS_SPECS
-    assert {row["mode"] for row in ROWS} == {"isotone", "monotone"}
-    assert any(row["hazard"] for row in ROWS)
+    assert {row["hazard"] for row in ROWS} == {False, True}
     assert any(row["decline"] for row in ROWS)
 
 
-@pytest.mark.parametrize("row", ROWS, ids=lambda row: f"spec{row['spec']}")
+@pytest.mark.parametrize("row", ROWS, ids=batch_row_id)
 def test_batch_outcome_is_pinned(row):
     assert batch_corpus_row(specs_by_id()[row["spec"]]) == row

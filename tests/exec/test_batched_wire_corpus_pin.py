@@ -18,6 +18,7 @@ from pins import (
     BATCHED_WIRE_BACKENDS,
     BATCHED_WIRE_CORPUS,
     batched_wire_row,
+    batched_wire_row_id,
     batched_wire_specs,
     load_rows,
 )
@@ -45,9 +46,7 @@ def test_corpora_reach_the_batched_paths():
             for backend in BATCHED_WIRE_BACKENDS]
 
 
-@pytest.mark.parametrize(
-    "row", ROWS,
-    ids=lambda row: f"{row['corpus']}-spec{row['spec']}-{row['backend']}")
+@pytest.mark.parametrize("row", ROWS, ids=batched_wire_row_id)
 def test_batched_run_is_pinned(row):
     spec = specs_by_key()[(row["corpus"], row["spec"])]
     assert batched_wire_row(row["corpus"], spec, row["backend"]) == row

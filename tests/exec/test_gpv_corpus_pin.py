@@ -20,6 +20,7 @@ from pins import (
     GPV_CORPUS,
     gpv_corpus_row,
     gpv_corpus_specs,
+    gpv_row_id,
     load_rows,
 )
 
@@ -40,8 +41,7 @@ def test_corpora_are_the_benchmark_prefixes():
     assert all(row["backend"] == "gpv" for row in ROWS)
 
 
-@pytest.mark.parametrize("row", ROWS,
-                         ids=lambda row: f"{row['corpus']}-spec{row['spec']}")
+@pytest.mark.parametrize("row", ROWS, ids=gpv_row_id)
 def test_gpv_outcome_is_pinned(row):
     spec = specs_by_key()[(row["corpus"], row["spec"])]
     assert gpv_corpus_row(row["corpus"], spec) == row

@@ -9,11 +9,13 @@ and asserts the second pass performs zero tabulations.
 import pickle
 import sqlite3
 
+import numpy as np
 import pytest
 
 import repro.exec.batch as batch_mod
 from repro.campaigns import ScenarioSpec, materialize
 from repro.exec.batch import (
+    _decode_kernel,
     _kernel_for,
     _scan_topology,
     clear_kernel_cache,
@@ -124,7 +126,7 @@ class TestBatchIntegration:
         stats = kernel_cache_stats()
         assert stats["tabulations"] == 0
         assert stats["store_hits"] == 1
-        assert warm.mode == cold.mode
+        assert (warm.tie_class is None) == (cold.tie_class is None)
         assert warm.sigs == cold.sigs
         assert (warm.trans == cold.trans).all()
         assert (warm.pref_class == cold.pref_class).all()
@@ -145,6 +147,40 @@ class TestBatchIntegration:
         stats = kernel_cache_stats()
         assert stats["tabulations"] == 1
         assert stats["store_misses"] == 1
+        # The rebuilt kernel replaced the bad row: the next process
+        # lifetime reads it back instead of tabulating again.
+        clear_kernel_cache()
+        reset_kernel_cache_stats()
+        assert build_kernel() is not None
+        stats = kernel_cache_stats()
+        assert stats["tabulations"] == 0
+        assert stats["store_hits"] == 1
+
+    def test_a_row_in_the_former_layout_decodes(self):
+        """Rows written while kernels still carried a relaxation ``mode``
+        and a ``hazard`` flag decode to the same kernel (same schema
+        v5): the decoder reads only the keys it needs."""
+        kernel = build_kernel()
+        former = pickle.dumps({
+            "sigs": kernel.sigs,
+            "keys": sorted(kernel.key_id, key=kernel.key_id.get),
+            "origin_id": kernel.origin_id,
+            "trans": kernel.trans.tobytes(),
+            "shape": kernel.trans.shape,
+            "pref_class": kernel.pref_class.tobytes(),
+            "mode": "isotone",
+            "hole_count": kernel.hole_count,
+            "tie_class": None,
+            "hazard": False,
+            "depth": kernel.depth,
+        })
+        decoded = _decode_kernel(former)
+        for slot in type(kernel).__slots__:
+            want, got = getattr(kernel, slot), getattr(decoded, slot)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), slot
+            else:
+                assert got == want, slot
 
     def test_store_read_error_is_a_counted_miss(self, tmp_path,
                                                  monkeypatch):

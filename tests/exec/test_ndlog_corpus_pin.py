@@ -21,6 +21,7 @@ from pins import (
     load_rows,
     ndlog_corpus_rows,
     ndlog_corpus_specs,
+    ndlog_row_id,
 )
 
 ROWS = load_rows(NDLOG_CORPUS)
@@ -51,11 +52,6 @@ def test_corpus_is_the_differential_workload():
     assert len(ROWS) == NDLOG_CORPUS_SPECS + 7
 
 
-def row_id(row) -> str:
-    suffix = "" if row["backend"] == "ndlog" else f"-{row['backend']}"
-    return f"spec{row['spec']}{suffix}"
-
-
-@pytest.mark.parametrize("row", ROWS, ids=row_id)
+@pytest.mark.parametrize("row", ROWS, ids=ndlog_row_id)
 def test_ndlog_outcome_is_pinned(row):
     assert fresh_rows(row["spec"])[row["backend"]] == row
