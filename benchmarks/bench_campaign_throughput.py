@@ -359,7 +359,7 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
     groups.
     """
     from repro.campaigns import materialize
-    from repro.exec import get_backend, route_mismatches, schedule_events
+    from repro.exec import get_backend, route_mismatches
     from repro.exec.batch import (
         batch_phase_stats,
         clear_kernel_cache,
@@ -414,7 +414,6 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
         refs = []
         for spec, scenario in zip(specs, scenarios):
             session = gpv.prepare(scenario, seed=spec.seed)
-            schedule_events(session, scenario.events)
             refs.append((scenario.algebra,
                          session.run(until=spec.until,
                                      max_events=spec.max_events)))

@@ -383,8 +383,8 @@ KEPT: dict[str, str] = {
     "repro/campaigns/sink.py::ResultSink.close": ABSTRACT,
     "repro/campaigns/verdict_store.py::VerdictStore.touch_many": SHIM,
     "repro/exec/base.py::ExecutionBackend.prepare": ABSTRACT,
-    "repro/exec/base.py::ExecutionSession.apply_event": ABSTRACT,
-    "repro/exec/base.py::ExecutionSession.route_table": ABSTRACT,
+    "repro/exec/base.py::ExecutionSession._selected_routes": ABSTRACT,
+    "repro/exec/base.py::ExecutionSession._wire": ABSTRACT,
     "repro/exec/base.py::ExecutionSession.run": ABSTRACT,
     "repro/exec/batch.py::batch_phase_stats": BATCH_STATS,
     "repro/exec/batch.py::clear_kernel_cache": RESET,

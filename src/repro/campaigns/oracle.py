@@ -56,7 +56,6 @@ from ..exec import (
     get_backend,
     route_mismatches,
     route_set_mismatches,
-    schedule_events,
 )
 from ..exec.batch import configure_kernel_store
 from ..experiments.extraction import extract_spp
@@ -345,9 +344,7 @@ def _evaluate_traced(spec, options, prepared, started, scenario_span):
             scn = replace(scenario, network=next(networks))
             run_started = time.perf_counter()
             with TRACER.span("backend:run", backend=name) as backend_span:
-                session = get_backend(name).prepare(
-                    scn, seed=spec.seed, log_routes=scn.log_routes)
-                schedule_events(session, scn.events)
+                session = get_backend(name).prepare(scn, seed=spec.seed)
                 outcome = session.run(until=spec.until,
                                       max_events=spec.max_events)
                 backend_span.annotate(converged=outcome.converged,

@@ -242,6 +242,9 @@ class CampaignReport:
     pair_counts: dict
     cache_hit_count: int
     analyzed_count: int
+    #: Scenarios that disagree (:attr:`ScenarioResult.is_disagreement`):
+    #: the total that survives streaming truncation.
+    disagreement_count: int
     results: list[ScenarioResult] = field(default_factory=list)
     wall_clock_s: float = 0.0
     jobs: int = 1
@@ -296,16 +299,6 @@ class CampaignReport:
     @property
     def error_count(self) -> int:
         return self.class_counts.get(ERROR, 0)
-
-    @property
-    def disagreement_count(self) -> int:
-        """Disagreement total that survives streaming truncation."""
-        count = self.class_counts.get(SAFE_DIVERGED, 0)
-        for buckets in self.pair_counts.values():
-            for status, n in buckets.items():
-                if status in HARD_DIVERGENCES and status != SAFE_DIVERGED:
-                    count += n
-        return max(count, len(self.disagreements()))
 
     def reproducer_seeds(self) -> list[dict]:
         """Spec dicts for every disagreement (and error), for replay."""

@@ -148,7 +148,7 @@ class _CampaignWatch:
             return
         self._last = now
         extra = [f"evaluated: {state.aggregator.total - state.resumed}"
-                 f"  disagreements: {state.disagreements}"]
+                 f"  disagreements: {state.aggregator.disagreements}"]
         if state.resumed:
             extra.append(f"resumed: {state.resumed}")
         if state.aborted:
@@ -168,7 +168,6 @@ class _RunState:
     started: float
     aggregator: AggregatingSink
     extra_sink: ResultSink | None = None
-    disagreements: int = 0
     #: Results replayed from an earlier run's records, not evaluated.
     resumed: int = 0
     aborted: str | None = field(default=None)
@@ -181,14 +180,12 @@ class _RunState:
         self.aggregator.accept(result)
         if self.extra_sink is not None:
             self.extra_sink.accept(result)
-        self.disagreements += result.is_disagreement
         if self.watch is not None:
             self.watch.maybe_render(self)
 
     def replay(self, result: ScenarioResult) -> None:
         """Count a recorded result; the extra sink already holds it."""
         self.aggregator.accept(result)
-        self.disagreements += result.is_disagreement
         self.resumed += 1
 
 
@@ -369,8 +366,9 @@ class CampaignRunner:
                 time.perf_counter() - state.started >= budget:
             return "wall-clock budget exhausted"
         limit = self.config.abort_on_disagreements
-        if limit is not None and state.disagreements >= limit:
-            return f"disagreement limit reached ({state.disagreements})"
+        found = state.aggregator.disagreements
+        if limit is not None and found >= limit:
+            return f"disagreement limit reached ({found})"
         return None
 
 

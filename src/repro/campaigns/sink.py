@@ -60,6 +60,9 @@ class AggregatingSink:
         self.total = 0
         self.cache_hits = 0
         self.analyzed = 0
+        #: Disagreeing scenarios: the one count the abort limit, the
+        #: ``--watch`` frame and the report read.
+        self.disagreements = 0
         self.retained: list[ScenarioResult] = []
         #: Reproducers live in their own bounded buffer so bulk ordinary
         #: results can never evict a disagreement's replay spec.
@@ -79,6 +82,8 @@ class AggregatingSink:
         if result.classification != ERROR:
             self.analyzed += 1
             self.cache_hits += result.cache_hit
+        if result.is_disagreement:
+            self.disagreements += 1
         if result.is_disagreement or result.classification == ERROR:
             bucket = self.reproducers
         elif self.keep_results:
@@ -111,6 +116,7 @@ class AggregatingSink:
             pair_counts={p: dict(b) for p, b in self.pair_counts.items()},
             cache_hit_count=self.cache_hits,
             analyzed_count=self.analyzed,
+            disagreement_count=self.disagreements,
             results_truncated=self.truncated,
             resumed_count=resumed,
         )

@@ -1,8 +1,10 @@
 """Pluggable execution backends for differential campaigns.
 
 Every scalar way of *running* a routing scenario lives behind one
-contract (:class:`ExecutionBackend` → :class:`ExecutionSession` →
-:class:`ExecutionOutcome`), so the campaign oracle can execute a scenario
+two-call contract — ``backend.prepare(scenario, seed=...)`` returns an
+:class:`ExecutionSession` with the scenario's events already scheduled,
+and ``session.run(until, max_events)`` returns an
+:class:`ExecutionOutcome` — so the campaign oracle can execute a scenario
 on N independent implementations and cross-check their route tables:
 
 * ``gpv`` (:class:`GPVBackend`) — the native Python path-vector engine;
@@ -30,7 +32,6 @@ from .base import (
     ExecutionSession,
     route_mismatches,
     route_set_mismatches,
-    schedule_events,
 )
 from .batch import BatchBackend
 from .gpv import GPVBackend, GPVSession
@@ -89,5 +90,4 @@ __all__ = [
     "resolve_backends",
     "route_mismatches",
     "route_set_mismatches",
-    "schedule_events",
 ]

@@ -8,16 +8,17 @@ me what the routing system did" so the campaign oracle can execute the same
 seeded scenario on N independent implementations and cross-check them
 pairwise.
 
-The lifecycle is three calls:
+The lifecycle is two calls:
 
-1. ``backend.prepare(scenario, seed=..., log_routes=...)`` builds an
+1. ``backend.prepare(scenario, seed=...)`` builds an
    :class:`ExecutionSession` — engine state wired to a fresh seeded
-   :class:`~repro.net.simulator.Simulator` (exposed as ``session.sim``);
-2. the caller schedules the spec's perturbation schedule on ``session.sim``
-   via :func:`schedule_events` / ``session.apply_event`` — events mean the
-   same thing to every backend because every backend executes the *same*
-   pre-scheduled simulator timeline;
-3. ``session.run(until=..., max_events=...)`` drains the simulator and
+   :class:`~repro.net.simulator.Simulator` (exposed as ``session.sim``),
+   route logging on when ``scenario.log_routes`` is, and the scenario's
+   event schedule already on the simulator's timeline.  Scheduling is the
+   last step of building the session, at sim time 0, so events mean the
+   same thing to every backend: every backend executes the *same*
+   pre-scheduled timeline;
+2. ``session.run(until=..., max_events=...)`` drains the simulator and
    returns an :class:`ExecutionOutcome`: converged/diverged status, the
    final best-route table, and message/byte statistics.
 
@@ -29,16 +30,17 @@ simulator, no timeline and no ``prepare``: its own contract is
 in the same :class:`ExecutionOutcome`.
 
 Backends never see campaign types: a "scenario" is anything with
-``network`` / ``algebra`` / ``destinations`` attributes, and an "event" is
-anything with ``kind`` / ``a`` / ``b`` / ``label`` / ``time`` — so the
-layer has no import cycle with :mod:`repro.campaigns`.
+``network`` / ``algebra`` / ``destinations`` / ``events`` /
+``log_routes`` attributes, and an "event" is anything with ``kind`` /
+``a`` / ``b`` / ``label`` / ``time`` — so the layer has no import cycle
+with :mod:`repro.campaigns`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..algebra.base import RoutingAlgebra
 from ..net.simulator import Simulator, StopReason
@@ -90,34 +92,67 @@ class ExecutionOutcome:
 class ExecutionSession(ABC):
     """One prepared scenario on one backend, ready to run.
 
-    Concrete sessions expose ``sim`` (the seeded simulator driving the
-    run), ``network`` / ``algebra`` / ``destinations`` (the scenario
-    artifacts, owned by this session — backends must not share a mutable
-    network), and ``route_log`` (accepted non-φ routes as
-    ``(node, dest, sig, path)``, populated when prepared with
-    ``log_routes=True`` — the input to the paper's Sec. VI-B SPP
-    extraction).
+    Shared by every scalar session: the scenario's ``algebra`` /
+    ``destinations`` / ``top_k``, ``network`` (the simulator's, owned by
+    this session — backends must not share a mutable network), the event
+    dispatch, and the rendering of routes into an outcome.  ``route_log``
+    holds accepted non-φ routes as ``(node, dest, sig, path)`` when the
+    scenario has ``log_routes`` set (the input to the paper's Sec. VI-B
+    SPP extraction); it stays empty on a session that cannot log.
+
+    A concrete session wires its engine in :meth:`_wire`, provides the
+    event operations its scenarios need — ``inject_route(node, dest,
+    label)`` (hijack), ``fail_link(a, b)``, ``perturb_link(a, b, label)``
+    — and the two lookups: :meth:`_selected_routes`, and
+    ``_ranked_routes(node)`` (``dest`` → candidate routes best first) if
+    it runs top-k scenarios.
     """
 
     sim: Simulator
-    algebra: RoutingAlgebra
-    destinations: list
-    route_log: list
+
+    def __init__(self, scenario: "Scenario", *, seed: int):
+        self.algebra: RoutingAlgebra = scenario.algebra
+        self.destinations = list(scenario.destinations)
+        self.top_k = getattr(scenario, "top_k", 1)
+        self.route_log: list = []
+        self.sim = self._wire(scenario, seed)
+        for event in scenario.events:
+            self.sim.at(event.time, lambda e=event: self.apply_event(e))
 
     @property
     def network(self):
         return self.sim.network
 
     @abstractmethod
-    def apply_event(self, event: "ResolvedEvent") -> None:
-        """Apply one resolved topology event at the current sim time."""
+    def _wire(self, scenario: "Scenario", seed: int) -> Simulator:
+        """Build the engine over the scenario; return its simulator."""
 
+    @abstractmethod
+    def _selected_routes(self, node: str) -> dict:
+        """``dest`` → the node's selected ``(sig, path)`` (absent or
+        ``None`` where it holds no route)."""
+
+    # ``run`` (and each backend's ``prepare``) stays on the concrete class:
+    # the benchmark's tracing shims wrap ``vars(cls)[name]``.
     @abstractmethod
     def run(self, until: float | None = None,
             max_events: int | None = None) -> ExecutionOutcome:
         """Start the protocol, drain the simulator, snapshot the outcome."""
 
-    # -- shared helpers -------------------------------------------------------
+    def apply_event(self, event: "ResolvedEvent") -> None:
+        """Apply one resolved topology event at the current sim time."""
+        if event.kind == "hijack":
+            # The attacker-destination pair is never a link — the forged
+            # origination is injected before any link-existence guard.
+            self.inject_route(event.a, event.b, event.label)
+        elif not self.network.has_link(event.a, event.b):
+            return  # already failed (or never materialized)
+        elif event.kind == "fail":
+            self.fail_link(event.a, event.b)
+        elif event.kind == "perturb":
+            self.perturb_link(event.a, event.b, event.label)
+
+    # -- rendering -------------------------------------------------------------
 
     def _outcome(self, name: str, reason: str) -> ExecutionOutcome:
         routes, sigs = self.route_table()
@@ -133,17 +168,37 @@ class ExecutionSession(ABC):
             route_sets=self.route_sets(),
         )
 
-    @abstractmethod
     def route_table(self) -> tuple[dict, dict]:
         """``(routes, sigs)`` keyed ``(node, dest)`` over all pairs."""
+        routes: dict = {}
+        sigs: dict = {}
+        for node in self.network.nodes():
+            selected = self._selected_routes(node)
+            for dest in self.destinations:
+                if node == dest:
+                    continue
+                route = selected.get(dest)
+                routes[(node, dest)] = route[1] if route else None
+                sigs[(node, dest)] = route[0] if route else None
+        return routes, sigs
 
     def route_sets(self) -> dict:
         """Top-k selected route sets per ``(node, dest)`` (multipath only).
 
-        Single-path sessions return ``{}`` — the best-route table already
-        carries everything comparable.
+        Each pair's ranked pool cut at k; a pair with no route is left
+        out.  Single-path sessions return ``{}`` — the best-route table
+        already carries everything comparable.
         """
-        return {}
+        if self.top_k < 2:
+            return {}
+        sets: dict = {}
+        for node in self.network.nodes():
+            ranked = self._ranked_routes(node)
+            for dest in self.destinations:
+                pool = ranked.get(dest)
+                if pool and node != dest:
+                    sets[(node, dest)] = tuple(pool[:self.top_k])
+        return sets
 
 
 class ExecutionBackend(ABC):
@@ -165,21 +220,10 @@ class ExecutionBackend(ABC):
         return True
 
     @abstractmethod
-    def prepare(self, scenario: "Scenario", *, seed: int = 0,
-                log_routes: bool = False) -> ExecutionSession:
-        """Build a session for the scenario (which this session then owns)."""
-
-
-def schedule_events(session: ExecutionSession,
-                    events: Iterable["ResolvedEvent"]) -> None:
-    """Pre-schedule a spec's event schedule on the session's simulator.
-
-    Scheduling happens *before* the run, at sim time 0, so the failure /
-    perturbation timeline is identical for every backend evaluating the
-    same spec — the property the differential oracle depends on.
-    """
-    for event in events:
-        session.sim.at(event.time, lambda e=event: session.apply_event(e))
+    def prepare(self, scenario: "Scenario", *,
+                seed: int = 0) -> ExecutionSession:
+        """Build a session for the scenario (which this session then owns),
+        its events scheduled."""
 
 
 def route_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,

@@ -11,75 +11,46 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..net.simulator import Simulator
 from ..protocols.gpv import GPVEngine
 from .base import ExecutionBackend, ExecutionOutcome, ExecutionSession
 
 if TYPE_CHECKING:
-    from ..campaigns.scenarios import ResolvedEvent, Scenario
+    from ..campaigns.scenarios import Scenario
 
 
 class GPVSession(ExecutionSession):
     """A prepared :class:`GPVEngine` run."""
 
-    def __init__(self, scenario: "Scenario", *, seed: int,
-                 log_routes: bool):
-        self.top_k = getattr(scenario, "top_k", 1)
+    def _wire(self, scenario: "Scenario", seed: int) -> Simulator:
         self.engine = GPVEngine(
             scenario.network, scenario.algebra, scenario.destinations,
-            seed=seed, log_routes=log_routes, top_k=self.top_k,
+            seed=seed, log_routes=scenario.log_routes, top_k=self.top_k,
             batch_interval=getattr(scenario, "batch_interval", None))
-        self.sim = self.engine.sim
-        self.algebra = scenario.algebra
-        self.destinations = list(scenario.destinations)
+        self.route_log = self.engine.route_log
+        return self.engine.sim
 
-    @property
-    def route_log(self) -> list:
-        return self.engine.route_log
+    def inject_route(self, node: str, dest: str, label) -> None:
+        self.engine.inject_route(node, dest, label)
 
-    def apply_event(self, event: "ResolvedEvent") -> None:
-        if event.kind == "hijack":
-            # The attacker-destination pair is never a link — the forged
-            # origination is injected before any link-existence guard.
-            self.engine.inject_route(event.a, event.b, event.label)
-            return
-        if not self.network.has_link(event.a, event.b):
-            return  # already failed (or never materialized)
-        if event.kind == "fail":
-            self.engine.fail_link(event.a, event.b)
-        elif event.kind == "perturb":
-            self.engine.perturb_link(event.a, event.b,
-                                     label_ab=event.label,
-                                     label_ba=event.label)
+    def fail_link(self, a: str, b: str) -> None:
+        self.engine.fail_link(a, b)
+
+    def perturb_link(self, a: str, b: str, label) -> None:
+        self.engine.perturb_link(a, b, label_ab=label, label_ba=label)
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> ExecutionOutcome:
         reason = self.engine.run(until=until, max_events=max_events)
         return self._outcome(GPVBackend.name, reason)
 
-    def route_table(self) -> tuple[dict, dict]:
-        routes: dict = {}
-        sigs: dict = {}
-        for node in self.network.nodes():
-            for dest in self.destinations:
-                if node == dest:
-                    continue
-                route = self.engine.best_route(node, dest)
-                routes[(node, dest)] = route[1] if route else None
-                sigs[(node, dest)] = route[0] if route else None
-        return routes, sigs
+    def _selected_routes(self, node: str) -> dict:
+        return {dest: self.engine.best_route(node, dest)
+                for dest in self.destinations if dest != node}
 
-    def route_sets(self) -> dict:
-        if self.top_k < 2:
-            return {}
-        sets: dict = {}
-        for node in self.network.nodes():
-            for dest in self.destinations:
-                if node == dest:
-                    continue
-                ranked = self.engine.known_routes(node, dest)[:self.top_k]
-                if ranked:
-                    sets[(node, dest)] = tuple(ranked)
-        return sets
+    def _ranked_routes(self, node: str) -> dict:
+        return {dest: self.engine.known_routes(node, dest)
+                for dest in self.destinations if dest != node}
 
 
 class GPVBackend(ExecutionBackend):
@@ -87,6 +58,5 @@ class GPVBackend(ExecutionBackend):
 
     name = "gpv"
 
-    def prepare(self, scenario: "Scenario", *, seed: int = 0,
-                log_routes: bool = False) -> GPVSession:
-        return GPVSession(scenario, seed=seed, log_routes=log_routes)
+    def prepare(self, scenario: "Scenario", *, seed: int = 0) -> GPVSession:
+        return GPVSession(scenario, seed=seed)

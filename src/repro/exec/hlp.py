@@ -26,70 +26,60 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..algebra.hlp import HLPCostAlgebra
+from ..net.simulator import Simulator
 from ..protocols.hlp import HLPEngine
 from .base import ExecutionBackend, ExecutionOutcome, ExecutionSession
 
 if TYPE_CHECKING:
-    from ..campaigns.scenarios import ResolvedEvent, Scenario
+    from ..campaigns.scenarios import Scenario
 
 
 class HLPSession(ExecutionSession):
-    """A prepared :class:`HLPEngine` run."""
+    """A prepared :class:`HLPEngine` run.
 
-    def __init__(self, scenario: "Scenario", *, seed: int,
-                 log_routes: bool):
+    HLP's fragmented adverts carry no router-level paths, so there is
+    nothing SPP extraction could consume — ``route_log`` stays empty (the
+    oracle keeps a path-vector backend primary for families that
+    extract).
+    """
+
+    def _wire(self, scenario: "Scenario", seed: int) -> Simulator:
         if not isinstance(scenario.algebra, HLPCostAlgebra):
             raise ValueError(
                 "the HLP backend executes HLP-cost scenarios only "
                 f"(got algebra {scenario.algebra.name!r})")
         self.engine = HLPEngine(scenario.network, seed=seed)
-        self.sim = self.engine.sim
-        self.algebra = scenario.algebra
-        self.destinations = list(scenario.destinations)
-        #: HLP's fragmented adverts carry no router-level paths, so there
-        #: is nothing SPP extraction could consume — the log stays empty
-        #: (the oracle keeps a path-vector backend primary for families
-        #: that extract).
-        self.route_log: list = []
+        return self.engine.sim
 
-    def apply_event(self, event: "ResolvedEvent") -> None:
-        if not self.network.has_link(event.a, event.b):
-            return  # already failed (or never materialized)
-        if event.kind == "fail":
-            self.engine.fail_link(event.a, event.b)
-        elif event.kind == "perturb":
-            # HLP-family perturbations re-weight intra-domain links; the
-            # resolved label is the algebra triple (weight, domain, domain).
-            self.engine.perturb_link(event.a, event.b, event.label[0])
+    def fail_link(self, a: str, b: str) -> None:
+        self.engine.fail_link(a, b)
+
+    def perturb_link(self, a: str, b: str, label) -> None:
+        # HLP-family perturbations re-weight intra-domain links; the
+        # resolved label is the algebra triple (weight, domain, domain).
+        self.engine.perturb_link(a, b, label[0])
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> ExecutionOutcome:
         reason = self.engine.run(until=until, max_events=max_events)
         return self._outcome(HLPBackend.name, reason)
 
-    def route_table(self) -> tuple[dict, dict]:
-        routes: dict = {}
-        sigs: dict = {}
-        for node in self.network.nodes():
-            for dest in self.destinations:
-                if node == dest:
-                    continue
-                routes[(node, dest)], sigs[(node, dest)] = \
-                    self._render_route(node, dest)
-        return routes, sigs
+    def _selected_routes(self, node: str) -> dict:
+        return {dest: self._route(node, dest)
+                for dest in self.destinations if dest != node}
 
-    def _render_route(self, node: str, dest: str) -> tuple:
-        """``(path, sig)`` of HLP's current route in algebra vocabulary."""
+    def _route(self, node: str, dest: str) -> tuple | None:
+        """``(sig, path)`` of HLP's current route in algebra vocabulary."""
         engine = self.engine
         cost = engine.route_cost(node, dest)
         if cost is None:
-            return None, None
+            return None
         state = engine._states[node]
         if engine._domain(dest) == state.domain:
-            return (node, dest), (cost, (state.domain,))
+            return (cost, (state.domain,)), (node, dest)
         _border_cost, dpath, border = state.best_ext[dest]
         path = (node, dest) if border == node else (node, border, dest)
-        return path, (cost, tuple(dpath))
+        return (cost, tuple(dpath)), path
 
 
 class HLPBackend(ExecutionBackend):
@@ -108,6 +98,5 @@ class HLPBackend(ExecutionBackend):
         return (isinstance(scenario.algebra, HLPCostAlgebra)
                 and getattr(scenario, "top_k", 1) == 1)
 
-    def prepare(self, scenario: "Scenario", *, seed: int = 0,
-                log_routes: bool = False) -> HLPSession:
-        return HLPSession(scenario, seed=seed, log_routes=log_routes)
+    def prepare(self, scenario: "Scenario", *, seed: int = 0) -> HLPSession:
+        return HLPSession(scenario, seed=seed)

@@ -32,7 +32,7 @@ from ..net.simulator import Simulator
 from .base import ExecutionBackend, ExecutionOutcome, ExecutionSession
 
 if TYPE_CHECKING:
-    from ..campaigns.scenarios import ResolvedEvent, Scenario
+    from ..campaigns.scenarios import Scenario
 
 #: Column positions of the generated GPV program's relations (the top-k
 #: variant appends a rank column to ``sig`` at SIG_RANK).
@@ -43,19 +43,15 @@ OPT_DEST, OPT_SIG, OPT_PATH = 1, 2, 3
 class NDlogSession(ExecutionSession):
     """A deployed GPV program prepared for one scenario."""
 
-    def __init__(self, scenario: "Scenario", *, seed: int,
-                 log_routes: bool):
-        self.algebra = scenario.algebra
-        self.destinations = list(scenario.destinations)
-        self.top_k = getattr(scenario, "top_k", 1)
-        self.sim = Simulator(scenario.network, seed=seed)
+    def _wire(self, scenario: "Scenario", seed: int) -> Simulator:
+        sim = Simulator(scenario.network, seed=seed)
         self.runtime = deploy_gpv(
             scenario.network, scenario.algebra, self.destinations,
-            simulator=self.sim, top_k=self.top_k,
+            simulator=sim, top_k=self.top_k,
             batch_interval=getattr(scenario, "batch_interval", None))
-        self.route_log: list = []
-        if log_routes:
+        if scenario.log_routes:
             self.runtime.observers.append(self._log_route)
+        return sim
 
     def _log_route(self, node: str, relation: str, row: tuple) -> None:
         """Mirror the native engine's RIB-in route log off ``sig`` deltas.
@@ -70,20 +66,6 @@ class NDlogSession(ExecutionSession):
                 (node, row[SIG_DEST], row[SIG_SIG], row[SIG_PATH]))
 
     # -- events ---------------------------------------------------------------
-
-    def apply_event(self, event: "ResolvedEvent") -> None:
-        if event.kind == "hijack":
-            # Attacker-destination is never a link — inject the forged
-            # origination before any link-existence guard.
-            self.inject_route(event.a, event.b, event.label)
-            return
-        if not self.network.has_link(event.a, event.b):
-            return  # already failed (or never materialized)
-        if event.kind == "fail":
-            self.fail_link(event.a, event.b)
-        elif event.kind == "perturb":
-            self.perturb_link(event.a, event.b,
-                              label_ab=event.label, label_ba=event.label)
 
     def inject_route(self, node: str, dest: str, label) -> None:
         """Forged origination (hijack): a ``sig`` fact with no link behind it.
@@ -127,18 +109,13 @@ class NDlogSession(ExecutionSession):
                         withdrawal += (row[SIG_RANK],)
                     runtime.apply_delta(node, "sig", withdrawal)
 
-    def perturb_link(self, a: str, b: str, *, label_ab=None,
-                     label_ba=None) -> None:
-        """Re-label the link and re-derive everything received over it."""
-        if label_ab is not None:
-            self.network.set_label(a, b, label_ab)
-        if label_ba is not None:
-            self.network.set_label(b, a, label_ba)
+    def perturb_link(self, a: str, b: str, label) -> None:
+        """Re-label both directions of the link and re-derive everything
+        received over it."""
+        self.network.set_label(a, b, label)
+        self.network.set_label(b, a, label)
         runtime = self.runtime
         for node, src in ((a, b), (b, a)):
-            label = self.network.label(node, src)
-            if label is None:
-                continue
             runtime.install_fact(node, "label", (node, src, label))
             for row in runtime.raw_advertisements(node, src):
                 runtime.apply_delta(node, runtime.transport.msg_relation, row)
@@ -157,46 +134,21 @@ class NDlogSession(ExecutionSession):
         reason = self.sim.run(until=until, max_events=max_events)
         return self._outcome(NDlogBackend.name, reason)
 
-    def route_table(self) -> tuple[dict, dict]:
-        routes: dict = {}
-        sigs: dict = {}
-        dests = set(self.destinations)
-        for node in self.network.nodes():
-            held = {row[OPT_DEST]: row
-                    for row in self.runtime.table_rows(node, "localOpt")
-                    if row[OPT_SIG] is not PHI}
-            for dest in dests:
-                if node == dest:
-                    continue
-                row = held.get(dest)
-                routes[(node, dest)] = row[OPT_PATH] if row else None
-                sigs[(node, dest)] = row[OPT_SIG] if row else None
-        return routes, sigs
+    def _selected_routes(self, node: str) -> dict:
+        return {row[OPT_DEST]: (row[OPT_SIG], row[OPT_PATH])
+                for row in self.runtime.table_rows(node, "localOpt")
+                if row[OPT_SIG] is not PHI}
 
-    def route_sets(self) -> dict:
-        """Ranked candidate pool per pair, capped at k (multipath only).
-
-        Mirrors the native engine's ``known_routes``: all non-φ ``sig``
-        rows for the pair, in the shared :func:`rank_routes` order.
-        """
-        if self.top_k < 2:
-            return {}
-        sets: dict = {}
-        dests = set(self.destinations)
+    def _ranked_routes(self, node: str) -> dict:
+        """Mirrors the native engine's ``known_routes``: the pair's
+        ``sig`` rows in the shared :func:`rank_routes` order (φ dropped)."""
+        pools: dict = {}
+        for row in self.runtime.table_rows(node, "sig"):
+            pools.setdefault(row[SIG_DEST], []).append(
+                (row[SIG_SIG], row[SIG_PATH]))
         rank_key = self.algebra.rank_key
-        for node in self.network.nodes():
-            pools: dict = {}
-            for row in self.runtime.table_rows(node, "sig"):
-                if row[SIG_DEST] not in dests:
-                    continue
-                pools.setdefault(row[SIG_DEST], []).append(
-                    (row[SIG_SIG], row[SIG_PATH]))
-            for dest, pool in pools.items():
-                if node == dest:
-                    continue
-                ranked = rank_routes(pool, lambda route: rank_key(route[0]))
-                sets[(node, dest)] = tuple(ranked[:self.top_k])
-        return sets
+        return {dest: rank_routes(pool, lambda route: rank_key(route[0]))
+                for dest, pool in pools.items()}
 
 
 class NDlogBackend(ExecutionBackend):
@@ -204,6 +156,6 @@ class NDlogBackend(ExecutionBackend):
 
     name = "ndlog"
 
-    def prepare(self, scenario: "Scenario", *, seed: int = 0,
-                log_routes: bool = False) -> NDlogSession:
-        return NDlogSession(scenario, seed=seed, log_routes=log_routes)
+    def prepare(self, scenario: "Scenario", *,
+                seed: int = 0) -> NDlogSession:
+        return NDlogSession(scenario, seed=seed)

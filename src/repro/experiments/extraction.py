@@ -13,7 +13,7 @@ It accepts any *route-log source* — an object exposing ``algebra``,
 ``network`` and ``route_log`` (a list of ``(node, dest, sig, path)``
 acceptances): a :class:`~repro.protocols.gpv.GPVEngine` run with
 ``log_routes=True``, or any :class:`~repro.exec.base.ExecutionSession`
-prepared with route logging.
+prepared from a scenario with ``log_routes`` set.
 """
 
 from __future__ import annotations

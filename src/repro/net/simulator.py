@@ -134,10 +134,7 @@ class Simulator:
         stats = self.stats
         stats.bytes_sent_total += size_bytes
         stats.messages_sent += 1
-        stats.bytes_by_node[src] += size_bytes
         stats.send_log.append((now, size_bytes))
-        if now > stats.last_send:
-            stats.last_send = now
         # The arithmetic of at(arrival, ...), spelled out: the rounding of
         # now + (arrival - now) is part of every run's timeline.
         delay = arrival - now

@@ -7,13 +7,12 @@ Records exactly the quantities the paper's evaluation plots:
   to all destinations");
 * **bandwidth over time** — per-node average MBps in fixed bins
   (Figs. 5 and 6);
-* **communication cost** — total and per-node bytes (Sec. VI-D quotes
-  per-node MB for PV / HLP / HLP-CH).
+* **communication cost** — total bytes and their per-node average
+  (Sec. VI-D quotes per-node MB for PV / HLP / HLP-CH).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -31,12 +30,10 @@ class StatsCollector:
 
     bytes_sent_total: int = 0
     messages_sent: int = 0
-    bytes_by_node: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     #: (timestamp, size) of every send — the raw series behind the figures.
     send_log: list[tuple[float, int]] = field(default_factory=list)
     route_changes: int = 0
     last_route_change: float = 0.0
-    last_send: float = 0.0
 
     # -- recording --------------------------------------------------------------
     # The send fields are written by Simulator.send, inline on its per-message

@@ -108,6 +108,19 @@ class TestAggregatingSink:
         assert len(report.errors()) == 1
         assert report.reproducer_seeds()  # replayable
 
+    def test_disagreement_count_counts_scenarios(self):
+        """A safe-diverged scenario whose backends also diverge is one
+        disagreement, not one per way it disagrees."""
+        sink = AggregatingSink(keep_results=False, max_retained=10)
+        sink.accept(make_result(0))
+        for i in (1, 2):
+            sink.accept(make_result(
+                i, SAFE_DIVERGED, safe=True, converged=False,
+                pairwise=(PairOutcome("gpv", "ndlog", "route-diverged"),)))
+        report = sink.report(wall_clock_s=1.0, jobs=1, chunk_size=8,
+                             aborted=None)
+        assert report.disagreement_count == 2
+
     def test_bulk_results_cannot_evict_reproducers(self):
         """A late disagreement must survive even after the ordinary-result
         buffer filled up (reproducers have their own retention)."""

@@ -1,6 +1,6 @@
 """The one way the conformance suites drive the batch backend.
 
-``batch`` has no scalar ``prepare / schedule_events / run`` lifecycle:
+``batch`` has no scalar ``prepare → run`` lifecycle:
 admission (``supports``) returns the compiled problem and
 ``prepare_batch`` takes it.  Every suite under ``tests/exec`` that needs
 a single batch outcome goes through :func:`run_batch`.

@@ -53,7 +53,10 @@ Each run is on its own materialization with the spec's event timeline and
 route logging on.  Its row, like a ``gpv_corpus.json`` row, adds a
 ``route_log`` column (:func:`route_log_digest`, a sha1 over the logged
 acceptances), which :func:`outcome_digest` does not cover.  The rows were
-generated at commit 9d050d0, before signatures were ranked by key.
+generated at commit 9d050d0, before signatures were ranked by key.  After
+36a0d9c, ``multipath-spec30-ndlog`` was rebased in its ``digest`` alone:
+its NDlog run holds three pairs whose ``sig`` rows are all φ, which
+``route_sets`` now leaves out, as it always did for GPV.
 
 Regenerate every pin file (only when a behaviour change is intended) with::
 
@@ -81,7 +84,7 @@ from pathlib import Path
 
 from repro.campaigns import ScenarioGenerator, evaluate, materialize
 from repro.campaigns.oracle import EvaluationOptions
-from repro.exec import batch, get_backend, schedule_events
+from repro.exec import batch, get_backend
 
 GPV_CORPUS = Path(__file__).with_name("gpv_corpus.json")
 #: corpus name → (families, or None for all ten; number of specs).
@@ -135,9 +138,7 @@ def gpv_corpus_specs() -> list[tuple[str, object]]:
 
 def gpv_corpus_row(corpus: str, spec) -> dict:
     scenario = materialize(spec)
-    session = get_backend("gpv").prepare(scenario, seed=spec.seed,
-                                         log_routes=scenario.log_routes)
-    schedule_events(session, scenario.events)
+    session = get_backend("gpv").prepare(scenario, seed=spec.seed)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
     return {"corpus": corpus, **pin_row(spec, outcome),
             "route_log": route_log_digest(session)}
@@ -199,12 +200,16 @@ def batched_wire_specs() -> list[tuple[str, object]]:
             for spec in batched_wire_corpus(name)]
 
 
-def batched_wire_row(corpus: str, spec, backend: str) -> dict:
+def batched_wire_run(spec, backend: str) -> tuple:
+    """``(session, outcome)`` of the spec on one backend, route logging on."""
     scenario = materialize(spec)
-    session = get_backend(backend).prepare(scenario, seed=spec.seed,
-                                           log_routes=True)
-    schedule_events(session, scenario.events)
-    outcome = session.run(until=spec.until, max_events=spec.max_events)
+    scenario.log_routes = True
+    session = get_backend(backend).prepare(scenario, seed=spec.seed)
+    return session, session.run(until=spec.until, max_events=spec.max_events)
+
+
+def batched_wire_row(corpus: str, spec, backend: str) -> dict:
+    session, outcome = batched_wire_run(spec, backend)
     return {"corpus": corpus, **pin_row(spec, outcome),
             "route_log": route_log_digest(session)}
 

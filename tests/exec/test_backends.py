@@ -21,21 +21,20 @@ from repro.exec import (
     get_backend,
     resolve_backends,
     route_mismatches,
-    schedule_events,
 )
 
 from batch_helper import run_batch
 
 
 def run_backend(name: str, spec: ScenarioSpec, *, log_routes: bool = False):
-    """Materialize, prepare, schedule the spec's events, run (``batch``
-    has its own lifecycle: :func:`batch_helper.run_batch`)."""
+    """Materialize, prepare, run (``batch`` has its own lifecycle:
+    :func:`batch_helper.run_batch`); ``log_routes`` turns route logging
+    on for a scenario that does not ask for it."""
     if name == "batch":
         return run_batch(spec)
     scenario = materialize(spec)
-    session = get_backend(name).prepare(scenario, seed=spec.seed,
-                                        log_routes=log_routes)
-    schedule_events(session, scenario.events)
+    scenario.log_routes = scenario.log_routes or log_routes
+    session = get_backend(name).prepare(scenario, seed=spec.seed)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
     return session, outcome
 

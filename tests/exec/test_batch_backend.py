@@ -21,7 +21,7 @@ from repro.campaigns import (
     ScenarioSpec,
     materialize,
 )
-from repro.exec import get_backend, route_mismatches, schedule_events
+from repro.exec import get_backend, route_mismatches
 from repro.exec.base import ExecutionOutcome
 from repro.exec.batch import (
     BatchDeclined,
@@ -39,15 +39,13 @@ from repro.obs import metrics
 from batch_helper import BATCH, run_batch
 
 
-def run_backend(name: str, spec: ScenarioSpec, *, log_routes: bool = False):
-    """Materialize, prepare, schedule the spec's events, run (``batch``
-    has its own lifecycle: :func:`batch_helper.run_batch`)."""
+def run_backend(name: str, spec: ScenarioSpec):
+    """Materialize, prepare, run (``batch`` has its own lifecycle:
+    :func:`batch_helper.run_batch`)."""
     if name == "batch":
         return run_batch(spec)
     scenario = materialize(spec)
-    session = get_backend(name).prepare(scenario, seed=spec.seed,
-                                        log_routes=log_routes)
-    schedule_events(session, scenario.events)
+    session = get_backend(name).prepare(scenario, seed=spec.seed)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
     return session, outcome
 
@@ -324,7 +322,6 @@ class TestOnePathContract:
             scenario = materialize(spec)
             batch, = BATCH.prepare_batch([BATCH.supports(scenario)]).run()
             session = get_backend("gpv").prepare(scenario, seed=spec.seed)
-            schedule_events(session, scenario.events)
             gpv = session.run(until=spec.until, max_events=spec.max_events)
             _fresh_session, fresh = run_backend("gpv", spec)
             assert (gpv.routes, gpv.messages) == \

@@ -19,6 +19,7 @@ from pins import (
     BATCHED_WIRE_CORPUS,
     batched_wire_row,
     batched_wire_row_id,
+    batched_wire_run,
     batched_wire_specs,
     load_rows,
 )
@@ -50,3 +51,13 @@ def test_corpora_reach_the_batched_paths():
 def test_batched_run_is_pinned(row):
     spec = specs_by_key()[(row["corpus"], row["spec"])]
     assert batched_wire_row(row["corpus"], spec, row["backend"]) == row
+
+
+def test_backends_render_the_same_k_best_pairs():
+    """A pair with no route is left out of ``route_sets`` by every backend:
+    spec 30's NDlog run holds pools of φ rows only."""
+    spec = specs_by_key()[("multipath", 30)]
+    route_sets = {backend: batched_wire_run(spec, backend)[1].route_sets
+                  for backend in BATCHED_WIRE_BACKENDS}
+    assert route_sets["gpv"].keys() == route_sets["ndlog"].keys()
+    assert all(all(sets.values()) for sets in route_sets.values())

@@ -14,7 +14,7 @@ import pytest
 
 from repro.algebra.hlp import HLPCostAlgebra
 from repro.campaigns import LinkEventSpec, ScenarioSpec, materialize
-from repro.exec import BACKENDS, get_backend, route_mismatches, schedule_events
+from repro.exec import BACKENDS, get_backend, route_mismatches
 
 
 def hlp_spec(*, seed: int = 5, events: tuple = (),
@@ -30,7 +30,6 @@ def hlp_spec(*, seed: int = 5, events: tuple = (),
 def run_backend(name: str, spec: ScenarioSpec):
     scenario = materialize(spec)
     session = get_backend(name).prepare(scenario, seed=spec.seed)
-    schedule_events(session, scenario.events)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
     return session, outcome
 

@@ -14,7 +14,7 @@ so deployed filter-mode scenarios run batched, verified batch≡gpv here.
 from repro.algebra.secure import hijacked_route
 from repro.campaigns import materialize
 from repro.campaigns.spec import LinkEventSpec, ScenarioSpec
-from repro.exec import get_backend, schedule_events
+from repro.exec import get_backend
 
 from batch_helper import run_batch
 
@@ -37,7 +37,6 @@ def run_backend(name, spec):
         return run_batch(spec)
     scenario = materialize(spec)
     session = get_backend(name).prepare(scenario, seed=spec.seed)
-    schedule_events(session, scenario.events)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
     return scenario, outcome
 

@@ -132,8 +132,7 @@ class TestAdvertisedSets:
         """Losing a relay shrinks the advertised set; the vacated rank
         reaches neighbors as a φ row, not a stale alternate."""
         from repro.campaigns import LinkEventSpec, ScenarioSpec, materialize
-        from repro.exec import get_backend, route_set_mismatches, \
-            schedule_events
+        from repro.exec import get_backend, route_set_mismatches
 
         spec = ScenarioSpec(
             scenario_id=0, family="multipath", algebra="shortest-path",
@@ -147,7 +146,6 @@ class TestAdvertisedSets:
         for name in ("gpv", "ndlog"):
             scenario = materialize(spec)
             session = get_backend(name).prepare(scenario, seed=spec.seed)
-            schedule_events(session, scenario.events)
             outcome = session.run(until=spec.until,
                                   max_events=spec.max_events)
             assert outcome.converged

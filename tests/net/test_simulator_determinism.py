@@ -26,8 +26,6 @@ def _run(instance, seed: int) -> tuple[str, bytes]:
         stats.bytes_sent_total,
         stats.route_changes,
         stats.last_route_change,
-        stats.last_send,
-        sorted(stats.bytes_by_node.items()),
         stats.send_log,
     )).encode()
     return reason, stats_bytes
