@@ -206,7 +206,7 @@ CLI_DRIVES = {
                 ["analyze", "figure3-fixed"]],
     "run": [["run", "good"], ["run", "bad", "--until", "2"]],
     "modelcheck": [["modelcheck", "disagree"],
-                   ["modelcheck", "bad", "--mode", "async"]],
+                   ["modelcheck", "good"]],
     "analyze-config": [["analyze-config", "{scratch}/routers.conf",
                         "--dest", "b"],
                        ["analyze-config", "{scratch}/missing.conf"]],

@@ -6,8 +6,10 @@
   :class:`SafetyReport` (sat→model, unsat→minimal core mapped back to the
   policy configuration);
 * :mod:`repro.analysis.composition` — the lexical-product decision rule;
-* :mod:`repro.analysis.modelcheck` — explicit-state oscillation traces and
-  stable-state enumeration (the paper's Sec. VIII future-work item).
+* :mod:`repro.analysis.modelcheck` — :class:`ModelChecker`: stable-state
+  enumeration and oscillation traces under subset activation (the
+  paper's Sec. VIII future-work item); a budget overrun raises
+  :class:`BudgetExceeded`.
 """
 
 from .composition import analyze_product
@@ -18,8 +20,7 @@ from .dispute import (
     is_dispute_free,
 )
 from .encoder import ConstraintSource, Encoding, encode, sig_name
-from .modelcheck import ModelChecker, ModelCheckResult, Trace
-from .modelcheck import check as model_check
+from .modelcheck import ModelChecker, Trace
 from .pipeline import (
     AnalysisPipeline,
     AnalysisStage,
@@ -39,7 +40,6 @@ __all__ = [
     "DisputeDigraph",
     "DisputeStage",
     "Encoding",
-    "ModelCheckResult",
     "ModelChecker",
     "SafetyAnalyzer",
     "SafetyReport",
@@ -52,6 +52,5 @@ __all__ = [
     "default_stages",
     "encode",
     "is_dispute_free",
-    "model_check",
     "sig_name",
 ]

@@ -12,27 +12,26 @@ This module implements that for SPP instances, using the standard SPVP
 * a node's **best response** is its highest-ranked permitted path whose
   next hop currently selects the path's tail — i.e. the route the neighbor
   is actually advertising;
-* **sync** dynamics activate every node simultaneously (deterministic);
-  **async** dynamics activate one node at a time (non-deterministic, and
-  explored exhaustively).
+* the one dynamics is **subset activation**: a move lets any non-empty
+  set of unsettled nodes adopt their best responses together, each
+  reading the old state — what message delays let a real engine do.
 
 Facilities:
 
 * :func:`stable_states` — every fixpoint (stable routing trees).  BAD
   GADGET has none, DISAGREE exactly two, GOOD GADGET exactly one;
 * :func:`find_oscillation` — a concrete oscillation trace: a lasso
-  (prefix + cycle) of states under the chosen dynamics, or None;
-* :meth:`ModelChecker.run_sync` — the deterministic synchronous execution
-  from a given state (converges or laps into a cycle).
+  (prefix + cycle) of states reachable from the initial state, or None.
 
 State spaces are exponential in instance size; the checker is intended for
 gadget-scale instances (the paper's use case) and guards itself with a
-state budget.
+state budget: :class:`BudgetExceeded` is the answer "unknown", never "no".
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..algebra.spp import Path, SPPInstance
@@ -48,10 +47,6 @@ class Trace:
     prefix: list[State]
     cycle: list[State]
 
-    @property
-    def is_oscillation(self) -> bool:
-        return len(self.cycle) > 1
-
     def describe(self, instance: SPPInstance) -> str:
         """Human-readable rendering with the paper's path names."""
         def fmt(state: State) -> str:
@@ -61,29 +56,13 @@ class Trace:
                 parts.append(f"{node}:{name}")
             return "{" + ", ".join(parts) + "}"
 
-        lines = ["oscillation trace:" if self.is_oscillation
-                 else "converging trace:"]
+        lines = ["oscillation trace:"]
         for i, state in enumerate(self.prefix):
             lines.append(f"  t{i}: {fmt(state)}")
-        lines.append("  -- cycle --" if self.is_oscillation
-                     else "  -- fixpoint --")
+        lines.append("  -- cycle --")
         for i, state in enumerate(self.cycle):
             lines.append(f"  c{i}: {fmt(state)}")
         return "\n".join(lines)
-
-
-@dataclass
-class ModelCheckResult:
-    """Outcome of :func:`check`."""
-
-    stable: list[dict[str, Path]]
-    oscillation: Trace | None
-    states_explored: int
-    exhausted_budget: bool = False
-
-    @property
-    def has_stable_state(self) -> bool:
-        return bool(self.stable)
 
 
 class BudgetExceeded(RuntimeError):
@@ -114,15 +93,6 @@ class ModelChecker:
             if held.get(next_hop) == path[1:]:
                 return path
         return None
-
-    def step_sync(self, state: State) -> State:
-        return tuple((node, self.best_response(state, node))
-                     for node, _ in state)
-
-    def step_async(self, state: State, node: str) -> State:
-        response = self.best_response(state, node)
-        return tuple((n, response if n == node else current)
-                     for n, current in state)
 
     def is_stable(self, state: State) -> bool:
         return all(self.best_response(state, node) == selected
@@ -157,87 +127,44 @@ class ModelChecker:
 
     # -- trace generation ----------------------------------------------------------
 
-    def run_sync(self, start: State | None = None) -> Trace:
-        """Deterministic synchronous run until fixpoint or state revisit."""
-        state = start if start is not None else self.initial_state()
-        seen: dict[State, int] = {}
-        history: list[State] = []
-        while state not in seen:
-            if len(history) > self.max_states:
-                raise BudgetExceeded("synchronous run exceeded budget")
-            seen[state] = len(history)
-            history.append(state)
-            state = self.step_sync(state)
-        loop_start = seen[state]
-        return Trace(prefix=history[:loop_start],
-                     cycle=history[loop_start:])
+    def successors(self, state: State) -> Iterator[State]:
+        """Each distinct next state: a non-empty subset of the *unsettled*
+        nodes (best response ≠ selection) adopts its best responses, read
+        from ``state``.  The full set (the synchronous step) goes first,
+        then smaller subsets in :func:`itertools.combinations` order."""
+        responses = [self.best_response(state, node) for node, _ in state]
+        unsettled = [i for i, (_, selected) in enumerate(state)
+                     if responses[i] != selected]
+        for size in range(len(unsettled), 0, -1):
+            for subset in itertools.combinations(unsettled, size):
+                yield tuple((node, responses[i] if i in subset else selected)
+                            for i, (node, selected) in enumerate(state))
 
-    def find_oscillation(self, mode: str = "sync") -> Trace | None:
-        """A reachable oscillation under the chosen dynamics, or None.
-
-        ``sync``: follow the deterministic run; an oscillation is a revisit
-        cycle longer than one state.  ``async``: depth-first search over
-        single-node activations for any reachable cycle of changing states.
-        """
-        if mode == "sync":
-            trace = self.run_sync()
-            return trace if trace.is_oscillation else None
-        if mode != "async":
-            raise ValueError(f"unknown mode {mode!r}")
-        return self._find_async_cycle()
-
-    def _find_async_cycle(self) -> Trace | None:
+    def find_oscillation(self) -> Trace | None:
+        """A lasso reachable from the initial state, or None, by iterative
+        depth-first search over :meth:`successors`.  Wherever the
+        synchronous run laps, the trace is exactly that run's lasso.
+        Raises :class:`BudgetExceeded` past ``max_states`` states."""
         start = self.initial_state()
-        on_path: dict[State, int] = {}
-        path: list[State] = []
-        finished: set[State] = set()
-        explored = 0
-
-        def dfs(state: State) -> Trace | None:
-            nonlocal explored
-            explored += 1
-            if explored > self.max_states:
-                raise BudgetExceeded("async exploration exceeded budget")
-            on_path[state] = len(path)
-            path.append(state)
-            for node in self.nodes:
-                successor = self.step_async(state, node)
-                if successor == state:
-                    continue
-                if successor in on_path:
-                    cycle = path[on_path[successor]:]
-                    return Trace(prefix=path[:on_path[successor]],
-                                 cycle=list(cycle))
-                if successor not in finished:
-                    found = dfs(successor)
-                    if found is not None:
-                        return found
-            path.pop()
-            del on_path[state]
-            finished.add(state)
-            return None
-
-        return dfs(start)
-
-
-def check(instance: SPPInstance, mode: str = "sync",
-          max_states: int = 200_000) -> ModelCheckResult:
-    """One-call model check: stable states + oscillation search."""
-    checker = ModelChecker(instance, max_states=max_states)
-    exhausted = False
-    try:
-        stable = checker.stable_states()
-    except BudgetExceeded:
-        stable = []
-        exhausted = True
-    try:
-        oscillation = checker.find_oscillation(mode=mode)
-    except BudgetExceeded:
-        oscillation = None
-        exhausted = True
-    return ModelCheckResult(
-        stable=stable,
-        oscillation=oscillation,
-        states_explored=0 if exhausted else len(stable),
-        exhausted_budget=exhausted,
-    )
+        path, on_path, finished = [start], {start: 0}, set()
+        pending = [self.successors(start)]
+        while pending:
+            successor = next(pending[-1], None)
+            if successor is None:
+                pending.pop()
+                done = path.pop()
+                del on_path[done]
+                finished.add(done)
+            elif successor in on_path:
+                loop_start = on_path[successor]
+                return Trace(prefix=path[:loop_start],
+                             cycle=path[loop_start:])
+            elif successor not in finished:
+                if len(path) + len(finished) >= self.max_states:
+                    raise BudgetExceeded(
+                        f"oscillation search exceeded the budget "
+                        f"({self.max_states} states)")
+                on_path[successor] = len(path)
+                path.append(successor)
+                pending.append(self.successors(successor))
+        return None

@@ -6,7 +6,8 @@ Python:
 * ``analyze <gadget>`` — safety verdict + unsat core for a built-in gadget;
 * ``run <gadget>`` — execute the generated NDlog implementation and report
   convergence / message counts;
-* ``modelcheck <gadget>`` — stable states and an oscillation trace;
+* ``modelcheck <gadget>`` — stable states and an oscillation trace under
+  subset activation (any set of nodes may move at once);
 * ``analyze-config <file> [--dest NODE]`` — validate router configuration
   files and (given a destination) analyze the implied SPP instance;
 * ``figure {fig4,fig5,fig6} [--quick]`` — regenerate an evaluation figure;
@@ -99,7 +100,7 @@ def cmd_modelcheck(args: argparse.Namespace) -> int:
         rendered = {node: instance.path_name(path)
                     for node, path in sorted(state.items())}
         print(f"  {rendered}")
-    trace = checker.find_oscillation(mode=args.mode)
+    trace = checker.find_oscillation()
     if trace is None:
         print("no oscillation under these dynamics")
         return 0
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modelcheck",
                        help="stable states and oscillation traces")
     p.add_argument("gadget", choices=sorted(GADGETS))
-    p.add_argument("--mode", choices=("sync", "async"), default="sync")
     p.set_defaults(fn=cmd_modelcheck)
 
     p = sub.add_parser("analyze-config",

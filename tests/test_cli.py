@@ -64,8 +64,8 @@ class TestModelcheck:
         assert "stable solutions: 2" in out
         assert "oscillation trace" in out
 
-    def test_good_async(self, capsys):
-        assert main(["modelcheck", "good", "--mode", "async"]) == 0
+    def test_good_has_no_oscillation(self, capsys):
+        assert main(["modelcheck", "good"]) == 0
         out = capsys.readouterr().out
         assert "stable solutions: 1" in out
         assert "no oscillation" in out
