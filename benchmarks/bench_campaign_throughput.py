@@ -348,8 +348,9 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
     spec draws distinct weights, so tabulation dominated its cold figure
     (~0.5x before canonical-token keying and the kernel cache; the cold
     number is recorded, un-gated).  Kernel cache tier counters,
-    per-phase wall time (scan/tabulate/relax/render) and
-    rounds-to-fixpoint histograms for both passes land in
+    per-phase wall time (scan/tabulate/relax/render) and the
+    fixpoints-per-round-count counter
+    ``repro_batch_relax_rounds_total{rounds}`` for both passes land in
     ``BENCH_batch.json``; ``runtime_declines`` (kernel groups) must stay
     zero — no group of the gated families, the wide-weight admissions
     included, touches a hole, ties a hazard or runs out of rounds.  Each

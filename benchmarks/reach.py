@@ -22,7 +22,8 @@ every function and method defined under ``src/repro`` (a generator counts
 each resume) and writes ``REACH.json``: the count of each, and, for each
 function no drive reached, the one line in ``KEPT`` that says why it
 stays.  The census exits non-zero when a function with zero calls has no
-line in ``KEPT``, or ``KEPT`` names a function that is reached or gone.
+line in ``KEPT``, ``KEPT`` names a function that is reached or gone, or a
+reason names a caller outside the repository ("user code", "scripts").
 ``--check`` re-runs the census and compares its reach with the
 checked-in ``REACH.json`` instead of writing it.  Counts vary a little
 from run to run (budgets, pool scheduling); reach does not.
@@ -271,11 +272,11 @@ def run_drive(label: str, scratch: pathlib.Path, counts: pathlib.Path) -> None:
 ABSTRACT = "abstract: the interface states it; every concrete class overrides it"
 DEFAULT = "the base-class default; every algebra the drives build overrides it"
 REPR = "text rendering for debugging and failure messages; no drive prints one"
-DERIVED = ("derived from rank_key for callers off the hot path (user code, "
-           "tests); engines sort on rank_key itself")
+PREFERENCE = ("the comparison derived from rank_key that the algebra tests "
+              "state orders through (tests/algebra/test_library.py, "
+              "test_product.py, test_secure.py); engines sort on rank_key "
+              "itself")
 PICKLE = "keeps phi a singleton when a process pool pickles it"
-ASPATH = ("the paper's AS-path algebra (Sec. III-A) and its Gao-Rexford "
-          "composition: library API no campaign family draws")
 SAMPLE = ("a sample of an infinite or composed signature set, for the laws "
           "checker (validate_algebra)")
 LAWS = ("the algebra laws checker, the first check of a hand-written "
@@ -284,61 +285,50 @@ COMPOSED = ("the L or sigma or oplus of a composed algebra: the analyzer "
             "certifies products by composition and batch tabulates "
             "components, so nothing enumerates the product")
 REVERSE = "the reverse label of a composed label, for export filters and the laws checker"
-ACCESSOR = "read-only accessor of a library value (user code, tests)"
-LINK_LABEL = ("constructor of a secured link label for user code; the secure "
-              "families build theirs inline")
+BEST_PATH = ("the selected path the protocol tests read "
+             "(tests/protocols/test_failures.py, test_gpv.py, "
+             "test_multipath.py)")
+RIBOUT_LAST = ("the last advert a RIB-out sent a neighbour: the wire state "
+               "tests/net/test_ribout.py and "
+               "tests/ndlog/test_topk_codegen.py read")
+PENDING = ("the queue length tests/net/test_ribout.py and "
+           "tests/net/test_simulator.py read to see what a call scheduled")
+MEMO_SIZE = ("the verdict memo's size, through which "
+             "tests/campaigns/test_oracle.py and test_verdict_store.py "
+             "observe memoization")
 SPP_LABELS = "an SPP subject is decided by its dispute digraph, which never enumerates L"
 DISPUTE = ("the dispute-wheel check as a value (is_dispute_free, the cycle "
            "text); the pipeline's dispute stage reads the digraph directly")
 FAILURE = "failure path: renders or records an error or disagreement; no drive hits one"
 RESET = "resets process-wide caches between measured runs (benches, tests)"
-TO_DICT = "the report's JSON view, for scripts driving campaigns from Python"
+REPRODUCERS = ("the replayable specs of a report's disagreements and errors: "
+               "CI's resume step and tests/campaigns/test_resume.py compare "
+               "two runs' lists")
 NOOP_CLOSE = "the sink interface's close; the aggregating sink holds nothing to close"
 SHIM = ("no-op: the e2e benchmark's boundary shims still wrap this name; it "
         "goes with their next change")
 BATCH_STATS = "batch statistics the e2e benchmark's ledger and the batch bench read"
 KERNEL_STATS = "kernel-store statistics; CI and the store contract read its schema stamp"
-F_PREF = "the NDlog f_pref built-in for hand-written programs; generated programs call f_better"
-CALL = "calls an NDlog function by name for user code; compiled rules bind functions directly"
-DELAY = "the link's serialization model, which Simulator.send writes out inline"
-RELABELED = ("maps a topology onto another label vocabulary (one graph, two "
-             "algebras) for user code")
-SIZES = "wire sizes of the link-state and withdraw formats; no engine sends them"
-SUMMARY = "a run's headline numbers as a dict, for user code"
-HISTOGRAM = ("histograms are part of the repro-metrics/1 format and its "
-             "schema; no series uses one today")
 READ_METRIC = "reads one metric series (batch_phase_stats, CI checks, tests)"
 METRICS_OFF = "switches metrics off; the observability overhead bench measures with it"
 SCHEMA = ("validates emitted records against the checked-in JSON schemas "
           "(CI, tests)")
-PV = ("the paper's PV baseline engine (Fig. 6) for user code; the figure "
-      "builds its GPV engine directly")
-TERMS = "the constraint-term API beyond what the encoder emits (user code, tests)"
-YICES = "parses the paper's Yices syntax back into a constraint system (round trip of to_yices)"
-LABEL_FN = "the CAIDA builders' default label function; every family passes its own"
+EVALUATE = ("the reference semantics tests/smt/test_solver_properties.py "
+            "checks solver models against")
+LABEL_FN = ("the CAIDA builders' default label function: "
+            "tests/topology/test_caida.py builds with it; every family "
+            "passes its own")
 IBGP = ("an iBGP algebra is analyzed through SPP extraction (paper Sec. "
         "VI-B), so nothing enumerates it")
 
 #: Functions no drive reaches that stay, each with the line that says why.
 KEPT: dict[str, str] = {
-    "repro/algebra/aspath.py::AsPathAlgebra.__init__": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.closed_form_monotonicity": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.concat": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.export_allows": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.import_allows": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.labels": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.origin_seed": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.rank_key": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.reverse_label": ASPATH,
-    "repro/algebra/aspath.py::AsPathAlgebra.sample_signatures": ASPATH,
-    "repro/algebra/aspath.py::gao_rexford_avoiding": ASPATH,
     "repro/algebra/base.py::RoutingAlgebra.__repr__": REPR,
-    "repro/algebra/base.py::RoutingAlgebra.best": DERIVED,
     "repro/algebra/base.py::RoutingAlgebra.closed_form_monotonicity": DEFAULT,
     "repro/algebra/base.py::RoutingAlgebra.labels": ABSTRACT,
     "repro/algebra/base.py::RoutingAlgebra.oplus": ABSTRACT,
     "repro/algebra/base.py::RoutingAlgebra.origin_seed": ABSTRACT,
-    "repro/algebra/base.py::RoutingAlgebra.preference": DERIVED,
+    "repro/algebra/base.py::RoutingAlgebra.preference": PREFERENCE,
     "repro/algebra/base.py::RoutingAlgebra.rank_key": ABSTRACT,
     "repro/algebra/base.py::RoutingAlgebra.sample_signatures": DEFAULT,
     "repro/algebra/base.py::_Phi.__reduce__": PICKLE,
@@ -351,22 +341,17 @@ KEPT: dict[str, str] = {
     "repro/algebra/laws.py::_check_extended_laws": LAWS,
     "repro/algebra/laws.py::_check_order": LAWS,
     "repro/algebra/laws.py::validate_algebra": LAWS,
-    "repro/algebra/product.py::LexicalProduct.components": ACCESSOR,
     "repro/algebra/product.py::LexicalProduct.labels": COMPOSED,
     "repro/algebra/product.py::LexicalProduct.oplus": COMPOSED,
     "repro/algebra/product.py::LexicalProduct.reverse_label": REVERSE,
     "repro/algebra/product.py::LexicalProduct.sample_signatures": SAMPLE,
     "repro/algebra/product.py::LexicalProduct.signatures": COMPOSED,
     "repro/algebra/product.py::_reverse_component": REVERSE,
-    "repro/algebra/secure.py::SecureAlgebra.blocked_states": ACCESSOR,
     "repro/algebra/secure.py::SecureAlgebra.labels": COMPOSED,
-    "repro/algebra/secure.py::SecureAlgebra.link_label": LINK_LABEL,
     "repro/algebra/secure.py::SecureAlgebra.reverse_label": REVERSE,
     "repro/algebra/secure.py::SecureAlgebra.sample_signatures": SAMPLE,
     "repro/algebra/secure.py::SecureAlgebra.signatures": COMPOSED,
     "repro/algebra/spp.py::SPPAlgebra.labels": SPP_LABELS,
-    "repro/algebra/spp.py::SPPInstance.neighbors": ACCESSOR,
-    "repro/algebra/spp.py::SPPInstance.nodes": ACCESSOR,
     "repro/analysis/dispute.py::DisputeDigraph.describe_cycle": DISPUTE,
     "repro/analysis/dispute.py::DisputeDigraph.is_acyclic": DISPUTE,
     "repro/analysis/dispute.py::is_dispute_free": DISPUTE,
@@ -374,9 +359,8 @@ KEPT: dict[str, str] = {
     "repro/campaigns/oracle.py::_error_result": FAILURE,
     "repro/campaigns/oracle.py::_error_text": FAILURE,
     "repro/campaigns/oracle.py::clear_verdict_cache": RESET,
-    "repro/campaigns/oracle.py::verdict_cache_size": ACCESSOR,
-    "repro/campaigns/report.py::CampaignReport.reproducer_seeds": FAILURE,
-    "repro/campaigns/report.py::CampaignReport.to_dict": TO_DICT,
+    "repro/campaigns/oracle.py::verdict_cache_size": MEMO_SIZE,
+    "repro/campaigns/report.py::CampaignReport.reproducer_seeds": REPRODUCERS,
     "repro/campaigns/report.py::ScenarioResult.describe": FAILURE,
     "repro/campaigns/sink.py::AggregatingSink.close": NOOP_CLOSE,
     "repro/campaigns/sink.py::ResultSink.accept": ABSTRACT,
@@ -392,30 +376,13 @@ KEPT: dict[str, str] = {
     "repro/exec/batch.py::reset_batch_phase_stats": RESET,
     "repro/exec/batch.py::reset_kernel_cache_stats": RESET,
     "repro/exec/kernel_store.py::KernelStore.stats": KERNEL_STATS,
-    "repro/ndlog/ast.py::Atom.variables": ACCESSOR,
     "repro/ndlog/ast.py::Const.__str__": REPR,
-    "repro/ndlog/codegen.py::make_functions.<locals>.f_pref": F_PREF,
-    "repro/ndlog/functions.py::FunctionRegistry.call": CALL,
-    "repro/ndlog/runtime.py::Table.__len__": ACCESSOR,
-    "repro/net/network.py::Link.other": ACCESSOR,
-    "repro/net/network.py::Link.transmission_delay": DELAY,
-    "repro/net/network.py::Network.relabeled": RELABELED,
-    "repro/net/ribout.py::RibOut.last": ACCESSOR,
-    "repro/net/simulator.py::Simulator.pending_events": ACCESSOR,
+    "repro/net/ribout.py::RibOut.last": RIBOUT_LAST,
+    "repro/net/simulator.py::Simulator.pending_events": PENDING,
     "repro/net/simulator.py::_dropped": FAILURE,
-    "repro/net/sizes.py::link_state_size": SIZES,
-    "repro/net/sizes.py::withdraw_size": SIZES,
-    "repro/net/stats.py::StatsCollector.summary": SUMMARY,
-    "repro/obs/metrics.py::Histogram.__init__": HISTOGRAM,
-    "repro/obs/metrics.py::Histogram.cumulative": HISTOGRAM,
-    "repro/obs/metrics.py::Histogram.observe": HISTOGRAM,
-    "repro/obs/metrics.py::Histogram.reset": HISTOGRAM,
     "repro/obs/metrics.py::MetricsRegistry.family": READ_METRIC,
-    "repro/obs/metrics.py::MetricsRegistry.histogram": HISTOGRAM,
     "repro/obs/metrics.py::MetricsRegistry.set_enabled": METRICS_OFF,
     "repro/obs/metrics.py::MetricsRegistry.value": READ_METRIC,
-    "repro/obs/metrics.py::_format_bound": HISTOGRAM,
-    "repro/obs/metrics.py::histogram": HISTOGRAM,
     "repro/obs/metrics.py::set_metrics_enabled": METRICS_OFF,
     "repro/obs/schema.py::_check_type": SCHEMA,
     "repro/obs/schema.py::_resolve_ref": SCHEMA,
@@ -426,20 +393,11 @@ KEPT: dict[str, str] = {
     "repro/obs/schema.py::validate_span": SCHEMA,
     "repro/obs/trace.py::Span.set_status": FAILURE,
     "repro/obs/trace.py::_NullSpan.set_status": FAILURE,
-    "repro/protocols/gpv.py::GPVEngine.best_path": ACCESSOR,
-    "repro/protocols/pv.py::make_pv": PV,
+    "repro/protocols/gpv.py::GPVEngine.best_path": BEST_PATH,
     "repro/smt/terms.py::Atom.__str__": REPR,
-    "repro/smt/terms.py::Atom.evaluate": TERMS,
-    "repro/smt/terms.py::Atom.ge_const": TERMS,
-    "repro/smt/terms.py::Atom.is_bound": TERMS,
-    "repro/smt/terms.py::Atom.le_const": TERMS,
+    "repro/smt/terms.py::Atom.evaluate": EVALUATE,
     "repro/smt/terms.py::ConstraintSystem.__str__": REPR,
-    "repro/smt/terms.py::ConstraintSystem.extend": TERMS,
     "repro/smt/terms.py::IntVar.__str__": REPR,
-    "repro/smt/terms.py::Relation.negate": TERMS,
-    "repro/smt/yices_syntax.py::_resolve": YICES,
-    "repro/smt/yices_syntax.py::_tokenize": YICES,
-    "repro/smt/yices_syntax.py::parse_yices": YICES,
     "repro/topology/caida.py::_identity_label": LABEL_FN,
     "repro/topology/ibgp.py::IGPCostAlgebra.labels": IBGP,
     "repro/topology/ibgp.py::IGPCostAlgebra.mono_entries": IBGP,
@@ -484,16 +442,24 @@ def census() -> dict[str, int]:
     return totals
 
 
+#: Callers a reason may not name: this repository has no users beyond its
+#: CLI, examples, benches, CI and tests, so a function kept for them is
+#: kept for nobody.
+ABSENT_CALLERS = ("user code", "scripts", "library API")
+
+
 def problems(functions: dict[str, int]) -> list[str]:
     out = []
     for key, calls in functions.items():
         if calls == 0 and key not in KEPT:
             out.append(f"unreached and not in KEPT: {key}")
-    for key in KEPT:
+    for key, reason in KEPT.items():
         if key not in functions:
             out.append(f"KEPT names a function that is gone: {key}")
         elif functions[key]:
             out.append(f"KEPT names a reached function: {key}")
+        out += [f"KEPT keeps {key} for {caller}, which does not exist"
+                for caller in ABSENT_CALLERS if caller in reason]
     return out
 
 

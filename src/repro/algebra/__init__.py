@@ -13,7 +13,6 @@
   iBGP Figure-3 constructors and scaling workloads.
 """
 
-from .aspath import AsPathAlgebra, gao_rexford_avoiding
 from .base import (
     PHI,
     ClosedFormCertificate,
@@ -53,7 +52,6 @@ from .spp import Path, SPPAlgebra, SPPInstance, SPPValidationError
 
 __all__ = [
     "AlgebraTables",
-    "AsPathAlgebra",
     "GADGET_ZOO",
     "BandwidthAlgebra",
     "ClosedFormCertificate",
@@ -82,7 +80,6 @@ __all__ = [
     "disagree",
     "disagree_chain",
     "gao_rexford_a",
-    "gao_rexford_avoiding",
     "gao_rexford_b",
     "gao_rexford_with_hopcount",
     "good_gadget",

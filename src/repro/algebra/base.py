@@ -14,12 +14,12 @@ An algebra states ⪯ exactly once, as a **key**:
 comparable value (an int, a string, a tuple of those) whose natural order
 *is* ⪯ — ``s1 ≺ s2`` iff ``rank_key(s1) < rank_key(s2)``, a tie iff neither
 key is smaller.  φ has no key: keeping it strictly worst is the base class's
-job, said once in :meth:`~RoutingAlgebra.preference`,
-:meth:`~RoutingAlgebra.better` and :meth:`~RoutingAlgebra.best`, which all
-derive from the key.  Whatever orders many signatures — route selection,
-k-best ranking (:func:`rank_routes`), the batch backend's tabulation
-(:func:`rank_sort`) — computes each key once and compares keys, never
-calling a comparator per comparison.
+job, said once in :meth:`~RoutingAlgebra.preference` and
+:meth:`~RoutingAlgebra.better`, which both derive from the key.  Whatever
+orders many signatures — route selection, k-best ranking
+(:func:`rank_routes`), the batch backend's tabulation (:func:`rank_sort`) —
+computes each key once and compares keys, never calling a comparator per
+comparison.
 
 Two views of an algebra coexist in FSR and both are modelled here:
 
@@ -174,11 +174,6 @@ class RoutingAlgebra(ABC):
         """True iff ``s1`` is strictly preferred to ``s2``."""
         return s1 is not PHI and (
             s2 is PHI or self.rank_key(s1) < self.rank_key(s2))
-
-    def best(self, candidates: Iterable[Signature]) -> Signature:
-        """The first most preferred signature (φ if none or all prohibited)."""
-        return min((sig for sig in candidates if sig is not PHI),
-                   key=self.rank_key, default=PHI)
 
     @abstractmethod
     def oplus(self, label: Label, sig: Signature) -> Signature:

@@ -38,10 +38,6 @@ class LexicalProduct(ExtendedAlgebra):
         self._import_second, self._concat_second, self._export_second = \
             split_operators(second)
 
-    @property
-    def components(self) -> tuple[RoutingAlgebra, RoutingAlgebra]:
-        return (self.first, self.second)
-
     # -- operational ------------------------------------------------------------
 
     def rank_key(self, sig: Signature) -> tuple:

@@ -99,19 +99,9 @@ class SecureAlgebra(ExtendedAlgebra):
     # -- label constructors ---------------------------------------------------
 
     @staticmethod
-    def link_label(base_label: Label, deployed: bool) -> Label:
-        """The secured label of a directed link whose *importer* is
-        (or is not) a validation deployer."""
-        return (1 if deployed else 0, base_label)
-
-    @staticmethod
     def hijack_label(base_label: Label) -> Label:
         """Origin-only pseudo-label for a forged origination."""
         return (HIJACK, base_label)
-
-    def blocked_states(self) -> tuple[str, ...]:
-        """States a deployed node filters/deprioritizes under ``variant``."""
-        return self._blocked
 
     # -- operational interface ------------------------------------------------
 

@@ -109,25 +109,6 @@ class SPPInstance:
 
     # -- queries ----------------------------------------------------------------
 
-    def nodes(self) -> list[str]:
-        """All nodes (destination included), deterministic order."""
-        found: dict[str, None] = {self.destination: None}
-        for node in sorted(self.permitted):
-            found.setdefault(node)
-        for edge in self.edges:
-            for node in sorted(edge):
-                found.setdefault(node)
-        return list(found)
-
-    def neighbors(self, node: str) -> list[str]:
-        """Adjacent nodes of ``node`` in deterministic order."""
-        out = set()
-        for edge in self.edges:
-            if node in edge:
-                other = next(iter(edge - {node}), node)
-                out.add(other)
-        return sorted(out)
-
     def rank_of(self, path: Path) -> int:
         """0-based rank of a permitted path at its source node."""
         return self.permitted[path[0]].index(path)

@@ -370,21 +370,3 @@ class CampaignReport:
             lines.append(f"  (full results truncated: "
                          f"{self.results_truncated} not retained in memory)")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenarios": self.scenario_count,
-            "wall_clock_s": self.wall_clock_s,
-            "scenarios_per_second": self.scenarios_per_second,
-            "jobs": self.jobs,
-            "chunk_size": self.chunk_size,
-            "backends": list(self.backends),
-            "aborted": self.aborted,
-            "cache_hit_rate": self.cache_hit_rate,
-            "counters": self.counters(),
-            "by_family": self.by_family(),
-            "pairwise": self.pairwise_counters(),
-            "reproducers": self.reproducer_seeds(),
-            "results_truncated": self.results_truncated,
-            "resumed": self.resumed_count,
-        }

@@ -148,7 +148,7 @@ _PHASE_EVENTS = {
     for name in ("state_cells",)
 }
 
-#: rounds-to-fixpoint histogram family; labeled per observed round count,
+#: fixpoints per round count; one counter per observed round count,
 #: so handles are re-acquired in :func:`_note_rounds` and the reset drops
 #: the dynamically-created series.
 _ROUNDS_FAMILY = "repro_batch_relax_rounds_total"

@@ -116,10 +116,6 @@ class Atom:
     def arity(self) -> int:
         return len(self.args)
 
-    def variables(self) -> Iterator[Var]:
-        for arg in self.args:
-            yield from _expr_vars(arg)
-
     def aggregate_index(self) -> int | None:
         """Position of the aggregate argument, or None."""
         for i, arg in enumerate(self.args):

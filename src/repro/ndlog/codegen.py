@@ -3,8 +3,8 @@
 Implements the four-step translation:
 
 * **Steps 1-3** — generate the policy functions of Table II from the input
-  algebra: ``f_pref`` / ``f_better`` (⪯) and the rank key ``f_rankKey``
-  they derive from (the ranked aggregate sorts on it), ``f_concatSig`` (⊕P),
+  algebra: ``f_better`` (≺) and the rank key ``f_rankKey`` it derives
+  from (the ranked aggregate sorts on it), ``f_concatSig`` (⊕P),
   ``f_import`` (⊕I), ``f_export`` (⊕E), plus the executable foldings
   ``f_combine`` and ``f_exportSig`` used by the deployed GPV program —
   the native engine's own folds
@@ -41,15 +41,9 @@ from .runtime import NDlogRuntime, TransportPolicy
 def make_functions(algebra: RoutingAlgebra) -> FunctionRegistry:
     """Steps 1-3: build the registry of algebra-derived functions."""
     registry = FunctionRegistry()
-
-    def f_pref(s1, s2) -> bool:
-        """⪯: is s1 weakly preferred to s2?"""
-        return not algebra.better(s2, s1)
-
     f_import, f_concat_sig, f_export = split_operators(algebra)
     f_combine, f_export_sig = path_vector_folds(algebra)
-    registry.register("f_pref", f_pref)
-    # ≺, the comparator behind a_pref; both it and ⪯ derive from the key.
+    # ≺, the comparator behind a_pref; it derives from the key.
     registry.register("f_better", algebra.better)
     registry.register("f_rankKey", algebra.rank_key)
     registry.register("f_concatSig", f_concat_sig)

@@ -1,7 +1,7 @@
 """Function registry for NDlog programs.
 
 NDlog rule bodies call a fixed set of ``f_*`` helpers (paper Sec. V-A).
-Built-ins cover list/path manipulation; policy functions (``f_pref``,
+Built-ins cover list/path manipulation; policy functions (``f_better``,
 ``f_concatSig``, ``f_import``, ``f_export`` — Table II of the paper) are
 *generated from the input algebra* by :mod:`repro.ndlog.codegen` and
 registered on top of the built-ins.
@@ -31,9 +31,6 @@ class FunctionRegistry:
             return self._functions[name]
         except KeyError:
             raise KeyError(f"undefined NDlog function {name!r}") from None
-
-    def call(self, name: str, *args: Any) -> Any:
-        return self.get(name)(*args)
 
     def has(self, name: str) -> bool:
         return name in self._functions

@@ -136,9 +136,6 @@ class Table:
     def rows(self) -> Iterator[Row]:
         return iter(self._rows.values())
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
 
 class _NodeState:
     """Tables (in the plan's slot order) plus the wire of one node."""

@@ -14,7 +14,7 @@
 
 from .network import DEFAULT_BANDWIDTH_BPS, DEFAULT_LATENCY_S, Link, Network
 from .simulator import Simulator, StopReason
-from .sizes import link_state_size, update_size, withdraw_size
+from .sizes import update_size
 from .stats import BandwidthPoint, StatsCollector
 
 __all__ = [
@@ -26,7 +26,5 @@ __all__ = [
     "Simulator",
     "StatsCollector",
     "StopReason",
-    "link_state_size",
     "update_size",
-    "withdraw_size",
 ]

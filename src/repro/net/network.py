@@ -43,17 +43,6 @@ class Link:
     def ends(self) -> frozenset:
         return frozenset((self.a, self.b))
 
-    def other(self, node: str) -> str:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise KeyError(f"{node} is not an endpoint of {self.a}-{self.b}")
-
-    def transmission_delay(self, size_bytes: int) -> float:
-        """Serialization time of ``size_bytes`` at the link's bandwidth."""
-        return (size_bytes * 8) / self.bandwidth_bps
-
 
 class Network:
     """A set of named nodes and attributed links.
@@ -213,20 +202,6 @@ class Network:
                                        attrs=dict(link.attrs))
         twin._by_pair = {pair: twin._links[link.ends]
                          for pair, link in self._by_pair.items()}
-        return twin
-
-    def relabeled(self, label_fn) -> "Network":
-        """A copy with every directed label mapped through ``label_fn``.
-
-        Lets one physical topology drive protocols with different algebras
-        (e.g. the Fig. 6 graph runs HLP on its business-relationship labels
-        and the PV baseline on plain hop-count labels).
-        """
-        twin = self.copy()
-        for link in twin.links():
-            link.labels = {direction: label_fn(label)
-                           for direction, label in link.labels.items()
-                           if label is not None}
         return twin
 
     def __repr__(self) -> str:

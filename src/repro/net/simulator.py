@@ -109,7 +109,7 @@ class Simulator:
         freeze a stale adjacency-RIB entry into the converged state.
 
         This runs once per simulated message, so the link's arithmetic
-        (:meth:`Link.transmission_delay` included) and the
+        (serialization time is ``size_bytes * 8 / bandwidth_bps``) and the
         :class:`StatsCollector` bookkeeping are written out here, each an
         exact transcription — ``jitter_s * random()`` is the value of
         ``uniform(0, jitter_s)``, a conditional the value of ``max`` — and

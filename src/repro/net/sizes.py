@@ -22,13 +22,3 @@ def update_size(path_length: int) -> int:
     """Size of a route advertisement carrying a ``path_length``-hop path."""
     hops = path_length if path_length > 0 else 0
     return HEADER_BYTES + ATTRIBUTE_BYTES + PER_HOP_BYTES * hops
-
-
-def withdraw_size() -> int:
-    """Size of a route withdrawal (no path attribute)."""
-    return HEADER_BYTES + ATTRIBUTE_BYTES
-
-
-def link_state_size(entry_count: int) -> int:
-    """Size of an HLP link-state advertisement with ``entry_count`` entries."""
-    return HEADER_BYTES + 8 * max(entry_count, 1)

@@ -80,13 +80,3 @@ class StatsCollector:
                            mbps_per_node=total / bin_s / node_count / 1e6)
             for i, total in enumerate(totals)
         ]
-
-    def summary(self, node_count: int) -> dict[str, float]:
-        """Headline numbers for reports and benchmarks."""
-        return {
-            "messages": float(self.messages_sent),
-            "total_mb": self.bytes_sent_total / 1e6,
-            "per_node_mb": self.per_node_megabytes(node_count),
-            "route_changes": float(self.route_changes),
-            "convergence_time_s": self.convergence_time,
-        }

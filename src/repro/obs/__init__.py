@@ -2,9 +2,10 @@
 
 Three layers, one schema (see ``obs/README.md`` for the conventions):
 
-* :mod:`repro.obs.metrics` — the process-local registry every former
-  stats island now feeds; snapshots are the ``repro-metrics/1`` wire
-  format and merge across a campaign's processes;
+* :mod:`repro.obs.metrics` — the process-local registry of counters every
+  former stats island now feeds; snapshots are the ``repro-metrics/1``
+  wire format (one ``counters`` section) and merge across a campaign's
+  processes;
 * :mod:`repro.obs.trace` — scenario-scoped structured spans
   (``repro-span/1`` JSONL) with trace IDs minted at spec generation;
 * :mod:`repro.obs.live` / :mod:`repro.obs.schema` — the dashboard
@@ -14,12 +15,10 @@ Three layers, one schema (see ``obs/README.md`` for the conventions):
 
 from .live import OBS_FORMAT, obs_payload, render_dashboard
 from .metrics import (
-    DEFAULT_BUCKETS,
     MetricsRegistry,
     SNAPSHOT_FORMAT,
     counter,
     get_registry,
-    histogram,
     merge_snapshots,
     set_metrics_enabled,
     snapshot,
@@ -46,7 +45,6 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "MetricsRegistry",
     "OBS_FORMAT",
     "SNAPSHOT_FORMAT",
@@ -58,7 +56,6 @@ __all__ = [
     "configure_tracing",
     "counter",
     "get_registry",
-    "histogram",
     "load_schema",
     "merge_snapshots",
     "obs_payload",

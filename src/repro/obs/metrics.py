@@ -3,10 +3,8 @@
 Every subsystem's telemetry — batch phases and kernel lookups, verdict
 lookups, store operations, admission outcomes — goes through one
 process-local registry, so it shares a schema and survives a process
-boundary.  Two metric kinds:
-
-* :class:`Counter` — monotonically increasing totals (events, seconds);
-* :class:`Histogram` — fixed-bucket distributions (latencies).
+boundary.  There is one metric kind, the :class:`Counter`: a monotonically
+increasing total (events, seconds).
 
 Handles are cheap and stable: a module acquires them once
 (``counter("repro_x_total", phase="scan")``) and increments a plain
@@ -17,9 +15,8 @@ Prometheus.
 
 One serialization, a stable wire format (see ``obs/README.md``):
 :meth:`MetricsRegistry.snapshot` — the JSON form (``repro-metrics/1``),
-validated by ``schemas/metrics.schema.json``; its ``gauges`` section is
-part of the format and always empty.  Snapshots from many processes
-merge with :func:`merge_snapshots` (counters and histograms sum) — the
+validated by ``schemas/metrics.schema.json``.  Snapshots from many
+processes merge with :func:`merge_snapshots` (counters sum) — the
 campaign runner merges its own with the one each pool worker returns
 per chunk.
 
@@ -34,9 +31,6 @@ import threading
 #: Version tag stamped into every snapshot (the wire format contract).
 SNAPSHOT_FORMAT = "repro-metrics/1"
 
-#: Default histogram bucket upper bounds (seconds-flavoured).
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
-
 _LabelKey = tuple[tuple[str, str], ...]
 
 
@@ -44,27 +38,14 @@ def _label_key(labels: dict) -> _LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class _Metric:
-    """Shared identity: name + sorted labels + owning registry."""
+class Counter:
+    """A monotonically increasing total.  ``inc`` only; the registry keys
+    it by ``(name, labels)``."""
 
-    __slots__ = ("name", "labels", "_registry")
-    kind = "metric"
+    __slots__ = ("_registry", "value")
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: _LabelKey):
-        self.name = name
-        self.labels = labels
+    def __init__(self, registry: "MetricsRegistry"):
         self._registry = registry
-
-
-class Counter(_Metric):
-    """A monotonically increasing total.  ``inc`` only."""
-
-    __slots__ = ("value",)
-    kind = "counter"
-
-    def __init__(self, registry, name, labels):
-        super().__init__(registry, name, labels)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -73,52 +54,6 @@ class Counter(_Metric):
 
     def reset(self) -> None:
         self.value = 0.0
-
-
-class Histogram(_Metric):
-    """A fixed-bucket distribution (per-bucket counts, sum, count)."""
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-    kind = "histogram"
-
-    def __init__(self, registry, name, labels,
-                 buckets: tuple = DEFAULT_BUCKETS):
-        super().__init__(registry, name, labels)
-        self.buckets = tuple(sorted(buckets))
-        self.counts = [0] * (len(self.buckets) + 1)  # +1: the +Inf bucket
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        if not self._registry._enabled:
-            return
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.sum += value
-        self.count += 1
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def cumulative(self) -> dict[str, int]:
-        """Prometheus-style cumulative ``le`` buckets, ``+Inf`` last."""
-        out, running = {}, 0
-        for bound, count in zip(self.buckets, self.counts):
-            running += count
-            out[_format_bound(bound)] = running
-        out["+Inf"] = running + self.counts[-1]
-        return out
-
-
-def _format_bound(bound: float) -> str:
-    text = repr(float(bound))
-    return text[:-2] if text.endswith(".0") else text
 
 
 class MetricsRegistry:
@@ -132,8 +67,7 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True):
         self._enabled = enabled
-        self._metrics: dict[tuple[str, _LabelKey], _Metric] = {}
-        self._kinds: dict[str, str] = {}
+        self._metrics: dict[tuple[str, _LabelKey], Counter] = {}
         self._lock = threading.Lock()
 
     # -- configuration --------------------------------------------------------
@@ -144,36 +78,19 @@ class MetricsRegistry:
     # -- get-or-create handles ------------------------------------------------
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
-
-    def histogram(self, name: str, *, buckets: tuple = DEFAULT_BUCKETS,
-                  **labels) -> Histogram:
-        return self._get(Histogram, name, labels, buckets=buckets)
-
-    def _get(self, cls, name: str, labels: dict, **extra) -> _Metric:
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)  # lock-free hot path
         if metric is not None:
-            if metric.kind != cls.kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}, "
-                    f"cannot re-register as {cls.kind}")
             return metric
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                kind = self._kinds.setdefault(name, cls.kind)
-                if kind != cls.kind:
-                    raise ValueError(
-                        f"metric {name!r} already registered as {kind}, "
-                        f"cannot re-register as {cls.kind}")
-                metric = cls(self, name, key[1], **extra)
-                self._metrics[key] = metric
+                metric = self._metrics[key] = Counter(self)
         return metric
 
     # -- reads ----------------------------------------------------------------
 
-    def family(self, name: str) -> dict[_LabelKey, _Metric]:
+    def family(self, name: str) -> dict[_LabelKey, Counter]:
         """Every label-series of one metric name."""
         return {labels: metric
                 for (metric_name, labels), metric in self._metrics.items()
@@ -182,9 +99,7 @@ class MetricsRegistry:
     def value(self, name: str, **labels) -> float:
         """A single series' value (0.0 when the series does not exist)."""
         metric = self._metrics.get((name, _label_key(labels)))
-        if metric is None or isinstance(metric, Histogram):
-            return 0.0
-        return metric.value
+        return 0.0 if metric is None else metric.value
 
     # -- resets ---------------------------------------------------------------
 
@@ -206,18 +121,10 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """The JSON wire format (``repro-metrics/1``); see module docs."""
         counters: dict[str, list] = {}
-        histograms: dict[str, list] = {}
         for (name, labels), metric in sorted(self._metrics.items()):
-            entry: dict = {"labels": dict(labels)}
-            if isinstance(metric, Histogram):
-                entry.update(count=metric.count, sum=metric.sum,
-                             buckets=metric.cumulative())
-                histograms.setdefault(name, []).append(entry)
-            else:
-                entry["value"] = metric.value
-                counters.setdefault(name, []).append(entry)
-        return {"format": SNAPSHOT_FORMAT, "counters": counters,
-                "gauges": {}, "histograms": histograms}
+            counters.setdefault(name, []).append(
+                {"labels": dict(labels), "value": metric.value})
+        return {"format": SNAPSHOT_FORMAT, "counters": counters}
 
 
 # -- snapshot utilities (wire-format side) ------------------------------------
@@ -233,23 +140,18 @@ def snapshot_value(snapshot: dict, name: str, **labels) -> float:
 
 
 def snapshot_family(snapshot: dict, name: str) -> list[dict]:
-    """Every series entry of one metric name, whatever its kind."""
-    for section in ("counters", "histograms"):
-        entries = snapshot.get(section, {}).get(name)
-        if entries:
-            return list(entries)
-    return []
+    """Every series entry of one metric name."""
+    return list(snapshot.get("counters", {}).get(name, ()))
 
 
 def merge_snapshots(snapshots: list[dict]) -> dict:
     """Merge many processes' snapshots into one campaign view.
 
-    Counters and histogram buckets/sums/counts all *add*: the merge
-    reads as campaign totals (``CampaignRunner`` feeds it its own
-    snapshot plus the latest one of every pool worker).
+    Counters *add*: the merge reads as campaign totals
+    (``CampaignRunner`` feeds it its own snapshot plus the latest one of
+    every pool worker).
     """
-    merged: dict = {"format": SNAPSHOT_FORMAT, "counters": {},
-                    "gauges": {}, "histograms": {}}
+    merged: dict = {"format": SNAPSHOT_FORMAT, "counters": {}}
     for snapshot in snapshots:
         for name, entries in (snapshot.get("counters") or {}).items():
             out = merged["counters"].setdefault(name, [])
@@ -261,21 +163,6 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
                 else:
                     slot["value"] = (slot.get("value", 0.0)
                                      + entry.get("value", 0.0))
-        for name, entries in (snapshot.get("histograms") or {}).items():
-            out = merged["histograms"].setdefault(name, [])
-            for entry in entries:
-                slot = _find_slot(out, entry["labels"])
-                if slot is None:
-                    out.append({"labels": dict(entry["labels"]),
-                                "count": entry.get("count", 0),
-                                "sum": entry.get("sum", 0.0),
-                                "buckets": dict(entry.get("buckets", {}))})
-                else:
-                    slot["count"] += entry.get("count", 0)
-                    slot["sum"] += entry.get("sum", 0.0)
-                    for bound, count in (entry.get("buckets") or {}).items():
-                        slot["buckets"][bound] = (
-                            slot["buckets"].get(bound, 0) + count)
     return merged
 
 
@@ -297,11 +184,6 @@ def get_registry() -> MetricsRegistry:
 
 def counter(name: str, **labels) -> Counter:
     return _REGISTRY.counter(name, **labels)
-
-
-def histogram(name: str, *, buckets: tuple = DEFAULT_BUCKETS,
-              **labels) -> Histogram:
-    return _REGISTRY.histogram(name, buckets=buckets, **labels)
 
 
 def snapshot() -> dict:

@@ -1,15 +1,14 @@
-"""Protocol engines: GPV (path vector over an algebra), PV baseline, HLP.
+"""Protocol engines: GPV (path vector over an algebra) and HLP.
 
 * :mod:`repro.protocols.gpv` — the native Generalized Path Vector engine,
-  semantically equal to the NDlog GPV program (asserted by tests);
-* :mod:`repro.protocols.pv` — plain path-vector baseline for Fig. 6;
+  semantically equal to the NDlog GPV program (asserted by tests); Fig. 6's
+  PV baseline is a :class:`GPVEngine` its experiment builds itself;
 * :mod:`repro.protocols.hlp` — Hybrid Link-state/Path-vector with cost
   hiding (Sec. VI-D).
 """
 
 from .gpv import Advertisement, GPVEngine
 from .hlp import DOMAIN_ATTR, ExtRecord, FpvAdvert, HLPEngine, Lsa
-from .pv import make_pv
 
 __all__ = [
     "Advertisement",
@@ -19,5 +18,4 @@ __all__ = [
     "GPVEngine",
     "HLPEngine",
     "Lsa",
-    "make_pv",
 ]

@@ -239,34 +239,24 @@ class GPVEngine:
                 self._reselect_after_loss(node, dest)
 
     def _reselect_after_loss(self, node: str, dest: str) -> None:
-        """Reselection that can *withdraw*: the best route may be gone."""
+        """Reselection that can *withdraw*: the best route may be gone.
+
+        While a usable route remains this is :meth:`_reselect`, sticky
+        under ties like NDlog's ``a_pref``; only a node left with nothing
+        but φ withdraws.
+        """
         state = self._states[node]
-        winner: Route | None = None
-        for route in self._candidates(state, dest):
-            if route[0] is PHI:
-                continue
-            if winner is None or route[2] < winner[2]:
-                winner = route
+        if any(route[0] is not PHI
+               for route in self._candidates(state, dest)):
+            self._reselect(node, dest)
+            return
         current = state.best.get(dest)
-        if winner is None:
-            if current is None or current[0] is PHI:
-                return
-            lost = (PHI, (node,), None)
-            state.best[dest] = lost
-            self.sim.stats.record_route_change(self.sim.now, node)
-            self._advertise(node, dest, lost)
+        if current is None or current[0] is PHI:
             return
-        if current == winner:
-            if self.top_k > 1:
-                # The best survived the loss but the advertised k-best
-                # *set* shrank — neighbors must not keep alternates that
-                # ride the failed link (per-neighbor RIB-out dedup keeps
-                # this quiet when the set is in fact unchanged).
-                self._advertise(node, dest, winner)
-            return
-        state.best[dest] = winner
+        lost = (PHI, (node,), None)
+        state.best[dest] = lost
         self.sim.stats.record_route_change(self.sim.now, node)
-        self._advertise(node, dest, winner)
+        self._advertise(node, dest, lost)
 
     def perturb_link(self, a: str, b: str, *, label_ab=None,
                      label_ba=None) -> None:

@@ -3,15 +3,15 @@
 FSR's safety analysis only needs integer difference logic (every generated
 constraint is ``x < y``, ``x <= y``, ``x = y`` or a positivity bound).  This
 package provides a sound and complete decision procedure for that fragment
-with models, minimal unsat cores, core enumeration, and Yices-syntax I/O.
+with models, minimal unsat cores, core enumeration, and Yices-syntax output.
 
 Public API:
 
 * :class:`IntVar`, :class:`Atom`, :class:`ConstraintSystem` — the constraint
-  language (``Atom.lt/le/eq/ge_const`` constructors).
+  language (``Atom.lt/le/eq`` constructors; positivity is the solver's).
 * :class:`DifferenceSolver`, :func:`solve`, :class:`Result`,
   :class:`Verdict` — the solver (the analyzer's tier 2).
-* :func:`to_yices`, :func:`parse_yices` — the paper's concrete syntax.
+* :func:`to_yices` — prints a system in the paper's concrete syntax.
 """
 
 from .solver import (
@@ -20,8 +20,8 @@ from .solver import (
     Verdict,
     solve,
 )
-from .terms import ZERO, Atom, ConstraintSystem, IntVar, Relation
-from .yices_syntax import YicesParseError, parse_yices, to_yices
+from .terms import Atom, ConstraintSystem, IntVar, Relation
+from .yices_syntax import to_yices
 
 __all__ = [
     "Atom",
@@ -31,9 +31,6 @@ __all__ = [
     "Relation",
     "Result",
     "Verdict",
-    "YicesParseError",
-    "ZERO",
-    "parse_yices",
     "solve",
     "to_yices",
 ]

@@ -21,7 +21,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .terms import ZERO, Atom, ConstraintSystem, IntVar
+from .terms import Atom, ConstraintSystem, IntVar
+
+#: The anchor of the implicit positivity bound (``x >= 1`` becomes
+#: ``zero - x <= -1``).  Never appears in atoms or in models.
+ZERO = IntVar("$zero")
 
 
 class Verdict(enum.Enum):
@@ -138,9 +142,8 @@ class DifferenceSolver:
             for u, v, c in atom.difference_edges():
                 # ``u - v <= c``  =>  edge  v --c--> u
                 edges.append(_Edge(v, u, c, atom))
-                for var in (u, v):
-                    if var != ZERO:
-                        variables.setdefault(var)
+                variables.setdefault(u)
+                variables.setdefault(v)
         var_list = list(variables)
         if self.enforce_positive:
             # x >= 1  <=>  ZERO - x <= -1  <=>  edge x --(-1)--> ZERO.
@@ -184,10 +187,9 @@ class DifferenceSolver:
                     return Verdict.UNSAT, {}, self._extract_cycle(edge, pred_edge)
             raise AssertionError("relaxation flagged but no witness edge found")
 
-        # Satisfiable: dist[] solves the difference system.  Anchoring at
-        # ZERO (value(x) = dist[x] - dist[ZERO]) honours constant bounds,
-        # and the synthetic positivity edges already force every variable
-        # to at least 1.
+        # Satisfiable: dist[] solves the difference system.  Anchored at
+        # ZERO (value(x) = dist[x] - dist[ZERO]), the synthetic positivity
+        # edges force every variable to at least 1.
         anchor = dist[ZERO]
         model = {v: dist[v] - anchor for v in variables}
         return Verdict.SAT, model, []

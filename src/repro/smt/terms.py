@@ -1,17 +1,18 @@
 """Terms and atomic constraints for the FSR constraint language.
 
-FSR's safety analysis (paper Sec. IV-B) only ever emits constraints of four
+FSR's safety analysis (paper Sec. IV-B) only ever emits constraints of three
 shapes over integer-valued signature variables:
 
 * ``x < y``   — strict preference / strict monotonicity,
 * ``x <= y``  — weak preference / plain monotonicity,
-* ``x == y``  — equally-preferred signatures (e.g. ``P = R``),
-* ``x >= 1``  — signatures are positive integers (the Yices
-  ``(subtype (n::nat) (> n 0))`` declaration).
+* ``x == y``  — equally-preferred signatures (e.g. ``P = R``).
 
-All four are *integer difference logic* atoms, i.e. each can be normalised to
-one or two inequalities of the form ``a - b <= c``.  The solver in
-:mod:`repro.smt.solver` decides conjunctions of such atoms exactly.
+Every variable is also a positive integer (the Yices
+``(subtype (n::nat) (> n 0))`` declaration); the solver adds that bound
+itself.  All shapes are *integer difference logic* atoms, i.e. each can be
+normalised to one or two inequalities of the form ``a - b <= c``.  The
+solver in :mod:`repro.smt.solver` decides conjunctions of such atoms
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class Relation(enum.Enum):
@@ -28,18 +29,6 @@ class Relation(enum.Enum):
     LT = "<"
     LE = "<="
     EQ = "="
-    GE = ">="
-    GT = ">"
-
-    def negate(self) -> "Relation":
-        """Return the relation of the negated atom (over integers)."""
-        return {
-            Relation.LT: Relation.GE,
-            Relation.LE: Relation.GT,
-            Relation.EQ: Relation.EQ,  # callers must special-case EQ
-            Relation.GE: Relation.LT,
-            Relation.GT: Relation.LE,
-        }[self]
 
 
 @dataclass(frozen=True, order=True)
@@ -57,20 +46,12 @@ class IntVar:
         return self.name
 
 
-#: Distinguished variable used to express constant bounds (``x >= 1`` becomes
-#: ``zero - x <= -1``).  Never appears in user constraints or in models.
-ZERO = IntVar("$zero")
-
-
 _atom_counter = itertools.count()
 
 
 @dataclass(frozen=True)
 class Atom:
-    """An atomic constraint ``lhs REL rhs`` or ``lhs REL const``.
-
-    Exactly one of ``rhs`` / ``const`` is meaningful: when ``rhs`` is the
-    :data:`ZERO` variable the atom is a bound against ``const``.
+    """An atomic constraint ``lhs REL rhs`` between two variables.
 
     Each atom carries an ``origin`` string used for unsat-core reporting: the
     encoder stores the policy entry (e.g. ``"rank[a]: aber2 < adr1"`` or
@@ -80,8 +61,7 @@ class Atom:
 
     lhs: IntVar
     rel: Relation
-    rhs: IntVar = ZERO
-    const: int = 0
+    rhs: IntVar
     origin: str = ""
     uid: int = field(default_factory=lambda: next(_atom_counter), compare=False)
 
@@ -90,41 +70,17 @@ class Atom:
     @staticmethod
     def lt(lhs: IntVar, rhs: IntVar, origin: str = "") -> "Atom":
         """``lhs < rhs``."""
-        return Atom(lhs, Relation.LT, rhs, 0, origin)
+        return Atom(lhs, Relation.LT, rhs, origin)
 
     @staticmethod
     def le(lhs: IntVar, rhs: IntVar, origin: str = "") -> "Atom":
         """``lhs <= rhs``."""
-        return Atom(lhs, Relation.LE, rhs, 0, origin)
+        return Atom(lhs, Relation.LE, rhs, origin)
 
     @staticmethod
     def eq(lhs: IntVar, rhs: IntVar, origin: str = "") -> "Atom":
         """``lhs == rhs``."""
-        return Atom(lhs, Relation.EQ, rhs, 0, origin)
-
-    @staticmethod
-    def ge_const(lhs: IntVar, const: int, origin: str = "") -> "Atom":
-        """``lhs >= const`` (used for the positivity subtype)."""
-        return Atom(lhs, Relation.GE, ZERO, const, origin)
-
-    @staticmethod
-    def le_const(lhs: IntVar, const: int, origin: str = "") -> "Atom":
-        """``lhs <= const``."""
-        return Atom(lhs, Relation.LE, ZERO, const, origin)
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def is_bound(self) -> bool:
-        """True when this atom compares a variable against a constant."""
-        return self.rhs == ZERO and self.rel is not Relation.EQ
-
-    def variables(self) -> Iterator[IntVar]:
-        """Yield the variables mentioned by this atom (excluding ZERO)."""
-        if self.lhs != ZERO:
-            yield self.lhs
-        if self.rhs != ZERO:
-            yield self.rhs
+        return Atom(lhs, Relation.EQ, rhs, origin)
 
     # -- difference-logic normal form ---------------------------------------
 
@@ -134,44 +90,25 @@ class Atom:
         The solver builds a graph with an edge ``v -> u`` of weight ``c`` for
         every such triple; a negative cycle certifies unsatisfiability.
         """
-        a, b, k = self.lhs, self.rhs, self.const
+        a, b = self.lhs, self.rhs
         if self.rel is Relation.LE:
-            return [(a, b, k)]
+            return [(a, b, 0)]
         if self.rel is Relation.LT:
-            return [(a, b, k - 1)]
-        if self.rel is Relation.GE:
-            return [(b, a, -k)]
-        if self.rel is Relation.GT:
-            return [(b, a, -k - 1)]
-        if self.rel is Relation.EQ:
-            return [(a, b, k), (b, a, -k)]
-        raise AssertionError(f"unhandled relation {self.rel}")
+            return [(a, b, -1)]
+        return [(a, b, 0), (b, a, 0)]
 
     def evaluate(self, assignment: dict[IntVar, int]) -> bool:
         """Check the atom under a concrete integer assignment."""
-        lhs = assignment.get(self.lhs, 0) if self.lhs != ZERO else 0
-        rhs = assignment.get(self.rhs, 0) if self.rhs != ZERO else 0
-        diff = lhs - rhs
+        lhs = assignment.get(self.lhs, 0)
+        rhs = assignment.get(self.rhs, 0)
         if self.rel is Relation.LT:
-            return diff < self.const if self.rhs == ZERO else lhs < rhs
+            return lhs < rhs
         if self.rel is Relation.LE:
-            return diff <= self.const if self.rhs == ZERO else lhs <= rhs
-        if self.rel is Relation.EQ:
-            return lhs == rhs + self.const
-        if self.rel is Relation.GE:
-            return lhs >= (self.const if self.rhs == ZERO else rhs)
-        if self.rel is Relation.GT:
-            return lhs > (self.const if self.rhs == ZERO else rhs)
-        raise AssertionError(f"unhandled relation {self.rel}")
+            return lhs <= rhs
+        return lhs == rhs
 
     def __str__(self) -> str:
-        if self.rhs == ZERO:
-            rhs = str(self.const)
-        elif self.const:
-            rhs = f"{self.rhs} + {self.const}"
-        else:
-            rhs = str(self.rhs)
-        return f"{self.lhs} {self.rel.value} {rhs}"
+        return f"{self.lhs} {self.rel.value} {self.rhs}"
 
 
 @dataclass
@@ -190,16 +127,12 @@ class ConstraintSystem:
         self.atoms.append(atom)
         return atom
 
-    def extend(self, atoms: Iterable[Atom]) -> None:
-        """Append every atom in ``atoms``."""
-        self.atoms.extend(atoms)
-
     def variables(self) -> list[IntVar]:
         """All distinct variables in insertion order."""
         seen: dict[IntVar, None] = {}
         for atom in self.atoms:
-            for var in atom.variables():
-                seen.setdefault(var)
+            seen.setdefault(atom.lhs)
+            seen.setdefault(atom.rhs)
         return list(seen)
 
     def __len__(self) -> int:

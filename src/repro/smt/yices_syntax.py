@@ -7,31 +7,17 @@ The paper presents its encodings as Yices listings (Sec. IV-C)::
     ;; preference relations
     (assert (< C R)) (assert (< C P)) (assert (= R P))
 
-Since we substitute our own solver for Yices, this module keeps the paper's
-interface alive in both directions:
-
-* :func:`to_yices` prints a :class:`~repro.smt.terms.ConstraintSystem` in the
-  exact style of the paper's listings (useful for docs, debugging, and for
-  users who *do* have a Yices binary lying around);
-* :func:`parse_yices` parses that subset back into a ``ConstraintSystem`` so
-  the listings round-trip and can be checked by our solver.
+Since we substitute our own solver for Yices, :func:`to_yices` prints a
+:class:`~repro.smt.terms.ConstraintSystem` in the exact style of the paper's
+listings (``bench_analysis_case_studies.py`` prints one per case study).
+Each relation's value is its Yices operator.
 """
 
 from __future__ import annotations
 
-from .terms import Atom, ConstraintSystem, IntVar, Relation
+from .terms import ConstraintSystem
 
 _HEADER = "(define-type Sig (subtype (n::nat) (> n 0)))"
-
-_REL_TO_YICES = {
-    Relation.LT: "<",
-    Relation.LE: "<=",
-    Relation.EQ: "=",
-    Relation.GT: ">",
-    Relation.GE: ">=",
-}
-
-_YICES_TO_REL = {v: k for k, v in _REL_TO_YICES.items()}
 
 
 def to_yices(system: ConstraintSystem, comments: bool = True) -> str:
@@ -51,99 +37,8 @@ def to_yices(system: ConstraintSystem, comments: bool = True) -> str:
             if banner and banner != last_banner:
                 lines.append(f";; {banner}")
                 last_banner = banner
-        lines.append(_format_assert(atom))
+        lines.append(f"(assert ({atom.rel.value} {atom.lhs.name} "
+                     f"{atom.rhs.name}))")
     lines.append("(check)")
     return "\n".join(lines)
 
-
-def _format_assert(atom: Atom) -> str:
-    op = _REL_TO_YICES[atom.rel]
-    if atom.rhs.name == "$zero":
-        rhs = str(atom.const)
-    else:
-        rhs = atom.rhs.name
-    return f"(assert ({op} {atom.lhs.name} {rhs}))"
-
-
-class YicesParseError(ValueError):
-    """Raised when input is outside the Yices subset FSR emits."""
-
-
-def parse_yices(text: str) -> ConstraintSystem:
-    """Parse the Yices subset emitted by :func:`to_yices`.
-
-    Supported forms: ``define-type`` (ignored), ``define NAME::Sig``
-    (declares a variable), ``assert`` over a binary comparison of two
-    symbols or a symbol and an integer literal, and ``check`` (ignored).
-    Comments (``;;`` to end of line) are skipped.
-    """
-    system = ConstraintSystem()
-    declared: dict[str, IntVar] = {}
-    for sexp in _tokenize(text):
-        head = sexp[0]
-        if head in ("define-type", "check"):
-            continue
-        if head == "define":
-            name = sexp[1].split("::", 1)[0]
-            declared[name] = IntVar(name)
-            continue
-        if head == "assert":
-            inner = sexp[1]
-            if not isinstance(inner, list) or len(inner) != 3:
-                raise YicesParseError(f"unsupported assert body: {inner!r}")
-            op, lhs_tok, rhs_tok = inner
-            if op not in _YICES_TO_REL:
-                raise YicesParseError(f"unsupported operator: {op}")
-            rel = _YICES_TO_REL[op]
-            lhs = _resolve(lhs_tok, declared)
-            if isinstance(lhs, int):
-                raise YicesParseError("integer on lhs is not supported")
-            rhs = _resolve(rhs_tok, declared)
-            if isinstance(rhs, int):
-                system.add(Atom(lhs, rel, const=rhs))
-            else:
-                system.add(Atom(lhs, rel, rhs))
-            continue
-        raise YicesParseError(f"unsupported form: {head}")
-    return system
-
-
-def _resolve(token: str, declared: dict[str, IntVar]) -> IntVar | int:
-    try:
-        return int(token)
-    except ValueError:
-        return declared.setdefault(token, IntVar(token))
-
-
-def _tokenize(text: str) -> list[list]:
-    """Parse s-expressions; return a list of top-level expressions."""
-    # Strip comments.
-    stripped_lines = []
-    for line in text.splitlines():
-        if ";;" in line:
-            line = line[: line.index(";;")]
-        elif ";" in line:
-            line = line[: line.index(";")]
-        stripped_lines.append(line)
-    source = " ".join(stripped_lines)
-    tokens = source.replace("(", " ( ").replace(")", " ) ").split()
-    expressions: list[list] = []
-    stack: list[list] = []
-    for token in tokens:
-        if token == "(":
-            stack.append([])
-        elif token == ")":
-            if not stack:
-                raise YicesParseError("unbalanced ')'")
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                expressions.append(done)
-        else:
-            if not stack:
-                raise YicesParseError(f"token outside s-expression: {token}")
-            stack[-1].append(token)
-    if stack:
-        raise YicesParseError("unbalanced '('")
-    return expressions

@@ -102,14 +102,3 @@ def test_oplus_respects_filters(algebra, label, sig):
         or (label, sig) not in algebra.tables.concat
     )
     assert (algebra.oplus(label, sig) is PHI) == expected_phi
-
-
-@given(table_algebras())
-@settings(max_examples=60, deadline=None)
-def test_best_is_a_maximum(algebra):
-    """best() returns a candidate no other candidate strictly beats."""
-    sigs = list(algebra.signatures())
-    chosen = algebra.best(sigs)
-    assert chosen in sigs
-    for other in sigs:
-        assert not algebra.better(other, chosen)

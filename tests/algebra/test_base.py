@@ -24,19 +24,6 @@ class TestPrefEnum:
 
 
 class TestBestSelection:
-    def test_best_picks_most_preferred(self):
-        algebra = ShortestHopCount()
-        assert algebra.best([3, 1, 2]) == 1
-
-    def test_best_skips_phi(self):
-        algebra = ShortestHopCount()
-        assert algebra.best([PHI, 5, PHI, 2]) == 2
-
-    def test_best_of_nothing_is_phi(self):
-        algebra = ShortestHopCount()
-        assert algebra.best([]) is PHI
-        assert algebra.best([PHI, PHI]) is PHI
-
     def test_better(self):
         algebra = ShortestHopCount()
         assert algebra.better(1, 2)

@@ -99,8 +99,3 @@ class TestNaming:
         product = LexicalProduct(gao_rexford_a(), ShortestHopCount(),
                                  name="mine")
         assert product.name == "mine"
-
-    def test_components_property(self):
-        first, second = gao_rexford_a(), ShortestHopCount()
-        product = LexicalProduct(first, second)
-        assert product.components == (first, second)

@@ -32,9 +32,14 @@ class TestConstruction:
             == "bgpsec-deprioritize:gao-rexford-a(x)hop-count"
 
     def test_blocked_states_by_variant(self):
-        assert secured(variant="rov").blocked_states() == (INVALID,)
-        assert set(secured(variant="bgpsec").blocked_states()) \
-            == {INVALID, NOT_FOUND}
+        """The states a deployed importer drops under each variant."""
+        deployed = (1, ("c", 1))
+        for variant, blocked in (("rov", {INVALID}),
+                                 ("bgpsec", {INVALID, NOT_FOUND})):
+            algebra = secured(variant=variant)
+            assert {state for state in STATES
+                    if not algebra.import_allows(
+                        deployed, (state, 0, ("C", 1)))} == blocked
 
 
 class TestPreference:
@@ -85,15 +90,13 @@ class TestVocabulary:
         # gr-a-hopcount's second component is unbounded.
         assert secured().signatures() is None
 
-    def test_link_and_hijack_label_constructors(self):
-        assert SecureAlgebra.link_label(("c", 1), True) == (1, ("c", 1))
-        assert SecureAlgebra.link_label(("c", 1), False) == (0, ("c", 1))
+    def test_hijack_label_constructor(self):
         assert SecureAlgebra.hijack_label(("c", 1)) == (HIJACK, ("c", 1))
 
 
 class TestOrigination:
     def test_legitimate_origin_state_follows_roa(self):
-        label = SecureAlgebra.link_label(("c", 1), deployed=True)
+        label = (1, ("c", 1))  # a link into a deployed importer
         assert secured(roa=True).origin_signature(label)[0] == VALID
         assert secured(roa=False).origin_signature(label)[0] == NOT_FOUND
 

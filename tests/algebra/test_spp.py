@@ -53,12 +53,6 @@ class TestValidation:
 
 
 class TestQueries:
-    def test_nodes_include_destination(self, triangle):
-        assert set(triangle.nodes()) == {"0", "1", "2"}
-
-    def test_neighbors(self, triangle):
-        assert triangle.neighbors("1") == ["0", "2"]
-
     def test_rank_of(self, triangle):
         assert triangle.rank_of(("1", "0")) == 0
         assert triangle.rank_of(("1", "2", "0")) == 1

@@ -233,11 +233,3 @@ class TestReport:
         text = report.summary()
         assert "scenarios/s" in text
         assert "cache hit rate" in text
-
-    def test_to_dict_is_json_serializable(self):
-        import json
-
-        report = run_campaign(8, seed=2, jobs=1, profile="quick")
-        data = report.to_dict()
-        json.dumps(data)  # must not raise
-        assert data["scenarios"] == 8

@@ -29,10 +29,6 @@ class TestAtom:
     def test_arity(self):
         assert atom("msg", "U", "V", "D").arity == 3
 
-    def test_variables_iterates_nested(self):
-        a = Atom("t", (Var("X"), FuncCall("f_g", (Var("Y"), Const(1)))))
-        assert {v.name for v in a.variables()} == {"X", "Y"}
-
     def test_aggregate_index(self):
         a = Atom("best", (Var("U"), Aggregate("a_pref", Var("S")), Var("P")))
         assert a.aggregate_index() == 1

@@ -26,57 +26,52 @@ class TestGeneratedFunctions:
     def funcs(self):
         return make_functions(gao_rexford_a())
 
-    def test_f_pref_weak(self, funcs):
-        assert funcs.call("f_pref", "C", "P")
-        assert funcs.call("f_pref", "P", "R")  # tie counts as weakly preferred
-        assert not funcs.call("f_pref", "P", "C")
-
     def test_f_better_strict(self, funcs):
-        assert funcs.call("f_better", "C", "P")
-        assert not funcs.call("f_better", "P", "R")
+        assert funcs.get("f_better")("C", "P")
+        assert not funcs.get("f_better")("P", "R")
 
     def test_f_concat_sig(self, funcs):
-        assert funcs.call("f_concatSig", "c", "P") == "C"
+        assert funcs.get("f_concatSig")("c", "P") == "C"
 
     def test_f_import_always_true_for_guideline_a(self, funcs):
-        assert funcs.call("f_import", "c", "P")
+        assert funcs.get("f_import")("c", "P")
 
     def test_f_export_filters(self, funcs):
-        assert not funcs.call("f_export", "p", "P")
-        assert funcs.call("f_export", "c", "P")
+        assert not funcs.get("f_export")("p", "P")
+        assert funcs.get("f_export")("c", "P")
 
     def test_f_combine_loop_check(self, funcs):
-        assert funcs.call("f_combine", "c", "C", ("v", "u"), "u") is PHI
+        assert funcs.get("f_combine")("c", "C", ("v", "u"), "u") is PHI
 
     def test_f_combine_normal(self, funcs):
-        assert funcs.call("f_combine", "c", "C", ("v", "d"), "u") == "C"
+        assert funcs.get("f_combine")("c", "C", ("v", "d"), "u") == "C"
 
     def test_f_combine_phi_absorbs(self, funcs):
-        assert funcs.call("f_combine", "c", PHI, ("v", "d"), "u") is PHI
+        assert funcs.get("f_combine")("c", PHI, ("v", "d"), "u") is PHI
 
     def test_f_export_sig_split_horizon(self, funcs):
         # Path ('u','n','d') advertised toward its own next hop 'n' → φ.
-        assert funcs.call("f_exportSig", "c", "C", ("u", "n", "d"), "n") is PHI
-        assert funcs.call("f_exportSig", "c", "C", ("u", "n", "d"), "x") == "C"
+        assert funcs.get("f_exportSig")("c", "C", ("u", "n", "d"), "n") is PHI
+        assert funcs.get("f_exportSig")("c", "C", ("u", "n", "d"), "x") == "C"
 
     def test_f_export_sig_filter(self, funcs):
-        assert funcs.call("f_exportSig", "p", "P", ("u", "v", "d"), "x") is PHI
+        assert funcs.get("f_exportSig")("p", "P", ("u", "v", "d"), "x") is PHI
 
     def test_plain_algebra_fallbacks(self):
         funcs = make_functions(ShortestHopCount())
-        assert funcs.call("f_concatSig", 1, 3) == 4
-        assert funcs.call("f_import", 1, 3)
-        assert funcs.call("f_export", 1, 3)
+        assert funcs.get("f_concatSig")(1, 3) == 4
+        assert funcs.get("f_import")(1, 3)
+        assert funcs.get("f_export")(1, 3)
 
     def test_builtins_present(self, funcs):
-        assert funcs.call("f_head", ("a", "b")) == "a"
-        assert funcs.call("f_nexthop", ("a", "b")) == "b"
-        assert funcs.call("f_contains", ("a", "b"), "b")
-        assert funcs.call("f_concatPath", "x", ("a",)) == ("x", "a")
+        assert funcs.get("f_head")(("a", "b")) == "a"
+        assert funcs.get("f_nexthop")(("a", "b")) == "b"
+        assert funcs.get("f_contains")(("a", "b"), "b")
+        assert funcs.get("f_concatPath")("x", ("a",)) == ("x", "a")
 
     def test_unknown_function_raises(self, funcs):
         with pytest.raises(KeyError):
-            funcs.call("f_nonexistent")
+            funcs.get("f_nonexistent")
 
 
 class TestFacts:

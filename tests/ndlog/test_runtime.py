@@ -42,13 +42,13 @@ class TestTable:
         table.upsert(("a", 1))
         changed, old = table.upsert(("a", 1))
         assert not changed
-        assert len(table) == 1
+        assert list(table.rows()) == [("a", 1)]
 
     def test_composite_keys(self):
         table = Table("t", (0, 1))
         table.upsert(("a", "b", 1))
         table.upsert(("a", "c", 2))
-        assert len(table) == 2
+        assert list(table.rows()) == [("a", "b", 1), ("a", "c", 2)]
 
 
 def _reachability_runtime():

@@ -90,7 +90,8 @@ class TestDirectedIndex:
         assert_index_agrees_with_links(diamond)
 
     def test_relabeled_copy_has_its_own_index(self, diamond):
-        mapped = diamond.relabeled(lambda lb: lb.upper())
+        mapped = diamond.copy()
+        mapped.set_label("b", "a", "Y")
         assert_index_agrees_with_links(mapped)
         assert mapped.label("b", "a") == "Y"
         mapped.remove_link("a", "b")
@@ -118,17 +119,6 @@ class TestQueries:
         diamond.set_label("b", "d", "z")
         assert diamond.label("b", "d") == "z"
 
-    def test_link_other(self, diamond):
-        link = diamond.link("a", "b")
-        assert link.other("a") == "b"
-        with pytest.raises(KeyError):
-            link.other("zzz")
-
-    def test_transmission_delay(self, diamond):
-        link = diamond.link("a", "b")
-        assert link.transmission_delay(1250) == pytest.approx(
-            1250 * 8 / link.bandwidth_bps)
-
 
 class TestGraphAlgorithms:
     def test_shortest_path_costs(self, diamond):
@@ -154,19 +144,6 @@ class TestMutation:
     def test_remove_missing_raises(self, diamond):
         with pytest.raises(KeyError):
             diamond.remove_link("a", "d")
-
-    def test_relabeled(self, diamond):
-        mapped = diamond.relabeled(lambda lb: (lb, 1))
-        assert mapped.label("a", "b") == ("x", 1)
-        assert mapped.label("b", "d") is None
-        # Original untouched.
-        assert diamond.label("a", "b") == "x"
-
-    def test_relabeled_preserves_structure(self, diamond):
-        mapped = diamond.relabeled(lambda lb: lb)
-        assert mapped.node_count() == diamond.node_count()
-        assert mapped.link_count() == diamond.link_count()
-        assert mapped.link("b", "d").weight == 2
 
 
 class TestCopy:

@@ -6,9 +6,7 @@ from repro.net import (
     Network,
     Simulator,
     StatsCollector,
-    link_state_size,
     update_size,
-    withdraw_size,
 )
 
 
@@ -60,21 +58,8 @@ class TestStatsCollector:
         assert StatsCollector().bandwidth_series(node_count=1) != []
         assert StatsCollector().bandwidth_series(node_count=0) == []
 
-    def test_summary_keys(self):
-        stats = sent((0.0, "a", "b", 10))
-        summary = stats.summary(node_count=2)
-        assert set(summary) == {"messages", "total_mb", "per_node_mb",
-                                "route_changes", "convergence_time_s"}
-
 
 class TestSizes:
     def test_update_size_grows_with_path(self):
         assert update_size(5) > update_size(1)
         assert update_size(1) == 19 + 21 + 4
-
-    def test_withdraw_smaller_than_update(self):
-        assert withdraw_size() < update_size(1)
-
-    def test_link_state_size(self):
-        assert link_state_size(4) == 19 + 32
-        assert link_state_size(0) == 19 + 8  # at least one entry

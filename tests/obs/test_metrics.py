@@ -1,9 +1,6 @@
 """The metrics registry: handles, labels, snapshots, merge."""
 
-import pytest
-
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     SNAPSHOT_FORMAT,
     MetricsRegistry,
     merge_snapshots,
@@ -32,28 +29,11 @@ class TestHandles:
         b = registry.counter("repro_test_total", b="2", a="1")
         assert a is b
 
-    def test_histogram_buckets_cumulate(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("repro_test_seconds", buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.05, 0.5, 5.0):
-            h.observe(value)
-        assert h.count == 4
-        assert h.sum == pytest.approx(5.555)
-        assert h.cumulative() == {"0.01": 1, "0.1": 2, "1": 3, "+Inf": 4}
-
-    def test_kind_conflict_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.histogram("repro_test_total")
-
     def test_disabled_registry_ignores_writes(self):
         registry = MetricsRegistry(enabled=False)
         c = registry.counter("repro_test_total")
-        h = registry.histogram("repro_test_seconds")
         c.inc()
-        h.observe(1.0)
-        assert c.value == 0.0 and h.count == 0
+        assert c.value == 0.0
         registry.set_enabled(True)
         c.inc()
         assert c.value == 1.0
@@ -81,34 +61,26 @@ class TestSnapshot:
     def _registry(self):
         registry = MetricsRegistry()
         registry.counter("repro_a_total", kind="x").inc(2)
-        registry.histogram("repro_c_seconds").observe(0.02)
+        registry.counter("repro_a_total", kind="y").inc(1)
         return registry
 
     def test_snapshot_shape_and_schema(self):
         snap = self._registry().snapshot()
         assert snap["format"] == SNAPSHOT_FORMAT
         validate_metrics_snapshot(snap)
+        assert set(snap) == {"format", "counters"}
         assert snapshot_value(snap, "repro_a_total", kind="x") == 2.0
-        assert snap["gauges"] == {}  # in the format, never populated
-        (series,) = snapshot_family(snap, "repro_c_seconds")
-        assert series["count"] == 1
-        assert series["buckets"]["+Inf"] == 1
+        assert [series["labels"] for series in
+                snapshot_family(snap, "repro_a_total")] == \
+            [{"kind": "x"}, {"kind": "y"}]
 
-    def test_merge_adds_counters_and_histograms(self):
+    def test_merge_adds_counters(self):
         snaps = [self._registry().snapshot() for _ in range(3)]
         merged = merge_snapshots(snaps)
         validate_metrics_snapshot(merged)
         assert snapshot_value(merged, "repro_a_total", kind="x") == 6.0
-        assert merged["gauges"] == {}
-        (series,) = snapshot_family(merged, "repro_c_seconds")
-        assert series["count"] == 3
-        assert series["sum"] == pytest.approx(0.06)
-        assert series["buckets"]["+Inf"] == 3
+        assert snapshot_value(merged, "repro_a_total", kind="y") == 3.0
 
     def test_merge_of_nothing_is_an_empty_snapshot(self):
-        merged = merge_snapshots([])
-        assert merged["format"] == SNAPSHOT_FORMAT
-        assert merged["counters"] == {} and merged["histograms"] == {}
-
-    def test_default_buckets_are_sorted(self):
-        assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS
+        assert merge_snapshots([]) == {"format": SNAPSHOT_FORMAT,
+                                       "counters": {}}

@@ -1,8 +1,12 @@
 """Tests for link-failure dynamics and withdraw propagation (GPV)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.algebra import ShortestHopCount, gao_rexford_with_hopcount
+from repro.campaigns.scenarios import ResolvedEvent
+from repro.exec import get_backend
 from repro.net import Network
 from repro.protocols import GPVEngine
 
@@ -79,3 +83,35 @@ class TestFailover:
         assert not net.has_link("a", "d")
         with pytest.raises(KeyError):
             net.link("a", "d")
+
+
+def tied_fallbacks() -> Network:
+    """s holds (s,b,y,d); the slow a-x link delivers the tied (s,a,x,d)
+    later, and (s,e,z,w,d) is a longer third route over the link that
+    fails.  Hop-count labels; latencies in ms are 1 unless noted."""
+    net = Network()
+    for u, v, latency_ms in (("s", "a", 1), ("s", "b", 10), ("s", "e", 1),
+                             ("a", "x", 50), ("x", "d", 1),
+                             ("a", "p", 1), ("p", "q", 1), ("q", "d", 1),
+                             ("b", "y", 1), ("y", "d", 1),
+                             ("e", "z", 1), ("z", "w", 1), ("w", "d", 1)):
+        net.add_link(u, v, label_ab=1, label_ba=1,
+                     latency_s=latency_ms / 1000)
+    return net
+
+
+class TestStickyAfterLoss:
+    @pytest.mark.parametrize("backend", ["gpv", "ndlog"])
+    def test_losing_an_unused_route_keeps_a_tied_selection(self, backend):
+        """Losing s-e leaves s's selection among its usable routes: GPV,
+        like NDlog's a_pref, keeps the current route on a tie."""
+        scenario = SimpleNamespace(
+            network=tied_fallbacks(), algebra=ShortestHopCount(),
+            destinations=["d"], log_routes=False,
+            events=[ResolvedEvent(5.0, "fail", "s", "e")])
+        session = get_backend(backend).prepare(scenario, seed=0)
+        outcome = session.run(until=20.0)
+        assert outcome.converged
+        assert outcome.routes[("s", "d")] == ("s", "b", "y", "d")
+        assert session.sim.stats.last_route_change < 5.0
+        assert outcome.messages == 18

@@ -1,8 +1,8 @@
-"""Tests for the PV baseline wrapper and reachability metrics."""
+"""Reachability metrics of the path-vector engine."""
 
-from repro.algebra import ShortestHopCount
+from repro.algebra import ShortestHopCount, gao_rexford_with_hopcount
 from repro.net import Network
-from repro.protocols import GPVEngine, make_pv
+from repro.protocols import GPVEngine
 
 
 def gr_triangle() -> Network:
@@ -12,27 +12,17 @@ def gr_triangle() -> Network:
     return net
 
 
-class TestMakePv:
-    def test_default_policy_is_composed_gao_rexford(self):
-        engine = make_pv(gr_triangle(), ["c1"])
-        assert engine.algebra.name == "gao-rexford-a(x)hop-count"
-
-    def test_runs_and_converges(self):
-        engine = make_pv(gr_triangle(), ["c1"], seed=1)
-        assert engine.run(until=10.0) == "quiescent"
-        assert engine.best_path("c2", "c1") == ("c2", "p", "c1")
-
-    def test_custom_algebra_override(self):
-        net = gr_triangle().relabeled(lambda _l: 1)
-        engine = make_pv(net, ["c1"], algebra=ShortestHopCount())
-        assert engine.algebra.name == "hop-count"
-        engine.run(until=10.0)
-        assert engine.best_path("c2", "c1") == ("c2", "p", "c1")
+def hop_triangle() -> Network:
+    """The same triangle with hop-count labels."""
+    net = Network()
+    net.add_link("p", "c1", label_ab=1, label_ba=1)
+    net.add_link("p", "c2", label_ab=1, label_ba=1)
+    return net
 
 
 class TestReachableFraction:
     def test_full_reachability(self):
-        net = gr_triangle().relabeled(lambda _l: 1)
+        net = hop_triangle()
         engine = GPVEngine(net, ShortestHopCount(), net.nodes())
         engine.run(until=10.0)
         assert engine.reachable_fraction() == 1.0
@@ -45,7 +35,8 @@ class TestReachableFraction:
         net.add_link("p1", "c1", label_ab=("c", 1), label_ba=("p", 1))
         net.add_link("p2", "c2", label_ab=("c", 1), label_ba=("p", 1))
         net.add_link("p1", "p2", label_ab=("r", 1), label_ba=("r", 1))
-        engine = make_pv(net, net.nodes(), seed=1)
+        engine = GPVEngine(net, gao_rexford_with_hopcount(), net.nodes(),
+                           seed=1)
         assert engine.run(until=30.0) == "quiescent"
         # Peers exchange customer routes, so p1<->c2 works (peer route),
         # but c1 -> c2 would need p1 to export a peer route to a customer

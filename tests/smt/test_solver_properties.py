@@ -20,9 +20,7 @@ def atoms(draw, variables=VARIABLES):
 
 @st.composite
 def systems(draw):
-    system = ConstraintSystem()
-    system.extend(draw(st.lists(atoms(), min_size=0, max_size=24)))
-    return system
+    return ConstraintSystem(draw(st.lists(atoms(), min_size=0, max_size=24)))
 
 
 def brute_force_sat(atom_list, variables, domain):
@@ -103,9 +101,7 @@ def test_verdict_is_order_independent(system, rng):
     baseline = solve(system).verdict
     shuffled = list(system)
     rng.shuffle(shuffled)
-    permuted = ConstraintSystem()
-    permuted.extend(shuffled)
-    assert solve(permuted).verdict == baseline
+    assert solve(ConstraintSystem(shuffled)).verdict == baseline
 
 
 @given(systems())
@@ -115,7 +111,6 @@ def test_adding_constraints_never_turns_unsat_into_sat(system):
     atoms_list = list(system)
     if len(atoms_list) < 2:
         return
-    half = ConstraintSystem()
-    half.extend(atoms_list[: len(atoms_list) // 2])
+    half = ConstraintSystem(atoms_list[: len(atoms_list) // 2])
     if solve(half).is_unsat:
         assert solve(system).is_unsat

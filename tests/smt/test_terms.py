@@ -1,8 +1,6 @@
 """Unit tests for the constraint language (repro.smt.terms)."""
 
-import pytest
-
-from repro.smt import ZERO, Atom, ConstraintSystem, IntVar, Relation
+from repro.smt import Atom, ConstraintSystem, IntVar, Relation
 
 
 class TestIntVar:
@@ -32,11 +30,6 @@ class TestAtomConstructors:
         atom = Atom.eq(IntVar("a"), IntVar("b"))
         assert atom.rel is Relation.EQ
 
-    def test_ge_const(self):
-        atom = Atom.ge_const(IntVar("a"), 1)
-        assert atom.rhs == ZERO
-        assert atom.const == 1
-
     def test_origin_is_preserved(self):
         atom = Atom.lt(IntVar("a"), IntVar("b"), origin="rank[x]")
         assert atom.origin == "rank[x]"
@@ -60,10 +53,6 @@ class TestDifferenceEdges:
         a, b = IntVar("a"), IntVar("b")
         assert set(Atom.eq(a, b).difference_edges()) == {(a, b, 0), (b, a, 0)}
 
-    def test_ge_const(self):
-        a = IntVar("a")
-        assert Atom.ge_const(a, 1).difference_edges() == [(ZERO, a, -1)]
-
 
 class TestEvaluate:
     def test_lt_true_false(self):
@@ -77,12 +66,6 @@ class TestEvaluate:
         atom = Atom.eq(a, b)
         assert atom.evaluate({a: 3, b: 3})
         assert not atom.evaluate({a: 3, b: 4})
-
-    def test_ge_const(self):
-        a = IntVar("a")
-        atom = Atom.ge_const(a, 1)
-        assert atom.evaluate({a: 1})
-        assert not atom.evaluate({a: 0})
 
 
 class TestConstraintSystem:
@@ -104,24 +87,8 @@ class TestConstraintSystem:
         system.add(Atom.lt(IntVar("a"), IntVar("m")))
         assert system.variables() == [IntVar("z"), IntVar("a"), IntVar("m")]
 
-    def test_extend(self):
-        system = ConstraintSystem()
-        system.extend([Atom.lt(IntVar("a"), IntVar("b")),
-                       Atom.le(IntVar("b"), IntVar("c"))])
-        assert len(system) == 2
-
     def test_str_lists_atoms(self):
         system = ConstraintSystem()
         system.add(Atom.lt(IntVar("a"), IntVar("b")))
         assert "a < b" in str(system)
 
-
-class TestRelationNegate:
-    @pytest.mark.parametrize("rel,expected", [
-        (Relation.LT, Relation.GE),
-        (Relation.LE, Relation.GT),
-        (Relation.GE, Relation.LT),
-        (Relation.GT, Relation.LE),
-    ])
-    def test_negations(self, rel, expected):
-        assert rel.negate() is expected

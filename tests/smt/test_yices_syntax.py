@@ -1,16 +1,6 @@
-"""Tests for the Yices-syntax printer/parser (repro.smt.yices_syntax)."""
+"""Tests for the Yices-syntax printer (repro.smt.yices_syntax)."""
 
-import pytest
-
-from repro.smt import (
-    Atom,
-    ConstraintSystem,
-    IntVar,
-    YicesParseError,
-    parse_yices,
-    solve,
-    to_yices,
-)
+from repro.smt import Atom, ConstraintSystem, IntVar, to_yices
 
 
 def gao_rexford_strict_system() -> ConstraintSystem:
@@ -51,67 +41,3 @@ class TestPrinter:
     def test_ends_with_check(self):
         assert to_yices(gao_rexford_strict_system()).strip().endswith("(check)")
 
-    def test_constant_bound_rendering(self):
-        s = ConstraintSystem()
-        s.add(Atom.ge_const(IntVar("x"), 3))
-        assert "(assert (>= x 3))" in to_yices(s)
-
-
-class TestParser:
-    def test_round_trip_same_verdict(self):
-        original = gao_rexford_strict_system()
-        parsed = parse_yices(to_yices(original))
-        assert len(parsed) == len(original)
-        assert solve(parsed).verdict == solve(original).verdict
-
-    def test_round_trip_model_equivalence(self):
-        s = ConstraintSystem()
-        s.add(Atom.lt(IntVar("a"), IntVar("b")))
-        s.add(Atom.eq(IntVar("b"), IntVar("c")))
-        parsed = parse_yices(to_yices(s))
-        result = solve(parsed)
-        assert result.is_sat
-        model = {var.name: val for var, val in result.model.items()}
-        assert model["a"] < model["b"] == model["c"]
-
-    def test_parses_paper_listing_verbatim(self):
-        """The exact Gao-Rexford listing from paper Sec. IV-C."""
-        text = """
-        (define-type Sig (subtype (n::nat) (> n 0)))
-        (define C::Sig) (define P::Sig) (define R::Sig)
-        ;; preference relations
-        (assert (< C R)) (assert (< C P)) (assert (= R P))
-        ;; strict monotonicity
-        (assert (< C C)) (assert (< C R)) (assert (< C P))
-        (assert (< R P)) (assert (< P P))
-        """
-        system = parse_yices(text)
-        assert len(system) == 8
-        assert solve(system).is_unsat
-
-    def test_integer_literals(self):
-        system = parse_yices("(assert (>= x 5)) (assert (< x y))")
-        result = solve(system)
-        assert result.is_sat
-        model = {var.name: val for var, val in result.model.items()}
-        assert model["x"] >= 5
-
-    def test_comments_stripped(self):
-        system = parse_yices("; whole line\n(assert (< a b)) ;; trailing")
-        assert len(system) == 1
-
-    def test_rejects_unbalanced_parens(self):
-        with pytest.raises(YicesParseError):
-            parse_yices("(assert (< a b)")
-
-    def test_rejects_unknown_form(self):
-        with pytest.raises(YicesParseError):
-            parse_yices("(frobnicate x)")
-
-    def test_rejects_unknown_operator(self):
-        with pytest.raises(YicesParseError):
-            parse_yices("(assert (xor a b))")
-
-    def test_rejects_bare_token(self):
-        with pytest.raises(YicesParseError):
-            parse_yices("hello")

@@ -38,3 +38,13 @@ def test_every_unreached_function_is_kept_with_a_reason():
     assert REACH.problems(CENSUS["functions"]) == []
     assert CENSUS["kept"] == {key: REACH.KEPT[key]
                               for key in sorted(REACH.KEPT)}
+
+
+def test_a_reason_must_name_a_caller_in_the_repository(monkeypatch):
+    functions = dict.fromkeys(REACH.KEPT, 0)
+    key = next(iter(REACH.KEPT))
+    monkeypatch.setitem(REACH.KEPT, key,
+                        "an accessor for user code and scripts")
+    assert REACH.problems(functions) == [
+        f"KEPT keeps {key} for user code, which does not exist",
+        f"KEPT keeps {key} for scripts, which does not exist"]
