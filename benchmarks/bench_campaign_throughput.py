@@ -156,7 +156,7 @@ def test_per_backend_throughput(benchmark, save_result, smoke):
 
 
 def test_analysis_tier_rates(benchmark, save_result, smoke):
-    """Tier-hit and cache-hit rates of the staged analysis pipeline.
+    """Tier-hit and cache-hit rates of the safety analyzer.
 
     Two sub-campaigns on the same fixed seed: the gadget (SPP) family
     alone — where the tier-1 dispute-digraph fast path must decide a

@@ -203,7 +203,7 @@ router c
 #: is the census's scratch directory.
 _CAMPAIGN = ["campaign", "--scenarios", "40", "--seed", "7"]
 CLI_DRIVES = {
-    "analyze": [["analyze", "disagree", "--explain"], ["analyze", "good"],
+    "analyze": [["analyze", "disagree"], ["analyze", "good"],
                 ["analyze", "figure3-fixed"]],
     "run": [["run", "good"], ["run", "bad", "--until", "2"]],
     "modelcheck": [["modelcheck", "disagree"],
@@ -229,7 +229,7 @@ CLI_DRIVES = {
         ["campaign", "--scenarios", "0"],
     ],
     "trace": [["trace", "show", "3", "--trace-dir", "{scratch}/trace"]],
-    "verdicts": [["verdicts", "{scratch}/verdicts.sqlite", "--stats"],
+    "verdicts": [["verdicts", "{scratch}/verdicts.sqlite"],
                  ["verdicts", "{scratch}/verdicts.sqlite", "--format",
                   "json"]],
 }
@@ -298,7 +298,7 @@ MEMO_SIZE = ("the verdict memo's size, through which "
              "observe memoization")
 SPP_LABELS = "an SPP subject is decided by its dispute digraph, which never enumerates L"
 DISPUTE = ("the dispute-wheel check as a value (is_dispute_free, the cycle "
-           "text); the pipeline's dispute stage reads the digraph directly")
+           "text); dispute_report reads the digraph directly")
 FAILURE = "failure path: renders or records an error or disagreement; no drive hits one"
 RESET = "resets process-wide caches between measured runs (benches, tests)"
 REPRODUCERS = ("the replayable specs of a report's disagreements and errors: "
@@ -355,7 +355,6 @@ KEPT: dict[str, str] = {
     "repro/analysis/dispute.py::DisputeDigraph.describe_cycle": DISPUTE,
     "repro/analysis/dispute.py::DisputeDigraph.is_acyclic": DISPUTE,
     "repro/analysis/dispute.py::is_dispute_free": DISPUTE,
-    "repro/analysis/pipeline.py::AnalysisStage.try_analyze": ABSTRACT,
     "repro/campaigns/oracle.py::_error_result": FAILURE,
     "repro/campaigns/oracle.py::_error_text": FAILURE,
     "repro/campaigns/oracle.py::clear_verdict_cache": RESET,

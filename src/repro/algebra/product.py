@@ -7,8 +7,8 @@ path prohibited in *either* component is prohibited in the product.
 
 The safety-relevant fact (paper Sec. IV-B, "Policy compositions"): the
 lexical product of a monotonic A and a strictly monotonic B is strictly
-monotonic.  :mod:`repro.analysis.composition` implements that decision rule;
-this module only provides the product algebra itself.
+monotonic.  :func:`repro.analysis.safety.product_report` implements that
+decision rule; this module only provides the product algebra itself.
 """
 
 from __future__ import annotations

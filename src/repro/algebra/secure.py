@@ -22,7 +22,7 @@ through its import filter (``mode="filter"``) or through the penalty bit
 (``mode="deprioritize"``), never by peeking at ground truth.  Because the
 penalty is monotone non-decreasing along a path and ties fall through to
 the wrapped algebra, the transformer preserves strict monotonicity of the
-base — :func:`repro.analysis.composition.analyze_secure` turns that into
+base — :func:`repro.analysis.safety.secure_report` turns that into
 a tier-0 certificate, and the batch backend's rank-kernel tabulation
 keeps working unchanged over the lifted (finite-vocabulary) signatures.
 

@@ -63,7 +63,7 @@ from .report import (
     result_from_record,
     result_record,
 )
-from .runner import CampaignConfig, CampaignRunner, run_campaign
+from .runner import CampaignConfig, CampaignRunner
 from .scenarios import (
     Scenario,
     best_path_link_pool,
@@ -139,6 +139,5 @@ __all__ = [
     "read_results",
     "result_from_record",
     "result_record",
-    "run_campaign",
     "verdict_cache_size",
 ]

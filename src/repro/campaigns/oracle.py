@@ -12,12 +12,12 @@ Every scenario takes one path, alone or in a chunk:
    members without one (nothing retries); an exception in
    materialization or admission is that spec's ``ERROR`` result, one in
    the batch run makes every admitted member an ``ERROR`` result;
-2. :func:`evaluate` obtains the safety verdict — from the tiered
-   :class:`~repro.analysis.pipeline.AnalysisPipeline` (certificates →
-   dispute digraph → SMT; the result's ``method`` records
-   the deciding tier) through the per-process **verdict cache** keyed by
-   ``repr(canonical_key(...))`` — colour-refined for table algebras, so
-   relabeled copies of one policy share a single solve, and
+2. :func:`evaluate` obtains the safety verdict — from
+   :class:`~repro.analysis.safety.SafetyAnalyzer` (the subject's type
+   picks certificates, dispute digraph or SMT; the result's ``method``
+   records the deciding tier) through the per-process **verdict cache**
+   keyed by ``repr(canonical_key(...))`` — colour-refined for table
+   algebras, so relabeled copies of one policy share a single solve, and
    name-faithful for SPP instances, whose key must cost less than their
    dispute-digraph analysis — optionally warmed from and persisted to a
    cross-process

@@ -52,7 +52,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..exec import DEFAULT_BACKENDS, resolve_backends
 from ..exec.batch import configure_kernel_store, numpy_available
@@ -62,7 +62,7 @@ from ..obs.trace import configure_tracing
 from .oracle import EvaluationOptions, configure_verdict_store, evaluate_chunk
 from .report import ERROR, CampaignReport, ScenarioResult, result_from_record
 from .sink import AggregatingSink, ResultSink
-from .spec import ScenarioGenerator, ScenarioSpec
+from .spec import ScenarioSpec
 
 #: Chunks in flight per worker in parallel mode.
 _PIPELINE_DEPTH = 2
@@ -192,11 +192,7 @@ class _RunState:
 class CampaignRunner:
     """Runs scenario campaigns serially or over a process pool."""
 
-    def __init__(self, config: CampaignConfig | None = None, **overrides):
-        if config is None:
-            config = CampaignConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a config or keyword overrides")
+    def __init__(self, config: CampaignConfig):
         self.config = config
 
     # -- public API ----------------------------------------------------------
@@ -257,21 +253,6 @@ class CampaignRunner:
             aborted=state.aborted,
             resumed=state.resumed,
         )
-
-    def run_generated(self, count: int, *, seed: int = 0,
-                      families: Sequence[str] | None = None,
-                      profile: str = "default",
-                      deployment: str | None = None,
-                      sink: ResultSink | None = None,
-                      recorded: dict[int, dict] | None = None
-                      ) -> CampaignReport:
-        """Convenience: stream ``count`` generated specs through the
-        campaign."""
-        generator = ScenarioGenerator(seed, families=families,
-                                      profile=profile,
-                                      deployment=deployment)
-        return self.run(generator.iter_specs(count), sink=sink,
-                        recorded=recorded)
 
     # -- the two chunk sources -----------------------------------------------
 
@@ -370,43 +351,6 @@ class CampaignRunner:
         if limit is not None and found >= limit:
             return f"disagreement limit reached ({found})"
         return None
-
-
-def run_campaign(count: int, *, seed: int = 0, jobs: int = 1,
-                 families: Sequence[str] | None = None,
-                 profile: str = "default",
-                 deployment: str | None = None,
-                 chunk_size: int = 8,
-                 wall_clock_budget_s: float | None = None,
-                 abort_on_disagreements: int | None = None,
-                 backends: Sequence[str] = DEFAULT_BACKENDS,
-                 keep_results: bool = True,
-                 verdict_cache_path: str | None = None,
-                 auto_batch: bool = True,
-                 kernel_cache_path: str | None = None,
-                 trace_dir: str | None = None,
-                 watch: bool = False,
-                 sink: ResultSink | None = None,
-                 recorded: dict[int, dict] | None = None) -> CampaignReport:
-    """One-call campaign: generate, fan out, aggregate (and stream).
-
-    ``recorded`` (``read_results(path)`` of an earlier run with the same
-    arguments) resumes that run; see :meth:`CampaignRunner.run`.
-    """
-    runner = CampaignRunner(CampaignConfig(
-        jobs=jobs, chunk_size=chunk_size,
-        wall_clock_budget_s=wall_clock_budget_s,
-        abort_on_disagreements=abort_on_disagreements,
-        backends=tuple(backends),
-        keep_results=keep_results,
-        verdict_cache_path=verdict_cache_path,
-        auto_batch=auto_batch,
-        kernel_cache_path=kernel_cache_path,
-        trace_dir=trace_dir,
-        watch=watch))
-    return runner.run_generated(count, seed=seed, families=families,
-                                profile=profile, deployment=deployment,
-                                sink=sink, recorded=recorded)
 
 
 def _chunk_stream(specs: Iterator[ScenarioSpec],

@@ -88,7 +88,7 @@ class VerdictStore(SqliteCache):
         shims (``benchmarks/e2e/shims.py``) still wrap this name."""
 
     def stats(self) -> dict:
-        """Row statistics for ``repro verdicts --stats``."""
+        """Row statistics for ``repro verdicts``."""
         total, safe = self._conn.execute(
             "SELECT COUNT(*), COALESCE(SUM(safe), 0) "
             "FROM verdicts").fetchone()

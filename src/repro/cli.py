@@ -3,7 +3,8 @@
 Gives operators and researchers the paper's workflows without writing
 Python:
 
-* ``analyze <gadget>`` — safety verdict + unsat core for a built-in gadget;
+* ``analyze <gadget>`` — safety verdict + unsat core for a built-in gadget,
+  and the tier that decided it (``decided by: tier 1 (dispute-digraph)``);
 * ``run <gadget>`` — execute the generated NDlog implementation and report
   convergence / message counts;
 * ``modelcheck <gadget>`` — stable states and an oscillation trace under
@@ -20,15 +21,16 @@ Python:
   ``--resume`` finishes an interrupted or crashed run of the same command
   from that file instead of starting over, ``--verdict-cache`` persists
   SMT verdicts across invocations);
-* ``verdicts <path> [--stats]`` — inspect a persistent verdict cache's
-  row statistics;
+* ``verdicts <path>`` — inspect a persistent verdict cache's row
+  statistics;
 * ``trace show <scenario-id> [--trace-dir DIR]`` — render the merged
   span tree a traced campaign (``campaign --trace-dir``) recorded for one
-  scenario: spec materialization, every backend run, analysis tiers,
-  verdict, each span tagged with the worker process that emitted it.
+  scenario: spec materialization, every backend run, the deciding
+  analysis tier, verdict, each span tagged with the worker process that
+  emitted it.
   ``campaign --watch`` renders a live dashboard from the same metrics
   registry (pool workers' snapshots merged in); ``--format json`` on
-  ``verdicts --stats`` emits the versioned ``repro-obs/1`` envelope.
+  ``verdicts`` emits the versioned ``repro-obs/1`` envelope.
 
 Exit codes are consistent across subcommands: **0** when the command ran
 and the verdict is good (safe / converged / no disagreement), **1** when
@@ -65,9 +67,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print()
     report = SafetyAnalyzer().analyze(instance)
     print(report.summary())
-    if args.explain:
-        print()
-        print(report.explain())
     # Exit codes stay aligned with the campaign subcommand: 0 verdict-good,
     # 1 analysis failure (unsafe), 2 usage errors (argparse).
     return 0 if report.safe else 1
@@ -168,7 +167,13 @@ def _parse_families(tokens) -> list[str] | None:
 def cmd_campaign(args: argparse.Namespace) -> int:
     import os
 
-    from .campaigns import JsonlResultSink, read_results, run_campaign
+    from .campaigns import (
+        CampaignConfig,
+        CampaignRunner,
+        JsonlResultSink,
+        ScenarioGenerator,
+        read_results,
+    )
     if args.scenarios < 1:
         # A zero-scenario campaign would exit 0 without testing anything —
         # refuse rather than hand CI a vacuously green gate.
@@ -195,13 +200,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                   f"--stream-out: {error}", file=sys.stderr)
             return 2
     try:
-        report = run_campaign(
-            args.scenarios,
-            seed=args.seed,
+        config = CampaignConfig(
             jobs=args.jobs,
-            families=families,
-            profile=args.profile,
-            deployment=args.deployment,
             chunk_size=args.chunk_size,
             wall_clock_budget_s=args.budget_s,
             abort_on_disagreements=args.abort_on_disagreements,
@@ -214,9 +214,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             kernel_cache_path=args.kernel_cache,
             trace_dir=args.trace_dir,
             watch=args.watch,
-            sink=sink,
-            recorded=recorded,
         )
+        specs = ScenarioGenerator(
+            args.seed, families=families, profile=args.profile,
+            deployment=args.deployment).iter_specs(args.scenarios)
+        report = CampaignRunner(config).run(specs, sink=sink,
+                                            recorded=recorded)
     except ValueError as error:
         print(f"campaign rejected: {error}", file=sys.stderr)
         return 2
@@ -264,17 +267,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_verdicts(args: argparse.Namespace) -> int:
     import os
+    import sqlite3
 
     from .campaigns import VerdictStore
     if not os.path.exists(args.path):
         print(f"verdict cache rejected: no such file: {args.path}",
               file=sys.stderr)
         return 1
-    store = VerdictStore(args.path)
     try:
-        stats = store.stats()
-    finally:
-        store.close()
+        store = VerdictStore(args.path)
+        try:
+            stats = store.stats()
+        finally:
+            store.close()
+    except sqlite3.Error as error:
+        print(f"verdict cache rejected: {error}", file=sys.stderr)
+        return 1
     if getattr(args, "format", "text") == "json":
         import json as _json
 
@@ -313,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="safety verdict for a gadget")
     p.add_argument("gadget", choices=sorted(GADGETS))
-    p.add_argument("--explain", action="store_true",
-                   help="print per-tier pipeline timings alongside the "
-                        "verdict")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("run", help="execute a gadget's implementation")
@@ -421,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a persistent verdict cache")
     p.add_argument("path", help="sqlite verdict cache written by "
                                 "campaign --verdict-cache")
-    p.add_argument("--stats", action="store_true",
-                   help="print row statistics (the default action)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="text (default) or the repro-obs/1 envelope: "
                         "registry snapshot plus store statistics")

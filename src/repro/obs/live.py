@@ -4,7 +4,7 @@
 snapshot: this process's, or under ``--jobs N`` this process's merged
 (:func:`~repro.obs.metrics.merge_snapshots`) with the latest snapshot each
 pool worker sent back with a chunk.  The ``--format json`` path of
-``repro verdicts --stats`` calls :func:`obs_payload` to wrap the same
+``repro verdicts`` calls :func:`obs_payload` to wrap the same
 snapshot in the versioned envelope a future service plane would stream —
 machine-readable today, servable tomorrow.
 """

@@ -18,7 +18,7 @@ Trace identity
 Span emission
     :meth:`Tracer.span` is a context manager; the active span lives in a
     ``contextvars.ContextVar`` so nested spans parent automatically —
-    through the oracle, the analysis pipeline tiers, and each backend.
+    through the oracle, the deciding analysis tier, and each backend.
     A disabled tracer emits nothing and costs one branch.
 
 The sink

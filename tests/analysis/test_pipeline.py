@@ -1,4 +1,5 @@
-"""Tiered pipeline: per-stage provenance and tier-1 ≡ tier-2 agreement."""
+"""The safety analyzer's tiers: type dispatch, provenance and
+tier-1 ≡ tier-2 agreement."""
 
 import random
 
@@ -14,25 +15,15 @@ from repro.algebra import (
     replicate,
 )
 from repro.algebra.library import ShortestHopCount
-from repro.analysis import (
-    CertificateStage,
-    SafetyAnalyzer,
-    SmtStage,
-    encode,
-)
+from repro.analysis import SafetyAnalyzer, encode
+from repro.analysis.safety import dispute_report, smt_report
 from repro.campaigns import perturb_rankings
+from test_modelcheck import _instances
 
 
 @pytest.fixture(scope="module")
-def pipeline_analyzer():
-    """Default pipeline: certificates → dispute digraph → SMT."""
+def analyzer():
     return SafetyAnalyzer()
-
-
-@pytest.fixture(scope="module")
-def smt_only_analyzer():
-    """Tier 1 disabled: every finite subject goes to the solver."""
-    return SafetyAnalyzer(stages=[CertificateStage(), SmtStage()])
 
 
 def zoo_instances():
@@ -48,25 +39,40 @@ def zoo_instances():
     return instances
 
 
-class TestTierAgreement:
-    def test_dispute_and_smt_verdicts_agree_on_the_zoo(
-            self, pipeline_analyzer, smt_only_analyzer):
-        """The acceptance bar: tier-1 verdict == tier-2 verdict, always."""
-        for instance in zoo_instances():
-            fast = pipeline_analyzer.analyze(instance)
-            slow = smt_only_analyzer.analyze(instance)
-            assert fast.method == "dispute-digraph", instance.name
-            assert slow.method == "smt", instance.name
-            assert fast.safe == slow.safe, instance.name
-            assert fast.monotonic == slow.monotonic, instance.name
-            assert fast.constraint_count == slow.constraint_count
-            assert fast.preference_count == slow.preference_count
-            assert fast.monotonicity_count == slow.monotonicity_count
+def assert_tiers_agree(instance):
+    """Tier-1 verdict == tier-2 verdict on one SPP instance."""
+    algebra = SPPAlgebra(instance)
+    fast, slow = dispute_report(algebra), smt_report(algebra)
+    assert fast.safe == slow.safe, instance.permitted
+    assert fast.monotonic == slow.monotonic, instance.permitted
+    assert fast.constraint_count == slow.constraint_count
+    assert fast.preference_count == slow.preference_count
+    assert fast.monotonicity_count == slow.monotonicity_count
+    return fast.safe
 
-    def test_tier1_models_satisfy_the_smt_encoding(self, pipeline_analyzer):
+
+class TestTierAgreement:
+    def test_dispute_and_smt_verdicts_agree_on_the_zoo(self, analyzer):
+        """The acceptance bar: tier-1 verdict == tier-2 verdict, always —
+        and the analyzer sends every SPP instance to tier 1."""
+        for instance in zoo_instances():
+            assert analyzer.analyze(instance).method == "dispute-digraph"
+            assert_tiers_agree(instance)
+
+    def test_dispute_and_smt_verdicts_agree_over_the_small_scope(self):
+        """Every instance on the 0-1-2 clique, and every 13th on the
+        0-1-2-3 clique, with at most two ranked paths per node."""
+        two = list(_instances(("1", "2")))
+        three = list(_instances(("1", "2", "3"), stride=13))
+        assert (len(two), len(three)) == (24, 1352)
+        unsafe = [not assert_tiers_agree(instance)
+                  for instance in two + three]
+        assert sum(unsafe[len(two):]) == 44
+
+    def test_tier1_models_satisfy_the_smt_encoding(self, analyzer):
         """The layering model is a real model of the strict encoding."""
         for instance in zoo_instances():
-            report = pipeline_analyzer.analyze(instance)
+            report = analyzer.analyze(instance)
             if not report.safe:
                 continue
             encoding = encode(SPPAlgebra(instance), strict=True)
@@ -78,14 +84,13 @@ class TestTierAgreement:
                     f"{instance.name}: {atom} violated by layering model"
             assert all(v >= 1 for v in assignment.values())
 
-    def test_tier1_cores_are_minimal_unsat_subsystems(
-            self, pipeline_analyzer):
+    def test_tier1_cores_are_minimal_unsat_subsystems(self, analyzer):
         """The minimum dispute wheel maps to a minimal solver core."""
         from repro.smt import DifferenceSolver
 
         solver = DifferenceSolver()
         for instance in zoo_instances():
-            report = pipeline_analyzer.analyze(instance)
+            report = analyzer.analyze(instance)
             if report.safe:
                 continue
             assert report.core, instance.name
@@ -101,29 +106,37 @@ class TestTierAgreement:
 
 
 class TestProvenance:
-    def test_deciding_tier_is_recorded(self, pipeline_analyzer):
-        assert pipeline_analyzer.analyze(
-            GADGET_ZOO["good"]()).tier == 1
-        assert pipeline_analyzer.analyze(ShortestHopCount()).tier == 0
-        assert pipeline_analyzer.analyze(gao_rexford_a()).tier == 2
-        assert pipeline_analyzer.analyze(
-            gao_rexford_with_hopcount()).tier == 0
+    def test_deciding_tier_is_recorded(self, analyzer):
+        assert analyzer.analyze(GADGET_ZOO["good"]()).tier == 1
+        assert analyzer.analyze(ShortestHopCount()).tier == 0
+        assert analyzer.analyze(gao_rexford_a()).tier == 2
+        assert analyzer.analyze(gao_rexford_with_hopcount()).tier == 0
 
-    def test_stage_timings_cover_the_attempted_stages(
-            self, pipeline_analyzer):
-        report = pipeline_analyzer.analyze(gao_rexford_a())
-        names = [t.stage for t in report.stages]
-        assert names == ["certificates", "dispute-digraph", "smt"]
-        assert [t.decided for t in report.stages] == [False, False, True]
-        assert all(t.elapsed_s >= 0 for t in report.stages)
+    def test_one_span_per_analyze_call(self, analyzer, tmp_path):
+        """Only the deciding tier opens a span, and a component's span
+        nests under its composed algebra's."""
+        from repro.obs.trace import configure_tracing, read_spans
 
-    def test_explain_renders_every_stage(self, pipeline_analyzer):
-        text = pipeline_analyzer.analyze(GADGET_ZOO["bad"]()).explain()
-        assert "tier 1 dispute-digraph: decided" in text
-        assert "tier 0 certificates" in text
+        configure_tracing(str(tmp_path), worker="t")
+        try:
+            analyzer.analyze(gao_rexford_a())
+            analyzer.analyze(gao_rexford_with_hopcount())
+        finally:
+            configure_tracing(None)
+        spans = read_spans(str(tmp_path))
+        by_id = {span["span_id"]: span for span in spans}
+        assert sorted(
+            (span["name"], span["attrs"]["method"],
+             by_id[span["parent_id"]]["name"] if span["parent_id"] else "")
+            for span in spans) == [
+            ("analysis:tier0", "closed-form", "analysis:tier0"),
+            ("analysis:tier0", "composition", ""),
+            ("analysis:tier2", "smt", ""),
+            ("analysis:tier2", "smt", "analysis:tier0"),
+        ]
 
-    def test_summary_names_the_deciding_tier(self, pipeline_analyzer):
-        summary = pipeline_analyzer.analyze(GADGET_ZOO["good"]()).summary()
+    def test_summary_names_the_deciding_tier(self, analyzer):
+        summary = analyzer.analyze(GADGET_ZOO["good"]()).summary()
         assert "decided by: tier 1 (dispute-digraph)" in summary
 
 

@@ -159,8 +159,9 @@ class TestMaterialization:
         assert verdict["attrs"]["verdict_tier"] == "solved"
         assert spans["verdict:key"]["parent_id"] == verdict["span_id"]
         assert spans["verdict:solve"]["parent_id"] == verdict["span_id"]
-        assert spans["analysis:tier0"]["parent_id"] == \
+        assert spans["analysis:tier1"]["parent_id"] == \
             spans["verdict:solve"]["span_id"]
+        assert "analysis:tier0" not in spans
         assert main(["trace", "show", "3", "--trace-dir", str(tmp_path)]) == 0
         shown = capsys.readouterr().out
         assert "verdict:key" in shown and "verdict:solve" in shown
@@ -341,7 +342,11 @@ class TestOneBatchPath:
         that reaches the topology scan is scanned once and keyed once —
         by admission — and the vectorized run does neither."""
         import repro.exec.batch as batch_mod
-        from repro.campaigns import run_campaign
+        from repro.campaigns import (
+            CampaignConfig,
+            CampaignRunner,
+            ScenarioGenerator,
+        )
 
         in_run = []
         calls = {"scan": [], "key": [], "inside run": []}
@@ -368,8 +373,8 @@ class TestOneBatchPath:
                             counted("key", batch_mod.kernel_key_of))
         monkeypatch.setattr(batch_mod.VectorizedBatchSession, "run",
                             flagged_run)
-        report = run_campaign(90, seed=7, profile="quick", jobs=1,
-                              keep_results=True)
+        report = CampaignRunner(CampaignConfig(jobs=1)).run(
+            ScenarioGenerator(7, profile="quick").generate(90))
         batched = sum("gpv~batch" in {pair.pair for pair in r.pairwise}
                       for r in report.results)
         assert batched >= 40
@@ -384,7 +389,11 @@ class TestOneBatchPath:
         falls in either window (10 hazard ties in the first 900)."""
         import collections
 
-        from repro.campaigns import run_campaign
+        from repro.campaigns import (
+            CampaignConfig,
+            CampaignRunner,
+            ScenarioGenerator,
+        )
         from repro.exec.batch import clear_kernel_cache
         from repro.obs import metrics
 
@@ -399,7 +408,8 @@ class TestOneBatchPath:
         for profile in ("default", "quick"):
             clear_kernel_cache()  # a cached refusal must not be a store's
             before = table()
-            report = run_campaign(90, seed=7, profile=profile, jobs=1)
+            report = CampaignRunner(CampaignConfig(jobs=1)).run(
+                ScenarioGenerator(7, profile=profile).generate(90))
             assert report.error_count == 0
             assert table() - before == ADMISSION_TABLE, profile
 

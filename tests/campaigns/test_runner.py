@@ -8,7 +8,6 @@ from repro.campaigns import (
     CampaignRunner,
     HARD_DIVERGENCES,
     ScenarioGenerator,
-    run_campaign,
 )
 from repro.campaigns.runner import _chunk_stream
 
@@ -19,8 +18,6 @@ class TestConfig:
             CampaignConfig(jobs=0)
         with pytest.raises(ValueError):
             CampaignConfig(chunk_size=0)
-        with pytest.raises(ValueError):
-            CampaignRunner(CampaignConfig(), jobs=2)
 
     def test_chunking_covers_everything_in_order(self):
         specs = ScenarioGenerator(0, profile="quick").generate(10)
@@ -42,27 +39,30 @@ class TestSerialParallelEquivalence:
         assert parallel.jobs == 2
 
     def test_results_come_back_in_scenario_order(self):
-        report = run_campaign(12, seed=3, jobs=2, chunk_size=3,
-                              profile="quick")
+        report = CampaignRunner(CampaignConfig(jobs=2, chunk_size=3)).run(
+            ScenarioGenerator(3, profile="quick").generate(12))
         ids = [r.scenario_id for r in report.results]
         assert ids == sorted(ids) == list(range(12))
 
 
 class TestBudgets:
     def test_zero_budget_aborts_serial(self):
-        report = run_campaign(10, seed=1, jobs=1, profile="quick",
-                              wall_clock_budget_s=0.0)
+        report = CampaignRunner(CampaignConfig(
+            jobs=1, wall_clock_budget_s=0.0)).run(
+            ScenarioGenerator(1, profile="quick").generate(10))
         assert report.aborted == "wall-clock budget exhausted"
         assert report.scenario_count < 10
 
     def test_zero_budget_aborts_parallel(self):
-        report = run_campaign(10, seed=1, jobs=2, profile="quick",
-                              wall_clock_budget_s=0.0)
+        report = CampaignRunner(CampaignConfig(
+            jobs=2, wall_clock_budget_s=0.0)).run(
+            ScenarioGenerator(1, profile="quick").generate(10))
         assert report.aborted == "wall-clock budget exhausted"
 
     def test_disagreement_limit_zero_aborts_immediately(self):
-        report = run_campaign(10, seed=1, jobs=1, profile="quick",
-                              abort_on_disagreements=0)
+        report = CampaignRunner(CampaignConfig(
+            jobs=1, abort_on_disagreements=0)).run(
+            ScenarioGenerator(1, profile="quick").generate(10))
         assert report.aborted is not None
         assert "disagreement limit" in report.aborted
 
@@ -169,8 +169,9 @@ class TestStreaming:
 
 class TestMultiBackend:
     def test_differential_campaign_cross_checks_backends(self):
-        report = run_campaign(8, seed=7, jobs=1, profile="quick",
-                              backends=("gpv", "ndlog"), auto_batch=False)
+        report = CampaignRunner(CampaignConfig(
+            jobs=1, backends=("gpv", "ndlog"), auto_batch=False)).run(
+            ScenarioGenerator(7, profile="quick").generate(8))
         pairwise = report.pairwise_counters()
         assert set(pairwise) == {"analysis~gpv", "analysis~ndlog",
                                  "gpv~ndlog"}
@@ -222,14 +223,16 @@ class TestMultiBackend:
 
 class TestReport:
     def test_counters_partition_the_results(self):
-        report = run_campaign(20, seed=5, jobs=1, profile="quick")
+        report = CampaignRunner(CampaignConfig(jobs=1)).run(
+            ScenarioGenerator(5, profile="quick").generate(20))
         assert sum(report.counters().values()) == report.scenario_count == 20
         family_total = sum(sum(buckets.values())
                            for buckets in report.by_family().values())
         assert family_total == 20
 
     def test_summary_reports_throughput_and_cache(self):
-        report = run_campaign(10, seed=5, jobs=1, profile="quick")
+        report = CampaignRunner(CampaignConfig(jobs=1)).run(
+            ScenarioGenerator(5, profile="quick").generate(10))
         text = report.summary()
         assert "scenarios/s" in text
         assert "cache hit rate" in text

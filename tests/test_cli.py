@@ -15,6 +15,7 @@ class TestAnalyze:
         assert main(["analyze", "good"]) == 0
         out = capsys.readouterr().out
         assert "SAFE" in out
+        assert "decided by: tier 1 (dispute-digraph)" in out
 
     def test_unsafe_gadget_exits_nonzero_and_shows_core(self, capsys):
         assert main(["analyze", "figure3"]) == 1
@@ -30,18 +31,6 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", "nonsense"])
 
-    def test_explain_reports_the_deciding_tier(self, capsys):
-        assert main(["analyze", "good", "--explain"]) == 0
-        out = capsys.readouterr().out
-        assert "decided by: tier 1 (dispute-digraph)" in out
-        assert "pipeline stages:" in out
-        assert "tier 0 certificates" in out
-        assert "tier 2" not in out  # the fast path never reached the solver
-
-    def test_explain_keeps_the_unsafe_exit_code(self, capsys):
-        assert main(["analyze", "figure3", "--explain"]) == 1
-        out = capsys.readouterr().out
-        assert "tier 1 dispute-digraph: decided" in out
 
 
 class TestRun:
@@ -150,10 +139,10 @@ class TestCampaign:
     def test_errored_scenarios_fail_the_gate(self, monkeypatch, capsys):
         """ERROR scenarios are ones the differential check never ran on —
         the campaign gate must not report success over them."""
-        import repro.campaigns as campaigns
         from repro.campaigns import (
             ERROR,
             AggregatingSink,
+            CampaignRunner,
             ScenarioResult,
             ScenarioSpec,
         )
@@ -165,7 +154,7 @@ class TestCampaign:
                                    error="boom"))
         report = sink.report(wall_clock_s=0.1, jobs=1, chunk_size=1,
                              aborted=None)
-        monkeypatch.setattr(campaigns, "run_campaign",
+        monkeypatch.setattr(CampaignRunner, "run",
                             lambda *args, **kwargs: report)
         assert main(["campaign", "--scenarios", "1"]) == 1
         assert "errors: 1" in capsys.readouterr().out
@@ -174,13 +163,12 @@ class TestCampaign:
                                                     capsys):
         """A budget abort before any chunk returns evaluates nothing; the
         gate must not go green over an empty report."""
-        import repro.campaigns as campaigns
-        from repro.campaigns import AggregatingSink
+        from repro.campaigns import AggregatingSink, CampaignRunner
 
         report = AggregatingSink().report(
             wall_clock_s=0.01, jobs=1, chunk_size=1,
             aborted="wall-clock budget exhausted")
-        monkeypatch.setattr(campaigns, "run_campaign",
+        monkeypatch.setattr(CampaignRunner, "run",
                             lambda *args, **kwargs: report)
         assert main(["campaign", "--scenarios", "16"]) == 1
         assert "zero scenarios" in capsys.readouterr().err
@@ -305,7 +293,7 @@ class TestVerdictsCommand:
 
     def test_stats_reports_rows(self, tmp_path, capsys):
         path = self._populated_store(tmp_path, capsys)
-        assert main(["verdicts", path, "--stats"]) == 0
+        assert main(["verdicts", path, ]) == 0
         out = capsys.readouterr().out
         assert "verdicts:" in out
         assert "methods:" in out
@@ -313,7 +301,7 @@ class TestVerdictsCommand:
 
     def test_stats_counts_raw_fallback_keys(self, tmp_path, capsys):
         """Table rows keyed by a name-faithful fallback can never be hit
-        across a relabeling: ``--stats`` says how many there are, in both
+        across a relabeling: ``verdicts`` says how many there are, in both
         formats, counting a raw rendering nested in a product too (SPP
         rows are all name-faithful, so they are not counted)."""
         import json
@@ -326,15 +314,24 @@ class TestVerdictsCommand:
         store.put("('product', ('table-raw', ()), ('closed', 'X'))",
                   True, "smt")
         store.close()
-        assert main(["verdicts", path, "--stats"]) == 0
+        assert main(["verdicts", path, ]) == 0
         assert "raw keys: 1 table-raw" in capsys.readouterr().out
-        assert main(["verdicts", path, "--stats", "--format", "json"]) == 0
+        assert main(["verdicts", path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["store"]["raw_keys"] == {"table-raw": 1}
 
     def test_missing_store_is_rejected(self, tmp_path, capsys):
         assert main(["verdicts", str(tmp_path / "absent.sqlite")]) == 1
         assert "no such file" in capsys.readouterr().err
+
+    def test_a_file_that_is_not_a_database_is_rejected(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a verdict cache\n" * 64)
+        assert main(["verdicts", str(path)]) == 1
+        assert "verdict cache rejected: file is not a database" in \
+            capsys.readouterr().err
+        assert path.read_text() == "not a verdict cache\n" * 64
 
 
 def _die_on_scenario_10(chunk, options=None):
