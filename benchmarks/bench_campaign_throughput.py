@@ -12,9 +12,9 @@ path must beat serial by at least 2x; on smaller boxes the ratio is
 reported but not asserted (a process pool cannot beat the GIL-free serial
 loop without real parallel hardware).
 
-A third measurement isolates the effect of the canonicalized-verdict
-memoization by running the serial campaign with the cache cleared before
-every scenario, and a fourth reports per-execution-backend throughput —
+A third measurement isolates the effect of the verdict memoization by
+running the serial campaign with the cache cleared before every
+scenario, and a fourth reports per-execution-backend throughput —
 the native GPV engine vs the generated NDlog program vs the two run
 differentially — so the cost of three-way cross-checking stays visible.
 """
@@ -170,8 +170,8 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
     route-reflector clients) are the subjects whose relabeling-invariant
     keys once cost ten times the analysis they could skip.  The
     ``keying`` block is read from the registry — seconds keying vs
-    seconds solving, and the raw table keys — and the gate is that
-    keying costs less than solving.
+    seconds solving — and the gate is that keying costs less than
+    solving.
     """
     from repro.obs import metrics as obs_metrics
 
@@ -217,9 +217,6 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
         return obs_metrics.snapshot_value(after, name, **labels) \
             - obs_metrics.snapshot_value(before, name, **labels)
 
-    raw_table_keys = int(sum(
-        spent("repro_canonical_keys_total", outcome=outcome)
-        for outcome in ("raw-symmetric", "raw-size")))
     key_s = spent("repro_verdict_seconds_total", phase="key")
     solve_s = spent("repro_verdict_seconds_total", phase="solve")
     assert key_s < solve_s, (
@@ -229,8 +226,7 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
     lines = [
         f"scenarios: {spp_count} gadget-family + {mixed_count} mixed + "
         f"{ibgp_count} ibgp (fixed seed {SEED})",
-        f"ibgp keying: {key_s:.3f} s keying vs {solve_s:.3f} s solving, "
-        f"{raw_table_keys} raw table keys",
+        f"ibgp keying: {key_s:.3f} s keying vs {solve_s:.3f} s solving",
         f"gadget family: tier-1 hit rate "
         f"{tier1_rate:.0%} ({tier1}/{spp_analyzed} dispute-digraph), "
         f"cache-hit rate {spp_report.cache_hit_rate:.0%}",
@@ -252,7 +248,6 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
         "keying": {
             "key_s": round(key_s, 6),
             "solve_s": round(solve_s, 6),
-            "raw_table_keys": raw_table_keys,
         },
     }
     pathlib.Path("BENCH_analysis.json").write_text(

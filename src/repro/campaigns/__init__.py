@@ -13,9 +13,8 @@ hand-written gadgets — and, through the pluggable execution backends of
   full algebra library;
 * :mod:`repro.campaigns.scenarios` — deterministic spec → scenario
   materialization;
-* :mod:`repro.campaigns.canonical` — canonical keys for verdict
-  memoization (table algebras relabeled by color refinement, SPP
-  instances keyed by name);
+* :mod:`repro.campaigns.canonical` — keys for verdict memoization and
+  batch kernels (a name-faithful rendering of the subject);
 * :mod:`repro.campaigns.oracle` — the differential oracle (SMT verdict vs
   N execution backends, pairwise cross-checks, per-worker verdict cache
   with optional cross-process persistence);

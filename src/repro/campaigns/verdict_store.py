@@ -6,11 +6,10 @@ verdicts survive across processes and campaign invocations, so repeated
 campaigns and CI runs skip already-proved algebras entirely.
 
 Verdicts are content-addressed by the ``repr`` of
-:func:`~repro.campaigns.canonical.canonical_key` — canonically relabeled
-for table algebras, so relabeled-but-identical policies hit the same
-row, and name-faithful (``spp-raw``) for SPP instances.  ``INSERT OR
-IGNORE`` makes duplicate solves from racing workers harmless (both
-computed the same verdict from the same key).
+:func:`~repro.campaigns.canonical.canonical_key`, a name-faithful
+rendering of the subject, so only the same system under the same names
+hits a row.  ``INSERT OR IGNORE`` makes duplicate solves from racing
+workers harmless (both computed the same verdict from the same key).
 
 Connection handling, multi-writer hardening, the ``MAX_ROWS`` bound and
 the failure policy are :class:`repro.sqlite_cache.SqliteCache`'s — the
@@ -94,19 +93,11 @@ class VerdictStore(SqliteCache):
             "FROM verdicts").fetchone()
         methods = dict(self._conn.execute(
             "SELECT method, COUNT(*) FROM verdicts GROUP BY method"))
-        # Name-faithful table fallbacks (twins / size limit in
-        # `canonical_key`), top-level or inside a product: a relabeled
-        # copy of the table renders differently, so these rows are only
-        # ever hit under the very same names.
-        table_raw = self._conn.execute(
-            "SELECT COALESCE(SUM(instr(key, ?) > 0), 0) FROM verdicts",
-            ("'table-raw'",)).fetchone()[0]
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         return {
             "verdicts": total,
             "safe": safe,
             "unsafe": total - safe,
-            "raw_keys": {"table-raw": table_raw},
             "methods": methods,
             "schema_version": version,
             "retention": dict(self.last_retention),

@@ -307,8 +307,6 @@ def cmd_verdicts(args: argparse.Namespace) -> int:
                        for method, count in sorted(stats["methods"].items()))
     if methods:
         print(f"  methods:  {methods}")
-    print(f"  raw keys: {stats['raw_keys']['table-raw']} table-raw "
-          f"(name-faithful fallbacks: no hit across a relabeling)")
     return 0
 
 

@@ -16,8 +16,7 @@ interleaving, or advertisement batching.  So instead of simulating, it:
    largest absorbing *routable* id and a distinct **hole** sentinel
    (``hole_id == phi_id + 1``) for extensions whose true value lies past
    the closure depth horizon; ⊕ becomes one ``int32`` lookup table
-   ``trans[label, sig] -> sig`` (the canonicalizer's ordinal-rank
-   rendering, promoted to an execution kernel).  Strict monotonicity is
+   ``trans[label, sig] -> sig``.  Strict monotonicity is
    *verified* for every tabulated entry — in-table extensions must carry
    a strictly larger id, hole extensions are preference-checked against
    their source — and any violation marks the algebra unsupported;
@@ -55,8 +54,8 @@ from the same algebra — are the only equivalence oracle.  Anything that
 is not a typed refusal or decline is a bug and propagates.
 
 The kernel lookup runs once per scanned scenario, in this order: a
-process-wide cache under canonical kernel keys (:func:`kernel_key_of`,
-the one place a key is rendered; the closure depth is part of it, so
+process-wide cache under kernel keys (:func:`kernel_key_of`, the one
+place a key is rendered; the closure depth is part of it, so
 every tier hands a scenario a kernel at least as deep as its topology
 needs), an optional **persistent kernel
 store** (:mod:`repro.exec.kernel_store`, :func:`configure_kernel_store`
@@ -592,15 +591,14 @@ def kernel_key_of(scenario: "Scenario", scan: tuple | None = None) -> tuple:
 
     ``(canonical algebra key, transfer keys, origin labels, closure
     depth)`` — the one rendering under which every cache tier files the
-    scenario's kernel: relabeled copies of one algebra over one
-    vocabulary and one node count share it across scenarios, seeds,
-    chunks and (through the kernel store) processes.  The depth
-    (:func:`_closure_depth`) makes every tier hand the scenario a kernel
-    tabulated for exactly its topology.
+    scenario's kernel: one algebra over one vocabulary and one node count
+    shares it across scenarios, seeds, chunks and (through the kernel
+    store) processes.  The algebra key is name-faithful, so a kernel,
+    whose ``sigs`` are the algebra's own signatures, is never handed to a
+    renamed copy.  The depth (:func:`_closure_depth`) makes every tier
+    hand the scenario a kernel tabulated for exactly its topology.
     Scenarios sharing the key share one tabulation *and* one relaxation
     call.  ``scan`` is the scenario's :func:`_scan_topology`, if at hand.
-    (``canonical_key`` is total: where refinement leaves twins it renders
-    name-faithfully, it never raises.)
     """
     from ..campaigns.canonical import canonical_key
 

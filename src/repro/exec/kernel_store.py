@@ -8,9 +8,10 @@ entirely.
 
 Kernels are content-addressed by the ``repr`` of the batch backend's
 process-cache key — the :func:`~repro.campaigns.canonical.canonical_key`
-of the algebra (colour-refined, so relabeled copies of one table algebra
-share a row, as in the verdict store) plus the scenario's transfer
-vocabulary and closure depth.
+of the algebra (a name-faithful rendering, as in the verdict store) plus
+the scenario's transfer vocabulary and closure depth.  A row keyed by an
+older rendering of an algebra is never read again; the ``MAX_ROWS``
+bound evicts it.
 Negative results ("this algebra is not batchable over this vocabulary")
 are stored too, as NULL payloads: a declined closure is as expensive to
 re-derive as an accepted one.

@@ -1,6 +1,7 @@
-"""Canonical algebra keys: equality exactly when the constraints agree
-(up to relabeling for table algebras; by name for SPP instances)."""
+"""Canonical keys: equality exactly when the constraints agree, under
+the subject's own names."""
 
+import dataclasses
 import random
 
 import pytest
@@ -20,8 +21,7 @@ from repro.algebra import (
     safe_backup,
 )
 from repro.algebra.extended import AlgebraTables, TableAlgebra
-from repro.campaigns import ScenarioGenerator, canonical_key, evaluate
-from repro.obs import metrics
+from repro.campaigns import cached_verdict, canonical_key, clear_verdict_cache
 
 
 def relabel(algebra: TableAlgebra, rng: random.Random) -> TableAlgebra:
@@ -44,12 +44,6 @@ def relabel(algebra: TableAlgebra, rng: random.Random) -> TableAlgebra:
                                 for l, s in t.export_filter),
         origination={label[l]: sig[s] for l, s in t.origination.items()},
     ))
-
-
-def keyed_outcomes() -> dict:
-    return {outcome: metrics.counter("repro_canonical_keys_total",
-                                     outcome=outcome).value
-            for outcome in ("canonical", "raw-symmetric", "raw-size")}
 
 
 class TestSPPKeys:
@@ -75,30 +69,7 @@ class TestSPPKeys:
 
 
 class TestIsomorphismInvariance:
-    def test_random_relabelings_share_the_key(self):
-        """Relabeled table algebras → identical keys, none of them raw."""
-        rng = random.Random(5)
-        for algebra in (gao_rexford_a(), safe_backup(4)):
-            key = canonical_key(algebra)
-            assert key[0] == "table3"
-            for _ in range(8):
-                assert canonical_key(relabel(algebra, rng)) == key
-
-    def test_twin_labels_fall_back_to_a_raw_key(self):
-        """Two labels with identical rows, each the other's reverse:
-        refinement cannot tell them apart, so the key is name-faithful
-        and counted as ``raw-symmetric``."""
-        twins = TableAlgebra("twins", AlgebraTables(
-            labels=["a", "b"], signatures=["s", "t"],
-            preference={"s": 0, "t": 1},
-            concat={("a", "s"): "t", ("b", "s"): "t"},
-            reverse={"a": "b", "b": "a"},
-            origination={"a": "s", "b": "s"}))
-        before = keyed_outcomes()
-        assert canonical_key(twins)[0] == "table-raw"
-        after = keyed_outcomes()
-        assert after["raw-symmetric"] == before["raw-symmetric"] + 1
-        assert after["canonical"] == before["canonical"]
+    """Keys never collide across different subjects, and round-trip."""
 
     def test_no_collisions_across_the_zoo(self):
         """Non-isomorphic instances → distinct keys (cache soundness)."""
@@ -122,26 +93,53 @@ class TestIsomorphismInvariance:
             assert ast.literal_eval(repr(key)) == key
 
 
-class TestCorpusKeys:
-    """Every table algebra of the benchmark corpora refines to a discrete
-    colouring: no name-faithful fallback (``spp-keying`` keys no table at
-    all — its SPP subjects are keyed by name)."""
-
-    @pytest.mark.parametrize("families,count,tables", [
-        (None, 90, 30),                # `rotation`: the default campaign
-        (("gadget", "ibgp"), 24, 0),   # `spp-keying`
-    ])
-    def test_no_raw_table_keys(self, families, count, tables):
-        before = keyed_outcomes()
-        for spec in ScenarioGenerator(7, families=families).generate(count):
-            assert not evaluate(spec).error
-        spent = {outcome: value - before[outcome]
-                 for outcome, value in keyed_outcomes().items()}
-        assert spent["raw-symmetric"] == spent["raw-size"] == 0
-        assert spent["canonical"] >= tables
-
-
 class TestTableAndProductKeys:
+    @pytest.mark.parametrize("build", [gao_rexford_a, lambda: safe_backup(4)],
+                             ids=["gr-a", "safe-backup-4"])
+    def test_a_relabeled_table_is_a_miss_with_the_same_verdict(self, build):
+        """Table keys are name-faithful: a renamed copy gets its own key
+        and, being isomorphic, the same verdict."""
+        clear_verdict_cache()
+        original = build()
+        relabeled = relabel(original, random.Random(5))
+        assert canonical_key(relabeled) != canonical_key(original)
+        safe, method, hit = cached_verdict(original)
+        assert not hit
+        assert cached_verdict(original) == (safe, method, True)
+        assert cached_verdict(relabeled) == (safe, method, False)
+
+    @pytest.mark.parametrize(
+        "field", [field.name for field in dataclasses.fields(AlgebraTables)])
+    def test_one_entry_of_any_field_changes_the_key(self, field):
+        t = gao_rexford_a().tables
+        label, sig = t.labels[0], t.signatures[0]
+        (step, out), *_ = t.concat.items()
+
+        def other(values, than):
+            return next(value for value in values if value != than)
+
+        changed = {
+            "labels": {"labels": [*t.labels[:-1], "fresh"]},
+            # A signature needs its rank: the renamed one keeps it.
+            "signatures": {
+                "signatures": ["fresh", *t.signatures[1:]],
+                "preference": {("fresh" if s == sig else s): rank
+                               for s, rank in t.preference.items()}},
+            "preference": {"preference": {**t.preference,
+                                          sig: t.preference[sig] + 5}},
+            "concat": {"concat": {**t.concat,
+                                  step: other(t.signatures, out)}},
+            "reverse": {"reverse": {**t.reverse,
+                                    label: other(t.labels, t.reverse[label])}},
+            "import_filter": {"import_filter": t.import_filter ^ {(label, sig)}},
+            "export_filter": {"export_filter": t.export_filter ^ {(label, sig)}},
+            "origination": {"origination": {
+                **t.origination,
+                label: other(t.signatures, t.origination[label])}},
+        }[field]
+        variant = TableAlgebra("variant", dataclasses.replace(t, **changed))
+        assert canonical_key(variant) != canonical_key(gao_rexford_a())
+
     def test_reconstructed_table_algebra_hits_the_same_key(self):
         assert canonical_key(gao_rexford_a()) == canonical_key(gao_rexford_a())
 

@@ -12,9 +12,11 @@ mis-executed.
 """
 
 import collections
+import dataclasses
 
 import pytest
 
+from repro.algebra.extended import TableAlgebra
 from repro.campaigns import (
     LinkEventSpec,
     ScenarioGenerator,
@@ -285,6 +287,35 @@ class TestBatchedSession:
         first, second = session.run()
         assert first.routes == second.routes
         assert first.sigs == second.sigs
+
+    def test_a_copy_with_renamed_signatures_gets_its_own_kernel(self):
+        """A kernel's ``sigs`` are its algebra's own signatures, so a copy
+        of a table algebra that renames only its signatures must not be
+        served the original's kernel: each batch outcome reports the
+        signatures its own GPV run does."""
+        def renamed_signatures(algebra):
+            t = algebra.tables
+            sig = {s: f"z{s}" for s in t.signatures}
+            return TableAlgebra("renamed", dataclasses.replace(
+                t, signatures=[sig[s] for s in t.signatures],
+                preference={sig[s]: rank for s, rank in t.preference.items()},
+                concat={(l, sig[s]): sig.get(out, out)
+                        for (l, s), out in t.concat.items()},
+                import_filter=frozenset((l, sig[s])
+                                        for l, s in t.import_filter),
+                export_filter=frozenset((l, sig[s])
+                                        for l, s in t.export_filter),
+                origination={l: sig[s] for l, s in t.origination.items()}))
+
+        spec = BATCH_SPECS[1]  # hierarchy, safe-backup: a table algebra
+        original, renamed = materialize(spec), materialize(spec)
+        renamed.algebra = renamed_signatures(original.algebra)
+        outcomes = BATCH.prepare_batch(
+            [BATCH.supports(original), BATCH.supports(renamed)]).run()
+        for scenario, outcome in zip((original, renamed), outcomes):
+            gpv = get_backend("gpv").prepare(scenario, seed=spec.seed).run(
+                until=spec.until, max_events=spec.max_events)
+            assert outcome.sigs == gpv.sigs, scenario.algebra.name
 
 
 def network_snapshot(scenario):

@@ -299,26 +299,26 @@ class TestVerdictsCommand:
         assert "methods:" in out
         assert "hits:" not in out  # reuse is not recorded
 
-    def test_stats_counts_raw_fallback_keys(self, tmp_path, capsys):
-        """Table rows keyed by a name-faithful fallback can never be hit
-        across a relabeling: ``verdicts`` says how many there are, in both
-        formats, counting a raw rendering nested in a product too (SPP
-        rows are all name-faithful, so they are not counted)."""
+    def test_stats_count_every_row_in_both_formats(self, tmp_path, capsys):
+        """Every row counts once, whatever its key renders (SPP, product
+        of a table), in the text and the JSON envelope alike."""
         import json
 
         from repro.campaigns import VerdictStore
 
         path = self._populated_store(tmp_path, capsys)
         store = VerdictStore(path)
+        rows = len(store)
         store.put("('spp-raw', 'd', (), ())", True, "smt")
         store.put("('product', ('table-raw', ()), ('closed', 'X'))",
                   True, "smt")
         store.close()
         assert main(["verdicts", path, ]) == 0
-        assert "raw keys: 1 table-raw" in capsys.readouterr().out
+        assert f"verdicts: {rows + 2} " in capsys.readouterr().out
         assert main(["verdicts", path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["store"]["raw_keys"] == {"table-raw": 1}
+        assert payload["store"]["verdicts"] == rows + 2
+        assert "raw_keys" not in payload["store"]
 
     def test_missing_store_is_rejected(self, tmp_path, capsys):
         assert main(["verdicts", str(tmp_path / "absent.sqlite")]) == 1
