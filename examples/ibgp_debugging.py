@@ -33,7 +33,8 @@ from repro.topology import (
 def run_and_analyze(config, label: str):
     print(f"\n--- {label} ---")
     engine = GPVEngine(config.session_net, IGPCostAlgebra(config),
-                       [EXT_DEST], seed=1, log_routes=True)
+                       [EXT_DEST], seed=1)
+    engine.sim.stats.route_log = []  # keep the RIB-in log extraction reads
     reason = engine.run(until=2.0, max_events=2_000_000)
     stats = engine.sim.stats
     print(f"execution: {reason}; {stats.messages_sent} messages, "

@@ -343,6 +343,8 @@ def _evaluate_traced(spec, options, prepared, started, scenario_span):
             run_started = time.perf_counter()
             with TRACER.span("backend:run", backend=name) as backend_span:
                 session = get_backend(name).prepare(scn, seed=spec.seed)
+                if scenario.analysis_subject is None and not sessions:
+                    session.sim.stats.route_log = []  # extraction reads it
                 outcome = session.run(until=spec.until,
                                       max_events=spec.max_events)
                 backend_span.annotate(converged=outcome.converged,
@@ -353,9 +355,9 @@ def _evaluate_traced(spec, options, prepared, started, scenario_span):
 
         if scenario.analysis_subject is None:
             # iBGP workflow: extract the realized SPP (from the primary
-            # backend's route log) and analyze that.  The batch backend
-            # refuses subjects requiring post-run extraction, so sessions[0]
-            # is live.
+            # backend's route log, the only one kept) and analyze that.  The
+            # batch backend refuses subjects requiring post-run extraction,
+            # so sessions[0] is live.
             with TRACER.span("analysis:verdict", extracted=True):
                 extracted = extract_spp(sessions[0], scenario.extract_dest)
                 safe, method, cache_hit = cached_verdict(extracted)

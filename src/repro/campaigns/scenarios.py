@@ -90,7 +90,6 @@ class Scenario:
     analysis_subject: RoutingAlgebra | SPPInstance | None
     #: Destination whose SPP is extracted after the run (iBGP workflow).
     extract_dest: str | None = None
-    log_routes: bool = False
     #: Routes advertised per (neighbor, destination) — the paper's Sec.
     #: VI-D top-k propagation when > 1 (the ``multipath`` family).
     top_k: int = 1
@@ -531,7 +530,6 @@ def _materialize_ibgp(spec: ScenarioSpec) -> Scenario:
         destinations=[EXT_DEST],
         analysis_subject=None,       # analyzed via post-run SPP extraction
         extract_dest=EXT_DEST,
-        log_routes=True,
     )
 
 

@@ -12,12 +12,11 @@ The lifecycle is two calls:
 
 1. ``backend.prepare(scenario, seed=...)`` builds an
    :class:`ExecutionSession` — engine state wired to a fresh seeded
-   :class:`~repro.net.simulator.Simulator` (exposed as ``session.sim``),
-   route logging on when ``scenario.log_routes`` is, and the scenario's
-   event schedule already on the simulator's timeline.  Scheduling is the
-   last step of building the session, at sim time 0, so events mean the
-   same thing to every backend: every backend executes the *same*
-   pre-scheduled timeline;
+   :class:`~repro.net.simulator.Simulator` (exposed as ``session.sim``)
+   with the scenario's event schedule already on its timeline.
+   Scheduling is the last step of building the session, at sim time 0,
+   so events mean the same thing to every backend: every backend
+   executes the *same* pre-scheduled timeline;
 2. ``session.run(until=..., max_events=...)`` drains the simulator and
    returns an :class:`ExecutionOutcome`: converged/diverged status, the
    final best-route table, and message/byte statistics.
@@ -30,10 +29,9 @@ simulator, no timeline and no ``prepare``: its own contract is
 in the same :class:`ExecutionOutcome`.
 
 Backends never see campaign types: a "scenario" is anything with
-``network`` / ``algebra`` / ``destinations`` / ``events`` /
-``log_routes`` attributes, and an "event" is anything with ``kind`` /
-``a`` / ``b`` / ``label`` / ``time`` — so the layer has no import cycle
-with :mod:`repro.campaigns`.
+``network`` / ``algebra`` / ``destinations`` / ``events`` attributes,
+and an "event" is anything with ``kind`` / ``a`` / ``b`` / ``label`` /
+``time`` — so the layer has no import cycle with :mod:`repro.campaigns`.
 """
 
 from __future__ import annotations
@@ -95,10 +93,10 @@ class ExecutionSession(ABC):
     Shared by every scalar session: the scenario's ``algebra`` /
     ``destinations`` / ``top_k``, ``network`` (the simulator's, owned by
     this session — backends must not share a mutable network), the event
-    dispatch, and the rendering of routes into an outcome.  ``route_log``
-    holds accepted non-φ routes as ``(node, dest, sig, path)`` when the
-    scenario has ``log_routes`` set (the input to the paper's Sec. VI-B
-    SPP extraction); it stays empty on a session that cannot log.
+    dispatch, and the rendering of routes into an outcome.  Between
+    ``prepare`` and ``run`` a caller may set ``sim.stats.route_log`` to a
+    list; a path-vector engine then appends each accepted non-φ route to
+    it as ``(node, dest, sig, path)``.
 
     A concrete session wires its engine in :meth:`_wire`, provides the
     event operations its scenarios need — ``inject_route(node, dest,
@@ -114,7 +112,6 @@ class ExecutionSession(ABC):
         self.algebra: RoutingAlgebra = scenario.algebra
         self.destinations = list(scenario.destinations)
         self.top_k = getattr(scenario, "top_k", 1)
-        self.route_log: list = []
         self.sim = self._wire(scenario, seed)
         for event in scenario.events:
             self.sim.at(event.time, lambda e=event: self.apply_event(e))

@@ -1049,8 +1049,6 @@ def _admit(scenario: "Scenario") -> "_Problem":
         raise _Unbatchable("no-numpy")
     if getattr(scenario, "top_k", 1) != 1:
         raise _Unbatchable("multipath")
-    if getattr(scenario, "log_routes", False):
-        raise _Unbatchable("route-logging")
     if getattr(scenario, "analysis_subject", "missing") is None:
         raise _Unbatchable("post-run-extraction")
     if isinstance(scenario.algebra, (SPPAlgebra, HLPCostAlgebra)):
@@ -1082,17 +1080,17 @@ class BatchBackend:
 
         Admitted = the fixpoint shortcut provably equals the engines.
         Refusals, each counted under its reason: numpy missing
-        (``no-numpy``); k-best selection (``multipath``) or route logging
-        (``route-logging``) — the kernel has no advertisement stream; an
-        analysis subject only a scalar primary's log can produce
-        (``post-run-extraction``); a path-valued algebra — SPP gadgets,
-        the HLP domain-path cost (``path-valued-algebra``); too many
-        nodes (``node-budget``); a label the algebra is undefined on
-        (``unlabelled-link``); a signature closure over the scenario's
-        transfer vocabulary that outgrows its budget (``closure-budget``)
-        or is not **verified strictly monotonic** — plain Gao-Rexford
-        draws ties (``not-strictly-monotonic``, ``rank-tie``); a negative
-        kernel-store row, which says no more (``stored-negative``).
+        (``no-numpy``); k-best selection (``multipath``); an analysis
+        subject only a scalar primary's route log can produce — the kernel
+        has no advertisement stream (``post-run-extraction``); a
+        path-valued algebra — SPP gadgets, the HLP domain-path cost
+        (``path-valued-algebra``); too many nodes (``node-budget``); a
+        label the algebra is undefined on (``unlabelled-link``); a
+        signature closure over the scenario's transfer vocabulary that
+        outgrows its budget (``closure-budget``) or is not **verified
+        strictly monotonic** — plain Gao-Rexford draws ties
+        (``not-strictly-monotonic``, ``rank-tie``); a negative kernel-store
+        row, which says no more (``stored-negative``).
 
         An admitted kernel may still decline at run time
         (:class:`BatchDeclined`).  An exception that is not a typed

@@ -3,8 +3,7 @@
 Wraps :class:`~repro.protocols.gpv.GPVEngine` — the fast Python
 path-vector implementation — behind the :class:`ExecutionBackend`
 contract.  This is the campaign's reference implementation: large
-topologies simulate quickly, and its ``route_log`` feeds the iBGP
-extraction workflow.
+topologies simulate quickly.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ class GPVSession(ExecutionSession):
     def _wire(self, scenario: "Scenario", seed: int) -> Simulator:
         self.engine = GPVEngine(
             scenario.network, scenario.algebra, scenario.destinations,
-            seed=seed, log_routes=scenario.log_routes, top_k=self.top_k,
+            seed=seed, top_k=self.top_k,
             batch_interval=getattr(scenario, "batch_interval", None))
-        self.route_log = self.engine.route_log
         return self.engine.sim
 
     def inject_route(self, node: str, dest: str, label) -> None:
@@ -54,7 +52,7 @@ class GPVSession(ExecutionSession):
 
 
 class GPVBackend(ExecutionBackend):
-    """The native engine (`gpv`): fast, extraction-capable."""
+    """The native engine (`gpv`)."""
 
     name = "gpv"
 

@@ -37,10 +37,8 @@ if TYPE_CHECKING:
 class HLPSession(ExecutionSession):
     """A prepared :class:`HLPEngine` run.
 
-    HLP's fragmented adverts carry no router-level paths, so there is
-    nothing SPP extraction could consume — ``route_log`` stays empty (the
-    oracle keeps a path-vector backend primary for families that
-    extract).
+    HLP's fragmented adverts carry no router-level paths, so it appends
+    nothing to the collector's ``route_log``.
     """
 
     def _wire(self, scenario: "Scenario", seed: int) -> Simulator:

@@ -49,20 +49,21 @@ class NDlogSession(ExecutionSession):
             scenario.network, scenario.algebra, self.destinations,
             simulator=sim, top_k=self.top_k,
             batch_interval=getattr(scenario, "batch_interval", None))
-        if scenario.log_routes:
-            self.runtime.observers.append(self._log_route)
+        self.runtime.observers.append(self._log_route)
         return sim
 
     def _log_route(self, node: str, relation: str, row: tuple) -> None:
         """Mirror the native engine's RIB-in route log off ``sig`` deltas.
 
         Self-originated rows (neighbor column == node) are skipped: the
-        native engine logs *received* advertisements only, and extraction
-        (paper Sec. VI-B) is defined over those.
+        native engine logs *received* advertisements only.
         """
+        log = self.sim.stats.route_log
+        if log is None:
+            return
         if (relation == "sig" and row[SIG_SIG] is not PHI
                 and row[SIG_NEIGHBOR] != node):
-            self.route_log.append(
+            log.append(
                 (node, row[SIG_DEST], row[SIG_SIG], row[SIG_PATH]))
 
     # -- events ---------------------------------------------------------------

@@ -10,10 +10,10 @@ on IGP costs ... to generate per-node rankings."
 :class:`~repro.algebra.spp.SPPInstance` ready for the safety analyzer,
 closing the loop between the implementation and analysis halves of FSR.
 It accepts any *route-log source* — an object exposing ``algebra``,
-``network`` and ``route_log`` (a list of ``(node, dest, sig, path)``
-acceptances): a :class:`~repro.protocols.gpv.GPVEngine` run with
-``log_routes=True``, or any :class:`~repro.exec.base.ExecutionSession`
-prepared from a scenario with ``log_routes`` set.
+``network`` and ``sim``, whose ``sim.stats.route_log`` was set to ``[]``
+before the run, so that it logged ``(node, dest, sig, path)`` acceptances:
+a :class:`~repro.protocols.gpv.GPVEngine`, or a GPV or NDlog
+:class:`~repro.exec.base.ExecutionSession`.
 """
 
 from __future__ import annotations
@@ -32,24 +32,24 @@ class RouteLogSource(Protocol):
 
     algebra: RoutingAlgebra
     network: object
-    route_log: list
+    sim: object
 
 
-def extract_spp(engine: RouteLogSource, destination: str, *,
+def extract_spp(source: RouteLogSource, destination: str, *,
                 rank_key: RankKey | None = None,
                 name: str | None = None) -> SPPInstance:
     """Build an SPP instance from the routes a run actually advertised.
 
     ``rank_key(node, sig, path)`` orders each node's permitted paths; the
-    default sorts by the engine's algebra's rank key (which for the iBGP
+    default sorts by the source's algebra's rank key (which for the iBGP
     study means IGP cost to the egress), shorter paths first on ties.  Only routes toward
     ``destination`` are considered; duplicates are collapsed to the first
     observation.
     """
-    algebra = engine.algebra
+    algebra = source.algebra
     permitted: dict[str, list[Path]] = {}
     sig_of: dict[tuple[str, Path], object] = {}
-    for node, dest, sig, path in engine.route_log:
+    for node, dest, sig, path in source.sim.stats.route_log:
         if dest != destination:
             continue
         key = (node, path)
@@ -67,4 +67,4 @@ def extract_spp(engine: RouteLogSource, destination: str, *,
 
     ranked = {node: order(node, paths) for node, paths in permitted.items()}
     return SPPInstance.build(
-        name or f"extracted:{engine.network.name}", destination, ranked)
+        name or f"extracted:{source.network.name}", destination, ranked)

@@ -69,8 +69,8 @@ def run_configuration(config: IBGPConfig, *, seed: int = 0,
                       analyze: bool = True) -> IBGPRunResult:
     """Simulate one iBGP configuration and (optionally) analyze it."""
     algebra = IGPCostAlgebra(config)
-    engine = GPVEngine(config.session_net, algebra, [EXT_DEST], seed=seed,
-                       log_routes=True)
+    engine = GPVEngine(config.session_net, algebra, [EXT_DEST], seed=seed)
+    engine.sim.stats.route_log = []
     reason = engine.run(until=window_s, max_events=20_000_000)
     stats = engine.sim.stats
     node_count = config.session_net.node_count() - 1  # exclude EXT

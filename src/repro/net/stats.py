@@ -34,10 +34,13 @@ class StatsCollector:
     send_log: list[tuple[float, int]] = field(default_factory=list)
     route_changes: int = 0
     last_route_change: float = 0.0
+    #: The run's RIB-in log while a caller makes it a list: each accepted
+    #: non-φ route as ``(node, dest, sig, path)``, what SPP extraction reads.
+    route_log: list | None = None
 
     # -- recording --------------------------------------------------------------
     # The send fields are written by Simulator.send, inline on its per-message
-    # path; route changes are reported by the protocol engines.
+    # path; the protocol engines report route changes and fill route_log.
 
     def record_route_change(self, now: float, node: str) -> None:
         self.route_changes += 1

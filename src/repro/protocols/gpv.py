@@ -93,8 +93,8 @@ class Advertisement:
 class GPVEngine:
     """Path-vector protocol parameterised by a routing algebra.
 
-    ``route_log`` (enabled with ``log_routes=True``) records every non-φ
-    route accepted into a RIB-in — the raw material for SPP extraction
+    While ``sim.stats.route_log`` is a list, every non-φ route accepted
+    into a RIB-in is appended to it — the raw material for SPP extraction
     (paper Sec. VI-B extracts per-node permitted paths from received
     advertisements).
     """
@@ -103,7 +103,6 @@ class GPVEngine:
                  destinations: Iterable[str], *,
                  seed: int = 0,
                  batch_interval: float | None = None,
-                 log_routes: bool = False,
                  top_k: int = 1):
         if top_k < 1:
             raise ValueError("top_k must be at least 1")
@@ -114,9 +113,7 @@ class GPVEngine:
         self.destinations = list(destinations)
         self.sim = Simulator(network, seed=seed)
         self.batch_interval = batch_interval
-        self.log_routes = log_routes
         self.top_k = top_k
-        self.route_log: list[tuple[str, str, Signature, Path]] = []
         self._states = {
             node: _NodeState(RibOut(node, self.sim, batch_interval, 0,
                                     self._send))
@@ -309,10 +306,11 @@ class GPVEngine:
             sig = combine(label, adv.sig, adv.path, node)
             new = ((sig, (node,) + adv.path,
                     None if sig is PHI else rank_key(sig)),)
-        if self.log_routes:
+        log = self.sim.stats.route_log
+        if log is not None:
             for sig, path, _rank in new:
                 if sig is not PHI:
-                    self.route_log.append((node, dest, sig, path))
+                    log.append((node, dest, sig, path))
         if state.rib_in.get(slot) == new:
             return
         state.rib_in[slot] = new

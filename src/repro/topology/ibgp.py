@@ -205,9 +205,9 @@ class IGPCostAlgebra(RoutingAlgebra):
         """
         raise NotImplementedError(
             "IGPCostAlgebra cannot be analyzed by direct (+)-enumeration; "
-            "run GPV with log_routes=True and analyze the extracted SPP "
-            "instance (repro.experiments.extraction.extract_spp), as in "
-            "paper Sec. VI-B")
+            "log a GPV run's routes (sim.stats.route_log = []) and analyze "
+            "the extracted SPP instance "
+            "(repro.experiments.extraction.extract_spp), as in paper Sec. VI-B")
 
 
 def make_ibgp_config(router_net: Network, *,

@@ -128,9 +128,36 @@ class TestMaterialization:
                     ("embed_gadget", False)))
         scenario = materialize(spec)
         assert scenario.analysis_subject is None
-        assert scenario.log_routes
+        assert scenario.extract_dest
         result = evaluate(spec)
         assert result.classification in (SAFE_CONVERGED, FALSE_POSITIVE)
+
+    def test_only_the_primary_session_keeps_a_route_log(self, monkeypatch):
+        """Extraction reads the primary's log alone, so a ``gpv,ndlog``
+        evaluation of an iBGP spec gives NDlog, run second, none."""
+        from repro.campaigns import EvaluationOptions, ScenarioGenerator
+        from repro.exec.gpv import GPVBackend
+        from repro.exec.ndlog import NDlogBackend
+
+        sessions = []
+
+        def recording(prepare):
+            def wrapper(self, scenario, *, seed=0):
+                sessions.append(prepare(self, scenario, seed=seed))
+                return sessions[-1]
+            return wrapper
+
+        for backend in (GPVBackend, NDlogBackend):
+            monkeypatch.setattr(backend, "prepare",
+                                recording(backend.prepare))
+        spec = ScenarioGenerator(7, families=("ibgp",),
+                                 profile="quick").generate(1)[0]
+        result = evaluate(spec, EvaluationOptions(backends=("gpv", "ndlog")))
+        assert result.safe is not None, result.error
+        assert [type(s).__name__ for s in sessions] == ["GPVSession",
+                                                        "NDlogSession"]
+        assert sessions[0].sim.stats.route_log
+        assert sessions[1].sim.stats.route_log is None
 
 
     def test_ibgp_trace_splits_the_verdict_into_key_and_solve(
@@ -248,7 +275,7 @@ class TestEvents:
 ADMISSION_TABLE = {
     ("gadget", "refused", "path-valued-algebra"): 9,
     ("hlp", "refused", "path-valued-algebra"): 9,
-    ("ibgp", "refused", "route-logging"): 9,
+    ("ibgp", "refused", "post-run-extraction"): 9,
     ("multipath", "refused", "multipath"): 9,
     ("caida", "refused", "not-strictly-monotonic"): 3,
     ("hierarchy", "refused", "not-strictly-monotonic"): 4,

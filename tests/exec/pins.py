@@ -23,9 +23,11 @@ default-profile corpora of ``ScenarioGenerator(7)`` — the first 90
 (``gadget``, ``ibgp``) and the first 80 ``scalar-gpv`` specs (``caida``,
 ``hierarchy``, ``multipath``, ``hlp``) — each run on its own
 materialization with the spec's event timeline; rows carry their corpus
-name and a ``route_log`` column (see below).  Its rows were generated at
-commit 417ade0, before the simulator's send path and the engine's link
-table were rewritten; the ``route_log`` column at e3d8fd4.
+name and a ``route_log`` column (see below), which only the ``ibgp`` runs
+fill: a run keeps a route log when its scenario extracts an SPP, and the
+column of one that keeps none digests the empty list.  Its rows were
+generated at commit 417ade0, before the simulator's send path and the
+engine's link table were rewritten; the ``route_log`` column at e3d8fd4.
 
 ``batch_corpus.json`` pins the batch backend on the first 135 specs of the
 ``admitted-cold`` benchmark corpus (``rocketfuel``, ``tau-sweep``,
@@ -126,7 +128,10 @@ def pin_row(spec, outcome) -> dict:
 
 
 def route_log_digest(session) -> str:
-    return hashlib.sha1(repr(list(session.route_log)).encode()).hexdigest()
+    """sha1 over the session's logged acceptances (``[]`` if it kept no
+    log)."""
+    route_log = session.sim.stats.route_log or []
+    return hashlib.sha1(repr(route_log).encode()).hexdigest()
 
 
 def gpv_corpus_specs() -> list[tuple[str, object]]:
@@ -139,6 +144,8 @@ def gpv_corpus_specs() -> list[tuple[str, object]]:
 def gpv_corpus_row(corpus: str, spec) -> dict:
     scenario = materialize(spec)
     session = get_backend("gpv").prepare(scenario, seed=spec.seed)
+    if scenario.extract_dest is not None:
+        session.sim.stats.route_log = []
     outcome = session.run(until=spec.until, max_events=spec.max_events)
     return {"corpus": corpus, **pin_row(spec, outcome),
             "route_log": route_log_digest(session)}
@@ -202,9 +209,8 @@ def batched_wire_specs() -> list[tuple[str, object]]:
 
 def batched_wire_run(spec, backend: str) -> tuple:
     """``(session, outcome)`` of the spec on one backend, route logging on."""
-    scenario = materialize(spec)
-    scenario.log_routes = True
-    session = get_backend(backend).prepare(scenario, seed=spec.seed)
+    session = get_backend(backend).prepare(materialize(spec), seed=spec.seed)
+    session.sim.stats.route_log = []
     return session, session.run(until=spec.until, max_events=spec.max_events)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaigns import (
     LinkEventSpec,
+    ScenarioGenerator,
     ScenarioSpec,
     materialize,
 )
@@ -22,18 +23,17 @@ from repro.exec import (
     resolve_backends,
     route_mismatches,
 )
+from repro.experiments import extract_spp
 
 from batch_helper import run_batch
 
 
-def run_backend(name: str, spec: ScenarioSpec, *, log_routes: bool = False):
+def run_backend(name: str, spec: ScenarioSpec):
     """Materialize, prepare, run (``batch`` has its own lifecycle:
-    :func:`batch_helper.run_batch`); ``log_routes`` turns route logging
-    on for a scenario that does not ask for it."""
+    :func:`batch_helper.run_batch`)."""
     if name == "batch":
         return run_batch(spec)
     scenario = materialize(spec)
-    scenario.log_routes = scenario.log_routes or log_routes
     session = get_backend(name).prepare(scenario, seed=spec.seed)
     outcome = session.run(until=spec.until, max_events=spec.max_events)
     return session, outcome
@@ -198,12 +198,35 @@ class TestEventSemantics:
             assert outcome.converged
 
     def test_route_logs_match_for_extraction(self):
-        """Both backends can feed the Sec. VI-B extraction workflow."""
-        spec = gadget_spec("good")
-        gpv_session, _ = run_backend("gpv", spec, log_routes=True)
-        ndlog_session, _ = run_backend("ndlog", spec, log_routes=True)
-        gpv_accepted = {(n, d, p) for n, d, _s, p in gpv_session.route_log}
-        ndlog_accepted = {(n, d, p)
-                          for n, d, _s, p in ndlog_session.route_log}
-        assert gpv_accepted == ndlog_accepted
-        assert gpv_accepted  # non-empty: the log actually recorded routes
+        """Both backends can feed the Sec. VI-B extraction workflow: given
+        a list after ``prepare``, they log the same acceptances in the same
+        order, so they extract the same SPP instance.  The first 8 quick
+        ``ibgp`` specs include runs the clock stops (``time-limit``); the
+        GOOD gadget is an SPP scenario that converges."""
+        specs = ScenarioGenerator(7, families=("ibgp",),
+                                  profile="quick").generate(8)
+        stops = []
+        for spec in [*specs, gadget_spec("good")]:
+            logs, extracted = [], []
+            for backend in ("gpv", "ndlog"):
+                scenario = materialize(spec)
+                session = get_backend(backend).prepare(scenario,
+                                                       seed=spec.seed)
+                session.sim.stats.route_log = []
+                outcome = session.run(until=spec.until,
+                                      max_events=spec.max_events)
+                logs.append(session.sim.stats.route_log)
+                extracted.append(
+                    extract_spp(session, scenario.destinations[0]))
+            stops.append(outcome.stop_reason)
+            assert logs[0], spec  # the log actually recorded routes
+            assert logs[0] == logs[1], spec
+            assert extracted[0] == extracted[1], spec
+        assert stops.count("time-limit") == 4, stops  # diverged runs too
+
+    def test_a_session_given_no_list_logs_nothing(self):
+        spec = ScenarioGenerator(7, families=("ibgp",),
+                                 profile="quick").generate(1)[0]
+        for backend in ("gpv", "ndlog"):
+            session, _ = run_backend(backend, spec)
+            assert session.sim.stats.route_log is None

@@ -225,14 +225,6 @@ class TestSupports:
         spec = next(iter(generator.iter_specs(1)))
         assert not BATCH.supports(materialize(spec))
 
-    def test_route_logging_is_refused(self):
-        scenario = materialize(BATCH_SPECS[0])
-        scenario.log_routes = True
-        before = admission_counts()
-        assert BATCH.supports(scenario) is None
-        assert admission_counts() - before == {
-            ("caida", "refused", "route-logging"): 1}
-
     def test_every_verdict_is_counted_with_its_reason(self, monkeypatch):
         """One series increment per ``supports`` call, and one more per
         member of a group that declines at run time."""

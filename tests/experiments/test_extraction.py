@@ -10,7 +10,8 @@ from repro.protocols import GPVEngine
 def run_logged(instance, seed=0):
     net = network_from_spp(instance)
     engine = GPVEngine(net, SPPAlgebra(instance), [instance.destination],
-                       seed=seed, log_routes=True)
+                       seed=seed)
+    engine.sim.stats.route_log = []
     engine.run(until=30.0, max_events=200_000)
     return engine
 

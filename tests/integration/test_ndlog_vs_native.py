@@ -49,11 +49,11 @@ def native_final_routes(instance, seed):
 @pytest.mark.parametrize("instance", CONVERGENT_INSTANCES,
                          ids=lambda i: i.name)
 def test_same_stable_routes(instance):
-    ndlog_reason, ndlog_routes = ndlog_final_routes(instance, seed=7)
-    native_reason, native_routes = native_final_routes(instance, seed=7)
+    ndlog_reason, ndlog_table = ndlog_final_routes(instance, seed=7)
+    native_reason, native_table = native_final_routes(instance, seed=7)
     assert ndlog_reason == "quiescent"
     assert native_reason == "quiescent"
-    assert ndlog_routes == native_routes
+    assert ndlog_table == native_table
 
 
 @pytest.mark.parametrize("instance", CONVERGENT_INSTANCES,

@@ -107,7 +107,7 @@ class TestStickyAfterLoss:
         like NDlog's a_pref, keeps the current route on a tie."""
         scenario = SimpleNamespace(
             network=tied_fallbacks(), algebra=ShortestHopCount(),
-            destinations=["d"], log_routes=False,
+            destinations=["d"],
             events=[ResolvedEvent(5.0, "fail", "s", "e")])
         session = get_backend(backend).prepare(scenario, seed=0)
         outcome = session.run(until=20.0)

@@ -91,10 +91,11 @@ class TestComposedPolicyDeployment:
 class TestEngineMechanics:
     def test_route_log_collects_accepted_routes(self):
         engine = spp_engine(good_gadget(), seed=2)
-        engine.log_routes = True
+        engine.sim.stats.route_log = []
         engine.run(until=30.0)
-        assert engine.route_log
-        nodes = {entry[0] for entry in engine.route_log}
+        route_log = engine.sim.stats.route_log
+        assert route_log
+        nodes = {entry[0] for entry in route_log}
         assert nodes <= {"1", "2", "3"}
 
     def test_batching_reduces_messages(self):

@@ -141,7 +141,8 @@ class TestAnalysisVerdicts:
     def _extracted_report(config, window_s=2.0):
         from repro.experiments import extract_spp
         engine = GPVEngine(config.session_net, IGPCostAlgebra(config),
-                           [EXT_DEST], seed=1, log_routes=True)
+                           [EXT_DEST], seed=1)
+        engine.sim.stats.route_log = []
         engine.run(until=window_s, max_events=500_000)
         spp = extract_spp(
             engine, EXT_DEST,
