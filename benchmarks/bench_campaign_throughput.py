@@ -316,7 +316,8 @@ def _batch_specs(smoke: bool):
     return specs
 
 
-def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
+def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke,
+                                            kernel_cache):
     """The vectorized backend's twin acceptance gates, on fixed seeds.
 
     *Equality*: on every scenario the batch backend declares supported —
@@ -352,13 +353,15 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
     phase section's ``hazard_declines`` is read from
     ``repro_batch_admission_total{outcome="declined",reason="hazard-tie"}``,
     which counts *scenarios* (every member of a declined group), not
-    groups.
+    groups.  ``--kernel-cache PATH`` runs every pass over a persistent
+    kernel store.
     """
     from repro.campaigns import materialize
     from repro.exec import get_backend, route_mismatches
     from repro.exec.batch import (
         batch_phase_stats,
         clear_kernel_cache,
+        configure_kernel_store,
         kernel_cache_stats,
         reset_batch_phase_stats,
         reset_kernel_cache_stats,
@@ -379,6 +382,7 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke):
         del stats["memo_hits"]
         return stats
 
+    configure_kernel_store(kernel_cache)
     batch = get_backend("batch")
     gpv = get_backend("gpv")
     by_family = _batch_specs(smoke)

@@ -57,7 +57,6 @@ def test_instrumentation_overhead(benchmark, save_result, smoke, tmp_path):
         try:
             for _ in range(ROUNDS):
                 obs_metrics.set_metrics_enabled(False)
-                configure_tracing(None)
                 disabled.append(_run_once(specs))
                 obs_metrics.set_metrics_enabled(True)
                 instrumented.append(_run_once(specs, trace_dir=trace_dir))

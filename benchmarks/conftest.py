@@ -20,12 +20,25 @@ def pytest_addoption(parser):
     parser.addoption(
         "--smoke", action="store_true", default=False,
         help="shrink benchmark workloads to a CI-sized smoke pass")
+    parser.addoption(
+        "--kernel-cache", default=None, metavar="PATH",
+        help="persistent sqlite kernel store for the batch bench "
+             "(default: in-memory only)")
 
 
 @pytest.fixture(scope="session")
 def smoke(request) -> bool:
     """True when the run should use the smallest meaningful workload."""
     return request.config.getoption("--smoke")
+
+
+@pytest.fixture
+def kernel_cache(request):
+    """The ``--kernel-cache`` path; the store is detached after the test."""
+    from repro.exec.batch import configure_kernel_store
+
+    yield request.config.getoption("--kernel-cache")
+    configure_kernel_store(None)
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,6 @@ hand-written gadgets — and, through the pluggable execution backends of
 
 from .canonical import canonical_key
 from .oracle import (
-    EvaluationOptions,
     cached_verdict,
     classify_backend_pair,
     clear_verdict_cache,
@@ -98,7 +97,6 @@ __all__ = [
     "CampaignReport",
     "CampaignRunner",
     "ERROR",
-    "EvaluationOptions",
     "FALSE_POSITIVE",
     "FAMILIES",
     "GADGETS",

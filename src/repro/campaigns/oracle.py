@@ -17,10 +17,11 @@ Every scenario takes one path, alone or in a chunk:
    picks certificates, dispute digraph or SMT; the result's ``method``
    records the deciding tier) through the per-process **verdict cache**
    keyed by ``repr(canonical_key(...))``, a name-faithful rendering
-   whose cost stays below the analysis it skips — optionally warmed
-   from and persisted to a cross-process
-   :class:`~repro.campaigns.verdict_store.VerdictStore`, so repeated
-   campaigns pay for each distinct constraint system once *ever*;
+   whose cost stays below the analysis it skips — warmed from and
+   persisted to the cross-process
+   :class:`~repro.campaigns.verdict_store.VerdictStore` when one is
+   attached, so repeated campaigns pay for each distinct constraint
+   system once *ever*;
 3. executes the scenario on every configured scalar
    :class:`~repro.exec.base.ExecutionBackend` (native GPV engine,
    generated NDlog program, ...) over the same seeded simulator timeline
@@ -36,6 +37,11 @@ carry no path information, so the instance is analyzed via the paper's
 Sec. VI-B workflow — run first with route logging, extract the SPP from the
 received advertisements (from the *primary* backend's log), then analyze
 the extraction.
+
+Nothing here attaches a store or a trace sink: the process's verdict
+store, kernel store and span sink are whatever was last configured —
+by :class:`~repro.campaigns.runner.CampaignRunner`, once per process,
+or by a direct caller.
 """
 
 from __future__ import annotations
@@ -55,10 +61,9 @@ from ..exec import (
     route_mismatches,
     route_set_mismatches,
 )
-from ..exec.batch import configure_kernel_store
 from ..experiments.extraction import extract_spp
 from ..obs import metrics as _obs_metrics
-from ..obs.trace import TRACER, configure_tracing
+from ..obs.trace import TRACER
 from ..sqlite_cache import open_store
 from .canonical import canonical_key
 from .report import (
@@ -104,20 +109,6 @@ _BATCH = "batch"
 _DISAGREEMENTS = _obs_metrics.counter("repro_disagreements_total")
 
 
-@dataclass(frozen=True)
-class EvaluationOptions:
-    """Per-evaluation knobs, picklable so chunks carry them to workers."""
-
-    backends: tuple = DEFAULT_BACKENDS
-    verdict_store_path: str | None = None
-    #: Persistent tabulated-kernel store for the batch backend (None
-    #: falls back to ``$REPRO_BATCH_KERNEL_CACHE``, unset = in-memory).
-    kernel_store_path: str | None = None
-    #: Structured-tracing sink directory (None = tracing off).  Carried
-    #: in the options so ProcessPool workers configure their own sink.
-    trace_dir: str | None = None
-
-
 def clear_verdict_cache() -> None:
     _VERDICT_CACHE.clear()
 
@@ -132,9 +123,8 @@ def configure_verdict_store(path: str | None) -> None:
     Attaching loads every stored verdict into the in-process memo, so a
     warmed store turns repeat campaigns into pure cache hits; subsequent
     solves are written through.  Idempotent per (path, pid) and fork-safe
-    (:func:`~repro.sqlite_cache.open_store`) — workers call this once per
-    chunk at negligible cost.  A path that cannot be opened raises
-    ``sqlite3.Error``.
+    (:func:`~repro.sqlite_cache.open_store`).  A path that cannot be
+    opened raises ``sqlite3.Error``.
     """
     global _STORE
     attached, _STORE = _STORE, None  # nothing, if the path cannot be opened
@@ -207,17 +197,14 @@ def _error_text(exc: Exception) -> str:
 
 
 def _prepare_chunk(specs: list[ScenarioSpec],
-                   options: EvaluationOptions) -> list[_Prepared]:
+                   backends: tuple) -> list[_Prepared]:
     """Materialize, admit and batch-execute a chunk, each exactly once.
 
     One :class:`_Prepared` per spec, index-aligned.  Scenarios sharing a
     kernel are relaxed together whatever their order (the session groups
     by kernel identity), so the chunk is not sorted.
     """
-    batch = None
-    if _BATCH in options.backends:
-        configure_kernel_store(options.kernel_store_path)
-        batch = get_backend(_BATCH)
+    batch = get_backend(_BATCH) if _BATCH in backends else None
     prepared: list[_Prepared] = []
     admitted: list[_Prepared] = []
     problems = []  # what ``supports`` compiled, aligned with ``admitted``
@@ -252,8 +239,7 @@ def _prepare_chunk(specs: list[ScenarioSpec],
     return prepared
 
 
-def evaluate(spec: ScenarioSpec,
-             options: EvaluationOptions | None = None, *,
+def evaluate(spec: ScenarioSpec, backends: tuple = DEFAULT_BACKENDS, *,
              prepared: _Prepared | None = None) -> ScenarioResult:
     """Run the full differential check for one spec (never raises).
 
@@ -262,9 +248,8 @@ def evaluate(spec: ScenarioSpec,
     spec as a chunk of one.  ``elapsed_s`` covers the scenario's own
     materialization and evaluation, not the chunk-level batch work.
     """
-    options = options or EvaluationOptions()
     if prepared is None:
-        prepared, = _prepare_chunk([spec], options)
+        prepared, = _prepare_chunk([spec], backends)
     started = time.perf_counter() - prepared.materialize_s
     with TRACER.span("scenario", trace_id=spec.trace_id,
                      scenario_id=spec.scenario_id, family=spec.family,
@@ -274,7 +259,7 @@ def evaluate(spec: ScenarioSpec,
         if prepared.error is not None:
             return _error_result(spec, started, scenario_span,
                                  prepared.error)
-        return _evaluate_traced(spec, options, prepared, started,
+        return _evaluate_traced(spec, backends, prepared, started,
                                 scenario_span)
 
 
@@ -300,7 +285,7 @@ def _count_backend_run(name: str, started: float,
         outcome="converged" if outcome.converged else "diverged").inc()
 
 
-def _evaluate_traced(spec, options, prepared, started, scenario_span):
+def _evaluate_traced(spec, backends, prepared, started, scenario_span):
     try:
         scenario = prepared.scenario
         safe = method = None
@@ -315,12 +300,12 @@ def _evaluate_traced(spec, options, prepared, started, scenario_span):
         # --backends list can span heterogeneous families; batch applies
         # where the chunk pass produced an outcome.  The first applicable
         # backend is the scenario's primary.
-        backends = [name for name in options.backends
-                    if (prepared.batch is not None if name == _BATCH
-                        else get_backend(name).supports(scenario))]
-        if not backends:
+        applicable = [name for name in backends
+                      if (prepared.batch is not None if name == _BATCH
+                          else get_backend(name).supports(scenario))]
+        if not applicable:
             raise ValueError(
-                f"no backend in {list(options.backends)} supports "
+                f"no backend in {list(backends)} supports "
                 f"family {spec.family!r}")
         sessions = []
         outcomes: list[ExecutionOutcome] = []
@@ -328,10 +313,10 @@ def _evaluate_traced(spec, options, prepared, started, scenario_span):
         # removes links, ``perturb_link`` relabels them): the prepared
         # scenario's serves the first, every later one gets a copy —
         # taken now, before any session has touched it.
-        later = sum(name != _BATCH for name in backends) - 1
+        later = sum(name != _BATCH for name in applicable) - 1
         networks = iter([scenario.network,
                          *(scenario.network.copy() for _ in range(later))])
-        for name in backends:
+        for name in applicable:
             if name == _BATCH:
                 sessions.append(None)
                 outcomes.append(prepared.batch)
@@ -479,8 +464,7 @@ def _pairwise(scenario: Scenario, safe: bool | None,
 
 
 def evaluate_chunk(specs: list[ScenarioSpec],
-                   options: EvaluationOptions | None = None
-                   ) -> list[ScenarioResult]:
+                   backends: tuple = DEFAULT_BACKENDS) -> list[ScenarioResult]:
     """Worker entry point: evaluate a chunk, sharing the process cache.
 
     The chunk pass runs first — with the ``batch`` backend configured
@@ -488,20 +472,10 @@ def evaluate_chunk(specs: list[ScenarioSpec],
     chunk's admitted scenarios in one vectorized call — and each
     per-spec evaluation consumes its prepared entry, which is dropped as
     soon as that evaluation returns.
-
-    The store is (re)configured unconditionally — including to ``None`` —
-    so a chunk from a cache-less campaign never writes through a store a
-    previous campaign left attached in this process.
     """
-    options = options or EvaluationOptions()
-    configure_verdict_store(options.verdict_store_path)
-    if options.trace_dir is not None:
-        # Each pool process configures its own sink (pid-distinct worker
-        # name), so spans are tagged with their owning worker.
-        configure_tracing(options.trace_dir)
-    prepared = _prepare_chunk(specs, options)
+    prepared = _prepare_chunk(specs, backends)
     # Popped in spec order: each scenario is released as soon as its
     # evaluation returns, not when the chunk does.
     prepared.reverse()
-    return [evaluate(spec, options, prepared=prepared.pop())
+    return [evaluate(spec, backends, prepared=prepared.pop())
             for spec in specs]

@@ -245,6 +245,9 @@ class CampaignReport:
     #: Scenarios that disagree (:attr:`ScenarioResult.is_disagreement`):
     #: the total that survives streaming truncation.
     disagreement_count: int
+    #: Scenarios with a hijack verdict, and those the hijack won.
+    hijack_count: int = 0
+    hijack_win_count: int = 0
     results: list[ScenarioResult] = field(default_factory=list)
     wall_clock_s: float = 0.0
     jobs: int = 1
@@ -350,11 +353,10 @@ class CampaignReport:
             detail = " ".join(f"{name}={count}"
                               for name, count in buckets.items() if count)
             lines.append(f"    {family:>10}: {total:>4}  [{detail}]")
-        hijacked = [r for r in self.results if r.hijack]
-        if hijacked:
-            wins = sum(1 for r in hijacked if r.hijack.get("wins"))
+        if self.hijack_count:
             lines.append(
-                f"  hijack verdicts: {wins}/{len(hijacked)} scenarios won "
+                f"  hijack verdicts: {self.hijack_win_count}/"
+                f"{self.hijack_count} scenarios won "
                 f"(primary-backend victim count > 0)")
         disagreements = self.disagreements()
         if disagreements:

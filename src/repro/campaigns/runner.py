@@ -39,6 +39,12 @@ spec that already has a non-``ERROR`` record into the aggregator instead of
 evaluating it, and evaluates (and streams) only the rest.  The records are
 the JSONL sink's own lines, so an interrupted or crashed campaign is
 finished by re-running it with ``--resume``: no second ledger.
+
+Set-up: :func:`_attach` is the one place a process gets its verdict
+store, kernel store and trace sink — this process at the start of every
+``run``, each pool worker once, from its initializer.  Every call sets
+all three, so a campaign without a store or a trace directory detaches
+whatever an earlier campaign in the process left attached.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from ..exec.batch import configure_kernel_store, numpy_available
 from ..obs import metrics as _obs_metrics
 from ..obs.live import render_dashboard
 from ..obs.trace import configure_tracing
-from .oracle import EvaluationOptions, configure_verdict_store, evaluate_chunk
+from .oracle import configure_verdict_store, evaluate_chunk
 from .report import ERROR, CampaignReport, ScenarioResult, result_from_record
 from .sink import AggregatingSink, ResultSink
 from .spec import ScenarioSpec
@@ -96,8 +102,7 @@ class CampaignConfig:
     #: chunk execution for every scenario it supports; scalar backends
     #: remain the differential ground truth).  ``--no-batch`` turns it off.
     auto_batch: bool = True
-    #: Optional path of a persistent cross-process kernel cache (sqlite);
-    #: also configurable via ``REPRO_BATCH_KERNEL_CACHE``.
+    #: Optional path of a persistent cross-process kernel cache (sqlite).
     kernel_cache_path: str | None = None
     #: Optional directory for per-scenario structured trace spans
     #: (``repro-span/1`` JSONL); ``None`` leaves tracing disabled.
@@ -118,13 +123,6 @@ class CampaignConfig:
             # Appended last: the configured scalar backends stay primary
             # (ground truth); batch rides along as the vectorized check.
             self.backends = self.backends + ("batch",)
-
-    def evaluation_options(self) -> EvaluationOptions:
-        return EvaluationOptions(
-            backends=self.backends,
-            verdict_store_path=self.verdict_cache_path,
-            kernel_store_path=self.kernel_cache_path,
-            trace_dir=self.trace_dir)
 
 
 class _CampaignWatch:
@@ -212,16 +210,10 @@ class CampaignRunner:
         that cannot be opened.
         """
         started = time.perf_counter()
-        try:  # here, not in the first chunk of whichever worker gets it
-            configure_verdict_store(self.config.verdict_cache_path)
-            if "batch" in self.config.backends:
-                configure_kernel_store(self.config.kernel_cache_path)
+        try:  # here, not in the initializer of whichever worker starts first
+            _attach(self.config)
         except sqlite3.Error as error:
             raise ValueError(str(error)) from error
-        if self.config.trace_dir is not None:
-            # Serial evaluation runs in this process; pool workers
-            # re-configure themselves from the options they receive.
-            configure_tracing(self.config.trace_dir)
         state = _RunState(
             started=started,
             aggregator=AggregatingSink(
@@ -259,28 +251,28 @@ class CampaignRunner:
     def _serial_chunks(self, specs: Iterator[ScenarioSpec],
                        state: _RunState) -> Iterator[list[ScenarioResult]]:
         """In-process: the same worker entry point the pool uses."""
-        options = self.config.evaluation_options()
         for chunk in _chunk_stream(specs, self.config.chunk_size):
             if state.aborted:
                 return
-            yield evaluate_chunk(chunk, options)
+            yield evaluate_chunk(chunk, self.config.backends)
 
     def _pool_chunks(self, specs: Iterator[ScenarioSpec],
                      state: _RunState) -> Iterator[list[ScenarioResult]]:
         if state.aborted:  # the replayed records already hit a limit
             return
-        options = self.config.evaluation_options()
         chunks = _chunk_stream(specs, self.config.chunk_size)
         #: Future → the chunk it carries, so every submitted spec can be
         #: accounted for even when its worker failed.
         inflight: dict = {}
         executor = ProcessPoolExecutor(max_workers=self.config.jobs,
-                                       initializer=_pool_worker_init)
+                                       initializer=_pool_worker_init,
+                                       initargs=(self.config,))
 
         def submit(count: int) -> None:
             for chunk in itertools.islice(chunks, count):
                 try:
-                    future = executor.submit(_pool_chunk, chunk, options)
+                    future = executor.submit(_pool_chunk, chunk,
+                                             self.config.backends)
                 except BrokenProcessPool:
                     # A worker died while a sibling chunk was finishing:
                     # the dead worker's chunk is still in flight, and
@@ -391,18 +383,35 @@ def _replay_recorded(specs: Iterator[ScenarioSpec], recorded: dict[int, dict],
     return pending
 
 
-def _pool_worker_init() -> None:
+def _attach(config: CampaignConfig) -> None:
+    """Give this process the campaign's stores and trace sink.
+
+    Each call is unconditional, so ``None`` detaches; the kernel store
+    only matters to the ``batch`` backend.  The store and tracer
+    ``configure`` functions are pid-guarded, so a forked worker opens
+    its own handles instead of sharing the parent's.  A store path that
+    cannot be opened raises ``sqlite3.Error``.
+    """
+    configure_verdict_store(config.verdict_cache_path)
+    configure_kernel_store(config.kernel_cache_path
+                           if "batch" in config.backends else None)
+    configure_tracing(config.trace_dir)
+
+
+def _pool_worker_init(config: CampaignConfig) -> None:
     """A forked worker starts with a copy of the parent's registry; the
-    snapshots it sends back must hold its own work only."""
+    snapshots it sends back must hold its own work only.  Then it is
+    attached, once for its lifetime."""
     _obs_metrics.get_registry().reset()
+    _attach(config)
 
 
-def _pool_chunk(chunk: list[ScenarioSpec], options: EvaluationOptions
+def _pool_chunk(chunk: list[ScenarioSpec], backends: tuple
                 ) -> tuple[list[ScenarioResult], int, int, dict]:
     """What the pool runs: the chunk's results plus this worker's pid,
     chunk sequence number and cumulative registry snapshot (how
     pool-mode metrics reach the parent)."""
-    return evaluate_chunk(chunk, options), os.getpid(), \
+    return evaluate_chunk(chunk, backends), os.getpid(), \
         next(_WORKER_CHUNK_SEQ), _obs_metrics.snapshot()
 
 

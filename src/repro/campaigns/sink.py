@@ -63,6 +63,9 @@ class AggregatingSink:
         #: Disagreeing scenarios: the one count the abort limit, the
         #: ``--watch`` frame and the report read.
         self.disagreements = 0
+        #: Scenarios with a hijack verdict, and those the hijack won.
+        self.hijacked = 0
+        self.hijack_wins = 0
         self.retained: list[ScenarioResult] = []
         #: Reproducers live in their own bounded buffer so bulk ordinary
         #: results can never evict a disagreement's replay spec.
@@ -84,6 +87,9 @@ class AggregatingSink:
             self.cache_hits += result.cache_hit
         if result.is_disagreement:
             self.disagreements += 1
+        if result.hijack:
+            self.hijacked += 1
+            self.hijack_wins += bool(result.hijack.get("wins"))
         if result.is_disagreement or result.classification == ERROR:
             bucket = self.reproducers
         elif self.keep_results:
@@ -117,6 +123,8 @@ class AggregatingSink:
             cache_hit_count=self.cache_hits,
             analyzed_count=self.analyzed,
             disagreement_count=self.disagreements,
+            hijack_count=self.hijacked,
+            hijack_win_count=self.hijack_wins,
             results_truncated=self.truncated,
             resumed_count=resumed,
         )

@@ -246,12 +246,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     JSONL trace sink a traced campaign wrote."""
     import os
 
-    from .obs.trace import TRACE_DIR_ENV, render_span_tree, spans_for_scenario
-    directory = args.trace_dir or os.environ.get(TRACE_DIR_ENV)
-    if not directory:
-        print(f"trace rejected: pass --trace-dir or set {TRACE_DIR_ENV}",
-              file=sys.stderr)
-        return 2
+    from .obs.trace import render_span_tree, spans_for_scenario
+    directory = args.trace_dir
     if not os.path.isdir(directory):
         print(f"trace rejected: no such directory: {directory}",
               file=sys.stderr)
@@ -398,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with the scalar backends as ground truth)")
     p.add_argument("--kernel-cache", default=None, metavar="PATH",
                    help="persistent sqlite cache of tabulated batch "
-                        "kernels (default: $REPRO_BATCH_KERNEL_CACHE "
-                        "if set, else in-memory only)")
+                        "kernels (default: in-memory only)")
     p.add_argument("--trace-dir", default=None, metavar="DIR",
                    help="emit per-scenario structured trace spans "
                         "(repro-span/1 JSONL) into DIR; inspect them "
@@ -415,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("show",))
     p.add_argument("scenario_id", type=int,
                    help="scenario id whose merged span tree to render")
-    p.add_argument("--trace-dir", default=None, metavar="DIR",
-                   help="trace sink directory (default: $REPRO_TRACE_DIR)")
+    p.add_argument("--trace-dir", required=True, metavar="DIR",
+                   help="trace sink directory a campaign --trace-dir "
+                        "wrote")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(

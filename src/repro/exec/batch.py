@@ -58,8 +58,8 @@ process-wide cache under kernel keys (:func:`kernel_key_of`, the one
 place a key is rendered; the closure depth is part of it, so
 every tier hands a scenario a kernel at least as deep as its topology
 needs), an optional **persistent kernel
-store** (:mod:`repro.exec.kernel_store`, :func:`configure_kernel_store`
-or ``$REPRO_BATCH_KERNEL_CACHE``) shared by pool workers and repeat
+store** (:mod:`repro.exec.kernel_store`, attached by
+:func:`configure_kernel_store`) shared by pool workers and repeat
 campaigns, then tabulation.
 
 numpy is optional: without it the backend simply supports nothing, so
@@ -69,7 +69,6 @@ campaigns degrade to the scalar engines instead of failing to import.
 from __future__ import annotations
 
 import gc
-import os
 import pickle
 import time
 from typing import TYPE_CHECKING, Hashable, Iterable
@@ -101,9 +100,6 @@ MAX_SIGNATURES = 4096
 #: or the reason (a ``str``) the vocabulary was refused.
 _KERNEL_CACHE: dict[tuple, "_Kernel | str"] = {}
 _KERNEL_CACHE_MAX = 256
-
-#: Environment variable naming the persistent kernel store (sqlite).
-KERNEL_CACHE_ENV = "REPRO_BATCH_KERNEL_CACHE"
 
 #: Round budget multiplier for the Jacobi iteration.
 _JACOBI_ROUND_SLACK = 4
@@ -179,9 +175,8 @@ def reset_batch_phase_stats() -> None:
 def _note_rounds(rounds: int) -> None:
     _obs_metrics.counter(_ROUNDS_FAMILY, rounds=rounds).inc()
 
-#: The path last given to :func:`configure_kernel_store` (``None``: the
-#: store, if any, is the one ``$REPRO_BATCH_KERNEL_CACHE`` names).
-_STORE_PATH: str | None = None
+#: The attached store: what :func:`configure_kernel_store` last opened.
+_STORE: KernelStore | None = None
 
 
 class BatchDeclined(RuntimeError):
@@ -528,25 +523,15 @@ def _build_kernel(algebra: RoutingAlgebra, keys: Iterable[Hashable],
         raise _Unbatchable("unlabelled-link") from undefined
 
 
-def configure_kernel_store(path: str | None = None) -> None:
-    """Open (or switch) the persistent kernel store for this process.
-
-    ``path=None`` falls back to ``$REPRO_BATCH_KERNEL_CACHE`` (no store
-    when that is unset too).  Idempotent per ``(path, pid)`` and
-    fork-safe (:func:`~repro.sqlite_cache.open_store`); a path that
-    cannot be opened raises ``sqlite3.Error``.
+def configure_kernel_store(path: str | None) -> None:
+    """Attach (or, with ``None``, detach) the persistent kernel store for
+    this process.  Idempotent per ``(path, pid)`` and fork-safe
+    (:func:`~repro.sqlite_cache.open_store`); a path that cannot be
+    opened raises ``sqlite3.Error`` and leaves no store attached.
     """
-    global _STORE_PATH
-    _STORE_PATH = None  # a path that cannot be opened configures nothing
-    _kernel_store(path)
-    _STORE_PATH = path
-
-
-def _kernel_store(path: str | None) -> KernelStore | None:
-    """This process's kernel store at ``path``, else at the environment's
-    — the one place either is resolved."""
-    return open_store(
-        KernelStore, path or os.environ.get(KERNEL_CACHE_ENV) or None)
+    global _STORE
+    _STORE = None  # nothing, if the path cannot be opened
+    _STORE = open_store(KernelStore, path)
 
 
 def _encode_kernel(kernel: "_Kernel | str") -> bytes | None:
@@ -624,7 +609,7 @@ def _kernel_for(scenario: "Scenario", scan: tuple) -> _Kernel:
         _KERNEL_EVENTS["cache_misses"].inc()
         if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
             _KERNEL_CACHE.clear()
-        store = _kernel_store(_STORE_PATH)
+        store = _STORE
         if store is not None:
             found = False
             with store.best_effort():  # unreadable store: a counted miss

@@ -34,7 +34,6 @@ from .schema import (
 )
 from .trace import (
     SPAN_FORMAT,
-    TRACE_DIR_ENV,
     TRACER,
     Tracer,
     configure_tracing,
@@ -50,7 +49,6 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SPAN_FORMAT",
     "SchemaError",
-    "TRACE_DIR_ENV",
     "TRACER",
     "Tracer",
     "configure_tracing",

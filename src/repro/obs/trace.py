@@ -44,9 +44,6 @@ from contextlib import contextmanager
 #: Version tag stamped into every span record (the wire format contract).
 SPAN_FORMAT = "repro-span/1"
 
-#: Environment variable naming the default trace directory.
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-
 #: Rotation threshold per process span file.
 DEFAULT_MAX_BYTES = 8 << 20
 
@@ -119,11 +116,10 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """A JSONL span emitter bound to one trace directory (or disabled).
 
-    ``configure`` is idempotent per ``(directory, pid, worker)`` — chunk
-    entry points re-affirm it for pennies — and pid-guarded: a forked
-    pool worker inherits a configured parent but stays *disabled* until
-    it configures its own sink under its own worker name, so span files
-    never interleave worker tags.
+    ``configure`` is idempotent per ``(directory, pid, worker)`` and
+    pid-guarded: a forked pool worker inherits a configured parent but
+    stays *disabled* until it configures its own sink under its own
+    worker name, so span files never interleave worker tags.
     """
 
     def __init__(self):

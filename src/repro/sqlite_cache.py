@@ -172,9 +172,8 @@ _OPEN: dict[type, tuple] = {}
 def open_store(cls: type[SqliteCache], path: str | None):
     """This process's ``cls`` store at ``path`` (``None``: no store).
 
-    Idempotent per ``(path, pid)`` — workers call it once per chunk at
-    negligible cost — and the only place a store is opened or switched:
-    a path change closes the old handle first.  The pid guard matters
+    Idempotent per ``(path, pid)``, and the only place a store is opened
+    or switched: a path change closes the old handle first.  The pid guard matters
     under fork-based process pools: a forked worker inherits the
     parent's sqlite connection, which sqlite forbids sharing across
     processes, so the worker drops the inherited handle *unclosed* (the

@@ -6,7 +6,6 @@ import pytest
 from repro.algebra.hlp import HLPCostAlgebra
 from repro.campaigns import (
     FAMILIES,
-    EvaluationOptions,
     ScenarioGenerator,
     classify_backend_pair,
     evaluate,
@@ -84,22 +83,20 @@ class TestMaterialization:
 class TestBackendSelection:
     def test_unsupporting_backend_is_skipped_not_fatal(self):
         spec = ScenarioGenerator(2, families=("caida",)).make(0)
-        result = evaluate(spec, EvaluationOptions(
-            backends=("gpv", "ndlog", "hlp")))
+        result = evaluate(spec, backends=("gpv", "ndlog", "hlp"))
         assert result.error == ""
         assert [o.backend for o in result.outcomes] == ["gpv", "ndlog"]
 
     def test_hlp_scenarios_run_three_way(self):
         spec = ScenarioGenerator(2, families=("hlp",)).make(0)
-        result = evaluate(spec, EvaluationOptions(
-            backends=("gpv", "ndlog", "hlp")))
+        result = evaluate(spec, backends=("gpv", "ndlog", "hlp"))
         assert result.error == ""
         assert [o.backend for o in result.outcomes] == ["gpv", "ndlog", "hlp"]
         assert not result.is_disagreement
 
     def test_no_supporting_backend_is_an_error(self):
         spec = ScenarioGenerator(2, families=("caida",)).make(0)
-        result = evaluate(spec, EvaluationOptions(backends=("hlp",)))
+        result = evaluate(spec, backends=("hlp",))
         assert result.classification == "error"
         assert "supports" in result.error
 

@@ -135,7 +135,7 @@ class TestMaterialization:
     def test_only_the_primary_session_keeps_a_route_log(self, monkeypatch):
         """Extraction reads the primary's log alone, so a ``gpv,ndlog``
         evaluation of an iBGP spec gives NDlog, run second, none."""
-        from repro.campaigns import EvaluationOptions, ScenarioGenerator
+        from repro.campaigns import ScenarioGenerator
         from repro.exec.gpv import GPVBackend
         from repro.exec.ndlog import NDlogBackend
 
@@ -152,7 +152,7 @@ class TestMaterialization:
                                 recording(backend.prepare))
         spec = ScenarioGenerator(7, families=("ibgp",),
                                  profile="quick").generate(1)[0]
-        result = evaluate(spec, EvaluationOptions(backends=("gpv", "ndlog")))
+        result = evaluate(spec, backends=("gpv", "ndlog"))
         assert result.safe is not None, result.error
         assert [type(s).__name__ for s in sessions] == ["GPVSession",
                                                         "NDlogSession"]
@@ -333,7 +333,7 @@ class TestOneBatchPath:
         monkeypatch.setattr(batch_mod, "_relax_group", bail)
 
     def test_each_spec_is_materialized_and_admitted_once(self, monkeypatch):
-        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import evaluate_chunk
         from repro.campaigns import oracle
         from repro.exec.batch import BatchBackend, VectorizedBatchSession
 
@@ -341,8 +341,7 @@ class TestOneBatchPath:
         materialized = self.count_calls(monkeypatch, oracle, "materialize")
         admissions = self.count_calls(monkeypatch, BatchBackend, "supports")
         runs = self.count_calls(monkeypatch, VectorizedBatchSession, "run")
-        results = evaluate_chunk(
-            specs, EvaluationOptions(backends=("gpv", "batch")))
+        results = evaluate_chunk(specs, backends=("gpv", "batch"))
         assert [args[0] for args in materialized] == specs
         assert [args[1].spec for args in admissions] == specs
         assert len(runs) == 1
@@ -355,8 +354,7 @@ class TestOneBatchPath:
         from repro.net.network import Network
         del materialized[:], admissions[:]
         copies = self.count_calls(monkeypatch, Network, "copy")
-        results = evaluate_chunk(specs, EvaluationOptions(
-            backends=("gpv", "ndlog", "hlp", "batch")))
+        results = evaluate_chunk(specs, backends=("gpv", "ndlog", "hlp", "batch"))
         live_scalar = [sum(o.backend != "batch" for o in r.outcomes)
                        for r in results]
         assert set(live_scalar) == {2, 3}  # hlp joins on its own family
@@ -441,39 +439,36 @@ class TestOneBatchPath:
             assert table() - before == ADMISSION_TABLE, profile
 
     def test_direct_evaluate_is_a_chunk_of_one(self, monkeypatch):
-        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import evaluate_chunk
 
-        options = EvaluationOptions(backends=("gpv", "batch"))
+        backends = ("gpv", "batch")
         specs = self.chunk()
         by_family = {spec.family: spec for spec in specs}
         admitted, refused = by_family["rocketfuel"], by_family["ibgp"]
-        for spec, backends in ((admitted, ["gpv", "batch"]),
-                               (refused, ["gpv"])):
-            direct = evaluate(spec, options)
-            assert [o.backend for o in direct.outcomes] == backends
+        for spec, ran in ((admitted, ["gpv", "batch"]), (refused, ["gpv"])):
+            direct = evaluate(spec, backends)
+            assert [o.backend for o in direct.outcomes] == ran
             assert not direct.error
             assert self.comparable(direct) == \
-                self.comparable(evaluate_chunk([spec], options)[0])
+                self.comparable(evaluate_chunk([spec], backends)[0])
         self.force_declines(monkeypatch)
-        declined = evaluate(admitted, options)
+        declined = evaluate(admitted, backends)
         assert [o.backend for o in declined.outcomes] == ["gpv"]
         assert self.comparable(declined) == \
-            self.comparable(evaluate_chunk([admitted], options)[0])
+            self.comparable(evaluate_chunk([admitted], backends)[0])
 
     def test_a_runtime_decline_is_final_and_keeps_the_scalar_result(
             self, monkeypatch):
-        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import evaluate_chunk
         from repro.campaigns import oracle
         from repro.exec.batch import VectorizedBatchSession
 
         specs = self.chunk()
-        scalar_only = evaluate_chunk(
-            specs, EvaluationOptions(backends=("gpv",)))
+        scalar_only = evaluate_chunk(specs, backends=("gpv",))
         self.force_declines(monkeypatch)
         materialized = self.count_calls(monkeypatch, oracle, "materialize")
         runs = self.count_calls(monkeypatch, VectorizedBatchSession, "run")
-        results = evaluate_chunk(
-            specs, EvaluationOptions(backends=("gpv", "batch")))
+        results = evaluate_chunk(specs, backends=("gpv", "batch"))
         assert len(runs) == 1 and len(materialized) == len(specs)
         assert all([o.backend for o in r.outcomes] == ["gpv"]
                    for r in results)
@@ -482,7 +477,7 @@ class TestOneBatchPath:
 
     def test_a_bug_in_the_batch_pass_is_an_error_not_a_scalar_result(
             self, monkeypatch):
-        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import evaluate_chunk
         from repro.obs import metrics
 
         def errors() -> float:
@@ -490,14 +485,14 @@ class TestOneBatchPath:
                 metrics.snapshot(), "repro_scenarios_total",
                 classification=ERROR)
 
-        options = EvaluationOptions(backends=("gpv", "batch"))
+        backends = ("gpv", "batch")
         specs = self.chunk()
-        healthy = evaluate_chunk(specs, options)
+        healthy = evaluate_chunk(specs, backends)
         admitted = {r.scenario_id for r in healthy if len(r.outcomes) == 2}
         assert admitted
         self.force_declines(monkeypatch, error=TypeError("kernel bug"))
         before = errors()
-        results = evaluate_chunk(specs, options)
+        results = evaluate_chunk(specs, backends)
         assert errors() - before == len(admitted)
         for result, reference in zip(results, healthy):
             if result.scenario_id in admitted:
@@ -518,7 +513,7 @@ class TestOneBatchPath:
         check reaches, while the depth-13 closure grows the one-hop
         origin to hop 14."""
         from repro.algebra.library import ShortestHopCount
-        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import evaluate_chunk
         from repro.campaigns import scenarios
 
         class FaultyPastHop13(ShortestHopCount):
@@ -538,18 +533,17 @@ class TestOneBatchPath:
                  rocketfuel(2, "hop-count", (1,), routers=14),
                  rocketfuel(3, "shortest-path", (2, 9)),
                  gadget_spec("good")]
-        options = EvaluationOptions(backends=("gpv", "batch"))
-        healthy = evaluate_chunk(specs, options)
+        backends = ("gpv", "batch")
+        healthy = evaluate_chunk(specs, backends)
         assert [len(r.outcomes) for r in healthy] == [2, 2, 2, 1]
         library = scenarios.build_library_algebra
         monkeypatch.setattr(
             scenarios, "build_library_algebra",
             lambda spec: FaultyPastHop13() if spec.algebra == "hop-count"
             else library(spec))
-        scalar, = evaluate_chunk(specs[1:2],
-                                 EvaluationOptions(backends=("gpv",)))
+        scalar, = evaluate_chunk(specs[1:2], backends=("gpv",))
         assert scalar.classification == SAFE_CONVERGED  # GPV never sees it
-        results = evaluate_chunk(specs, options)
+        results = evaluate_chunk(specs, backends)
         assert results[1].classification == ERROR
         assert results[1].error.startswith(
             "ZeroDivisionError: preference past hop 13\n")
@@ -561,15 +555,15 @@ class TestOneBatchPath:
     def test_a_spec_that_cannot_materialize_errs_alone(self, monkeypatch):
         from dataclasses import replace
 
-        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import evaluate_chunk
         from repro.campaigns import oracle
 
-        options = EvaluationOptions(backends=("gpv", "batch"))
+        backends = ("gpv", "batch")
         specs = self.chunk()[:4]
-        healthy = evaluate_chunk(specs, options)
+        healthy = evaluate_chunk(specs, backends)
         broken = replace(specs[1], family="warp")
         materialized = self.count_calls(monkeypatch, oracle, "materialize")
-        results = evaluate_chunk([specs[0], broken] + specs[2:], options)
+        results = evaluate_chunk([specs[0], broken] + specs[2:], backends)
         assert len(materialized) == len(specs)  # the one attempt
         assert results[1].classification == ERROR
         assert results[1].error.startswith(
@@ -578,10 +572,9 @@ class TestOneBatchPath:
             [self.comparable(r) for r in healthy[:1] + healthy[2:]]
 
     def test_batch_listed_first_is_the_primary_where_it_ran(self):
-        from repro.campaigns import EvaluationOptions, evaluate_chunk
+        from repro.campaigns import evaluate_chunk
 
-        results = evaluate_chunk(
-            self.chunk(), EvaluationOptions(backends=("batch", "gpv")))
+        results = evaluate_chunk(self.chunk(), backends=("batch", "gpv"))
         primaries = {r.outcomes[0].backend for r in results}
         assert primaries == {"batch", "gpv"}
         for result in results:
@@ -594,13 +587,12 @@ class TestOneBatchPath:
                     ["analysis~batch", "analysis~gpv", "batch~gpv"]
 
     def test_batch_shows_in_a_scenario_trace_as_precomputed(self, tmp_path):
-        from repro.campaigns import EvaluationOptions
         from repro.obs.trace import configure_tracing, spans_for_scenario
 
         spec = next(s for s in self.chunk() if s.family == "rocketfuel")
         configure_tracing(str(tmp_path), worker="t")
         try:
-            evaluate(spec, EvaluationOptions(backends=("gpv", "batch")))
+            evaluate(spec, backends=("gpv", "batch"))
         finally:
             configure_tracing(None)
         spans = spans_for_scenario(str(tmp_path), spec.scenario_id)

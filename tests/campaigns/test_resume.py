@@ -94,7 +94,7 @@ class TestDeadWorker:
             once; the 5th ``submit`` finds the pool broken, and the dead
             chunk fails only when the pool is shut down."""
 
-            def __init__(self, max_workers, initializer):
+            def __init__(self, max_workers, initializer, initargs):
                 self.calls = 0
                 self.dead = Future()
 

@@ -7,7 +7,8 @@ from repro.algebra.secure import HIJACK, SecureAlgebra
 from repro.analysis.safety import SafetyAnalyzer
 from repro.campaigns import (
     FAMILIES,
-    EvaluationOptions,
+    CampaignConfig,
+    CampaignRunner,
     ScenarioGenerator,
     evaluate,
     materialize,
@@ -21,7 +22,7 @@ from repro.campaigns.spec import (
     ScenarioSpec,
 )
 
-BACKENDS = EvaluationOptions(backends=("gpv", "ndlog", "batch"))
+BACKENDS = ("gpv", "ndlog", "batch")
 
 
 def hijack_spec(seed, deployment, fraction, *, attacker_index=3,
@@ -194,3 +195,19 @@ class TestDifferentialOracle:
         back = result_from_record(result_record(result))
         assert back.hijack == result.hijack
         assert back.spec == result.spec
+
+    def test_the_hijack_tally_does_not_depend_on_retention(self):
+        """The summary counts hijack verdicts as results stream past, so
+        a streamed campaign (``keep_results=False``, as every CLI run)
+        prints the same line as one that keeps its results."""
+        def hijack_line(keep_results: bool) -> str:
+            specs = ScenarioGenerator(
+                7, families=("secure-hijack",)).iter_specs(12)
+            report = CampaignRunner(CampaignConfig(
+                keep_results=keep_results)).run(specs)
+            lines = [line for line in report.summary().splitlines()
+                     if "hijack verdicts:" in line]
+            assert len(lines) == 1, report.summary()
+            return lines[0]
+
+        assert hijack_line(False) == hijack_line(True)

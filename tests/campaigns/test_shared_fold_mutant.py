@@ -16,12 +16,11 @@ import pytest
 from repro.algebra import PHI
 from repro.algebra.extended import path_vector_folds, split_operators
 from repro.campaigns import ScenarioGenerator, evaluate
-from repro.campaigns.oracle import EvaluationOptions
 from repro.campaigns.report import AGREE, ROUTE_DIVERGED
 
 FAMILIES = ("caida", "hierarchy", "rocketfuel", "secure-rov",
             "secure-hijack")
-OPTIONS = EvaluationOptions(backends=("gpv", "ndlog", "batch"))
+BACKENDS = ("gpv", "ndlog", "batch")
 
 
 def folds_without_import_filter(algebra):
@@ -37,7 +36,7 @@ def folds_without_import_filter(algebra):
 
 
 def pair_statuses(spec) -> dict[str, str]:
-    result = evaluate(spec, OPTIONS)
+    result = evaluate(spec, BACKENDS)
     assert not result.error, result.error
     return {pair.pair: pair.status for pair in result.pairwise
             if pair.left != "analysis"}

@@ -19,7 +19,6 @@ from repro.campaigns import (
     evaluate,
     verdict_cache_size,
 )
-from repro.campaigns.oracle import EvaluationOptions
 
 
 @pytest.fixture(autouse=True)
@@ -114,15 +113,14 @@ class TestOracleIntegration:
         configure_verdict_store(None)
         assert path.read_bytes() == written
 
-    def test_options_carry_store_path_to_evaluate_chunk(self, tmp_path):
-        from repro.campaigns import evaluate_chunk
-
+    def test_a_storeless_run_detaches_the_store(self, tmp_path):
+        """A serial run attaches its store in this process, and the next
+        run, which names none, writes nothing through it."""
         path = str(tmp_path / "v.sqlite")
-        results = evaluate_chunk(
-            [gadget_spec("good")],
-            EvaluationOptions(verdict_store_path=path))
-        assert results[0].classification == "safe-converged"
-        configure_verdict_store(None)
+        report = CampaignRunner(CampaignConfig(
+            verdict_cache_path=path)).run([gadget_spec("good")])
+        assert report.counters()["safe-converged"] == 1
+        CampaignRunner(CampaignConfig()).run([gadget_spec("bad")])
         store = VerdictStore(path)
         assert len(store) == 1
         store.close()

@@ -85,7 +85,6 @@ import json
 from pathlib import Path
 
 from repro.campaigns import ScenarioGenerator, evaluate, materialize
-from repro.campaigns.oracle import EvaluationOptions
 from repro.exec import batch, get_backend
 
 GPV_CORPUS = Path(__file__).with_name("gpv_corpus.json")
@@ -158,7 +157,7 @@ def ndlog_corpus_specs() -> list:
 
 def ndlog_corpus_rows(spec) -> list[dict]:
     """The spec's NDlog row, then its HLP row if the HLP backend ran."""
-    result = evaluate(spec, EvaluationOptions(backends=NDLOG_CORPUS_BACKENDS))
+    result = evaluate(spec, backends=NDLOG_CORPUS_BACKENDS)
     assert not result.error, result.error
     return [pin_row(spec, outcome) for outcome in result.outcomes
             if outcome.backend in ("ndlog", "hlp")]

@@ -136,7 +136,7 @@ class TestBatchIntegration:
         configure_kernel_store(path)
         build_kernel()
         # Trash the stored payload behind the cache's back.
-        store = batch_mod._kernel_store(batch_mod._STORE_PATH)
+        store = batch_mod._STORE
         store._conn.execute("UPDATE kernels SET payload = ?",
                             (pickle.dumps({"not": "a kernel"}),))
         store._conn.commit()
@@ -222,7 +222,7 @@ class TestBatchIntegration:
         decoder raises is a bug and surfaces."""
         configure_kernel_store(str(tmp_path / "kernels.sqlite"))
         build_kernel()
-        store = batch_mod._kernel_store(batch_mod._STORE_PATH)
+        store = batch_mod._STORE
         good, = store._conn.execute("SELECT payload FROM kernels").fetchone()
         body = pickle.loads(good)
         for corrupt in (b"not a pickle", good[:20],
@@ -246,24 +246,3 @@ class TestBatchIntegration:
         """Not silently in-memory: the caller asked for a store."""
         with pytest.raises(sqlite3.Error, match="cannot open kernel cache"):
             configure_kernel_store(str(tmp_path))  # a directory, not a db
-
-    def test_env_fallback_configures_store(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "env.sqlite")
-        monkeypatch.setenv(batch_mod.KERNEL_CACHE_ENV, path)
-        configure_kernel_store(None)
-        assert batch_mod._kernel_store(batch_mod._STORE_PATH).path == path
-        build_kernel()
-        store = KernelStore(path)
-        assert len(store) == 1
-        store.close()
-
-    def test_env_names_the_store_without_a_configure_call(
-            self, tmp_path, monkeypatch):
-        """How the batch bench runs in CI: ``$REPRO_BATCH_KERNEL_CACHE``
-        set, admission driven directly — the lookup resolves it."""
-        path = str(tmp_path / "env.sqlite")
-        monkeypatch.setenv(batch_mod.KERNEL_CACHE_ENV, path)
-        build_kernel()
-        store = KernelStore(path)
-        assert len(store) == 1
-        store.close()

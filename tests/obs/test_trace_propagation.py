@@ -58,3 +58,19 @@ class TestProcessPool:
                 owners = {json.loads(line)["worker"]
                           for line in fh if line.strip()}
             assert len(owners) == 1, (name, owners)
+
+
+class TestAttach:
+    def test_an_untraced_campaign_adds_no_spans_to_the_last_traced_one(
+            self, tmp_path):
+        """Every run sets the process's trace sink, ``None`` included, so
+        a later untraced campaign in the same process does not write into
+        the directory an earlier traced one left configured."""
+        trace_dir = str(tmp_path / "traces")
+        specs = ScenarioGenerator(5, families=FAMILIES,
+                                  profile=PROFILE).generate(4)
+        CampaignRunner(CampaignConfig(trace_dir=trace_dir)).run(specs)
+        traced = len(read_spans(trace_dir))
+        assert traced > 0
+        CampaignRunner(CampaignConfig()).run(specs)
+        assert len(read_spans(trace_dir)) == traced

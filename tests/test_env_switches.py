@@ -1,9 +1,9 @@
 """Guard against switch creep through the environment.
 
-``src/repro`` reads exactly two environment variables, both deployment
-paths (where the kernel cache and the trace files live).  A behaviour
-switch smuggled in as a third doubles the configurations tests and
-benches must cover, so it has to fail a build, not wait for a review.
+``src/repro`` reads no environment variable: a store path or a trace
+directory is an option of the command that uses it.  A switch smuggled
+in through the environment doubles the configurations tests and benches
+must cover, so it has to fail a build, not wait for a review.
 """
 
 import ast
@@ -12,7 +12,7 @@ import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
-ALLOWED = {"REPRO_BATCH_KERNEL_CACHE", "REPRO_TRACE_DIR"}
+ALLOWED = set()
 
 
 def _is_environ(node) -> bool:
@@ -79,9 +79,8 @@ def test_environment_reads_are_pinned():
                 f"literal or a module-level string constant")
     assert read_names == ALLOWED, (
         f"src/repro reads {sorted(read_names)} from the environment; "
-        f"only {sorted(ALLOWED)} (deployment paths) are allowed — make a "
-        f"new behaviour the default or remove it instead of adding a "
-        f"switch")
+        f"only {sorted(ALLOWED)} are allowed — make a new behaviour the "
+        f"default or an option instead of adding a switch")
     assert mentioned == ALLOWED, (
         f"REPRO_* names in source strings {sorted(mentioned)} != "
         f"{sorted(ALLOWED)}")
