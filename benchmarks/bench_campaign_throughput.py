@@ -21,7 +21,6 @@ differentially — so the cost of three-way cross-checking stays visible.
 
 import json
 import os
-import pathlib
 from collections import Counter
 
 from repro.campaigns import (
@@ -155,7 +154,7 @@ def test_per_backend_throughput(benchmark, save_result, smoke):
         benchmark.extra_info[f"sps_{key}"] = rate
 
 
-def test_analysis_tier_rates(benchmark, save_result, smoke):
+def test_analysis_tier_rates(benchmark, save_result, smoke, results_dir):
     """Tier-hit and cache-hit rates of the safety analyzer.
 
     Two sub-campaigns on the same fixed seed: the gadget (SPP) family
@@ -163,7 +162,7 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
     majority of scenarios without ever invoking the solver — and the full
     family rotation, showing the per-tier method mix (closed-form /
     composition / dispute-digraph / smt).  Headline numbers land in
-    ``BENCH_analysis.json`` for the CI artifact trail.
+    ``benchmarks/results/BENCH_analysis.json`` for the CI artifact trail.
 
     A third sub-campaign, the iBGP family alone, prices the canonical
     keying that guards the analysis: its extracted SPPs (interchangeable
@@ -250,7 +249,7 @@ def test_analysis_tier_rates(benchmark, save_result, smoke):
             "solve_s": round(solve_s, 6),
         },
     }
-    pathlib.Path("BENCH_analysis.json").write_text(
+    (results_dir / "BENCH_analysis.json").write_text(
         json.dumps(payload, indent=2) + "\n")
     benchmark.extra_info["tier1_rate"] = tier1_rate
     benchmark.extra_info["cache_hit_rate"] = spp_report.cache_hit_rate
@@ -317,7 +316,7 @@ def _batch_specs(smoke: bool):
 
 
 def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke,
-                                            kernel_cache):
+                                            kernel_cache, results_dir):
     """The vectorized backend's twin acceptance gates, on fixed seeds.
 
     *Equality*: on every scenario the batch backend declares supported —
@@ -347,7 +346,9 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke,
     per-phase wall time (scan/tabulate/relax/render) and the
     fixpoints-per-round-count counter
     ``repro_batch_relax_rounds_total{rounds}`` for both passes land in
-    ``BENCH_batch.json``; ``runtime_declines`` (kernel groups) must stay
+    ``benchmarks/results/BENCH_batch.json`` (the checked-in
+    ``BENCH_batch.json`` at the repository root is a copy of a full run's);
+    ``runtime_declines`` (kernel groups) must stay
     zero — no group of the gated families, the wide-weight admissions
     included, touches a hole, ties a hazard or runs out of rounds.  Each
     phase section's ``hazard_declines`` is read from
@@ -618,7 +619,7 @@ def test_batch_backend_equality_and_speedup(benchmark, save_result, smoke,
         "phase_warm": warm_summary,
         "per_family": per_family,
     }
-    pathlib.Path("BENCH_batch.json").write_text(
+    (results_dir / "BENCH_batch.json").write_text(
         json.dumps(payload, indent=2) + "\n")
     benchmark.extra_info.update(payload)
 

@@ -8,8 +8,10 @@ the steps that ``.github/workflows/ci.yml`` runs for JOB once the
 toolchain is installed: shell steps as subprocesses, each Python check
 in a fresh interpreter (``--step NAME``), because several read the
 metrics registry of a process that ran one campaign.  Files a step
-writes (logs, JSONL results, stores, ``BENCH_*.json``) land in the
-working directory, which is what CI uploads as artifacts.  ``all`` runs
+writes (logs, JSONL results, stores) land in the working directory,
+which is what CI uploads as artifacts; the benches write their tables
+and ``BENCH_*.json`` into ``benchmarks/results``, and a step copies the
+``BENCH_*.json`` it checks into the working directory.  ``all`` runs
 every job in its own subdirectory, goes on past a failed job, and ends
 with the wall time of each.
 
@@ -33,6 +35,8 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 THROUGHPUT = BENCHMARKS / "bench_campaign_throughput.py"
+#: Where the benches write their tables and ``BENCH_*.json`` files.
+RESULTS = BENCHMARKS / "results"
 
 #: The per-run pins and the route-log test run under fixed hash seeds.
 PIN_TESTS = ("tests/exec/test_ndlog_corpus_pin.py",
@@ -166,9 +170,10 @@ def analysis_bench_smoke() -> None:
     # The analysis tier-rate smoke bench: asserts the tier-1
     # dispute-digraph fast path decides the majority of SPP-family
     # scenarios without the solver, and writes the tier/cache hit-rate
-    # table to BENCH_analysis.json for the artifact trail.
+    # table to BENCH_analysis.json, copied here for the artifact trail.
     pytest(f"{THROUGHPUT}::test_analysis_tier_rates", "-q", "--smoke",
            "--benchmark-disable")
+    shutil.copy(RESULTS / "BENCH_analysis.json", "BENCH_analysis.json")
 
 
 def batch_backend_smoke() -> None:
@@ -176,7 +181,8 @@ def batch_backend_smoke() -> None:
     # preference-equal to scalar GPV on every supported family (fixed
     # seeds), and the batched pass must beat the scalar loop on the
     # large-topology families.  Headline + per-family numbers land in
-    # BENCH_batch.json for the artifact trail.
+    # the results directory's BENCH_batch.json, copied here for the
+    # artifact trail.
     #
     # The committed headline numbers are the lock-in: equality and zero
     # run-time declines hold on the checked-in full-run BENCH_batch.json.
@@ -196,10 +202,11 @@ def batch_backend_smoke() -> None:
     pytest(bench, "-q", "--smoke", "--benchmark-disable",
            "--kernel-cache", "kernels.sqlite")
     python_step("cold_store_pass")
-    shutil.copy("BENCH_batch.json", "BENCH_batch_cold_store.json")
+    shutil.copy(RESULTS / "BENCH_batch.json", "BENCH_batch_cold_store.json")
     pytest(bench, "-q", "--smoke", "--benchmark-disable",
            "--kernel-cache", "kernels.sqlite")
     python_step("warm_store_pass")
+    shutil.copy(RESULTS / "BENCH_batch.json", "BENCH_batch.json")
 
 
 def campaign_smoke() -> None:
@@ -314,9 +321,9 @@ def observability_smoke() -> None:
     # campaign must emit spans that validate line-for-line against the
     # checked-in JSON Schemas (repro-span/1 records), an in-process
     # campaign's registry must serialize as a valid repro-metrics/1
-    # snapshot inside the repro-obs/1 envelope, the merged span tree
-    # must be retrievable by scenario ID through the CLI, and
-    # instrumentation must cost <= 5% over the disabled path.
+    # snapshot, the merged span tree must be retrievable by scenario ID
+    # through the CLI, and instrumentation must cost <= 5% over the
+    # disabled path.
     repro("campaign", "--scenarios", "24", "--seed", "7", "--families",
           "gadget", "--profile", "quick", "--chunk-size", "2", "--jobs",
           "2", "--trace-dir", "obs-traces")
@@ -376,7 +383,7 @@ def committed_batch_bench() -> None:
 
 def cold_store_pass() -> None:
     import json
-    payload = json.load(open("BENCH_batch.json"))
+    payload = json.load(open(RESULTS / "BENCH_batch.json"))
     setup = payload["kernel_stats_setup"]
     assert setup["tabulations"] > 0, setup
     assert setup["store_misses"] > 0, setup
@@ -390,7 +397,7 @@ def cold_store_pass() -> None:
 def warm_store_pass() -> None:
     import json
     import sqlite3
-    payload = json.load(open("BENCH_batch.json"))
+    payload = json.load(open(RESULTS / "BENCH_batch.json"))
     setup = payload["kernel_stats_setup"]
     # Second process lifetime over the same store: every kernel
     # comes out of it — zero tabulations anywhere in the process,
@@ -529,7 +536,7 @@ def validate_spans_and_metrics() -> None:
 
     from repro.campaigns import (CampaignConfig, CampaignRunner,
                                  ScenarioGenerator)
-    from repro.obs import metrics, obs_payload
+    from repro.obs import metrics
     from repro.obs.schema import (validate_metrics_snapshot,
                                   validate_span)
 
@@ -543,12 +550,10 @@ def validate_spans_and_metrics() -> None:
     assert spans > 0, "traced campaign emitted no spans"
     CampaignRunner(CampaignConfig()).run(ScenarioGenerator(
         7, families=("gadget",), profile="quick").iter_specs(24))
-    doc = json.loads(json.dumps(
-        obs_payload("campaign", metrics.snapshot())))
-    assert doc["format"] == "repro-obs/1", doc["format"]
-    validate_metrics_snapshot(doc["metrics"])
-    assert doc["metrics"]["counters"], "campaign metrics are empty"
-    json.dump(doc, open("obs-status.json", "w"), indent=2)
+    snapshot = json.loads(json.dumps(metrics.snapshot()))
+    validate_metrics_snapshot(snapshot)
+    assert snapshot["counters"], "campaign metrics are empty"
+    json.dump(snapshot, open("obs-status.json", "w"), indent=2)
     print(f"validated {spans} span lines and the snapshot")
 
 

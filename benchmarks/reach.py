@@ -199,8 +199,8 @@ router c
 """
 
 #: The command lines of each CLI drive, in the order the census runs them
-#: (``trace`` and ``verdicts`` read what ``campaign`` wrote); ``{scratch}``
-#: is the census's scratch directory.
+#: (``trace`` reads what ``campaign`` wrote); ``{scratch}`` is the
+#: census's scratch directory.
 _CAMPAIGN = ["campaign", "--scenarios", "40", "--seed", "7"]
 CLI_DRIVES = {
     "analyze": [["analyze", "disagree"], ["analyze", "good"],
@@ -229,9 +229,6 @@ CLI_DRIVES = {
         ["campaign", "--scenarios", "0"],
     ],
     "trace": [["trace", "show", "3", "--trace-dir", "{scratch}/trace"]],
-    "verdicts": [["verdicts", "{scratch}/verdicts.sqlite"],
-                 ["verdicts", "{scratch}/verdicts.sqlite", "--format",
-                  "json"]],
 }
 
 

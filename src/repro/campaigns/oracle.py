@@ -307,7 +307,10 @@ def _evaluate_traced(spec, backends, prepared, started, scenario_span):
             raise ValueError(
                 f"no backend in {list(backends)} supports "
                 f"family {spec.family!r}")
-        sessions = []
+        # The primary session is kept only for iBGP extraction, which
+        # reads its route log; every other engine is released once its
+        # outcome is taken.
+        primary = None
         outcomes: list[ExecutionOutcome] = []
         # Each scalar session owns a mutable network (``fail_link``
         # removes links, ``perturb_link`` relabels them): the prepared
@@ -318,7 +321,6 @@ def _evaluate_traced(spec, backends, prepared, started, scenario_span):
                          *(scenario.network.copy() for _ in range(later))])
         for name in applicable:
             if name == _BATCH:
-                sessions.append(None)
                 outcomes.append(prepared.batch)
                 with TRACER.span("backend:run", backend=name,
                                  precomputed=True):
@@ -328,36 +330,36 @@ def _evaluate_traced(spec, backends, prepared, started, scenario_span):
             run_started = time.perf_counter()
             with TRACER.span("backend:run", backend=name) as backend_span:
                 session = get_backend(name).prepare(scn, seed=spec.seed)
-                if scenario.analysis_subject is None and not sessions:
+                if scenario.analysis_subject is None and not outcomes:
                     session.sim.stats.route_log = []  # extraction reads it
+                    primary = session
                 outcome = session.run(until=spec.until,
                                       max_events=spec.max_events)
                 backend_span.annotate(converged=outcome.converged,
                                       messages=outcome.messages)
             _count_backend_run(name, run_started, outcome)
-            sessions.append(session)
             outcomes.append(outcome)
 
         if scenario.analysis_subject is None:
             # iBGP workflow: extract the realized SPP (from the primary
             # backend's route log, the only one kept) and analyze that.  The
             # batch backend refuses subjects requiring post-run extraction,
-            # so sessions[0] is live.
+            # so the primary is a scalar session.
             with TRACER.span("analysis:verdict", extracted=True):
-                extracted = extract_spp(sessions[0], scenario.extract_dest)
+                extracted = extract_spp(primary, scenario.extract_dest)
                 safe, method, cache_hit = cached_verdict(extracted)
 
-        primary = outcomes[0]
+        first = outcomes[0]
         result = ScenarioResult(
             spec=spec,
-            classification=classify(safe, primary.converged),
+            classification=classify(safe, first.converged),
             safe=safe,
-            converged=primary.converged,
-            stop_reason=primary.stop_reason,
+            converged=first.converged,
+            stop_reason=first.stop_reason,
             method=method,
             cache_hit=cache_hit,
-            messages=primary.messages,
-            sim_time_s=primary.sim_time_s,
+            messages=first.messages,
+            sim_time_s=first.sim_time_s,
             elapsed_s=time.perf_counter() - started,
             outcomes=tuple(outcomes),
             pairwise=_pairwise(scenario, safe, outcomes),

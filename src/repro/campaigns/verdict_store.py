@@ -85,20 +85,3 @@ class VerdictStore(SqliteCache):
     def touch_many(self, counts: dict[str, int]) -> None:
         """Nothing: reuse counts are not stored.  The benchmark's boundary
         shims (``benchmarks/e2e/shims.py``) still wrap this name."""
-
-    def stats(self) -> dict:
-        """Row statistics for ``repro verdicts``."""
-        total, safe = self._conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(safe), 0) "
-            "FROM verdicts").fetchone()
-        methods = dict(self._conn.execute(
-            "SELECT method, COUNT(*) FROM verdicts GROUP BY method"))
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        return {
-            "verdicts": total,
-            "safe": safe,
-            "unsafe": total - safe,
-            "methods": methods,
-            "schema_version": version,
-            "retention": dict(self.last_retention),
-        }

@@ -21,16 +21,13 @@ Python:
   ``--resume`` finishes an interrupted or crashed run of the same command
   from that file instead of starting over, ``--verdict-cache`` persists
   SMT verdicts across invocations);
-* ``verdicts <path>`` — inspect a persistent verdict cache's row
-  statistics;
 * ``trace show <scenario-id> [--trace-dir DIR]`` — render the merged
   span tree a traced campaign (``campaign --trace-dir``) recorded for one
   scenario: spec materialization, every backend run, the deciding
   analysis tier, verdict, each span tagged with the worker process that
   emitted it.
   ``campaign --watch`` renders a live dashboard from the same metrics
-  registry (pool workers' snapshots merged in); ``--format json`` on
-  ``verdicts`` emits the versioned ``repro-obs/1`` envelope.
+  registry (pool workers' snapshots merged in).
 
 Exit codes are consistent across subcommands: **0** when the command ran
 and the verdict is good (safe / converged / no disagreement), **1** when
@@ -261,51 +258,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verdicts(args: argparse.Namespace) -> int:
-    import os
-    import sqlite3
-
-    from .campaigns import VerdictStore
-    if not os.path.exists(args.path):
-        print(f"verdict cache rejected: no such file: {args.path}",
-              file=sys.stderr)
-        return 1
-    try:
-        store = VerdictStore(args.path)
-        try:
-            stats = store.stats()
-        finally:
-            store.close()
-    except sqlite3.Error as error:
-        print(f"verdict cache rejected: {error}", file=sys.stderr)
-        return 1
-    if getattr(args, "format", "text") == "json":
-        import json as _json
-
-        from .obs import metrics as _obs_metrics
-        from .obs.live import obs_payload
-        # The versioned envelope: the registry snapshot (this process's
-        # store-op counters) plus the store's persistent statistics.
-        print(_json.dumps(obs_payload("verdict-stats",
-                                      _obs_metrics.snapshot(),
-                                      store=stats),
-                          indent=2, default=repr))
-        return 0
-    print(f"verdict cache {args.path}:")
-    print(f"  schema:   v{stats['schema_version']}")
-    if stats["retention"]:
-        hygiene = " ".join(f"{name}={count}" for name, count
-                           in sorted(stats["retention"].items()))
-        print(f"  hygiene:  {hygiene}   (applied on open)")
-    print(f"  verdicts: {stats['verdicts']} "
-          f"({stats['safe']} safe, {stats['unsafe']} unsafe)")
-    methods = " ".join(f"{method}={count}"
-                       for method, count in sorted(stats["methods"].items()))
-    if methods:
-        print(f"  methods:  {methods}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -415,16 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "wrote")
     p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser(
-        "verdicts",
-        help="inspect a persistent verdict cache")
-    p.add_argument("path", help="sqlite verdict cache written by "
-                                "campaign --verdict-cache")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="text (default) or the repro-obs/1 envelope: "
-                        "registry snapshot plus store statistics")
-    p.set_defaults(fn=cmd_verdicts)
-
     return parser
 
 
@@ -433,11 +375,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except BrokenPipeError:
-        # e.g. `repro verdicts STORE --format json | head`: the reader
-        # closed early.  Detach stdout so interpreter shutdown doesn't
-        # print a second traceback — but exit non-zero (the conventional
-        # 128+SIGPIPE): the command's verdict gating never ran, and a
-        # truncated pipe must not read as a clean campaign to CI.
+        # e.g. `repro campaign ... | head`: the reader closed early.
+        # Detach stdout so interpreter shutdown doesn't print a second
+        # traceback — but exit non-zero (the conventional 128+SIGPIPE):
+        # the command's verdict gating never ran, and a truncated pipe
+        # must not read as a clean campaign to CI.
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

@@ -93,10 +93,12 @@ class ExecutionSession(ABC):
     Shared by every scalar session: the scenario's ``algebra`` /
     ``destinations`` / ``top_k``, ``network`` (the simulator's, owned by
     this session — backends must not share a mutable network), the event
-    dispatch, and the rendering of routes into an outcome.  Between
-    ``prepare`` and ``run`` a caller may set ``sim.stats.route_log`` to a
-    list; a path-vector engine then appends each accepted non-φ route to
-    it as ``(node, dest, sig, path)``.
+    dispatch, and the rendering of routes into an outcome.  The run's two
+    logs are ``None`` unless a caller sets a list between ``prepare`` and
+    ``run``: with ``sim.stats.route_log`` a path-vector engine appends each
+    accepted non-φ route as ``(node, dest, sig, path)``, with
+    ``sim.stats.send_log`` the simulator appends each send's
+    ``(time, size)``.
 
     A concrete session wires its engine in :meth:`_wire`, provides the
     event operations its scenarios need — ``inject_route(node, dest,

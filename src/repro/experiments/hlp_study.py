@@ -36,8 +36,9 @@ class MechanismResult:
 
 def _measure(name: str, engine, node_count: int, *, until: float,
              bin_s: float) -> MechanismResult:
-    reason = engine.run(until=until, max_events=20_000_000)
     stats = engine.sim.stats
+    stats.send_log = []  # the bandwidth series reads it
+    reason = engine.run(until=until, max_events=20_000_000)
     return MechanismResult(
         mechanism=name,
         converged=(reason == "quiescent" and engine.converged_everywhere()),

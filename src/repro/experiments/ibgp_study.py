@@ -70,9 +70,10 @@ def run_configuration(config: IBGPConfig, *, seed: int = 0,
     """Simulate one iBGP configuration and (optionally) analyze it."""
     algebra = IGPCostAlgebra(config)
     engine = GPVEngine(config.session_net, algebra, [EXT_DEST], seed=seed)
-    engine.sim.stats.route_log = []
-    reason = engine.run(until=window_s, max_events=20_000_000)
     stats = engine.sim.stats
+    stats.send_log = []  # the bandwidth series reads it
+    stats.route_log = []  # extraction reads it
+    reason = engine.run(until=window_s, max_events=20_000_000)
     node_count = config.session_net.node_count() - 1  # exclude EXT
     result = IBGPRunResult(
         gadget=bool(config.gadget_members),

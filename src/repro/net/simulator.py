@@ -12,8 +12,9 @@ protocol engines run on:
 * message transport over :class:`~repro.net.network.Network` links with
   per-direction FIFO serialization (transmission delay = size / bandwidth),
   propagation latency, and seeded jitter;
-* per-node byte/message accounting feeding the bandwidth-over-time figures
-  (Figs. 5 and 6);
+* byte/message accounting, plus the ``(time, size)`` of every send while
+  the collector's ``send_log`` is a list — the series behind the
+  bandwidth-over-time figures (Figs. 5 and 6), kept only for them;
 * quiescence detection: ``run()`` returns when no events remain, which for
   safe policies is the convergence instant — unsafe policies hit the
   event/time caps instead (that is how BAD GADGET's divergence shows up).
@@ -134,7 +135,8 @@ class Simulator:
         stats = self.stats
         stats.bytes_sent_total += size_bytes
         stats.messages_sent += 1
-        stats.send_log.append((now, size_bytes))
+        if stats.send_log is not None:
+            stats.send_log.append((now, size_bytes))
         # The arithmetic of at(arrival, ...), spelled out: the rounding of
         # now + (arrival - now) is part of every run's timeline.
         delay = arrival - now

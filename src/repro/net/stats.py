@@ -6,14 +6,19 @@ Records exactly the quantities the paper's evaluation plots:
   (Sec. VI-A: "from start of protocol until all nodes have computed routes
   to all destinations");
 * **bandwidth over time** — per-node average MBps in fixed bins
-  (Figs. 5 and 6);
+  (Figs. 5 and 6), from a send log kept only on request;
 * **communication cost** — total bytes and their per-node average
   (Sec. VI-D quotes per-node MB for PV / HLP / HLP-CH).
+
+The two per-run logs, ``send_log`` and ``route_log``, are ``None`` unless
+a caller sets a list before the run: a run keeps only the records its
+reader asks for.  The Fig. 5 and Fig. 6 harnesses ask for the send log;
+SPP extraction asks for the route log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -30,8 +35,9 @@ class StatsCollector:
 
     bytes_sent_total: int = 0
     messages_sent: int = 0
-    #: (timestamp, size) of every send — the raw series behind the figures.
-    send_log: list[tuple[float, int]] = field(default_factory=list)
+    #: While a caller makes it a list: ``(timestamp, size)`` of every
+    #: send, the raw series behind the bandwidth figures.
+    send_log: list[tuple[float, int]] | None = None
     route_changes: int = 0
     last_route_change: float = 0.0
     #: The run's RIB-in log while a caller makes it a list: each accepted
@@ -39,8 +45,9 @@ class StatsCollector:
     route_log: list | None = None
 
     # -- recording --------------------------------------------------------------
-    # The send fields are written by Simulator.send, inline on its per-message
-    # path; the protocol engines report route changes and fill route_log.
+    # The send fields (send_log while it is a list) are written by
+    # Simulator.send, inline on its per-message path; the protocol engines
+    # report route changes and fill route_log.
 
     def record_route_change(self, now: float, node: str) -> None:
         self.route_changes += 1
@@ -65,8 +72,13 @@ class StatsCollector:
         """Average per-node bandwidth (MBps) in ``bin_s`` bins.
 
         The paper's Figs. 5/6 plot "average per-node bandwidth utilization
-        (MBps)" against time; MBps there is *megabytes* per second.
+        (MBps)" against time; MBps there is *megabytes* per second.  Reads
+        the send log, so the run must have been given one.
         """
+        if self.send_log is None:
+            raise ValueError(
+                "bandwidth_series reads the send log, which this run did "
+                "not keep: set sim.stats.send_log = [] before the run")
         if node_count <= 0 or bin_s <= 0:
             return []
         horizon = until

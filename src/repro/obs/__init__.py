@@ -9,11 +9,10 @@ Three layers, one schema (see ``obs/README.md`` for the conventions):
 * :mod:`repro.obs.trace` — scenario-scoped structured spans
   (``repro-span/1`` JSONL) with trace IDs minted at spec generation;
 * :mod:`repro.obs.live` / :mod:`repro.obs.schema` — the dashboard
-  renderer, the ``repro-obs/1`` envelope, and the checked-in schemas CI
-  validates emissions against.
+  renderer and the checked-in schemas CI validates emissions against.
 """
 
-from .live import OBS_FORMAT, obs_payload, render_dashboard
+from .live import render_dashboard
 from .metrics import (
     MetricsRegistry,
     SNAPSHOT_FORMAT,
@@ -45,7 +44,6 @@ from .trace import (
 
 __all__ = [
     "MetricsRegistry",
-    "OBS_FORMAT",
     "SNAPSHOT_FORMAT",
     "SPAN_FORMAT",
     "SchemaError",
@@ -56,7 +54,6 @@ __all__ = [
     "get_registry",
     "load_schema",
     "merge_snapshots",
-    "obs_payload",
     "read_spans",
     "render_dashboard",
     "render_span_tree",

@@ -1,12 +1,9 @@
-"""The live view: dashboard rendering and the ``repro-obs/1`` envelope.
+"""The live view: dashboard rendering.
 
 ``repro campaign --watch`` calls :func:`render_dashboard` on a metrics
 snapshot: this process's, or under ``--jobs N`` this process's merged
 (:func:`~repro.obs.metrics.merge_snapshots`) with the latest snapshot each
-pool worker sent back with a chunk.  The ``--format json`` path of
-``repro verdicts`` calls :func:`obs_payload` to wrap the same
-snapshot in the versioned envelope a future service plane would stream —
-machine-readable today, servable tomorrow.
+pool worker sent back with a chunk.
 """
 
 from __future__ import annotations
@@ -14,21 +11,6 @@ from __future__ import annotations
 import time
 
 from .metrics import snapshot_family, snapshot_value
-
-#: Envelope format for ``--format json`` outputs and future SSE frames.
-OBS_FORMAT = "repro-obs/1"
-
-
-def obs_payload(kind: str, metrics: dict, **extra) -> dict:
-    """Wrap a ``repro-metrics/1`` snapshot in the versioned obs envelope."""
-    payload = {
-        "format": OBS_FORMAT,
-        "kind": kind,
-        "generated_unix": time.time(),
-        "metrics": metrics,
-    }
-    payload.update(extra)
-    return payload
 
 
 def _family_lines(snapshot: dict, name: str, label: str,

@@ -25,9 +25,12 @@ The sink
     Spans are JSONL lines (``repro-span/1``, one object per line — the
     wire format of ``schemas/span.schema.json``) in a *trace directory*.
     Each process appends to its own ``spans-<worker>.jsonl`` via
-    single-``os.write`` ``O_APPEND`` lines (multi-process safe) and
-    rotates it to ``.1`` at ``max_bytes``, so a long campaign's
-    sink stays bounded while readers merge ``spans-*.jsonl*`` wholesale.
+    single-``os.write`` ``O_APPEND`` lines (multi-process safe), through
+    one descriptor opened at its first span — an open and a close per
+    span cost more than the rest of the span — and keeps every span: a
+    traced campaign's sink grows with it (about 2 KB per scenario), so
+    ``repro trace show`` finds any scenario it ran.  Readers merge
+    ``spans-*.jsonl`` wholesale.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ from contextlib import contextmanager
 
 #: Version tag stamped into every span record (the wire format contract).
 SPAN_FORMAT = "repro-span/1"
-
-#: Rotation threshold per process span file.
-DEFAULT_MAX_BYTES = 8 << 20
 
 _SPAN_GLOB_PREFIX = "spans-"
 
@@ -126,17 +126,17 @@ class Tracer:
         self._dir: str | None = None
         self._pid: int | None = None
         self._path: str | None = None
-        self._size = 0
-        self._max_bytes = DEFAULT_MAX_BYTES
+        #: The sink file's descriptor, opened by the first span.
+        self._fd: int | None = None
         self.worker: str | None = None
 
     # -- configuration --------------------------------------------------------
 
     def configure(self, directory: str | None, *,
-                  worker: str | None = None,
-                  max_bytes: int = DEFAULT_MAX_BYTES) -> None:
+                  worker: str | None = None) -> None:
         """Attach (or, with None, detach) the span sink for this process."""
         if directory is None:
+            self._close()
             self._dir = self._path = None
             self._pid = None
             self.worker = None
@@ -145,18 +145,20 @@ class Tracer:
         if (directory == self._dir and pid == self._pid
                 and (worker is None or worker == self.worker)):
             return
+        self._close()
         self._dir = directory
         self._pid = pid
-        self._max_bytes = max_bytes
         self.worker = worker or default_worker_name()
         os.makedirs(directory, exist_ok=True)
         safe = re.sub(r"[^A-Za-z0-9._-]", "_", self.worker)
         self._path = os.path.join(directory,
                                   f"{_SPAN_GLOB_PREFIX}{safe}.jsonl")
-        try:
-            self._size = os.path.getsize(self._path)
-        except OSError:
-            self._size = 0
+
+    def _close(self) -> None:
+        # In a forked worker this closes the inherited copy only.
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     @property
     def enabled(self) -> bool:
@@ -214,36 +216,27 @@ class Tracer:
             "attrs": span.attrs,
         }
         line = (json.dumps(record, default=repr) + "\n").encode("utf-8")
-        if self._size + len(line) > self._max_bytes and self._size:
-            try:  # single-process rotation: the path embeds this worker
-                os.replace(self._path, self._path + ".1")
-            except OSError:
-                pass
-            self._size = 0
-        fd = os.open(self._path,
-                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-        self._size += len(line)
+        if self._fd is None:
+            self._fd = os.open(self._path,
+                               os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        os.write(self._fd, line)
 
 
 #: The process tracer every instrumented module emits through.
 TRACER = Tracer()
 
 
-def configure_tracing(directory: str | None, *, worker: str | None = None,
-                      max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-    TRACER.configure(directory, worker=worker, max_bytes=max_bytes)
+def configure_tracing(directory: str | None, *,
+                      worker: str | None = None) -> None:
+    TRACER.configure(directory, worker=worker)
 
 
 # -- reading traces back ------------------------------------------------------
 
 
 def read_spans(directory: str) -> list[dict]:
-    """Every span record in a trace directory (all workers, rotations
-    included), torn trailing lines skipped, ordered by start time."""
+    """Every span record in a trace directory (all workers), torn
+    trailing lines skipped, ordered by start time."""
     spans: list[dict] = []
     try:
         names = sorted(os.listdir(directory))

@@ -8,8 +8,8 @@ here once, parameterized by the subclass's table name: the connection
 and its pragmas, serialized open-time hygiene, the bounded-retry write —
 and how a store is *used*: one way to open (:func:`open_store`), one way
 to fail (:meth:`SqliteCache.best_effort`), one eviction rule
-(``MAX_ROWS``).  A store adds only its table schema and version, its row
-methods and ``stats()``.
+(``MAX_ROWS``).  A store adds only its table schema and version and its
+row methods.
 
 The stores are caches, so a file in a format this code does not write —
 an older or newer ``user_version`` stamp, or a column set other than

@@ -159,6 +159,34 @@ class TestMaterialization:
         assert sessions[0].sim.stats.route_log
         assert sessions[1].sim.stats.route_log is None
 
+    def test_a_serial_campaign_keeps_no_send_log(self, monkeypatch):
+        """Only the bandwidth figures read the send log, so no session a
+        campaign builds keeps one — on any family or scalar backend."""
+        from repro.campaigns import (CampaignConfig, CampaignRunner,
+                                     ScenarioGenerator)
+        from repro.exec.gpv import GPVBackend
+        from repro.exec.hlp import HLPBackend
+        from repro.exec.ndlog import NDlogBackend
+
+        sessions = []
+
+        def recording(prepare):
+            def wrapper(self, scenario, *, seed=0):
+                sessions.append(prepare(self, scenario, seed=seed))
+                return sessions[-1]
+            return wrapper
+
+        for backend in (GPVBackend, NDlogBackend, HLPBackend):
+            monkeypatch.setattr(backend, "prepare",
+                                recording(backend.prepare))
+        specs = ScenarioGenerator(7, profile="quick").generate(10)
+        report = CampaignRunner(CampaignConfig(
+            jobs=1, backends=("gpv", "ndlog", "hlp"))).run(specs)
+        assert report.scenario_count == 10 and not report.error_count
+        assert {type(s).__name__ for s in sessions} == {
+            "GPVSession", "NDlogSession", "HLPSession"}
+        assert all(s.sim.stats.messages_sent for s in sessions)
+        assert all(s.sim.stats.send_log is None for s in sessions)
 
     def test_ibgp_trace_splits_the_verdict_into_key_and_solve(
             self, tmp_path, capsys):

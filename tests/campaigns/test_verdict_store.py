@@ -185,10 +185,9 @@ class TestMultiWriterHardening:
             assert process.exitcode == 0
 
         store = VerdictStore(path)
-        stats = store.stats()
         # Every private row landed; shared rows deduplicated by INSERT OR
         # IGNORE.
-        assert stats["verdicts"] == workers * rows + rows
+        assert len(store) == workers * rows + rows
         for i in range(rows):
             assert store.get(f"shared-{i}") == (True, "smt")
         store.close()

@@ -151,6 +151,7 @@ class TestTransport:
 
     def test_send_to_non_neighbor_raises(self, pair):
         sim = Simulator(pair)
+        sim.stats.send_log = []
         pair.add_node("c")
         with pytest.raises(KeyError):
             sim.send("a", "c", "x", 10)
@@ -177,6 +178,7 @@ class TestTransport:
         net.add_link("a", "b", latency_s=0.010, jitter_s=0.004,
                      bandwidth_bps=1e6)
         sim = Simulator(net, seed=9)
+        sim.stats.send_log = []
         sim.attach("b", lambda src, payload: sim.stats.record_route_change(
             sim.now, "b"))
 

@@ -5,8 +5,8 @@ pins down the *entire* execution — every jittered arrival, every route
 change, every counter.  These tests serialize every field of the stats
 of two runs built from scratch (two fresh ``Simulator`` instances, two
 fresh engines, two fresh networks) and require byte-identical output:
-``send_log`` holds the time and size of every message sent, so it is the
-run's whole send timeline.
+``send_log``, requested before the run, holds the time and size of every
+message sent, so it is the run's whole send timeline.
 """
 
 from repro.algebra import SPPAlgebra, disagree_chain, ibgp_figure3_fixed
@@ -19,6 +19,7 @@ def _run(instance, seed: int) -> tuple[str, bytes]:
     network = network_from_spp(instance, jitter_s=0.003)
     engine = GPVEngine(network, SPPAlgebra(instance),
                        [instance.destination], seed=seed)
+    engine.sim.stats.send_log = []
     reason = engine.run(until=60.0, max_events=50_000)
     stats = engine.sim.stats
     stats_bytes = repr((

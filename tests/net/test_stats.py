@@ -12,10 +12,12 @@ from repro.net import (
 
 def sent(*sends) -> StatsCollector:
     """The collector of a simulator that made ``(time, src, dst, size)``
-    sends — :meth:`Simulator.send` is what writes its send fields."""
+    sends with its send log requested — :meth:`Simulator.send` is what
+    writes its send fields."""
     net = Network()
     net.add_link("a", "b")
     sim = Simulator(net)
+    sim.stats.send_log = []
     for time, src, dst, size in sends:
         sim.at(time, lambda s=src, d=dst, n=size: sim.send(s, d, "x", n))
     sim.run()
@@ -55,8 +57,25 @@ class TestStatsCollector:
         assert series[-1].mbps_per_node == 0.0
 
     def test_bandwidth_series_empty(self):
-        assert StatsCollector().bandwidth_series(node_count=1) != []
-        assert StatsCollector().bandwidth_series(node_count=0) == []
+        assert StatsCollector(send_log=[]).bandwidth_series(
+            node_count=1) != []
+        assert StatsCollector(send_log=[]).bandwidth_series(
+            node_count=0) == []
+
+    def test_the_send_log_is_kept_only_on_request(self):
+        stats = sent((0.0, "a", "b", 100))
+        assert stats.send_log == [(0.0, 100)]
+        net = Network()
+        net.add_link("a", "b")
+        sim = Simulator(net)
+        sim.send("a", "b", "x", 100)
+        assert sim.stats.send_log is None
+        assert sim.stats.messages_sent == 1
+        assert sim.stats.bytes_sent_total == 100
+
+    def test_bandwidth_series_without_a_send_log_names_the_fix(self):
+        with pytest.raises(ValueError, match=r"send_log = \[\]"):
+            StatsCollector().bandwidth_series(node_count=1)
 
 
 class TestSizes:

@@ -66,21 +66,18 @@ class TestSpans:
         assert "RuntimeError: boom" in record["attrs"]["error"]
         validate_span(record)
 
-    def test_rotation_keeps_the_sink_bounded(self, tmp_path):
-        t = Tracer()
-        t.configure(str(tmp_path), worker="rot", max_bytes=400)
-        for i in range(20):
-            with t.span(f"s{i}"):
+    def test_the_sink_keeps_every_span(self, tracer, tmp_path):
+        """Past 16 MiB of spans every span still reads back, the first
+        included: a long traced campaign loses no scenario's trace."""
+        padding = "x" * (64 << 10)
+        count = 260  # 260 spans of > 64 KiB: more than 16 MiB
+        for i in range(count):
+            with tracer.span(f"s{i}", padding=padding):
                 pass
-        names = sorted(os.listdir(tmp_path))
-        assert "spans-rot.jsonl" in names
-        assert "spans-rot.jsonl.1" in names
-        # The sink is bounded: live file + one rotation, never more.
-        total = sum(os.path.getsize(tmp_path / name) for name in names)
-        assert total <= 2 * 400 + 400  # two segments plus one span of slack
-        # Readers merge the rotation, so the most recent spans survive.
-        retained = read_spans(str(tmp_path))
-        assert retained and retained[-1]["name"] == "s19"
+        assert os.listdir(tmp_path) == ["spans-t1.jsonl"]
+        assert os.path.getsize(tmp_path / "spans-t1.jsonl") > 16 << 20
+        names = [span["name"] for span in read_spans(str(tmp_path))]
+        assert names == [f"s{i}" for i in range(count)]
 
     def test_configure_is_idempotent_but_renames_apply(self, tmp_path):
         t = Tracer()

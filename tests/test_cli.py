@@ -273,67 +273,6 @@ class TestCampaignFamilies:
         assert "nonsense" in capsys.readouterr().err
 
 
-class TestVerdictsCommand:
-    def _populated_store(self, tmp_path, capsys):
-        from repro.campaigns import clear_verdict_cache, configure_verdict_store
-
-        path = str(tmp_path / "verdicts.sqlite")
-        args = ["campaign", "--scenarios", "6", "--seed", "7",
-                "--profile", "quick", "--families", "gadget",
-                "--verdict-cache", path]
-        try:
-            clear_verdict_cache()
-            configure_verdict_store(None)
-            assert main(args) == 0
-        finally:
-            configure_verdict_store(None)
-            clear_verdict_cache()
-        capsys.readouterr()
-        return path
-
-    def test_stats_reports_rows(self, tmp_path, capsys):
-        path = self._populated_store(tmp_path, capsys)
-        assert main(["verdicts", path, ]) == 0
-        out = capsys.readouterr().out
-        assert "verdicts:" in out
-        assert "methods:" in out
-        assert "hits:" not in out  # reuse is not recorded
-
-    def test_stats_count_every_row_in_both_formats(self, tmp_path, capsys):
-        """Every row counts once, whatever its key renders (SPP, product
-        of a table), in the text and the JSON envelope alike."""
-        import json
-
-        from repro.campaigns import VerdictStore
-
-        path = self._populated_store(tmp_path, capsys)
-        store = VerdictStore(path)
-        rows = len(store)
-        store.put("('spp-raw', 'd', (), ())", True, "smt")
-        store.put("('product', ('table-raw', ()), ('closed', 'X'))",
-                  True, "smt")
-        store.close()
-        assert main(["verdicts", path, ]) == 0
-        assert f"verdicts: {rows + 2} " in capsys.readouterr().out
-        assert main(["verdicts", path, "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["store"]["verdicts"] == rows + 2
-        assert "raw_keys" not in payload["store"]
-
-    def test_missing_store_is_rejected(self, tmp_path, capsys):
-        assert main(["verdicts", str(tmp_path / "absent.sqlite")]) == 1
-        assert "no such file" in capsys.readouterr().err
-
-    def test_a_file_that_is_not_a_database_is_rejected(self, tmp_path,
-                                                        capsys):
-        path = tmp_path / "notes.txt"
-        path.write_text("not a verdict cache\n" * 64)
-        assert main(["verdicts", str(path)]) == 1
-        assert "verdict cache rejected: file is not a database" in \
-            capsys.readouterr().err
-        assert path.read_text() == "not a verdict cache\n" * 64
-
-
 def _die_on_scenario_10(chunk, options=None):
     import os
 
