@@ -32,7 +32,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import configure_tracing, read_spans
 
 SEED = 11
-ROUNDS = 9
+ROUNDS = 15
 #: Specs per campaign run: short enough that both sides of a pair see
 #: the same machine, and a multiple of the runner's chunk size, so the
 #: segments' chunks (and batch kernel groups) are the whole campaign's.
@@ -95,12 +95,12 @@ def test_instrumentation_overhead(benchmark, save_result, smoke, tmp_path):
     rounds = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     # The instrumented rounds must actually have instrumented: spans on
-    # disk and scenario counters in the registry, else the gate is
-    # vacuously comparing two disabled runs.
+    # disk and backend-run counters in the registry (every spec runs GPV
+    # live once), else the gate is vacuously comparing two disabled runs.
     assert read_spans(trace_dir), "instrumented rounds emitted no spans"
     snap = obs_metrics.snapshot()
     counted = sum(entry["value"] for entry in obs_metrics.snapshot_family(
-        snap, "repro_scenarios_total"))
+        snap, "repro_backend_runs_total"))
     assert counted >= count
 
     disabled = [base for base, _ in rounds]

@@ -234,8 +234,10 @@ def campaign_smoke() -> None:
     # Kill-and-resume drill on the real CLI: a budget abort leaves a
     # partial r.jsonl (its exit code is the partial verdict, not
     # asserted); the same command plus --resume must finish the file
-    # to exactly what a fresh single-process run reports.
-    args = ("--scenarios", "60", "--seed", "7", "--families",
+    # to exactly what a fresh single-process run reports.  A pool
+    # worker starts no chunk after the budget, so the 50 ms leave the
+    # chunks begun by then (16-24 records on a 2-core host) of 120.
+    args = ("--scenarios", "120", "--seed", "7", "--families",
             "gadget,caida", "--profile", "quick", "--jobs", "2",
             "--stream-out", "r.jsonl")
     aborted = repro("campaign", *args, "--budget-s", "0.05",
@@ -244,10 +246,11 @@ def campaign_smoke() -> None:
     print(aborted, end="")
     check("wall-clock budget exhausted" in aborted,
           "resume-aborted.log says the budget ran out")
-    check(lines("r.jsonl") < 60, "the aborted run left fewer than 60 records")
+    check(lines("r.jsonl") < 120,
+          "the aborted run left fewer than 120 records")
     tee("resume-finished.log", sys.executable, "-m", "repro", "campaign",
         *args, "--resume")
-    check(lines("r.jsonl") == 60, "the resumed run finished r.jsonl")
+    check(lines("r.jsonl") == 120, "the resumed run finished r.jsonl")
     python_step("resume_matches_a_single_run")
     # One way to fail: a cache path that cannot be opened is a usage
     # error before the first scenario, for either flag and any --jobs.
@@ -448,12 +451,12 @@ def resume_matches_a_single_run() -> None:
     def run(**kwargs):
         specs = ScenarioGenerator(
             7, families=("gadget", "caida"),
-            profile="quick").iter_specs(60)
+            profile="quick").iter_specs(120)
         return CampaignRunner(CampaignConfig(
             keep_results=False)).run(specs, **kwargs)
 
     resumed = run(recorded=read_results("r.jsonl"))
-    assert resumed.resumed_count == 60, resumed.summary()
+    assert resumed.resumed_count == 120, resumed.summary()
     single = run()
     assert resumed.counters() == single.counters(), (
         resumed.counters(), single.counters())
@@ -548,11 +551,15 @@ def validate_spans_and_metrics() -> None:
                     validate_span(json.loads(line))
                     spans += 1
     assert spans > 0, "traced campaign emitted no spans"
-    CampaignRunner(CampaignConfig()).run(ScenarioGenerator(
+    # A pool run: the workers' counts reach this process's registry.
+    CampaignRunner(CampaignConfig(jobs=2)).run(ScenarioGenerator(
         7, families=("gadget",), profile="quick").iter_specs(24))
     snapshot = json.loads(json.dumps(metrics.snapshot()))
     validate_metrics_snapshot(snapshot)
     assert snapshot["counters"], "campaign metrics are empty"
+    runs = sum(series["value"] for series in metrics.snapshot_family(
+        snapshot, "repro_backend_runs_total"))
+    assert runs == 24, f"{runs} backend runs counted for 24 specs"
     json.dump(snapshot, open("obs-status.json", "w"), indent=2)
     print(f"validated {spans} span lines and the snapshot")
 

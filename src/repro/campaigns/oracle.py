@@ -93,7 +93,8 @@ _ANALYZER = SafetyAnalyzer()
 _STORE: VerdictStore | None = None
 
 #: Which cache tier served each safety verdict (memo / shared store /
-#: fresh analyzer solve) and what each scenario classified as.
+#: fresh analyzer solve).  What each scenario classified as is the result
+#: sink's to count, not the registry's.
 _VERDICT_LOOKUPS = {
     tier: _obs_metrics.counter("repro_verdict_lookups_total", tier=tier)
     for tier in ("memo", "store", "solved")
@@ -104,9 +105,7 @@ _VERDICT_SECONDS = {
     phase: _obs_metrics.counter("repro_verdict_seconds_total", phase=phase)
     for phase in ("key", "solve")
 }
-_SCENARIOS_FAMILY = "repro_scenarios_total"
 _BATCH = "batch"
-_DISAGREEMENTS = _obs_metrics.counter("repro_disagreements_total")
 
 
 def clear_verdict_cache() -> None:
@@ -264,7 +263,6 @@ def evaluate(spec: ScenarioSpec, backends: tuple = DEFAULT_BACKENDS, *,
 
 
 def _error_result(spec, started, scenario_span, text: str) -> ScenarioResult:
-    _obs_metrics.counter(_SCENARIOS_FAMILY, classification=ERROR).inc()
     scenario_span.set_status("error")
     scenario_span.annotate(error=text.partition("\n")[0])
     return ScenarioResult(spec=spec, classification=ERROR,
@@ -365,11 +363,8 @@ def _evaluate_traced(spec, backends, prepared, started, scenario_span):
             pairwise=_pairwise(scenario, safe, outcomes),
             hijack=_hijack_verdict(scenario, outcomes),
         )
-        _obs_metrics.counter(_SCENARIOS_FAMILY,
-                             classification=result.classification).inc()
         scenario_span.annotate(classification=result.classification)
         if result.is_disagreement:
-            _DISAGREEMENTS.inc()
             scenario_span.set_status("error")
             scenario_span.annotate(disagreement=True)
         return result

@@ -24,7 +24,10 @@ Memory stays bounded at any campaign size:
 Budgets:
 
 * ``wall_clock_budget_s`` — stop collecting once the budget elapses; the
-  report is marked aborted and covers the scenarios finished so far;
+  report is marked aborted and covers the scenarios finished so far.  A
+  chunk already being evaluated finishes (in the pool too, during
+  shutdown), but a pool worker that picks a chunk up after the budget
+  hands it back unevaluated, as if it had been cancelled;
 * ``abort_on_disagreements`` — stop as soon as that many disagreements
   exist (a campaign that has already falsified the pipeline need not
   finish; the reproducer seeds are what matters).
@@ -33,6 +36,13 @@ Crash accounting: a chunk whose worker raised, or whose pool died under it,
 becomes one ``ERROR`` result per spec it carried (``"chunk lost: ..."``),
 the run stops with ``aborted="worker process died"`` and the report is
 still returned — every submitted spec is accounted for.
+
+Counts: a pool chunk comes back with what its worker counted while
+evaluating it (:meth:`~repro.obs.metrics.MetricsRegistry.take`), which the
+runner adds into this process's registry
+(:meth:`~repro.obs.metrics.MetricsRegistry.absorb`).  So after a run the
+caller's registry holds the whole campaign's work at any ``jobs``.
+Scenario outcomes are not registry counts: the aggregator counts them.
 
 Resume: ``run(specs, sink=..., recorded=read_results(path))`` replays every
 spec that already has a non-``ERROR`` record into the aggregator instead of
@@ -51,13 +61,12 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 import sqlite3
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..exec import DEFAULT_BACKENDS, resolve_backends
@@ -76,9 +85,6 @@ _PIPELINE_DEPTH = 2
 _WATCH_INTERVAL_S = 2.0
 
 _CHUNKS_LOST = _obs_metrics.counter("repro_campaign_chunks_lost_total")
-#: In a pool worker: numbers the chunks it has finished, which orders its
-#: cumulative snapshots however the parent happens to collect them.
-_WORKER_CHUNK_SEQ = itertools.count(1)
 
 
 @dataclass
@@ -94,8 +100,6 @@ class CampaignConfig:
     #: Retain every ScenarioResult on the report (False ⇒ constant memory:
     #: only counters plus bounded disagreement/error reproducers survive).
     keep_results: bool = True
-    #: Retention bound for full results / reproducers.
-    max_retained: int = 200
     #: Optional path of a persistent cross-process verdict cache.
     verdict_cache_path: str | None = None
     #: Append the vectorized ``batch`` backend automatically (kernel-keyed
@@ -115,8 +119,6 @@ class CampaignConfig:
             raise ValueError("jobs must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.max_retained < 1:
-            raise ValueError("max_retained must be >= 1")
         self.backends = resolve_backends(self.backends)
         if self.auto_batch and "batch" not in self.backends \
                 and numpy_available():
@@ -127,12 +129,9 @@ class CampaignConfig:
 
 class _CampaignWatch:
     """The live campaign dashboard (``repro campaign --watch``): renders
-    the campaign's registry snapshot to stderr between results.
-
-    In serial mode that is this process's registry (evaluation is
-    in-process); in parallel mode the scenario counters live in the pool
-    workers, each of which sends its snapshot back with every chunk, and
-    the frame shows this process's merged with the latest one per worker.
+    this process's registry snapshot — the pool's counts included, as
+    every chunk brings its worker's back — to stderr between results,
+    headed by the aggregator's outcome counts.
     """
 
     def __init__(self, stream=None):
@@ -145,16 +144,19 @@ class _CampaignWatch:
         if not force and now - self._last < _WATCH_INTERVAL_S:
             return
         self._last = now
+        counts = state.aggregator.class_counts
         extra = [f"evaluated: {state.aggregator.total - state.resumed}"
-                 f"  disagreements: {state.aggregator.disagreements}"]
+                 f"  disagreements: {state.aggregator.disagreements}"
+                 f"  errors: {counts.get(ERROR, 0)}"]
         if state.resumed:
             extra.append(f"resumed: {state.resumed}")
         if state.aborted:
             extra.append(f"aborted: {state.aborted}")
-        snapshot = _obs_metrics.merge_snapshots(
-            [_obs_metrics.snapshot(),
-             *(latest for _, latest in state.worker_snapshots.values())])
-        print(render_dashboard(snapshot, title="campaign",
+        if counts:
+            extra.append("by classification")
+            extra += [f"  {name:<22} {count}" for name, count in
+                      sorted(counts.items(), key=lambda kv: -kv[1])]
+        print(render_dashboard(_obs_metrics.snapshot(), title="campaign",
                                extra_lines=extra),
               file=self.stream, flush=True)
 
@@ -168,11 +170,8 @@ class _RunState:
     extra_sink: ResultSink | None = None
     #: Results replayed from an earlier run's records, not evaluated.
     resumed: int = 0
-    aborted: str | None = field(default=None)
+    aborted: str | None = None
     watch: _CampaignWatch | None = None
-    #: Pool worker pid → (sequence number, registry snapshot) of the
-    #: latest chunk that worker finished.
-    worker_snapshots: dict = field(default_factory=dict)
 
     def consume(self, result: ScenarioResult) -> None:
         self.aggregator.accept(result)
@@ -218,7 +217,6 @@ class CampaignRunner:
             started=started,
             aggregator=AggregatingSink(
                 keep_results=self.config.keep_results,
-                max_retained=self.config.max_retained,
                 backends=self.config.backends),
             extra_sink=sink,
             watch=_CampaignWatch() if self.config.watch else None,
@@ -267,12 +265,14 @@ class CampaignRunner:
         executor = ProcessPoolExecutor(max_workers=self.config.jobs,
                                        initializer=_pool_worker_init,
                                        initargs=(self.config,))
+        remaining = self._remaining_budget(state.started)
+        deadline = None if remaining is None else time.monotonic() + remaining
 
         def submit(count: int) -> None:
             for chunk in itertools.islice(chunks, count):
                 try:
                     future = executor.submit(_pool_chunk, chunk,
-                                             self.config.backends)
+                                             self.config.backends, deadline)
                 except BrokenProcessPool:
                     # A worker died while a sibling chunk was finishing:
                     # the dead worker's chunk is still in flight, and
@@ -400,27 +400,31 @@ def _attach(config: CampaignConfig) -> None:
 
 def _pool_worker_init(config: CampaignConfig) -> None:
     """A forked worker starts with a copy of the parent's registry; the
-    snapshots it sends back must hold its own work only.  Then it is
+    counts it hands back must be its own work only.  Then it is
     attached, once for its lifetime."""
     _obs_metrics.get_registry().reset()
     _attach(config)
 
 
-def _pool_chunk(chunk: list[ScenarioSpec], backends: tuple
-                ) -> tuple[list[ScenarioResult], int, int, dict]:
-    """What the pool runs: the chunk's results plus this worker's pid,
-    chunk sequence number and cumulative registry snapshot (how
-    pool-mode metrics reach the parent)."""
-    return evaluate_chunk(chunk, backends), os.getpid(), \
-        next(_WORKER_CHUNK_SEQ), _obs_metrics.snapshot()
+def _pool_chunk(chunk: list[ScenarioSpec], backends: tuple,
+                deadline: float | None) -> tuple[list[ScenarioResult], dict]:
+    """What the pool runs: the chunk's results plus what this worker
+    counted while evaluating it.  A chunk picked up after the budget's
+    ``deadline`` (``time.monotonic``) is handed back unevaluated: the
+    executor cannot cancel a chunk once it sits in its call queue."""
+    results = []
+    if deadline is None or time.monotonic() < deadline:
+        results = evaluate_chunk(chunk, backends)
+    return results, _obs_metrics.get_registry().take()
 
 
 def _chunk_results(future: Future, chunk: list[ScenarioSpec],
                    state: _RunState) -> list[ScenarioResult]:
-    """A finished future's results — or, when its worker raised or its
-    pool died, one ERROR per spec it carried, and the run stops."""
+    """A finished future's results, its worker's counts absorbed — or,
+    when its worker raised or its pool died, one ERROR per spec it
+    carried, and the run stops."""
     try:
-        results = future.result()
+        returned = future.result()
     except Exception as exc:  # noqa: BLE001 - a lost chunk is evidence
         _CHUNKS_LOST.inc()
         state.aborted = state.aborted or "worker process died"
@@ -428,11 +432,6 @@ def _chunk_results(future: Future, chunk: list[ScenarioSpec],
                                error=f"chunk lost: "
                                      f"{type(exc).__name__}: {exc}")
                 for spec in chunk]
-    if isinstance(results, tuple):  # _pool_chunk's; a bare list has none
-        results, pid, seq, snapshot = results
-        # ``wait`` hands finished futures back as a set: two chunks of one
-        # worker may arrive newest first, and the older must not win.
-        held = state.worker_snapshots.get(pid)
-        if held is None or seq > held[0]:
-            state.worker_snapshots[pid] = (seq, snapshot)
+    results, counts = returned
+    _obs_metrics.get_registry().absorb(counts)
     return results

@@ -27,7 +27,7 @@ Python:
   analysis tier, verdict, each span tagged with the worker process that
   emitted it.
   ``campaign --watch`` renders a live dashboard from the same metrics
-  registry (pool workers' snapshots merged in).
+  registry (each pool chunk brings its worker's counts back into it).
 
 Exit codes are consistent across subcommands: **0** when the command ran
 and the verdict is good (safe / converged / no disagreement), **1** when

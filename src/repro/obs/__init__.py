@@ -4,8 +4,8 @@ Three layers, one schema (see ``obs/README.md`` for the conventions):
 
 * :mod:`repro.obs.metrics` — the process-local registry of counters every
   former stats island now feeds; snapshots are the ``repro-metrics/1``
-  wire format (one ``counters`` section) and merge across a campaign's
-  processes;
+  wire format (one ``counters`` section); a pool worker hands its counts
+  to the campaign's registry with every chunk;
 * :mod:`repro.obs.trace` — scenario-scoped structured spans
   (``repro-span/1`` JSONL) with trace IDs minted at spec generation;
 * :mod:`repro.obs.live` / :mod:`repro.obs.schema` — the dashboard
@@ -18,7 +18,6 @@ from .metrics import (
     SNAPSHOT_FORMAT,
     counter,
     get_registry,
-    merge_snapshots,
     set_metrics_enabled,
     snapshot,
     snapshot_family,
@@ -53,7 +52,6 @@ __all__ = [
     "counter",
     "get_registry",
     "load_schema",
-    "merge_snapshots",
     "read_spans",
     "render_dashboard",
     "render_span_tree",

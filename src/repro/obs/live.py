@@ -1,9 +1,10 @@
 """The live view: dashboard rendering.
 
-``repro campaign --watch`` calls :func:`render_dashboard` on a metrics
-snapshot: this process's, or under ``--jobs N`` this process's merged
-(:func:`~repro.obs.metrics.merge_snapshots`) with the latest snapshot each
-pool worker sent back with a chunk.
+``repro campaign --watch`` calls :func:`render_dashboard` on this
+process's metrics snapshot, which under ``--jobs N`` holds the pool
+workers' counts too (each chunk brings its worker's back), and passes the
+result sink's outcome counts in as ``extra_lines``: scenario outcomes are
+the sink's, not the registry's.
 """
 
 from __future__ import annotations
@@ -37,18 +38,6 @@ def render_dashboard(snapshot: dict, *, title: str = "campaign",
     lines = [f"== {title} @ {time.strftime('%H:%M:%S')} =="]
     if extra_lines:
         lines.extend(f"  {line}" for line in extra_lines)
-
-    scenarios = snapshot_family(snapshot, "repro_scenarios_total")
-    if scenarios:
-        total = sum(entry.get("value", 0.0) for entry in scenarios)
-        disagreed = snapshot_value(snapshot, "repro_disagreements_total")
-        errors = snapshot_value(snapshot, "repro_scenarios_total",
-                                classification="error")
-        lines.append(f"  scenarios {total:g}  disagreements {disagreed:g}"
-                     f"  errors {errors:g}")
-
-    lines += _family_lines(snapshot, "repro_scenarios_total",
-                           "classification", "by classification")
     lines += _family_lines(snapshot, "repro_verdict_lookups_total",
                            "tier", "verdict lookups by cache tier")
     lines += _family_lines(snapshot, "repro_analysis_decided_total",

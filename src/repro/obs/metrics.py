@@ -15,10 +15,12 @@ Prometheus.
 
 One serialization, a stable wire format (see ``obs/README.md``):
 :meth:`MetricsRegistry.snapshot` — the JSON form (``repro-metrics/1``),
-validated by ``schemas/metrics.schema.json``.  Snapshots from many
-processes merge with :func:`merge_snapshots` (counters sum) — the
-campaign runner merges its own with the one each pool worker returns
-per chunk.
+validated by ``schemas/metrics.schema.json``.  Counts cross a process
+boundary as a snapshot of what was counted since the last hand-over:
+:meth:`MetricsRegistry.take` in the process that counted, then
+:meth:`MetricsRegistry.absorb` in the one that collects (the campaign
+runner, once per pool chunk), so one registry holds a campaign's work
+at any ``--jobs``.
 
 Naming conventions: ``repro_<subsystem>_<what>[_total|_seconds_total]``,
 labels for bounded vocabularies only (never scenario ids).
@@ -120,11 +122,33 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """The JSON wire format (``repro-metrics/1``); see module docs."""
-        counters: dict[str, list] = {}
-        for (name, labels), metric in sorted(self._metrics.items()):
-            counters.setdefault(name, []).append(
-                {"labels": dict(labels), "value": metric.value})
-        return {"format": SNAPSHOT_FORMAT, "counters": counters}
+        return _serialize((key, metric.value)
+                          for key, metric in self._metrics.items())
+
+    def take(self) -> dict:
+        """A snapshot of the nonzero series, which are then zeroed: what
+        this registry counted since the last ``take``."""
+        with self._lock:
+            taken = [(key, metric.value)
+                     for key, metric in self._metrics.items() if metric.value]
+            for key, _ in taken:
+                self._metrics[key].reset()
+        return _serialize(taken)
+
+    def absorb(self, snapshot: dict) -> None:
+        """Add another registry's counts (a snapshot, e.g. a pool
+        worker's :meth:`take`) into this one; counters sum."""
+        for name, entries in snapshot["counters"].items():
+            for entry in entries:
+                self.counter(name, **entry["labels"]).inc(entry["value"])
+
+
+def _serialize(series) -> dict:
+    counters: dict[str, list] = {}
+    for (name, labels), value in sorted(series):
+        counters.setdefault(name, []).append(
+            {"labels": dict(labels), "value": value})
+    return {"format": SNAPSHOT_FORMAT, "counters": counters}
 
 
 # -- snapshot utilities (wire-format side) ------------------------------------
@@ -142,35 +166,6 @@ def snapshot_value(snapshot: dict, name: str, **labels) -> float:
 def snapshot_family(snapshot: dict, name: str) -> list[dict]:
     """Every series entry of one metric name."""
     return list(snapshot.get("counters", {}).get(name, ()))
-
-
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Merge many processes' snapshots into one campaign view.
-
-    Counters *add*: the merge reads as campaign totals
-    (``CampaignRunner`` feeds it its own snapshot plus the latest one of
-    every pool worker).
-    """
-    merged: dict = {"format": SNAPSHOT_FORMAT, "counters": {}}
-    for snapshot in snapshots:
-        for name, entries in (snapshot.get("counters") or {}).items():
-            out = merged["counters"].setdefault(name, [])
-            for entry in entries:
-                slot = _find_slot(out, entry["labels"])
-                if slot is None:
-                    out.append({"labels": dict(entry["labels"]),
-                                "value": entry.get("value", 0.0)})
-                else:
-                    slot["value"] = (slot.get("value", 0.0)
-                                     + entry.get("value", 0.0))
-    return merged
-
-
-def _find_slot(entries: list[dict], labels: dict) -> dict | None:
-    for entry in entries:
-        if entry["labels"] == labels:
-            return entry
-    return None
 
 
 # -- the process default registry ---------------------------------------------

@@ -141,6 +141,22 @@ class TestDeadWorker:
         assert all("RuntimeError: bug in the worker" in r.error
                    for r in report.errors())
 
+    def test_a_raising_chunk_is_counted_in_the_watch_frame(
+            self, monkeypatch, capsys):
+        """The frame's outcome lines are the aggregator's, which sees the
+        ``ERROR`` results made for a lost chunk."""
+        def boom(chunk, options=None):
+            raise RuntimeError("bug in the worker")
+
+        monkeypatch.setattr(runner, "evaluate_chunk", boom)
+        specs = ScenarioGenerator(7, families=("gadget",),
+                                  profile="quick").generate(6)
+        _run(specs, jobs=2, chunk_size=3, watch=True)
+        frame = capsys.readouterr().err.rsplit("== campaign @", 1)[1]
+        assert "evaluated: 6  disagreements: 0  errors: 6" in frame
+        assert f"    {ERROR:<22} 6" in frame
+        assert "aborted: worker process died" in frame
+
 
 class TestDeterminismPin:
     def test_any_jobs_interrupted_or_crashed_is_one_campaign(
@@ -280,54 +296,47 @@ class TestJsonlFile:
 
 
 class TestPoolMetrics:
+    @staticmethod
+    def _series(name):
+        return {tuple(sorted(entry["labels"].items())): entry["value"]
+                for entry in metrics.snapshot_family(metrics.snapshot(),
+                                                     name)}
+
     def test_worker_snapshots_reach_the_watch_frame(self, capsys):
-        """--jobs N --watch shows the campaign, not the parent's empty
-        registry: each chunk carries its worker's snapshot back."""
-        from repro.obs import metrics
+        """--jobs N --watch shows the campaign, not the parent's own
+        counts alone: each chunk brings its worker's counts back into
+        this process's registry, which the frame renders."""
+        def refused():
+            return sum(
+                value for labels, value in
+                self._series("repro_batch_admission_total").items()
+                if ("reason", "path-valued-algebra") in labels)
 
         specs = ScenarioGenerator(7, families=("gadget",),
                                   profile="quick").generate(12)
-        before = metrics.snapshot_family(metrics.snapshot(),
-                                         "repro_scenarios_total")
+        before = refused()
         _run(specs, jobs=2, chunk_size=3, watch=True)
         frame = capsys.readouterr().err.rsplit("== campaign @", 1)[1]
-        assert "evaluated: 12" in frame
-        # Workers start from a zeroed registry, so the merged count is
-        # this process's own (unchanged by a pool run) plus their 12.
-        own = sum(entry["value"] for entry in before)
-        assert f"scenarios {own + 12:g} " in frame
-        # ... and why batch took none of them: the workers' typed
-        # admission counts are in the merged snapshot too.
-        refused = sum(
-            entry["value"] for entry in metrics.snapshot_family(
-                metrics.snapshot(), "repro_batch_admission_total")
-            if entry["labels"]["reason"] == "path-valued-algebra")
+        assert "evaluated: 12  disagreements: 0  errors: 0" in frame
+        assert "by classification" in frame
+        # Why batch took none of them: the workers' typed admission
+        # counts are in this process's registry now, and in the frame.
+        assert refused() == before + 12
         assert "batch admission by reason" in frame
-        assert f"path-valued-algebra    {refused + 12:g}" in frame
-        assert metrics.snapshot_family(
-            metrics.snapshot(), "repro_scenarios_total") == before
+        assert f"path-valued-algebra    {before + 12:g}" in frame
 
-    def test_an_older_snapshot_never_replaces_a_newer_one(self):
-        """``wait`` returns finished futures as a set: when two chunks of
-        one worker finish inside one ``wait``, the parent may collect the
-        newer cumulative snapshot first — it must keep it."""
-        import time
-        from concurrent.futures import Future
-
-        from repro.campaigns.sink import AggregatingSink
-
-        def finished(seq, scenarios):
-            registry = metrics.MetricsRegistry()
-            registry.counter("repro_scenarios_total").inc(scenarios)
-            future = Future()
-            future.set_result(([], 4242, seq, registry.snapshot()))
-            return future
-
-        state = runner._RunState(
-            started=time.perf_counter(),
-            aggregator=AggregatingSink(backends=("gpv",)))
-        for future in (finished(2, 6), finished(1, 3)):  # newest first
-            assert runner._chunk_results(future, [], state) == []
-        (seq, kept), = state.worker_snapshots.values()
-        assert seq == 2
-        assert metrics.snapshot_value(kept, "repro_scenarios_total") == 6
+    def test_a_pool_counts_into_the_callers_registry_as_serial_does(self):
+        """Each chunk hands its worker's counts to the caller's registry,
+        so a pool run adds what an in-process run adds."""
+        families = ("repro_batch_admission_total", "repro_backend_runs_total")
+        specs = ScenarioGenerator(7).generate(40)
+        deltas = {}
+        for jobs in (1, 2):
+            before = {name: self._series(name) for name in families}
+            _run(specs, jobs=jobs, keep_results=False)
+            deltas[jobs] = {
+                name: {labels: value - before[name].get(labels, 0.0)
+                       for labels, value in self._series(name).items()}
+                for name in families}
+        assert deltas[2] == deltas[1]
+        assert sum(deltas[2]["repro_batch_admission_total"].values()) == 40

@@ -59,6 +59,16 @@ class TestBudgets:
             ScenarioGenerator(1, profile="quick").generate(10))
         assert report.aborted == "wall-clock budget exhausted"
 
+    def test_a_pool_worker_starts_no_chunk_after_the_budget(self):
+        """The executor cannot cancel a chunk once it is queued for a
+        worker, so the worker hands a chunk it picks up after the budget
+        back unevaluated: a zero budget evaluates nothing."""
+        report = CampaignRunner(CampaignConfig(
+            jobs=2, wall_clock_budget_s=0.0)).run(
+            ScenarioGenerator(1, profile="quick").generate(40))
+        assert report.aborted == "wall-clock budget exhausted"
+        assert report.scenario_count == 0
+
     def test_disagreement_limit_zero_aborts_immediately(self):
         report = CampaignRunner(CampaignConfig(
             jobs=1, abort_on_disagreements=0)).run(
@@ -90,15 +100,16 @@ class TestAbortAccounting:
         from concurrent.futures import Future
 
         from repro.campaigns.report import ERROR, ScenarioResult
+        from repro.obs.metrics import MetricsRegistry
 
         specs = ScenarioGenerator(5, profile="quick").generate(6)
         ok_chunk, lost_chunk, cancelled_chunk = (
             specs[:2], specs[2:4], specs[4:])
-        finished = Future()
-        finished.set_result([
+        finished = Future()  # what ``_pool_chunk`` returns: (results, counts)
+        finished.set_result(([
             ScenarioResult(spec=spec, classification="safe-converged",
                            safe=True, converged=True)
-            for spec in ok_chunk])
+            for spec in ok_chunk], MetricsRegistry().take()))
         failed = Future()
         failed.set_exception(RuntimeError("worker died mid-chunk"))
         cancelled = Future()

@@ -1,9 +1,8 @@
-"""The metrics registry: handles, labels, snapshots, merge."""
+"""The metrics registry: handles, labels, snapshots, take and absorb."""
 
 from repro.obs.metrics import (
     SNAPSHOT_FORMAT,
     MetricsRegistry,
-    merge_snapshots,
     snapshot_family,
     snapshot_value,
 )
@@ -74,13 +73,21 @@ class TestSnapshot:
                 snapshot_family(snap, "repro_a_total")] == \
             [{"kind": "x"}, {"kind": "y"}]
 
-    def test_merge_adds_counters(self):
-        snaps = [self._registry().snapshot() for _ in range(3)]
-        merged = merge_snapshots(snaps)
-        validate_metrics_snapshot(merged)
-        assert snapshot_value(merged, "repro_a_total", kind="x") == 6.0
-        assert snapshot_value(merged, "repro_a_total", kind="y") == 3.0
-
-    def test_merge_of_nothing_is_an_empty_snapshot(self):
-        assert merge_snapshots([]) == {"format": SNAPSHOT_FORMAT,
-                                       "counters": {}}
+    def test_take_hands_over_what_was_counted_and_absorb_adds_it(self):
+        worker = self._registry()
+        worker.counter("repro_a_total", kind="z")  # never incremented
+        taken = worker.take()
+        validate_metrics_snapshot(taken)
+        assert [series["labels"] for series in
+                snapshot_family(taken, "repro_a_total")] == \
+            [{"kind": "x"}, {"kind": "y"}]
+        # The worker's series are zeroed, so the next take is empty.
+        assert worker.take() == {"format": SNAPSHOT_FORMAT, "counters": {}}
+        parent = self._registry()
+        handle = parent.counter("repro_a_total", kind="x")
+        parent.absorb(taken)
+        parent.absorb(taken)
+        assert handle.value == 6.0  # a held handle sees the absorbed counts
+        assert parent.value("repro_a_total", kind="y") == 3.0
+        parent.absorb(parent.take())  # nothing is lost on the way
+        assert parent.value("repro_a_total", kind="x") == 6.0
