@@ -16,9 +16,18 @@ once disabled and once instrumented back to back, the side that goes
 first alternating from segment to segment and from round to round.  A
 round's ratio is its instrumented CPU seconds over its disabled ones,
 and the gate reads the median of the rounds' ratios.
+
+A second, deterministic check counts instead of timing: over one pass,
+the spans emitted per scenario and the extra Python calls per scenario
+of the instrumented path (cProfile's ``total_calls``, instrumented
+minus disabled).  Neither moves with the host, so an emission
+regression (a new span per backend run, a span that does more work)
+fails it on every run.
 """
 
+import cProfile
 import gc
+import pstats
 import statistics
 import time
 
@@ -38,6 +47,13 @@ ROUNDS = 15
 #: segments' chunks (and batch kernel groups) are the whole campaign's.
 SEGMENT = 2 * CampaignConfig.chunk_size
 OVERHEAD_CEILING = 0.05
+#: Per-scenario ceilings of the deterministic check: ≈ 10 % over the
+#: measured 6.86 spans and 142.1 extra calls per quick spec (the 80 smoke
+#: specs at seed 11, under any hash seed; the 160 of a full run read 6.54
+#: and 135.3).  One more span per scenario (7.86, ≈ 20 calls a span)
+#: fails both.
+SPANS_PER_SCENARIO_CEILING = 7.5
+CALLS_PER_SCENARIO_CEILING = 156
 
 
 def _cpu_seconds(specs, trace_dir=None) -> float:
@@ -128,3 +144,46 @@ def test_instrumentation_overhead(benchmark, save_result, smoke, tmp_path):
         f"instrumentation costs {overhead:.1%} more CPU than the disabled "
         f"path (median of {ROUNDS} round ratios: "
         f"{' '.join(f'{r - 1:+.1%}' for r in ratios)})")
+
+
+def _python_calls(specs, trace_dir=None) -> int:
+    """cProfile's ``total_calls`` of one serial campaign, instrumented
+    when given a trace directory."""
+    clear_verdict_cache()
+    obs_metrics.set_metrics_enabled(trace_dir is not None)
+    profile = cProfile.Profile()
+    profile.enable()
+    report = CampaignRunner(CampaignConfig(
+        jobs=1, keep_results=False, trace_dir=trace_dir)).run(specs)
+    profile.disable()
+    assert report.scenario_count == len(specs)
+    return pstats.Stats(profile).total_calls
+
+
+def test_instrumentation_emission_per_scenario(save_result, smoke, tmp_path):
+    count = 80 if smoke else 160
+    specs = ScenarioGenerator(SEED, profile="quick").generate(count)
+    trace_dir = str(tmp_path / "traces")
+    try:
+        # Warm both sides first: kernels tabulated and modules imported
+        # in neither counted pass.
+        _cpu_seconds(specs)
+        _cpu_seconds(specs, str(tmp_path / "warmup"))
+        disabled = _python_calls(specs)
+        instrumented = _python_calls(specs, trace_dir)
+    finally:
+        obs_metrics.set_metrics_enabled(True)
+        configure_tracing(None)
+    spans = len(read_spans(trace_dir)) / count
+    calls = (instrumented - disabled) / count
+    save_result(
+        "observability_emission",
+        f"scenarios: {count} (fixed seed {SEED}, one pass a side)\n"
+        f"spans per scenario:        {spans:.2f} "
+        f"(ceiling {SPANS_PER_SCENARIO_CEILING})\n"
+        f"extra calls per scenario:  {calls:.1f} "
+        f"(ceiling {CALLS_PER_SCENARIO_CEILING}; {instrumented} "
+        f"instrumented, {disabled} disabled)")
+    assert spans > 0, "the instrumented pass emitted no spans"
+    assert spans <= SPANS_PER_SCENARIO_CEILING, spans
+    assert calls <= CALLS_PER_SCENARIO_CEILING, calls

@@ -115,6 +115,15 @@ def lines(path: str) -> int:
     return pathlib.Path(path).read_bytes().count(b"\n")
 
 
+def records(path: str) -> list[dict]:
+    """The scenario records of a ``--stream-out`` file, its
+    ``repro-results/1`` header left out."""
+    import json
+    rows = [json.loads(line) for line in
+            pathlib.Path(path).read_text(encoding="utf-8").splitlines()]
+    return [row for row in rows if row.get("format") != "repro-results/1"]
+
+
 def check(condition: bool, what: str) -> None:
     if not condition:
         raise SystemExit(f"check failed: {what}")
@@ -234,9 +243,9 @@ def campaign_smoke() -> None:
     # Kill-and-resume drill on the real CLI: a budget abort leaves a
     # partial r.jsonl (its exit code is the partial verdict, not
     # asserted); the same command plus --resume must finish the file
-    # to exactly what a fresh single-process run reports.  A pool
-    # worker starts no chunk after the budget, so the 50 ms leave the
-    # chunks begun by then (16-24 records on a 2-core host) of 120.
+    # to exactly what a fresh single-process run reports.  No chunk
+    # starts after the budget, so the 50 ms leave the chunks begun by
+    # then (16-24 records on a 2-core host) of 120.
     args = ("--scenarios", "120", "--seed", "7", "--families",
             "gadget,caida", "--profile", "quick", "--jobs", "2",
             "--stream-out", "r.jsonl")
@@ -246,12 +255,25 @@ def campaign_smoke() -> None:
     print(aborted, end="")
     check("wall-clock budget exhausted" in aborted,
           "resume-aborted.log says the budget ran out")
-    check(lines("r.jsonl") < 120,
+    check(len(records("r.jsonl")) < 120,
           "the aborted run left fewer than 120 records")
     tee("resume-finished.log", sys.executable, "-m", "repro", "campaign",
         *args, "--resume")
-    check(lines("r.jsonl") == 120, "the resumed run finished r.jsonl")
+    check(len(records("r.jsonl")) == 120,
+          "the resumed run finished r.jsonl")
     python_step("resume_matches_a_single_run")
+    # The file names the campaign that wrote it: a resume with another
+    # backend list (the same specs) is refused and the file left as it is.
+    finished = pathlib.Path("r.jsonl").read_bytes()
+    result = repro("campaign", *args, "--backends", "gpv,ndlog", "--resume",
+                   check=False, capture=True)
+    pathlib.Path("resume-refused.log").write_text(result.stdout)
+    print(result.stdout, end="")
+    check(result.returncode == 2, "a resume of another campaign exits 2")
+    check(re.search("^campaign rejected: cannot resume", result.stdout,
+                    re.M) is not None, "the resume is refused by name")
+    check(pathlib.Path("r.jsonl").read_bytes() == finished,
+          "the refused resume left r.jsonl byte-identical")
     # One way to fail: a cache path that cannot be opened is a usage
     # error before the first scenario, for either flag and any --jobs.
     os.makedirs("not-a-db", exist_ok=True)
@@ -289,7 +311,8 @@ def three_way_differential_smoke() -> None:
               "--profile", "quick", "--backends", "gpv,ndlog",
               "--stream-out", "three-way.jsonl")
     check("gpv~ndlog" in log, "three-way.log has the gpv~ndlog pair")
-    check(lines("three-way.jsonl") == 60, "three-way.jsonl has 60 records")
+    check(len(records("three-way.jsonl")) == 60,
+          "three-way.jsonl has 60 records")
 
 
 def secure_routing_smoke() -> None:
@@ -307,16 +330,18 @@ def secure_routing_smoke() -> None:
         "--scenarios", "40", "--jobs", "4", "--seed", "7",
         "--families", "secure-rov,secure-hijack",
         "--backends", "gpv,ndlog,batch", "--stream-out", "secure-smoke.jsonl")
-    check(lines("secure-smoke.jsonl") == 40, "secure-smoke.jsonl has 40")
-    check('"hijack"' in pathlib.Path("secure-smoke.jsonl").read_text(),
+    smoke = records("secure-smoke.jsonl")
+    check(len(smoke) == 40, "secure-smoke.jsonl has 40")
+    check(any("hijack" in record for record in smoke),
           "secure-smoke.jsonl carries hijack verdicts")
     repro("campaign", "--scenarios", "20", "--jobs", "4", "--seed", "11",
           "--families", "secure-rov,secure-hijack", "--deployment", "full",
           "--backends", "gpv,ndlog", "--stream-out", "secure-full.jsonl")
-    check(lines("secure-full.jsonl") == 20, "secure-full.jsonl has 20")
-    check('"deployment": "full"'
-          in pathlib.Path("secure-full.jsonl").read_text(),
-          "secure-full.jsonl is pinned at full deployment")
+    full = records("secure-full.jsonl")
+    check(len(full) == 20, "secure-full.jsonl has 20")
+    check(all(record["spec"]["params"]["deployment"] == "full"
+              for record in full),
+          "every record of secure-full.jsonl is at full deployment")
 
 
 def observability_smoke() -> None:
@@ -350,7 +375,7 @@ def hlp_multipath_smoke() -> None:
               "--stream-out", "hlp-multipath.jsonl")
     for pair in ("gpv~hlp", "ndlog~hlp", "gpv~ndlog"):
         check(pair in log, f"hlp-multipath.log has the {pair} pair")
-    check(lines("hlp-multipath.jsonl") == 60,
+    check(len(records("hlp-multipath.jsonl")) == 60,
           "hlp-multipath.jsonl has 60 records")
 
 

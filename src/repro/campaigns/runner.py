@@ -21,13 +21,17 @@ Memory stays bounded at any campaign size:
   caller-supplied sink (e.g. the JSONL writer behind ``--stream-out``)
   records it durably.
 
-Budgets:
+Budgets: ``run()`` fixes one ``time.monotonic`` deadline for
+``wall_clock_budget_s``, and a chunk starts only while no limit has fired
+— checked before each chunk, in the serial loop and before each pool
+submission alike, so a zero budget or ``abort_on_disagreements=0``
+evaluates nothing at any ``jobs``.  The report is marked aborted and
+covers the scenarios finished so far:
 
-* ``wall_clock_budget_s`` — stop collecting once the budget elapses; the
-  report is marked aborted and covers the scenarios finished so far.  A
-  chunk already being evaluated finishes (in the pool too, during
-  shutdown), but a pool worker that picks a chunk up after the budget
-  hands it back unevaluated, as if it had been cancelled;
+* ``wall_clock_budget_s`` — a chunk already being evaluated finishes (in
+  the pool too, during shutdown), and a pool worker that picks a chunk
+  up after the deadline hands it back unevaluated, since the executor
+  cannot cancel a chunk once it is queued for a worker;
 * ``abort_on_disagreements`` — stop as soon as that many disagreements
   exist (a campaign that has already falsified the pipeline need not
   finish; the reproducer seeds are what matters).
@@ -48,7 +52,9 @@ Resume: ``run(specs, sink=..., recorded=read_results(path))`` replays every
 spec that already has a non-``ERROR`` record into the aggregator instead of
 evaluating it, and evaluates (and streams) only the rest.  The records are
 the JSONL sink's own lines, so an interrupted or crashed campaign is
-finished by re-running it with ``--resume``: no second ledger.
+finished by re-running it with ``--resume``: no second ledger.  Which
+campaign wrote the file is the CLI's check (the file's
+``repro-results/1`` header); here each record's spec is checked.
 
 Set-up: :func:`_attach` is the one place a process gets its verdict
 store, kernel store and trace sink — this process at the start of every
@@ -165,8 +171,9 @@ class _CampaignWatch:
 class _RunState:
     """Mutable bookkeeping shared by the serial and parallel paths."""
 
-    started: float
     aggregator: AggregatingSink
+    #: ``time.monotonic`` deadline of the wall-clock budget, if any.
+    deadline: float | None = None
     extra_sink: ResultSink | None = None
     #: Results replayed from an earlier run's records, not evaluated.
     resumed: int = 0
@@ -208,76 +215,93 @@ class CampaignRunner:
         evaluated or written — and so is a verdict or kernel cache path
         that cannot be opened.
         """
-        started = time.perf_counter()
+        started = time.monotonic()
         try:  # here, not in the initializer of whichever worker starts first
             _attach(self.config)
         except sqlite3.Error as error:
             raise ValueError(str(error)) from error
+        budget = self.config.wall_clock_budget_s
         state = _RunState(
-            started=started,
             aggregator=AggregatingSink(
                 keep_results=self.config.keep_results,
                 backends=self.config.backends),
+            deadline=None if budget is None else started + budget,
             extra_sink=sink,
             watch=_CampaignWatch() if self.config.watch else None,
         )
         spec_iter = iter(specs)
         if recorded is not None:
             spec_iter = iter(_replay_recorded(spec_iter, recorded, state))
-            state.aborted = self._abort_reason(state)
-        source = (self._serial_chunks if self.config.jobs == 1
-                  else self._pool_chunks)
-        # Both sources stop by themselves once ``state.aborted`` is set;
+        chunks = self._startable(spec_iter, state)
+        if self.config.jobs == 1:  # the same entry point the pool runs
+            source = (evaluate_chunk(chunk, self.config.backends)
+                      for chunk in chunks)
+        else:
+            source = self._pool_chunks(chunks, state)
         # closing() shuts the pool down at once if a sink raises.
-        with contextlib.closing(source(spec_iter, state)) as chunks:
-            for results in chunks:
+        with contextlib.closing(source):
+            for results in source:
                 for result in results:
                     state.consume(result)
-                state.aborted = state.aborted or self._abort_reason(state)
         if state.watch is not None:
             state.watch.maybe_render(state, force=True)
         return state.aggregator.report(
-            wall_clock_s=time.perf_counter() - started,
+            wall_clock_s=time.monotonic() - started,
             jobs=self.config.jobs,
             chunk_size=self.config.chunk_size,
             aborted=state.aborted,
             resumed=state.resumed,
         )
 
-    # -- the two chunk sources -----------------------------------------------
+    # -- the one stop rule ---------------------------------------------------
 
-    def _serial_chunks(self, specs: Iterator[ScenarioSpec],
-                       state: _RunState) -> Iterator[list[ScenarioResult]]:
-        """In-process: the same worker entry point the pool uses."""
-        for chunk in _chunk_stream(specs, self.config.chunk_size):
-            if state.aborted:
-                return
-            yield evaluate_chunk(chunk, self.config.backends)
-
-    def _pool_chunks(self, specs: Iterator[ScenarioSpec],
-                     state: _RunState) -> Iterator[list[ScenarioResult]]:
-        if state.aborted:  # the replayed records already hit a limit
-            return
+    def _startable(self, specs: Iterator[ScenarioSpec],
+                   state: _RunState) -> Iterator[list[ScenarioSpec]]:
+        """Deal the stream into chunks, each only while no limit has
+        fired: the one place either source learns to stop."""
         chunks = _chunk_stream(specs, self.config.chunk_size)
+        while True:
+            state.aborted = state.aborted or self._abort_reason(state)
+            chunk = None if state.aborted else next(chunks, None)
+            if chunk is None:
+                return
+            yield chunk
+
+    def _abort_reason(self, state: _RunState) -> str | None:
+        if state.deadline is not None and time.monotonic() >= state.deadline:
+            return "wall-clock budget exhausted"
+        limit = self.config.abort_on_disagreements
+        found = state.aggregator.disagreements
+        if limit is not None and found >= limit:
+            return f"disagreement limit reached ({found})"
+        return None
+
+    # -- the pool ------------------------------------------------------------
+
+    def _pool_chunks(self, chunks: Iterator[list[ScenarioSpec]],
+                     state: _RunState) -> Iterator[list[ScenarioResult]]:
+        """Every submitted chunk is accounted for: a finished one is
+        counted, a failed one (its worker raised, or its pool died under
+        it) is one ``ERROR`` per spec, and one still queued when a limit
+        fired is cancelled, never evaluated, and left out."""
         #: Future → the chunk it carries, so every submitted spec can be
         #: accounted for even when its worker failed.
         inflight: dict = {}
         executor = ProcessPoolExecutor(max_workers=self.config.jobs,
                                        initializer=_pool_worker_init,
                                        initargs=(self.config,))
-        remaining = self._remaining_budget(state.started)
-        deadline = None if remaining is None else time.monotonic() + remaining
 
         def submit(count: int) -> None:
             for chunk in itertools.islice(chunks, count):
                 try:
                     future = executor.submit(_pool_chunk, chunk,
-                                             self.config.backends, deadline)
+                                             self.config.backends,
+                                             state.deadline)
                 except BrokenProcessPool:
                     # A worker died while a sibling chunk was finishing:
-                    # the dead worker's chunk is still in flight, and
-                    # _drain_inflight accounts for it once the pool is
-                    # shut down.  This chunk was never evaluated.
+                    # the dead worker's chunk is still in flight and fails
+                    # once the pool is shut down.  This chunk was never
+                    # evaluated.
                     state.aborted = "worker process died"
                     return
                 inflight[future] = chunk
@@ -285,64 +309,19 @@ class CampaignRunner:
         try:
             submit(self.config.jobs * _PIPELINE_DEPTH)
             while inflight and not state.aborted:
-                timeout = self._remaining_budget(state.started)
-                done, _ = wait(inflight, timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                if not done:  # budget elapsed with work still in flight
-                    state.aborted = "wall-clock budget exhausted"
-                    break
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
                     yield _chunk_results(future, inflight.pop(future), state)
-                    if state.aborted:
-                        break  # the rest of ``done`` is drained below
                 # Keep the pipeline full: one fresh chunk per finished one.
-                if not state.aborted:
-                    submit(len(done))
+                submit(len(done))
         finally:
-            for future in inflight:
-                future.cancel()
-            # Queued chunks are cancelled, but chunks already running finish
-            # during shutdown — keep their evidence instead of discarding it.
+            # Queued chunks are cancelled; chunks already running finish
+            # during shutdown.
             executor.shutdown(wait=True, cancel_futures=True)
-            self._drain_inflight(inflight, state)
-
-    @staticmethod
-    def _drain_inflight(inflight: dict, state: _RunState) -> None:
-        """Account for every chunk still in flight when the run stopped.
-
-        Chunks whose workers finished during shutdown contribute their
-        results normally.  A chunk whose worker *raised* (or whose pool
-        died under it) must not silently vanish from the merged report:
-        each of its specs is synthesized into an ERROR result carrying
-        the failure, so the report still accounts for every submitted
-        scenario.  Cancelled chunks were never evaluated and are
-        intentionally excluded — an abort dropping queued work is the
-        documented budget semantics, not lost evidence.
-        """
+        # A limit fired: keep the evidence of what finished meanwhile.
         for future, chunk in inflight.items():
-            if not future.done() or future.cancelled():
-                continue
-            for result in _chunk_results(future, chunk, state):
-                state.consume(result)
-
-    # -- budget logic ---------------------------------------------------------
-
-    def _remaining_budget(self, started: float) -> float | None:
-        budget = self.config.wall_clock_budget_s
-        if budget is None:
-            return None
-        return max(0.0, budget - (time.perf_counter() - started))
-
-    def _abort_reason(self, state: _RunState) -> str | None:
-        budget = self.config.wall_clock_budget_s
-        if budget is not None and \
-                time.perf_counter() - state.started >= budget:
-            return "wall-clock budget exhausted"
-        limit = self.config.abort_on_disagreements
-        found = state.aggregator.disagreements
-        if limit is not None and found >= limit:
-            return f"disagreement limit reached ({found})"
-        return None
+            if future.done() and not future.cancelled():
+                yield _chunk_results(future, chunk, state)
 
 
 def _chunk_stream(specs: Iterator[ScenarioSpec],

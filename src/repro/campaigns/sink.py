@@ -17,7 +17,10 @@ runner's needs:
   completion order under parallel execution; each carries its
   ``scenario_id`` (and full reproducer spec) for downstream sorting —
   and for :func:`read_results`, which turns the file back into the
-  records a ``--resume`` run replays instead of evaluating again.
+  records a ``--resume`` run replays instead of evaluating again.  A
+  file the sink starts begins with one ``repro-results/1`` header
+  (:func:`results_header`): the code and the campaign that wrote it,
+  which ``repro campaign --resume`` compares before appending.
 
 Sinks compose: the runner always feeds its aggregator and, when
 ``--stream-out`` is given, tees into a JSONL sink as well.
@@ -25,8 +28,11 @@ Sinks compose: the runner always feeds its aggregator and, when
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
+import pathlib
 from typing import IO, Iterable, Protocol
 
 from .report import (  # noqa: F401 - result_record re-exported (moved)
@@ -130,27 +136,60 @@ class AggregatingSink:
         )
 
 
+#: The format stamp of a results file's header record.
+RESULTS_FORMAT = "repro-results/1"
+
+
+@functools.cache
+def source_fingerprint() -> str:
+    """sha256 over the ``repro`` package's ``.py`` files (relative path
+    and bytes of each): which code wrote a results file.  About 4 ms,
+    once per process."""
+    package = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def results_header(**fields) -> dict:
+    """The ``repro-results/1`` header record of a campaign: the format,
+    the source fingerprint and ``fields`` (the CLI's seed, families,
+    profile, deployment and backends), as its JSON line reads back."""
+    return json.loads(json.dumps({"format": RESULTS_FORMAT,
+                                  "source": source_fingerprint(), **fields}))
+
+
 class JsonlResultSink:
     """Append one JSON line per result to a path or open handle.
 
     A path is truncated unless ``append`` (``--resume``): then the file is
     kept, minus the unterminated last line a killed writer may have left
-    — the next record must not be glued to it.
+    — the next record must not be glued to it.  A path left empty either
+    way starts with the ``repro-results/1`` header of ``header``'s fields
+    (:func:`results_header`); a handle is the caller's, and gets none.
     """
 
-    def __init__(self, target: str | IO[str], *, append: bool = False):
+    def __init__(self, target: str | IO[str], *, append: bool = False,
+                 header: dict | None = None):
         if isinstance(target, str):
             if append:
                 _drop_torn_tail(target)
             self._fh: IO[str] = open(target, "a" if append else "w",
                                      encoding="utf-8")
             self._owned = True
+            if self._fh.tell() == 0:
+                self._write(results_header(**(header or {})))
         else:
             self._fh = target
             self._owned = False
 
     def accept(self, result: ScenarioResult) -> None:
-        self._fh.write(json.dumps(result_record(result), default=repr))
+        self._write(result_record(result))
+
+    def _write(self, record: dict) -> None:
+        self._fh.write(json.dumps(record, default=repr))
         self._fh.write("\n")
         self._fh.flush()
 
@@ -179,13 +218,26 @@ def _drop_torn_tail(path: str) -> None:
             fh.truncate(keep)
 
 
+def read_header(path: str) -> dict | None:
+    """The ``repro-results/1`` header a results file starts with, or
+    ``None`` when its first line is not one (``ValueError`` when it is
+    not JSON)."""
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+    record = json.loads(first) if first.endswith("\n") else None
+    if isinstance(record, dict) and record.get("format") == RESULTS_FORMAT:
+        return record
+    return None
+
+
 def read_results(path: str) -> dict[int, dict]:
-    """A JSONL result file as ``{scenario_id: record}`` — what
+    """A JSONL result file's records as ``{scenario_id: record}`` — what
     ``CampaignRunner.run(..., recorded=)`` resumes from.
 
-    The last record of a scenario wins (a resumed run appends the
-    re-evaluation of an ``ERROR``); an unterminated last line is a torn
-    write and is dropped, as :class:`JsonlResultSink` drops it on append.
+    The header is skipped; it is :func:`read_header`'s.  The last record
+    of a scenario wins (a resumed run appends the re-evaluation of an
+    ``ERROR``); an unterminated last line is a torn write and is dropped,
+    as :class:`JsonlResultSink` drops it on append.
     """
     records: dict[int, dict] = {}
     with open(path, encoding="utf-8") as fh:
@@ -193,7 +245,8 @@ def read_results(path: str) -> dict[int, dict]:
             if not line.endswith("\n"):
                 break
             record = json.loads(line)
-            records[record["scenario_id"]] = record
+            if record.get("format") != RESULTS_FORMAT:
+                records[record["scenario_id"]] = record
     return records
 
 

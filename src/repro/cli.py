@@ -19,8 +19,10 @@ Python:
   protocol, ``--families hlp,multipath`` selects the workload families,
   ``--stream-out`` records every scenario as JSONL in constant memory,
   ``--resume`` finishes an interrupted or crashed run of the same command
-  from that file instead of starting over, ``--verdict-cache`` persists
-  SMT verdicts across invocations);
+  from that file instead of starting over (a file whose
+  ``repro-results/1`` header names another campaign or other code is
+  refused), ``--verdict-cache`` persists SMT verdicts across
+  invocations);
 * ``trace show <scenario-id> [--trace-dir DIR]`` — render the merged
   span tree a traced campaign (``campaign --trace-dir``) recorded for one
   scenario: spec materialization, every backend run, the deciding
@@ -161,15 +163,34 @@ def _parse_families(tokens) -> list[str] | None:
             for name in token.split(",") if name]
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
+def _resume_records(path: str, header: dict) -> dict[int, dict]:
+    """The records of the campaign ``path`` holds, read before the sink
+    opens it: ``ValueError`` (the file untouched) unless its header is
+    this run's.  No file, or an empty one, is a fresh start."""
     import os
 
+    from .campaigns.sink import read_header, read_results, results_header
+    if not os.path.exists(path) or not os.path.getsize(path):
+        return {}
+    found = read_header(path)
+    if found is None:
+        raise ValueError(f"{path} has no repro-results/1 header")
+    wanted = results_header(**header)
+    differs = [f"{key} {found.get(key)!r} in the file, {wanted.get(key)!r} "
+               f"in this run" for key in sorted(found.keys() | wanted.keys())
+               if found.get(key) != wanted.get(key)]
+    if differs:
+        raise ValueError(f"{path} holds another campaign: "
+                         + "; ".join(differs))
+    return read_results(path)
+
+
+def cmd_campaign(args: argparse.Namespace) -> int:
     from .campaigns import (
         CampaignConfig,
         CampaignRunner,
         JsonlResultSink,
         ScenarioGenerator,
-        read_results,
     )
     if args.scenarios < 1:
         # A zero-scenario campaign would exit 0 without testing anything —
@@ -181,21 +202,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print("campaign rejected: --resume needs the --stream-out file "
               "of the run to resume", file=sys.stderr)
         return 2
-    families = _parse_families(args.families)
-    sink = recorded = None
-    if args.stream_out:
-        try:
-            if args.resume:
-                # Read before the sink opens: a file that does not parse
-                # is rejected untouched.  No file yet is nothing to resume.
-                recorded = (read_results(args.stream_out)
-                            if os.path.exists(args.stream_out) else {})
-            sink = JsonlResultSink(args.stream_out, append=args.resume)
-        except (OSError, ValueError) as error:
-            print(f"campaign rejected: cannot "
-                  f"{'resume from' if args.resume else 'open'} "
-                  f"--stream-out: {error}", file=sys.stderr)
-            return 2
     try:
         config = CampaignConfig(
             jobs=args.jobs,
@@ -212,11 +218,33 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             trace_dir=args.trace_dir,
             watch=args.watch,
         )
-        specs = ScenarioGenerator(
-            args.seed, families=families, profile=args.profile,
-            deployment=args.deployment).iter_specs(args.scenarios)
-        report = CampaignRunner(config).run(specs, sink=sink,
-                                            recorded=recorded)
+        generator = ScenarioGenerator(
+            args.seed, families=_parse_families(args.families),
+            profile=args.profile, deployment=args.deployment)
+    except ValueError as error:
+        print(f"campaign rejected: {error}", file=sys.stderr)
+        return 2
+    sink = recorded = None
+    if args.stream_out:
+        # What the records' answers depend on besides the code; not the
+        # count, so a resume may extend a campaign.
+        header = {"seed": args.seed, "families": generator.families,
+                  "profile": args.profile, "deployment": args.deployment,
+                  "backends": config.backends}
+        try:
+            if args.resume:
+                recorded = _resume_records(args.stream_out, header)
+            sink = JsonlResultSink(args.stream_out, append=args.resume,
+                                   header=header)
+        except (OSError, ValueError) as error:
+            print(f"campaign rejected: cannot "
+                  f"{'resume from' if args.resume else 'open'} "
+                  f"--stream-out: {error}", file=sys.stderr)
+            return 2
+    try:
+        report = CampaignRunner(config).run(
+            generator.iter_specs(args.scenarios), sink=sink,
+            recorded=recorded)
     except ValueError as error:
         print(f"campaign rejected: {error}", file=sys.stderr)
         return 2
@@ -336,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "its --stream-out file: scenarios it recorded are "
                         "counted from the file, the rest (and any recorded "
                         "as errors, e.g. lost with a dead worker) are "
-                        "evaluated and appended")
+                        "evaluated and appended; a file whose header names "
+                        "another seed, family plan, profile, deployment, "
+                        "backend list or source is refused")
     p.add_argument("--verdict-cache", default=None, metavar="PATH",
                    help="persistent sqlite verdict cache shared across "
                         "processes and campaign invocations")

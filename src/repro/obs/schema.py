@@ -4,9 +4,10 @@ The observability plane's two line formats — ``repro-span/1`` records and
 ``repro-metrics/1`` snapshots — are contracts: the CI observability-smoke
 job validates every emitted line against the JSON Schemas in
 ``schemas/``, and the future SSE service plane will serve the same
-shapes.  The container has no ``jsonschema`` package, so
-:func:`validate` implements exactly the draft-2020-12 subset those two
-schemas use (type/const/enum/required/properties/additionalProperties/
+shapes.  So is the ``repro-results/1`` header a campaign's results file
+starts with (``results.schema.json``).  No ``jsonschema`` package is
+required, so :func:`validate` implements exactly the draft-2020-12
+subset those schemas use (type/const/enum/required/properties/additionalProperties/
 pattern/minimum/minLength/$ref into local ``$defs``).  Extending a
 schema past that subset should extend the validator in the same commit —
 ``validate`` raises on keywords it does not understand rather than
@@ -45,7 +46,8 @@ class SchemaError(ValueError):
 
 
 def load_schema(name: str) -> dict:
-    """Load a checked-in schema by short name (``"span"``/``"metrics"``)."""
+    """Load a checked-in schema by short name (``"span"``, ``"metrics"``,
+    ``"results"``)."""
     path = os.path.join(_SCHEMA_DIR, f"{name}.schema.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)

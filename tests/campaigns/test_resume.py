@@ -23,6 +23,7 @@ from repro.campaigns import (
     result_record,
     runner,
 )
+from repro.campaigns.sink import read_header, results_header, source_fingerprint
 from repro.obs import metrics
 
 
@@ -198,6 +199,7 @@ class TestDeterminismPin:
                     in read_results(paths[name]).items()} == wanted, name
         # The crashed file keeps its ERROR lines; last record wins.
         with open(paths["crashed"], encoding="utf-8") as fh:
+            next(fh)  # the repro-results/1 header
             assert sum(1 for _ in fh) == 90 + lost
 
 
@@ -231,6 +233,7 @@ class TestResume:
             pytest.approx(4 / report.wall_clock_s)
         # Replayed results go to the aggregator, not back into the file.
         with open(path, encoding="utf-8") as fh:
+            next(fh)  # the repro-results/1 header
             assert sum(1 for _ in fh) == 12
 
     def test_error_records_are_evaluated_again(self, tmp_path):
@@ -284,15 +287,31 @@ class TestJsonlFile:
         JsonlResultSink(str(path), append=True).close()
         assert path.read_text() == whole
         JsonlResultSink(str(path)).close()  # without append: truncated
-        assert path.read_text() == ""
+        assert path.read_text() == json.dumps(results_header()) + "\n"
 
     def test_append_to_a_missing_or_newline_free_file(self, tmp_path):
+        """Either is empty once the torn tail is dropped: a fresh file,
+        which starts with its header."""
         path = tmp_path / "r.jsonl"
-        JsonlResultSink(str(path), append=True).close()
-        assert path.read_text() == ""
+        header = json.dumps(results_header(seed=7)) + "\n"
+        JsonlResultSink(str(path), append=True, header={"seed": 7}).close()
+        assert path.read_text() == header
         path.write_text('{"scenario_id": 0, "torn')
-        JsonlResultSink(str(path), append=True).close()
-        assert path.read_text() == ""
+        JsonlResultSink(str(path), append=True, header={"seed": 7}).close()
+        assert path.read_text() == header
+
+    def test_the_header_names_the_format_the_code_and_the_campaign(
+            self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        sink = JsonlResultSink(path, header={"seed": 7,
+                                             "backends": ("gpv", "batch")})
+        sink.close()
+        header = read_header(path)
+        assert header == {"format": "repro-results/1",
+                          "source": source_fingerprint(), "seed": 7,
+                          "backends": ["gpv", "batch"]}
+        assert read_results(path) == {}
+        assert len(source_fingerprint()) == 64
 
 
 class TestPoolMetrics:

@@ -76,72 +76,101 @@ class TestBudgets:
         assert report.aborted is not None
         assert "disagreement limit" in report.aborted
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("limit", [
+        {"wall_clock_budget_s": 0.0}, {"abort_on_disagreements": 0}])
+    def test_a_limit_that_has_fired_starts_no_chunk(self, jobs, limit):
+        """One stop rule: a limit is checked before any chunk starts, so
+        serial and pool runs stop alike — a zero budget or a zero
+        disagreement limit evaluates nothing."""
+        report = CampaignRunner(CampaignConfig(jobs=jobs, **limit)).run(
+            ScenarioGenerator(1, profile="quick").generate(24))
+        assert report.aborted in ("wall-clock budget exhausted",
+                                  "disagreement limit reached (0)")
+        assert report.scenario_count == 0
+
+
+class ScriptedPool:
+    """A stand-in ``ProcessPoolExecutor`` whose chunks end as scripted:
+    ``script[i]`` is what happens to the i-th submitted chunk —
+    ``"finish"`` (evaluated at once), ``"raise"`` (its worker raised),
+    ``"running"`` (finishes during shutdown) or ``"queued"`` (shutdown
+    cancels it, as the real pool's ``cancel_futures`` does, unless
+    ``cancels`` is off and it stays pending)."""
+
+    def __init__(self, script, cancels=True):
+        self.script, self.cancels, self.submitted = script, cancels, []
+
+    def __call__(self, max_workers, initializer, initargs):
+        return self
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        step = self.script[len(self.submitted)]
+        self.submitted.append((future, fn, args))
+        if step == "finish":
+            future.set_result(fn(*args))
+        elif step == "raise":
+            future.set_exception(RuntimeError("worker died mid-chunk"))
+        elif step == "running":
+            future.set_running_or_notify_cancel()
+        return future
+
+    def shutdown(self, wait, cancel_futures):
+        for future, fn, args in self.submitted:
+            if future.running():
+                future.set_result(fn(*args))
+            elif self.cancels and cancel_futures:
+                future.cancel()
+
 
 class TestAbortAccounting:
     """An aborted parallel run must account for every submitted chunk.
 
     The drain used to swallow failed chunks (``except Exception: pass``),
     so a worker that died during an abort silently vanished from the
-    merged report.  Now every completed-but-failed chunk synthesizes one
-    ERROR result per spec it carried.
+    merged report.  Now a finished chunk is counted, a failed one is one
+    ERROR result per spec it carried, and one still queued when the run
+    stopped is never evaluated and not counted.
     """
 
-    @staticmethod
-    def _state():
-        import time
+    SPECS = ScenarioGenerator(5, profile="quick").generate(8)
 
-        from repro.campaigns.runner import _RunState
-        from repro.campaigns.sink import AggregatingSink
+    def _run(self, monkeypatch, pool):
+        from repro.campaigns import runner
 
-        return _RunState(started=time.perf_counter(),
-                         aggregator=AggregatingSink(backends=("gpv",)))
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
+        return CampaignRunner(CampaignConfig(jobs=2, chunk_size=2)).run(
+            self.SPECS)
 
-    def test_failed_chunks_surface_as_error_results(self):
-        from concurrent.futures import Future
+    def test_failed_chunks_surface_as_error_results(self, monkeypatch):
+        from repro.campaigns.report import ERROR
 
-        from repro.campaigns.report import ERROR, ScenarioResult
-        from repro.obs.metrics import MetricsRegistry
-
-        specs = ScenarioGenerator(5, profile="quick").generate(6)
-        ok_chunk, lost_chunk, cancelled_chunk = (
-            specs[:2], specs[2:4], specs[4:])
-        finished = Future()  # what ``_pool_chunk`` returns: (results, counts)
-        finished.set_result(([
-            ScenarioResult(spec=spec, classification="safe-converged",
-                           safe=True, converged=True)
-            for spec in ok_chunk], MetricsRegistry().take()))
-        failed = Future()
-        failed.set_exception(RuntimeError("worker died mid-chunk"))
-        cancelled = Future()
-        cancelled.cancel()
-        state = self._state()
-        CampaignRunner._drain_inflight(
-            {finished: ok_chunk, failed: lost_chunk,
-             cancelled: cancelled_chunk}, state)
-        report = state.aggregator.report(wall_clock_s=0.0, jobs=2,
-                                         chunk_size=2, aborted="test")
-        # Finished chunks contribute normally; the failed chunk appears
-        # as one ERROR per submitted spec; cancelled work is excluded by
-        # the documented budget semantics.
-        assert report.scenario_count == len(ok_chunk) + len(lost_chunk)
+        report = self._run(monkeypatch, ScriptedPool(
+            ["finish", "raise", "running", "queued"]))
+        finished, lost, running = (self.SPECS[:2], self.SPECS[2:4],
+                                   self.SPECS[4:6])
+        assert report.aborted == "worker process died"
+        # The finished chunk and the one that finished during shutdown
+        # count normally; the failed chunk appears as one ERROR per
+        # submitted spec; the cancelled chunk was never evaluated.
+        assert sorted(r.scenario_id for r in report.results) == \
+            [s.scenario_id for s in finished + lost + running]
         errors = [r for r in report.results if r.classification == ERROR]
         assert sorted(r.scenario_id for r in errors) == \
-            sorted(s.scenario_id for s in lost_chunk)
+            sorted(s.scenario_id for s in lost)
         assert all("worker died mid-chunk" in r.error for r in errors)
         # Lost chunks are evidence: they land in the reproducer bucket.
         assert {r["scenario_id"] for r in report.reproducer_seeds()} >= \
-            {s.scenario_id for s in lost_chunk}
+            {s.scenario_id for s in lost}
 
-    def test_pending_futures_are_not_consumed(self):
-        from concurrent.futures import Future
-
-        specs = ScenarioGenerator(5, profile="quick").generate(2)
-        pending = Future()  # never completed: still queued at shutdown
-        state = self._state()
-        CampaignRunner._drain_inflight({pending: specs}, state)
-        report = state.aggregator.report(wall_clock_s=0.0, jobs=2,
-                                         chunk_size=2, aborted="test")
-        assert report.scenario_count == 0
+    def test_pending_futures_are_not_consumed(self, monkeypatch):
+        report = self._run(monkeypatch, ScriptedPool(
+            ["raise", "queued", "queued", "queued"], cancels=False))
+        assert sorted(r.scenario_id for r in report.errors()) == [0, 1]
+        assert report.scenario_count == 2
 
 
 class TestStreaming:

@@ -68,7 +68,9 @@ class TestJsonlSink:
         sink = JsonlResultSink(str(path))
         sink.accept(make_result(5))
         sink.close()
-        assert json.loads(path.read_text())["scenario_id"] == 5
+        header, record = map(json.loads, path.read_text().splitlines())
+        assert header["format"] == "repro-results/1"
+        assert record["scenario_id"] == 5
 
     def test_end_to_end_streaming_from_runner(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
@@ -77,7 +79,7 @@ class TestJsonlSink:
         report = CampaignRunner(CampaignConfig(jobs=1)).run(specs, sink=sink)
         sink.close()
         records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
+                   for line in path.read_text().splitlines()[1:]]
         assert len(records) == report.scenario_count == 6
         assert sorted(r["scenario_id"] for r in records) == list(range(6))
 

@@ -115,7 +115,7 @@ def test_a_store_error_mid_run_is_a_counted_miss(store, method, tmp_path,
 def test_watch_frame_says_store_errors_only_when_there_are_some():
     def frame() -> str:
         stream = io.StringIO()
-        state = _RunState(started=0.0, aggregator=AggregatingSink())
+        state = _RunState(aggregator=AggregatingSink())
         _CampaignWatch(stream).maybe_render(state, force=True)
         return stream.getvalue()
 

@@ -85,6 +85,31 @@ class TestMetricsSchema:
             })
 
 
+class TestResultsHeaderSchema:
+    @staticmethod
+    def header(**fields):
+        from repro.campaigns.sink import results_header
+        return results_header(**{
+            "seed": 7, "families": ("gadget", "caida"), "profile": "quick",
+            "deployment": None, "backends": ("gpv", "batch"), **fields})
+
+    def test_the_header_a_campaign_writes_passes(self, tmp_path):
+        from repro.campaigns.sink import JsonlResultSink, read_header
+        path = str(tmp_path / "r.jsonl")
+        JsonlResultSink(path, header={"seed": 7}).close()
+        validate(read_header(path), load_schema("results"))
+        validate(self.header(), load_schema("results"))
+
+    def test_a_field_beyond_the_campaign_fields_fails(self):
+        with pytest.raises(SchemaError, match="scenarios"):
+            validate(self.header(scenarios=24), load_schema("results"))
+
+    def test_the_source_is_a_sha256(self):
+        record = dict(self.header(), source="dirty")
+        with pytest.raises(SchemaError, match="source"):
+            validate(record, load_schema("results"))
+
+
 class TestValidatorSubset:
     def test_unsupported_keyword_is_an_error_not_a_pass(self):
         # A schema using a keyword the subset validator does not know must
@@ -101,3 +126,5 @@ class TestValidatorSubset:
             "repro-span/1"
         assert load_schema("metrics")["properties"]["format"]["const"] == \
             "repro-metrics/1"
+        assert load_schema("results")["properties"]["format"]["const"] == \
+            "repro-results/1"

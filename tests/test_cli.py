@@ -131,10 +131,13 @@ class TestCampaign:
         assert "rocketfuel" not in out
 
     def test_budget_abort_is_reported(self, capsys):
+        # A zero budget starts no chunk, and a campaign that evaluated
+        # nothing is never a pass.
         assert main(["campaign", "--scenarios", "8", "--seed", "1",
-                     "--profile", "quick", "--budget-s", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "aborted early" in out
+                     "--profile", "quick", "--budget-s", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "aborted early" in captured.out
+        assert "zero scenarios were evaluated" in captured.err
 
     def test_errored_scenarios_fail_the_gate(self, monkeypatch, capsys):
         """ERROR scenarios are ones the differential check never ran on —
@@ -218,8 +221,9 @@ class TestCampaignBackends:
         assert main(["campaign", "--scenarios", "6", "--seed", "7",
                      "--profile", "quick",
                      "--stream-out", str(path)]) == 0
-        records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
+        header, *records = map(json.loads, path.read_text().splitlines())
+        assert header["format"] == "repro-results/1"
+        assert header["seed"] == 7 and header["profile"] == "quick"
         assert sorted(r["scenario_id"] for r in records) == list(range(6))
         assert all("spec" in r for r in records)
 
@@ -310,10 +314,12 @@ class TestCampaignResume:
 
     def test_interrupted_run_resumes_to_the_whole_campaign(self, tmp_path,
                                                            capsys):
+        # The first 8 scenarios of the stream: what a run interrupted
+        # after its first chunk leaves in the file.
         path = str(tmp_path / "r.jsonl")
         args = self.ARGS + ["--stream-out", path]
-        assert main(args + ["--budget-s", "0"]) == 0
-        assert "aborted early" in capsys.readouterr().out
+        assert main(args + ["--scenarios", "8"]) == 0
+        capsys.readouterr()
         assert main(args + ["--resume"]) == 0
         resumed = capsys.readouterr().out
         assert "resumed: 8 of 24" in resumed
@@ -337,3 +343,75 @@ class TestCampaignResume:
         assert main(self.ARGS + ["--stream-out", str(path),
                                  "--resume"]) == 2
         assert path.read_text() == "not json\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_zero_budget_writes_no_record_at_any_jobs(self, tmp_path,
+                                                        capsys, jobs):
+        path = tmp_path / "r.jsonl"
+        assert main(self.ARGS + ["--jobs", jobs, "--budget-s", "0",
+                                 "--stream-out", str(path)]) == 1
+        assert "aborted early: wall-clock budget exhausted" in \
+            capsys.readouterr().out
+        assert len(path.read_text().splitlines()) == 1  # the header
+
+    @pytest.mark.parametrize("other,key", [
+        (["--backends", "gpv,ndlog"], "backends"),
+        (["--no-batch"], "backends"), (["--seed", "8"], "seed"),
+        (["--families", "gadget"], "families"),
+        (["--profile", "default"], "profile"),
+        (["--deployment", "full"], "deployment")],
+        ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_another_campaigns_header_is_refused_untouched(
+            self, tmp_path, capsys, other, key):
+        """The header, not the records, tells campaigns apart: other
+        backends evaluate the very same specs."""
+        path = tmp_path / "r.jsonl"
+        assert main(self.ARGS + ["--scenarios", "8",
+                                 "--stream-out", str(path)]) == 0
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGS + other + ["--stream-out", str(path),
+                                         "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign rejected: cannot resume from "
+                              "--stream-out: ")
+        assert f"; {key} " in err or f"campaign: {key} " in err
+        assert path.read_bytes() == before
+
+    def test_a_file_written_by_other_code_is_refused(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.campaigns import sink
+
+        path = tmp_path / "r.jsonl"
+        with monkeypatch.context() as patch:
+            patch.setattr(sink, "source_fingerprint", lambda: "0" * 64)
+            assert main(self.ARGS + ["--scenarios", "8",
+                                     "--stream-out", str(path)]) == 0
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGS + ["--stream-out", str(path),
+                                 "--resume"]) == 2
+        assert "source '" + "0" * 64 in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+    def test_a_headerless_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "r.jsonl"
+        assert main(self.ARGS + ["--scenarios", "8",
+                                 "--stream-out", str(path)]) == 0
+        path.write_text("".join(path.read_text().splitlines(True)[1:]))
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGS + ["--stream-out", str(path),
+                                 "--resume"]) == 2
+        assert "no repro-results/1 header" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+    def test_a_missing_or_empty_file_is_a_fresh_start(self, tmp_path,
+                                                      capsys):
+        for path in (tmp_path / "missing.jsonl", tmp_path / "empty.jsonl"):
+            if path.name == "empty.jsonl":
+                path.write_text("")
+            assert main(self.ARGS + ["--scenarios", "8", "--stream-out",
+                                     str(path), "--resume"]) == 0
+            assert "campaign: 8 scenarios" in capsys.readouterr().out
+            assert len(path.read_text().splitlines()) == 9
