@@ -33,6 +33,8 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# The jobs read results files with the package's own reader.
+sys.path.insert(0, str(ROOT / "src"))
 BENCHMARKS = ROOT / "benchmarks"
 THROUGHPUT = BENCHMARKS / "bench_campaign_throughput.py"
 #: Where the benches write their tables and ``BENCH_*.json`` files.
@@ -118,10 +120,8 @@ def lines(path: str) -> int:
 def records(path: str) -> list[dict]:
     """The scenario records of a ``--stream-out`` file, its
     ``repro-results/1`` header left out."""
-    import json
-    rows = [json.loads(line) for line in
-            pathlib.Path(path).read_text(encoding="utf-8").splitlines()]
-    return [row for row in rows if row.get("format") != "repro-results/1"]
+    from repro.campaigns.sink import iter_records
+    return list(iter_records(path))
 
 
 def check(condition: bool, what: str) -> None:

@@ -25,8 +25,9 @@ Budgets: ``run()`` fixes one ``time.monotonic`` deadline for
 ``wall_clock_budget_s``, and a chunk starts only while no limit has fired
 — checked before each chunk, in the serial loop and before each pool
 submission alike, so a zero budget or ``abort_on_disagreements=0``
-evaluates nothing at any ``jobs``.  The report is marked aborted and
-covers the scenarios finished so far:
+evaluates nothing at any ``jobs``.  The pool checks again after each
+chunk it collects, since its stream may be all submitted.  The report is
+marked aborted and covers the scenarios finished so far:
 
 * ``wall_clock_budget_s`` — a chunk already being evaluated finishes (in
   the pool too, during shutdown), and a pool worker that picks a chunk
@@ -53,8 +54,9 @@ spec that already has a non-``ERROR`` record into the aggregator instead of
 evaluating it, and evaluates (and streams) only the rest.  The records are
 the JSONL sink's own lines, so an interrupted or crashed campaign is
 finished by re-running it with ``--resume``: no second ledger.  Which
-campaign wrote the file is the CLI's check (the file's
-``repro-results/1`` header); here each record's spec is checked.
+campaign wrote the file is the sink's check (the file's
+``repro-results/1`` header, :func:`~repro.campaigns.sink.check_header`);
+here each record's spec is checked.
 
 Set-up: :func:`_attach` is the one place a process gets its verdict
 store, kernel store and trace sink — this process at the start of every
@@ -312,6 +314,11 @@ class CampaignRunner:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
                     yield _chunk_results(future, inflight.pop(future), state)
+                # The stream may be all submitted already, so _startable
+                # would not look again: a limit that fired meanwhile
+                # (or the budget a worker skipped a chunk past) stops the
+                # run here, and the queued chunks are cancelled.
+                state.aborted = state.aborted or self._abort_reason(state)
                 # Keep the pipeline full: one fresh chunk per finished one.
                 submit(len(done))
         finally:

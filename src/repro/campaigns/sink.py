@@ -20,7 +20,8 @@ runner's needs:
   records a ``--resume`` run replays instead of evaluating again.  A
   file the sink starts begins with one ``repro-results/1`` header
   (:func:`results_header`): the code and the campaign that wrote it,
-  which ``repro campaign --resume`` compares before appending.
+  which the sink compares before a ``--resume`` appends
+  (:func:`check_header`).
 
 Sinks compose: the runner always feeds its aggregator and, when
 ``--stream-out`` is given, tees into a JSONL sink as well.
@@ -33,7 +34,7 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import IO, Iterable, Protocol
+from typing import IO, Iterable, Iterator, Protocol
 
 from .report import (  # noqa: F401 - result_record re-exported (moved)
     ERROR,
@@ -166,8 +167,11 @@ class JsonlResultSink:
 
     A path is truncated unless ``append`` (``--resume``): then the file is
     kept, minus the unterminated last line a killed writer may have left
-    — the next record must not be glued to it.  A path left empty either
-    way starts with the ``repro-results/1`` header of ``header``'s fields
+    — the next record must not be glued to it.  Appending under a
+    ``header`` first checks that the file is that campaign's
+    (:func:`check_header`): ``ValueError``, the file untouched, when its
+    header is missing or differs.  A path left empty either way starts
+    with the ``repro-results/1`` header of ``header``'s fields
     (:func:`results_header`); a handle is the caller's, and gets none.
     """
 
@@ -175,6 +179,8 @@ class JsonlResultSink:
                  header: dict | None = None):
         if isinstance(target, str):
             if append:
+                if header is not None:
+                    check_header(target, header)
                 _drop_torn_tail(target)
             self._fh: IO[str] = open(target, "a" if append else "w",
                                      encoding="utf-8")
@@ -218,36 +224,56 @@ def _drop_torn_tail(path: str) -> None:
             fh.truncate(keep)
 
 
-def read_header(path: str) -> dict | None:
-    """The ``repro-results/1`` header a results file starts with, or
-    ``None`` when its first line is not one (``ValueError`` when it is
-    not JSON)."""
+def check_header(path: str, fields: dict) -> None:
+    """``ValueError`` unless the results file at ``path`` was written by
+    this code for the campaign of ``fields``: its header must equal
+    :func:`results_header` of them.  Only reads, so a refused file is
+    left as it was.  A file with no complete first line (missing, empty,
+    or a torn first write) passes: the sink starts it afresh."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        return
+    if not first.endswith("\n"):
+        return
+    try:
+        found = json.loads(first)
+    except ValueError:
+        found = None
+    if not isinstance(found, dict) or found.get("format") != RESULTS_FORMAT:
+        raise ValueError(f"{path} has no {RESULTS_FORMAT} header")
+    wanted = results_header(**fields)
+    differs = [f"{key} {found.get(key)!r} in the file, {wanted.get(key)!r} "
+               f"in this run" for key in sorted(found.keys() | wanted.keys())
+               if found.get(key) != wanted.get(key)]
+    if differs:
+        raise ValueError(f"{path} holds another campaign: "
+                         + "; ".join(differs))
+
+
+def iter_records(path: str) -> Iterator[dict]:
+    """A JSONL result file's scenario records in file order: the header
+    is skipped, and an unterminated last line is a torn write and is
+    dropped, as :class:`JsonlResultSink` drops it on append."""
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    record = json.loads(first) if first.endswith("\n") else None
-    if isinstance(record, dict) and record.get("format") == RESULTS_FORMAT:
-        return record
-    return None
+        for line in fh:
+            if not line.endswith("\n"):
+                return
+            record = json.loads(line)
+            if record.get("format") != RESULTS_FORMAT:
+                yield record
 
 
 def read_results(path: str) -> dict[int, dict]:
     """A JSONL result file's records as ``{scenario_id: record}`` — what
     ``CampaignRunner.run(..., recorded=)`` resumes from.
 
-    The header is skipped; it is :func:`read_header`'s.  The last record
-    of a scenario wins (a resumed run appends the re-evaluation of an
-    ``ERROR``); an unterminated last line is a torn write and is dropped,
-    as :class:`JsonlResultSink` drops it on append.
+    The header is skipped (:func:`iter_records`).  The last record of a
+    scenario wins: a resumed run appends the re-evaluation of an
+    ``ERROR``.
     """
-    records: dict[int, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.endswith("\n"):
-                break
-            record = json.loads(line)
-            if record.get("format") != RESULTS_FORMAT:
-                records[record["scenario_id"]] = record
-    return records
+    return {record["scenario_id"]: record for record in iter_records(path)}
 
 
 class TeeSink:

@@ -163,34 +163,13 @@ def _parse_families(tokens) -> list[str] | None:
             for name in token.split(",") if name]
 
 
-def _resume_records(path: str, header: dict) -> dict[int, dict]:
-    """The records of the campaign ``path`` holds, read before the sink
-    opens it: ``ValueError`` (the file untouched) unless its header is
-    this run's.  No file, or an empty one, is a fresh start."""
-    import os
-
-    from .campaigns.sink import read_header, read_results, results_header
-    if not os.path.exists(path) or not os.path.getsize(path):
-        return {}
-    found = read_header(path)
-    if found is None:
-        raise ValueError(f"{path} has no repro-results/1 header")
-    wanted = results_header(**header)
-    differs = [f"{key} {found.get(key)!r} in the file, {wanted.get(key)!r} "
-               f"in this run" for key in sorted(found.keys() | wanted.keys())
-               if found.get(key) != wanted.get(key)]
-    if differs:
-        raise ValueError(f"{path} holds another campaign: "
-                         + "; ".join(differs))
-    return read_results(path)
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     from .campaigns import (
         CampaignConfig,
         CampaignRunner,
         JsonlResultSink,
         ScenarioGenerator,
+        read_results,
     )
     if args.scenarios < 1:
         # A zero-scenario campaign would exit 0 without testing anything —
@@ -232,11 +211,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                   "profile": args.profile, "deployment": args.deployment,
                   "backends": config.backends}
         try:
-            if args.resume:
-                recorded = _resume_records(args.stream_out, header)
+            # On --resume the sink refuses another campaign's file first.
             sink = JsonlResultSink(args.stream_out, append=args.resume,
                                    header=header)
+            if args.resume:
+                recorded = read_results(args.stream_out)
         except (OSError, ValueError) as error:
+            if sink is not None:
+                sink.close()
             print(f"campaign rejected: cannot "
                   f"{'resume from' if args.resume else 'open'} "
                   f"--stream-out: {error}", file=sys.stderr)

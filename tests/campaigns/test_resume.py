@@ -23,7 +23,7 @@ from repro.campaigns import (
     result_record,
     runner,
 )
-from repro.campaigns.sink import read_header, results_header, source_fingerprint
+from repro.campaigns.sink import results_header, source_fingerprint
 from repro.obs import metrics
 
 
@@ -300,13 +300,37 @@ class TestJsonlFile:
         JsonlResultSink(str(path), append=True, header={"seed": 7}).close()
         assert path.read_text() == header
 
+    def test_appending_under_another_header_is_refused_untouched(
+            self, tmp_path):
+        """The sink reads the header before it writes or trims anything;
+        without ``header`` (the Python API) it appends unchecked."""
+        path = tmp_path / "r.jsonl"
+        spec = ScenarioGenerator(7, profile="quick").make(0)
+        record = json.dumps(result_record(oracle.evaluate(spec))) + "\n"
+        path.write_text(json.dumps(results_header(seed=7)) + "\n" + record
+                        + record[:40])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="seed 7 in the file, 8"):
+            JsonlResultSink(str(path), append=True, header={"seed": 8})
+        assert path.read_bytes() == before
+        path.write_text(record + record[:40])
+        headerless = path.read_bytes()
+        with pytest.raises(ValueError, match="no repro-results/1 header"):
+            JsonlResultSink(str(path), append=True, header={"seed": 7})
+        assert path.read_bytes() == headerless
+        path.write_bytes(before)
+        JsonlResultSink(str(path), append=True, header={"seed": 7}).close()
+        JsonlResultSink(str(path), append=True).close()
+        assert path.read_bytes() == before[:-40]
+
     def test_the_header_names_the_format_the_code_and_the_campaign(
             self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         sink = JsonlResultSink(path, header={"seed": 7,
                                              "backends": ("gpv", "batch")})
         sink.close()
-        header = read_header(path)
+        with open(path) as fh:
+            header = json.loads(fh.read())
         assert header == {"format": "repro-results/1",
                           "source": source_fingerprint(), "seed": 7,
                           "backends": ["gpv", "batch"]}

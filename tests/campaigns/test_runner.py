@@ -1,6 +1,9 @@
 """CampaignRunner: serial/parallel equivalence, chunking, budgets,
 multi-backend differential runs."""
 
+import threading
+import time
+
 import pytest
 
 from repro.campaigns import (
@@ -94,12 +97,14 @@ class ScriptedPool:
     """A stand-in ``ProcessPoolExecutor`` whose chunks end as scripted:
     ``script[i]`` is what happens to the i-th submitted chunk —
     ``"finish"`` (evaluated at once), ``"raise"`` (its worker raised),
-    ``"running"`` (finishes during shutdown) or ``"queued"`` (shutdown
+    ``"running"`` (finishes during shutdown), ``"queued"`` (shutdown
     cancels it, as the real pool's ``cancel_futures`` does, unless
-    ``cancels`` is off and it stays pending)."""
+    ``cancels`` is off and it stays pending) or ``"late"`` (a worker
+    picks it up once the budget's deadline has passed)."""
 
     def __init__(self, script, cancels=True):
         self.script, self.cancels, self.submitted = script, cancels, []
+        self.workers = []
 
     def __call__(self, max_workers, initializer, initargs):
         return self
@@ -116,9 +121,24 @@ class ScriptedPool:
             future.set_exception(RuntimeError("worker died mid-chunk"))
         elif step == "running":
             future.set_running_or_notify_cancel()
+        elif step == "late":
+            future.set_running_or_notify_cancel()
+            worker = threading.Thread(target=self._late, args=(future, fn,
+                                                              args))
+            worker.start()
+            self.workers.append(worker)
         return future
 
+    @staticmethod
+    def _late(future, fn, args):
+        deadline = args[2]
+        while time.monotonic() < deadline:
+            time.sleep(0.01)
+        future.set_result(fn(*args))
+
     def shutdown(self, wait, cancel_futures):
+        for worker in self.workers:
+            worker.join()
         for future, fn, args in self.submitted:
             if future.running():
                 future.set_result(fn(*args))
@@ -171,6 +191,33 @@ class TestAbortAccounting:
             ["raise", "queued", "queued", "queued"], cancels=False))
         assert sorted(r.scenario_id for r in report.errors()) == [0, 1]
         assert report.scenario_count == 2
+
+
+class TestBudgetAfterTheLastSubmission:
+    """A stream of at most ``jobs * _PIPELINE_DEPTH`` chunks is all
+    submitted at once, so the check before each submission never runs
+    again; a budget that is spent while those chunks wait for a worker
+    must still stop the run and mark it aborted, as serially."""
+
+    def test_a_budget_spent_behind_queued_chunks_is_reported(
+            self, monkeypatch):
+        from repro.campaigns import runner
+
+        pool = ScriptedPool(["finish", "late", "late"])
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
+        report = CampaignRunner(CampaignConfig(
+            jobs=2, chunk_size=8, wall_clock_budget_s=0.5)).run(
+            ScenarioGenerator(1, profile="quick").generate(24))
+        assert len(pool.submitted) == 3  # the whole stream, at once
+        assert report.scenario_count < 24
+        assert report.aborted == "wall-clock budget exhausted"
+
+    def test_a_short_real_budget_never_drops_scenarios_silently(self):
+        report = CampaignRunner(CampaignConfig(
+            jobs=2, chunk_size=8, wall_clock_budget_s=0.05)).run(
+            ScenarioGenerator(1, profile="quick").generate(24))
+        if report.scenario_count < 24:
+            assert report.aborted == "wall-clock budget exhausted"
 
 
 class TestStreaming:

@@ -94,10 +94,12 @@ class TestResultsHeaderSchema:
             "deployment": None, "backends": ("gpv", "batch"), **fields})
 
     def test_the_header_a_campaign_writes_passes(self, tmp_path):
-        from repro.campaigns.sink import JsonlResultSink, read_header
-        path = str(tmp_path / "r.jsonl")
-        JsonlResultSink(path, header={"seed": 7}).close()
-        validate(read_header(path), load_schema("results"))
+        import json
+
+        from repro.campaigns.sink import JsonlResultSink
+        path = tmp_path / "r.jsonl"
+        JsonlResultSink(str(path), header={"seed": 7}).close()
+        validate(json.loads(path.read_text()), load_schema("results"))
         validate(self.header(), load_schema("results"))
 
     def test_a_field_beyond_the_campaign_fields_fails(self):

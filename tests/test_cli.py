@@ -408,9 +408,13 @@ class TestCampaignResume:
 
     def test_a_missing_or_empty_file_is_a_fresh_start(self, tmp_path,
                                                       capsys):
-        for path in (tmp_path / "missing.jsonl", tmp_path / "empty.jsonl"):
-            if path.name == "empty.jsonl":
-                path.write_text("")
+        # A torn header (the first write was cut short) is dropped like
+        # any unterminated last line, so that file is empty too.
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text('{"format": "repro-res')
+        (tmp_path / "empty.jsonl").write_text("")
+        for path in (tmp_path / "missing.jsonl", tmp_path / "empty.jsonl",
+                     torn):
             assert main(self.ARGS + ["--scenarios", "8", "--stream-out",
                                      str(path), "--resume"]) == 0
             assert "campaign: 8 scenarios" in capsys.readouterr().out
