@@ -1,10 +1,11 @@
 """Observability overhead: instrumentation must be nearly free.
 
 The obs plane's contract is that it can stay wired into every hot path
-permanently: with metrics disabled and no trace sink configured the
-call sites are no-ops, and even fully instrumented (registry enabled,
-spans streaming to a JSONL sink) a serial campaign may not cost more
-than 5% more CPU.
+permanently: fully instrumented (counters counting, spans streaming to a
+JSONL sink) a serial campaign may not cost more than 5% more CPU than
+the disabled path.  The registry has no off switch, so the bench makes
+the disabled side itself: ``Counter.inc`` patched to a no-op and no
+trace sink configured.
 
 The bench times ``time.process_time()``: the campaign is serial, so the
 process's CPU time is the campaign's, and time it spends waiting does
@@ -47,13 +48,26 @@ ROUNDS = 15
 #: segments' chunks (and batch kernel groups) are the whole campaign's.
 SEGMENT = 2 * CampaignConfig.chunk_size
 OVERHEAD_CEILING = 0.05
-#: Per-scenario ceilings of the deterministic check: ≈ 10 % over the
-#: measured 6.86 spans and 142.1 extra calls per quick spec (the 80 smoke
-#: specs at seed 11, under any hash seed; the 160 of a full run read 6.54
-#: and 135.3).  One more span per scenario (7.86, ≈ 20 calls a span)
+#: Per-scenario ceilings of the deterministic check, ≈ 10 % over the
+#: measured 4.33 spans and 65.8 extra calls per quick spec (the 80 smoke
+#: specs at seed 11, under any hash seed; the 160 of a full run read
+#: 4.01 and 61.2).  One more span per scenario (≈ 15 calls a span)
 #: fails both.
-SPANS_PER_SCENARIO_CEILING = 7.5
-CALLS_PER_SCENARIO_CEILING = 156
+SPANS_PER_SCENARIO_CEILING = 4.75
+CALLS_PER_SCENARIO_CEILING = 72
+
+
+_INC = obs_metrics.Counter.inc
+
+
+def _uncounted(counter, amount=1.0) -> None:
+    pass
+
+
+def _count(on: bool) -> None:
+    """Restore ``Counter.inc``, or patch it to a no-op for the disabled
+    side."""
+    obs_metrics.Counter.inc = _INC if on else _uncounted
 
 
 def _cpu_seconds(specs, trace_dir=None) -> float:
@@ -63,7 +77,7 @@ def _cpu_seconds(specs, trace_dir=None) -> float:
     # work — otherwise the first run would be the only one that pays
     # for analysis and the comparison would be noise.
     clear_verdict_cache()
-    obs_metrics.set_metrics_enabled(trace_dir is not None)
+    _count(trace_dir is not None)
     gc.collect()  # neither side pays for the other's garbage
     started = time.process_time()
     report = CampaignRunner(CampaignConfig(
@@ -105,7 +119,7 @@ def test_instrumentation_overhead(benchmark, save_result, smoke, tmp_path):
             return [_round(segments, trace_dir, offset)
                     for offset in range(ROUNDS)]
         finally:
-            obs_metrics.set_metrics_enabled(True)
+            _count(True)
             configure_tracing(None)
 
     rounds = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -150,7 +164,7 @@ def _python_calls(specs, trace_dir=None) -> int:
     """cProfile's ``total_calls`` of one serial campaign, instrumented
     when given a trace directory."""
     clear_verdict_cache()
-    obs_metrics.set_metrics_enabled(trace_dir is not None)
+    _count(trace_dir is not None)
     profile = cProfile.Profile()
     profile.enable()
     report = CampaignRunner(CampaignConfig(
@@ -172,7 +186,7 @@ def test_instrumentation_emission_per_scenario(save_result, smoke, tmp_path):
         disabled = _python_calls(specs)
         instrumented = _python_calls(specs, trace_dir)
     finally:
-        obs_metrics.set_metrics_enabled(True)
+        _count(True)
         configure_tracing(None)
     spans = len(read_spans(trace_dir)) / count
     calls = (instrumented - disabled) / count

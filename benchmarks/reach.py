@@ -307,7 +307,6 @@ SHIM = ("no-op: the e2e benchmark's boundary shims still wrap this name; it "
 BATCH_STATS = "batch statistics the e2e benchmark's ledger and the batch bench read"
 KERNEL_STATS = "kernel-store statistics; CI and the store contract read its schema stamp"
 READ_METRIC = "reads one metric series (batch_phase_stats, CI checks, tests)"
-METRICS_OFF = "switches metrics off; the observability overhead bench measures with it"
 SCHEMA = ("validates emitted records against the checked-in JSON schemas "
           "(CI, tests)")
 EVALUATE = ("the reference semantics tests/smt/test_solver_properties.py "
@@ -377,9 +376,7 @@ KEPT: dict[str, str] = {
     "repro/net/simulator.py::Simulator.pending_events": PENDING,
     "repro/net/simulator.py::_dropped": FAILURE,
     "repro/obs/metrics.py::MetricsRegistry.family": READ_METRIC,
-    "repro/obs/metrics.py::MetricsRegistry.set_enabled": METRICS_OFF,
     "repro/obs/metrics.py::MetricsRegistry.value": READ_METRIC,
-    "repro/obs/metrics.py::set_metrics_enabled": METRICS_OFF,
     "repro/obs/schema.py::_check_type": SCHEMA,
     "repro/obs/schema.py::_resolve_ref": SCHEMA,
     "repro/obs/schema.py::_validate": SCHEMA,

@@ -135,18 +135,20 @@ def configure_verdict_store(path: str | None) -> None:
 
 def cached_verdict(
         subject: RoutingAlgebra | SPPInstance) -> tuple[bool, str, bool]:
-    """``(safe, method, cache_hit)`` for the subject's constraint system."""
-    with TRACER.span("verdict:key"):
-        started = time.perf_counter()
-        key = repr(canonical_key(subject))
-        _VERDICT_SECONDS["key"].inc(time.perf_counter() - started)
-    with TRACER.span("verdict:solve"):
-        started = time.perf_counter()
-        tier = _lookup_or_solve(key, subject)
-        _VERDICT_SECONDS["solve"].inc(time.perf_counter() - started)
+    """``(safe, method, cache_hit)`` for the subject's constraint system;
+    the key and solve times annotate the enclosing span."""
+    started = time.perf_counter()
+    key = repr(canonical_key(subject))
+    keyed = time.perf_counter()
+    tier = _lookup_or_solve(key, subject)
+    solved = time.perf_counter()
+    _VERDICT_SECONDS["key"].inc(keyed - started)
+    _VERDICT_SECONDS["solve"].inc(solved - keyed)
     _VERDICT_LOOKUPS[tier].inc()
     safe, method = _VERDICT_CACHE[key]
-    TRACER.annotate(verdict_tier=tier, method=method, safe=safe)
+    TRACER.annotate(key_ms=1e3 * (keyed - started),
+                    solve_ms=1e3 * (solved - keyed),
+                    verdict_tier=tier, method=method, safe=safe)
     return safe, method, tier != "solved"
 
 
@@ -320,9 +322,7 @@ def _evaluate_traced(spec, backends, prepared, started, scenario_span):
         for name in applicable:
             if name == _BATCH:
                 outcomes.append(prepared.batch)
-                with TRACER.span("backend:run", backend=name,
-                                 precomputed=True):
-                    pass
+                scenario_span.annotate(batched=True)
                 continue
             scn = replace(scenario, network=next(networks))
             run_started = time.perf_counter()

@@ -9,7 +9,7 @@ on N independent implementations and cross-check their route tables:
 
 * ``gpv`` (:class:`GPVBackend`) — the native Python path-vector engine;
 * ``ndlog`` (:class:`NDlogBackend`) — the algebra compiled to NDlog and
-  interpreted by the runtime (the paper's generated-implementation path);
+  on to generated Python (the paper's generated-implementation path);
 * ``hlp`` (:class:`HLPBackend`) — the hierarchical link-state / FPV
   protocol of the paper's Sec. VI-D case study, comparable on HLP-cost
   scenarios (it declares per-scenario applicability via

@@ -18,7 +18,6 @@ from .metrics import (
     SNAPSHOT_FORMAT,
     counter,
     get_registry,
-    set_metrics_enabled,
     snapshot,
     snapshot_family,
     snapshot_value,
@@ -56,7 +55,6 @@ __all__ = [
     "render_dashboard",
     "render_span_tree",
     "scenario_trace_id",
-    "set_metrics_enabled",
     "snapshot",
     "snapshot_family",
     "snapshot_value",

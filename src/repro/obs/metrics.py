@@ -8,10 +8,9 @@ increasing total (events, seconds).
 
 Handles are cheap and stable: a module acquires them once
 (``counter("repro_x_total", phase="scan")``) and increments a plain
-attribute thereafter — one ``enabled`` branch is the entire disabled-mode
-cost, so instrumentation can stay in hot paths.  Labeled families share a
-name; the ``(name, labels)`` pair identifies the series, exactly as in
-Prometheus.
+attribute thereafter, so instrumentation can stay in hot paths; there
+is no off switch.  Labeled families share a name; the ``(name, labels)``
+pair identifies the series, exactly as in Prometheus.
 
 One serialization, a stable wire format (see ``obs/README.md``):
 :meth:`MetricsRegistry.snapshot` — the JSON form (``repro-metrics/1``),
@@ -44,15 +43,13 @@ class Counter:
     """A monotonically increasing total.  ``inc`` only; the registry keys
     it by ``(name, labels)``."""
 
-    __slots__ = ("_registry", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, registry: "MetricsRegistry"):
-        self._registry = registry
+    def __init__(self):
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if self._registry._enabled:
-            self.value += amount
+        self.value += amount
 
     def reset(self) -> None:
         self.value = 0.0
@@ -62,20 +59,13 @@ class MetricsRegistry:
     """Process-local registry of named, labeled metrics.
 
     Get-or-create is the only locked path; increments on returned handles
-    are plain attribute writes guarded by one ``enabled`` check, so the
-    registry can back hot loops (the batch backend's relaxation rounds
-    route through it).
+    are plain attribute writes, so the registry can back hot loops (the
+    batch backend's relaxation rounds route through it).
     """
 
-    def __init__(self, enabled: bool = True):
-        self._enabled = enabled
+    def __init__(self):
         self._metrics: dict[tuple[str, _LabelKey], Counter] = {}
         self._lock = threading.Lock()
-
-    # -- configuration --------------------------------------------------------
-
-    def set_enabled(self, flag: bool) -> None:
-        self._enabled = bool(flag)
 
     # -- get-or-create handles ------------------------------------------------
 
@@ -87,7 +77,7 @@ class MetricsRegistry:
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = self._metrics[key] = Counter(self)
+                metric = self._metrics[key] = Counter()
         return metric
 
     # -- reads ----------------------------------------------------------------
@@ -183,7 +173,3 @@ def counter(name: str, **labels) -> Counter:
 
 def snapshot() -> dict:
     return _REGISTRY.snapshot()
-
-
-def set_metrics_enabled(flag: bool) -> None:
-    _REGISTRY.set_enabled(flag)

@@ -16,41 +16,40 @@ Trace identity
     in the same trace, under the tag of the process that ran it.
 
 Span emission
-    :meth:`Tracer.span` is a context manager; the active span lives in a
-    ``contextvars.ContextVar`` so nested spans parent automatically —
-    through the oracle, the deciding analysis tier, and each backend.
-    A disabled tracer emits nothing and costs one branch.
+    :meth:`Tracer.span` returns a :class:`Span` pushed onto the tracer's
+    stack, so nested spans parent automatically — through the oracle,
+    the deciding analysis tier, and each backend — or, disabled, the
+    shared :data:`NULL_SPAN`.  One thread per process opens spans (the
+    runner's).  Span IDs count up from one draw per ``configure``.
 
 The sink
     Spans are JSONL lines (``repro-span/1``, one object per line — the
     wire format of ``schemas/span.schema.json``) in a *trace directory*.
-    Each process appends to its own ``spans-<worker>.jsonl`` via
-    single-``os.write`` ``O_APPEND`` lines (multi-process safe), through
-    one descriptor opened at its first span — an open and a close per
-    span cost more than the rest of the span — and keeps every span: a
-    traced campaign's sink grows with it (about 2 KB per scenario), so
-    ``repro trace show`` finds any scenario it ran.  Readers merge
-    ``spans-*.jsonl`` wholesale.
+    Each process appends to its own ``spans-<worker>.jsonl`` through one
+    descriptor.  A closed span's line is buffered until its root (a
+    ``scenario`` or a ``batch:chunk``) closes, and then goes out with the
+    root's others in one ``O_APPEND`` ``os.write``: a crash loses at most
+    the spans of the root still open.  The sink keeps every span (about
+    2 KB per scenario), so ``repro trace show`` finds any scenario a
+    campaign ran.  Readers merge ``spans-*.jsonl`` wholesale.
 """
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import json
 import os
 import re
 import socket
 import time
-from contextlib import contextmanager
 
 #: Version tag stamped into every span record (the wire format contract).
 SPAN_FORMAT = "repro-span/1"
 
 _SPAN_GLOB_PREFIX = "spans-"
 
-_ACTIVE: contextvars.ContextVar["Span | None"] = \
-    contextvars.ContextVar("repro_active_span", default=None)
+#: ``json.dumps`` with ``default`` would build an encoder per record.
+_ENCODER = json.JSONEncoder(default=repr)
 
 
 def scenario_trace_id(family: str, scenario_id: int, seed: int) -> str:
@@ -65,22 +64,19 @@ def scenario_trace_id(family: str, scenario_id: int, seed: int) -> str:
     return digest[:16]
 
 
-def _fresh_id() -> str:
-    return os.urandom(8).hex()
-
-
 def default_worker_name() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
 class Span:
-    """One open span; becomes a JSONL record when its context exits."""
+    """An open span on its tracer's stack; a JSONL line once closed."""
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "start",
-                 "attrs", "status")
+    __slots__ = ("_tracer", "trace_id", "span_id", "parent_id", "name",
+                 "start", "attrs", "status")
 
-    def __init__(self, trace_id: str, span_id: str, parent_id: str | None,
-                 name: str, attrs: dict):
+    def __init__(self, tracer: "Tracer", trace_id: str, span_id: str,
+                 parent_id: str | None, name: str, attrs: dict):
+        self._tracer = tracer
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -88,6 +84,15 @@ class Span:
         self.start = time.time()
         self.attrs = attrs
         self.status = "ok"
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is not None:
+            self.status = "error"
+            self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
+        self._tracer._finish(self)
 
     def annotate(self, **attrs) -> None:
         self.attrs.update(attrs)
@@ -100,8 +105,12 @@ class _NullSpan:
     """The disabled-tracer span: swallows annotations for free."""
 
     __slots__ = ()
-    trace_id = span_id = parent_id = None
-    status = "ok"
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
 
     def annotate(self, **attrs) -> None:
         pass
@@ -119,16 +128,21 @@ class Tracer:
     ``configure`` is idempotent per ``(directory, pid, worker)`` and
     pid-guarded: a forked pool worker inherits a configured parent but
     stays *disabled* until it configures its own sink under its own
-    worker name, so span files never interleave worker tags.
+    worker name, so span files never interleave worker tags.  It is
+    never called inside a span, so it never has lines buffered.
     """
 
     def __init__(self):
         self._dir: str | None = None
         self._pid: int | None = None
         self._path: str | None = None
-        #: The sink file's descriptor, opened by the first span.
+        #: The sink file's descriptor, opened by the first write.
         self._fd: int | None = None
         self.worker: str | None = None
+        #: Open spans, innermost last, and the lines of closed ones.
+        self._stack: list[Span] = []
+        self._lines: list[str] = []
+        self._last_id = 0
 
     # -- configuration --------------------------------------------------------
 
@@ -153,6 +167,8 @@ class Tracer:
         safe = re.sub(r"[^A-Za-z0-9._-]", "_", self.worker)
         self._path = os.path.join(directory,
                                   f"{_SPAN_GLOB_PREFIX}{safe}.jsonl")
+        # A random start: processes sharing the directory never collide.
+        self._last_id = int.from_bytes(os.urandom(8), "big")
 
     def _close(self) -> None:
         # In a forked worker this closes the inherited copy only.
@@ -166,43 +182,34 @@ class Tracer:
 
     # -- span API -------------------------------------------------------------
 
-    @contextmanager
     def span(self, name: str, *, trace_id: str | None = None, **attrs):
+        """A child of the innermost open span, in its trace unless
+        ``trace_id`` is given; a root without one starts a trace named
+        by its own span ID."""
         if not self.enabled:
-            yield NULL_SPAN
-            return
-        parent = _ACTIVE.get()
-        span = Span(
-            trace_id=trace_id or (parent.trace_id if parent
-                                  else _fresh_id()),
-            span_id=_fresh_id(),
-            parent_id=parent.span_id if parent else None,
-            name=name,
-            attrs=dict(attrs),
-        )
-        token = _ACTIVE.set(span)
-        try:
-            yield span
-        except BaseException as exc:
-            span.status = "error"
-            span.attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            _ACTIVE.reset(token)
-            self._emit(span)
+            return NULL_SPAN
+        self._last_id = (self._last_id + 1) % 2**64
+        span_id = f"{self._last_id:016x}"
+        parent = self._stack[-1] if self._stack else None
+        span = Span(self,
+                    trace_id or (parent.trace_id if parent else span_id),
+                    span_id, parent.span_id if parent else None, name, attrs)
+        self._stack.append(span)
+        return span
 
     def annotate(self, **attrs) -> None:
-        """Attach attributes to the innermost active span (no-op when
+        """Attach attributes to the innermost open span (no-op when
         disabled or outside any span)."""
-        span = _ACTIVE.get()
-        if span is not None:
-            span.attrs.update(attrs)
+        if self._stack:
+            self._stack[-1].attrs.update(attrs)
 
     # -- the sink -------------------------------------------------------------
 
-    def _emit(self, span: Span) -> None:
+    def _finish(self, span: Span) -> None:
+        """Buffer the innermost span's line; write out a closed root's."""
         end = time.time()
-        record = {
+        self._stack.pop()
+        self._lines.append(_ENCODER.encode({
             "format": SPAN_FORMAT,
             "trace_id": span.trace_id,
             "span_id": span.span_id,
@@ -214,12 +221,15 @@ class Tracer:
             "elapsed_ms": (end - span.start) * 1e3,
             "status": span.status,
             "attrs": span.attrs,
-        }
-        line = (json.dumps(record, default=repr) + "\n").encode("utf-8")
+        }) + "\n")
+        if self._stack:
+            return
+        data = "".join(self._lines).encode("utf-8")
+        self._lines.clear()
         if self._fd is None:
             self._fd = os.open(self._path,
                                os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        os.write(self._fd, line)
+        os.write(self._fd, data)
 
 
 #: The process tracer every instrumented module emits through.

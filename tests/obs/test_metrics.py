@@ -28,15 +28,6 @@ class TestHandles:
         b = registry.counter("repro_test_total", b="2", a="1")
         assert a is b
 
-    def test_disabled_registry_ignores_writes(self):
-        registry = MetricsRegistry(enabled=False)
-        c = registry.counter("repro_test_total")
-        c.inc()
-        assert c.value == 0.0
-        registry.set_enabled(True)
-        c.inc()
-        assert c.value == 1.0
-
     def test_value_and_family_reads(self):
         registry = MetricsRegistry()
         registry.counter("repro_test_total", phase="scan").inc(4)

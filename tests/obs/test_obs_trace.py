@@ -79,6 +79,29 @@ class TestSpans:
         names = [span["name"] for span in read_spans(str(tmp_path))]
         assert names == [f"s{i}" for i in range(count)]
 
+    def test_one_random_draw_per_configure(self, tmp_path, monkeypatch):
+        """Span IDs count up from one ``os.urandom`` draw made when the
+        sink is configured, not one draw per span."""
+        from repro.obs import trace
+
+        draws = []
+        urandom = trace.os.urandom
+        monkeypatch.setattr(trace.os, "urandom",
+                            lambda n: draws.append(n) or urandom(n))
+        t = Tracer()
+        t.configure(str(tmp_path), worker="t1")
+        for _ in range(5):
+            with t.span("outer"):
+                with t.span("inner"):
+                    pass
+        monkeypatch.undo()
+        assert draws == [8]
+        spans = read_spans(str(tmp_path))
+        assert len({span["span_id"] for span in spans}) == 10
+        assert len({span["trace_id"] for span in spans}) == 5
+        for span in spans:
+            validate_span(span)
+
     def test_configure_is_idempotent_but_renames_apply(self, tmp_path):
         t = Tracer()
         t.configure(str(tmp_path), worker="w-a")
