@@ -59,7 +59,6 @@ from ..exec import (
     ExecutionOutcome,
     get_backend,
     route_mismatches,
-    route_set_mismatches,
 )
 from ..experiments.extraction import extract_spp
 from ..obs import metrics as _obs_metrics
@@ -374,21 +373,18 @@ def _evaluate_traced(spec, backends, prepared, started, scenario_span):
 
 def classify_backend_pair(safe: bool | None, first: ExecutionOutcome,
                           second: ExecutionOutcome,
-                          algebra: RoutingAlgebra, *,
-                          top_k: int = 1) -> tuple[str, str]:
+                          algebra: RoutingAlgebra) -> tuple[str, str]:
     """``(status, detail)`` for one backend~backend cross-check.
 
     Convergence-status and route-table mismatches are *hard* divergences
     only under a safe verdict: unsafe algebras promise nothing, so there
     differing stable states (``multi-stable`` — DISAGREE has two) and
     timing-dependent divergence (``nondeterministic``) are documented
-    outcomes, not failures.
-
-    Multipath scenarios (``top_k > 1``) additionally compare the selected
-    route *sets* rank-wise up to algebra preference-equality
-    (:func:`~repro.exec.base.route_set_mismatches`) — agreeing on the best
-    route while ranking or dropping alternates differently is still a
-    divergence there.
+    outcomes, not failures.  Converged outcomes compare by
+    :func:`~repro.exec.base.route_mismatches`, one rank-wise rule over
+    the best routes and, for multipath scenarios, the k-best sets —
+    agreeing on the best route while ranking or dropping alternates
+    differently is still a divergence there.
     """
     if first.converged != second.converged:
         status = STATUS_DIVERGED if safe else NONDETERMINISTIC
@@ -397,8 +393,6 @@ def classify_backend_pair(safe: bool | None, first: ExecutionOutcome,
     if not first.converged:
         return AGREE, "both diverged"
     mismatches = route_mismatches(algebra, first, second)
-    if not mismatches and top_k > 1:
-        mismatches = route_set_mismatches(algebra, first, second)
     if not mismatches:
         return AGREE, ""
     status = ROUTE_DIVERGED if safe else MULTI_STABLE
@@ -426,10 +420,10 @@ def _hijack_verdict(scenario: Scenario,
     victims: dict[str, int] = {}
     for outcome in outcomes:
         count = 0
-        for (node, target), path in outcome.routes.items():
+        for (node, target), route in outcome.routes.items():
             if target != dest or node == attacker:
                 continue
-            if path is not None and hijacked_route(path, attacker):
+            if route is not None and hijacked_route(route[1], attacker):
                 count += 1
         victims[outcome.backend] = count
     spec = scenario.spec
@@ -453,8 +447,7 @@ def _pairwise(scenario: Scenario, safe: bool | None,
     for i, first in enumerate(outcomes):
         for second in outcomes[i + 1:]:
             status, detail = classify_backend_pair(
-                safe, first, second, scenario.algebra,
-                top_k=scenario.top_k)
+                safe, first, second, scenario.algebra)
             pairs.append(PairOutcome(first.backend, second.backend,
                                      status, detail))
     return tuple(pairs)

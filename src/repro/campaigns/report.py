@@ -226,25 +226,27 @@ def result_from_record(record: dict) -> ScenarioResult:
 class CampaignReport:
     """Aggregate of a campaign run: counters, reproducers, throughput.
 
-    Built by :meth:`AggregatingSink.report()
-    <repro.campaigns.sink.AggregatingSink.report>`: the aggregate fields
-    are counted incrementally as results arrive, while ``results``
-    retains what the sink kept — everything for a small campaign, only
-    the bounded disagreement/error reproducers for a streamed one, so a
-    million-scenario campaign reports in constant memory.
+    The report is the :class:`~repro.campaigns.sink.AggregatingSink`'s
+    tally: the sink counts each result into these fields as it arrives,
+    and :meth:`~repro.campaigns.sink.AggregatingSink.report` stamps the
+    run's fields and the retained ``results`` onto it — everything for a
+    small campaign, only the bounded disagreement/error reproducers for a
+    streamed one, so a million-scenario campaign reports in constant
+    memory.
     """
 
     #: The aggregates: every counter view below reads these, never
     #: ``results``.
-    total_scenarios: int
-    class_counts: dict
-    family_counts: dict
-    pair_counts: dict
-    cache_hit_count: int
-    analyzed_count: int
+    total_scenarios: int = 0
+    class_counts: dict = field(default_factory=dict)
+    family_counts: dict = field(default_factory=dict)
+    pair_counts: dict = field(default_factory=dict)
+    cache_hit_count: int = 0
+    analyzed_count: int = 0
     #: Scenarios that disagree (:attr:`ScenarioResult.is_disagreement`):
-    #: the total that survives streaming truncation.
-    disagreement_count: int
+    #: the total that survives streaming truncation, and the one count
+    #: the abort limit and the ``--watch`` frame read.
+    disagreement_count: int = 0
     #: Scenarios with a hijack verdict, and those the hijack won.
     hijack_count: int = 0
     hijack_win_count: int = 0

@@ -152,9 +152,10 @@ class _CampaignWatch:
         if not force and now - self._last < _WATCH_INTERVAL_S:
             return
         self._last = now
-        counts = state.aggregator.class_counts
-        extra = [f"evaluated: {state.aggregator.total - state.resumed}"
-                 f"  disagreements: {state.aggregator.disagreements}"
+        tally = state.aggregator.tally
+        counts = tally.class_counts
+        extra = [f"evaluated: {tally.total_scenarios - state.resumed}"
+                 f"  disagreements: {tally.disagreement_count}"
                  f"  errors: {counts.get(ERROR, 0)}"]
         if state.resumed:
             extra.append(f"resumed: {state.resumed}")
@@ -273,7 +274,7 @@ class CampaignRunner:
         if state.deadline is not None and time.monotonic() >= state.deadline:
             return "wall-clock budget exhausted"
         limit = self.config.abort_on_disagreements
-        found = state.aggregator.disagreements
+        found = state.aggregator.tally.disagreement_count
         if limit is not None and found >= limit:
             return f"disagreement limit reached ({found})"
         return None

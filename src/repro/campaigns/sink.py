@@ -4,13 +4,14 @@ A :class:`ResultSink` receives each :class:`ScenarioResult` the moment its
 chunk returns from a worker.  Two implementations cover the campaign
 runner's needs:
 
-* :class:`AggregatingSink` — the bounded in-memory aggregator behind every
-  :class:`~repro.campaigns.report.CampaignReport`.  It counts
-  classifications, families and pairwise statuses incrementally and
-  retains full results either entirely (``keep_results=True``, the
-  Python-API default for small campaigns) or only the disagreement/error
-  reproducers up to ``max_retained`` (the streaming mode: a
-  million-scenario campaign aggregates in constant memory);
+* :class:`AggregatingSink` — the bounded in-memory aggregator whose tally
+  *is* the campaign's :class:`~repro.campaigns.report.CampaignReport`.
+  It counts classifications, families and pairwise statuses into the
+  report's own fields as results arrive, and retains full results either
+  entirely (``keep_results=True``, the Python-API default for small
+  campaigns) or only the disagreement/error reproducers up to
+  ``max_retained`` (the streaming mode: a million-scenario campaign
+  aggregates in constant memory);
 * :class:`JsonlResultSink` — an incremental JSONL writer: one JSON object
   per scenario, flushed as produced, so an interrupted campaign still
   leaves a complete record of everything it evaluated.  Lines arrive in
@@ -36,7 +37,7 @@ import os
 import pathlib
 from typing import IO, Iterable, Iterator, Protocol
 
-from .report import (  # noqa: F401 - result_record re-exported (moved)
+from .report import (
     ERROR,
     CampaignReport,
     ScenarioResult,
@@ -53,50 +54,39 @@ class ResultSink(Protocol):
 
 
 class AggregatingSink:
-    """Incremental counters + bounded reproducer retention."""
+    """The campaign's tally (a :class:`CampaignReport`, counted as
+    results arrive) plus bounded reproducer retention."""
 
     def __init__(self, *, keep_results: bool = True,
                  max_retained: int = 200,
                  backends: tuple = ("gpv",)):
         self.keep_results = keep_results
         self.max_retained = max_retained
-        self.backends = tuple(backends)
-        self.class_counts: dict = {}
-        self.family_counts: dict = {}
-        self.pair_counts: dict = {}
-        self.total = 0
-        self.cache_hits = 0
-        self.analyzed = 0
-        #: Disagreeing scenarios: the one count the abort limit, the
-        #: ``--watch`` frame and the report read.
-        self.disagreements = 0
-        #: Scenarios with a hijack verdict, and those the hijack won.
-        self.hijacked = 0
-        self.hijack_wins = 0
+        self.tally = CampaignReport(backends=tuple(backends))
         self.retained: list[ScenarioResult] = []
         #: Reproducers live in their own bounded buffer so bulk ordinary
         #: results can never evict a disagreement's replay spec.
         self.reproducers: list[ScenarioResult] = []
-        self.truncated = 0
 
     def accept(self, result: ScenarioResult) -> None:
-        self.total += 1
-        self.class_counts[result.classification] = \
-            self.class_counts.get(result.classification, 0) + 1
-        family = self.family_counts.setdefault(result.family, {})
+        tally = self.tally
+        tally.total_scenarios += 1
+        tally.class_counts[result.classification] = \
+            tally.class_counts.get(result.classification, 0) + 1
+        family = tally.family_counts.setdefault(result.family, {})
         family[result.classification] = \
             family.get(result.classification, 0) + 1
         for pair in result.pairwise:
-            buckets = self.pair_counts.setdefault(pair.pair, {})
+            buckets = tally.pair_counts.setdefault(pair.pair, {})
             buckets[pair.status] = buckets.get(pair.status, 0) + 1
         if result.classification != ERROR:
-            self.analyzed += 1
-            self.cache_hits += result.cache_hit
+            tally.analyzed_count += 1
+            tally.cache_hit_count += result.cache_hit
         if result.is_disagreement:
-            self.disagreements += 1
+            tally.disagreement_count += 1
         if result.hijack:
-            self.hijacked += 1
-            self.hijack_wins += bool(result.hijack.get("wins"))
+            tally.hijack_count += 1
+            tally.hijack_win_count += bool(result.hijack.get("wins"))
         if result.is_disagreement or result.classification == ERROR:
             bucket = self.reproducers
         elif self.keep_results:
@@ -106,35 +96,24 @@ class AggregatingSink:
         if len(bucket) < self.max_retained:
             bucket.append(result)
         else:
-            self.truncated += 1
+            tally.results_truncated += 1
 
     def close(self) -> None:
         pass
 
     def report(self, *, wall_clock_s: float, jobs: int, chunk_size: int,
                aborted: str | None, resumed: int = 0) -> CampaignReport:
-        """Freeze the aggregates into a :class:`CampaignReport`."""
-        results = sorted(self.retained + self.reproducers,
-                         key=lambda r: r.scenario_id)
-        return CampaignReport(
-            results=results,
-            wall_clock_s=wall_clock_s,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            aborted=aborted,
-            backends=self.backends,
-            total_scenarios=self.total,
-            class_counts=dict(self.class_counts),
-            family_counts={f: dict(b) for f, b in self.family_counts.items()},
-            pair_counts={p: dict(b) for p, b in self.pair_counts.items()},
-            cache_hit_count=self.cache_hits,
-            analyzed_count=self.analyzed,
-            disagreement_count=self.disagreements,
-            hijack_count=self.hijacked,
-            hijack_win_count=self.hijack_wins,
-            results_truncated=self.truncated,
-            resumed_count=resumed,
-        )
+        """The tally, stamped with the run's fields and the retained
+        results; nothing is accepted after it."""
+        tally = self.tally
+        tally.wall_clock_s = wall_clock_s
+        tally.jobs = jobs
+        tally.chunk_size = chunk_size
+        tally.aborted = aborted
+        tally.resumed_count = resumed
+        tally.results = sorted(self.retained + self.reproducers,
+                               key=lambda r: r.scenario_id)
+        return tally
 
 
 #: The format stamp of a results file's header record.

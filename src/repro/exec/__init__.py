@@ -31,7 +31,6 @@ from .base import (
     ExecutionOutcome,
     ExecutionSession,
     route_mismatches,
-    route_set_mismatches,
 )
 from .batch import BatchBackend
 from .gpv import GPVBackend, GPVSession
@@ -89,5 +88,4 @@ __all__ = [
     "get_backend",
     "resolve_backends",
     "route_mismatches",
-    "route_set_mismatches",
 ]

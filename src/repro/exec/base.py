@@ -51,9 +51,12 @@ if TYPE_CHECKING:  # only for annotations; no runtime campaign dependency
 class ExecutionOutcome:
     """What one backend did with one scenario (picklable, worker → parent).
 
-    ``routes`` / ``sigs`` map ``(node, dest)`` to the selected best path /
-    signature (``None`` where the node holds no route) — the raw material
-    for cross-backend route-table comparison.
+    ``routes`` is the route table: ``(node, dest)`` → the node's selected
+    ``(sig, path)``, ``None`` where it holds no route.  Multipath
+    outcomes (``top_k > 1``) also carry ``route_sets``: ``(node, dest)``
+    → the ranked tuple of selected ``(sig, path)`` routes, best first,
+    capped at k, a pair without a route left out.  Both are what
+    :func:`route_mismatches` compares across backends.
     """
 
     backend: str
@@ -63,14 +66,11 @@ class ExecutionOutcome:
     bytes_sent: int = 0
     sim_time_s: float = 0.0
     routes: dict = field(default_factory=dict)
-    sigs: dict = field(default_factory=dict)
-    #: Multipath outcomes only (``top_k > 1``): ``(node, dest)`` → ranked
-    #: tuple of selected ``(sig, path)`` routes, best first, capped at k.
     route_sets: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-safe rendering (route tables are summarized, not dumped)."""
-        held = sum(1 for path in self.routes.values() if path is not None)
+        held = sum(1 for route in self.routes.values() if route is not None)
         record = {
             "backend": self.backend,
             "converged": self.converged,
@@ -154,7 +154,6 @@ class ExecutionSession(ABC):
     # -- rendering -------------------------------------------------------------
 
     def _outcome(self, name: str, reason: str) -> ExecutionOutcome:
-        routes, sigs = self.route_table()
         return ExecutionOutcome(
             backend=name,
             converged=reason == StopReason.QUIESCENT,
@@ -162,24 +161,20 @@ class ExecutionSession(ABC):
             messages=self.sim.stats.messages_sent,
             bytes_sent=self.sim.stats.bytes_sent_total,
             sim_time_s=self.sim.now,
-            routes=routes,
-            sigs=sigs,
+            routes=self.route_table(),
             route_sets=self.route_sets(),
         )
 
-    def route_table(self) -> tuple[dict, dict]:
-        """``(routes, sigs)`` keyed ``(node, dest)`` over all pairs."""
-        routes: dict = {}
-        sigs: dict = {}
+    def route_table(self) -> dict:
+        """``(node, dest)`` → selected ``(sig, path)`` or ``None``, over
+        all pairs."""
+        table: dict = {}
         for node in self.network.nodes():
             selected = self._selected_routes(node)
             for dest in self.destinations:
-                if node == dest:
-                    continue
-                route = selected.get(dest)
-                routes[(node, dest)] = route[1] if route else None
-                sigs[(node, dest)] = route[0] if route else None
-        return routes, sigs
+                if node != dest:
+                    table[(node, dest)] = selected.get(dest) or None
+        return table
 
     def route_sets(self) -> dict:
         """Top-k selected route sets per ``(node, dest)`` (multipath only).
@@ -230,74 +225,49 @@ def route_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,
                      limit: int = 8) -> list[str]:
     """Where two converged outcomes disagree, up to algebra-equivalence.
 
-    Implementations may legitimately settle on *different but equally
-    preferred* routes when the algebra declares ties (stickiness makes the
-    pick arrival-order dependent), so two selections only count as a
-    mismatch when one node holds a route the other lacks, or the selected
-    signatures are not preference-EQUAL under the algebra.
+    One rank-wise rule covers both tables: each best route is a ranked
+    set of length 0 or 1, and the k-best ``route_sets`` are compared too
+    when either outcome has them.  Per ``(node, dest)`` both backends
+    must hold the same number of routes, and the signatures at each rank
+    must be preference-EQUAL — on an agreed path too, so a wrong ⊕ is
+    caught there.  Paths may differ: ties are real, and stickiness makes
+    the tied pick arrival-order dependent.  This flags missing, dropped
+    or extra routes, wrong ranking order and strictly-worse picks alike;
+    a tie-margin ambiguity, should a scenario ever surface one, is
+    flagged for human eyes rather than silently absorbed.
     """
     mismatches: list[str] = []
     rank_key = algebra.rank_key
-    for key in sorted(set(first.routes) | set(second.routes)):
-        node, dest = key
-        p1, p2 = first.routes.get(key), second.routes.get(key)
-        if (p1 is None) != (p2 is None):
-            mismatches.append(
-                f"{node}->{dest}: {first.backend}={p1} {second.backend}={p2}")
-        elif p1 is not None and p1 != p2:
-            s1, s2 = first.sigs.get(key), second.sigs.get(key)
-            if s1 is None or s2 is None:
-                # A backend reported a route without its signature: the
-                # tables cannot be proven equivalent, so report a mismatch
-                # instead of crashing the oracle on the missing key.
+    tables = [(first.routes, second.routes, _ranked_best)]
+    if first.route_sets or second.route_sets:
+        tables.append((first.route_sets, second.route_sets, _ranked_set))
+    for table1, table2, ranked in tables:
+        for key in sorted(table1.keys() | table2.keys()):
+            entry1, entry2 = table1.get(key), table2.get(key)
+            if entry1 == entry2:
+                continue  # the same (sig, path) at every rank
+            routes1, routes2 = ranked(entry1), ranked(entry2)
+            if len(routes1) != len(routes2) or any(
+                    _apart(rank_key(sig1), rank_key(sig2))
+                    for (sig1, _p1), (sig2, _p2) in zip(routes1, routes2)):
+                node, dest = key
+                shown1, shown2 = (
+                    ", ".join(f"{path}({sig})" for sig, path in routes)
+                    for routes in (routes1, routes2))
                 mismatches.append(
-                    f"{node}->{dest}: signature missing "
-                    f"{first.backend}={p1}({s1}) {second.backend}={p2}({s2})")
-            elif _apart(rank_key(s1), rank_key(s2)):
-                mismatches.append(
-                    f"{node}->{dest}: {first.backend}={p1}({s1}) "
-                    f"{second.backend}={p2}({s2})")
-        if len(mismatches) >= limit:
-            break
+                    f"{node}->{dest}: {first.backend}=[{shown1}] "
+                    f"{second.backend}=[{shown2}]")
+                if len(mismatches) >= limit:
+                    return mismatches
     return mismatches
 
 
-def route_set_mismatches(algebra: RoutingAlgebra, first: ExecutionOutcome,
-                         second: ExecutionOutcome,
-                         limit: int = 8) -> list[str]:
-    """Where two converged multipath outcomes' k-best *sets* disagree.
+def _ranked_best(route) -> tuple:
+    return () if route is None else (route,)
 
-    Strict rank-wise comparison: both backends must hold the same number
-    of routes per ``(node, dest)`` and the signatures at each rank must
-    be preference-EQUAL (paths may differ — ties are real, and stickiness
-    makes the tied pick arrival-order dependent).  This flags dropped or
-    extra k-best entries, wrong ranking order, and strictly-worse
-    alternates alike.  Empirically the stable k-best sets match at this
-    granularity across every campaign family (ordered per-link transport
-    plus tie-refined algebras make the stable state unique); if a
-    scenario ever surfaces a genuine tie-margin ambiguity, the oracle
-    should flag it for human eyes rather than silently absorb it.
-    """
-    mismatches: list[str] = []
-    rank_key = algebra.rank_key
-    for key in sorted(set(first.route_sets) | set(second.route_sets)):
-        node, dest = key
-        routes1 = first.route_sets.get(key, ())
-        routes2 = second.route_sets.get(key, ())
-        if len(routes1) != len(routes2):
-            mismatches.append(
-                f"{node}->{dest}: {first.backend} holds {len(routes1)} "
-                f"routes, {second.backend} holds {len(routes2)}")
-        elif any(_apart(rank_key(sig1), rank_key(sig2))
-                 for (sig1, _p1), (sig2, _p2) in zip(routes1, routes2)):
-            render1 = [str(sig) for sig, _path in routes1]
-            render2 = [str(sig) for sig, _path in routes2]
-            mismatches.append(
-                f"{node}->{dest}: k-best sets diverge "
-                f"{first.backend}={render1} {second.backend}={render2}")
-        if len(mismatches) >= limit:
-            break
-    return mismatches
+
+def _ranked_set(routes) -> tuple:
+    return routes or ()
 
 
 def _apart(k1, k2) -> bool:

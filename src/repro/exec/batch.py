@@ -785,7 +785,6 @@ class _Problem:
 
     def outcome(self) -> ExecutionOutcome:
         routes: dict = {}
-        sigs: dict = {}
         kernel = self.kernel
         phi = kernel.phi_id
         ksigs = kernel.sigs
@@ -813,7 +812,6 @@ class _Problem:
                 node = nodes[i]
                 if sid == phi:
                     routes[(node, dest)] = None
-                    sigs[(node, dest)] = None
                     continue
                 pi = parent[i]
                 base = paths[pi] if pi >= 0 else None
@@ -823,14 +821,12 @@ class _Problem:
                         f"no witness next hop for {node}->{dest} at rank "
                         f"{sid}")
                 paths[i] = path = (node,) + base
-                routes[(node, dest)] = path
-                sigs[(node, dest)] = ksigs[sid]
+                routes[(node, dest)] = (ksigs[sid], path)
         return ExecutionOutcome(
             backend=BatchBackend.name,
             converged=True,
             stop_reason=StopReason.QUIESCENT,
             routes=routes,
-            sigs=sigs,
         )
 
 

@@ -62,6 +62,24 @@ def _weight_labelled(topology: Network) -> Network:
     return copy
 
 
+def _engine(mechanism: str, topology: Network, *, seed: int,
+            cost_hiding_threshold: int):
+    """A fresh engine of one Fig. 6 mechanism (PV, HLP or HLP-CH)."""
+    if mechanism == "PV":
+        # The baseline path-vector routes on the same weighted metric as
+        # HLP but carries full router-level paths — no hierarchy, no
+        # fragment hiding.
+        net = _weight_labelled(topology)
+        weights = sorted({link.weight for link in net.links()})
+        return GPVEngine(net, ShortestPath(weights), net.nodes(), seed=seed)
+    if mechanism == "HLP":
+        return HLPEngine(topology, seed=seed)
+    if mechanism == "HLP-CH":
+        return HLPEngine(topology, seed=seed,
+                         cost_hiding_threshold=cost_hiding_threshold)
+    raise ValueError(f"unknown mechanism {mechanism!r}")
+
+
 def figure6_study(*, seed: int = 0,
                   domains: int = 10,
                   nodes_per_domain: int = 20,
@@ -77,21 +95,8 @@ def figure6_study(*, seed: int = 0,
     node_count = topology.node_count()
     results: list[MechanismResult] = []
     for mechanism in mechanisms:
-        if mechanism == "PV":
-            # The baseline path-vector routes on the same weighted metric
-            # as HLP but carries full router-level paths — no hierarchy,
-            # no fragment hiding.
-            pv_net = _weight_labelled(topology)
-            weights = sorted({link.weight for link in pv_net.links()})
-            engine = GPVEngine(pv_net, ShortestPath(weights),
-                               pv_net.nodes(), seed=seed)
-        elif mechanism == "HLP":
-            engine = HLPEngine(topology, seed=seed)
-        elif mechanism == "HLP-CH":
-            engine = HLPEngine(topology, seed=seed,
-                               cost_hiding_threshold=cost_hiding_threshold)
-        else:
-            raise ValueError(f"unknown mechanism {mechanism!r}")
+        engine = _engine(mechanism, topology, seed=seed,
+                         cost_hiding_threshold=cost_hiding_threshold)
         results.append(_measure(mechanism, engine, node_count,
                                 until=until, bin_s=bin_s))
     return results
@@ -145,18 +150,8 @@ def perturbation_study(*, seed: int = 0,
         # mutate link weights in place.
         topology = hlp_topology(domains, nodes_per_domain, cross_links,
                                 seed=seed)
-        if mechanism == "PV":
-            net = _weight_labelled(topology)
-            weights = sorted({link.weight for link in net.links()})
-            engine = GPVEngine(net, ShortestPath(weights), net.nodes(),
-                               seed=seed)
-        elif mechanism == "HLP":
-            engine = HLPEngine(topology, seed=seed)
-        elif mechanism == "HLP-CH":
-            engine = HLPEngine(topology, seed=seed,
-                               cost_hiding_threshold=cost_hiding_threshold)
-        else:
-            raise ValueError(f"unknown mechanism {mechanism!r}")
+        engine = _engine(mechanism, topology, seed=seed,
+                         cost_hiding_threshold=cost_hiding_threshold)
         engine.run(until=settle_s, max_events=20_000_000)
         base_msgs = engine.sim.stats.messages_sent
         base_bytes = engine.sim.stats.bytes_sent_total

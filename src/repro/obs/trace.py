@@ -302,7 +302,8 @@ def render_span_tree(spans: list[dict]) -> str:
     def _attr_text(span: dict) -> str:
         attrs = span.get("attrs") or {}
         shown = {k: v for k, v in attrs.items() if k != "scenario_id"}
-        body = " ".join(f"{k}={v}" for k, v in shown.items())
+        body = " ".join(f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in shown.items())
         return f" [{body}]" if body else ""
 
     def _render(span: dict, prefix: str, is_last: bool) -> None:

@@ -11,7 +11,7 @@ from repro.campaigns import (
     evaluate,
     materialize,
 )
-from repro.exec import ExecutionOutcome, route_set_mismatches
+from repro.exec import ExecutionOutcome, route_mismatches
 from repro.protocols.hlp import DOMAIN_ATTR
 
 
@@ -111,65 +111,77 @@ class TestRouteSetComparison:
 
     def test_equal_sets_agree(self):
         sets = {("a", "d"): (((3, (0,)), ("a", "d")),)}
-        assert route_set_mismatches(self.algebra, outcome("x", sets),
-                                    outcome("y", dict(sets))) == []
+        assert route_mismatches(self.algebra, outcome("x", sets),
+                                outcome("y", dict(sets))) == []
 
     def test_preference_equal_members_agree(self):
         first = {("a", "d"): (((3, (0, 1)), ("a", "d")),)}
         second = {("a", "d"): (((3, (0, 1)), ("a", "b", "d")),)}
-        assert route_set_mismatches(self.algebra, outcome("x", first),
-                                    outcome("y", second)) == []
+        assert route_mismatches(self.algebra, outcome("x", first),
+                                outcome("y", second)) == []
 
     def test_signature_divergence_flagged(self):
         first = {("a", "d"): (((3, (0,)), ("a", "d")),)}
         second = {("a", "d"): (((3, (0, 1)), ("a", "b", "d")),)}
-        assert route_set_mismatches(self.algebra, outcome("x", first),
-                                    outcome("y", second)) != []
+        assert route_mismatches(self.algebra, outcome("x", first),
+                                outcome("y", second)) != []
 
     def test_dropped_k_best_entry_flagged(self):
         shorter = {("a", "d"): (((3, (0,)), ("a", "d")),)}
         longer = {("a", "d"): (((3, (0,)), ("a", "d")),
                                ((4, (0,)), ("a", "b", "d")))}
-        mismatches = route_set_mismatches(self.algebra, outcome("x", shorter),
-                                          outcome("y", longer))
-        assert len(mismatches) == 1
-        assert "holds" in mismatches[0]
+        mismatches = route_mismatches(self.algebra, outcome("x", shorter),
+                                      outcome("y", longer))
+        assert mismatches == [
+            "a->d: x=[('a', 'd')((3, (0,)))] "
+            "y=[('a', 'd')((3, (0,))), ('a', 'b', 'd')((4, (0,)))]"]
 
     def test_strictly_worse_alternate_flagged(self):
         first = {("a", "d"): (((3, (0,)), ("a", "d")),
                               ((4, (0,)), ("a", "b", "d")))}
         second = {("a", "d"): (((3, (0,)), ("a", "d")),
                                ((9, (0,)), ("a", "c", "d")))}
-        mismatches = route_set_mismatches(self.algebra, outcome("x", first),
-                                          outcome("y", second))
+        mismatches = route_mismatches(self.algebra, outcome("x", first),
+                                      outcome("y", second))
         assert len(mismatches) == 1
-        assert "k-best sets diverge" in mismatches[0]
+        assert "('a', 'c', 'd')((9, (0,)))" in mismatches[0]
 
     def test_emptiness_split_flagged(self):
         first = {("a", "d"): (((3, (0,)), ("a", "d")),)}
         second = {}
-        mismatches = route_set_mismatches(self.algebra, outcome("x", first),
-                                          outcome("y", second))
-        assert len(mismatches) == 1
-        assert "holds" in mismatches[0]
+        mismatches = route_mismatches(self.algebra, outcome("x", first),
+                                      outcome("y", second))
+        assert mismatches == ["a->d: x=[('a', 'd')((3, (0,)))] y=[]"]
 
     def test_wrong_ranking_order_flagged(self):
         first = {("a", "d"): (((3, (0,)), ("a", "d")),
                               ((4, (0,)), ("a", "b", "d")))}
         second = {("a", "d"): (((4, (0,)), ("a", "b", "d")),
                                ((3, (0,)), ("a", "d")))}
-        assert route_set_mismatches(self.algebra, outcome("x", first),
-                                    outcome("y", second)) != []
+        assert route_mismatches(self.algebra, outcome("x", first),
+                                outcome("y", second)) != []
 
     def test_classify_backend_pair_uses_route_sets_for_multipath(self):
         first = outcome("x", {("a", "d"): (((3, (0,)), ("a", "d")),)})
         second = outcome("y", {})
         status, _detail = classify_backend_pair(True, first, second,
-                                                self.algebra, top_k=2)
+                                                self.algebra)
         assert status == "route-diverged"
-        status, _detail = classify_backend_pair(True, first, second,
-                                                self.algebra, top_k=1)
-        assert status == "agree"
+
+    def test_same_path_apart_signatures_diverge(self):
+        """An agreed path does not excuse a wrong ⊕: the signatures at
+        each rank are compared whether or not the paths differ."""
+        first = ExecutionOutcome(
+            backend="x", converged=True, stop_reason="quiescent",
+            routes={("a", "d"): ((3, (0,)), ("a", "d"))})
+        second = ExecutionOutcome(
+            backend="y", converged=True, stop_reason="quiescent",
+            routes={("a", "d"): ((4, (0,)), ("a", "d"))})
+        status, detail = classify_backend_pair(True, first, second,
+                                               self.algebra)
+        assert status == "route-diverged"
+        assert detail == ("a->d: x=[('a', 'd')((3, (0,)))] "
+                          "y=[('a', 'd')((4, (0,)))]")
 
 
 class TestDifferentialSmoke:

@@ -169,5 +169,5 @@ class TestTeeSink:
         tee = TeeSink([aggregator, JsonlResultSink(buffer)])
         tee.accept(make_result(0))
         tee.close()
-        assert aggregator.total == 1
+        assert aggregator.tally.total_scenarios == 1
         assert buffer.getvalue().count("\n") == 1

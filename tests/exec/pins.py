@@ -112,10 +112,15 @@ BATCHED_WIRE_BACKENDS = ("gpv", "ndlog")
 
 
 def outcome_digest(outcome) -> str:
+    """sha1 over the outcome; the route table enters as its path view and
+    its signature view (``None`` where no route is held), the fingerprint
+    these pins were first taken over."""
+    paths = {key: route and route[1] for key, route in outcome.routes.items()}
+    sigs = {key: route and route[0] for key, route in outcome.routes.items()}
     fingerprint = (outcome.backend, outcome.stop_reason, outcome.messages,
                    outcome.bytes_sent, outcome.sim_time_s,
-                   sorted(outcome.routes.items()),
-                   sorted(outcome.sigs.items()),
+                   sorted(paths.items()),
+                   sorted(sigs.items()),
                    sorted(outcome.route_sets.items()))
     return hashlib.sha1(repr(fingerprint).encode()).hexdigest()
 

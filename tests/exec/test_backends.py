@@ -180,9 +180,10 @@ class TestEventSemantics:
                 == sorted(tuple(sorted((l.a, l.b)))
                           for l in ndlog_session.network.links()))
         # No surviving best path may traverse a failed link.
-        for (node, dest), path in ndlog.routes.items():
-            if path is None:
+        for (node, dest), route in ndlog.routes.items():
+            if route is None:
                 continue
+            path = route[1]
             for u, v in zip(path, path[1:]):
                 assert ndlog_session.network.has_link(u, v), (
                     f"{node}->{dest} rides failed link {u}-{v}: {path}")

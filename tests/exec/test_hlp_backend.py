@@ -126,7 +126,8 @@ class TestThreeWayConformance:
 
     def test_hlp_sigs_are_cost_dpath_pairs(self):
         _session, outcome = run_backend("hlp", hlp_spec())
-        some = [sig for sig in outcome.sigs.values() if sig is not None]
+        some = [route[0] for route in outcome.routes.values()
+                if route is not None]
         assert some
         for cost, dpath in some:
             assert isinstance(cost, int) and cost > 0

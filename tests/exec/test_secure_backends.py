@@ -45,7 +45,8 @@ class TestScalarInjection:
     def test_attacker_holds_its_forged_route(self):
         for name in ("gpv", "ndlog"):
             scenario, outcome = run_backend(name, hijack_spec("none", 0.0))
-            path = outcome.routes[(scenario.attacker, scenario.hijack_dest)]
+            _sig, path = outcome.routes[(scenario.attacker,
+                                         scenario.hijack_dest)]
             assert path == (scenario.attacker, scenario.hijack_dest), name
 
     def test_victim_sets_match_across_scalar_backends(self):
@@ -54,10 +55,10 @@ class TestScalarInjection:
         for name in ("gpv", "ndlog"):
             scenario, outcome = run_backend(name, spec)
             victims[name] = {
-                node for (node, dest), path in outcome.routes.items()
+                node for (node, dest), route in outcome.routes.items()
                 if dest == scenario.hijack_dest and node != scenario.attacker
-                and path is not None
-                and hijacked_route(path, scenario.attacker)}
+                and route is not None
+                and hijacked_route(route[1], scenario.attacker)}
         assert victims["gpv"] == victims["ndlog"]
         assert victims["gpv"]  # seed 0 at 0% deployment plants a win
 
@@ -80,13 +81,14 @@ class TestBatchSupport:
             _, batch_outcome = run_backend("batch", spec)
             scenario, gpv_outcome = run_backend("gpv", spec)
             algebra = scenario.algebra
-            for key, sig in gpv_outcome.sigs.items():
-                other = batch_outcome.sigs.get(key)
-                if sig is None:
+            for key, route in gpv_outcome.routes.items():
+                other = batch_outcome.routes.get(key)
+                if route is None:
                     assert other is None, (mode, fraction, key)
                 else:
                     assert other is not None, (mode, fraction, key)
-                    assert algebra.preference(sig, other).name == "EQUAL", \
+                    assert algebra.preference(
+                        route[0], other[0]).name == "EQUAL", \
                         (mode, fraction, key)
 
     def test_batch_outcome_matches_gpv_on_undeployed_hijack(self):
@@ -94,13 +96,14 @@ class TestBatchSupport:
         _, batch_outcome = run_backend("batch", spec)
         scenario, gpv_outcome = run_backend("gpv", spec)
         algebra = scenario.algebra
-        for key, sig in gpv_outcome.sigs.items():
-            other = batch_outcome.sigs.get(key)
-            if sig is None:
+        for key, route in gpv_outcome.routes.items():
+            other = batch_outcome.routes.get(key)
+            if route is None:
                 assert other is None, key
             else:
                 assert other is not None, key
-                assert algebra.preference(sig, other).name == "EQUAL", key
+                assert algebra.preference(
+                    route[0], other[0]).name == "EQUAL", key
 
     def test_hijack_after_the_horizon_is_inert(self):
         base = hijack_spec("none", 0.0)
@@ -110,8 +113,12 @@ class TestBatchSupport:
             max_events=base.max_events,
             events=(LinkEventSpec(time=base.until + 5.0, kind="hijack",
                                   link_index=0, attacker_index=3),))
-        scenario, outcome = run_backend("batch", spec)
-        victims = [node for (node, dest), path in outcome.routes.items()
-                   if dest == scenario.hijack_dest and path is not None
-                   and hijacked_route(path, scenario.attacker)]
-        assert victims == []
+
+        def victims(spec):
+            scenario, outcome = run_backend("batch", spec)
+            return [node for (node, dest), route in outcome.routes.items()
+                    if dest == scenario.hijack_dest and route is not None
+                    and hijacked_route(route[1], scenario.attacker)]
+
+        assert victims(base)  # the same hijack inside the horizon wins
+        assert victims(spec) == []

@@ -132,7 +132,7 @@ class TestAdvertisedSets:
         """Losing a relay shrinks the advertised set; the vacated rank
         reaches neighbors as a φ row, not a stale alternate."""
         from repro.campaigns import LinkEventSpec, ScenarioSpec, materialize
-        from repro.exec import get_backend, route_set_mismatches
+        from repro.exec import get_backend, route_mismatches
 
         spec = ScenarioSpec(
             scenario_id=0, family="multipath", algebra="shortest-path",
@@ -156,5 +156,5 @@ class TestAdvertisedSets:
                     for u, v in zip(path, path[1:]):
                         assert session.network.has_link(u, v), (name, path)
             outcomes[name] = outcome
-        assert route_set_mismatches(algebra, outcomes["gpv"],
-                                    outcomes["ndlog"]) == []
+        assert route_mismatches(algebra, outcomes["gpv"],
+                                outcomes["ndlog"]) == []

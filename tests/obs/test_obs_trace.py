@@ -145,6 +145,17 @@ class TestReaders:
         assert "1 root(s)" in text
         assert render_span_tree([]) == "(no spans)"
 
+    def test_render_rounds_float_attributes(self):
+        span = {"span_id": "a", "parent_id": None, "trace_id": "t",
+                "name": "analysis:verdict",
+                "start": 0.0, "elapsed_ms": 0.123456, "worker": "t1",
+                "status": "ok",
+                "attrs": {"key_ms": 0.08563000028516399, "safe": True,
+                          "messages": 12, "verdict_tier": "memo"}}
+        text = render_span_tree([span])
+        assert ("analysis:verdict 0.12ms worker=t1 [key_ms=0.086 safe=True "
+                "messages=12 verdict_tier=memo]") in text
+
     def test_records_round_trip_as_json_lines(self, tracer, tmp_path):
         self._emit_scenario(tracer, 3)
         path = tmp_path / "spans-t1.jsonl"

@@ -112,6 +112,6 @@ class TestStickyAfterLoss:
         session = get_backend(backend).prepare(scenario, seed=0)
         outcome = session.run(until=20.0)
         assert outcome.converged
-        assert outcome.routes[("s", "d")] == ("s", "b", "y", "d")
+        assert outcome.routes[("s", "d")][1] == ("s", "b", "y", "d")
         assert session.sim.stats.last_route_change < 5.0
         assert outcome.messages == 18
