@@ -7,7 +7,8 @@ topology (scaled down for a quick run; pass --paper-scale for the full
 87-router / 53-reflector configuration):
 
 1. build the router graph, session hierarchy and hot-potato policy;
-2. run the generated implementation, logging received routes;
+2. run the implementation (the ``BACKEND`` session), logging received
+   routes;
 3. extract the concrete SPP instance from the run;
 4. solve — unsat, with a minimal core that names exactly the routers
    whose IGP costs form a preference cycle;
@@ -20,8 +21,9 @@ Run:  python examples/ibgp_debugging.py [--paper-scale]
 import sys
 
 from repro.analysis import SafetyAnalyzer
+from repro.campaigns.scenarios import Scenario
+from repro.exec import get_backend
 from repro.experiments import extract_spp
-from repro.protocols import GPVEngine
 from repro.topology import (
     EXT_DEST,
     IGPCostAlgebra,
@@ -29,19 +31,24 @@ from repro.topology import (
     rocketfuel_like,
 )
 
+#: The execution backend that runs each configuration (``gpv`` or ``ndlog``).
+BACKEND = "gpv"
+
 
 def run_and_analyze(config, label: str):
     print(f"\n--- {label} ---")
-    engine = GPVEngine(config.session_net, IGPCostAlgebra(config),
-                       [EXT_DEST], seed=1)
-    engine.sim.stats.route_log = []  # keep the RIB-in log extraction reads
-    reason = engine.run(until=2.0, max_events=2_000_000)
-    stats = engine.sim.stats
-    print(f"execution: {reason}; {stats.messages_sent} messages, "
-          f"{stats.bytes_sent_total / 1e6:.3f} MB")
+    scenario = Scenario(spec=None, network=config.session_net,
+                        algebra=IGPCostAlgebra(config),
+                        destinations=[EXT_DEST], analysis_subject=None)
+    session = get_backend(BACKEND).prepare(scenario, seed=1)
+    session.sim.stats.route_log = []  # keep the RIB-in log extraction reads
+    outcome = session.run(until=2.0, max_events=2_000_000)
+    stats = session.sim.stats
+    print(f"execution: {outcome.stop_reason}; {stats.messages_sent} "
+          f"messages, {stats.bytes_sent_total / 1e6:.3f} MB")
 
     spp = extract_spp(
-        engine, EXT_DEST,
+        session, EXT_DEST,
         rank_key=lambda node, sig, path: (config.cost(node, sig[1]),
                                           len(path), path))
     report = SafetyAnalyzer().analyze(spp)

@@ -154,11 +154,11 @@ class _CampaignWatch:
         self._last = now
         tally = state.aggregator.tally
         counts = tally.class_counts
-        extra = [f"evaluated: {tally.total_scenarios - state.resumed}"
+        extra = [f"evaluated: {tally.total_scenarios - tally.resumed_count}"
                  f"  disagreements: {tally.disagreement_count}"
                  f"  errors: {counts.get(ERROR, 0)}"]
-        if state.resumed:
-            extra.append(f"resumed: {state.resumed}")
+        if tally.resumed_count:
+            extra.append(f"resumed: {tally.resumed_count}")
         if state.aborted:
             extra.append(f"aborted: {state.aborted}")
         if counts:
@@ -178,8 +178,6 @@ class _RunState:
     #: ``time.monotonic`` deadline of the wall-clock budget, if any.
     deadline: float | None = None
     extra_sink: ResultSink | None = None
-    #: Results replayed from an earlier run's records, not evaluated.
-    resumed: int = 0
     aborted: str | None = None
     watch: _CampaignWatch | None = None
 
@@ -193,7 +191,7 @@ class _RunState:
     def replay(self, result: ScenarioResult) -> None:
         """Count a recorded result; the extra sink already holds it."""
         self.aggregator.accept(result)
-        self.resumed += 1
+        self.aggregator.tally.resumed_count += 1
 
 
 class CampaignRunner:
@@ -253,7 +251,6 @@ class CampaignRunner:
             jobs=self.config.jobs,
             chunk_size=self.config.chunk_size,
             aborted=state.aborted,
-            resumed=state.resumed,
         )
 
     # -- the one stop rule ---------------------------------------------------

@@ -82,7 +82,8 @@ class ResolvedEvent:
 class Scenario:
     """Everything one differential-oracle evaluation needs."""
 
-    spec: ScenarioSpec
+    #: None for a figure harness's scenario, which never reaches the oracle.
+    spec: ScenarioSpec | None
     network: Network
     algebra: RoutingAlgebra
     destinations: list[str]

@@ -102,7 +102,7 @@ class AggregatingSink:
         pass
 
     def report(self, *, wall_clock_s: float, jobs: int, chunk_size: int,
-               aborted: str | None, resumed: int = 0) -> CampaignReport:
+               aborted: str | None) -> CampaignReport:
         """The tally, stamped with the run's fields and the retained
         results; nothing is accepted after it."""
         tally = self.tally
@@ -110,7 +110,6 @@ class AggregatingSink:
         tally.jobs = jobs
         tally.chunk_size = chunk_size
         tally.aborted = aborted
-        tally.resumed_count = resumed
         tally.results = sorted(self.retained + self.reproducers,
                                key=lambda r: r.scenario_id)
         return tally

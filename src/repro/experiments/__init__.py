@@ -1,4 +1,5 @@
-"""Experiment harnesses regenerating every table and figure.
+"""Experiment harnesses regenerating every table and figure (Fig. 4, 5 and 6
+run path vector on the execution backend each names in ``BACKEND``).
 
 * :mod:`repro.experiments.convergence` — Figure 4 (convergence vs chain
   depth, sim and testbed profiles);

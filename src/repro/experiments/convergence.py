@@ -2,8 +2,9 @@
 chain (paper Sec. VI-A).
 
 The workload: Gao-Rexford guideline A composed with shortest hop-count
-(provably safe by the composition rule), deployed with GPV on hierarchies
-of increasing depth, route batching every second, 100 Mbps / 10 ms links.
+(provably safe by the composition rule), deployed on the :data:`BACKEND`
+engine over hierarchies of increasing depth, route batching every second,
+100 Mbps / 10 ms links.
 For a chain of length d the theoretical worst case is 2·(d+1) phases
 (Sami-Schapira-Zohar), i.e. ``2 (d+1) batch_interval`` seconds; the
 measured curve should grow linearly and sit *below* the bound (leaf
@@ -20,8 +21,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..algebra.library import gao_rexford_with_hopcount
-from ..protocols.gpv import GPVEngine
+from ..campaigns.scenarios import Scenario
+from ..exec import get_backend
 from ..topology.caida import hierarchy, longest_customer_provider_chain, product_label
+
+BACKEND = "gpv"
 
 #: Link profiles: (latency_s, jitter_s).  Simulation mode follows the
 #: paper's 10 ms LAN-like links; testbed mode models the 32-machine GbE
@@ -58,6 +62,15 @@ class ConvergencePoint:
         return 2 * (self.depth + 1)
 
 
+def _prepare(backend: str, network, algebra, destinations, *, seed: int,
+             batch_interval: float | None = None):
+    """A ``backend`` session over a scenario with no spec or analysis subject."""
+    scenario = Scenario(spec=None, network=network, algebra=algebra,
+                        destinations=destinations, analysis_subject=None,
+                        batch_interval=batch_interval)
+    return get_backend(backend).prepare(scenario, seed=seed)
+
+
 def worst_case_bound(depth: int, batch_interval: float = 1.0) -> float:
     """Sami-Schapira-Zohar bound: 2 (d+1) phases."""
     return 2 * (depth + 1) * batch_interval
@@ -73,11 +86,11 @@ def run_depth(depth: int, *, seed: int = 0, profile: str = "sim",
                         max_nodes=max_nodes, latency_s=latency,
                         jitter_s=jitter)
     actual_depth = longest_customer_provider_chain(network)
-    engine = GPVEngine(network, gao_rexford_with_hopcount(),
+    session = _prepare(BACKEND, network, gao_rexford_with_hopcount(),
                        network.nodes(), seed=seed,
                        batch_interval=batch_interval)
-    reason = engine.run(until=until, max_events=20_000_000)
-    stats = engine.sim.stats
+    outcome = session.run(until=until, max_events=20_000_000)
+    stats = session.sim.stats
     return ConvergencePoint(
         depth=actual_depth,
         nodes=network.node_count(),
@@ -85,7 +98,7 @@ def run_depth(depth: int, *, seed: int = 0, profile: str = "sim",
         convergence_s=stats.convergence_time,
         worst_case_s=worst_case_bound(actual_depth, batch_interval),
         messages=stats.messages_sent,
-        converged=(reason == "quiescent" and engine.converged_everywhere()),
+        converged=outcome.converged and None not in outcome.routes.values(),
         batch_interval=batch_interval,
     )
 
@@ -122,11 +135,11 @@ def figure4_from_caida(*, as_count: int = 1500, seed: int = 2,
     points: list[ConvergencePoint] = []
     for depth in sorted(cones):
         cone = cones[depth]
-        engine = GPVEngine(cone, gao_rexford_with_hopcount(),
+        session = _prepare(BACKEND, cone, gao_rexford_with_hopcount(),
                            cone.nodes(), seed=seed,
                            batch_interval=batch_interval)
-        reason = engine.run(until=until, max_events=20_000_000)
-        stats = engine.sim.stats
+        outcome = session.run(until=until, max_events=20_000_000)
+        stats = session.sim.stats
         points.append(ConvergencePoint(
             depth=depth,
             nodes=cone.node_count(),
@@ -137,7 +150,7 @@ def figure4_from_caida(*, as_count: int = 1500, seed: int = 2,
             # Cones may contain policy-unreachable pairs (peer-only
             # joins), so quiescence — not all-pairs reachability — is the
             # convergence criterion here.
-            converged=(reason == "quiescent"),
+            converged=outcome.converged,
             batch_interval=batch_interval,
         ))
     return points

@@ -9,11 +9,11 @@ on IGP costs ... to generate per-node rankings."
 :func:`extract_spp` turns a logged protocol run into an
 :class:`~repro.algebra.spp.SPPInstance` ready for the safety analyzer,
 closing the loop between the implementation and analysis halves of FSR.
-It accepts any *route-log source* — an object exposing ``algebra``,
-``network`` and ``sim``, whose ``sim.stats.route_log`` was set to ``[]``
-before the run, so that it logged ``(node, dest, sig, path)`` acceptances:
-a :class:`~repro.protocols.gpv.GPVEngine`, or a GPV or NDlog
-:class:`~repro.exec.base.ExecutionSession`.
+Its *route-log source* is a GPV or NDlog
+:class:`~repro.exec.base.ExecutionSession` whose ``sim.stats.route_log``
+was set to ``[]`` between ``prepare`` and ``run``, so that it logged
+``(node, dest, sig, path)`` acceptances; a bare
+:class:`~repro.protocols.gpv.GPVEngine` serves too.
 """
 
 from __future__ import annotations

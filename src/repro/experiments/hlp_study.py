@@ -6,7 +6,7 @@ a destination.  The paper reports HLP converging faster than PV (0.35 s vs
 0.4 s) with lower per-node communication (1.09 MB vs 1.75 MB), and cost
 hiding (threshold 5) cutting HLP's cost further (0.59 MB).  We reproduce
 the *ordering and rough factors*: HLP beats PV on both axes, HLP-CH beats
-HLP on bytes.
+HLP on bytes.  PV runs on the :data:`BACKEND` engine, HLP on HLPEngine.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from typing import Sequence
 from ..algebra.library import ShortestPath
 from ..net.network import Network
 from ..net.stats import BandwidthPoint
-from ..protocols.gpv import GPVEngine
 from ..protocols.hlp import HLPEngine
 from ..topology.hlp_topo import hlp_topology
+from .convergence import _prepare
+
+BACKEND = "gpv"
 
 
 @dataclass
@@ -38,10 +40,14 @@ def _measure(name: str, engine, node_count: int, *, until: float,
              bin_s: float) -> MechanismResult:
     stats = engine.sim.stats
     stats.send_log = []  # the bandwidth series reads it
-    reason = engine.run(until=until, max_events=20_000_000)
+    ran = engine.run(until=until, max_events=20_000_000)
+    if isinstance(engine, HLPEngine):
+        converged = ran == "quiescent" and engine.converged_everywhere()
+    else:
+        converged = ran.converged and None not in ran.routes.values()
     return MechanismResult(
         mechanism=name,
-        converged=(reason == "quiescent" and engine.converged_everywhere()),
+        converged=converged,
         convergence_s=stats.convergence_time,
         messages=stats.messages_sent,
         per_node_mb=stats.per_node_megabytes(node_count),
@@ -64,14 +70,15 @@ def _weight_labelled(topology: Network) -> Network:
 
 def _engine(mechanism: str, topology: Network, *, seed: int,
             cost_hiding_threshold: int):
-    """A fresh engine of one Fig. 6 mechanism (PV, HLP or HLP-CH)."""
+    """A fresh run of one Fig. 6 mechanism (PV, HLP or HLP-CH)."""
     if mechanism == "PV":
         # The baseline path-vector routes on the same weighted metric as
         # HLP but carries full router-level paths — no hierarchy, no
         # fragment hiding.
         net = _weight_labelled(topology)
         weights = sorted({link.weight for link in net.links()})
-        return GPVEngine(net, ShortestPath(weights), net.nodes(), seed=seed)
+        return _prepare(BACKEND, net, ShortestPath(weights), net.nodes(),
+                        seed=seed)
     if mechanism == "HLP":
         return HLPEngine(topology, seed=seed)
     if mechanism == "HLP-CH":
@@ -157,11 +164,7 @@ def perturbation_study(*, seed: int = 0,
         base_bytes = engine.sim.stats.bytes_sent_total
         reason = "quiescent"
         for a, b, new_weight in schedule:
-            if mechanism == "PV":
-                engine.perturb_link(a, b, label_ab=new_weight,
-                                    label_ba=new_weight)
-            else:
-                engine.perturb_link(a, b, new_weight)
+            engine.perturb_link(a, b, new_weight)
             reason = engine.sim.run(until=engine.sim.now + settle_s,
                                     max_events=20_000_000)
         results.append(PerturbationResult(

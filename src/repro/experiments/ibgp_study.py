@@ -7,10 +7,10 @@ topology:
    with hot-potato (IGP-cost) route selection;
 2. optionally embed the Figure-3 gadget (three top reflectors whose IGP
    costs prefer each other's client egress);
-3. **analysis path**: run GPV logging received routes, extract the SPP
-   instance, encode (hundreds of constraints) and solve — the gadget run
-   is unsat with a ~6-constraint minimal core naming exactly the gadget
-   routers; the fixed run is sat;
+3. **analysis path**: run the :data:`BACKEND` engine logging received
+   routes, extract the SPP instance, encode (hundreds of constraints) and
+   solve — the gadget run is unsat with a ~6-constraint minimal core
+   naming exactly the gadget routers; the fixed run is sat;
 4. **experiment path**: measure bandwidth-over-time for both
    configurations (Fig. 5's Gadget vs NoGadget curves) and report the
    communication-overhead and convergence-time reductions the fix buys
@@ -25,10 +25,12 @@ from ..analysis.encoder import encode
 from ..analysis.safety import SafetyAnalyzer, SafetyReport
 from ..algebra.spp import SPPAlgebra, SPPInstance
 from ..net.stats import BandwidthPoint
-from ..protocols.gpv import GPVEngine
 from ..topology.ibgp import EXT_DEST, IBGPConfig, IGPCostAlgebra, make_ibgp_config
 from ..topology.rocketfuel import rocketfuel_like
+from .convergence import _prepare
 from .extraction import extract_spp
+
+BACKEND = "gpv"
 
 
 @dataclass
@@ -68,16 +70,16 @@ def run_configuration(config: IBGPConfig, *, seed: int = 0,
                       bin_s: float = 0.02,
                       analyze: bool = True) -> IBGPRunResult:
     """Simulate one iBGP configuration and (optionally) analyze it."""
-    algebra = IGPCostAlgebra(config)
-    engine = GPVEngine(config.session_net, algebra, [EXT_DEST], seed=seed)
-    stats = engine.sim.stats
+    session = _prepare(BACKEND, config.session_net, IGPCostAlgebra(config),
+                       [EXT_DEST], seed=seed)
+    stats = session.sim.stats
     stats.send_log = []  # the bandwidth series reads it
     stats.route_log = []  # extraction reads it
-    reason = engine.run(until=window_s, max_events=20_000_000)
+    outcome = session.run(until=window_s, max_events=20_000_000)
     node_count = config.session_net.node_count() - 1  # exclude EXT
     result = IBGPRunResult(
         gadget=bool(config.gadget_members),
-        converged=(reason == "quiescent"),
+        converged=outcome.converged,
         convergence_s=min(stats.convergence_time, window_s),
         messages=stats.messages_sent,
         total_mb=stats.bytes_sent_total / 1e6,
@@ -86,7 +88,7 @@ def run_configuration(config: IBGPConfig, *, seed: int = 0,
     )
     if analyze:
         spp = extract_spp(
-            engine, EXT_DEST,
+            session, EXT_DEST,
             rank_key=lambda node, sig, path: (config.cost(node, sig[1]),
                                               len(path), path))
         encoding = encode(SPPAlgebra(spp))

@@ -1,8 +1,8 @@
 """Protocol engines: GPV (path vector over an algebra) and HLP.
 
 * :mod:`repro.protocols.gpv` — the native Generalized Path Vector engine,
-  semantically equal to the NDlog GPV program (asserted by tests); Fig. 6's
-  PV baseline is a :class:`GPVEngine` its experiment builds itself;
+  semantically equal to the NDlog GPV program (asserted by tests), run by
+  the ``gpv`` execution backend;
 * :mod:`repro.protocols.hlp` — Hybrid Link-state/Path-vector with cost
   hiding (Sec. VI-D).
 """

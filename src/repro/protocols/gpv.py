@@ -184,29 +184,6 @@ class GPVEngine:
         return [route[:2] for route in
                 self._ranked(self._candidates(self._states[node], dest))]
 
-    def converged_everywhere(self) -> bool:
-        """Does every node hold a route to every (other) destination?"""
-        return self.reachable_fraction() == 1.0
-
-    def reachable_fraction(self) -> float:
-        """Fraction of (node, destination) pairs holding a route.
-
-        Policy filtering can legitimately leave pairs unreachable (e.g.
-        Gao-Rexford never routes between two customers of disjoint
-        hierarchies joined only by a peering), so 1.0 is not always the
-        converged value — quiescence is.
-        """
-        pairs = 0
-        reachable = 0
-        for node in self.network.nodes():
-            for dest in self.destinations:
-                if node == dest:
-                    continue
-                pairs += 1
-                if self.best_route(node, dest) is not None:
-                    reachable += 1
-        return reachable / pairs if pairs else 1.0
-
     def fail_link(self, a: str, b: str) -> None:
         """Take the link between ``a`` and ``b`` down at the current time.
 

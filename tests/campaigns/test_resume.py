@@ -236,6 +236,17 @@ class TestResume:
             next(fh)  # the repro-results/1 header
             assert sum(1 for _ in fh) == 12
 
+    def test_the_watch_frame_counts_the_replayed_scenarios(self, tmp_path,
+                                                          capsys):
+        """The frame's resumed line is the report's own count."""
+        path = str(tmp_path / "r.jsonl")
+        _run(self.SPECS[:8], path, jobs=1)
+        report = _run(self.SPECS, path, resume=True, jobs=1, watch=True)
+        frame = capsys.readouterr().err.rsplit("== campaign @", 1)[1]
+        assert report.resumed_count == 8
+        assert "evaluated: 4  disagreements: 0" in frame
+        assert f"resumed: {report.resumed_count}\n" in frame
+
     def test_error_records_are_evaluated_again(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         _run(self.SPECS, path, jobs=1)

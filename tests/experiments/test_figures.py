@@ -3,6 +3,9 @@
 import pytest
 
 from repro.experiments import (
+    convergence,
+    hlp_study,
+    ibgp_study,
     bad_gadget_run,
     disagree_sweep,
     figure6_study,
@@ -14,6 +17,7 @@ from repro.experiments import (
     threshold_sweep,
     worst_case_bound,
 )
+from repro.topology import make_ibgp_config, rocketfuel_like
 
 
 class TestFigure4:
@@ -87,3 +91,44 @@ class TestGadgetStudies:
     def test_format_runs(self):
         runs = good_gadget_scaling(copies=(1,), seed=0)
         assert "instance" in format_runs(runs, "title")
+
+
+class TestBackendConstant:
+    """Each harness's ``BACKEND`` is its only engine switch, and the
+    generated program draws the same figures as the native engine."""
+
+    @staticmethod
+    def _both(monkeypatch, module, run):
+        results = {}
+        for backend in ("gpv", "ndlog"):
+            monkeypatch.setattr(module, "BACKEND", backend)
+            results[backend] = run()
+        return results["gpv"], results["ndlog"]
+
+    def test_figure4_point(self, monkeypatch):
+        gpv, ndlog = self._both(monkeypatch, convergence,
+                                lambda: run_depth(4, seed=4, max_nodes=30))
+        assert gpv.converged
+        assert ndlog == gpv
+
+    def test_figure5_configuration(self, monkeypatch):
+        """The scaled-down configuration of ``examples/ibgp_debugging.py``."""
+        router_net = rocketfuel_like(30, 60, seed=11)
+        config = make_ibgp_config(router_net, seed=11, embed_gadget=True,
+                                  levels=3, reflector_count=12,
+                                  egress_count=4)
+        gpv, ndlog = self._both(
+            monkeypatch, ibgp_study,
+            lambda: ibgp_study.run_configuration(config, seed=0))
+        assert gpv.core_nodes
+        for field in ("messages", "total_mb", "convergence_s", "bandwidth",
+                      "core_nodes"):
+            assert getattr(ndlog, field) == getattr(gpv, field), field
+
+    def test_figure6_path_vector(self, monkeypatch):
+        gpv, ndlog = self._both(
+            monkeypatch, hlp_study,
+            lambda: figure6_study(seed=1, domains=3, nodes_per_domain=6,
+                                  cross_links=8, mechanisms=("PV",)))
+        assert gpv[0].converged
+        assert ndlog == gpv

@@ -1,5 +1,7 @@
 """Tests for the native GPV engine (repro.protocols.gpv)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.algebra import (
@@ -9,6 +11,7 @@ from repro.algebra import (
     gao_rexford_with_hopcount,
     good_gadget,
 )
+from repro.exec import get_backend
 from repro.ndlog.codegen import network_from_spp
 from repro.net import Network
 from repro.protocols import GPVEngine
@@ -63,10 +66,13 @@ class TestComposedPolicyDeployment:
         assert sig == ("C", 3)
 
     def test_converged_everywhere(self, chain):
-        engine = GPVEngine(chain, gao_rexford_with_hopcount(),
-                           chain.nodes())
-        engine.run(until=30.0)
-        assert engine.converged_everywhere()
+        scenario = SimpleNamespace(network=chain,
+                                   algebra=gao_rexford_with_hopcount(),
+                                   destinations=chain.nodes(), events=[])
+        outcome = get_backend("gpv").prepare(scenario, seed=0).run(until=30.0)
+        assert outcome.converged
+        assert len(outcome.routes) == 12  # every ordered pair of 4 nodes
+        assert all(route is not None for route in outcome.routes.values())
 
     def test_gr_valley_free_filtering(self):
         """Two customers of one provider: peer-free topology means the
